@@ -10,8 +10,6 @@ exit point when a trajectory leaves the computational box.
 from __future__ import annotations
 
 import io
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -192,36 +190,16 @@ def integrate_characteristic(fld: VectorField, seed, span, tol: float = DEFAULT_
                                termination, tol)
 
 
-def _thread_count() -> int:
-    env = os.environ.get("CHARMAX_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return min(8, os.cpu_count() or 1)
-
-
 def characteristic_strip(fld: VectorField, seeds, span, tol: float = DEFAULT_TOL,
                          box: Box | None = None) -> Strip:
     """One curve per seed, seed order preserved; per-seed errors collected
     instead of failing fast."""
-    seeds = list(seeds)
-    curves: list = [None] * len(seeds)
-    errors: list = []
-
-    def run(idx_seed):
-        idx, seed = idx_seed
-        return idx, integrate_characteristic(fld, seed, span, tol, box)
-
-    if not seeds:
-        return Strip(curves, errors)
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        futures = [pool.submit(run, (i, s)) for i, s in enumerate(seeds)]
-        for i, fut in enumerate(futures):
-            try:
-                idx, curve = fut.result()
-                curves[idx] = curve
-            except Exception as err:  # noqa: BLE001 - collected per seed
-                errors.append((i, err))
-    return Strip(curves, errors)
+    strip = Strip([])
+    for i, seed in enumerate(seeds):
+        try:
+            curve = integrate_characteristic(fld, seed, span, tol, box)
+        except Exception as err:  # noqa: BLE001 - collected per seed
+            curve = None
+            strip.errors.append((i, err))
+        strip.curves.append(curve)
+    return strip

@@ -3,7 +3,8 @@
 Subcommands: verify, domain, query, characteristics, singular, envelope.
 One problem file drives everything; outputs are plot-ready CSV/JSON dumps.
 Exit codes: 0 success, 1 I/O or parse error, 2 validation or convergence
-failure.  Identical config and problem file give byte-identical outputs.
+failure, or a surface requested for n >= 2.  Identical config and problem
+file give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -259,7 +260,8 @@ def main(argv=None) -> int:
         return EXIT_IO
     except (ValidationError, FirstIntegralError, ImplicitSolutionError,
             ResolutionError, ProjectionError, NoConvergenceError,
-            PathLeftWindowError, EvalDomainError, ValueError) as err:
+            PathLeftWindowError, EvalDomainError, ValueError,
+            NotImplementedError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import EvalDomainError, Expr, evaluate, var_names
-from .integrals import ImplicitSolution
-from .locus import SurfaceComponent
+from .expr import EvalDomainError, Expr, diff, evaluate, var_names
+from .integrals import ImplicitSolution, _newton_u
+from .locus import (SurfaceComponent, _damped_newton, cell_center, cell_of,
+                    flood)
 from .problem import InitialData, Problem
 
 SOLVE_TOL = 1e-12
@@ -91,14 +92,8 @@ class MaximalDomain:
         return self.cell_area * int(np.count_nonzero(self.mask))
 
     def contains_cell(self, base_point) -> bool:
-        idx = []
-        for ax, v in zip(self.axes, base_point):
-            step = ax[1] - ax[0]
-            i = int(np.floor((v - ax[0]) / step))
-            if not 0 <= i <= len(ax) - 2:
-                return False
-            idx.append(i)
-        return bool(self.mask[tuple(idx)])
+        cell = cell_of(self.axes, base_point, clamp=False)
+        return cell is not None and bool(self.mask[cell])
 
     def to_json(self) -> str:
         rows = []
@@ -163,35 +158,14 @@ def maximal_domain(component: SurfaceComponent,
             raise ProjectionError(
                 f"initial-set base cell {base} is not masked")
 
-    _check_mask_connected(mask, gamma_base)
+    if np.count_nonzero(flood(mask, gamma_base)) != np.count_nonzero(mask):
+        raise ProjectionError("projected mask is not facet-connected")
     boundary = _assemble_boundary(component, mask, base_axes)
     dom = MaximalDomain(surface.resolution, base_axes, mask, boundary,
                         gamma_base)
     if sigma is not None:
         _attach_sigma_boundary(dom, component, sigma)
     return dom
-
-
-def _check_mask_connected(mask: np.ndarray, seeds: list[tuple]):
-    seen = set(seeds)
-    queue = list(seeds)
-    head = 0
-    shape = mask.shape
-    while head < len(queue):
-        cell = queue[head]
-        head += 1
-        for axis in range(mask.ndim):
-            for step in (-1, 1):
-                cand = list(cell)
-                cand[axis] += step
-                if not 0 <= cand[axis] < shape[axis]:
-                    continue
-                cand = tuple(cand)
-                if cand not in seen and mask[cand]:
-                    seen.add(cand)
-                    queue.append(cand)
-    if len(seen) != int(np.count_nonzero(mask)):
-        raise ProjectionError("projected mask is not facet-connected")
 
 
 def _assemble_boundary(component: SurfaceComponent, mask, base_axes):
@@ -282,18 +256,24 @@ def _attach_sigma_boundary(dom: MaximalDomain, component: SurfaceComponent,
                            sigma) -> MaximalDomain:
     """Attach projected sigma polylines/points near the component closure
     as fold boundary."""
-    surface = component.surface
+    axes = component.surface.axes
     near = component.sigma_cells
+    # cells sharing a facet with a component cell
+    comp = component.mask
+    touching = np.zeros_like(comp)
+    for axis in range(comp.ndim):
+        lower = (slice(None),) * axis + (slice(None, -1),)
+        upper = (slice(None),) * axis + (slice(1, None),)
+        touching[lower] |= comp[upper]
+        touching[upper] |= comp[lower]
     fold_lines = []
     for line in sigma.polylines:
-        keep = [p for p in line if surface.cell_of(p) in near
-                or any(nb in component.cell_set
-                       for nb in surface.neighbors(surface.cell_of(p)))]
+        cells = [cell_of(axes, p) for p in line]
+        keep = [p for p, c in zip(line, cells) if c in near or touching[c]]
         if keep:
             fold_lines.append(np.array([p[:-1] for p in keep]))
     if not fold_lines and len(sigma.points):
-        pts = [p[:-1] for p in sigma.points
-               if surface.cell_of(p) in near]
+        pts = [p[:-1] for p in sigma.points if cell_of(axes, p) in near]
         if pts:
             fold_lines.append(np.array(pts))
     dom.boundary = ([BoundaryPolyline("fold", l) for l in fold_lines]
@@ -307,50 +287,35 @@ def _attach_sigma_boundary(dom: MaximalDomain, component: SurfaceComponent,
 def solve_u(F: Expr, t: float, x, seed: float, F_u: Expr | None = None,
             tol: float = SOLVE_TOL, maxit: int = SOLVE_MAXIT) -> SolveResult:
     """Damped Newton for F(t, x, u) = 0 in u from the given seed."""
-    from .expr import diff  # local import to keep module load light
     x = np.atleast_1d(np.asarray(x, dtype=float)) if x is not None else np.zeros(0)
-    n = len(x)
     if F_u is None:
         F_u = diff(F, "u")
-    names = var_names(n)
-    binding = dict(zip(names, [float(t), *x.tolist(), float(seed)]))
+    binding = dict(zip(var_names(len(x)),
+                       [float(t), *x.tolist(), float(seed)]))
+    iterations = 0
 
-    def residual(u):
-        binding["u"] = u
-        return evaluate(F, binding)
-
-    u = float(seed)
-    try:
-        r = residual(u)
-    except EvalDomainError as err:
-        raise NoConvergenceError(f"F undefined at the seed: {err}") from err
-    for it in range(maxit):
-        if abs(r) <= tol:
-            fu = evaluate(F_u, binding)
-            return SolveResult(u, fu, abs(r), it)
+    def at(expr, u):
+        binding["u"] = float(u[0])
         try:
-            fu = evaluate(F_u, binding)
-        except EvalDomainError as err:
-            raise NoConvergenceError(str(err)) from err
-        if fu == 0.0 or not np.isfinite(fu):
-            raise NoConvergenceError(f"F_u = {fu} during Newton")
-        step = -r / fu
-        lam = 1.0
-        while lam > 2.0 ** -24:
-            try:
-                rc = residual(u + lam * step)
-            except EvalDomainError:
-                lam *= 0.5
-                continue
-            if abs(rc) <= (1 - 0.5 * lam) * abs(r) or abs(rc) <= tol:
-                u = u + lam * step
-                r = rc
-                break
-            lam *= 0.5
-        else:
-            raise NoConvergenceError("Newton line search stalled")
-    raise NoConvergenceError(
-        f"no convergence in {maxit} iterations (|F| = {abs(r):.3e})")
+            return np.array([evaluate(expr, binding)])
+        except EvalDomainError:
+            return None
+
+    def jacobian(u):  # called once per Newton step
+        nonlocal iterations
+        iterations += 1
+        fu = at(F_u, u)
+        return None if fu is None else fu.reshape(1, 1)
+
+    root = _damped_newton(lambda u: at(F, u), jacobian, [float(seed)], tol,
+                          maxit)
+    if root is None:
+        raise NoConvergenceError(
+            f"no root of F in u from seed {seed!r} within {maxit} iterations")
+    binding["u"] = float(root[0])
+    r = evaluate(F, binding)
+    return SolveResult(binding["u"], evaluate(F_u, binding), abs(r),
+                       iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -380,35 +345,8 @@ def _singular_threshold(sol, binding, params) -> float:
 
 def _corrector(sol: ImplicitSolution, names, point, u, params):
     """Newton in u at a fixed base point.  Returns (u, f_u, ok)."""
-    binding = dict(zip(names, [*point, u]))
-
-    def f_at(uu):
-        binding["u"] = uu
-        return evaluate(sol.F, binding)
-
-    try:
-        r = f_at(u)
-    except EvalDomainError:
-        return u, None, False
-    for _ in range(params.corrector_maxit):
-        try:
-            fu = evaluate(sol.F_u, binding)
-        except EvalDomainError:
-            return u, None, False
-        if abs(r) <= params.newton_tol:
-            return binding["u"], fu, True
-        if fu == 0.0 or not np.isfinite(fu):
-            return binding["u"], fu, False
-        try:
-            r_new = f_at(binding["u"] - r / fu)
-        except EvalDomainError:
-            return binding["u"], fu, False
-        r = r_new
-    try:
-        fu = evaluate(sol.F_u, binding)
-    except EvalDomainError:
-        fu = None
-    return binding["u"], fu, abs(r) <= params.newton_tol
+    return _newton_u(sol.F, sol.F_u, dict(zip(names, [*point, u])), u,
+                     params.newton_tol, params.corrector_maxit)
 
 
 def nearest_base_point(data: InitialData, q) -> tuple[np.ndarray, float]:
@@ -566,45 +504,14 @@ def _refine_singular_onset(sol, names, at, s_good, s_bad, u_good, fu_sign,
 
 def _staircase(domain: MaximalDomain, start, goal):
     """Cell-center waypoints through the mask from start to goal (BFS)."""
-    def cell_of(p):
-        idx = []
-        for ax, v in zip(domain.axes, p):
-            step = ax[1] - ax[0]
-            i = int(np.floor((v - ax[0]) / step))
-            idx.append(min(max(i, 0), len(ax) - 2))
-        return tuple(idx)
-
-    def center(cell):
-        return np.array([0.5 * (ax[i] + ax[i + 1])
-                         for ax, i in zip(domain.axes, cell)])
-
-    src, dst = cell_of(start), cell_of(goal)
-    if not domain.mask[src] or not domain.mask[dst]:
-        return None
-    prev = {src: None}
-    queue = [src]
-    head = 0
-    while head < len(queue):
-        cell = queue[head]
-        head += 1
-        if cell == dst:
-            break
-        for axis in range(domain.mask.ndim):
-            for step in (-1, 1):
-                cand = list(cell)
-                cand[axis] += step
-                if not 0 <= cand[axis] < domain.mask.shape[axis]:
-                    continue
-                cand = tuple(cand)
-                if cand not in prev and domain.mask[cand]:
-                    prev[cand] = cell
-                    queue.append(cand)
-    if dst not in prev:
+    dst = cell_of(domain.axes, goal)
+    parent = flood(domain.mask, [cell_of(domain.axes, start)], parents=True)
+    if dst not in parent:
         return None
     path = [np.asarray(goal, dtype=float)]
     cell = dst
     while cell is not None:
-        path.append(center(cell))
-        cell = prev[cell]
+        path.append(cell_center(domain.axes, cell))
+        cell = parent[cell]
     path.append(np.asarray(start, dtype=float))
     return list(reversed(path))

@@ -15,6 +15,7 @@ function) must come from the problem file; no discovery is attempted.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,6 +30,9 @@ RESIDUAL_TOL = 1e-8
 GAMMA_TOL = 1e-10
 FU_MIN_ON_GAMMA = 1e-6
 FLOW_TOL = 1e-8
+FLOW_NEWTON_TOL = 1e-12
+FLOW_NEWTON_MAXIT = 40
+FLOW_NEWTON_MAX_STEP = 1e8
 MIN_SINGULAR_VALUE = 1e-6
 _RNG_SEED = 74025317  # fixed seed so reports are deterministic
 
@@ -187,26 +191,41 @@ def defining_function_from_initial(d: InitialData,
     return sub(Var("y1"), h_in_y2)
 
 
-def _newton_u(F: Expr, F_u: Expr, binding: dict, u0: float,
-              tol: float = 1e-12, maxit: int = 40):
-    """Small local Newton in u used to project samples onto {F = 0}."""
-    u = float(u0)
-    for _ in range(maxit):
-        binding["u"] = u
-        r = evaluate(F, binding)
-        if abs(r) <= tol:
-            return u
-        du = evaluate(F_u, binding)
-        if du == 0.0 or not np.isfinite(du):
-            return None
-        step = -r / du
-        if not np.isfinite(step):
-            return None
-        u += step
-        if abs(step) > 1e8:
-            return None
+def _newton_u(F: Expr, F_u: Expr, binding: dict, u: float, tol: float,
+              maxit: int, max_step: float = math.inf):
+    """Plain Newton in u for F = 0 at the base point held in ``binding``.
+
+    Returns (u, F_u at u, ok); F_u is None where it fails to evaluate.  A
+    domain violation, or a step longer than ``max_step`` (the iterate runs
+    off to infinity), ends the iteration with ok False.
+    """
     binding["u"] = u
-    return u if abs(evaluate(F, binding)) <= tol else None
+    try:
+        r = evaluate(F, binding)
+    except EvalDomainError:
+        return u, None, False
+    for _ in range(maxit):
+        try:
+            fu = evaluate(F_u, binding)
+        except EvalDomainError:
+            return binding["u"], None, False
+        if abs(r) <= tol:
+            return binding["u"], fu, True
+        if fu == 0.0 or not np.isfinite(fu):
+            return binding["u"], fu, False
+        step = r / fu
+        if abs(step) > max_step:
+            return binding["u"], fu, False
+        binding["u"] -= step
+        try:
+            r = evaluate(F, binding)
+        except EvalDomainError:
+            return binding["u"], fu, False
+    try:
+        fu = evaluate(F_u, binding)
+    except EvalDomainError:
+        fu = None
+    return binding["u"], fu, abs(r) <= tol
 
 
 def build_implicit_solution(rho_set: FirstIntegralSet, f: Expr, gamma,
@@ -255,7 +274,8 @@ def build_implicit_solution(rho_set: FirstIntegralSet, f: Expr, gamma,
 
 def _check_flow_invariance(F, F_u, gradient, fld, box, gamma, count):
     """|X F| at points of {F = 0}: the initial samples plus random box
-    points projected onto the surface by Newton in u."""
+    points projected onto the surface by Newton in u.  Fewer than
+    ``count // 2`` projected points within the draw budget is an error."""
     n = fld.n
     names = var_names(n)
     residual = apply_field(fld, F)
@@ -267,12 +287,20 @@ def _check_flow_invariance(F, F_u, gradient, fld, box, gamma, count):
         attempts += 1
         draw = lows + rng.random(n + 2) * (highs - lows)
         binding = dict(zip(names, draw.tolist()))
-        u = _newton_u(F, F_u, binding, draw[-1])
-        if u is None:
+        u, _, ok = _newton_u(F, F_u, binding, float(draw[-1]),
+                             FLOW_NEWTON_TOL, FLOW_NEWTON_MAXIT,
+                             FLOW_NEWTON_MAX_STEP)
+        if not ok:
             continue
         candidate = list(draw[:-1]) + [u]
         if box.contains(candidate):
             points.append(candidate)
+    projected = len(points) - len(gamma)
+    if projected < count // 2:
+        raise ImplicitSolutionError(
+            f"flow check projected only {projected} of {count} surface "
+            f"points in {attempts} draws; the box holds too little of the "
+            "surface to check flow invariance")
     for point in points:
         binding = dict(zip(names, point))
         try:

@@ -1,10 +1,11 @@
 """Level-surface discretization and the singular locus.
 
 The zero set of F is discretized over the computational box on a regular
-grid: a cell "crosses" when F changes sign among its corner vertices.
-Cells get linear patches (marching-squares segments in the plane case,
-triangles from a six-tetrahedron cube decomposition in the space case),
-and adjacency is shared-facet adjacency between crossing cells.
+grid: a cell "crosses" when F changes sign among its corner vertices,
+and adjacency is shared-facet adjacency between crossing cells.  Linear
+pieces of the surface inside each cell (marching-squares segments in the
+plane case, triangles from a six-tetrahedron cube decomposition in the
+space case) are built on demand, for point-cloud dumps only.
 
 The singular locus is the subset of the surface where F_u vanishes too.
 Cells where both F and F_u change sign seed a damped Newton polish; in the
@@ -12,12 +13,14 @@ space case the polished points are then ordered into polylines by
 pseudo-arclength continuation along the one-dimensional solution curve.
 
 Splitting off the connected component of the initial set is a pure
-flood fill over cell adjacency with singular cells removed.
+flood fill over cell adjacency with singular cells removed.  The grid
+helpers here (cell lookup, cell centres, flood fill) serve the base-space
+mask as well.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations, product
 
 import numpy as np
@@ -46,9 +49,7 @@ class LevelSurface:
     valid: np.ndarray                  # vertex validity
     crossing: np.ndarray               # cell-shaped bool mask
     cells: np.ndarray                  # (k, dim) crossing-cell indices
-    patches: list                      # per crossing cell: (m, 2|3, dim)
     excluded_cells: np.ndarray         # cells dropped for invalid vertices
-    _cell_set: frozenset = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -61,54 +62,6 @@ class LevelSurface:
     @property
     def cell_diagonal(self) -> float:
         return float(np.linalg.norm(self.cell_size))
-
-    @property
-    def cell_set(self) -> frozenset:
-        if self._cell_set is None:
-            self._cell_set = frozenset(map(tuple, self.cells.tolist()))
-        return self._cell_set
-
-    def neighbors(self, cell: tuple) -> list[tuple]:
-        """Crossing cells sharing a facet with ``cell``."""
-        out = []
-        for axis in range(self.dim):
-            for step in (-1, 1):
-                cand = list(cell)
-                cand[axis] += step
-                cand = tuple(cand)
-                if cand in self.cell_set:
-                    out.append(cand)
-        return out
-
-    def cell_center(self, cell) -> np.ndarray:
-        return np.array([0.5 * (ax[i] + ax[i + 1])
-                         for ax, i in zip(self.axes, cell)])
-
-    def cell_of(self, point) -> tuple:
-        idx = []
-        for ax, v in zip(self.axes, point):
-            step = ax[1] - ax[0]
-            i = int(np.floor((v - ax[0]) / step))
-            idx.append(min(max(i, 0), len(ax) - 2))
-        return tuple(idx)
-
-    def cells_containing(self, point) -> list[tuple]:
-        """All cells whose closed region contains the point (a point on a
-        vertex plane belongs to both neighbors)."""
-        choices = []
-        for ax, v in zip(self.axes, point):
-            step = ax[1] - ax[0]
-            frac = (v - ax[0]) / step
-            i = int(np.floor(frac))
-            i = min(max(i, 0), len(ax) - 2)
-            opts = {i}
-            if abs(frac - round(frac)) < 1e-9:
-                j = int(round(frac))
-                for cand in (j - 1, j):
-                    if 0 <= cand <= len(ax) - 2:
-                        opts.add(cand)
-            choices.append(sorted(opts))
-        return [tuple(c) for c in product(*choices)]
 
 
 @dataclass
@@ -128,7 +81,7 @@ class SurfaceComponent:
 
     surface: LevelSurface
     cells: np.ndarray                  # (k, dim), lexicographically sorted
-    cell_set: frozenset
+    mask: np.ndarray                   # the same cells as a cell-shaped mask
     gamma_cells: list[tuple]
     sigma_cells: frozenset
 
@@ -170,7 +123,7 @@ def _edge_zero(pa, va, pb, vb):
     return tuple(a + s * (b - a) for a, b in zip(pa, pb))
 
 
-def _square_patches(corner_vals, corner_pts):
+def _square_segments(corner_vals, corner_pts):
     """Marching-squares segments for one cell.
 
     corner order: 00, 10, 11, 01 walking around the cell; the saddle case
@@ -236,7 +189,7 @@ def _tet_triangles(vals, pts):
 
 
 def extract_surface(F: Expr, box: Box, resolution: int) -> LevelSurface:
-    """Find all sign-crossing cells of F over the box and patch them.
+    """Find all sign-crossing cells of F over the box.
 
     Vertices where F fails to evaluate are marked invalid; their incident
     cells are excluded from the surface and reported.
@@ -251,15 +204,22 @@ def extract_surface(F: Expr, box: Box, resolution: int) -> LevelSurface:
     axes = tuple(np.linspace(lo, hi, resolution + 1) for lo, hi in box.ranges)
     values, valid = _grid_values(F, axes, n)
     crossing, all_ok = _classify_cells(values, valid, dim)
-    cells = np.argwhere(crossing)
-    excluded = np.argwhere(~all_ok)
+    return LevelSurface(F, box, resolution, axes, values, valid, crossing,
+                        np.argwhere(crossing), np.argwhere(~all_ok))
 
-    # gather corner values/coordinates for all crossing cells at once
+
+def cell_pieces(surface: LevelSurface) -> list:
+    """Linear pieces of the zero set, one (m, 2|3, dim) array per crossing
+    cell in ``surface.cells`` order: segments in the plane case, triangles
+    in the space case."""
+    dim, axes, values, cells = (surface.dim, surface.axes, surface.values,
+                                surface.cells)
+    # gather corner values for all crossing cells at once
     offsets = _corner_offsets(dim)
     corner_vals = np.stack(
         [values[tuple(cells[:, k] + o[k] for k in range(dim))] for o in offsets],
         axis=1) if len(cells) else np.zeros((0, len(offsets)))
-    patches = []
+    pieces = []
     if dim == 2:
         # reorder corners to walk the square: 00, 10, 11, 01
         ring = [offsets.index(o) for o in ((0, 0), (1, 0), (1, 1), (0, 1))]
@@ -267,8 +227,8 @@ def extract_surface(F: Expr, box: Box, resolution: int) -> LevelSurface:
             pts = [(axes[0][cell[0] + o[0]], axes[1][cell[1] + o[1]])
                    for o in ((0, 0), (1, 0), (1, 1), (0, 1))]
             vals = [row[r] for r in ring]
-            segs = _square_patches(vals, pts)
-            patches.append(np.array(segs, dtype=float).reshape(-1, 2, 2))
+            segs = _square_segments(vals, pts)
+            pieces.append(np.array(segs, dtype=float).reshape(-1, 2, 2))
     else:
         index_of = {o: i for i, o in enumerate(offsets)}
         for row, cell in zip(corner_vals, cells):
@@ -279,10 +239,71 @@ def extract_surface(F: Expr, box: Box, resolution: int) -> LevelSurface:
                 vals = [row[index_of[o]] for o in tet]
                 pts = [coords[o] for o in tet]
                 tris.extend(_tet_triangles(vals, pts))
-            patches.append(np.array(tris, dtype=float).reshape(-1, 3, 3))
+            pieces.append(np.array(tris, dtype=float).reshape(-1, 3, 3))
+    return pieces
 
-    return LevelSurface(F, box, resolution, axes, values, valid,
-                        crossing, cells, patches, excluded)
+
+# ---------------------------------------------------------------------------
+# Grid cells, shared with the base-space mask
+
+def cell_of(axes, point, clamp: bool = True):
+    """Index of the grid cell holding ``point``.  A point off the grid is
+    clamped into it, or gives None when ``clamp`` is off."""
+    idx = []
+    for ax, v in zip(axes, point):
+        i = int(np.floor((v - ax[0]) / (ax[1] - ax[0])))
+        if not 0 <= i <= len(ax) - 2:
+            if not clamp:
+                return None
+            i = min(max(i, 0), len(ax) - 2)
+        idx.append(i)
+    return tuple(idx)
+
+
+def cell_center(axes, cell) -> np.ndarray:
+    return np.array([0.5 * (ax[i] + ax[i + 1]) for ax, i in zip(axes, cell)])
+
+
+def flood(mask: np.ndarray, seeds, parents: bool = False):
+    """Cells of ``mask`` facet-connected to the seed cells that lie in it.
+
+    Breadth-first from the seeds in the order given, a cell's neighbours
+    taken axis by axis, lower side first.  Returns the reached cells as a
+    mask or, with ``parents``, as a dict mapping each reached cell to the
+    cell it was first reached from (None for seeds).
+    """
+    # a False rim stops the search at the grid edge, so flat-index
+    # neighbours never wrap around an axis; one byte per cell, so the
+    # array's byte strides are its flat-index strides
+    padded = np.pad(np.asarray(mask, dtype=bool), 1)
+    inside = padded.tobytes()
+    offsets = [d for stride in padded.strides for d in (-stride, stride)]
+    reached = bytearray(len(inside))
+    queue, came_from = [], []
+    for seed in seeds:
+        i = int(np.ravel_multi_index(np.add(seed, 1), padded.shape))
+        if inside[i] and not reached[i]:
+            reached[i] = 1
+            queue.append(i)
+            came_from.append(-1)
+    head = 0
+    while head < len(queue):
+        i = queue[head]
+        for d in offsets:
+            j = i + d
+            if inside[j] and not reached[j]:
+                reached[j] = 1
+                queue.append(j)
+                came_from.append(head)
+        head += 1
+    if parents:
+        cells = np.array(np.unravel_index(queue, padded.shape)).T - 1
+        cells = [tuple(c) for c in cells.tolist()]
+        return {c: cells[k] if k >= 0 else None
+                for c, k in zip(cells, came_from)}
+    interior = tuple(slice(1, -1) for _ in mask.shape)
+    reached = np.frombuffer(reached, dtype=bool).reshape(padded.shape)
+    return reached[interior].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +491,8 @@ def extract_singular_locus(F: Expr, surface: LevelSurface,
     polished = []
     dropped = 0
     for cell in seed_cells:
-        point = _polish_seed(sys, surface.cell_center(cell), surface.box,
-                             newton_tol)
+        point = _polish_seed(sys, cell_center(surface.axes, cell),
+                             surface.box, newton_tol)
         if point is None:
             dropped += 1
         else:
@@ -529,21 +550,35 @@ def extract_singular_locus(F: Expr, surface: LevelSurface,
 # ---------------------------------------------------------------------------
 # Component of the initial set
 
+def _cells_touching(axes, point) -> list[tuple]:
+    """All cells whose closed region contains the point (a point on a
+    vertex plane belongs to both neighbors)."""
+    choices = []
+    for ax, v, i in zip(axes, point, cell_of(axes, point)):
+        frac = (v - ax[0]) / (ax[1] - ax[0])
+        opts = {i}
+        if abs(frac - round(frac)) < 1e-9:
+            j = int(round(frac))
+            opts.update(c for c in (j - 1, j) if 0 <= c <= len(ax) - 2)
+        choices.append(sorted(opts))
+    return list(product(*choices))
+
+
 def split_component(surface: LevelSurface, sigma: SingularLocus,
                     gamma) -> SurfaceComponent:
     """Flood-fill the crossing cells from the initial-set cells, with
     singular cells removed first."""
     sigma_cells = set(map(tuple, sigma.seed_cells.tolist()))
     for p in sigma.points:
-        sigma_cells.add(surface.cell_of(p))
+        sigma_cells.add(cell_of(surface.axes, p))
     for line in sigma.polylines:
         for p in line:
-            sigma_cells.add(surface.cell_of(p))
+            sigma_cells.add(cell_of(surface.axes, p))
 
     gamma_cells = []
     for sample in np.asarray(gamma, dtype=float):
-        cands = [c for c in surface.cells_containing(sample)
-                 if c in surface.cell_set]
+        cands = [c for c in _cells_touching(surface.axes, sample)
+                 if surface.crossing[c]]
         if not cands:
             raise ResolutionError(
                 f"initial-set sample {sample.tolist()} lies in no crossing "
@@ -554,19 +589,11 @@ def split_component(surface: LevelSurface, sigma: SingularLocus,
     if not frontier:
         raise ResolutionError(
             "all initial-set cells are singular at this resolution")
-    seen = set(frontier)
-    queue = list(dict.fromkeys(frontier))
-    head = 0
-    while head < len(queue):
-        cell = queue[head]
-        head += 1
-        for nb in surface.neighbors(cell):
-            if nb not in seen and nb not in sigma_cells:
-                seen.add(nb)
-                queue.append(nb)
-
-    cells = np.array(sorted(seen))
-    return SurfaceComponent(surface, cells, frozenset(seen),
+    open_cells = surface.crossing.copy()
+    if sigma_cells:
+        open_cells[tuple(np.array(list(sigma_cells)).T)] = False
+    mask = flood(open_cells, frontier)
+    return SurfaceComponent(surface, np.argwhere(mask), mask,
                             list(dict.fromkeys(gamma_cells)),
                             frozenset(sigma_cells))
 
@@ -575,8 +602,9 @@ def split_component(surface: LevelSurface, sigma: SingularLocus,
 # Diagnostics used by tests and the CLI
 
 def patch_vertices(surface: LevelSurface) -> np.ndarray:
-    """All patch vertices as one (m, dim) point cloud."""
-    chunks = [p.reshape(-1, surface.dim) for p in surface.patches if p.size]
+    """All vertices of the cell pieces as one (m, dim) point cloud."""
+    chunks = [p.reshape(-1, surface.dim) for p in cell_pieces(surface)
+              if p.size]
     if not chunks:
         return np.zeros((0, surface.dim))
     return np.vstack(chunks)

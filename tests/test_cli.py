@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +24,21 @@ CONSTANT_DATA = {
     "n": 1, "alpha": "1", "a": ["u"], "b": "0", "h": "1",
     "s_range": [-0.1, 0.1],
     "box": {"t": [-1.0, 1.0], "x": [[-1.0, 1.0]], "u": [-3.0, 3.0]},
+}
+
+# Burgers with h = sqrt(x + 1): F = u - sqrt(x - u*t + 1) is undefined on
+# part of the box, where Newton steps of the flow check land
+SQRT_DATA = {
+    "n": 1, "alpha": "1", "a": ["u"], "b": "0", "h": "sqrt(x + 1)",
+    "s_range": [-0.1, 0.1],
+    "box": {"t": [-0.5, 1.0], "x": [[-2.0, 1.0]], "u": [0.05, 2.0]},
+}
+
+TWO_SPEED_DATA = {
+    "n": 2, "alpha": "1", "a": ["u", "u^2"], "b": "0", "h": "x1 + x2",
+    "s_range": [[-0.1, 0.1], [-0.1, 0.1]], "f": "y1 - y2 - y3",
+    "box": {"t": [-1.0, 1.0], "x": [[-1.0, 1.0], [-1.0, 1.0]],
+            "u": [-3.0, 3.0]},
 }
 
 
@@ -49,6 +68,11 @@ class TestVerify:
         path.write_text("{")
         assert main(["verify", "--problem", str(path)]) == 1
 
+    def test_partly_undefined_F_passes(self, tmp_path, capsys):
+        assert main(["verify", "--problem", write(tmp_path, SQRT_DATA),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert "PASS" in capsys.readouterr().out
+
     def test_alpha_vanishing_is_validation_error(self, tmp_path, capsys):
         doc = dict(CONSTANT_DATA, alpha="t")
         assert main(["verify", "--problem", write(tmp_path, doc),
@@ -68,6 +92,15 @@ class TestQuery:
         assert main(["query", "--problem", problem_file("ode_quadratic"),
                      "--t", "1.1"]) == 0
         assert capsys.readouterr().out.strip() == "outside"
+
+    def test_partly_undefined_F_inside(self, tmp_path, capsys):
+        assert main(["query", "--problem", write(tmp_path, SQRT_DATA),
+                     "--t", "0.3", "--x", "0.5"]) == 0
+        out = capsys.readouterr().out.strip()
+        assert out.startswith("inside ")
+        # u^2 + 0.3 u - 1.5 = 0
+        assert abs(float(out.split()[1])
+                   - (-0.3 + 6.09 ** 0.5) / 2) <= 1e-8
 
     def test_missing_x_reports_usage(self, capsys):
         assert main(["query", "--problem", problem_file("circular"),
@@ -95,6 +128,20 @@ class TestDomain:
             outs.append((out_dir / "domain.json").read_bytes()
                         + (out_dir / "summary.json").read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestUnsupportedDimension:
+    @pytest.mark.parametrize("command", ["domain", "singular"])
+    def test_n2_surface_is_a_clean_error(self, command, tmp_path):
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(charmax.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "charmax.cli", command, "--problem",
+             write(tmp_path, TWO_SPEED_DATA), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
 
 
 class TestDeterminism:

@@ -212,6 +212,17 @@ class TestBuild:
         with pytest.raises(ImplicitSolutionError, match="not flow-invariant"):
             build_implicit_solution(rho, f, gamma, fld, problem.box)
 
+    def test_flow_check_needs_enough_surface_points(self):
+        # the surface u = x / (1 + t) lies in the thin u-slab of the box
+        # over about 1.5% of the (t, x) face, so most draws project outside
+        problem, data = make_problem(
+            1, "1", ["u"], "0", "x",
+            Box((0.0, 1.0), ((-1.0, 1.0),), (-0.01, 0.01)),
+            s_range=((-0.005, 0.005),))
+        with pytest.raises(ImplicitSolutionError,
+                           match=r"projected only \d+ of 200 surface points"):
+            implicit_solution_for_problem(problem, data)
+
     def test_f_variable_universe_checked(self):
         problem, data = burgers()
         fld = characteristic_field(problem)

@@ -4,26 +4,28 @@ import numpy as np
 import pytest
 
 from charmax.expr import diff, evaluate, parse, var_names
-from charmax.locus import (ResolutionError, extract_singular_locus,
-                           extract_surface, fold_discriminant,
-                           split_component)
+from charmax.locus import (ResolutionError, cell_center, cell_pieces,
+                           extract_singular_locus, extract_surface, flood,
+                           fold_discriminant, split_component)
 from charmax.problem import Box, initial_set_samples, make_problem
 
 
 def adjacency_components(surface):
-    remaining = set(surface.cell_set)
+    remaining = surface.crossing.copy()
     count = 0
-    while remaining:
+    while remaining.any():
         count += 1
-        stack = [next(iter(remaining))]
-        remaining.discard(stack[0])
-        while stack:
-            cell = stack.pop()
-            for nb in surface.neighbors(cell):
-                if nb in remaining:
-                    remaining.discard(nb)
-                    stack.append(nb)
+        remaining &= ~flood(remaining, [np.argwhere(remaining)[0]])
     return count
+
+
+def facet_neighbors(cell, shape):
+    for axis in range(len(shape)):
+        for step in (-1, 1):
+            nb = list(cell)
+            nb[axis] += step
+            if 0 <= nb[axis] < shape[axis]:
+                yield tuple(nb)
 
 
 class TestExtractSurface:
@@ -33,7 +35,7 @@ class TestExtractSurface:
         surf = extract_surface(F, box, 16)
         # u = 0 is the vertex plane between cell rows 7 and 8; with the
         # zero-counts-as-positive convention exactly row 7 straddles it
-        assert {c[1] for c in surf.cell_set} == {7}
+        assert {c[1] for c in surf.cells} == {7}
         assert len(surf.cells) == 16
 
     def test_reciprocal_two_branches_and_invalid_row(self):
@@ -44,9 +46,9 @@ class TestExtractSurface:
         assert adjacency_components(surf) == 2
         # no crossing cell touches the invalid row
         bad_rows = {31, 32}
-        assert all(c[1] not in bad_rows for c in surf.cell_set)
+        assert all(c[1] not in bad_rows for c in surf.cells)
         # positive branch obeys t < 1
-        tops = [surf.axes[0][c[0] + 1] for c in surf.cell_set
+        tops = [surf.axes[0][c[0] + 1] for c in surf.cells
                 if surf.axes[1][c[1]] >= 0]
         assert max(tops) <= 1.0 + 2 * surf.cell_size[0]
 
@@ -54,7 +56,7 @@ class TestExtractSurface:
         _, sol, surf, _, _, _ = pipelines("circular", 48)
         assert len(surf.cells) > 0
         # every crossing cell has a patch with at least one triangle
-        nonempty = sum(1 for p in surf.patches if len(p))
+        nonempty = sum(1 for p in cell_pieces(surf) if len(p))
         assert nonempty == len(surf.cells)
 
     def test_patch_linear_interp_bound(self, pipelines):
@@ -64,12 +66,13 @@ class TestExtractSurface:
         diag = surf.cell_diagonal
         rng = np.random.default_rng(11)
         idx = rng.choice(len(surf.cells), size=200, replace=False)
+        pieces = cell_pieces(surf)
         for i in idx:
-            patch = surf.patches[i]
+            patch = pieces[i]
             if not len(patch):
                 continue
             vertices = patch.reshape(-1, 3)
-            corners = surf.cell_center(surf.cells[i])
+            corners = cell_center(surf.axes, surf.cells[i])
             gmax = 0.0
             for p in list(vertices) + [corners]:
                 b = dict(zip(names, (float(v) for v in p)))
@@ -169,7 +172,7 @@ class TestSplitComponent:
         assert len(sigma.points) == 0
         gamma = initial_set_samples(data, 9)
         comp = split_component(surf, sigma, gamma)
-        assert comp.cell_set == surf.cell_set
+        assert np.array_equal(comp.mask, surf.crossing)
 
     def test_reciprocal_component_is_minus_branch(self, pipelines):
         b, _, surf, sigma, comp, _ = pipelines("burgers_reciprocal", 48)
@@ -232,17 +235,87 @@ class TestRefinement:
             if cell in sigma_adjacent:
                 continue
             # interior coarse cells: all facet neighbors also in component
-            if any(nb not in comp1.cell_set
-                   for nb in surf1.neighbors(cell)):
+            if any(surf1.crossing[nb] and not comp1.mask[nb]
+                   for nb in facet_neighbors(cell, comp1.mask.shape)):
                 continue
             interior += 1
             children = [
                 (2 * cell[0] + a, 2 * cell[1] + b, 2 * cell[2] + c)
                 for a in (0, 1) for b in (0, 1) for c in (0, 1)]
-            if not any(ch in comp2.cell_set for ch in children):
+            if not any(comp2.mask[ch] for ch in children):
                 missing += 1
         assert interior > 0
         assert missing == 0
+
+
+def queue_bfs_path(mask, src, dst):
+    """Reference: FIFO breadth-first search with per-cell neighbour order
+    axis by axis, lower side first; the cells from dst back to src."""
+    prev = {src: None}
+    queue = [src]
+    head = 0
+    while head < len(queue):
+        cell = queue[head]
+        head += 1
+        if cell == dst:
+            break
+        for nb in facet_neighbors(cell, mask.shape):
+            if nb not in prev and mask[nb]:
+                prev[nb] = cell
+                queue.append(nb)
+    if dst not in prev:
+        return None
+    path = [dst]
+    while prev[path[-1]] is not None:
+        path.append(prev[path[-1]])
+    return path
+
+
+def flood_path(mask, src, dst):
+    parent = flood(mask, [src], parents=True)
+    if dst not in parent:
+        return None
+    path = [dst]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return path
+
+
+class TestFlood:
+    def test_far_end_not_reached_from_index_zero(self):
+        line = np.array([True, False, False, True])
+        assert flood(line, [(0,)]).tolist() == [True, False, False, False]
+        plane = np.zeros((4, 5), dtype=bool)
+        plane[0, 0] = plane[3, 0] = True   # ends of axis 0
+        plane[1, 4] = plane[2, 0] = True   # adjacent in flat (row-major) order
+        assert np.argwhere(flood(plane, [(0, 0)])).tolist() == [[0, 0]]
+        assert np.argwhere(flood(plane, [(1, 4)])).tolist() == [[1, 4]]
+        cube = np.zeros((3, 3, 3), dtype=bool)
+        cube[0, 1, 1] = cube[2, 1, 1] = True
+        cube[1, 1, 2] = cube[1, 2, 0] = True
+        assert np.argwhere(flood(cube, [(0, 1, 1)])).tolist() == [[0, 1, 1]]
+        assert np.argwhere(flood(cube, [(1, 1, 2)])).tolist() == [[1, 1, 2]]
+
+    def test_disconnected_seeds(self):
+        mask = np.zeros((5, 5), dtype=bool)
+        mask[0, :2] = mask[4, 3:] = mask[2, 2] = True
+        expected = mask.copy()
+        expected[2, 2] = False
+        assert np.array_equal(flood(mask, [(0, 1), (4, 4)]), expected)
+        assert not flood(mask, [(1, 1)]).any()  # seed outside the mask
+
+    @pytest.mark.parametrize("shape", [(12, 15), (6, 7, 5)])
+    def test_parents_give_the_queue_bfs_path(self, shape):
+        rng = np.random.default_rng(3)
+        compared = 0
+        for _ in range(20):
+            mask = rng.random(shape) < 0.65
+            cells = [tuple(int(i) for i in c) for c in np.argwhere(mask)]
+            src, dst = (cells[i] for i in rng.choice(len(cells), 2))
+            want = queue_bfs_path(mask, src, dst)
+            assert flood_path(mask, src, dst) == want
+            compared += want is not None
+        assert compared >= 10
 
 
 class TestDimensionLimit:
