@@ -18,9 +18,8 @@ import numpy as np
 
 from . import conslaw
 from .characteristics import characteristic_strip
-from .domain import (ContinuationParams, NoConvergenceError,
-                     PathLeftWindowError, ProjectionError, contains,
-                     maximal_domain)
+from .domain import (NoConvergenceError, PathLeftWindowError,
+                     ProjectionError, contains, maximal_domain)
 from .expr import Const, EvalDomainError, ParseError, to_str
 from .integrals import (FirstIntegralError, ImplicitSolutionError,
                         verification_samples, check_nondegeneracy,
@@ -66,18 +65,13 @@ def _dump(out_dir: Path, stem: str, csv_text: str, fmt: str) -> Path:
     return _write(out_dir, f"{stem}.csv", csv_text)
 
 
-def _load(args):
-    bundle = load_problem_bundle(args.problem)
-    return bundle
-
-
 def _solution(bundle):
     return implicit_solution_for_problem(bundle.problem, bundle.data,
                                          bundle.rho, bundle.f)
 
 
 def cmd_verify(args) -> int:
-    bundle = _load(args)
+    bundle = load_problem_bundle(args.problem)
     rho_set, sol = _solution(bundle)
     problem = bundle.problem
     fld = characteristic_field(problem)
@@ -103,7 +97,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_domain(args) -> int:
-    bundle = _load(args)
+    bundle = load_problem_bundle(args.problem)
     _, sol = _solution(bundle)
     resolution = args.resolution or _default_resolution(bundle.problem.n)
     surface = extract_surface(sol.F, bundle.problem.box, resolution)
@@ -127,7 +121,7 @@ def cmd_domain(args) -> int:
 
 
 def cmd_query(args) -> int:
-    bundle = _load(args)
+    bundle = load_problem_bundle(args.problem)
     _, sol = _solution(bundle)
     n = bundle.problem.n
     if args.t is None:
@@ -137,14 +131,13 @@ def cmd_query(args) -> int:
         print("query needs --x for this problem", file=sys.stderr)
         return EXIT_IO
     q = [args.t] + ([args.x] if n >= 1 else [])
-    verdict = contains(bundle.problem, bundle.data, sol, q,
-                       params=ContinuationParams())
+    verdict = contains(bundle.problem, bundle.data, sol, q)
     print(str(verdict))
     return EXIT_OK
 
 
 def cmd_characteristics(args) -> int:
-    bundle = _load(args)
+    bundle = load_problem_bundle(args.problem)
     problem, data = bundle.problem, bundle.data
     fld = characteristic_field(problem)
     count = 1 if problem.n == 0 else args.samples
@@ -166,7 +159,7 @@ def cmd_characteristics(args) -> int:
 
 
 def cmd_singular(args) -> int:
-    bundle = _load(args)
+    bundle = load_problem_bundle(args.problem)
     _, sol = _solution(bundle)
     resolution = args.resolution or _default_resolution(bundle.problem.n)
     surface = extract_surface(sol.F, bundle.problem.box, resolution)
@@ -188,7 +181,7 @@ def cmd_singular(args) -> int:
 
 
 def cmd_envelope(args) -> int:
-    bundle = _load(args)
+    bundle = load_problem_bundle(args.problem)
     problem, data = bundle.problem, bundle.data
     if problem.n != 1 or problem.alpha != Const(1.0) or problem.b != Const(0.0):
         print("envelope needs a 1-D conservation-law problem "

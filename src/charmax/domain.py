@@ -29,6 +29,15 @@ SOLVE_TOL = 1e-12
 SOLVE_MAXIT = 50
 SINGULAR_FACTOR = 1e-6
 
+# continuation query: corrector iterations per step, and the initial,
+# largest and smallest step and the "within the final step" window for a
+# boundary verdict, as fractions of the path length
+CORRECTOR_MAXIT = 8
+INITIAL_FRACTION = 1.0 / 16.0
+MAX_FRACTION = 1.0 / 8.0
+MIN_FRACTION = 1e-12
+BOUNDARY_FRACTION = 1e-3
+
 
 class ProjectionError(Exception):
     """Two surface sheets project onto one base cell: the projection is not
@@ -126,30 +135,26 @@ def maximal_domain(component: SurfaceComponent,
     """Project the component cells to base space and assemble the boundary.
 
     When the singular locus is passed in, its Newton-polished projections
-    become the fold part of the boundary.  Also checks, cell by cell, that
-    the component carries exactly one u-branch over every masked base cell
-    (the projection restricted to the component must be injective); two
-    branches raise ProjectionError.
+    become the fold part of the boundary.  Also checks that the component
+    carries exactly one u-branch over every masked base cell, i.e. one
+    unbroken run of cells in its u-column (the projection restricted to
+    the component must be injective); two branches raise ProjectionError.
     """
-    if len(component.cells) == 0:
+    comp = component.mask
+    if not comp.any():
         raise ValueError("component is empty")
     surface = component.surface
-    dim = surface.dim
     base_axes = surface.axes[:-1]
-    cell_shape = tuple(len(ax) - 1 for ax in base_axes)
 
-    columns: dict[tuple, list[int]] = {}
-    for cell in component.cells:
-        base = tuple(int(v) for v in cell[:-1])
-        columns.setdefault(base, []).append(int(cell[-1]))
-    mask = np.zeros(cell_shape, dtype=bool)
-    for base, ius in columns.items():
-        ius.sort()
-        if ius[-1] - ius[0] + 1 != len(set(ius)):
-            raise ProjectionError(
-                f"component projects two u-branches onto base cell {base}; "
-                "resolution too coarse to separate sheets")
-        mask[base] = True
+    mask = comp.any(axis=-1)
+    first = comp.argmax(axis=-1)
+    last = comp.shape[-1] - 1 - comp[..., ::-1].argmax(axis=-1)
+    split = mask & (np.count_nonzero(comp, axis=-1) != last - first + 1)
+    if split.any():
+        base = tuple(int(v) for v in np.argwhere(split)[0])
+        raise ProjectionError(
+            f"component projects two u-branches onto base cell {base}; "
+            "resolution too coarse to separate sheets")
 
     gamma_base = list(dict.fromkeys(
         tuple(int(v) for v in c[:-1]) for c in component.gamma_cells))
@@ -168,30 +173,29 @@ def maximal_domain(component: SurfaceComponent,
     return dom
 
 
-def _assemble_boundary(component: SurfaceComponent, mask, base_axes):
-    """Fold boundary from sigma projections; window boundary from mask
-    outline edges not explained by a singular cell."""
-    surface = component.surface
-    boundary: list[BoundaryPolyline] = []
-    sigma_base = {tuple(int(v) for v in c[:-1]) for c in component.sigma_cells}
+def _neighbour(mask: np.ndarray, axis: int, step: int) -> np.ndarray:
+    """The mask's value at each cell's neighbour one cell up (``step`` 1)
+    or down (``step`` -1) along ``axis``; False where that neighbour is
+    off the grid."""
+    out = np.zeros_like(mask)
+    lower, upper = slice(None, -1), slice(1, None)
+    near, far = (lower, upper) if step > 0 else (upper, lower)
+    at = (slice(None),) * axis
+    out[at + (near,)] = mask[at + (far,)]
+    return out
 
-    base_dim = len(base_axes)
-    outline: list[tuple] = []
-    for base in np.argwhere(mask):
-        base = tuple(int(v) for v in base)
-        for axis in range(base_dim):
-            for step in (-1, 1):
-                nb = list(base)
-                nb[axis] += step
-                inside_window = 0 <= nb[axis] < mask.shape[axis]
-                if inside_window and mask[tuple(nb)]:
-                    continue
-                if inside_window and tuple(nb) in sigma_base:
-                    continue  # fold side; covered by sigma projections
-                outline.append((base, axis, step))
-    for line in _chain_outline(outline, base_axes):
-        boundary.append(BoundaryPolyline("window", line))
-    return boundary
+
+def _assemble_boundary(component: SurfaceComponent, mask, base_axes):
+    """Window boundary from the mask outline: the sides of masked cells
+    whose neighbour is neither masked nor a singular base cell (a side
+    facing a singular cell is fold, covered by sigma projections)."""
+    closed = mask | component.sigma_cells.any(axis=-1)
+    outline = [(tuple(base), axis, step)
+               for axis in range(mask.ndim) for step in (-1, 1)
+               for base in np.argwhere(
+                   mask & ~_neighbour(closed, axis, step)).tolist()]
+    return [BoundaryPolyline("window", line)
+            for line in _chain_outline(outline, base_axes)]
 
 
 def _chain_outline(outline, base_axes):
@@ -258,24 +262,21 @@ def _attach_sigma_boundary(dom: MaximalDomain, component: SurfaceComponent,
     as fold boundary."""
     axes = component.surface.axes
     near = component.sigma_cells
-    # cells sharing a facet with a component cell
     comp = component.mask
-    touching = np.zeros_like(comp)
+    # singular cells, and cells sharing a facet with a component cell
+    near_or_touching = near.copy()
     for axis in range(comp.ndim):
-        lower = (slice(None),) * axis + (slice(None, -1),)
-        upper = (slice(None),) * axis + (slice(1, None),)
-        touching[lower] |= comp[upper]
-        touching[upper] |= comp[lower]
+        for step in (-1, 1):
+            near_or_touching |= _neighbour(comp, axis, step)
     fold_lines = []
     for line in sigma.polylines:
-        cells = [cell_of(axes, p) for p in line]
-        keep = [p for p, c in zip(line, cells) if c in near or touching[c]]
-        if keep:
-            fold_lines.append(np.array([p[:-1] for p in keep]))
+        keep = line[near_or_touching[tuple(cell_of(axes, line).T)]]
+        if len(keep):
+            fold_lines.append(keep[:, :-1])
     if not fold_lines and len(sigma.points):
-        pts = [p[:-1] for p in sigma.points if cell_of(axes, p) in near]
-        if pts:
-            fold_lines.append(np.array(pts))
+        pts = sigma.points[near[tuple(cell_of(axes, sigma.points).T)]]
+        if len(pts):
+            fold_lines.append(pts[:, :-1])
     dom.boundary = ([BoundaryPolyline("fold", l) for l in fold_lines]
                     + dom.boundary)
     return dom
@@ -321,17 +322,6 @@ def solve_u(F: Expr, t: float, x, seed: float, F_u: Expr | None = None,
 # ---------------------------------------------------------------------------
 # Continuation query
 
-@dataclass
-class ContinuationParams:
-    singular_factor: float = SINGULAR_FACTOR
-    newton_tol: float = SOLVE_TOL
-    corrector_maxit: int = 8
-    initial_fraction: float = 1.0 / 16.0   # of the path length
-    max_fraction: float = 1.0 / 8.0
-    min_fraction: float = 1e-12
-    boundary_fraction: float = 1e-3        # "within the final step" window
-
-
 def _grad_norm(sol: ImplicitSolution, binding) -> float:
     total = 0.0
     for g in sol.gradient:
@@ -339,14 +329,14 @@ def _grad_norm(sol: ImplicitSolution, binding) -> float:
     return float(np.sqrt(total))
 
 
-def _singular_threshold(sol, binding, params) -> float:
-    return params.singular_factor * (1.0 + _grad_norm(sol, binding))
+def _singular_threshold(sol, binding) -> float:
+    return SINGULAR_FACTOR * (1.0 + _grad_norm(sol, binding))
 
 
-def _corrector(sol: ImplicitSolution, names, point, u, params):
+def _corrector(sol: ImplicitSolution, names, point, u):
     """Newton in u at a fixed base point.  Returns (u, f_u, ok)."""
     return _newton_u(sol.F, sol.F_u, dict(zip(names, [*point, u])), u,
-                     params.newton_tol, params.corrector_maxit)
+                     SOLVE_TOL, CORRECTOR_MAXIT)
 
 
 def nearest_base_point(data: InitialData, q) -> tuple[np.ndarray, float]:
@@ -362,7 +352,6 @@ def nearest_base_point(data: InitialData, q) -> tuple[np.ndarray, float]:
 
 def contains(problem: Problem, data: InitialData, sol: ImplicitSolution, q,
              domain: MaximalDomain | None = None,
-             params: ContinuationParams | None = None,
              base_point: float | None = None) -> Verdict:
     """Classify a base-space query point by continuation from the initial
     set; for inside points the continued u is the value of the maximally
@@ -371,7 +360,6 @@ def contains(problem: Problem, data: InitialData, sol: ImplicitSolution, q,
     base_point overrides the choice of s* (n = 1 only), which is useful
     for path-independence checks.
     """
-    params = params or ContinuationParams()
     n = problem.n
     q = np.atleast_1d(np.asarray(q, dtype=float))
     if len(q) != n + 1:
@@ -392,25 +380,25 @@ def contains(problem: Problem, data: InitialData, sol: ImplicitSolution, q,
         start, u0 = nearest_base_point(data, q)
 
     try:
-        return _march(problem, sol, [start, q], u0, params)
+        return _march(problem, sol, [start, q], u0)
     except PathLeftWindowError:
         if domain is None:
             raise
         waypoints = _staircase(domain, start, q)
         if waypoints is None:
             raise
-        return _march(problem, sol, waypoints, u0, params)
+        return _march(problem, sol, waypoints, u0)
 
 
-def _march(problem, sol, waypoints, u0, params) -> Verdict:
+def _march(problem, sol, waypoints, u0) -> Verdict:
     names = var_names(problem.n)
     pts = [np.asarray(w, dtype=float) for w in waypoints]
     legs = [np.linalg.norm(b - a) for a, b in zip(pts, pts[1:])]
     total = float(sum(legs))
     if total == 0.0:
-        u, fu, ok = _corrector(sol, names, pts[-1].tolist(), u0, params)
+        u, fu, ok = _corrector(sol, names, pts[-1].tolist(), u0)
         binding = dict(zip(names, [*pts[-1].tolist(), u]))
-        if ok and abs(fu) >= _singular_threshold(sol, binding, params):
+        if ok and abs(fu) >= _singular_threshold(sol, binding):
             return Verdict("inside", u, fu, tuple(pts[-1]))
         return Verdict("boundary", None, fu, tuple(pts[-1]))
 
@@ -426,21 +414,21 @@ def _march(problem, sol, waypoints, u0, params) -> Verdict:
     base_binding = dict(zip(names, [*pts[0].tolist(), u0]))
     fu_sign = 1.0 if evaluate(sol.F_u, base_binding) >= 0 else -1.0
 
-    h = total * params.initial_fraction
-    h_max = total * params.max_fraction
-    h_min = total * params.min_fraction
+    h = total * INITIAL_FRACTION
+    h_max = total * MAX_FRACTION
+    h_min = total * MIN_FRACTION
     s_cur = 0.0
     u = u0
     while s_cur < total:
         s_next = min(s_cur + h, total)
         point = at(s_next)
-        u_new, fu, ok = _corrector(sol, names, point.tolist(), u, params)
+        u_new, fu, ok = _corrector(sol, names, point.tolist(), u)
         healthy = False
         if ok and fu is not None:
             binding = dict(zip(names, [*point.tolist(), u_new]))
             # crossing the singular locus on the branch is either |F_u|
             # fading out or F_u flipping sign between step points
-            healthy = (abs(fu) >= _singular_threshold(sol, binding, params)
+            healthy = (abs(fu) >= _singular_threshold(sol, binding)
                        and fu * fu_sign > 0)
         if healthy:
             u = u_new
@@ -453,10 +441,10 @@ def _march(problem, sol, waypoints, u0, params) -> Verdict:
         # the branch stops being trackable inside (s_cur, s_next]:
         # localize the onset and judge it by the surviving |F_u|
         s_onset, fu_good, grad_scale = _refine_singular_onset(
-            sol, names, at, s_cur, s_next, u, fu_sign, params)
-        relaxed = np.sqrt(params.singular_factor) * grad_scale
+            sol, names, at, s_cur, s_next, u, fu_sign)
+        relaxed = np.sqrt(SINGULAR_FACTOR) * grad_scale
         if abs(fu_good) <= relaxed:
-            if total - s_onset <= params.boundary_fraction * total:
+            if total - s_onset <= BOUNDARY_FRACTION * total:
                 return Verdict("boundary", None, fu_good, tuple(at(s_onset)))
             return Verdict("outside", None, fu_good, tuple(at(s_onset)))
         raise PathLeftWindowError(
@@ -464,13 +452,12 @@ def _march(problem, sol, waypoints, u0, params) -> Verdict:
             f"F_u = {fu_good:.3e}; box too small or F undefined along the path")
     binding = dict(zip(names, [*pts[-1].tolist(), u]))
     fu = evaluate(sol.F_u, binding)
-    if abs(fu) < _singular_threshold(sol, binding, params):
+    if abs(fu) < _singular_threshold(sol, binding):
         return Verdict("boundary", None, fu, tuple(pts[-1]))
     return Verdict("inside", u, fu, tuple(pts[-1]))
 
 
-def _refine_singular_onset(sol, names, at, s_good, s_bad, u_good, fu_sign,
-                           params):
+def _refine_singular_onset(sol, names, at, s_good, s_bad, u_good, fu_sign):
     """Bisect the path for the first parameter where the branch stops being
     trackable (corrector failure, F_u below the singular threshold, or an
     F_u sign flip).
@@ -481,7 +468,7 @@ def _refine_singular_onset(sol, names, at, s_good, s_bad, u_good, fu_sign,
     """
     u = u_good
     point = at(s_good)
-    _, fu_good, _ = _corrector(sol, names, point.tolist(), u, params)
+    _, fu_good, _ = _corrector(sol, names, point.tolist(), u)
     binding = dict(zip(names, [*point.tolist(), u]))
     grad_scale = 1.0 + _grad_norm(sol, binding)
     if fu_good is None:
@@ -489,10 +476,10 @@ def _refine_singular_onset(sol, names, at, s_good, s_bad, u_good, fu_sign,
     for _ in range(60):
         mid = 0.5 * (s_good + s_bad)
         point = at(mid)
-        u_new, fu, ok = _corrector(sol, names, point.tolist(), u, params)
+        u_new, fu, ok = _corrector(sol, names, point.tolist(), u)
         if ok and fu is not None and fu * fu_sign > 0:
             binding = dict(zip(names, [*point.tolist(), u_new]))
-            if abs(fu) >= _singular_threshold(sol, binding, params):
+            if abs(fu) >= _singular_threshold(sol, binding):
                 s_good = mid
                 u = u_new
                 fu_good = fu

@@ -177,13 +177,9 @@ def check_nondegeneracy(rho_set: FirstIntegralSet, samples, n: int,
     return NondegeneracyReport(ok, float(min_seen), worst, excluded)
 
 
-def defining_function_from_initial(d: InitialData,
-                                   mode: str = "conservation") -> Expr:
+def defining_function_from_initial(d: InitialData) -> Expr:
     """f(y1, y2) = y1 - h(y2): the graph form of the image of the initial
     set under conservation-law integrals (n = 1 only)."""
-    if mode != "conservation":
-        raise FirstIntegralError(
-            f"unsupported mode {mode!r}: supply f in the problem file")
     if d.n != 1:
         raise FirstIntegralError(
             "automatic defining function needs n = 1; supply f explicitly")

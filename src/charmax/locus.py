@@ -68,7 +68,6 @@ class LevelSurface:
 class SingularLocus:
     points: np.ndarray                 # (m, dim) refined points
     degenerate: np.ndarray             # (m,) bool flags
-    tangents: np.ndarray               # (m, dim); zeros in the plane case
     polylines: list                    # ordered (k, dim) arrays (space case)
     seed_cells: np.ndarray             # (j, dim) cells with F and F_u crossings
     dropped: int                       # Newton divergences
@@ -80,10 +79,15 @@ class SurfaceComponent:
     without touching singular cells."""
 
     surface: LevelSurface
-    cells: np.ndarray                  # (k, dim), lexicographically sorted
-    mask: np.ndarray                   # the same cells as a cell-shaped mask
+    mask: np.ndarray                   # cell-shaped bool mask
     gamma_cells: list[tuple]
-    sigma_cells: frozenset
+    sigma_cells: np.ndarray            # cell-shaped bool mask
+
+    @property
+    def cells(self) -> np.ndarray:
+        """(k, dim) indices of the component cells, lexicographically
+        sorted."""
+        return np.argwhere(self.mask)
 
 
 # ---------------------------------------------------------------------------
@@ -247,17 +251,20 @@ def cell_pieces(surface: LevelSurface) -> list:
 # Grid cells, shared with the base-space mask
 
 def cell_of(axes, point, clamp: bool = True):
-    """Index of the grid cell holding ``point``.  A point off the grid is
-    clamped into it, or gives None when ``clamp`` is off."""
-    idx = []
-    for ax, v in zip(axes, point):
-        i = int(np.floor((v - ax[0]) / (ax[1] - ax[0])))
-        if not 0 <= i <= len(ax) - 2:
-            if not clamp:
-                return None
-            i = min(max(i, 0), len(ax) - 2)
-        idx.append(i)
-    return tuple(idx)
+    """Index of the grid cell holding ``point``, as a tuple; for an (m, dim)
+    array of points, the (m, dim) array of cell indices.  A point off the
+    grid is clamped into it, or gives None when ``clamp`` is off."""
+    point = np.asarray(point, dtype=float)
+    lo = np.array([ax[0] for ax in axes])
+    step = np.array([ax[1] - ax[0] for ax in axes])
+    top = np.array([len(ax) - 2 for ax in axes])
+    idx = np.floor((point - lo) / step)
+    if np.isnan(idx).any():
+        raise ValueError("a point with a NaN coordinate lies in no cell")
+    if not clamp and np.any((idx < 0) | (idx > top)):
+        return None
+    idx = np.clip(idx, 0, top).astype(int)
+    return tuple(idx.tolist()) if idx.ndim == 1 else idx
 
 
 def cell_center(axes, cell) -> np.ndarray:
@@ -384,7 +391,7 @@ class _SigmaSystem:
         return t / norm
 
 
-def _polish_seed(sys: _SigmaSystem, center, box: Box, tol):
+def _polish_seed(sys: _SigmaSystem, center, box: Box):
     dim = sys.n + 2
     if dim == 2:
         free = [0, 1]
@@ -411,7 +418,7 @@ def _polish_seed(sys: _SigmaSystem, center, box: Box, tol):
         J = sys.jacobian2(embed(xy))
         return None if J is None else J[:, free]
 
-    sol = _damped_newton(res, jac, base[free], tol)
+    sol = _damped_newton(res, jac, base[free])
     if sol is None:
         return None
     point = embed(sol)
@@ -426,7 +433,7 @@ def _is_degenerate(sys: _SigmaSystem, point) -> bool:
     return bool(sv[-1] <= DEGENERATE_RATIO * max(sv[0], 1e-300))
 
 
-def _trace_from(sys: _SigmaSystem, start, direction, box: Box, ds0, tol,
+def _trace_from(sys: _SigmaSystem, start, direction, box: Box, ds0,
                 max_steps):
     """Pseudo-arclength continuation of the (F, F_u) = 0 curve."""
     points = [np.asarray(start, dtype=float)]
@@ -448,7 +455,7 @@ def _trace_from(sys: _SigmaSystem, start, direction, box: Box, ds0, tol,
                 return None
             return np.vstack([J, T])
 
-        q = _damped_newton(res, jac, pred, tol, maxit=25)
+        q = _damped_newton(res, jac, pred, maxit=25)
         if q is None:
             if ds > ds0 / 64:
                 ds *= 0.5
@@ -471,8 +478,7 @@ def _trace_from(sys: _SigmaSystem, start, direction, box: Box, ds0, tol,
     return points
 
 
-def extract_singular_locus(F: Expr, surface: LevelSurface,
-                           newton_tol: float = NEWTON_TOL) -> SingularLocus:
+def extract_singular_locus(F: Expr, surface: LevelSurface) -> SingularLocus:
     """Refine the set {F = 0, F_u = 0} from cells where both sign-change.
 
     Each seed cell is polished by damped Newton on the square system (in
@@ -492,7 +498,7 @@ def extract_singular_locus(F: Expr, surface: LevelSurface,
     dropped = 0
     for cell in seed_cells:
         point = _polish_seed(sys, cell_center(surface.axes, cell),
-                             surface.box, newton_tol)
+                             surface.box)
         if point is None:
             dropped += 1
         else:
@@ -500,38 +506,37 @@ def extract_singular_locus(F: Expr, surface: LevelSurface,
 
     # deduplicate within one cell diagonal, deterministically
     diag = surface.cell_diagonal
-    kept: list[np.ndarray] = []
-    for point in sorted(polished, key=lambda p: tuple(p)):
-        if all(np.linalg.norm(point - q) > diag for q in kept):
-            kept.append(point)
+    points = np.zeros((len(polished), surface.dim))
+    kept = 0
+    for point in sorted(polished, key=tuple):
+        if np.all(np.linalg.norm(points[:kept] - point, axis=1) > diag):
+            points[kept] = point
+            kept += 1
+    points = points[:kept]
 
-    points = (np.array(kept) if kept
-              else np.zeros((0, surface.dim)))
-    degenerate = np.array([_is_degenerate(sys, p) for p in kept], dtype=bool)
+    degenerate = np.array([_is_degenerate(sys, p) for p in points],
+                          dtype=bool)
     tangents = np.zeros_like(points)
     polylines: list[np.ndarray] = []
 
-    if n == 1 and len(kept):
-        for i, p in enumerate(kept):
+    if n == 1 and kept:
+        for i, p in enumerate(points):
             if degenerate[i]:
                 continue
             t = sys.tangent(p)
             if t is not None:
                 tangents[i] = t
-        visited = np.zeros(len(kept), dtype=bool)
-        visited |= degenerate
+        visited = degenerate.copy()
         max_steps = 40 * surface.resolution
-        for i, p in enumerate(kept):
+        for i, p in enumerate(points):
             if visited[i]:
                 continue
             t = tangents[i]
             if not np.any(t):
                 visited[i] = True
                 continue
-            fwd = _trace_from(sys, p, t, surface.box, diag, newton_tol,
-                              max_steps)
-            bwd = _trace_from(sys, p, -t, surface.box, diag, newton_tol,
-                              max_steps)
+            fwd = _trace_from(sys, p, t, surface.box, diag, max_steps)
+            bwd = _trace_from(sys, p, -t, surface.box, diag, max_steps)
             line = np.array(list(reversed(bwd[1:])) + fwd)
             polylines.append(line)
             # mark polished points swept by this polyline as visited
@@ -543,8 +548,7 @@ def extract_singular_locus(F: Expr, surface: LevelSurface,
                         visited[j] = True
             visited[i] = True
 
-    return SingularLocus(points, degenerate, tangents, polylines,
-                         seed_cells, dropped)
+    return SingularLocus(points, degenerate, polylines, seed_cells, dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -567,13 +571,12 @@ def _cells_touching(axes, point) -> list[tuple]:
 def split_component(surface: LevelSurface, sigma: SingularLocus,
                     gamma) -> SurfaceComponent:
     """Flood-fill the crossing cells from the initial-set cells, with
-    singular cells removed first."""
-    sigma_cells = set(map(tuple, sigma.seed_cells.tolist()))
-    for p in sigma.points:
-        sigma_cells.add(cell_of(surface.axes, p))
-    for line in sigma.polylines:
-        for p in line:
-            sigma_cells.add(cell_of(surface.axes, p))
+    singular cells removed first: the sigma seed cells and the cells of
+    the polished sigma points and polylines."""
+    sigma_cells = np.zeros_like(surface.crossing)
+    sigma_cells[tuple(sigma.seed_cells.T)] = True
+    on_sigma = np.vstack([sigma.points, *sigma.polylines])
+    sigma_cells[tuple(cell_of(surface.axes, on_sigma).T)] = True
 
     gamma_cells = []
     for sample in np.asarray(gamma, dtype=float):
@@ -585,17 +588,13 @@ def split_component(surface: LevelSurface, sigma: SingularLocus,
                 "cell; increase the resolution")
         gamma_cells.extend(cands)
 
-    frontier = [c for c in gamma_cells if c not in sigma_cells]
+    frontier = [c for c in gamma_cells if not sigma_cells[c]]
     if not frontier:
         raise ResolutionError(
             "all initial-set cells are singular at this resolution")
-    open_cells = surface.crossing.copy()
-    if sigma_cells:
-        open_cells[tuple(np.array(list(sigma_cells)).T)] = False
-    mask = flood(open_cells, frontier)
-    return SurfaceComponent(surface, np.argwhere(mask), mask,
-                            list(dict.fromkeys(gamma_cells)),
-                            frozenset(sigma_cells))
+    mask = flood(surface.crossing & ~sigma_cells, frontier)
+    return SurfaceComponent(surface, mask, list(dict.fromkeys(gamma_cells)),
+                            sigma_cells)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ import charmax
 from charmax.domain import contains, maximal_domain
 from charmax.expr import Binary, Const, Unary, Var, evaluate, variables
 from charmax.integrals import implicit_solution_for_problem
-from charmax.locus import extract_singular_locus, extract_surface, split_component
+from charmax.locus import (LevelSurface, SurfaceComponent, cell_of,
+                           extract_singular_locus, extract_surface,
+                           split_component)
 from charmax.problem import load_problem_bundle
 
 EXAMPLES = ("ode_quadratic", "circular", "burgers_ramp", "burgers_reciprocal")
@@ -35,6 +37,113 @@ def pipeline(name: str, resolution: int):
     component = split_component(surface, sigma, sol.gamma_samples)
     dom = maximal_domain(component, sigma)
     return b, sol, surface, sigma, component, dom
+
+
+def sigma_cells_oracle(surface, sigma) -> set:
+    """The singular cells split_component removes, built point by point
+    with scalar cell_of: the seed cells plus the cells of every polished
+    sigma point and polyline point."""
+    cells = {tuple(c) for c in sigma.seed_cells.tolist()}
+    for line in (sigma.points, *sigma.polylines):
+        cells.update(cell_of(surface.axes, p) for p in line)
+    return cells
+
+
+def projection_by_cells(component):
+    """Reference for maximal_domain's projection, one cell at a time: the
+    base mask, the first base cell whose u-column is not one unbroken run
+    (None if every column is), and the window outline as (base cell,
+    axis, step) sides of masked cells facing neither a masked nor a
+    singular base cell."""
+    columns: dict[tuple, list[int]] = {}
+    for cell in component.cells.tolist():
+        columns.setdefault(tuple(cell[:-1]), []).append(cell[-1])
+    shape = component.mask.shape[:-1]
+    mask = np.zeros(shape, dtype=bool)
+    split = None
+    for base, ius in columns.items():
+        if split is None and max(ius) - min(ius) + 1 != len(ius):
+            split = base
+        mask[base] = True
+    sigma_base = {tuple(c[:-1])
+                  for c in np.argwhere(component.sigma_cells).tolist()}
+    outline = []
+    for base in map(tuple, np.argwhere(mask).tolist()):
+        for axis in range(len(shape)):
+            for step in (-1, 1):
+                nb = list(base)
+                nb[axis] += step
+                nb = tuple(nb)
+                if 0 <= nb[axis] < shape[axis] and (mask[nb]
+                                                    or nb in sigma_base):
+                    continue
+                outline.append((base, axis, step))
+    return mask, split, outline
+
+
+def fold_lines_by_points(component, sigma) -> list:
+    """Reference for the fold boundary, one sigma point at a time: the
+    (t, x) projections of the polyline points in a singular cell or in a
+    cell sharing a facet with the component, or, when no polyline keeps a
+    point, of the sigma points in a singular cell."""
+    axes, comp = component.surface.axes, component.mask
+    singular = set(map(tuple, np.argwhere(component.sigma_cells).tolist()))
+
+    def touching(cell):
+        for axis in range(comp.ndim):
+            for step in (-1, 1):
+                nb = list(cell)
+                nb[axis] += step
+                if 0 <= nb[axis] < comp.shape[axis] and comp[tuple(nb)]:
+                    return True
+        return False
+
+    lines = []
+    for line in sigma.polylines:
+        keep = [p[:-1].tolist() for p in line
+                if cell_of(axes, p) in singular or touching(cell_of(axes, p))]
+        if keep:
+            lines.append(keep)
+    if not lines:
+        keep = [p[:-1].tolist() for p in sigma.points
+                if cell_of(axes, p) in singular]
+        if keep:
+            lines.append(keep)
+    return lines
+
+
+# ---------------------------------------------------------------------------
+# Hand-made components on the integer grid
+
+def drawn_masks(picture: str, u_cells: int = 2):
+    """(component mask, singular-cell mask) from a drawing of base cells:
+    one line per t cell and one character per x cell, or a single line of
+    t cells for a 1-D base.  '#' is a component cell and 's' a singular
+    cell, both in u-cell 0; '.' is neither."""
+    lines = picture.split()
+    base = np.array([list(line) for line in lines])
+    if len(lines) == 1:
+        base = base[0]
+    mask = np.zeros(base.shape + (u_cells,), dtype=bool)
+    sigma_cells = np.zeros_like(mask)
+    mask[..., 0] = base == "#"
+    sigma_cells[..., 0] = base == "s"
+    return mask, sigma_cells
+
+
+def hand_component(mask, sigma_cells=None, gamma_cells=None):
+    """A SurfaceComponent over a hand-made cell mask, on a grid whose vertex
+    coordinates are 0, 1, 2, ... on every axis.  The initial set defaults
+    to the first component cell."""
+    mask = np.asarray(mask, dtype=bool)
+    axes = tuple(np.arange(k + 1, dtype=float) for k in mask.shape)
+    surface = LevelSurface(None, None, mask.shape[0], axes, None, None, mask,
+                           np.argwhere(mask), np.zeros((0, mask.ndim), int))
+    if sigma_cells is None:
+        sigma_cells = np.zeros_like(mask)
+    if gamma_cells is None:
+        gamma_cells = [tuple(np.argwhere(mask)[0].tolist())]
+    return SurfaceComponent(surface, mask, gamma_cells, sigma_cells)
 
 
 # ---------------------------------------------------------------------------

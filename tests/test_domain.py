@@ -5,7 +5,8 @@ import pytest
 
 import helpers
 from charmax.domain import (NoConvergenceError, ProjectionError,
-                            _staircase, contains, maximal_domain, solve_u)
+                            _chain_outline, _staircase, contains,
+                            maximal_domain, solve_u)
 from charmax.expr import evaluate, parse, var_names
 from charmax.locus import SurfaceComponent
 
@@ -56,10 +57,10 @@ class TestMaximalDomain:
 
     def test_two_branch_projection_rejected(self, pipelines):
         _, _, surf, _, comp, _ = pipelines("circular", 48)
-        cells = np.array([[3, 3, 4], [3, 3, 8]])  # u-gap over one base cell
-        fake = SurfaceComponent(surf, cells,
-                                frozenset(map(tuple, cells.tolist())),
-                                [tuple(cells[0])], frozenset())
+        mask = np.zeros_like(surf.crossing)
+        mask[3, 3, [4, 8]] = True  # u-gap over one base cell
+        fake = SurfaceComponent(surf, mask, [(3, 3, 4)],
+                                np.zeros_like(mask))
         with pytest.raises(ProjectionError, match="two u-branches"):
             maximal_domain(fake)
 
@@ -89,6 +90,83 @@ class TestMaximalDomain:
         window = [b for b in dom.boundary if b.kind == "window"]
         assert len(window) == 2
         assert all(len(b.points) == 1 for b in window)
+
+
+def window_lines(picture):
+    mask, sigma_cells = helpers.drawn_masks(picture)
+    dom = maximal_domain(helpers.hand_component(mask, sigma_cells))
+    assert {b.kind for b in dom.boundary} <= {"window"}
+    return [b.points.tolist() for b in dom.boundary]
+
+
+class TestProjectionOfHandMadeMasks:
+    def test_u_gap_names_the_first_bad_base_cell(self):
+        mask = np.zeros((4, 5, 6), dtype=bool)
+        mask[1, 1, 0:3] = True          # one run of three cells
+        mask[1, 2, 2] = True
+        mask[3, 0, [0, 5]] = True       # two gapped columns; (2, 3) comes
+        mask[2, 3, [1, 4]] = True       # first in lexicographic order
+        comp = helpers.hand_component(mask, gamma_cells=[(1, 1, 0)])
+        assert helpers.projection_by_cells(comp)[1] == (2, 3)
+        with pytest.raises(ProjectionError,
+                           match=r"two u-branches onto base cell \(2, 3\);"):
+            maximal_domain(comp)
+        mask[2:] = False
+        dom = maximal_domain(comp)
+        assert np.argwhere(dom.mask).tolist() == [[1, 1], [1, 2]]
+
+    @pytest.mark.parametrize("name,resolution", [("ode_quadratic", 512),
+                                                 ("circular", 48),
+                                                 ("burgers_ramp", 48),
+                                                 ("burgers_reciprocal", 48)])
+    def test_matches_the_cell_by_cell_reference(self, name, resolution,
+                                                pipelines):
+        _, _, _, sigma, comp, dom = pipelines(name, resolution)
+        mask, split, outline = helpers.projection_by_cells(comp)
+        assert split is None
+        assert np.array_equal(dom.mask, mask)
+        lines = {kind: [b.points.tolist() for b in dom.boundary
+                        if b.kind == kind] for kind in ("fold", "window")}
+        assert lines["window"] == [line.tolist() for line
+                                   in _chain_outline(outline, dom.axes)]
+        assert lines["fold"] == helpers.fold_lines_by_points(comp, sigma)
+
+    def test_window_outline_around_a_hole(self):
+        assert window_lines("""###
+                               #.#
+                               ###""") == [
+            [[0, 0], [0, 1], [0, 2], [0, 3], [1, 3], [2, 3], [3, 3], [3, 2],
+             [3, 1], [3, 0], [2, 0], [1, 0], [0, 0]],
+            [[1, 1], [1, 2], [2, 2], [2, 1], [1, 1]]]
+
+    def test_window_outline_ends_at_a_pinch_vertex(self):
+        # cells (1, 1) and (2, 2) meet only at the vertex (2, 2), where the
+        # outer outline and the outline of the hole at (2, 1) both pass
+        assert window_lines("""....
+                               ##..
+                               #.#.
+                               ###.""") == [
+            [[2, 2], [2, 3], [3, 3], [4, 3], [4, 2], [4, 1], [4, 0], [3, 0],
+             [2, 0], [1, 0], [1, 1], [1, 2], [2, 2]],
+            [[2, 2], [3, 2], [3, 1], [2, 1], [2, 2]]]
+
+    def test_sides_facing_a_singular_base_cell_are_left_out(self):
+        assert window_lines("""###
+                               ...
+                               ...""") == [
+            [[0, 0], [0, 1], [0, 2], [0, 3], [1, 3], [1, 2], [1, 1], [1, 0],
+             [0, 0]]]
+        # the side between vertices (1, 1) and (1, 2) faces the singular
+        # cell (1, 1) and is fold, not window
+        assert window_lines("""###
+                               .s.
+                               ...""") == [
+            [[1, 1], [1, 0], [0, 0], [0, 1], [0, 2], [0, 3], [1, 3], [1, 2]]]
+
+    def test_one_dimensional_base_gives_isolated_endpoints(self):
+        assert window_lines("..####..") == [[[2.0]], [[6.0]]]
+        assert window_lines("####....") == [[[0.0]], [[4.0]]]
+        assert window_lines("..####s.") == [[[2.0]]]
 
 
 class TestSolveU:

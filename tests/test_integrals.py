@@ -150,11 +150,6 @@ class TestDefiningFunction:
         f = defining_function_from_initial(data)
         assert f == parse("y1 - 2", allowed_variables=["y1", "y2"])
 
-    def test_unsupported_mode(self):
-        _, data = burgers()
-        with pytest.raises(FirstIntegralError, match="unsupported mode"):
-            defining_function_from_initial(data, mode="discover")
-
 
 class TestBuild:
     def test_ode_composition(self):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import helpers
 from charmax.expr import diff, evaluate, parse, var_names
-from charmax.locus import (ResolutionError, cell_center, cell_pieces,
+from charmax.locus import (ResolutionError, cell_center, cell_of, cell_pieces,
                            extract_singular_locus, extract_surface, flood,
                            fold_discriminant, split_component)
 from charmax.problem import Box, initial_set_samples, make_problem
@@ -209,6 +210,17 @@ class TestSplitComponent:
                 checked += 1
         assert checked > 50
 
+    @pytest.mark.parametrize("name,resolution", [("ode_quadratic", 512),
+                                                 ("circular", 48),
+                                                 ("burgers_ramp", 48),
+                                                 ("burgers_reciprocal", 48)])
+    def test_sigma_mask_matches_scalar_cell_of(self, name, resolution,
+                                               pipelines):
+        _, _, surf, sigma, comp, _ = pipelines(name, resolution)
+        cells = {tuple(c) for c in np.argwhere(comp.sigma_cells).tolist()}
+        assert cells == helpers.sigma_cells_oracle(surf, sigma)
+        assert not (comp.mask & comp.sigma_cells).any()
+
     def test_gamma_off_surface_raises(self, pipelines):
         _, _, surf, sigma, _, _ = pipelines("burgers_ramp", 32)
         with pytest.raises(ResolutionError, match="no crossing cell"):
@@ -222,7 +234,7 @@ class TestRefinement:
         _, _, surf1, _, comp1, _ = pipelines(name, coarse)
         _, _, surf2, _, comp2, _ = pipelines(name, 2 * coarse)
         sigma_adjacent = set()
-        for cell in comp1.sigma_cells:
+        for cell in np.argwhere(comp1.sigma_cells).tolist():
             for dt in (-1, 0, 1):
                 for dx in (-1, 0, 1):
                     for du in (-1, 0, 1):
@@ -316,6 +328,29 @@ class TestFlood:
             assert flood_path(mask, src, dst) == want
             compared += want is not None
         assert compared >= 10
+
+
+class TestCellOf:
+    def test_array_of_points_matches_scalar_calls(self):
+        axes = (np.linspace(-1.0, 2.0, 13), np.linspace(0.0, 1.0, 9),
+                np.linspace(-3.0, 3.0, 17))
+        rng = np.random.default_rng(5)
+        points = rng.uniform([-1.5, -0.2, -3.5], [2.5, 1.2, 3.5], (200, 3))
+        points[:20, 0] = axes[0][rng.integers(0, 13, 20)]  # on vertex planes
+        cells = cell_of(axes, points)
+        assert cells.shape == (200, 3)
+        assert [tuple(c) for c in cells.tolist()] == [cell_of(axes, p)
+                                                     for p in points]
+        assert cell_of(axes, points[:0]).shape == (0, 3)
+
+    def test_off_grid_without_clamp(self):
+        axes = (np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 5))
+        assert cell_of(axes, [0.3, 1.0]) == (1, 3)
+        assert cell_of(axes, [0.3, 1.0], clamp=False) is None
+        assert cell_of(axes, [-0.1, 0.5], clamp=False) is None
+        assert cell_of(axes, [0.0, 0.99], clamp=False) == (0, 3)
+        with pytest.raises(ValueError, match="NaN"):
+            cell_of(axes, [math.nan, 0.5])
 
 
 class TestDimensionLimit:
