@@ -102,8 +102,7 @@ def _exit_state(box: Box, y0, y1, f0, f1, h):
 
 
 def integrate_characteristic(fld: VectorField, seed, span, tol: float = DEFAULT_TOL,
-                             box: Box | None = None,
-                             max_steps: int = MAX_STEPS) -> CharacteristicCurve:
+                             box: Box | None = None) -> CharacteristicCurve:
     """Integrate one characteristic curve through ``seed`` over ``span``.
 
     span is (tau0, tau1); tau1 < tau0 integrates backward.  Integration
@@ -143,7 +142,7 @@ def integrate_characteristic(fld: VectorField, seed, span, tol: float = DEFAULT_
     tau = tau0
     y = seed
     ks = np.empty((7, len(seed)))
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         remaining = tau1 - tau
         if direction * remaining <= 1e-15 * max(1.0, abs(tau1)):
             break
@@ -198,7 +197,7 @@ def characteristic_strip(fld: VectorField, seeds, span, tol: float = DEFAULT_TOL
     for i, seed in enumerate(seeds):
         try:
             curve = integrate_characteristic(fld, seed, span, tol, box)
-        except Exception as err:  # noqa: BLE001 - collected per seed
+        except IntegrationError as err:
             curve = None
             strip.errors.append((i, err))
         strip.curves.append(curve)

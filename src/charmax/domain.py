@@ -163,8 +163,6 @@ def maximal_domain(component: SurfaceComponent,
             raise ProjectionError(
                 f"initial-set base cell {base} is not masked")
 
-    if np.count_nonzero(flood(mask, gamma_base)) != np.count_nonzero(mask):
-        raise ProjectionError("projected mask is not facet-connected")
     boundary = _assemble_boundary(component, mask, base_axes)
     dom = MaximalDomain(surface.resolution, base_axes, mask, boundary,
                         gamma_base)
@@ -285,12 +283,10 @@ def _attach_sigma_boundary(dom: MaximalDomain, component: SurfaceComponent,
 # ---------------------------------------------------------------------------
 # Newton in one unknown
 
-def solve_u(F: Expr, t: float, x, seed: float, F_u: Expr | None = None,
-            tol: float = SOLVE_TOL, maxit: int = SOLVE_MAXIT) -> SolveResult:
+def solve_u(F: Expr, t: float, x, seed: float) -> SolveResult:
     """Damped Newton for F(t, x, u) = 0 in u from the given seed."""
     x = np.atleast_1d(np.asarray(x, dtype=float)) if x is not None else np.zeros(0)
-    if F_u is None:
-        F_u = diff(F, "u")
+    F_u = diff(F, "u")
     binding = dict(zip(var_names(len(x)),
                        [float(t), *x.tolist(), float(seed)]))
     iterations = 0
@@ -308,11 +304,11 @@ def solve_u(F: Expr, t: float, x, seed: float, F_u: Expr | None = None,
         fu = at(F_u, u)
         return None if fu is None else fu.reshape(1, 1)
 
-    root = _damped_newton(lambda u: at(F, u), jacobian, [float(seed)], tol,
-                          maxit)
+    root = _damped_newton(lambda u: at(F, u), jacobian, [float(seed)],
+                          SOLVE_TOL, SOLVE_MAXIT)
     if root is None:
-        raise NoConvergenceError(
-            f"no root of F in u from seed {seed!r} within {maxit} iterations")
+        raise NoConvergenceError(f"no root of F in u from seed {seed!r} "
+                                 f"within {SOLVE_MAXIT} iterations")
     binding["u"] = float(root[0])
     r = evaluate(F, binding)
     return SolveResult(binding["u"], evaluate(F_u, binding), abs(r),

@@ -34,6 +34,8 @@ FLOW_NEWTON_TOL = 1e-12
 FLOW_NEWTON_MAXIT = 40
 FLOW_NEWTON_MAX_STEP = 1e8
 MIN_SINGULAR_VALUE = 1e-6
+FLOW_SAMPLES = 200          # surface points the flow check projects
+VERIFICATION_SAMPLES = 500  # random box points the rho check adds
 _RNG_SEED = 74025317  # fixed seed so reports are deterministic
 
 
@@ -150,10 +152,10 @@ def conservation_law_integrals(a: Sequence[Expr]) -> FirstIntegralSet:
     return FirstIntegralSet(tuple(rho), "builtin-conservation")
 
 
-def check_nondegeneracy(rho_set: FirstIntegralSet, samples, n: int,
-                        min_sv: float = MIN_SINGULAR_VALUE) -> NondegeneracyReport:
+def check_nondegeneracy(rho_set: FirstIntegralSet, samples,
+                        n: int) -> NondegeneracyReport:
     """Smallest singular value of the (n+1) x (n+2) Jacobian of rho at each
-    sample; nondegenerate iff it stays >= min_sv everywhere."""
+    sample; nondegenerate iff it stays >= MIN_SINGULAR_VALUE everywhere."""
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("at least one sample is required")
@@ -173,7 +175,7 @@ def check_nondegeneracy(rho_set: FirstIntegralSet, samples, n: int,
         if sv < min_seen:
             min_seen = sv
             worst = point.tolist()
-    ok = bool(min_seen >= min_sv) and not np.isinf(min_seen)
+    ok = bool(min_seen >= MIN_SINGULAR_VALUE) and not np.isinf(min_seen)
     return NondegeneracyReport(ok, float(min_seen), worst, excluded)
 
 
@@ -225,8 +227,7 @@ def _newton_u(F: Expr, F_u: Expr, binding: dict, u: float, tol: float,
 
 
 def build_implicit_solution(rho_set: FirstIntegralSet, f: Expr, gamma,
-                            fld: VectorField, box: Box,
-                            flow_samples: int = 200) -> ImplicitSolution:
+                            fld: VectorField, box: Box) -> ImplicitSolution:
     """Compose F = f o rho and enforce its defining properties.
 
     Raises ImplicitSolutionError if F fails to vanish on the initial set,
@@ -264,14 +265,14 @@ def build_implicit_solution(rho_set: FirstIntegralSet, f: Expr, gamma,
                 f"F_u = {fu:.3e} degenerates on the initial set at "
                 f"{point.tolist()}")
 
-    _check_flow_invariance(F, F_u, gradient, fld, box, gamma, flow_samples)
+    _check_flow_invariance(F, F_u, gradient, fld, box, gamma)
     return ImplicitSolution(f, F, F_u, gradient, gamma, n)
 
 
-def _check_flow_invariance(F, F_u, gradient, fld, box, gamma, count):
-    """|X F| at points of {F = 0}: the initial samples plus random box
-    points projected onto the surface by Newton in u.  Fewer than
-    ``count // 2`` projected points within the draw budget is an error."""
+def _check_flow_invariance(F, F_u, gradient, fld, box, gamma):
+    """|X F| at points of {F = 0}: the initial samples plus FLOW_SAMPLES
+    random box points projected onto the surface by Newton in u.  Fewer
+    than half of them within the draw budget is an error."""
     n = fld.n
     names = var_names(n)
     residual = apply_field(fld, F)
@@ -279,7 +280,8 @@ def _check_flow_invariance(F, F_u, gradient, fld, box, gamma, count):
     rng = np.random.default_rng(_RNG_SEED)
     lows, highs = box.lows(), box.highs()
     attempts = 0
-    while len(points) < len(gamma) + count and attempts < 20 * count:
+    while (len(points) < len(gamma) + FLOW_SAMPLES
+           and attempts < 20 * FLOW_SAMPLES):
         attempts += 1
         draw = lows + rng.random(n + 2) * (highs - lows)
         binding = dict(zip(names, draw.tolist()))
@@ -292,11 +294,11 @@ def _check_flow_invariance(F, F_u, gradient, fld, box, gamma, count):
         if box.contains(candidate):
             points.append(candidate)
     projected = len(points) - len(gamma)
-    if projected < count // 2:
+    if projected < FLOW_SAMPLES // 2:
         raise ImplicitSolutionError(
-            f"flow check projected only {projected} of {count} surface "
-            f"points in {attempts} draws; the box holds too little of the "
-            "surface to check flow invariance")
+            f"flow check projected only {projected} of {FLOW_SAMPLES} "
+            f"surface points in {attempts} draws; the box holds too little "
+            "of the surface to check flow invariance")
     for point in points:
         binding = dict(zip(names, point))
         try:
@@ -315,9 +317,7 @@ def _check_flow_invariance(F, F_u, gradient, fld, box, gamma, count):
 def implicit_solution_for_problem(problem: Problem, data: InitialData,
                                   rho: tuple[Expr, ...] | None = None,
                                   f: Expr | None = None,
-                                  gamma_count: int = 65,
-                                  verify_tol: float = RESIDUAL_TOL,
-                                  ):
+                                  gamma_count: int = 65):
     """Assemble (FirstIntegralSet, ImplicitSolution) for one problem.
 
     User-supplied rho/f are validated; otherwise the conservation-law
@@ -337,7 +337,7 @@ def implicit_solution_for_problem(problem: Problem, data: InitialData,
 
     samples = verification_samples(problem.box, gamma)
     for k, r in enumerate(rho_set.rho):
-        report = verify_first_integral(fld, r, samples, verify_tol)
+        report = verify_first_integral(fld, r, samples)
         if not report.passed:
             raise FirstIntegralError(
                 f"rho[{k}] = {to_str(r)} is not a first integral: "
@@ -358,9 +358,9 @@ def implicit_solution_for_problem(problem: Problem, data: InitialData,
     return rho_set, sol
 
 
-def verification_samples(box: Box, gamma: np.ndarray,
-                          count: int = 500) -> np.ndarray:
+def verification_samples(box: Box, gamma: np.ndarray) -> np.ndarray:
     rng = np.random.default_rng(_RNG_SEED + 1)
     lows, highs = box.lows(), box.highs()
-    random_pts = lows + rng.random((count, len(lows))) * (highs - lows)
+    random_pts = (lows + rng.random((VERIFICATION_SAMPLES, len(lows)))
+                  * (highs - lows))
     return np.vstack([gamma, random_pts])

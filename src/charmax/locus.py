@@ -3,9 +3,11 @@
 The zero set of F is discretized over the computational box on a regular
 grid: a cell "crosses" when F changes sign among its corner vertices,
 and adjacency is shared-facet adjacency between crossing cells.  Linear
-pieces of the surface inside each cell (marching-squares segments in the
+pieces of the surface inside the cells (marching-squares segments in the
 plane case, triangles from a six-tetrahedron cube decomposition in the
-space case) are built on demand, for point-cloud dumps only.
+space case) come from one sign-case table per cell shape, looked up for
+all crossing cells at once, and are built on demand, for point-cloud
+dumps only.
 
 The singular locus is the subset of the surface where F_u vanishes too.
 Cells where both F and F_u change sign seed a damped Newton polish; in the
@@ -48,7 +50,6 @@ class LevelSurface:
     values: np.ndarray                 # F at vertices
     valid: np.ndarray                  # vertex validity
     crossing: np.ndarray               # cell-shaped bool mask
-    cells: np.ndarray                  # (k, dim) crossing-cell indices
     excluded_cells: np.ndarray         # cells dropped for invalid vertices
 
     @property
@@ -62,6 +63,12 @@ class LevelSurface:
     @property
     def cell_diagonal(self) -> float:
         return float(np.linalg.norm(self.cell_size))
+
+    @property
+    def cells(self) -> np.ndarray:
+        """(k, dim) indices of the crossing cells, lexicographically
+        sorted."""
+        return np.argwhere(self.crossing)
 
 
 @dataclass
@@ -122,36 +129,39 @@ def _classify_cells(values: np.ndarray, valid: np.ndarray, dim: int):
     return crossing, all_ok
 
 
-def _edge_zero(pa, va, pb, vb):
-    s = va / (va - vb)
-    return tuple(a + s * (b - a) for a, b in zip(pa, pb))
-
-
-def _square_segments(corner_vals, corner_pts):
-    """Marching-squares segments for one cell.
-
-    corner order: 00, 10, 11, 01 walking around the cell; the saddle case
-    is disambiguated by the bilinear center value.
-    """
-    ring = (0, 1, 2, 3)
-    signs = [1 if v >= 0 else -1 for v in corner_vals]
-    zeros = []
-    edges = []
-    for i in range(4):
-        a, b = ring[i], ring[(i + 1) % 4]
-        if signs[a] != signs[b]:
-            zeros.append(_edge_zero(corner_pts[a], corner_vals[a],
-                                    corner_pts[b], corner_vals[b]))
-            edges.append(i)
-    if len(zeros) == 2:
-        return [(zeros[0], zeros[1])]
-    if len(zeros) == 4:
-        center = sum(corner_vals) / 4.0
-        if (center >= 0) == (signs[0] > 0):
-            # corners 00 and 11 join through the center
-            return [(zeros[0], zeros[1]), (zeros[2], zeros[3])]
-        return [(zeros[3], zeros[0]), (zeros[1], zeros[2])]
+def _square_case(case: int) -> list:
+    """Marching-squares segments for one sign case of the ring 00, 10, 11,
+    01: bit i is set when ring corner i is >= 0, bit 4 when the bilinear
+    centre value is.  The cut ring edges are taken in ring order; in the
+    saddle case corners 00 and 11 join through the centre when it has
+    their sign."""
+    signs = [case >> i & 1 for i in range(5)]
+    cut = [(i, (i + 1) % 4) for i in range(4)
+           if signs[i] != signs[(i + 1) % 4]]
+    if len(cut) == 2:
+        return [cut]
+    if len(cut) == 4:
+        if signs[4] == signs[0]:
+            return [cut[:2], cut[2:]]
+        return [[cut[3], cut[0]], cut[1:3]]
     return []
+
+
+def _tet_case(case: int) -> list:
+    """Marching-tetrahedra triangles (Doi & Koide 1991) for one sign case:
+    bit i is set when corner i is >= 0.  A lone corner of either sign cuts
+    the three edges leaving it; a two-two split cuts the four edges from
+    the positive to the negative corners into two triangles."""
+    pos = [i for i in range(4) if case >> i & 1]
+    negs = [i for i in range(4) if not case >> i & 1]
+    if not pos or not negs:
+        return []
+    if len(pos) == 1 or len(negs) == 1:
+        lone = pos[0] if len(pos) == 1 else negs[0]
+        return [[(lone, o) for o in range(4) if o != lone]]
+    (a, b), (c, d) = pos, negs
+    q = [(a, c), (a, d), (b, d), (b, c)]
+    return [[q[0], q[1], q[2]], [q[0], q[2], q[3]]]
 
 
 # six-tetrahedron (Kuhn) decomposition of the unit cube: each tet walks
@@ -171,25 +181,29 @@ def _kuhn_tets(dim: int = 3):
 _TETS3 = _kuhn_tets(3)
 
 
-def _tet_triangles(vals, pts):
-    """Triangles of the zero set inside one tetrahedron."""
-    signs = [1 if v >= 0 else -1 for v in vals]
-    pos = [i for i in range(4) if signs[i] > 0]
-    negs = [i for i in range(4) if signs[i] < 0]
-    if not pos or not negs:
-        return []
-    if len(pos) == 1 or len(negs) == 1:
-        lone = pos[0] if len(pos) == 1 else negs[0]
-        others = [i for i in range(4) if i != lone]
-        z = [_edge_zero(pts[lone], vals[lone], pts[o], vals[o]) for o in others]
-        return [(z[0], z[1], z[2])]
-    a, b = pos
-    c, d = negs
-    q = [_edge_zero(pts[a], vals[a], pts[c], vals[c]),
-         _edge_zero(pts[a], vals[a], pts[d], vals[d]),
-         _edge_zero(pts[b], vals[b], pts[d], vals[d]),
-         _edge_zero(pts[b], vals[b], pts[c], vals[c])]
-    return [(q[0], q[1], q[2]), (q[0], q[2], q[3])]
+def _case_table(shapes, case_pieces, bits: int):
+    """Sign-case table of one cell shape (the idiom of Lorensen & Cline
+    1987) in each of its placements ``shapes`` in the cell: the (n, c)
+    corners of each placement as cell-corner indices, and per placement
+    and sign case the (2, dim, 2) edges of the two piece slots, as pairs
+    of cell-corner indices in endpoint order, with the (2,) mask of the
+    slots in use."""
+    offsets = _corner_offsets(len(shapes[0][0]))
+    corners = np.array([[offsets.index(o) for o in shape] for shape in shapes])
+    edges = np.zeros((len(shapes), 2 ** bits, 2, len(offsets[0]), 2),
+                     dtype=np.intp)
+    used = np.zeros((len(shapes), 2 ** bits, 2), dtype=bool)
+    for case in range(2 ** bits):
+        for slot, piece in enumerate(case_pieces(case)):
+            edges[:, case, slot] = corners[:, piece]
+            used[:, case, slot] = True
+    return corners, edges, used
+
+
+_CASE_TABLES = {
+    2: _case_table([((0, 0), (1, 0), (1, 1), (0, 1))], _square_case, 5),
+    3: _case_table(_TETS3, _tet_case, 4),
+}
 
 
 def extract_surface(F: Expr, box: Box, resolution: int) -> LevelSurface:
@@ -209,42 +223,43 @@ def extract_surface(F: Expr, box: Box, resolution: int) -> LevelSurface:
     values, valid = _grid_values(F, axes, n)
     crossing, all_ok = _classify_cells(values, valid, dim)
     return LevelSurface(F, box, resolution, axes, values, valid, crossing,
-                        np.argwhere(crossing), np.argwhere(~all_ok))
+                        np.argwhere(~all_ok))
 
 
-def cell_pieces(surface: LevelSurface) -> list:
-    """Linear pieces of the zero set, one (m, 2|3, dim) array per crossing
-    cell in ``surface.cells`` order: segments in the plane case, triangles
-    in the space case."""
-    dim, axes, values, cells = (surface.dim, surface.axes, surface.values,
-                                surface.cells)
-    # gather corner values for all crossing cells at once
-    offsets = _corner_offsets(dim)
-    corner_vals = np.stack(
-        [values[tuple(cells[:, k] + o[k] for k in range(dim))] for o in offsets],
-        axis=1) if len(cells) else np.zeros((0, len(offsets)))
-    pieces = []
+def cell_pieces(surface: LevelSurface):
+    """Linear pieces of the zero set in the crossing cells: segments of
+    the square in the plane case, triangles of the six Kuhn tetrahedra in
+    the space case.  Returns the (k, slots, width, dim) piece vertices, in
+    ``surface.cells`` order and (shape, piece, vertex) order within a cell,
+    and the (k, slots) mask of the slots in use; unused slots hold zeros.
+    Each vertex is the zero ``a + s (b - a)``, ``s = va / (va - vb)``, of
+    a cut edge from corner a to corner b."""
+    dim = surface.dim
+    corners = surface.cells[:, None, :] + np.array(_corner_offsets(dim))
+    vals = surface.values[tuple(np.moveaxis(corners, -1, 0))]
+    pts = np.stack([ax[corners[..., d]] for d, ax in enumerate(surface.axes)],
+                   axis=-1)
+    shapes, edges, slots = _CASE_TABLES[dim]
+    bits = vals[:, shapes] >= 0.0
+    case = (bits << np.arange(shapes.shape[1])).sum(axis=-1)
     if dim == 2:
-        # reorder corners to walk the square: 00, 10, 11, 01
-        ring = [offsets.index(o) for o in ((0, 0), (1, 0), (1, 1), (0, 1))]
-        for row, cell in zip(corner_vals, cells):
-            pts = [(axes[0][cell[0] + o[0]], axes[1][cell[1] + o[1]])
-                   for o in ((0, 0), (1, 0), (1, 1), (0, 1))]
-            vals = [row[r] for r in ring]
-            segs = _square_segments(vals, pts)
-            pieces.append(np.array(segs, dtype=float).reshape(-1, 2, 2))
-    else:
-        index_of = {o: i for i, o in enumerate(offsets)}
-        for row, cell in zip(corner_vals, cells):
-            coords = {o: (axes[0][cell[0] + o[0]], axes[1][cell[1] + o[1]],
-                          axes[2][cell[2] + o[2]]) for o in offsets}
-            tris = []
-            for tet in _TETS3:
-                vals = [row[index_of[o]] for o in tet]
-                pts = [coords[o] for o in tet]
-                tris.extend(_tet_triangles(vals, pts))
-            pieces.append(np.array(tris, dtype=float).reshape(-1, 3, 3))
-    return pieces
+        v = vals[:, shapes[0]]
+        centre = (v[:, 0] + v[:, 1] + v[:, 2] + v[:, 3]) / 4.0
+        case[:, 0] += (centre >= 0.0) << 4
+    used = slots[np.arange(len(shapes)), case].reshape(len(case),
+                                                      2 * len(shapes))
+    cell, slot = np.nonzero(used)
+    shape = slot // 2
+    a, b = np.moveaxis(edges[shape, case[cell, shape], slot % 2], -1, 0)
+    cell = cell[:, None]
+    va, vb = vals[cell, a], vals[cell, b]
+    pa, z = pts[cell, a], pts[cell, b]
+    z -= pa                             # z = a + s (b - a), in place
+    z *= (va / (va - vb))[..., None]
+    z += pa
+    pieces = np.zeros(used.shape + (dim, dim))
+    pieces[used] = z
+    return pieces, used
 
 
 # ---------------------------------------------------------------------------
@@ -516,36 +531,28 @@ def extract_singular_locus(F: Expr, surface: LevelSurface) -> SingularLocus:
 
     degenerate = np.array([_is_degenerate(sys, p) for p in points],
                           dtype=bool)
-    tangents = np.zeros_like(points)
     polylines: list[np.ndarray] = []
 
-    if n == 1 and kept:
-        for i, p in enumerate(points):
-            if degenerate[i]:
-                continue
-            t = sys.tangent(p)
-            if t is not None:
-                tangents[i] = t
+    if n == 1:
         visited = degenerate.copy()
         max_steps = 40 * surface.resolution
         for i, p in enumerate(points):
             if visited[i]:
                 continue
-            t = tangents[i]
-            if not np.any(t):
+            t = sys.tangent(p)
+            if t is None:
                 visited[i] = True
                 continue
             fwd = _trace_from(sys, p, t, surface.box, diag, max_steps)
             bwd = _trace_from(sys, p, -t, surface.box, diag, max_steps)
             line = np.array(list(reversed(bwd[1:])) + fwd)
             polylines.append(line)
-            # mark polished points swept by this polyline as visited
-            if len(line):
-                rest = np.nonzero(~visited)[0]
-                for j in rest:
-                    d = np.min(np.linalg.norm(line - points[j], axis=1))
-                    if d <= diag:
-                        visited[j] = True
+            # mark polished points swept by this polyline (never empty: it
+            # holds the start) as visited
+            for j in np.nonzero(~visited)[0]:
+                d = np.min(np.linalg.norm(line - points[j], axis=1))
+                if d <= diag:
+                    visited[j] = True
             visited[i] = True
 
     return SingularLocus(points, degenerate, polylines, seed_cells, dropped)
@@ -602,11 +609,8 @@ def split_component(surface: LevelSurface, sigma: SingularLocus,
 
 def patch_vertices(surface: LevelSurface) -> np.ndarray:
     """All vertices of the cell pieces as one (m, dim) point cloud."""
-    chunks = [p.reshape(-1, surface.dim) for p in cell_pieces(surface)
-              if p.size]
-    if not chunks:
-        return np.zeros((0, surface.dim))
-    return np.vstack(chunks)
+    pieces, used = cell_pieces(surface)
+    return pieces[used].reshape(-1, surface.dim)
 
 
 def points_csv(surface: LevelSurface, sigma: SingularLocus,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from itertools import permutations
 
 import numpy as np
 
@@ -10,8 +11,8 @@ import charmax
 from charmax.domain import contains, maximal_domain
 from charmax.expr import Binary, Const, Unary, Var, evaluate, variables
 from charmax.integrals import implicit_solution_for_problem
-from charmax.locus import (LevelSurface, SurfaceComponent, cell_of,
-                           extract_singular_locus, extract_surface,
+from charmax.locus import (LevelSurface, SurfaceComponent, _classify_cells,
+                           cell_of, extract_singular_locus, extract_surface,
                            split_component)
 from charmax.problem import load_problem_bundle
 
@@ -113,6 +114,107 @@ def fold_lines_by_points(component, sigma) -> list:
 
 
 # ---------------------------------------------------------------------------
+# Reference for the cell pieces: marching squares and tetrahedra, one cell
+# and one shape at a time
+
+def _edge_zero(pa, va, pb, vb):
+    s = va / (va - vb)
+    return tuple(a + s * (b - a) for a, b in zip(pa, pb))
+
+
+def _square_segments(vals, pts):
+    """Segments for the ring 00, 10, 11, 01; a saddle is resolved by the
+    bilinear centre value."""
+    signs = [1 if v >= 0 else -1 for v in vals]
+    zeros = [_edge_zero(pts[i], vals[i], pts[(i + 1) % 4], vals[(i + 1) % 4])
+             for i in range(4) if signs[i] != signs[(i + 1) % 4]]
+    if len(zeros) == 2:
+        return [(zeros[0], zeros[1])]
+    if len(zeros) == 4:
+        center = sum(vals) / 4.0
+        if (center >= 0) == (signs[0] > 0):
+            # corners 00 and 11 join through the center
+            return [(zeros[0], zeros[1]), (zeros[2], zeros[3])]
+        return [(zeros[3], zeros[0]), (zeros[1], zeros[2])]
+    return []
+
+
+def _tet_triangles(vals, pts):
+    signs = [1 if v >= 0 else -1 for v in vals]
+    pos = [i for i in range(4) if signs[i] > 0]
+    negs = [i for i in range(4) if signs[i] < 0]
+    if not pos or not negs:
+        return []
+    if len(pos) == 1 or len(negs) == 1:
+        lone = pos[0] if len(pos) == 1 else negs[0]
+        others = [i for i in range(4) if i != lone]
+        z = [_edge_zero(pts[lone], vals[lone], pts[o], vals[o])
+             for o in others]
+        return [(z[0], z[1], z[2])]
+    a, b = pos
+    c, d = negs
+    q = [_edge_zero(pts[a], vals[a], pts[c], vals[c]),
+         _edge_zero(pts[a], vals[a], pts[d], vals[d]),
+         _edge_zero(pts[b], vals[b], pts[d], vals[d]),
+         _edge_zero(pts[b], vals[b], pts[c], vals[c])]
+    return [(q[0], q[1], q[2]), (q[0], q[2], q[3])]
+
+
+def _cube_tets():
+    """The six Kuhn tetrahedra: 0 -> e_s1 -> e_s1+e_s2 -> (1,1,1)."""
+    tets = []
+    for perm in permutations(range(3)):
+        corner = [0, 0, 0]
+        path = [tuple(corner)]
+        for axis in perm:
+            corner[axis] = 1
+            path.append(tuple(corner))
+        tets.append(tuple(path))
+    return tets
+
+
+def cell_pieces_by_cells(surface):
+    """Reference for locus.cell_pieces, one crossing cell at a time: the
+    (k, slots, width, dim) pieces and (k, slots) use mask, two slots per
+    square or per Kuhn tetrahedron, and the patch vertices, the stacked
+    vertices of each cell's pieces."""
+    dim, axes, values = surface.dim, surface.axes, surface.values
+    cells = surface.cells.tolist()
+    if dim == 2:
+        shapes, pieces_of = [((0, 0), (1, 0), (1, 1), (0, 1))], _square_segments
+    else:
+        shapes, pieces_of = _cube_tets(), _tet_triangles
+    pieces = np.zeros((len(cells), 2 * len(shapes), dim, dim))
+    used = np.zeros(pieces.shape[:2], dtype=bool)
+    chunks = []
+    for k, cell in enumerate(cells):
+        for j, shape in enumerate(shapes):
+            corners = [[c + o for c, o in zip(cell, off)] for off in shape]
+            vals = [values[tuple(c)] for c in corners]
+            pts = [tuple(ax[i] for ax, i in zip(axes, c)) for c in corners]
+            for slot, piece in enumerate(pieces_of(vals, pts), start=2 * j):
+                pieces[k, slot] = piece
+                used[k, slot] = True
+                chunks.append(np.array(piece, dtype=float))
+    vertices = (np.vstack(chunks) if chunks else np.zeros((0, dim)))
+    return pieces, used, vertices
+
+
+def grid_surface(values, lows=None, highs=None):
+    """A LevelSurface over a hand-made array of vertex values, all valid,
+    classified the way extract_surface classifies them."""
+    values = np.asarray(values, dtype=float)
+    lows = [-1.0] * values.ndim if lows is None else lows
+    highs = [1.0] * values.ndim if highs is None else highs
+    axes = tuple(np.linspace(lo, hi, k)
+                 for lo, hi, k in zip(lows, highs, values.shape))
+    valid = np.ones(values.shape, dtype=bool)
+    crossing, all_ok = _classify_cells(values, valid, values.ndim)
+    return LevelSurface(None, None, values.shape[0] - 1, axes, values, valid,
+                        crossing, np.argwhere(~all_ok))
+
+
+# ---------------------------------------------------------------------------
 # Hand-made components on the integer grid
 
 def drawn_masks(picture: str, u_cells: int = 2):
@@ -138,7 +240,7 @@ def hand_component(mask, sigma_cells=None, gamma_cells=None):
     mask = np.asarray(mask, dtype=bool)
     axes = tuple(np.arange(k + 1, dtype=float) for k in mask.shape)
     surface = LevelSurface(None, None, mask.shape[0], axes, None, None, mask,
-                           np.argwhere(mask), np.zeros((0, mask.ndim), int))
+                           np.zeros((0, mask.ndim), int))
     if sigma_cells is None:
         sigma_cells = np.zeros_like(mask)
     if gamma_cells is None:

@@ -180,6 +180,17 @@ class TestCharacteristics:
         header = (out_dir / files[0]).read_text().splitlines()[0]
         assert header == "tau,t,x1,u"
 
+    def test_bad_tol_is_one_error(self, tmp_path, capsys):
+        """An argument error applies to every seed: it is reported once,
+        as an error, and no curve is written."""
+        out_dir = tmp_path / "out"
+        assert main(["characteristics", "--problem",
+                     problem_file("burgers_reciprocal"), "--tol", "1",
+                     "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: tol 1.0 outside [1e-13, 1e-3]"]
+        assert not out_dir.exists()
+
 
 class TestSingular:
     def test_ramp_sigma_points(self, tmp_path, capsys):

@@ -8,7 +8,7 @@ from charmax.domain import (NoConvergenceError, ProjectionError,
                             _chain_outline, _staircase, contains,
                             maximal_domain, solve_u)
 from charmax.expr import evaluate, parse, var_names
-from charmax.locus import SurfaceComponent
+from charmax.locus import SurfaceComponent, flood
 
 
 class TestMaximalDomain:
@@ -54,6 +54,18 @@ class TestMaximalDomain:
         _, _, _, _, comp, dom = pipelines("circular", 48)
         for base in dom.base_cells:
             assert dom.mask[base]
+
+    @pytest.mark.parametrize("name,resolution", [
+        ("ode_quadratic", 512), ("ode_quadratic", 1024),
+        ("circular", 32), ("circular", 48),
+        ("burgers_ramp", 32), ("burgers_ramp", 48),
+        ("burgers_reciprocal", 32), ("burgers_reciprocal", 48)])
+    def test_mask_is_reached_from_the_initial_set(self, name, resolution,
+                                                  pipelines):
+        """The projection of a facet-connected component is facet-connected:
+        every masked base cell is reached from the initial-set base cells."""
+        dom = pipelines(name, resolution)[-1]
+        assert np.array_equal(flood(dom.mask, dom.base_cells), dom.mask)
 
     def test_two_branch_projection_rejected(self, pipelines):
         _, _, surf, _, comp, _ = pipelines("circular", 48)

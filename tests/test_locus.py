@@ -5,9 +5,10 @@ import pytest
 
 import helpers
 from charmax.expr import diff, evaluate, parse, var_names
-from charmax.locus import (ResolutionError, cell_center, cell_of, cell_pieces,
-                           extract_singular_locus, extract_surface, flood,
-                           fold_discriminant, split_component)
+from charmax.locus import (_TETS3, ResolutionError, cell_center, cell_of,
+                           cell_pieces, extract_singular_locus,
+                           extract_surface, flood, fold_discriminant,
+                           patch_vertices, split_component)
 from charmax.problem import Box, initial_set_samples, make_problem
 
 
@@ -57,8 +58,9 @@ class TestExtractSurface:
         _, sol, surf, _, _, _ = pipelines("circular", 48)
         assert len(surf.cells) > 0
         # every crossing cell has a patch with at least one triangle
-        nonempty = sum(1 for p in cell_pieces(surf) if len(p))
-        assert nonempty == len(surf.cells)
+        pieces, used = cell_pieces(surf)
+        assert pieces.shape == (len(surf.cells), 12, 3, 3)
+        assert used.any(axis=1).all()
 
     def test_patch_linear_interp_bound(self, pipelines):
         _, sol, surf, _, _, _ = pipelines("circular", 48)
@@ -67,12 +69,9 @@ class TestExtractSurface:
         diag = surf.cell_diagonal
         rng = np.random.default_rng(11)
         idx = rng.choice(len(surf.cells), size=200, replace=False)
-        pieces = cell_pieces(surf)
+        pieces, used = cell_pieces(surf)
         for i in idx:
-            patch = pieces[i]
-            if not len(patch):
-                continue
-            vertices = patch.reshape(-1, 3)
+            vertices = pieces[i][used[i]].reshape(-1, 3)
             corners = cell_center(surf.axes, surf.cells[i])
             gmax = 0.0
             for p in list(vertices) + [corners]:
@@ -93,6 +92,110 @@ class TestExtractSurface:
             corners = vals[cell[0]:cell[0] + 2, cell[1]:cell[1] + 2,
                            cell[2]:cell[2] + 2]
             assert corners.min() < 0 <= corners.max()
+
+
+def assert_pieces_match_reference(surface):
+    pieces, used = cell_pieces(surface)
+    ref_pieces, ref_used, ref_vertices = helpers.cell_pieces_by_cells(surface)
+    assert pieces.dtype == ref_pieces.dtype
+    assert pieces.shape == ref_pieces.shape
+    assert pieces.tobytes() == ref_pieces.tobytes()
+    assert np.array_equal(used, ref_used)
+    vertices = patch_vertices(surface)
+    assert vertices.shape == ref_vertices.shape
+    assert vertices.tobytes() == ref_vertices.tobytes()
+    return pieces, used
+
+
+class TestCellPieces:
+    """The case-table pieces against the cell-by-cell reference, byte for
+    byte."""
+
+    @pytest.mark.parametrize("name,resolution", [
+        ("ode_quadratic", 64), ("ode_quadratic", 1024),
+        ("circular", 32), ("circular", 64),
+        ("burgers_ramp", 32), ("burgers_ramp", 64),
+        ("burgers_reciprocal", 32), ("burgers_reciprocal", 64)])
+    def test_bundled_problems(self, name, resolution, solutions):
+        b, _, sol = solutions(name)
+        surface = extract_surface(sol.F, b.problem.box, resolution)
+        _, used = assert_pieces_match_reference(surface)
+        assert used.any()
+
+    @pytest.mark.parametrize("shape", [(23, 19), (9, 8, 7)])
+    def test_random_grids_with_exact_zeros(self, shape):
+        rng = np.random.default_rng(2024)
+        for _ in range(20):
+            values = rng.normal(size=shape) * rng.choice([1e-3, 1.0, 1e3],
+                                                         size=shape)
+            values[rng.random(shape) < 0.2] = 0.0
+            values[rng.random(shape) < 0.05] = -0.0
+            lows = rng.uniform(-2.0, 0.0, len(shape))
+            highs = rng.uniform(0.1, 3.0, len(shape))
+            surface = helpers.grid_surface(values, lows, highs)
+            assert len(surface.cells)
+            assert_pieces_match_reference(surface)
+
+    @pytest.mark.parametrize("ring,joined", [
+        ((1.0, -1.0, 2.0, -1.0), True),     # centre > 0, 00 positive
+        ((1.0, -2.0, 1.0, -1.0), False),    # centre < 0, 00 positive
+        ((1.0, -1.0, 1.0, -1.0), True),     # centre exactly 0
+        ((-1.0, 2.0, -1.0, 1.0), False),    # centre > 0, 00 negative
+        ((-2.0, 1.0, -1.0, 1.0), True),     # centre < 0, 00 negative
+        ((-1.0, 1.0, -1.0, 1.0), False),    # centre exactly 0, 00 negative
+        # centre sum -5e-324, which divides by 4 to -0.0
+        ((5e-324, -1e-323, 5e-324, -5e-324), True),
+    ])
+    def test_saddle_squares(self, ring, joined):
+        """Ring values 00, 10, 11, 01; ``joined`` when corners 00 and 11
+        connect through the centre, so each segment cuts off 10 or 01."""
+        v00, v10, v11, v01 = ring
+        surface = helpers.grid_surface([[v00, v01], [v10, v11]])
+        pieces, used = assert_pieces_match_reference(surface)
+        assert used.tolist() == [[True, True]]
+        # name the cut ring edge of each endpoint on the square [-1, 1]^2
+        def side(point):
+            t, u = point
+            return ("bottom" if u == -1.0 else "top" if u == 1.0
+                    else "left" if t == -1.0 else "right")
+
+        cuts = {frozenset(map(side, seg.tolist())) for seg in pieces[0]}
+        if joined:
+            assert cuts == {frozenset({"bottom", "right"}),
+                            frozenset({"top", "left"})}
+        else:
+            assert cuts == {frozenset({"left", "bottom"}),
+                            frozenset({"right", "top"})}
+
+    def test_every_tetrahedron_sign_pattern(self):
+        """All 256 corner sign patterns of one cube, so each Kuhn
+        tetrahedron meets each of its 16 patterns; positive corners are
+        exact zeros in every other pattern."""
+        rng = np.random.default_rng(7)
+        seen = set()
+        for pattern in range(256):
+            signs = np.array([1.0 if pattern >> i & 1 else -1.0
+                              for i in range(8)]).reshape(2, 2, 2)
+            values = signs * rng.uniform(0.1, 2.0, (2, 2, 2))
+            if pattern % 2:
+                values[signs > 0] = 0.0
+            surface = helpers.grid_surface(values)
+            if pattern in (0, 255):
+                assert len(surface.cells) == 0
+            assert_pieces_match_reference(surface)
+            for tet in _TETS3:
+                seen.add(tuple(bool(signs[c] > 0) for c in tet))
+        assert len(seen) == 16
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_no_crossing_cells(self, n):
+        F = parse("u - 5", n=n)
+        box = Box((-1.0, 1.0), ((-1.0, 1.0),) * n, (-1.0, 1.0))
+        surface = extract_surface(F, box, 16)
+        assert len(surface.cells) == 0
+        pieces, used = assert_pieces_match_reference(surface)
+        assert pieces.shape == (0, 2 if n == 0 else 12, n + 2, n + 2)
+        assert patch_vertices(surface).shape == (0, n + 2)
 
 
 class TestSingularLocus:
