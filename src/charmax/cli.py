@@ -10,6 +10,7 @@ file give byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -85,12 +86,18 @@ def cmd_verify(args) -> int:
     ndg = check_nondegeneracy(rho_set, sol.gamma_samples, problem.n)
     print(f"nondegeneracy: min singular value {ndg.min_singular_value!r}")
     print(f"F = {to_str(sol.F)}")
-    print(f"F vanishes on the initial set at {len(sol.gamma_samples)} samples")
-    print("F_u nondegenerate on the initial set")
-    print("zero set flow-invariant at sampled surface points")
+    checks = sol.checks
+    print(f"F vanishes on the initial set at {len(sol.gamma_samples)} "
+          f"samples: max |F| = {checks.max_abs_F_on_gamma!r}")
+    print(f"F_u nondegenerate on the initial set: "
+          f"min |F_u| = {checks.min_abs_F_u_on_gamma!r}")
+    print(f"zero set flow-invariant at {checks.flow_points_checked} points "
+          f"({checks.flow_points_projected} surface points projected in "
+          f"{checks.flow_draws} draws): max |XF| / scale = "
+          f"{checks.max_flow_residual!r}")
     doc = {"rho": [json.loads(r.to_json()) for r in reports],
            "min_singular_value": ndg.min_singular_value,
-           "F": to_str(sol.F)}
+           "F": to_str(sol.F), **dataclasses.asdict(checks)}
     _write(Path(args.out), "verify.json", json.dumps(doc, sort_keys=True))
     print("PASS")
     return EXIT_OK

@@ -15,11 +15,13 @@ function theorem stops guaranteeing a single-valued branch.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .expr import EvalDomainError, Expr, diff, evaluate, var_names
+from .expr import compile as compile_exprs
 from .integrals import ImplicitSolution, _newton_u
 from .locus import (SurfaceComponent, _damped_newton, cell_center, cell_of,
                     flood)
@@ -286,53 +288,52 @@ def _attach_sigma_boundary(dom: MaximalDomain, component: SurfaceComponent,
 def solve_u(F: Expr, t: float, x, seed: float) -> SolveResult:
     """Damped Newton for F(t, x, u) = 0 in u from the given seed."""
     x = np.atleast_1d(np.asarray(x, dtype=float)) if x is not None else np.zeros(0)
-    F_u = diff(F, "u")
-    binding = dict(zip(var_names(len(x)),
-                       [float(t), *x.tolist(), float(seed)]))
+    names = var_names(len(x))
+    F_fn = compile_exprs([F], names)
+    F_u_fn = compile_exprs([diff(F, "u")], names)
+    base = [float(t), *x.tolist()]
     iterations = 0
 
-    def at(expr, u):
-        binding["u"] = float(u[0])
+    def at(fn, u):
         try:
-            return np.array([evaluate(expr, binding)])
+            return np.array(fn(*base, float(u[0])))
         except EvalDomainError:
             return None
 
     def jacobian(u):  # called once per Newton step
         nonlocal iterations
         iterations += 1
-        fu = at(F_u, u)
+        fu = at(F_u_fn, u)
         return None if fu is None else fu.reshape(1, 1)
 
-    root = _damped_newton(lambda u: at(F, u), jacobian, [float(seed)],
+    root = _damped_newton(lambda u: at(F_fn, u), jacobian, [float(seed)],
                           SOLVE_TOL, SOLVE_MAXIT)
     if root is None:
         raise NoConvergenceError(f"no root of F in u from seed {seed!r} "
                                  f"within {SOLVE_MAXIT} iterations")
-    binding["u"] = float(root[0])
-    r = evaluate(F, binding)
-    return SolveResult(binding["u"], evaluate(F_u, binding), abs(r),
-                       iterations)
+    u = float(root[0])
+    (r,) = F_fn(*base, u)
+    return SolveResult(u, F_u_fn(*base, u)[0], abs(r), iterations)
 
 
 # ---------------------------------------------------------------------------
 # Continuation query
 
-def _grad_norm(sol: ImplicitSolution, binding) -> float:
+def _grad_norm(grads) -> float:
     total = 0.0
-    for g in sol.gradient:
-        total += evaluate(g, binding) ** 2
-    return float(np.sqrt(total))
+    for g in grads:
+        total += g ** 2
+    return math.sqrt(total)
 
 
-def _singular_threshold(sol, binding) -> float:
-    return SINGULAR_FACTOR * (1.0 + _grad_norm(sol, binding))
+def _singular_threshold(grads) -> float:
+    return SINGULAR_FACTOR * (1.0 + _grad_norm(grads))
 
 
-def _corrector(sol: ImplicitSolution, names, point, u):
+def _corrector(sol: ImplicitSolution, point, u):
     """Newton in u at a fixed base point.  Returns (u, f_u, ok)."""
-    return _newton_u(sol.F, sol.F_u, dict(zip(names, [*point, u])), u,
-                     SOLVE_TOL, CORRECTOR_MAXIT)
+    return _newton_u(sol.F, sol.F_u, sol.F_and_Fu, point, u, SOLVE_TOL,
+                     CORRECTOR_MAXIT)
 
 
 def nearest_base_point(data: InitialData, q) -> tuple[np.ndarray, float]:
@@ -391,10 +392,10 @@ def _march(problem, sol, waypoints, u0) -> Verdict:
     pts = [np.asarray(w, dtype=float) for w in waypoints]
     legs = [np.linalg.norm(b - a) for a, b in zip(pts, pts[1:])]
     total = float(sum(legs))
+    end = pts[-1].tolist()
     if total == 0.0:
-        u, fu, ok = _corrector(sol, names, pts[-1].tolist(), u0)
-        binding = dict(zip(names, [*pts[-1].tolist(), u]))
-        if ok and abs(fu) >= _singular_threshold(sol, binding):
+        u, fu, ok = _corrector(sol, end, u0)
+        if ok and abs(fu) >= _singular_threshold(sol.grad_values(*end, u)):
             return Verdict("inside", u, fu, tuple(pts[-1]))
         return Verdict("boundary", None, fu, tuple(pts[-1]))
 
@@ -407,6 +408,8 @@ def _march(problem, sol, waypoints, u0) -> Verdict:
             acc += L
         return pts[-1]
 
+    # F_u alone, as other components of the gradient may fail to
+    # evaluate on the initial set where F_u does not
     base_binding = dict(zip(names, [*pts[0].tolist(), u0]))
     fu_sign = 1.0 if evaluate(sol.F_u, base_binding) >= 0 else -1.0
 
@@ -417,15 +420,14 @@ def _march(problem, sol, waypoints, u0) -> Verdict:
     u = u0
     while s_cur < total:
         s_next = min(s_cur + h, total)
-        point = at(s_next)
-        u_new, fu, ok = _corrector(sol, names, point.tolist(), u)
+        point = at(s_next).tolist()
+        u_new, fu, ok = _corrector(sol, point, u)
         healthy = False
         if ok and fu is not None:
-            binding = dict(zip(names, [*point.tolist(), u_new]))
             # crossing the singular locus on the branch is either |F_u|
             # fading out or F_u flipping sign between step points
-            healthy = (abs(fu) >= _singular_threshold(sol, binding)
-                       and fu * fu_sign > 0)
+            threshold = _singular_threshold(sol.grad_values(*point, u_new))
+            healthy = abs(fu) >= threshold and fu * fu_sign > 0
         if healthy:
             u = u_new
             s_cur = s_next
@@ -437,7 +439,7 @@ def _march(problem, sol, waypoints, u0) -> Verdict:
         # the branch stops being trackable inside (s_cur, s_next]:
         # localize the onset and judge it by the surviving |F_u|
         s_onset, fu_good, grad_scale = _refine_singular_onset(
-            sol, names, at, s_cur, s_next, u, fu_sign)
+            sol, at, s_cur, s_next, u, fu_sign)
         relaxed = np.sqrt(SINGULAR_FACTOR) * grad_scale
         if abs(fu_good) <= relaxed:
             if total - s_onset <= BOUNDARY_FRACTION * total:
@@ -446,14 +448,14 @@ def _march(problem, sol, waypoints, u0) -> Verdict:
         raise PathLeftWindowError(
             f"corrector diverged at {at(s_onset).tolist()} with healthy "
             f"F_u = {fu_good:.3e}; box too small or F undefined along the path")
-    binding = dict(zip(names, [*pts[-1].tolist(), u]))
-    fu = evaluate(sol.F_u, binding)
-    if abs(fu) < _singular_threshold(sol, binding):
+    grads = sol.grad_values(*end, u)
+    fu = grads[-1]
+    if abs(fu) < _singular_threshold(grads):
         return Verdict("boundary", None, fu, tuple(pts[-1]))
     return Verdict("inside", u, fu, tuple(pts[-1]))
 
 
-def _refine_singular_onset(sol, names, at, s_good, s_bad, u_good, fu_sign):
+def _refine_singular_onset(sol, at, s_good, s_bad, u_good, fu_sign):
     """Bisect the path for the first parameter where the branch stops being
     trackable (corrector failure, F_u below the singular threshold, or an
     F_u sign flip).
@@ -463,23 +465,23 @@ def _refine_singular_onset(sol, names, at, s_good, s_bad, u_good, fu_sign):
     bisection window, while at a mere tracking failure it stays O(1).
     """
     u = u_good
-    point = at(s_good)
-    _, fu_good, _ = _corrector(sol, names, point.tolist(), u)
-    binding = dict(zip(names, [*point.tolist(), u]))
-    grad_scale = 1.0 + _grad_norm(sol, binding)
+    point = at(s_good).tolist()
+    _, fu_good, _ = _corrector(sol, point, u)
+    grads = sol.grad_values(*point, u)
+    grad_scale = 1.0 + _grad_norm(grads)
     if fu_good is None:
-        fu_good = evaluate(sol.F_u, binding)
+        fu_good = grads[-1]
     for _ in range(60):
         mid = 0.5 * (s_good + s_bad)
-        point = at(mid)
-        u_new, fu, ok = _corrector(sol, names, point.tolist(), u)
+        point = at(mid).tolist()
+        u_new, fu, ok = _corrector(sol, point, u)
         if ok and fu is not None and fu * fu_sign > 0:
-            binding = dict(zip(names, [*point.tolist(), u_new]))
-            if abs(fu) >= _singular_threshold(sol, binding):
+            grads = sol.grad_values(*point, u_new)
+            if abs(fu) >= _singular_threshold(grads):
                 s_good = mid
                 u = u_new
                 fu_good = fu
-                grad_scale = 1.0 + _grad_norm(sol, binding)
+                grad_scale = 1.0 + _grad_norm(grads)
                 continue
         s_bad = mid
     return s_bad, fu_good, grad_scale

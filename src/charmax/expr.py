@@ -10,6 +10,13 @@ errors rather than silently turning into NaN.
 Grammar notes: + - * / ^ all parse left-associatively, ^ binds tighter
 than unary minus (so ``-x^2`` is ``-(x^2)``), and a ^-exponent may carry
 leading minus signs (``2^-3``).
+
+Scalar hot loops do not walk the trees: ``compile`` turns a list of trees
+into one generated straight-line Python function, bit-identical to
+``evaluate``.  The tree-walking ``evaluate`` remains the reference and the
+error path: compiled code re-runs it when a domain violation or an
+arithmetic error interrupts it, so errors are raised with the same type,
+node and binding.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -536,6 +543,83 @@ def evaluate(e: Expr, binding: Mapping[str, float]) -> float:
         except EvalDomainError as err:
             raise EvalDomainError(err.reason, e, binding) from None
     raise ValueError(f"unknown binary op {op!r}")
+
+
+# ---------------------------------------------------------------------------
+# Compiled scalar evaluation
+
+def compile(exprs: Sequence[Expr], names: Sequence[str]):
+    """One generated function ``f(*values) -> tuple[float, ...]`` giving
+    every tree of ``exprs`` at the point that binds ``names`` to ``values``.
+
+    The straight-line code computes each distinct subtree once, in the
+    tree's operation order and with the scalar operations of ``evaluate``,
+    so every output is bit-identical to ``evaluate``.  Arguments go
+    through ``float()``, as in ``evaluate``: an np.float64 would turn a
+    division by zero into inf instead of an exception.  An
+    ArithmeticError, ValueError or EvalDomainError in the fast code
+    (division by zero, a math domain error, an overflow) makes it re-run
+    ``evaluate`` output by output, which raises the same typed error or
+    returns the same IEEE value (exp overflow gives inf).
+    """
+    exprs, names = tuple(exprs), tuple(names)
+    env = {"exp": math.exp, "log": math.log, "sin": math.sin,
+           "cos": math.cos, "sqrt": math.sqrt, "pow": _scalar_pow,
+           "ERRORS": (ArithmeticError, ValueError, EvalDomainError)}
+    coerce: dict[str, str] = {}      # variable -> its float() line
+    body: list[str] = []
+    temps: dict[str, str] = {}       # code -> the local holding its value
+    done: dict[int, str] = {}        # id(node) -> operand text
+
+    def operand(e: Expr) -> str:
+        if id(e) in done:
+            return done[id(e)]
+        if isinstance(e, Const):
+            if type(e.value) is float and math.isfinite(e.value):
+                text = f"({e.value!r})"
+            else:
+                text = f"k{len(env)}"
+                env[text] = e.value
+        elif isinstance(e, Var):
+            if e.name not in names:
+                raise ValueError(f"variable {e.name!r} is not in {names}")
+            i = names.index(e.name)
+            text = f"v{i}"
+            coerce[e.name] = f"{text} = float(a{i})"
+        else:
+            if isinstance(e, Unary):
+                if e.op != NEG and e.op not in FUNCTIONS:
+                    raise ValueError(f"unknown unary op {e.op!r}")
+                a = operand(e.arg)
+                code = f"-{a}" if e.op == NEG else f"{e.op}({a})"
+            elif e.op in ("+", "-", "*", "/"):
+                code = f"{operand(e.left)} {e.op} {operand(e.right)}"
+            elif e.op != "^":
+                raise ValueError(f"unknown binary op {e.op!r}")
+            elif isinstance(e.right, Const) and _is_integral(e.right.value):
+                code = f"{operand(e.left)} ** {operand(e.right)}"
+            else:
+                code = f"pow({operand(e.left)}, {operand(e.right)})"
+            text = temps.get(code)
+            if text is None:
+                text = temps[code] = f"t{len(temps)}"
+                body.append(f"{text} = {code}")
+        done[id(e)] = text
+        return text
+
+    results = "".join(operand(e) + ", " for e in exprs)
+
+    def fallback(values):
+        binding = dict(zip(names, values))
+        return tuple([evaluate(e, binding) for e in exprs])
+
+    env["fallback"] = fallback
+    args = "".join(f"a{i}, " for i in range(len(names)))
+    lines = [*coerce.values(), *body, f"return ({results})"]
+    exec(f"def compiled({args}):\n    try:\n"
+         + "".join(f"        {line}\n" for line in lines)
+         + f"    except ERRORS:\n        return fallback(({args}))\n", env)
+    return env["compiled"]
 
 
 # ---------------------------------------------------------------------------

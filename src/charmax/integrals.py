@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from itertools import chain
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .expr import (Const, EvalDomainError, Expr, Var, diff, evaluate,
                    mul, sub, substitute, to_str, var_names, variables)
+from .expr import compile as compile_exprs
 from .problem import (Box, InitialData, Problem, VectorField,
                       characteristic_field, initial_set_samples)
 
@@ -86,8 +88,25 @@ class NondegeneracyReport:
 
 
 @dataclass(frozen=True)
+class SolutionChecks:
+    """What building F = f o rho measured: |F| and |F_u| over the
+    initial-set samples, and the largest flow residual |X F| / scale of
+    the flow check, with the surface points it projected, the random
+    draws that took, and the points whose residual evaluated."""
+
+    max_abs_F_on_gamma: float
+    min_abs_F_u_on_gamma: float
+    max_flow_residual: float
+    flow_points_projected: int
+    flow_draws: int
+    flow_points_checked: int
+
+
+@dataclass(frozen=True)
 class ImplicitSolution:
-    """F = f o rho with its u-derivative and gradient cached."""
+    """F = f o rho with its u-derivative and gradient cached and compiled
+    (``F_and_Fu`` and ``grad_values`` take t, x1..xn, u), and what its
+    checks measured."""
 
     f: Expr
     F: Expr
@@ -95,6 +114,9 @@ class ImplicitSolution:
     gradient: tuple[Expr, ...]     # dF/d(t, x1..xn, u)
     gamma_samples: np.ndarray
     n: int
+    checks: SolutionChecks = field(compare=False)
+    F_and_Fu: Callable = field(compare=False, repr=False)
+    grad_values: Callable = field(compare=False, repr=False)
 
 
 def apply_field(fld: VectorField, g: Expr) -> Expr:
@@ -113,20 +135,20 @@ def verify_first_integral(fld: VectorField, rho: Expr, samples,
     Points where rho or X rho hits a domain violation are excluded from
     the statistics and listed separately.
     """
-    residual = apply_field(fld, rho)
-    names = var_names(fld.n)
+    residual_and_rho = compile_exprs([apply_field(fld, rho), rho],
+                                     var_names(fld.n))
     vals = []
     excluded = []
     worst = None
     worst_norm = -1.0
     for point in np.asarray(samples, dtype=float):
-        binding = dict(zip(names, point.tolist()))
         try:
-            r = abs(evaluate(residual, binding))
-            scale = 1.0 + abs(evaluate(rho, binding))
+            r, rho_value = residual_and_rho(*point.tolist())
         except EvalDomainError as err:
             excluded.append((point.tolist(), str(err)))
             continue
+        r = abs(r)
+        scale = 1.0 + abs(rho_value)
         vals.append(r)
         if r / scale > worst_norm:
             worst_norm = r / scale
@@ -160,14 +182,15 @@ def check_nondegeneracy(rho_set: FirstIntegralSet, samples,
     if samples.size == 0:
         raise ValueError("at least one sample is required")
     names = var_names(n)
-    grads = [[diff(r, v) for v in names] for r in rho_set.rho]
+    jacobian = compile_exprs([diff(r, v) for r in rho_set.rho for v in names],
+                             names)
     worst = None
     min_seen = np.inf
     excluded = []
     for point in samples:
-        binding = dict(zip(names, point.tolist()))
         try:
-            jac = np.array([[evaluate(g, binding) for g in row] for row in grads])
+            jac = np.array(jacobian(*point.tolist())).reshape(
+                len(rho_set.rho), len(names))
         except EvalDomainError as err:
             excluded.append((point.tolist(), str(err)))
             continue
@@ -189,41 +212,54 @@ def defining_function_from_initial(d: InitialData) -> Expr:
     return sub(Var("y1"), h_in_y2)
 
 
-def _newton_u(F: Expr, F_u: Expr, binding: dict, u: float, tol: float,
-              maxit: int, max_step: float = math.inf):
-    """Plain Newton in u for F = 0 at the base point held in ``binding``.
+def _F_and_Fu(F: Expr, F_u: Expr, F_and_Fu: Callable, point: list,
+              u: float):
+    """(F, F_u) at (point, u) from the compiled pair; after a domain
+    violation, each from ``evaluate``, F first, with None for one that
+    fails (F_u is not tried where F fails)."""
+    try:
+        return F_and_Fu(*point, u)
+    except EvalDomainError:
+        pass
+    binding = dict(zip(var_names(len(point) - 1), [*point, u]))
+    try:
+        r = evaluate(F, binding)
+    except EvalDomainError:
+        return None, None
+    try:
+        return r, evaluate(F_u, binding)
+    except EvalDomainError:
+        return r, None
 
+
+def _newton_u(F: Expr, F_u: Expr, F_and_Fu: Callable, point: list, u: float,
+              tol: float, maxit: int, max_step: float = math.inf):
+    """Plain Newton in u for F = 0 at the base point (t, x1..xn).
+
+    ``F_and_Fu`` is the compiled (F, F_u) of the trees F and F_u.
     Returns (u, F_u at u, ok); F_u is None where it fails to evaluate.  A
     domain violation, or a step longer than ``max_step`` (the iterate runs
     off to infinity), ends the iteration with ok False.
     """
-    binding["u"] = u
-    try:
-        r = evaluate(F, binding)
-    except EvalDomainError:
+    r, fu_next = _F_and_Fu(F, F_u, F_and_Fu, point, u)
+    if r is None:
         return u, None, False
     for _ in range(maxit):
-        try:
-            fu = evaluate(F_u, binding)
-        except EvalDomainError:
-            return binding["u"], None, False
+        fu = fu_next
+        if fu is None:
+            return u, None, False
         if abs(r) <= tol:
-            return binding["u"], fu, True
-        if fu == 0.0 or not np.isfinite(fu):
-            return binding["u"], fu, False
+            return u, fu, True
+        if fu == 0.0 or not math.isfinite(fu):
+            return u, fu, False
         step = r / fu
         if abs(step) > max_step:
-            return binding["u"], fu, False
-        binding["u"] -= step
-        try:
-            r = evaluate(F, binding)
-        except EvalDomainError:
-            return binding["u"], fu, False
-    try:
-        fu = evaluate(F_u, binding)
-    except EvalDomainError:
-        fu = None
-    return binding["u"], fu, abs(r) <= tol
+            return u, fu, False
+        u -= step
+        r, fu_next = _F_and_Fu(F, F_u, F_and_Fu, point, u)
+        if r is None:
+            return u, fu, False
+    return u, fu_next, abs(r) <= tol
 
 
 def build_implicit_solution(rho_set: FirstIntegralSet, f: Expr, gamma,
@@ -233,7 +269,8 @@ def build_implicit_solution(rho_set: FirstIntegralSet, f: Expr, gamma,
     Raises ImplicitSolutionError if F fails to vanish on the initial set,
     if F_u degenerates there, or if the flow-invariance residual X F is
     too large at surface samples.  A failed check is an error, never a
-    warning.
+    warning; the numbers the checks measured are the solution's
+    ``checks``.
     """
     n = len(rho_set.rho) - 1
     ynames = {f"y{k}" for k in range(1, n + 2)}
@@ -246,13 +283,13 @@ def build_implicit_solution(rho_set: FirstIntegralSet, f: Expr, gamma,
     names = var_names(n)
     gradient = tuple(diff(F, v) for v in names)
     F_u = gradient[-1]
+    F_and_Fu = compile_exprs([F, F_u], names)
     gamma = np.asarray(gamma, dtype=float)
 
+    max_F, min_Fu = 0.0, math.inf
     for point in gamma:
-        binding = dict(zip(names, point.tolist()))
         try:
-            fv = evaluate(F, binding)
-            fu = evaluate(F_u, binding)
+            fv, fu = F_and_Fu(*point.tolist())
         except EvalDomainError as err:
             raise ImplicitSolutionError(
                 f"F fails to evaluate on the initial set: {err}") from err
@@ -264,18 +301,25 @@ def build_implicit_solution(rho_set: FirstIntegralSet, f: Expr, gamma,
             raise ImplicitSolutionError(
                 f"F_u = {fu:.3e} degenerates on the initial set at "
                 f"{point.tolist()}")
+        max_F = max(max_F, abs(fv))
+        min_Fu = min(min_Fu, abs(fu))
 
-    _check_flow_invariance(F, F_u, gradient, fld, box, gamma)
-    return ImplicitSolution(f, F, F_u, gradient, gamma, n)
+    flow = _check_flow_invariance(F, F_u, F_and_Fu, gradient, fld, box, gamma)
+    return ImplicitSolution(f, F, F_u, gradient, gamma, n,
+                            SolutionChecks(max_F, min_Fu, *flow), F_and_Fu,
+                            compile_exprs(gradient, names))
 
 
-def _check_flow_invariance(F, F_u, gradient, fld, box, gamma):
+def _check_flow_invariance(F, F_u, F_and_Fu, gradient, fld, box, gamma):
     """|X F| at points of {F = 0}: the initial samples plus FLOW_SAMPLES
     random box points projected onto the surface by Newton in u.  Fewer
-    than half of them within the draw budget is an error."""
+    than half of them within the draw budget is an error.  Returns the
+    largest |X F| / scale, the points projected, the draws used and the
+    points whose residual evaluated."""
     n = fld.n
-    names = var_names(n)
-    residual = apply_field(fld, F)
+    residual_terms = compile_exprs(
+        [apply_field(fld, F), *chain(*zip(fld.components, gradient))],
+        var_names(n))
     points = [p.tolist() for p in gamma]
     rng = np.random.default_rng(_RNG_SEED)
     lows, highs = box.lows(), box.highs()
@@ -284,10 +328,9 @@ def _check_flow_invariance(F, F_u, gradient, fld, box, gamma):
            and attempts < 20 * FLOW_SAMPLES):
         attempts += 1
         draw = lows + rng.random(n + 2) * (highs - lows)
-        binding = dict(zip(names, draw.tolist()))
-        u, _, ok = _newton_u(F, F_u, binding, float(draw[-1]),
-                             FLOW_NEWTON_TOL, FLOW_NEWTON_MAXIT,
-                             FLOW_NEWTON_MAX_STEP)
+        u, _, ok = _newton_u(F, F_u, F_and_Fu, draw[:-1].tolist(),
+                             float(draw[-1]), FLOW_NEWTON_TOL,
+                             FLOW_NEWTON_MAXIT, FLOW_NEWTON_MAX_STEP)
         if not ok:
             continue
         candidate = list(draw[:-1]) + [u]
@@ -299,19 +342,23 @@ def _check_flow_invariance(F, F_u, gradient, fld, box, gamma):
             f"flow check projected only {projected} of {FLOW_SAMPLES} "
             f"surface points in {attempts} draws; the box holds too little "
             "of the surface to check flow invariance")
+    worst, checked = 0.0, 0
     for point in points:
-        binding = dict(zip(names, point))
         try:
-            r = abs(evaluate(residual, binding))
-            scale = 1.0
-            for comp, g in zip(fld.components, gradient):
-                scale += abs(evaluate(comp, binding) * evaluate(g, binding))
+            r, *terms = residual_terms(*point)
         except EvalDomainError:
             continue
+        r = abs(r)
+        scale = 1.0
+        for comp, g in zip(terms[::2], terms[1::2]):
+            scale += abs(comp * g)
         if r > FLOW_TOL * scale:
             raise ImplicitSolutionError(
                 f"zero set is not flow-invariant: |XF| = {r:.3e} "
                 f"(scale {scale:.3e}) at {point}")
+        worst = max(worst, r / scale)
+        checked += 1
+    return worst, projected, attempts, checked
 
 
 def implicit_solution_for_problem(problem: Problem, data: InitialData,

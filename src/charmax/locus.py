@@ -27,7 +27,9 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .expr import Expr, diff, evaluate, evaluate_grid, var_names
+from .expr import (EvalDomainError, Expr, diff, evaluate, evaluate_grid,
+                   var_names)
+from .expr import compile as compile_exprs
 from .problem import Box
 
 NEWTON_TOL = 1e-12
@@ -365,33 +367,28 @@ def _damped_newton(res_fn, jac_fn, x0, tol=NEWTON_TOL, maxit=NEWTON_MAXIT):
 
 
 class _SigmaSystem:
-    """Evaluation helpers for the square system (F, F_u) = 0."""
+    """Evaluation helpers for the square system (F, F_u) = 0, compiled
+    once; a point where it fails to evaluate gives None."""
 
     def __init__(self, F: Expr, n: int):
         self.n = n
-        self.names = var_names(n)
-        self.F = F
+        names = var_names(n)
         self.F_u = diff(F, "u")
-        self.grad_F = [diff(F, v) for v in self.names]
-        self.grad_Fu = [diff(self.F_u, v) for v in self.names]
-
-    def binding(self, point):
-        return dict(zip(self.names, (float(v) for v in point)))
+        self.values = compile_exprs([F, self.F_u], names)
+        self.derivatives = compile_exprs(
+            [diff(e, v) for e in (F, self.F_u) for v in names], names)
 
     def residual(self, point):
-        b = self.binding(point)
         try:
-            return np.array([evaluate(self.F, b), evaluate(self.F_u, b)])
-        except Exception:
+            return np.array(self.values(*point))
+        except (EvalDomainError, ArithmeticError, ValueError):
             return None
 
     def jacobian2(self, point):
         """Full 2 x (n+2) Jacobian of (F, F_u)."""
-        b = self.binding(point)
         try:
-            return np.array([[evaluate(g, b) for g in self.grad_F],
-                             [evaluate(g, b) for g in self.grad_Fu]])
-        except Exception:
+            return np.array(self.derivatives(*point)).reshape(2, self.n + 2)
+        except (EvalDomainError, ArithmeticError, ValueError):
             return None
 
     def tangent(self, point):

@@ -9,7 +9,8 @@ import numpy as np
 
 import charmax
 from charmax.domain import contains, maximal_domain
-from charmax.expr import Binary, Const, Unary, Var, evaluate, variables
+from charmax.expr import (Binary, Const, EvalDomainError, Unary, Var,
+                          evaluate, variables)
 from charmax.integrals import implicit_solution_for_problem
 from charmax.locus import (LevelSurface, SurfaceComponent, _classify_cells,
                            cell_of, extract_singular_locus, extract_surface,
@@ -111,6 +112,51 @@ def fold_lines_by_points(component, sigma) -> list:
         if keep:
             lines.append(keep)
     return lines
+
+
+# ---------------------------------------------------------------------------
+# References for the compiled evaluation: tree walks on every call
+
+def compile_by_tree(exprs, names):
+    """Stands in for expr.compile: evaluate on every call."""
+    def by_tree(*values):
+        binding = dict(zip(names, values))
+        return tuple(evaluate(e, binding) for e in exprs)
+    return by_tree
+
+
+def newton_u_by_tree(F, F_u, binding: dict, u: float, tol: float,
+                     maxit: int, max_step: float = math.inf):
+    """Reference for integrals._newton_u: plain Newton in u for F = 0 at
+    the base point held in ``binding``, one evaluate call per tree and
+    iterate.  Returns (u, F_u at u, ok)."""
+    binding["u"] = u
+    try:
+        r = evaluate(F, binding)
+    except EvalDomainError:
+        return u, None, False
+    for _ in range(maxit):
+        try:
+            fu = evaluate(F_u, binding)
+        except EvalDomainError:
+            return binding["u"], None, False
+        if abs(r) <= tol:
+            return binding["u"], fu, True
+        if fu == 0.0 or not np.isfinite(fu):
+            return binding["u"], fu, False
+        step = r / fu
+        if abs(step) > max_step:
+            return binding["u"], fu, False
+        binding["u"] -= step
+        try:
+            r = evaluate(F, binding)
+        except EvalDomainError:
+            return binding["u"], fu, False
+    try:
+        fu = evaluate(F_u, binding)
+    except EvalDomainError:
+        fu = None
+    return binding["u"], fu, abs(r) <= tol
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,26 @@ class TestVerify:
         assert all(r["pass"] for r in doc["rho"])
         assert doc["min_singular_value"] >= 1e-6
 
+    def test_reports_what_the_checks_measured(self, tmp_path, capsys):
+        assert main(["verify", "--problem", problem_file("ode_quadratic"),
+                     "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        doc = json.loads((tmp_path / "verify.json").read_text())
+        # one initial-set sample (t, u) = (0, 1): F = 0 and F_u = -1 there;
+        # the flow check's fixed draws reach 200 surface points at draw
+        # 2037, and its residual uses + - * / only, so it is exact
+        assert doc["max_abs_F_on_gamma"] == 0.0
+        assert doc["min_abs_F_u_on_gamma"] == 1.0
+        assert doc["flow_points_projected"] == 200
+        assert doc["flow_draws"] == 2037
+        assert doc["flow_points_checked"] == 201
+        assert doc["max_flow_residual"] == 3.700743415417188e-17
+        assert "max |F| = 0.0" in out
+        assert "min |F_u| = 1.0" in out
+        assert (f"zero set flow-invariant at 201 points (200 surface points "
+                f"projected in 2037 draws): max |XF| / scale = "
+                f"{doc['max_flow_residual']!r}") in out
+
     def test_wrong_f_fails_validation(self, tmp_path, capsys):
         doc = dict(CONSTANT_DATA, rho=["u", "x - u*t"], f="y1")
         assert main(["verify", "--problem", write(tmp_path, doc),

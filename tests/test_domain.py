@@ -1,14 +1,19 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import helpers
-from charmax.domain import (NoConvergenceError, ProjectionError,
-                            _chain_outline, _staircase, contains,
-                            maximal_domain, solve_u)
-from charmax.expr import evaluate, parse, var_names
+from charmax import integrals
+from charmax.domain import (CORRECTOR_MAXIT, SOLVE_TOL, NoConvergenceError,
+                            ProjectionError, _chain_outline, _staircase,
+                            contains, maximal_domain, solve_u)
+from charmax.expr import diff, evaluate, parse, var_names
+from charmax.expr import compile as compile_exprs
+from charmax.integrals import _newton_u, implicit_solution_for_problem
 from charmax.locus import SurfaceComponent, flood
+from charmax.problem import Box, make_problem
 
 
 class TestMaximalDomain:
@@ -287,6 +292,120 @@ class TestContains:
                          + evaluate(problem.a[0], bind) * u_x
                          - evaluate(problem.b, bind))
                 assert abs(resid) <= 1e-8 * (1.0 + abs(u_t) + abs(u_x))
+
+
+# Burgers with h = sqrt(x + 1): F = u - sqrt(x - u*t + 1) fails to
+# evaluate on part of the box, so Newton meets domain violations there
+SQRT_PROBLEM = dict(n=1, alpha="1", a=["u"], b="0", h="sqrt(x + 1)",
+                    box=Box((-0.5, 1.0), ((-2.0, 1.0),), (0.05, 2.0)))
+
+
+def compiled_case(name, solutions):
+    """(problem, data, solution) of a bundled problem or, for "sqrt", of
+    SQRT_PROBLEM."""
+    if name == "sqrt":
+        problem, data = make_problem(**SQRT_PROBLEM)
+        return problem, data, implicit_solution_for_problem(problem,
+                                                            data)[1]
+    b, _, sol = solutions(name)
+    return b.problem, b.data, sol
+
+
+class TestCompiledQuery:
+    """The compiled evaluation against the tree walk it replaces."""
+
+    @pytest.mark.parametrize("name", [*helpers.EXAMPLES, "sqrt"])
+    def test_corrector_matches_tree_newton(self, name, solutions):
+        problem, _, sol = compiled_case(name, solutions)
+        names = var_names(sol.n)
+        rng = np.random.default_rng(11)
+        lows, highs = problem.box.lows(), problem.box.highs()
+        failures = 0
+        for _ in range(200):
+            draw = lows + rng.random(len(lows)) * (highs - lows)
+            *point, u = draw.tolist()
+            got = _newton_u(sol.F, sol.F_u, sol.F_and_Fu, point, u,
+                            SOLVE_TOL, CORRECTOR_MAXIT)
+            expect = helpers.newton_u_by_tree(
+                sol.F, sol.F_u, dict(zip(names, [*point, u])), u, SOLVE_TOL,
+                CORRECTOR_MAXIT)
+            assert repr(got) == repr(expect)
+            failures += got[1] is None
+        if name == "sqrt":
+            assert failures > 0  # the domain-violation branches ran
+
+    def test_F_u_failing_where_F_does_not(self):
+        # F = t sqrt(u) + u at t = 0: one Newton step from u = 1 lands on
+        # u = 0, where F = 0 but F_u = t (1 / (2 sqrt(u))) + 1 divides by 0
+        F = parse("t*sqrt(u) + u", n=0)
+        F_u = diff(F, "u")
+        F_and_Fu = compile_exprs([F, F_u], ("t", "u"))
+        got = _newton_u(F, F_u, F_and_Fu, [0.0], 1.0, SOLVE_TOL,
+                        CORRECTOR_MAXIT)
+        expect = helpers.newton_u_by_tree(F, F_u, {"t": 0.0}, 1.0, SOLVE_TOL,
+                                          CORRECTOR_MAXIT)
+        assert repr(got) == repr(expect) == repr((0.0, None, False))
+
+    @pytest.mark.parametrize("name, q, f_u", [
+        ("ode_quadratic", [0.9], -0.01),    # F_u = -1/u^2, u = 10
+        ("circular", [0.5, 0.5], 2 * math.sqrt(0.625)),    # F_u = 2u
+        # F_u = 1 - t / (x - ut + 1)^2, u = 2 - sqrt(2)
+        ("burgers_reciprocal", [0.5, 1.0],
+         1.0 - 0.5 / (2.0 - 0.5 * (2.0 - math.sqrt(2.0))) ** 2)])
+    def test_inside_verdict_carries_F_u(self, name, q, f_u, solutions):
+        b, _, sol = solutions(name)
+        v = contains(b.problem, b.data, sol, q)
+        assert v.kind == "inside"
+        assert abs(v.f_u - f_u) <= 1e-8 * abs(f_u)
+
+    @pytest.mark.parametrize("name", [*helpers.EXAMPLES, "sqrt"])
+    def test_flow_check_draws_match_tree_newton(self, name, solutions):
+        problem, _, sol = compiled_case(name, solutions)
+        names = var_names(sol.n)
+        rng = np.random.default_rng(integrals._RNG_SEED)
+        lows, highs = problem.box.lows(), problem.box.highs()
+        for _ in range(300):
+            draw = lows + rng.random(len(lows)) * (highs - lows)
+            *point, u = draw.tolist()
+            args = (integrals.FLOW_NEWTON_TOL, integrals.FLOW_NEWTON_MAXIT,
+                    integrals.FLOW_NEWTON_MAX_STEP)
+            got = _newton_u(sol.F, sol.F_u, sol.F_and_Fu, point, u, *args)
+            expect = helpers.newton_u_by_tree(
+                sol.F, sol.F_u, dict(zip(names, [*point, u])), u, *args)
+            assert repr(got) == repr(expect)
+
+    # the sqrt queries that leave F's domain take 0.2-2 s each on the tree
+    # walk, hence fewer of them
+    @pytest.mark.parametrize("name, count",
+                             [*((name, 100) for name in helpers.EXAMPLES),
+                              ("sqrt", 6)])
+    def test_contains_matches_a_run_on_evaluate(self, name, count,
+                                                solutions):
+        problem, data, sol = compiled_case(name, solutions)
+        names = var_names(sol.n)
+        by_tree = dataclasses.replace(
+            sol, F_and_Fu=helpers.compile_by_tree([sol.F, sol.F_u], names),
+            grad_values=helpers.compile_by_tree(sol.gradient, names))
+        rng = np.random.default_rng(12)
+        face = problem.box.ranges[:problem.n + 1]
+        lows = np.array([lo for lo, _ in face])
+        highs = np.array([hi for _, hi in face])
+        def verdict(solution, q):
+            try:
+                v = contains(problem, data, solution, q)
+            except Exception as err:  # compared, not handled
+                return type(err).__name__, str(err)
+            return v.kind, repr(v.u), repr(v.f_u), repr(v.at)
+
+        kinds = set()
+        for _ in range(count):
+            q = lows + rng.random(len(face)) * (highs - lows)
+            got = verdict(sol, q)
+            assert got == verdict(by_tree, q)
+            kinds.add(got[0])
+        # both verdicts, and on sqrt a path that leaves F's domain
+        assert kinds >= ({"inside", "PathLeftWindowError"} if name == "sqrt"
+                         else {"inside", "outside"})
 
 
 class TestStaircase:

@@ -1,13 +1,15 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
-from charmax.expr import (Binary, Const, EvalDomainError, ParseError, Unary,
-                          Var, diff, evaluate, evaluate_grid, parse,
-                          substitute, to_str, variables)
+from charmax.expr import (FUNCTIONS, Binary, Const, EvalDomainError,
+                          ParseError, Unary, Var, diff, evaluate,
+                          evaluate_grid, parse, substitute, to_str, variables)
+from charmax.expr import compile as compile_exprs
 
 
 def ev(text, n=1, **binding):
@@ -257,3 +259,99 @@ class TestGeneratedProperties:
             return
         if np.isfinite(expect) and np.isfinite(got):
             assert abs(got - expect) <= 1e-9 * (1.0 + abs(expect))
+
+
+# ---------------------------------------------------------------------------
+# Compiled evaluation against the tree walk
+
+POOL = ("t", "x1", "u")
+# zeros of both signs, negative bases, exp overflow, sin(inf), nan
+SPECIAL = (0.0, -0.0, -1.0, -2.5, 1.0, 2.0, 750.0, -750.0, 1e160, -1e160,
+           math.inf, -math.inf, math.nan)
+VALUES = st.one_of(st.sampled_from(SPECIAL),
+                   st.floats(-3.0, 3.0),
+                   st.floats(allow_nan=True, allow_infinity=True))
+
+
+def outcome(fn):
+    """A call's value, or its exception's type and message."""
+    try:
+        return fn(), None
+    except Exception as err:  # compared, not handled
+        return None, (type(err), str(err))
+
+
+def same_outcome(got, expect) -> bool:
+    """Equal exceptions, or Python floats with equal bits (any NaN
+    matching any NaN)."""
+    (values, err), (expect_values, expect_err) = got, expect
+    if err is not None or expect_err is not None:
+        return err == expect_err
+    return all(type(g) is float and (
+        (math.isnan(g) and math.isnan(e))
+        or struct.pack("<d", g) == struct.pack("<d", e))
+        for g, e in zip(values, expect_values, strict=True))
+
+
+class TestCompile:
+    @given(seed=st.integers(0, 2**32 - 1), fn=st.sampled_from(FUNCTIONS),
+           exponent=st.floats(-3.5, 3.5),
+           values=st.lists(VALUES, min_size=3, max_size=3),
+           wide=st.lists(st.booleans(), min_size=3, max_size=3))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_evaluate_bit_for_bit(self, seed, fn, exponent, values,
+                                          wide):
+        rng = np.random.default_rng(seed)
+        a = helpers.random_expr(rng, list(POOL), depth=3)
+        b = helpers.random_expr(rng, list(POOL), depth=3)
+        # a and b recur across outputs, so their values are shared; the
+        # powers cover constant integral, constant non-integral and
+        # variable exponents
+        exprs = [a, Unary(fn, a), Binary("*", Unary(fn, b), a),
+                 Binary("^", a, Const(float(round(exponent)))),
+                 Binary("^", b, Const(exponent)), Binary("^", a, b),
+                 Binary("/", b, a), Const(math.inf), Var("u")]
+        values = [np.float64(v) if w else v for v, w in zip(values, wide)]
+        binding = dict(zip(POOL, values))
+
+        def compiled(trees):
+            return outcome(lambda: compile_exprs(trees, POOL)(*values))
+
+        def by_tree(trees):
+            return outcome(lambda: [evaluate(e, binding) for e in trees])
+
+        # all outputs at once raise the first output's error; one at a
+        # time, every output that evaluates is compared
+        assert same_outcome(compiled(exprs), by_tree(exprs))
+        for e in exprs:
+            assert same_outcome(compiled([e]), by_tree([e]))
+
+    def test_errors_and_ieee_values_match_evaluate(self):
+        e = parse("1/u + sqrt(t) + log(t - u)", n=0)
+        f = compile_exprs([e], ("t", "u"))
+        for t, u in ((1.0, 0.0), (-1.0, 2.0), (1.0, 2.0), (np.float64(3.0),
+                                                          np.float64(-0.0))):
+            expect = outcome(lambda: [evaluate(e, {"t": t, "u": u})])
+            assert expect[1] is not None
+            assert same_outcome(outcome(lambda: f(t, u)), expect)
+        exp_u = compile_exprs([parse("exp(u)", n=0)], ("t", "u"))
+        assert exp_u(0.0, 1e4) == (math.inf,)
+        with pytest.raises(ValueError, match="math domain error"):
+            compile_exprs([parse("sin(u)", n=0)], ("t", "u"))(0.0, math.inf)
+
+    def test_shared_subtree_is_computed_once(self):
+        # two parses give equal but distinct trees: sin(x1*u) is shared by
+        # structure, and each output adds one operation to it
+        first = parse("sin(x*u) + 1", n=1)
+        second = parse("sin(x*u) * 2", n=1)
+        f = compile_exprs([first, second], POOL)
+        binding = {"t": 0.3, "x1": 0.7, "u": -1.1}
+        assert f(0.3, 0.7, -1.1) == (evaluate(first, binding),
+                                     evaluate(second, binding))
+        # 3 arguments, 2 coerced variables, and 4 temporaries: x1*u,
+        # sin(.), + 1 and * 2
+        assert f.__code__.co_nlocals == 3 + 2 + 4
+
+    def test_variable_outside_names_rejected(self):
+        with pytest.raises(ValueError, match="not in"):
+            compile_exprs([parse("t + u", n=0)], ("t",))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
+from charmax import locus
 from charmax.expr import diff, evaluate, parse, var_names
 from charmax.locus import (_TETS3, ResolutionError, cell_center, cell_of,
                            cell_pieces, extract_singular_locus,
@@ -234,6 +235,30 @@ class TestSingularLocus:
             assert abs(evaluate(sol.F, bind)) <= 1e-10
             assert abs(evaluate(Fu, bind)) <= 1e-10
             assert np.all(p >= lo - 1e-12) and np.all(p <= hi + 1e-12)
+
+    # the sigma system compiles (F, F_u), then its derivatives
+    @pytest.mark.parametrize("faulty", [0, 1])
+    def test_evaluator_faults_are_not_dropped_seeds(self, faulty, solutions,
+                                                    monkeypatch):
+        # a fault of the evaluator itself is not a domain violation at a
+        # seed: it must reach the caller
+        b, _, sol = solutions("burgers_reciprocal")
+        surface = extract_surface(sol.F, b.problem.box, 32)
+        compile_exprs = locus.compile_exprs
+        calls = []
+
+        def compile_with_fault(exprs, names):
+            calls.append(exprs)
+            if len(calls) - 1 != faulty:
+                return compile_exprs(exprs, names)
+
+            def evaluator(*values):
+                raise TypeError("faulty evaluator")
+            return evaluator
+
+        monkeypatch.setattr(locus, "compile_exprs", compile_with_fault)
+        with pytest.raises(TypeError, match="faulty evaluator"):
+            extract_singular_locus(sol.F, surface)
 
     def test_ode_sigma_empty(self, pipelines):
         _, _, _, sigma, _, _ = pipelines("ode_quadratic", 512)
