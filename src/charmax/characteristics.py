@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import EvalDomainError, evaluate
-from .problem import Box, VectorField, binding_at
+from .expr import EvalDomainError, var_names
+from .expr import compile as compile_exprs
+from .problem import Box, VectorField
 
 TERM_SPAN_END = "span_end"
 TERM_LEFT_BOX = "left_box"
@@ -74,9 +75,8 @@ class Strip:
     errors: list = field(default_factory=list)  # (seed index, exception)
 
 
-def _derivative(fld: VectorField, state: np.ndarray) -> np.ndarray:
-    binding = binding_at(state, fld.n)
-    return np.array([evaluate(c, binding) for c in fld.components])
+def _derivative(compiled, state: np.ndarray) -> np.ndarray:
+    return np.array(compiled(*state.tolist()))
 
 
 def _hermite(y0, y1, f0, f1, h, theta):
@@ -128,8 +128,9 @@ def integrate_characteristic(fld: VectorField, seed, span, tol: float = DEFAULT_
         return CharacteristicCurve(seed, np.array(taus), np.array(states),
                                    termination, tol)
 
+    compiled = compile_exprs(fld.components, var_names(fld.n))
     try:
-        k1 = _derivative(fld, seed)
+        k1 = _derivative(compiled, seed)
     except EvalDomainError as err:
         raise IntegrationError(f"field fails to evaluate at seed: {err}") from err
 
@@ -152,7 +153,7 @@ def integrate_characteristic(fld: VectorField, seed, span, tol: float = DEFAULT_
         try:
             for i, row in enumerate(_DP_A):
                 yi = y + h * np.dot(row, ks[: i + 1])
-                ks[i + 1] = _derivative(fld, yi)
+                ks[i + 1] = _derivative(compiled, yi)
         except EvalDomainError:
             h *= 0.5
             if abs(h) < 1e-14 * max(1.0, abs(tau)):

@@ -23,8 +23,7 @@ from .domain import (NoConvergenceError, PathLeftWindowError,
                      ProjectionError, contains, maximal_domain)
 from .expr import Const, EvalDomainError, ParseError, to_str
 from .integrals import (FirstIntegralError, ImplicitSolutionError,
-                        verification_samples, check_nondegeneracy,
-                        implicit_solution_for_problem, verify_first_integral)
+                        implicit_solution_for_problem)
 from .locus import (ResolutionError, extract_singular_locus, extract_surface,
                     points_csv, split_component)
 from .problem import (SchemaError, ValidationError, characteristic_field,
@@ -74,16 +73,10 @@ def _solution(bundle):
 def cmd_verify(args) -> int:
     bundle = load_problem_bundle(args.problem)
     rho_set, sol = _solution(bundle)
-    problem = bundle.problem
-    fld = characteristic_field(problem)
-    samples = verification_samples(problem.box, sol.gamma_samples)
-    reports = []
     print(f"first integrals ({rho_set.provenance}):")
-    for r in rho_set.rho:
-        rep = verify_first_integral(fld, r, samples)
-        reports.append(rep)
+    for r, rep in zip(rho_set.rho, rho_set.reports, strict=True):
         print(f"  rho = {to_str(r)}: max |X rho| = {rep.max_residual!r}")
-    ndg = check_nondegeneracy(rho_set, sol.gamma_samples, problem.n)
+    ndg = rho_set.nondegeneracy
     print(f"nondegeneracy: min singular value {ndg.min_singular_value!r}")
     print(f"F = {to_str(sol.F)}")
     checks = sol.checks
@@ -95,7 +88,7 @@ def cmd_verify(args) -> int:
           f"({checks.flow_points_projected} surface points projected in "
           f"{checks.flow_draws} draws): max |XF| / scale = "
           f"{checks.max_flow_residual!r}")
-    doc = {"rho": [json.loads(r.to_json()) for r in reports],
+    doc = {"rho": [json.loads(r.to_json()) for r in rho_set.reports],
            "min_singular_value": ndg.min_singular_value,
            "F": to_str(sol.F), **dataclasses.asdict(checks)}
     _write(Path(args.out), "verify.json", json.dumps(doc, sort_keys=True))

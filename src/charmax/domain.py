@@ -102,10 +102,6 @@ class MaximalDomain:
     def mask_area(self) -> float:
         return self.cell_area * int(np.count_nonzero(self.mask))
 
-    def contains_cell(self, base_point) -> bool:
-        cell = cell_of(self.axes, base_point, clamp=False)
-        return cell is not None and bool(self.mask[cell])
-
     def to_json(self) -> str:
         rows = []
         flat = self.mask.reshape(self.mask.shape[0], -1)

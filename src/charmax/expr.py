@@ -11,18 +11,22 @@ Grammar notes: + - * / ^ all parse left-associatively, ^ binds tighter
 than unary minus (so ``-x^2`` is ``-(x^2)``), and a ^-exponent may carry
 leading minus signs (``2^-3``).
 
-Scalar hot loops do not walk the trees: ``compile`` turns a list of trees
-into one generated straight-line Python function, bit-identical to
-``evaluate``.  The tree-walking ``evaluate`` remains the reference and the
-error path: compiled code re-runs it when a domain violation or an
-arithmetic error interrupts it, so errors are raised with the same type,
-node and binding.
+Hot loops do not walk the trees: ``compile`` turns a list of trees into
+one generated straight-line function that computes each distinct subtree
+once.  One walker feeds two back ends.  The scalar one is bit-identical
+to ``evaluate``; the array one, behind ``evaluate_grid``, runs numpy
+operations with a domain-violation mask per output and releases each
+grid temporary after its last use.  The tree-walking ``evaluate``
+remains the reference and the error path: scalar code re-runs it when a
+domain violation or an arithmetic error interrupts it, so errors are
+raised with the same type, node and binding.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -124,10 +128,6 @@ def _coerce(v) -> Expr:
     if isinstance(v, (int, float)):
         return Const(float(v))
     raise TypeError(f"cannot use {type(v).__name__} as an expression operand")
-
-
-def const(v: float) -> Const:
-    return Const(float(v))
 
 
 # ---------------------------------------------------------------------------
@@ -546,95 +546,165 @@ def evaluate(e: Expr, binding: Mapping[str, float]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Compiled scalar evaluation
+# Compiled evaluation: one walker, a scalar and an array back end
 
-def compile(exprs: Sequence[Expr], names: Sequence[str]):
-    """One generated function ``f(*values) -> tuple[float, ...]`` giving
-    every tree of ``exprs`` at the point that binds ``names`` to ``values``.
+def compile(exprs: Sequence[Expr], names: Sequence[str], arrays: bool = False):
+    """One generated function ``f(*values) -> tuple`` giving every tree of
+    ``exprs`` at the point that binds ``names`` to ``values``.
 
     The straight-line code computes each distinct subtree once, in the
-    tree's operation order and with the scalar operations of ``evaluate``,
-    so every output is bit-identical to ``evaluate``.  Arguments go
-    through ``float()``, as in ``evaluate``: an np.float64 would turn a
-    division by zero into inf instead of an exception.  An
-    ArithmeticError, ValueError or EvalDomainError in the fast code
-    (division by zero, a math domain error, an overflow) makes it re-run
-    ``evaluate`` output by output, which raises the same typed error or
-    returns the same IEEE value (exp overflow gives inf).
+    tree's operation order.  The scalar back end uses the scalar
+    operations of ``evaluate``, so every output is bit-identical to
+    ``evaluate``.  Arguments go through ``float()``, as in ``evaluate``:
+    an np.float64 would turn a division by zero into inf instead of an
+    exception.  An ArithmeticError, ValueError or EvalDomainError in the
+    fast code (division by zero, a math domain error, an overflow) makes
+    it re-run ``evaluate`` output by output, which raises the same typed
+    error or returns the same IEEE value (exp overflow gives inf).
+
+    With ``arrays`` the walker emits numpy code instead (np.float64
+    constants, np.power for ``^``; call it under ``np.errstate``), and
+    each output is a pair ``(values, bad)``, ``bad`` being the OR of the
+    domain-violation masks of its subtree (np.False_ if none; a mask that
+    a constant operand makes all False is left out).  ``_release`` frees
+    each temporary after its last use.
     """
     exprs, names = tuple(exprs), tuple(names)
-    env = {"exp": math.exp, "log": math.log, "sin": math.sin,
-           "cos": math.cos, "sqrt": math.sqrt, "pow": _scalar_pow,
-           "ERRORS": (ArithmeticError, ValueError, EvalDomainError)}
-    coerce: dict[str, str] = {}      # variable -> its float() line
+    lib = np if arrays else math
+    env = {name: getattr(lib, name)
+           for name in ("exp", "log", "sin", "cos", "sqrt", "floor")}
+    env.update(pow=np.power if arrays else _scalar_pow, asarray=np.asarray,
+               False_=np.False_,
+               ERRORS=(ArithmeticError, ValueError, EvalDomainError))
+    coerce: dict[str, str] = {}      # variable -> its coercion line
     body: list[str] = []
     temps: dict[str, str] = {}       # code -> the local holding its value
+    consts: dict[str, str] = {}      # repr(value) -> the global holding it
     done: dict[int, str] = {}        # id(node) -> operand text
+    bad: dict[str, str | None] = {}  # operand text -> its mask (arrays)
+
+    def line(code: str) -> str:
+        text = temps.get(code)
+        if text is None:
+            text = temps[code] = f"t{len(temps)}"
+            body.append(f"{text} = {code}")
+        return text
 
     def operand(e: Expr) -> str:
         if id(e) in done:
             return done[id(e)]
+        children, viol = (), None
         if isinstance(e, Const):
-            if type(e.value) is float and math.isfinite(e.value):
+            if (not arrays and type(e.value) is float
+                    and math.isfinite(e.value)):
                 text = f"({e.value!r})"
             else:
-                text = f"k{len(env)}"
-                env[text] = e.value
+                text = consts.setdefault(repr(e.value), f"k{len(consts)}")
+                env[text] = np.float64(e.value) if arrays else e.value
         elif isinstance(e, Var):
             if e.name not in names:
                 raise ValueError(f"variable {e.name!r} is not in {names}")
             i = names.index(e.name)
             text = f"v{i}"
-            coerce[e.name] = f"{text} = float(a{i})"
+            coerce[e.name] = (f"{text} = asarray(a{i}, dtype=float)" if arrays
+                              else f"{text} = float(a{i})")
         else:
             if isinstance(e, Unary):
                 if e.op != NEG and e.op not in FUNCTIONS:
                     raise ValueError(f"unknown unary op {e.op!r}")
                 a = operand(e.arg)
+                children = (a,)
                 code = f"-{a}" if e.op == NEG else f"{e.op}({a})"
-            elif e.op in ("+", "-", "*", "/"):
-                code = f"{operand(e.left)} {e.op} {operand(e.right)}"
-            elif e.op != "^":
-                raise ValueError(f"unknown binary op {e.op!r}")
-            elif isinstance(e.right, Const) and _is_integral(e.right.value):
-                code = f"{operand(e.left)} ** {operand(e.right)}"
+                viol = {"log": f"{a} <= 0.0", "sqrt": f"{a} < 0.0"}.get(e.op)
             else:
-                code = f"pow({operand(e.left)}, {operand(e.right)})"
-            text = temps.get(code)
-            if text is None:
-                text = temps[code] = f"t{len(temps)}"
-                body.append(f"{text} = {code}")
+                if e.op not in ("+", "-", "*", "/", "^"):
+                    raise ValueError(f"unknown binary op {e.op!r}")
+                l, r = children = (operand(e.left), operand(e.right))
+                if e.op != "^":
+                    code = f"{l} {e.op} {r}"
+                elif not arrays and isinstance(e.right, Const) \
+                        and _is_integral(e.right.value):
+                    code = f"{l} ** {r}"
+                else:
+                    code = f"pow({l}, {r})"
+                if e.op == "/" and (not isinstance(e.right, Const)
+                                    or e.right.value == 0.0):
+                    viol = f"{r} == 0.0"
+                elif e.op == "^" and isinstance(e.right, Const):
+                    # the exponent's half of the test is decided here, so
+                    # no all-False mask is built (or kept, or ORed)
+                    c = e.right.value
+                    viol = " | ".join([f"({l} < 0.0)"] * bool(c != np.floor(c))
+                                      + [f"({l} == 0.0)"] * bool(c < 0.0))
+                elif e.op == "^":
+                    viol = (f"(({l} < 0.0) & ({r} != floor({r}))) "
+                            f"| (({l} == 0.0) & ({r} < 0.0))")
+            text = line(code)
+        if arrays:  # the OR of this node's mask and its children's
+            masks = [*dict.fromkeys(m for m in (*map(bad.get, children),
+                                                viol and line(viol)) if m)]
+            bad[text] = (line(" | ".join(masks)) if len(masks) > 1
+                         else next(iter(masks), None))
         done[id(e)] = text
         return text
 
-    results = "".join(operand(e) + ", " for e in exprs)
-
-    def fallback(values):
-        binding = dict(zip(names, values))
-        return tuple([evaluate(e, binding) for e in exprs])
-
-    env["fallback"] = fallback
+    outs = [operand(e) for e in exprs]
     args = "".join(f"a{i}, " for i in range(len(names)))
-    lines = [*coerce.values(), *body, f"return ({results})"]
-    exec(f"def compiled({args}):\n    try:\n"
-         + "".join(f"        {line}\n" for line in lines)
-         + f"    except ERRORS:\n        return fallback(({args}))\n", env)
+    if arrays:
+        results = "".join(f"({o}, {bad[o] or 'False_'}), " for o in outs)
+        lines = _release([*coerce.values(), *body, f"return ({results})"])
+        source = "".join(f"    {line}\n" for line in lines)
+    else:
+        def fallback(values):
+            binding = dict(zip(names, values))
+            return tuple([evaluate(e, binding) for e in exprs])
+
+        env["fallback"] = fallback
+        results = "".join(f"{o}, " for o in outs)
+        lines = [*coerce.values(), *body, f"return ({results})"]
+        source = ("    try:\n" + "".join(f"        {line}\n" for line in lines)
+                  + f"    except ERRORS:\n        return fallback(({args}))\n")
+    exec(f"def compiled({args}):\n" + source, env)
     return env["compiled"]
 
 
-# ---------------------------------------------------------------------------
-# Vectorized evaluation over numpy arrays
+_TEMP = re.compile(r"\bt\d+\b")
+
+
+def _release(lines: list[str]) -> list[str]:
+    """Array code that frees each temporary as soon as it can: one that
+    only the next line uses is written into it, so numpy may compute in
+    its buffer (temporary elision); any other gets a ``del`` after the
+    line that last uses it.  The last line, the return, takes no
+    temporary in: that measured a higher peak RSS (heap placement)."""
+    uses = Counter(name for text in lines
+                   for name in _TEMP.findall(text.split(" = ", 1)[-1]))
+    merged: list[str] = []
+    for text in lines[:-1]:
+        name, _, code = merged[-1].partition(" = ") if merged else ("",) * 3
+        if uses[name] == 1 and re.search(rf"\b{name}\b", text):
+            merged[-1] = re.sub(rf"\b{name}\b", f"({code})", text)
+        else:
+            merged.append(text)
+    out, seen = [lines[-1]], set(_TEMP.findall(lines[-1]))
+    for text in reversed(merged):
+        dead = [n for n in dict.fromkeys(_TEMP.findall(text)) if n not in seen]
+        seen.update(dead)
+        out[:0] = [text, f"del {', '.join(dead)}"] if dead else [text]
+    return out
+
 
 def evaluate_grid(e: Expr, binding: Mapping[str, np.ndarray],
                   shape: tuple[int, ...] | None = None):
-    """Evaluate over broadcastable arrays.
+    """Evaluate over broadcastable arrays, by ``compile``'s array back end.
 
     Returns (values, valid) where valid marks points whose evaluation hit
     no domain violation and produced a finite number.  Values at invalid
     points follow IEEE semantics (inf/nan) and must not be trusted.
     """
     with np.errstate(all="ignore"):
-        vals, bad = _eval_arrays(e, binding)
+        ((vals, bad),) = compile([e], tuple(binding), arrays=True)(
+            *binding.values())
     vals = np.asarray(vals, dtype=float)
     ok = np.isfinite(vals) & ~bad
     if shape is not None:
@@ -643,48 +713,6 @@ def evaluate_grid(e: Expr, binding: Mapping[str, np.ndarray],
     elif vals.shape != ok.shape:
         vals, ok = np.broadcast_arrays(vals, ok)
     return vals, ok
-
-
-def _eval_arrays(e: Expr, b: Mapping[str, np.ndarray]):
-    no_bad = np.False_
-    if isinstance(e, Const):
-        return np.float64(e.value), no_bad
-    if isinstance(e, Var):
-        try:
-            return np.asarray(b[e.name], dtype=float), no_bad
-        except KeyError:
-            raise EvalDomainError(f"unbound variable {e.name!r}", e) from None
-    if isinstance(e, Unary):
-        v, bad = _eval_arrays(e.arg, b)
-        if e.op == NEG:
-            return -v, bad
-        if e.op == "exp":
-            return np.exp(v), bad
-        if e.op == "log":
-            return np.log(v), bad | (v <= 0.0)
-        if e.op == "sin":
-            return np.sin(v), bad
-        if e.op == "cos":
-            return np.cos(v), bad
-        if e.op == "sqrt":
-            return np.sqrt(v), bad | (v < 0.0)
-        raise ValueError(f"unknown unary op {e.op!r}")
-    l, lbad = _eval_arrays(e.left, b)
-    r, rbad = _eval_arrays(e.right, b)
-    bad = lbad | rbad
-    op = e.op
-    if op == "+":
-        return l + r, bad
-    if op == "-":
-        return l - r, bad
-    if op == "*":
-        return l * r, bad
-    if op == "/":
-        return l / r, bad | (r == 0.0)
-    if op == "^":
-        viol = ((l < 0.0) & (r != np.floor(r))) | ((l == 0.0) & (r < 0.0))
-        return np.power(l, r), bad | viol
-    raise ValueError(f"unknown binary op {op!r}")
 
 
 # ---------------------------------------------------------------------------

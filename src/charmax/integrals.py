@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from typing import Callable, Sequence
 
@@ -51,8 +51,16 @@ class ImplicitSolutionError(Exception):
 
 @dataclass(frozen=True)
 class FirstIntegralSet:
+    """First integrals rho, with what ``implicit_solution_for_problem``'s
+    checks of them measured (one report per rho, and the
+    nondegeneracy report)."""
+
     rho: tuple[Expr, ...]
     provenance: str  # "builtin-conservation" | "user-supplied"
+    reports: tuple[ResidualReport, ...] = field(default=(), compare=False,
+                                               repr=False)
+    nondegeneracy: NondegeneracyReport | None = field(
+        default=None, compare=False, repr=False)
 
     @property
     def count(self) -> int:
@@ -383,17 +391,20 @@ def implicit_solution_for_problem(problem: Problem, data: InitialData,
         rho_set = conservation_law_integrals(problem.a)
 
     samples = verification_samples(problem.box, gamma)
+    reports = []
     for k, r in enumerate(rho_set.rho):
         report = verify_first_integral(fld, r, samples)
         if not report.passed:
             raise FirstIntegralError(
                 f"rho[{k}] = {to_str(r)} is not a first integral: "
                 f"max |X rho| = {report.max_residual:.3e} at {report.worst_point}")
+        reports.append(report)
     ndg = check_nondegeneracy(rho_set, gamma, problem.n)
     if not ndg.ok:
         raise FirstIntegralError(
             f"rho is degenerate on the initial set: min singular value "
             f"{ndg.min_singular_value:.3e} at {ndg.worst_point}")
+    rho_set = replace(rho_set, reports=tuple(reports), nondegeneracy=ndg)
 
     if f is None:
         if rho_set.provenance != "builtin-conservation":

@@ -27,8 +27,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .expr import (EvalDomainError, Expr, diff, evaluate, evaluate_grid,
-                   var_names)
+from .expr import EvalDomainError, Expr, diff, evaluate_grid, var_names
 from .expr import compile as compile_exprs
 from .problem import Box
 
@@ -267,10 +266,10 @@ def cell_pieces(surface: LevelSurface):
 # ---------------------------------------------------------------------------
 # Grid cells, shared with the base-space mask
 
-def cell_of(axes, point, clamp: bool = True):
+def cell_of(axes, point):
     """Index of the grid cell holding ``point``, as a tuple; for an (m, dim)
     array of points, the (m, dim) array of cell indices.  A point off the
-    grid is clamped into it, or gives None when ``clamp`` is off."""
+    grid is clamped into it."""
     point = np.asarray(point, dtype=float)
     lo = np.array([ax[0] for ax in axes])
     step = np.array([ax[1] - ax[0] for ax in axes])
@@ -278,8 +277,6 @@ def cell_of(axes, point, clamp: bool = True):
     idx = np.floor((point - lo) / step)
     if np.isnan(idx).any():
         raise ValueError("a point with a NaN coordinate lies in no cell")
-    if not clamp and np.any((idx < 0) | (idx > top)):
-        return None
     idx = np.clip(idx, 0, top).astype(int)
     return tuple(idx.tolist()) if idx.ndim == 1 else idx
 
@@ -617,34 +614,9 @@ def points_csv(surface: LevelSurface, sigma: SingularLocus,
     n = surface.dim - 2
     header = ["t", *(f"x{k}" for k in range(1, n + 1)), "u", "kind"]
     lines = [",".join(header)]
-
-    def row(point, kind):
-        return ",".join([*(repr(float(v)) for v in point), kind])
-
     if with_surface:
-        for p in patch_vertices(surface):
-            lines.append(row(p, "surface"))
-    for p, deg in zip(sigma.points, sigma.degenerate):
-        lines.append(row(p, "sigma-degenerate" if deg else "sigma"))
+        lines += [",".join([*map(repr, p), "surface"])
+                  for p in patch_vertices(surface).tolist()]
+    lines += [",".join([*map(repr, p), "sigma-degenerate" if deg else "sigma"])
+              for p, deg in zip(sigma.points.tolist(), sigma.degenerate)]
     return "\n".join(lines) + "\n"
-
-
-def fold_discriminant(F: Expr, point, displacement) -> float:
-    """Discriminant of the local quadratic model of F in u, evaluated at
-    pi(point) + displacement with u frozen at the point's u.
-
-    A sign change of this quantity across the projected singular point is
-    the fold test: the two u-branches of the surface merge there.
-    """
-    n = len(point) - 2
-    names = var_names(n)
-    F_u = diff(F, "u")
-    F_uu = diff(F_u, "u")
-    base = list(point)
-    for k, d in enumerate(displacement):
-        base[k] += d
-    b = dict(zip(names, (float(v) for v in base)))
-    fv = evaluate(F, b)
-    fu = evaluate(F_u, b)
-    fuu = evaluate(F_uu, b)
-    return fu * fu - 2.0 * fv * fuu

@@ -115,11 +115,6 @@ class ProblemBundle:
     f: Expr | None
 
 
-def binding_at(point, n: int) -> dict[str, float]:
-    p = np.asarray(point, dtype=float)
-    return dict(zip(var_names(n), p.tolist()))
-
-
 def characteristic_field(p: Problem) -> VectorField:
     """The field alpha*d/dt + sum a_k*d/dx_k + b*d/du as ordered components."""
     return VectorField((p.alpha, *p.a, p.b))

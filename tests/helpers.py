@@ -9,8 +9,8 @@ import numpy as np
 
 import charmax
 from charmax.domain import contains, maximal_domain
-from charmax.expr import (Binary, Const, EvalDomainError, Unary, Var,
-                          evaluate, variables)
+from charmax.expr import (Binary, Const, EvalDomainError, Unary, Var, diff,
+                          evaluate, var_names, variables)
 from charmax.integrals import implicit_solution_for_problem
 from charmax.locus import (LevelSurface, SurfaceComponent, _classify_cells,
                            cell_of, extract_singular_locus, extract_surface,
@@ -39,6 +39,41 @@ def pipeline(name: str, resolution: int):
     component = split_component(surface, sigma, sol.gamma_samples)
     dom = maximal_domain(component, sigma)
     return b, sol, surface, sigma, component, dom
+
+
+def binding_at(point, n: int) -> dict[str, float]:
+    """The binding of t, x1..xn, u to the coordinates of ``point``."""
+    return dict(zip(var_names(n), np.asarray(point, dtype=float).tolist()))
+
+
+def contains_cell(dom, base_point) -> bool:
+    """Whether the base cell holding ``base_point`` is in the domain mask;
+    a point off the grid, on or past its last vertex included, is in no
+    cell."""
+    cell = cell_of(dom.axes, base_point)
+    lo = np.array([ax[0] for ax in dom.axes])
+    step = np.array([ax[1] - ax[0] for ax in dom.axes])
+    idx = np.floor((np.asarray(base_point, dtype=float) - lo) / step)
+    return bool(np.all(idx == cell)) and bool(dom.mask[cell])
+
+
+def fold_discriminant(F, point, displacement) -> float:
+    """Discriminant of the local quadratic model of F in u, evaluated at
+    pi(point) + displacement with u frozen at the point's u.
+
+    A sign change of this quantity across the projected singular point is
+    the fold test: the two u-branches of the surface merge there.
+    """
+    F_u = diff(F, "u")
+    F_uu = diff(F_u, "u")
+    base = list(point)
+    for k, d in enumerate(displacement):
+        base[k] += d
+    b = binding_at(base, len(point) - 2)
+    fv = evaluate(F, b)
+    fu = evaluate(F_u, b)
+    fuu = evaluate(F_uu, b)
+    return fu * fu - 2.0 * fv * fuu
 
 
 def sigma_cells_oracle(surface, sigma) -> set:
@@ -116,6 +151,38 @@ def fold_lines_by_points(component, sigma) -> list:
 
 # ---------------------------------------------------------------------------
 # References for the compiled evaluation: tree walks on every call
+
+def eval_arrays_by_tree(e, b):
+    """Reference for compile's array back end: a tree walk over numpy
+    arrays with no shared subtrees.  Returns (values, bad)."""
+    no_bad = np.False_
+    if isinstance(e, Const):
+        return np.float64(e.value), no_bad
+    if isinstance(e, Var):
+        return np.asarray(b[e.name], dtype=float), no_bad
+    if isinstance(e, Unary):
+        v, bad = eval_arrays_by_tree(e.arg, b)
+        if e.op == "neg":
+            return -v, bad
+        if e.op == "log":
+            return np.log(v), bad | (v <= 0.0)
+        if e.op == "sqrt":
+            return np.sqrt(v), bad | (v < 0.0)
+        return getattr(np, e.op)(v), bad
+    l, lbad = eval_arrays_by_tree(e.left, b)
+    r, rbad = eval_arrays_by_tree(e.right, b)
+    bad = lbad | rbad
+    if e.op == "+":
+        return l + r, bad
+    if e.op == "-":
+        return l - r, bad
+    if e.op == "*":
+        return l * r, bad
+    if e.op == "/":
+        return l / r, bad | (r == 0.0)
+    viol = ((l < 0.0) & (r != np.floor(r))) | ((l == 0.0) & (r < 0.0))
+    return np.power(l, r), bad | viol
+
 
 def compile_by_tree(exprs, names):
     """Stands in for expr.compile: evaluate on every call."""

@@ -21,7 +21,7 @@ from charmax.integrals import (conservation_law_integrals,
 from charmax.characteristics import integrate_characteristic
 from charmax.locus import extract_singular_locus, extract_surface, \
     split_component
-from charmax.problem import (Box, binding_at, characteristic_field,
+from charmax.problem import (Box, characteristic_field,
                              initial_set_samples, make_problem)
 
 PASS = "ACCEPTANCE {num} ({name}): PASS ({detail})"
@@ -192,7 +192,7 @@ def test_criterion_5_first_integral_properties(pipelines):
         for seed in seeds:
             curve = integrate_characteristic(fld, seed, (0.0, spans[name]),
                                              tol=1e-10, box=problem.box)
-            fmax = max(abs(evaluate(sol.F, binding_at(s, problem.n)))
+            fmax = max(abs(evaluate(sol.F, helpers.binding_at(s, problem.n)))
                        for s in curve.states)
             assert fmax <= 1e-7, (name, seed, fmax)
             drift_worst = max(drift_worst, fmax)

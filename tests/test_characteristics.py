@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+import helpers
+from charmax import characteristics
 from charmax.characteristics import (TERM_LEFT_BOX, TERM_SPAN_END,
-                                     IntegrationError, characteristic_strip,
+                                     TERM_STEP_FAILURE, IntegrationError,
+                                     characteristic_strip,
                                      integrate_characteristic)
 from charmax.expr import evaluate, parse
-from charmax.problem import (Box, VectorField, binding_at, characteristic_field,
+from charmax.problem import (Box, VectorField, characteristic_field,
                              initial_set_samples, make_problem)
 
 BIG = Box((-100.0, 100.0), (), (-100.0, 100.0))
@@ -106,8 +109,8 @@ class TestExampleFields:
         for seed in initial_set_samples(data, 7):
             curve = integrate_characteristic(fld, seed, (0.0, 2.0),
                                              tol=1e-10, box=problem.box)
-            r0 = evaluate(rho, binding_at(seed, 1))
-            drift = max(abs(evaluate(rho, binding_at(s, 1)) - r0)
+            r0 = evaluate(rho, helpers.binding_at(seed, 1))
+            drift = max(abs(evaluate(rho, helpers.binding_at(s, 1)) - r0)
                         for s in curve.states)
             assert drift <= 1e-8 * (1.0 + abs(r0))
 
@@ -152,6 +155,37 @@ class TestStrip:
         assert strip.curves[0] is not None
         assert strip.curves[1] is None
         assert len(strip.errors) == 1 and strip.errors[0][0] == 1
+
+
+class TestCompiledField:
+    def test_curves_match_tree_walk(self, monkeypatch):
+        # the bundled problems as the CLI seeds them, and u' = sqrt(1 - t),
+        # which fails mid-run at t = 1 (a step failure) and at a seed past it
+        cases = []
+        for name in helpers.EXAMPLES:
+            b = helpers.bundle(name)
+            seeds = initial_set_samples(b.data, 1 if b.problem.n == 0 else 3)
+            cases.append((characteristic_field(b.problem), seeds,
+                          b.problem.box))
+        cases.append((field(0, "1", "sqrt(1 - t)"), [[0.0, 0.0], [2.0, 0.0]],
+                      BIG))
+
+        def run():
+            strips = [characteristic_strip(fld, seeds, (0.0, 10.0), box=box)
+                      for fld, seeds, box in cases]
+            return strips, repr([(
+                [(c.taus.tolist(), c.states.tolist(), c.termination)
+                 for c in strip.curves if c is not None],
+                [(i, str(err)) for i, err in strip.errors])
+                for strip in strips])
+
+        strips, compiled = run()
+        monkeypatch.setattr(characteristics, "compile_exprs",
+                            helpers.compile_by_tree)
+        assert run()[1] == compiled
+        failing = strips[-1]
+        assert failing.curves[0].termination == TERM_STEP_FAILURE
+        assert [i for i, _ in failing.errors] == [1]
 
 
 class TestCsv:

@@ -252,7 +252,7 @@ class TestContains:
             if abs(g) <= 1.5 * diag * max(grad, 1e-9):
                 continue  # discretization band around the boundary
             v = contains(b.problem, b.data, sol, q)
-            masked = dom.contains_cell(q)
+            masked = helpers.contains_cell(dom, q)
             assert (v.kind == "inside") == masked
             agreements += 1
         assert agreements > 300
@@ -418,7 +418,7 @@ class TestStaircase:
         assert np.allclose(waypoints[0], start)
         assert np.allclose(waypoints[-1], goal)
         for w in waypoints[1:-1]:
-            assert dom.contains_cell(w)
+            assert helpers.contains_cell(dom, w)
 
     def test_unreachable_returns_none(self, pipelines):
         _, _, _, _, _, dom = pipelines("circular", 48)

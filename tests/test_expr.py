@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 import helpers
 from charmax.expr import (FUNCTIONS, Binary, Const, EvalDomainError,
                           ParseError, Unary, Var, diff, evaluate,
-                          evaluate_grid, parse, substitute, to_str, variables)
+                          evaluate_grid, parse, substitute, to_str, var_names,
+                          variables)
 from charmax.expr import compile as compile_exprs
 
 
@@ -293,6 +295,20 @@ def same_outcome(got, expect) -> bool:
         for g, e in zip(values, expect_values, strict=True))
 
 
+def shared_outputs(seed, fn, exponent) -> list:
+    """Outputs in which two random trees a and b recur, so their values
+    are shared; the powers cover constant integral, constant non-integral
+    and variable exponents."""
+    rng = np.random.default_rng(seed)
+    a = helpers.random_expr(rng, list(POOL), depth=3)
+    b = helpers.random_expr(rng, list(POOL), depth=3)
+    return [a, Unary(fn, a), Binary("*", Unary(fn, b), a),
+            Binary("^", a, Const(float(round(exponent)))),
+            Binary("^", b, Const(exponent)), Binary("^", a, b),
+            Binary("^", Var("x1"), Const(exponent)),
+            Binary("/", b, a), Const(math.inf), Var("u")]
+
+
 class TestCompile:
     @given(seed=st.integers(0, 2**32 - 1), fn=st.sampled_from(FUNCTIONS),
            exponent=st.floats(-3.5, 3.5),
@@ -301,16 +317,7 @@ class TestCompile:
     @settings(max_examples=400, deadline=None)
     def test_matches_evaluate_bit_for_bit(self, seed, fn, exponent, values,
                                           wide):
-        rng = np.random.default_rng(seed)
-        a = helpers.random_expr(rng, list(POOL), depth=3)
-        b = helpers.random_expr(rng, list(POOL), depth=3)
-        # a and b recur across outputs, so their values are shared; the
-        # powers cover constant integral, constant non-integral and
-        # variable exponents
-        exprs = [a, Unary(fn, a), Binary("*", Unary(fn, b), a),
-                 Binary("^", a, Const(float(round(exponent)))),
-                 Binary("^", b, Const(exponent)), Binary("^", a, b),
-                 Binary("/", b, a), Const(math.inf), Var("u")]
+        exprs = shared_outputs(seed, fn, exponent)
         values = [np.float64(v) if w else v for v, w in zip(values, wide)]
         binding = dict(zip(POOL, values))
 
@@ -355,3 +362,72 @@ class TestCompile:
     def test_variable_outside_names_rejected(self):
         with pytest.raises(ValueError, match="not in"):
             compile_exprs([parse("t + u", n=0)], ("t",))
+
+
+def same_arrays(got, expect) -> bool:
+    """Equal shapes, dtypes and bytes."""
+    got, expect = np.asarray(got), np.asarray(expect)
+    return (got.shape == expect.shape and got.dtype == expect.dtype
+            and got.tobytes() == expect.tobytes())
+
+
+def grid_by_tree(e, binding, shape):
+    """evaluate_grid over the tree-walking reference."""
+    with np.errstate(all="ignore"):
+        vals, bad = helpers.eval_arrays_by_tree(e, binding)
+    vals = np.asarray(vals, dtype=float)
+    ok = np.isfinite(vals) & ~bad
+    return np.broadcast_to(vals, shape), np.broadcast_to(ok, shape)
+
+
+class TestCompileArrays:
+    @given(seed=st.integers(0, 2**32 - 1), fn=st.sampled_from(FUNCTIONS),
+           exponent=st.floats(-3.5, 3.5),
+           columns=st.lists(st.lists(VALUES, min_size=4, max_size=4),
+                            min_size=3, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_tree_walk_bit_for_bit(self, seed, fn, exponent,
+                                           columns):
+        # the values hold zeros of both signs and negative bases
+        exprs = shared_outputs(seed, fn, exponent)
+        shapes = ((4, 1, 1), (1, 4, 1), (1, 1, 4))
+        binding = {v: np.array(c).reshape(shape)
+                   for v, c, shape in zip(POOL, columns, shapes)}
+        with np.errstate(all="ignore"):
+            got = compile_exprs(exprs, POOL, arrays=True)(*binding.values())
+            expect = [helpers.eval_arrays_by_tree(e, binding) for e in exprs]
+        # bad may leave out the all-False masks of constant operands, so
+        # it is compared through valid
+        for (vals, bad), (want_vals, want_bad) in zip(got, expect,
+                                                      strict=True):
+            assert same_arrays(vals, want_vals)
+            assert same_arrays(np.isfinite(vals) & ~bad,
+                               np.isfinite(want_vals) & ~want_bad)
+        for e in exprs:
+            got = evaluate_grid(e, binding, shape=(4, 4, 4))
+            assert all(map(same_arrays, got, grid_by_tree(e, binding,
+                                                          (4, 4, 4))))
+
+    @pytest.mark.parametrize("name", helpers.EXAMPLES)
+    def test_bundled_grids_release_temporaries(self, name, solutions):
+        # the same values as the tree walk, and no more memory: holding
+        # every temporary to the end would double the peak
+        b, _, sol = solutions(name)
+        axes = [np.linspace(lo, hi, 65) for lo, hi in b.problem.box.ranges]
+        grids = np.meshgrid(*axes, indexing="ij", sparse=True)
+        binding = dict(zip(var_names(b.problem.n), grids))
+        shape = (65,) * len(axes)
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                return fn(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        for e in (sol.F, sol.F_u):
+            got, got_peak = peak(lambda: evaluate_grid(e, binding, shape))
+            expect, expect_peak = peak(lambda: grid_by_tree(e, binding,
+                                                            shape))
+            assert all(map(same_arrays, got, expect))
+            assert got_peak <= expect_peak + 0.25 * 2**20

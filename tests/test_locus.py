@@ -5,11 +5,12 @@ import pytest
 
 import helpers
 from charmax import locus
+from charmax.domain import MaximalDomain
 from charmax.expr import diff, evaluate, parse, var_names
 from charmax.locus import (_TETS3, ResolutionError, cell_center, cell_of,
                            cell_pieces, extract_singular_locus,
-                           extract_surface, flood, fold_discriminant,
-                           patch_vertices, split_component)
+                           extract_surface, flood, patch_vertices,
+                           split_component)
 from charmax.problem import Box, initial_set_samples, make_problem
 
 
@@ -276,8 +277,8 @@ class TestSingularLocus:
             if nn < 1e-9:
                 continue
             normal = normal / nn
-            d_out = fold_discriminant(sol.F, p, step * normal)
-            d_in = fold_discriminant(sol.F, p, -step * normal)
+            d_out = helpers.fold_discriminant(sol.F, p, step * normal)
+            d_in = helpers.fold_discriminant(sol.F, p, -step * normal)
             assert d_out * d_in < 0
             checked += 1
         assert checked >= 5
@@ -472,13 +473,19 @@ class TestCellOf:
         assert cell_of(axes, points[:0]).shape == (0, 3)
 
     def test_off_grid_without_clamp(self):
+        # cell_of clamps; the tests' mask lookup puts off-grid points,
+        # the last vertex included, in no cell
         axes = (np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 5))
+        everywhere = MaximalDomain(4, axes, np.ones((4, 4), bool), [], [])
         assert cell_of(axes, [0.3, 1.0]) == (1, 3)
-        assert cell_of(axes, [0.3, 1.0], clamp=False) is None
-        assert cell_of(axes, [-0.1, 0.5], clamp=False) is None
-        assert cell_of(axes, [0.0, 0.99], clamp=False) == (0, 3)
+        assert not helpers.contains_cell(everywhere, [0.3, 1.0])
+        assert not helpers.contains_cell(everywhere, [-0.1, 0.5])
+        assert cell_of(axes, [0.0, 0.99]) == (0, 3)
+        assert helpers.contains_cell(everywhere, [0.0, 0.99])
         with pytest.raises(ValueError, match="NaN"):
             cell_of(axes, [math.nan, 0.5])
+        with pytest.raises(ValueError, match="NaN"):
+            helpers.contains_cell(everywhere, [math.nan, 0.5])
 
 
 class TestDimensionLimit:
