@@ -9,7 +9,10 @@ Point queries do not use the grid at all: they continue the root of
 F(t, x, u) = 0 along a path from the initial set to the query point by
 predictor-corrector Newton steps.  The query answers "outside" as soon as
 |F_u| falls below the singular threshold, which is where the implicit
-function theorem stops guaranteeing a single-valued branch.
+function theorem stops guaranteeing a single-valued branch.  Halving the
+step after each failed one locates that onset to MIN_FRACTION of the path,
+and a path takes at most MAX_MARCH_STEPS steps, so a march that creeps
+toward a set where F is undefined ends in PathLeftWindowError.
 """
 
 from __future__ import annotations
@@ -31,10 +34,12 @@ SOLVE_TOL = 1e-12
 SOLVE_MAXIT = 50
 SINGULAR_FACTOR = 1e-6
 
-# continuation query: corrector iterations per step, and the initial,
-# largest and smallest step and the "within the final step" window for a
-# boundary verdict, as fractions of the path length
+# continuation query: corrector iterations per step and steps per path
+# (accepted or not), and the initial, largest and smallest step and the
+# "within the final step" window for a boundary verdict, as fractions of
+# the path length
 CORRECTOR_MAXIT = 8
+MAX_MARCH_STEPS = 1000
 INITIAL_FRACTION = 1.0 / 16.0
 MAX_FRACTION = 1.0 / 8.0
 MIN_FRACTION = 1e-12
@@ -332,17 +337,6 @@ def _corrector(sol: ImplicitSolution, point, u):
                      CORRECTOR_MAXIT)
 
 
-def nearest_base_point(data: InitialData, q) -> tuple[np.ndarray, float]:
-    """The closest initial-set base point (0, s*) to the query."""
-    if data.n == 0:
-        u0 = evaluate(data.h, {})
-        return np.zeros(1), u0
-    lo, hi = data.interval
-    s = min(max(float(q[1]), lo), hi)
-    u0 = evaluate(data.h, {"x1": s})
-    return np.array([0.0, s]), u0
-
-
 def contains(problem: Problem, data: InitialData, sol: ImplicitSolution, q,
              domain: MaximalDomain | None = None,
              base_point: float | None = None) -> Verdict:
@@ -350,8 +344,9 @@ def contains(problem: Problem, data: InitialData, sol: ImplicitSolution, q,
     set; for inside points the continued u is the value of the maximally
     extended single-valued solution.
 
-    base_point overrides the choice of s* (n = 1 only), which is useful
-    for path-independence checks.
+    The path starts at the initial-set base point (0, s*) with s* the
+    query's x clamped to the parameter interval, or ``base_point`` clamped
+    to it (n = 1 only), which is useful for path-independence checks.
     """
     n = problem.n
     q = np.atleast_1d(np.asarray(q, dtype=float))
@@ -364,13 +359,13 @@ def contains(problem: Problem, data: InitialData, sol: ImplicitSolution, q,
                 f"query point {q.tolist()} is outside the (t, x) face of "
                 f"the box")
 
-    if base_point is not None and n >= 1:
-        lo, hi = data.interval
-        s = min(max(float(base_point), lo), hi)
-        start = np.array([0.0, s])
-        u0 = evaluate(data.h, {"x1": s})
+    if n == 0:
+        start, u0 = (0.0,), evaluate(data.h, {})
     else:
-        start, u0 = nearest_base_point(data, q)
+        lo, hi = data.interval
+        s = min(max(float(q[1] if base_point is None else base_point), lo),
+                hi)
+        start, u0 = (0.0, s), evaluate(data.h, {"x1": s})
 
     try:
         return _march(problem, sol, [start, q], u0)
@@ -384,29 +379,35 @@ def contains(problem: Problem, data: InitialData, sol: ImplicitSolution, q,
 
 
 def _march(problem, sol, waypoints, u0) -> Verdict:
+    """Continue u0 along the waypoint polyline, in at most MAX_MARCH_STEPS
+    predictor-corrector steps.  Step halving locates where the branch stops
+    being trackable to MIN_FRACTION of the path; F_u at the last accepted
+    point then tells a fold (|F_u| shrunk to the relaxed threshold) from a
+    tracking failure (F_u still O(1))."""
     names = var_names(problem.n)
-    pts = [np.asarray(w, dtype=float) for w in waypoints]
-    legs = [np.linalg.norm(b - a) for a, b in zip(pts, pts[1:])]
-    total = float(sum(legs))
-    end = pts[-1].tolist()
+    pts = [tuple(float(c) for c in w) for w in waypoints]
+    legs = [float(np.linalg.norm(np.subtract(b, a)))
+            for a, b in zip(pts, pts[1:])]
+    total = sum(legs)
+    end = pts[-1]
     if total == 0.0:
         u, fu, ok = _corrector(sol, end, u0)
         if ok and abs(fu) >= _singular_threshold(sol.grad_values(*end, u)):
-            return Verdict("inside", u, fu, tuple(pts[-1]))
-        return Verdict("boundary", None, fu, tuple(pts[-1]))
+            return Verdict("inside", u, fu, end)
+        return Verdict("boundary", None, fu, end)
 
-    def at(s: float) -> np.ndarray:
+    def at(s: float) -> tuple:
         acc = 0.0
         for a, b, L in zip(pts, pts[1:], legs):
             if s <= acc + L or L == 0.0:
                 frac = 0.0 if L == 0.0 else (s - acc) / L
-                return a + frac * (b - a)
+                return tuple(ai + frac * (bi - ai) for ai, bi in zip(a, b))
             acc += L
-        return pts[-1]
+        return end
 
     # F_u alone, as other components of the gradient may fail to
     # evaluate on the initial set where F_u does not
-    base_binding = dict(zip(names, [*pts[0].tolist(), u0]))
+    base_binding = dict(zip(names, [*pts[0], u0]))
     fu_sign = 1.0 if evaluate(sol.F_u, base_binding) >= 0 else -1.0
 
     h = total * INITIAL_FRACTION
@@ -414,73 +415,50 @@ def _march(problem, sol, waypoints, u0) -> Verdict:
     h_min = total * MIN_FRACTION
     s_cur = 0.0
     u = u0
+    fu_good = grads = None     # at the last accepted point
+    steps = 0
     while s_cur < total:
+        if steps == MAX_MARCH_STEPS:
+            raise PathLeftWindowError(
+                f"path not ended after {steps} steps, at {list(at(s_cur))} "
+                f"({s_cur / total:.6g} of it); F undefined along the path?")
+        steps += 1
         s_next = min(s_cur + h, total)
-        point = at(s_next).tolist()
+        point = at(s_next)
         u_new, fu, ok = _corrector(sol, point, u)
-        healthy = False
         if ok and fu is not None:
             # crossing the singular locus on the branch is either |F_u|
             # fading out or F_u flipping sign between step points
-            threshold = _singular_threshold(sol.grad_values(*point, u_new))
-            healthy = abs(fu) >= threshold and fu * fu_sign > 0
-        if healthy:
-            u = u_new
-            s_cur = s_next
-            h = min(h * 1.4, h_max)
-            continue
+            grads_new = sol.grad_values(*point, u_new)
+            if (abs(fu) >= _singular_threshold(grads_new)
+                    and fu * fu_sign > 0):
+                u, fu_good, grads = u_new, fu, grads_new
+                s_cur = s_next
+                h = min(h * 1.4, h_max)
+                continue
         if h > h_min:
             h *= 0.5
             continue
-        # the branch stops being trackable inside (s_cur, s_next]:
-        # localize the onset and judge it by the surviving |F_u|
-        s_onset, fu_good, grad_scale = _refine_singular_onset(
-            sol, at, s_cur, s_next, u, fu_sign)
-        relaxed = np.sqrt(SINGULAR_FACTOR) * grad_scale
+        # the branch stops being trackable inside (s_cur, s_next]
+        if grads is None:      # nothing accepted yet: judge at the start
+            point = at(s_cur)
+            _, fu_good, _ = _corrector(sol, point, u)
+            grads = sol.grad_values(*point, u)
+            if fu_good is None:
+                fu_good = grads[-1]
+        relaxed = math.sqrt(SINGULAR_FACTOR) * (1.0 + _grad_norm(grads))
         if abs(fu_good) <= relaxed:
-            if total - s_onset <= BOUNDARY_FRACTION * total:
-                return Verdict("boundary", None, fu_good, tuple(at(s_onset)))
-            return Verdict("outside", None, fu_good, tuple(at(s_onset)))
+            kind = ("boundary" if total - s_next <= BOUNDARY_FRACTION * total
+                    else "outside")
+            return Verdict(kind, None, fu_good, at(s_next))
         raise PathLeftWindowError(
-            f"corrector diverged at {at(s_onset).tolist()} with healthy "
+            f"corrector diverged at {list(at(s_next))} with healthy "
             f"F_u = {fu_good:.3e}; box too small or F undefined along the path")
     grads = sol.grad_values(*end, u)
     fu = grads[-1]
     if abs(fu) < _singular_threshold(grads):
-        return Verdict("boundary", None, fu, tuple(pts[-1]))
-    return Verdict("inside", u, fu, tuple(pts[-1]))
-
-
-def _refine_singular_onset(sol, at, s_good, s_bad, u_good, fu_sign):
-    """Bisect the path for the first parameter where the branch stops being
-    trackable (corrector failure, F_u below the singular threshold, or an
-    F_u sign flip).
-
-    Returns (onset parameter, |F_u| at the last trackable point, gradient
-    scale there): at a genuine fold the surviving F_u shrinks with the
-    bisection window, while at a mere tracking failure it stays O(1).
-    """
-    u = u_good
-    point = at(s_good).tolist()
-    _, fu_good, _ = _corrector(sol, point, u)
-    grads = sol.grad_values(*point, u)
-    grad_scale = 1.0 + _grad_norm(grads)
-    if fu_good is None:
-        fu_good = grads[-1]
-    for _ in range(60):
-        mid = 0.5 * (s_good + s_bad)
-        point = at(mid).tolist()
-        u_new, fu, ok = _corrector(sol, point, u)
-        if ok and fu is not None and fu * fu_sign > 0:
-            grads = sol.grad_values(*point, u_new)
-            if abs(fu) >= _singular_threshold(grads):
-                s_good = mid
-                u = u_new
-                fu_good = fu
-                grad_scale = 1.0 + _grad_norm(grads)
-                continue
-        s_bad = mid
-    return s_bad, fu_good, grad_scale
+        return Verdict("boundary", None, fu, end)
+    return Verdict("inside", u, fu, end)
 
 
 def _staircase(domain: MaximalDomain, start, goal):

@@ -8,6 +8,7 @@ from itertools import permutations
 import numpy as np
 
 import charmax
+from charmax import domain
 from charmax.domain import contains, maximal_domain
 from charmax.expr import (Binary, Const, EvalDomainError, Unary, Var, diff,
                           evaluate, var_names, variables)
@@ -224,6 +225,104 @@ def newton_u_by_tree(F, F_u, binding: dict, u: float, tol: float,
     except EvalDomainError:
         fu = None
     return binding["u"], fu, abs(r) <= tol
+
+
+# ---------------------------------------------------------------------------
+# Reference for the continuation march: step halving to MIN_FRACTION, then a
+# fixed 60-step bisection of the failing step for the onset, on numpy path
+# points, without a bound on the number of steps
+
+def march_with_bisection(problem, sol, waypoints, u0):
+    """Stands in for domain._march."""
+    names = var_names(problem.n)
+    pts = [np.asarray(w, dtype=float) for w in waypoints]
+    legs = [np.linalg.norm(b - a) for a, b in zip(pts, pts[1:])]
+    total = float(sum(legs))
+    end = pts[-1].tolist()
+    if total == 0.0:
+        u, fu, ok = domain._corrector(sol, end, u0)
+        if ok and abs(fu) >= domain._singular_threshold(
+                sol.grad_values(*end, u)):
+            return domain.Verdict("inside", u, fu, tuple(pts[-1]))
+        return domain.Verdict("boundary", None, fu, tuple(pts[-1]))
+
+    def at(s: float) -> np.ndarray:
+        acc = 0.0
+        for a, b, L in zip(pts, pts[1:], legs):
+            if s <= acc + L or L == 0.0:
+                frac = 0.0 if L == 0.0 else (s - acc) / L
+                return a + frac * (b - a)
+            acc += L
+        return pts[-1]
+
+    base_binding = dict(zip(names, [*pts[0].tolist(), u0]))
+    fu_sign = 1.0 if evaluate(sol.F_u, base_binding) >= 0 else -1.0
+
+    h = total * domain.INITIAL_FRACTION
+    h_max = total * domain.MAX_FRACTION
+    h_min = total * domain.MIN_FRACTION
+    s_cur = 0.0
+    u = u0
+    while s_cur < total:
+        s_next = min(s_cur + h, total)
+        point = at(s_next).tolist()
+        u_new, fu, ok = domain._corrector(sol, point, u)
+        healthy = False
+        if ok and fu is not None:
+            threshold = domain._singular_threshold(
+                sol.grad_values(*point, u_new))
+            healthy = abs(fu) >= threshold and fu * fu_sign > 0
+        if healthy:
+            u = u_new
+            s_cur = s_next
+            h = min(h * 1.4, h_max)
+            continue
+        if h > h_min:
+            h *= 0.5
+            continue
+        s_onset, fu_good, grad_scale = _refine_onset_by_bisection(
+            sol, at, s_cur, s_next, u, fu_sign)
+        relaxed = np.sqrt(domain.SINGULAR_FACTOR) * grad_scale
+        if abs(fu_good) <= relaxed:
+            if total - s_onset <= domain.BOUNDARY_FRACTION * total:
+                return domain.Verdict("boundary", None, fu_good,
+                                      tuple(at(s_onset)))
+            return domain.Verdict("outside", None, fu_good,
+                                  tuple(at(s_onset)))
+        raise domain.PathLeftWindowError(
+            f"corrector diverged at {at(s_onset).tolist()} with healthy "
+            f"F_u = {fu_good:.3e}; box too small or F undefined along the path")
+    grads = sol.grad_values(*end, u)
+    fu = grads[-1]
+    if abs(fu) < domain._singular_threshold(grads):
+        return domain.Verdict("boundary", None, fu, tuple(pts[-1]))
+    return domain.Verdict("inside", u, fu, tuple(pts[-1]))
+
+
+def _refine_onset_by_bisection(sol, at, s_good, s_bad, u_good, fu_sign):
+    """(onset parameter, F_u at the last trackable point, 1 + |grad F|
+    there) by 60 bisection steps of (s_good, s_bad]."""
+    u = u_good
+    point = at(s_good).tolist()
+    _, fu_good, _ = domain._corrector(sol, point, u)
+    grads = sol.grad_values(*point, u)
+    grad_scale = 1.0 + domain._grad_norm(grads)
+    if fu_good is None:
+        fu_good = grads[-1]
+    for _ in range(60):
+        mid = 0.5 * (s_good + s_bad)
+        point = at(mid).tolist()
+        u_new, fu, ok = domain._corrector(sol, point, u)
+        if ok and fu is not None and fu * fu_sign > 0:
+            grads = sol.grad_values(*point, u_new)
+            if abs(fu) >= domain._singular_threshold(grads):
+                s_good = mid
+                u = u_new
+                fu_good = fu
+                grad_scale = 1.0 + domain._grad_norm(grads)
+                continue
+        s_bad = mid
+    return s_bad, fu_good, grad_scale
 
 
 # ---------------------------------------------------------------------------

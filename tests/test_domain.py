@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import helpers
-from charmax import integrals
-from charmax.domain import (CORRECTOR_MAXIT, SOLVE_TOL, NoConvergenceError,
+from charmax import domain, integrals
+from charmax.domain import (CORRECTOR_MAXIT, MAX_MARCH_STEPS, SOLVE_TOL,
+                            NoConvergenceError, PathLeftWindowError,
                             ProjectionError, _chain_outline, _staircase,
                             contains, maximal_domain, solve_u)
 from charmax.expr import diff, evaluate, parse, var_names
@@ -374,11 +375,11 @@ class TestCompiledQuery:
                 sol.F, sol.F_u, dict(zip(names, [*point, u])), u, *args)
             assert repr(got) == repr(expect)
 
-    # the sqrt queries that leave F's domain take 0.2-2 s each on the tree
-    # walk, hence fewer of them
+    # on sqrt about one query in four creeps toward where F is undefined;
+    # MAX_MARCH_STEPS bounds what each costs on the tree walk
     @pytest.mark.parametrize("name, count",
                              [*((name, 100) for name in helpers.EXAMPLES),
-                              ("sqrt", 6)])
+                              ("sqrt", 30)])
     def test_contains_matches_a_run_on_evaluate(self, name, count,
                                                 solutions):
         problem, data, sol = compiled_case(name, solutions)
@@ -406,6 +407,98 @@ class TestCompiledQuery:
         # both verdicts, and on sqrt a path that leaves F's domain
         assert kinds >= ({"inside", "PathLeftWindowError"} if name == "sqrt"
                          else {"inside", "outside"})
+
+
+def counting_corrector(monkeypatch, budget=math.inf):
+    """Count domain._corrector calls in the returned one-element list;
+    past ``budget`` calls since it was last zeroed, raise
+    PathLeftWindowError instead."""
+    calls = [0]
+    corrector = domain._corrector
+
+    def counted(*args):
+        calls[0] += 1
+        if calls[0] > budget:
+            raise PathLeftWindowError(f"more than {budget} corrector calls")
+        return corrector(*args)
+
+    monkeypatch.setattr(domain, "_corrector", counted)
+    return calls
+
+
+class TestMarch:
+    """The march locates the onset by step halving alone, and ends."""
+
+    # the reference re-bisects the failing step of an outside verdict 60
+    # times; its queries that creep toward where F is undefined (sqrt only)
+    # make thousands of corrector calls before PathLeftWindowError, so they
+    # are cut there after 2,000.  The last point of each bundled
+    # problem but the ODE lies on the fold, within the final step.
+    @pytest.mark.parametrize("name, count, last", [
+        ("ode_quadratic", 200, None),
+        ("circular", 200, [0.0, 1.0]),
+        ("burgers_ramp", 200, [0.5, 0.0]),
+        ("burgers_reciprocal", 200, [0.25, 0.0]),
+        ("sqrt", 60, None)])
+    def test_matches_the_bisection_reference(self, name, count, last,
+                                             solutions, monkeypatch):
+        problem, data, sol = compiled_case(name, solutions)
+        rng = np.random.default_rng(31)
+        face = problem.box.ranges[:problem.n + 1]
+        lows = np.array([lo for lo, _ in face])
+        highs = np.array([hi for _, hi in face])
+
+        def verdict(q):
+            try:
+                return contains(problem, data, sol, q)
+            except PathLeftWindowError:
+                return None
+
+        points = [lows + rng.random(len(face)) * (highs - lows)
+                  for _ in range(count)] + ([np.array(last)] if last else [])
+        got = [verdict(q) for q in points]
+        calls = counting_corrector(monkeypatch, budget=2 * MAX_MARCH_STEPS)
+        monkeypatch.setattr(domain, "_march", helpers.march_with_bisection)
+        expect = []
+        for q in points:
+            calls[0] = 0
+            expect.append(verdict(q))
+
+        kinds = [v.kind if v else "PathLeftWindowError" for v in got]
+        assert kinds == [v.kind if v else "PathLeftWindowError"
+                         for v in expect]
+        for q, kind, v, ref in zip(points, kinds, got, expect):
+            if kind == "inside":
+                assert (repr(v.u), repr(v.f_u)) == (repr(ref.u),
+                                                    repr(ref.f_u))
+                assert v.at == ref.at
+            elif kind in ("outside", "boundary"):
+                start = [0.0, *([min(max(q[1], data.interval[0]),
+                                     data.interval[1])] if len(q) > 1
+                                else [])]
+                shift = max(abs(a - b) for a, b in zip(v.at, ref.at))
+                assert shift <= 1e-9 * math.dist(start, q)
+        assert set(kinds) >= ({"inside", "outside", "PathLeftWindowError"}
+                              if name == "sqrt" else {"inside", "outside"})
+        assert (kinds[-1] == "boundary") == (last is not None)
+
+    def test_creeping_query_ends_within_the_bound(self, solutions,
+                                                  monkeypatch):
+        # without the step bound this query crept toward x = -1, where F
+        # stops being defined, for about 84,000 corrector calls
+        problem, data, sol = compiled_case("sqrt", solutions)
+        calls = counting_corrector(monkeypatch)
+        with pytest.raises(PathLeftWindowError,
+                           match=f"after {MAX_MARCH_STEPS} steps"):
+            contains(problem, data, sol, [0.859, -1.152])
+        assert calls[0] == MAX_MARCH_STEPS
+
+    def test_path_points_are_floats(self, solutions):
+        b, _, sol = solutions("burgers_reciprocal")
+        for q in ([0.5, 1.0], [2.0, 1.0]):
+            v = contains(b.problem, b.data, sol, q)
+            assert type(v.at) is tuple
+            assert all(type(c) is float for c in v.at)
 
 
 class TestStaircase:
