@@ -102,15 +102,13 @@ def _exit_state(box: Box, y0, y1, f0, f1, h):
 
 
 def integrate_characteristic(fld: VectorField, seed, span, tol: float = DEFAULT_TOL,
-                             box: Box | None = None) -> CharacteristicCurve:
+                             *, box: Box) -> CharacteristicCurve:
     """Integrate one characteristic curve through ``seed`` over ``span``.
 
     span is (tau0, tau1); tau1 < tau0 integrates backward.  Integration
     stops at the box boundary (with an interpolated boundary state), at the
     span end, or on step-size underflow.
     """
-    if box is None:
-        raise ValueError("a computational box is required")
     if not 1e-13 <= tol <= 1e-3:
         raise ValueError(f"tol {tol} outside [1e-13, 1e-3]")
     seed = np.asarray(seed, dtype=float)
@@ -191,13 +189,13 @@ def integrate_characteristic(fld: VectorField, seed, span, tol: float = DEFAULT_
 
 
 def characteristic_strip(fld: VectorField, seeds, span, tol: float = DEFAULT_TOL,
-                         box: Box | None = None) -> Strip:
+                         *, box: Box) -> Strip:
     """One curve per seed, seed order preserved; per-seed errors collected
     instead of failing fast."""
     strip = Strip([])
     for i, seed in enumerate(seeds):
         try:
-            curve = integrate_characteristic(fld, seed, span, tol, box)
+            curve = integrate_characteristic(fld, seed, span, tol, box=box)
         except IntegrationError as err:
             curve = None
             strip.errors.append((i, err))

@@ -202,10 +202,12 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=GRAMMAR_NOTE)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, resolution=False):
+    def common(p, out=True, fmt=False, resolution=False):
         p.add_argument("--problem", required=True, help="problem file (JSON)")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if out:
+            p.add_argument("--out", default="out", help="output directory")
+        if fmt:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
         if resolution:
             p.add_argument("--resolution", type=int, default=None,
                            help="cells per axis (default 1024 for n=0, "
@@ -215,20 +217,20 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("domain", help="extract the maximal domain"),
            resolution=True)
     q = sub.add_parser("query", help="classify one base point")
-    common(q)
+    common(q, out=False)
     q.add_argument("--t", type=float, default=None)
     q.add_argument("--x", type=float, default=None)
     c = sub.add_parser("characteristics", help="dump characteristic curves")
-    common(c)
+    common(c, fmt=True)
     c.add_argument("--samples", type=int, default=9)
     c.add_argument("--span", type=float, default=10.0)
     c.add_argument("--tol", type=float, default=1e-10)
     s = sub.add_parser("singular", help="dump the singular locus")
-    common(s, resolution=True)
+    common(s, fmt=True, resolution=True)
     s.add_argument("--with-surface", action="store_true",
                    help="also dump surface patch vertices")
     e = sub.add_parser("envelope", help="dump the characteristic envelope")
-    common(e)
+    common(e, fmt=True)
     e.add_argument("--samples", type=int, default=201)
     return parser
 

@@ -7,12 +7,10 @@ segments where the component leaves the window.
 
 Point queries do not use the grid at all: they continue the root of
 F(t, x, u) = 0 along a path from the initial set to the query point by
-predictor-corrector Newton steps.  The query answers "outside" as soon as
-|F_u| falls below the singular threshold, which is where the implicit
-function theorem stops guaranteeing a single-valued branch.  Halving the
-step after each failed one locates that onset to MIN_FRACTION of the path,
-and a path takes at most MAX_MARCH_STEPS steps, so a march that creeps
-toward a set where F is undefined ends in PathLeftWindowError.
+predictor-corrector Newton steps.  The query answers "outside" where
+|F_u| shrinks before the path's end, which is where the implicit function
+theorem stops guaranteeing a single-valued branch; ``_march`` lists how a
+march ends.
 """
 
 from __future__ import annotations
@@ -333,8 +331,7 @@ def _singular_threshold(grads) -> float:
 
 def _corrector(sol: ImplicitSolution, point, u):
     """Newton in u at a fixed base point.  Returns (u, f_u, ok)."""
-    return _newton_u(sol.F, sol.F_u, sol.F_and_Fu, point, u, SOLVE_TOL,
-                     CORRECTOR_MAXIT)
+    return _newton_u(sol.F, sol.F_and_Fu, point, u, SOLVE_TOL, CORRECTOR_MAXIT)
 
 
 def contains(problem: Problem, data: InitialData, sol: ImplicitSolution, q,
@@ -379,22 +376,20 @@ def contains(problem: Problem, data: InitialData, sol: ImplicitSolution, q,
 
 
 def _march(problem, sol, waypoints, u0) -> Verdict:
-    """Continue u0 along the waypoint polyline, in at most MAX_MARCH_STEPS
-    predictor-corrector steps.  Step halving locates where the branch stops
-    being trackable to MIN_FRACTION of the path; F_u at the last accepted
-    point then tells a fold (|F_u| shrunk to the relaxed threshold) from a
-    tracking failure (F_u still O(1))."""
+    """Continue u0 along the waypoint polyline by predictor-corrector
+    steps.  A march that reaches the end (at once if the path has length
+    zero) answers "inside", or "boundary" where |F_u| is below the singular
+    threshold.  Else step halving locates the onset to MIN_FRACTION of the
+    path: if F_u at the last accepted point (the start, if none was) has
+    shrunk to the relaxed threshold, the answer is "outside" ("boundary"
+    within the path's last BOUNDARY_FRACTION); if not, PathLeftWindowError,
+    as after MAX_MARCH_STEPS steps (a march creeping toward undefined F)."""
     names = var_names(problem.n)
     pts = [tuple(float(c) for c in w) for w in waypoints]
     legs = [float(np.linalg.norm(np.subtract(b, a)))
             for a, b in zip(pts, pts[1:])]
     total = sum(legs)
     end = pts[-1]
-    if total == 0.0:
-        u, fu, ok = _corrector(sol, end, u0)
-        if ok and abs(fu) >= _singular_threshold(sol.grad_values(*end, u)):
-            return Verdict("inside", u, fu, end)
-        return Verdict("boundary", None, fu, end)
 
     def at(s: float) -> tuple:
         acc = 0.0
@@ -407,15 +402,15 @@ def _march(problem, sol, waypoints, u0) -> Verdict:
 
     # F_u alone, as other components of the gradient may fail to
     # evaluate on the initial set where F_u does not
-    base_binding = dict(zip(names, [*pts[0], u0]))
-    fu_sign = 1.0 if evaluate(sol.F_u, base_binding) >= 0 else -1.0
+    fu_good = evaluate(sol.F_u, dict(zip(names, [*pts[0], u0])))
+    fu_sign = 1.0 if fu_good >= 0 else -1.0
 
     h = total * INITIAL_FRACTION
     h_max = total * MAX_FRACTION
     h_min = total * MIN_FRACTION
     s_cur = 0.0
     u = u0
-    fu_good = grads = None     # at the last accepted point
+    grads = None               # at the last accepted point, as is fu_good
     steps = 0
     while s_cur < total:
         if steps == MAX_MARCH_STEPS:
@@ -441,11 +436,7 @@ def _march(problem, sol, waypoints, u0) -> Verdict:
             continue
         # the branch stops being trackable inside (s_cur, s_next]
         if grads is None:      # nothing accepted yet: judge at the start
-            point = at(s_cur)
-            _, fu_good, _ = _corrector(sol, point, u)
-            grads = sol.grad_values(*point, u)
-            if fu_good is None:
-                fu_good = grads[-1]
+            grads = sol.grad_values(*pts[0], u0)
         relaxed = math.sqrt(SINGULAR_FACTOR) * (1.0 + _grad_norm(grads))
         if abs(fu_good) <= relaxed:
             kind = ("boundary" if total - s_next <= BOUNDARY_FRACTION * total

@@ -484,10 +484,10 @@ def _apply_unary(op: str, v: float) -> float:
         if v <= 0.0:
             raise EvalDomainError(f"log of non-positive value {v!r}")
         return math.log(v)
-    if op == "sin":
-        return math.sin(v)
-    if op == "cos":
-        return math.cos(v)
+    if op in ("sin", "cos"):
+        if math.isinf(v):
+            raise EvalDomainError(f"{op} of infinite value {v!r}")
+        return math.sin(v) if op == "sin" else math.cos(v)
     if op == "sqrt":
         if v < 0.0:
             raise EvalDomainError(f"sqrt of negative value {v!r}")
@@ -695,24 +695,21 @@ def _release(lines: list[str]) -> list[str]:
 
 
 def evaluate_grid(e: Expr, binding: Mapping[str, np.ndarray],
-                  shape: tuple[int, ...] | None = None):
-    """Evaluate over broadcastable arrays, by ``compile``'s array back end.
+                  shape: tuple[int, ...]):
+    """Evaluate over arrays that broadcast to ``shape``, by ``compile``'s
+    array back end.
 
-    Returns (values, valid) where valid marks points whose evaluation hit
-    no domain violation and produced a finite number.  Values at invalid
-    points follow IEEE semantics (inf/nan) and must not be trusted.
+    Returns (values, valid), both of ``shape``, where valid marks points
+    whose evaluation hit no domain violation and produced a finite number.
+    Values at invalid points follow IEEE semantics (inf/nan) and must not
+    be trusted.
     """
     with np.errstate(all="ignore"):
         ((vals, bad),) = compile([e], tuple(binding), arrays=True)(
             *binding.values())
     vals = np.asarray(vals, dtype=float)
     ok = np.isfinite(vals) & ~bad
-    if shape is not None:
-        vals = np.broadcast_to(vals, shape)
-        ok = np.broadcast_to(ok, shape)
-    elif vals.shape != ok.shape:
-        vals, ok = np.broadcast_arrays(vals, ok)
-    return vals, ok
+    return np.broadcast_to(vals, shape), np.broadcast_to(ok, shape)
 
 
 # ---------------------------------------------------------------------------

@@ -220,42 +220,20 @@ def defining_function_from_initial(d: InitialData) -> Expr:
     return sub(Var("y1"), h_in_y2)
 
 
-def _F_and_Fu(F: Expr, F_u: Expr, F_and_Fu: Callable, point: list,
-              u: float):
-    """(F, F_u) at (point, u) from the compiled pair; after a domain
-    violation, each from ``evaluate``, F first, with None for one that
-    fails (F_u is not tried where F fails)."""
-    try:
-        return F_and_Fu(*point, u)
-    except EvalDomainError:
-        pass
-    binding = dict(zip(var_names(len(point) - 1), [*point, u]))
-    try:
-        r = evaluate(F, binding)
-    except EvalDomainError:
-        return None, None
-    try:
-        return r, evaluate(F_u, binding)
-    except EvalDomainError:
-        return r, None
-
-
-def _newton_u(F: Expr, F_u: Expr, F_and_Fu: Callable, point: list, u: float,
+def _newton_u(F: Expr, F_and_Fu: Callable, point: list, u: float,
               tol: float, maxit: int, max_step: float = math.inf):
-    """Plain Newton in u for F = 0 at the base point (t, x1..xn).
-
-    ``F_and_Fu`` is the compiled (F, F_u) of the trees F and F_u.
-    Returns (u, F_u at u, ok); F_u is None where it fails to evaluate.  A
-    domain violation, or a step longer than ``max_step`` (the iterate runs
-    off to infinity), ends the iteration with ok False.
+    """Plain Newton in u for F = 0 at the base point (t, x1..xn), on the
+    compiled (F, F_u) of the tree F.  Returns (u, F_u at u, ok).  A domain
+    violation, or a step longer than ``max_step`` (the iterate runs off to
+    infinity), ends the iteration with ok False.  F_u is then the last one
+    that evaluated, or None where only F_u failed; if that was at the last
+    iterate, ok is |F| <= tol there.
     """
-    r, fu_next = _F_and_Fu(F, F_u, F_and_Fu, point, u)
-    if r is None:
+    try:
+        r, fu = F_and_Fu(*point, u)
+    except EvalDomainError:
         return u, None, False
-    for _ in range(maxit):
-        fu = fu_next
-        if fu is None:
-            return u, None, False
+    for it in range(maxit):
         if abs(r) <= tol:
             return u, fu, True
         if fu == 0.0 or not math.isfinite(fu):
@@ -264,10 +242,16 @@ def _newton_u(F: Expr, F_u: Expr, F_and_Fu: Callable, point: list, u: float,
         if abs(step) > max_step:
             return u, fu, False
         u -= step
-        r, fu_next = _F_and_Fu(F, F_u, F_and_Fu, point, u)
-        if r is None:
-            return u, fu, False
-    return u, fu_next, abs(r) <= tol
+        try:
+            r, fu = F_and_Fu(*point, u)
+        except EvalDomainError:
+            try:
+                r = evaluate(F, dict(zip(var_names(len(point) - 1),
+                                         [*point, u])))
+            except EvalDomainError:
+                return u, fu, False
+            return u, None, it == maxit - 1 and abs(r) <= tol
+    return u, fu, abs(r) <= tol
 
 
 def build_implicit_solution(rho_set: FirstIntegralSet, f: Expr, gamma,
@@ -312,18 +296,18 @@ def build_implicit_solution(rho_set: FirstIntegralSet, f: Expr, gamma,
         max_F = max(max_F, abs(fv))
         min_Fu = min(min_Fu, abs(fu))
 
-    flow = _check_flow_invariance(F, F_u, F_and_Fu, gradient, fld, box, gamma)
+    flow = _check_flow_invariance(F, F_and_Fu, gradient, fld, box, gamma)
     return ImplicitSolution(f, F, F_u, gradient, gamma, n,
                             SolutionChecks(max_F, min_Fu, *flow), F_and_Fu,
                             compile_exprs(gradient, names))
 
 
-def _check_flow_invariance(F, F_u, F_and_Fu, gradient, fld, box, gamma):
+def _check_flow_invariance(F, F_and_Fu, gradient, fld, box, gamma):
     """|X F| at points of {F = 0}: the initial samples plus FLOW_SAMPLES
     random box points projected onto the surface by Newton in u.  Fewer
-    than half of them within the draw budget is an error.  Returns the
-    largest |X F| / scale, the points projected, the draws used and the
-    points whose residual evaluated."""
+    than FLOW_SAMPLES // 2 projected (within the draw budget) or checked
+    is an error.  Returns the largest |X F| / scale, the points projected,
+    the draws used and the points whose residual evaluated."""
     n = fld.n
     residual_terms = compile_exprs(
         [apply_field(fld, F), *chain(*zip(fld.components, gradient))],
@@ -336,7 +320,7 @@ def _check_flow_invariance(F, F_u, F_and_Fu, gradient, fld, box, gamma):
            and attempts < 20 * FLOW_SAMPLES):
         attempts += 1
         draw = lows + rng.random(n + 2) * (highs - lows)
-        u, _, ok = _newton_u(F, F_u, F_and_Fu, draw[:-1].tolist(),
+        u, _, ok = _newton_u(F, F_and_Fu, draw[:-1].tolist(),
                              float(draw[-1]), FLOW_NEWTON_TOL,
                              FLOW_NEWTON_MAXIT, FLOW_NEWTON_MAX_STEP)
         if not ok:
@@ -366,6 +350,10 @@ def _check_flow_invariance(F, F_u, F_and_Fu, gradient, fld, box, gamma):
                 f"(scale {scale:.3e}) at {point}")
         worst = max(worst, r / scale)
         checked += 1
+    if checked < FLOW_SAMPLES // 2:
+        raise ImplicitSolutionError(
+            f"flow residual evaluated at only {checked} of {len(points)} "
+            "surface points; X F is undefined on too much of the surface")
     return worst, projected, attempts, checked
 
 

@@ -378,14 +378,14 @@ class _SigmaSystem:
     def residual(self, point):
         try:
             return np.array(self.values(*point))
-        except (EvalDomainError, ArithmeticError, ValueError):
+        except EvalDomainError:
             return None
 
     def jacobian2(self, point):
         """Full 2 x (n+2) Jacobian of (F, F_u)."""
         try:
             return np.array(self.derivatives(*point)).reshape(2, self.n + 2)
-        except (EvalDomainError, ArithmeticError, ValueError):
+        except EvalDomainError:
             return None
 
     def tangent(self, point):

@@ -34,6 +34,21 @@ SQRT_DATA = {
     "box": {"t": [-0.5, 1.0], "x": [[-2.0, 1.0]], "u": [0.05, 2.0]},
 }
 
+# u' = 1/(2u), u(0) = 1: F = u^2 - t - 1, so u = sqrt(1 + t) folds back
+# at (t, u) = (-1, 0), where F_u = 2u vanishes
+N0_FOLD_DATA = {
+    "n": 0, "alpha": "1", "b": "1/(2*u)", "h": "1",
+    "box": {"t": [-1.5, 1.0], "u": [-0.7, 1.5]},
+    "rho": ["u^2 - t"], "f": "y1 - 1",
+}
+
+# X F = b = log(t) - log(t) is undefined wherever t <= 0, which is all of
+# the box but t in (0, 0.001]
+UNDEFINED_FLOW_DATA = {
+    "n": 0, "alpha": "1", "b": "log(t) - log(t)", "h": "1",
+    "box": {"t": [-1, 0.001], "u": [0, 2]}, "rho": ["u"], "f": "y1 - 1",
+}
+
 TWO_SPEED_DATA = {
     "n": 2, "alpha": "1", "a": ["u", "u^2"], "b": "0", "h": "x1 + x2",
     "s_range": [[-0.1, 0.1], [-0.1, 0.1]], "f": "y1 - y2 - y3",
@@ -92,6 +107,15 @@ class TestVerify:
         assert main(["verify", "--problem", write(tmp_path, SQRT_DATA),
                      "--out", str(tmp_path / "out")]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_flow_check_with_no_residual_fails(self, tmp_path, capsys):
+        assert main(["verify", "--problem",
+                     write(tmp_path, UNDEFINED_FLOW_DATA),
+                     "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "flow residual evaluated at only" in captured.err
+        assert not (tmp_path / "out").exists()
 
     def test_alpha_vanishing_is_validation_error(self, tmp_path, capsys):
         doc = dict(CONSTANT_DATA, alpha="t")
@@ -259,3 +283,44 @@ class TestEnvelope:
     def test_non_conservation_rejected(self, capsys):
         assert main(["envelope", "--problem", problem_file("circular"),
                      "--out", "unused"]) == 2
+
+
+class TestFoldAtNZero:
+    """An n = 0 problem whose branch ends at a fold, u = sqrt(1 + t)."""
+
+    def test_domain_runs_from_the_fold_to_the_window(self, tmp_path,
+                                                     capsys):
+        out_dir = tmp_path / "out"
+        assert main(["domain", "--problem", write(tmp_path, N0_FOLD_DATA),
+                     "--out", str(out_dir)]) == 0
+        summary = json.loads((out_dir / "summary.json").read_text())
+        cell = 2.5 / 1024    # the box's t extent over the n = 0 default
+        assert abs(summary["area_of_mask"] - 2.0) <= cell   # t in [-1, 1]
+        assert summary["sigma_point_count"] == 1
+        boundary = json.loads((out_dir / "domain.json").read_text())[
+            "boundary"]
+        # the polished fold comes first, the box's end t = 1 last
+        assert abs(boundary[0][0] + 1.0) <= 1e-8
+        assert boundary[-1] == [1.0]
+
+    def test_singular_json_has_the_fold(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert main(["singular", "--problem", write(tmp_path, N0_FOLD_DATA),
+                     "--format", "json", "--out", str(out_dir)]) == 0
+        doc = json.loads((out_dir / "sigma.json").read_text())
+        assert doc["columns"] == ["t", "u", "kind"]
+        ((t, u, kind),) = doc["rows"]
+        assert abs(float(t) + 1.0) <= 1e-8 and abs(float(u)) <= 1e-8
+        assert kind == "sigma"
+        assert not (out_dir / "sigma.csv").exists()
+
+    @pytest.mark.parametrize("t, verdict", [("-0.5", "inside"),
+                                            ("0.8", "inside"),
+                                            ("-1.2", "outside")])
+    def test_query(self, t, verdict, tmp_path, capsys):
+        assert main(["query", "--problem", write(tmp_path, N0_FOLD_DATA),
+                     f"--t={t}"]) == 0
+        out = capsys.readouterr().out.split()
+        assert out[0] == verdict
+        if verdict == "inside":
+            assert abs(float(out[1]) - (1.0 + float(t)) ** 0.5) <= 1e-8

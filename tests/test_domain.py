@@ -13,7 +13,8 @@ from charmax.domain import (CORRECTOR_MAXIT, MAX_MARCH_STEPS, SOLVE_TOL,
 from charmax.expr import diff, evaluate, parse, var_names
 from charmax.expr import compile as compile_exprs
 from charmax.integrals import _newton_u, implicit_solution_for_problem
-from charmax.locus import SurfaceComponent, flood
+from charmax.locus import (SurfaceComponent, extract_singular_locus,
+                           extract_surface, flood, split_component)
 from charmax.problem import Box, make_problem
 
 
@@ -102,6 +103,25 @@ class TestMaximalDomain:
             # consecutive polyline points are exactly one cell edge apart
             for s in steps:
                 assert round(float(s), 12) in edge_lengths
+
+    def test_n0_fold_is_a_fold_boundary_point(self):
+        # u' = 1/(2u), u(0) = 1: F = u^2 - t - 1 folds at (t, u) = (-1, 0);
+        # n = 0 sigma has points but no polylines
+        problem, data = make_problem(0, "1", [], "1/(2*u)", "1",
+                                     Box((-1.5, 1.0), (), (-0.7, 1.5)))
+        _, sol = implicit_solution_for_problem(
+            problem, data, (parse("u^2 - t", n=0),),
+            parse("y1 - 1", n=0, allowed_variables=["y1"]))
+        surface = extract_surface(sol.F, problem.box, 1024)
+        sigma = extract_singular_locus(sol.F, surface)
+        assert sigma.polylines == []
+        dom = maximal_domain(
+            split_component(surface, sigma, sol.gamma_samples), sigma)
+        lines = {kind: [b.points.tolist() for b in dom.boundary
+                        if b.kind == kind] for kind in ("fold", "window")}
+        ((fold,),) = lines["fold"]
+        assert abs(fold[0] + 1.0) <= 1e-8
+        assert [[1.0]] in lines["window"]
 
     def test_ode_window_boundary_is_two_points(self, pipelines):
         _, _, _, _, _, dom = pipelines("ode_quadratic", 512)
@@ -325,8 +345,8 @@ class TestCompiledQuery:
         for _ in range(200):
             draw = lows + rng.random(len(lows)) * (highs - lows)
             *point, u = draw.tolist()
-            got = _newton_u(sol.F, sol.F_u, sol.F_and_Fu, point, u,
-                            SOLVE_TOL, CORRECTOR_MAXIT)
+            got = _newton_u(sol.F, sol.F_and_Fu, point, u, SOLVE_TOL,
+                            CORRECTOR_MAXIT)
             expect = helpers.newton_u_by_tree(
                 sol.F, sol.F_u, dict(zip(names, [*point, u])), u, SOLVE_TOL,
                 CORRECTOR_MAXIT)
@@ -341,11 +361,12 @@ class TestCompiledQuery:
         F = parse("t*sqrt(u) + u", n=0)
         F_u = diff(F, "u")
         F_and_Fu = compile_exprs([F, F_u], ("t", "u"))
-        got = _newton_u(F, F_u, F_and_Fu, [0.0], 1.0, SOLVE_TOL,
-                        CORRECTOR_MAXIT)
-        expect = helpers.newton_u_by_tree(F, F_u, {"t": 0.0}, 1.0, SOLVE_TOL,
-                                          CORRECTOR_MAXIT)
-        assert repr(got) == repr(expect) == repr((0.0, None, False))
+        # ok reports F = 0 there only when that step is the last iteration
+        for maxit, ok in ((CORRECTOR_MAXIT, False), (1, True)):
+            got = _newton_u(F, F_and_Fu, [0.0], 1.0, SOLVE_TOL, maxit)
+            expect = helpers.newton_u_by_tree(F, F_u, {"t": 0.0}, 1.0,
+                                              SOLVE_TOL, maxit)
+            assert repr(got) == repr(expect) == repr((0.0, None, ok))
 
     @pytest.mark.parametrize("name, q, f_u", [
         ("ode_quadratic", [0.9], -0.01),    # F_u = -1/u^2, u = 10
@@ -370,7 +391,7 @@ class TestCompiledQuery:
             *point, u = draw.tolist()
             args = (integrals.FLOW_NEWTON_TOL, integrals.FLOW_NEWTON_MAXIT,
                     integrals.FLOW_NEWTON_MAX_STEP)
-            got = _newton_u(sol.F, sol.F_u, sol.F_and_Fu, point, u, *args)
+            got = _newton_u(sol.F, sol.F_and_Fu, point, u, *args)
             expect = helpers.newton_u_by_tree(
                 sol.F, sol.F_u, dict(zip(names, [*point, u])), u, *args)
             assert repr(got) == repr(expect)
@@ -492,6 +513,77 @@ class TestMarch:
                            match=f"after {MAX_MARCH_STEPS} steps"):
             contains(problem, data, sol, [0.859, -1.152])
         assert calls[0] == MAX_MARCH_STEPS
+
+    # on circular's fold F = t^2 + u^2 - 1 + x^3 is u^2 there: F_u = 0
+    FOLD = (0.6, 0.64 ** (1.0 / 3.0))
+
+    def test_zero_length_path_is_judged_at_its_end(self, solutions):
+        b, _, sol = solutions("circular")
+        v = domain._march(b.problem, sol, [self.FOLD, self.FOLD], 0.0)
+        assert (v.kind, v.u, v.f_u, v.at) == ("boundary", None, 0.0,
+                                              self.FOLD)
+        start = (0.0, 0.05)
+        u0 = evaluate(b.data.h, {"x1": 0.05})
+        v = domain._march(b.problem, sol, [start, start], u0)
+        assert (v.kind, v.u, v.at) == ("inside", u0, start)
+        assert v.f_u == 2.0 * u0
+
+    @pytest.mark.parametrize("goal", [(0.9, FOLD[1]), (0.0, 0.0)])
+    def test_onset_before_any_accepted_step(self, goal, solutions,
+                                            monkeypatch):
+        # Newton from u = 0 meets F_u = 0 at once, toward the outside
+        # (t up) as toward the inside, so no step is ever accepted
+        b, _, sol = solutions("circular")
+        calls = counting_corrector(monkeypatch)
+        v = domain._march(b.problem, sol, [self.FOLD, goal], 0.0)
+        assert (v.kind, v.u, v.f_u) == ("outside", None, 0.0)
+        assert math.dist(v.at, self.FOLD) <= (
+            2 * domain.MIN_FRACTION * math.dist(self.FOLD, goal))
+        # one corrector call per step size, INITIAL_FRACTION halved down
+        # to MIN_FRACTION of the path
+        assert calls[0] == 1 + math.ceil(
+            math.log2(domain.INITIAL_FRACTION / domain.MIN_FRACTION))
+
+    def test_healthy_F_u_where_F_is_undefined(self):
+        # F = u - (1 + sqrt(x)^2) has F_u = 1 everywhere, and no value at
+        # x < 0, which the path from s* = 0.05 to x = -0.5 crosses
+        problem, data = make_problem(
+            1, "1", ["0"], "0", "1 + sqrt(x)^2",
+            Box((-0.5, 1.0), ((-1.0, 1.0),), (0.0, 3.0)),
+            s_range=((0.05, 0.5),))
+        _, sol = implicit_solution_for_problem(problem, data)
+        with pytest.raises(PathLeftWindowError,
+                           match=r"with healthy F_u = 1\.000e\+00"):
+            contains(problem, data, sol, [0.5, -0.5])
+
+    def test_staircase_retry_after_a_straight_path_fails(self, pipelines,
+                                                         monkeypatch):
+        b, sol, _, _, _, dom = pipelines("circular", 48)
+        q = [0.5, 0.5]
+        straight = contains(b.problem, b.data, sol, q)
+        march = domain._march
+        legs = []
+
+        def fail_straight(problem, sol, waypoints, u0):
+            legs.append(len(waypoints) - 1)
+            if len(legs) == 1:
+                raise PathLeftWindowError("straight path cut")
+            return march(problem, sol, waypoints, u0)
+
+        monkeypatch.setattr(domain, "_march", fail_straight)
+        with pytest.raises(PathLeftWindowError, match="straight path cut"):
+            contains(b.problem, b.data, sol, q)
+        legs.clear()
+        v = contains(b.problem, b.data, sol, q, domain=dom)
+        assert legs[0] == 1 and legs[1] > 1
+        assert v.kind == "inside"
+        assert abs(v.u - straight.u) <= 1e-8
+        assert v.at == tuple(q)
+        # no staircase reaches the masked-off corner: the error stands
+        legs.clear()
+        with pytest.raises(PathLeftWindowError, match="straight path cut"):
+            contains(b.problem, b.data, sol, [1.39, 1.39], domain=dom)
+        assert legs == [1]
 
     def test_path_points_are_floats(self, solutions):
         b, _, sol = solutions("burgers_reciprocal")

@@ -107,6 +107,19 @@ class TestEval:
             ev("u^0.5", n=0, t=0.0, u=-2.0)
         assert ev("u^3", n=0, t=0.0, u=-2.0) == -8.0
 
+    @pytest.mark.parametrize("text", ["sin(u)", "cos(u)", "1 + sin(2*cos(u))"])
+    @pytest.mark.parametrize("u", [math.inf, -math.inf])
+    def test_sin_and_cos_of_infinity(self, text, u):
+        with pytest.raises(EvalDomainError, match="of infinite value"):
+            ev(text, n=0, t=0.0, u=u)
+        with pytest.raises(EvalDomainError, match="of infinite value"):
+            compile_exprs([parse(text, n=0)], ("t", "u"))(0.0, u)
+        _, ok = evaluate_grid(parse(text, n=0), {"t": np.float64(0.0),
+                                                 "u": np.array([u, 0.0])},
+                              shape=(2,))
+        assert list(ok) == [False, True]
+        assert math.isnan(ev("sin(u) + cos(u)", n=0, t=0.0, u=math.nan))
+
     def test_unbound_variable(self):
         with pytest.raises(EvalDomainError, match="unbound"):
             ev("t + u", n=0, t=1.0)
@@ -343,8 +356,11 @@ class TestCompile:
             assert same_outcome(outcome(lambda: f(t, u)), expect)
         exp_u = compile_exprs([parse("exp(u)", n=0)], ("t", "u"))
         assert exp_u(0.0, 1e4) == (math.inf,)
-        with pytest.raises(ValueError, match="math domain error"):
-            compile_exprs([parse("sin(u)", n=0)], ("t", "u"))(0.0, math.inf)
+        sin_u = parse("sin(u)", n=0)
+        expect = outcome(lambda: [evaluate(sin_u, {"t": 0.0, "u": math.inf})])
+        assert expect[1][0] is EvalDomainError
+        assert same_outcome(outcome(
+            lambda: compile_exprs([sin_u], ("t", "u"))(0.0, math.inf)), expect)
 
     def test_shared_subtree_is_computed_once(self):
         # two parses give equal but distinct trees: sin(x1*u) is shared by
