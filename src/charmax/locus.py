@@ -10,8 +10,9 @@ all crossing cells at once, and are built on demand, for point-cloud
 dumps only.
 
 The singular locus is the subset of the surface where F_u vanishes too.
-Cells where both F and F_u change sign seed a damped Newton polish; in the
-space case the polished points are then ordered into polylines by
+Crossing cells where F_u changes sign too, F_u taken only at their
+corners, seed a damped Newton polish that runs all seeds in lockstep; in
+the space case the polished points are then ordered into polylines by
 pseudo-arclength continuation along the one-dimensional solution curve.
 
 Splitting off the connected component of the initial set is a pure
@@ -282,7 +283,11 @@ def cell_of(axes, point):
 
 
 def cell_center(axes, cell) -> np.ndarray:
-    return np.array([0.5 * (ax[i] + ax[i + 1]) for ax, i in zip(axes, cell)])
+    """Centre of a grid cell; for an (m, dim) array of cells, the (m, dim)
+    array of centres."""
+    cell = np.asarray(cell)
+    return np.stack([0.5 * (ax[i] + ax[i + 1])
+                     for ax, i in zip(axes, np.moveaxis(cell, -1, 0))], axis=-1)
 
 
 def flood(mask: np.ndarray, seeds, parents: bool = False):
@@ -400,46 +405,141 @@ class _SigmaSystem:
         return t / norm
 
 
-def _polish_seed(sys: _SigmaSystem, center, box: Box):
-    dim = sys.n + 2
+def _seed_cells(F_u: Expr, surface: LevelSurface) -> np.ndarray:
+    """The crossing cells where F_u changes sign too, by the rule of
+    ``_classify_cells``, with F_u evaluated only at the distinct corners of
+    the crossing cells."""
+    cells = surface.cells
+    shape = surface.values.shape
+    offsets = np.array(_corner_offsets(surface.dim))
+    corners = (np.ravel_multi_index(cells.T, shape)[:, None]
+               + np.ravel_multi_index(offsets.T, shape))
+    flat, inverse = np.unique(corners, return_inverse=True)
+    coords = [ax[i] for ax, i in zip(surface.axes,
+                                     np.unravel_index(flat, shape))]
+    values, valid = evaluate_grid(
+        F_u, dict(zip(var_names(surface.dim - 2), coords)), shape=flat.shape)
+    inverse = inverse.reshape(corners.shape)
+    v = values[inverse]
+    seed = (valid[inverse].all(axis=1) & (v >= 0.0).any(axis=1)
+            & (v < 0.0).any(axis=1))
+    return cells[seed]
+
+
+def _evaluate_rows(fn, points, width: int):
+    """``fn`` at each row of ``points``: the (k, width) values and the (k,)
+    mask of the rows where it evaluated."""
+    out = np.zeros((len(points), width))
+    ok = np.ones(len(points), dtype=bool)
+    for i, p in enumerate(points.tolist()):
+        try:
+            out[i] = fn(*p)
+        except EvalDomainError:
+            ok[i] = False
+    return out, ok
+
+
+def _squared_norms(v: np.ndarray) -> np.ndarray:
+    """Row-wise ``np.dot(v, v)``, bit for bit: a stacked product runs the
+    same BLAS dot, where ``v0*v0 + v1*v1`` rounds differently."""
+    return (v[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _solve_rows(J: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Steps ``J^-1 b`` of a stack of square systems; NaN rows where J is
+    exactly singular."""
+    try:
+        return np.linalg.solve(J, b[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        out = np.full(b.shape, np.nan)
+        for i, (Ji, bi) in enumerate(zip(J, b)):
+            try:
+                out[i] = np.linalg.solve(Ji, bi)
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _free_pairs(sys: _SigmaSystem, centers: np.ndarray) -> np.ndarray:
+    """Per seed, the two coordinates the polish moves: all of them in the
+    plane case; in the space case all but the largest component of the
+    curve tangent at the cell centre, or (t, x) when that tangent is zero,
+    non-finite or fails to evaluate (the rank check flags degeneracy
+    later)."""
+    k, dim = centers.shape
+    free = np.tile([0, 1], (k, 1))
     if dim == 2:
-        free = [0, 1]
-    else:
-        t = sys.tangent(center)
-        if t is None:
-            # fall back to freezing u; the rank check flags degeneracy later
-            free = [0, 1]
-        else:
-            frozen = int(np.argmax(np.abs(t)))
-            free = [i for i in range(dim) if i != frozen]
-
-    base = np.asarray(center, dtype=float)
-
-    def embed(xy):
-        p = base.copy()
-        p[free] = xy
-        return p
-
-    def res(xy):
-        return sys.residual(embed(xy))
-
-    def jac(xy):
-        J = sys.jacobian2(embed(xy))
-        return None if J is None else J[:, free]
-
-    sol = _damped_newton(res, jac, base[free])
-    if sol is None:
-        return None
-    point = embed(sol)
-    return point if box.contains(point, atol=1e-12) else None
+        return free
+    J, ok = _evaluate_rows(sys.derivatives, centers, 2 * dim)
+    J = J.reshape(k, 2, dim)
+    T = np.cross(J[:, 0], J[:, 1])
+    norm = np.sqrt(_squared_norms(T))
+    ok &= (norm != 0.0) & np.isfinite(norm)
+    frozen = np.argmax(np.abs(T[ok] / norm[ok, None]), axis=1)
+    free[ok] = np.array([[1, 2], [0, 2], [0, 1]])[frozen]
+    return free
 
 
-def _is_degenerate(sys: _SigmaSystem, point) -> bool:
-    J = sys.jacobian2(point)
-    if J is None:
-        return True
-    sv = np.linalg.svd(J, compute_uv=False)
-    return bool(sv[-1] <= DEGENERATE_RATIO * max(sv[0], 1e-300))
+def _polish(sys: _SigmaSystem, centers: np.ndarray, box: Box):
+    """Damped Newton on (F, F_u) = 0 from every seed-cell centre at once,
+    in each seed's free pair of coordinates, the others frozen at the
+    centre.  The steps of ``_damped_newton``, on the rows still active:
+    converged at NEWTON_TOL, one stacked 2 x 2 solve, Armijo halving of
+    the rows whose step is not yet accepted.  A row fails where the
+    residual or Jacobian does not evaluate, the Jacobian is singular, the
+    step is not finite, the halving runs out, NEWTON_MAXIT runs out or the
+    root lies outside the box.  Returns the (k, dim) points, NaN for
+    failed seeds, and the (k,) mask of the seeds that converged."""
+    k, dim = centers.shape
+    free = _free_pairs(sys, centers)
+    P = centers.astype(float)
+    R, active = _evaluate_rows(sys.values, P, 2)
+    converged = np.zeros(k, dtype=bool)
+    for _ in range(NEWTON_MAXIT):
+        idx = np.flatnonzero(active)
+        done = np.abs(R[idx]).max(axis=1) <= NEWTON_TOL
+        converged[idx[done]] = True
+        idx = idx[~done]
+        active[:] = False            # a row stays by accepting a step
+        if not len(idx):
+            break
+        J, ok = _evaluate_rows(sys.derivatives, P[idx], 2 * dim)
+        idx = idx[ok]
+        J = np.take_along_axis(J[ok].reshape(-1, 2, dim), free[idx, None], 2)
+        step = _solve_rows(J, -R[idx])
+        ok = np.isfinite(step).all(axis=1)
+        idx, step = idx[ok], step[ok]
+        X = P[idx[:, None], free[idx]]
+        base = _squared_norms(R[idx])
+        pending = np.arange(len(idx))
+        lam = 1.0
+        while lam > 2.0 ** -24 and len(pending):
+            i = idx[pending]
+            cand = P[i]
+            cand[np.arange(len(i))[:, None], free[i]] = (X[pending]
+                                                        + lam * step[pending])
+            rc, good = _evaluate_rows(sys.values, cand, 2)
+            good &= _squared_norms(rc) <= (1 - 0.5 * lam) * base[pending]
+            P[i[good]], R[i[good]] = cand[good], rc[good]
+            active[i[good]] = True
+            pending = pending[~good]
+            lam *= 0.5
+    idx = np.flatnonzero(active)
+    converged[idx] = np.abs(R[idx]).max(axis=1) <= NEWTON_TOL
+    converged[converged] = box.contains(P[converged], atol=1e-12)
+    P[~converged] = np.nan
+    return P, converged
+
+
+def _degenerate(sys: _SigmaSystem, points: np.ndarray) -> np.ndarray:
+    """Per point, whether the 2 x dim Jacobian of (F, F_u) fails to
+    evaluate or is rank deficient relative to DEGENERATE_RATIO."""
+    dim = points.shape[1]
+    J, ok = _evaluate_rows(sys.derivatives, points, 2 * dim)
+    sv = np.linalg.svd(J[ok].reshape(-1, 2, dim), compute_uv=False)
+    flags = ~ok
+    flags[ok] = sv[:, -1] <= DEGENERATE_RATIO * np.maximum(sv[:, 0], 1e-300)
+    return flags
 
 
 def _trace_from(sys: _SigmaSystem, start, direction, box: Box, ds0,
@@ -490,41 +590,33 @@ def _trace_from(sys: _SigmaSystem, start, direction, box: Box, ds0,
 def extract_singular_locus(F: Expr, surface: LevelSurface) -> SingularLocus:
     """Refine the set {F = 0, F_u = 0} from cells where both sign-change.
 
-    Each seed cell is polished by damped Newton on the square system (in
-    the plane case in (t, u); in the space case in the two coordinates
+    The seeds are the crossing cells where F_u, evaluated at the corners of
+    the crossing cells only, changes sign too.  All seeds are polished in
+    lockstep by damped Newton on the square system from their cell centres
+    (in the plane case in (t, u); in the space case in the two coordinates
     across the solution curve, with the along-curve coordinate frozen).
     Space-case points are then ordered into polylines by pseudo-arclength
     continuation.  Diverging seeds are dropped and counted.
     """
     n = surface.dim - 2
     sys = _SigmaSystem(F, n)
-    fu_vals, fu_ok = _grid_values(sys.F_u, surface.axes, n)
-    fu_crossing, _ = _classify_cells(fu_vals, fu_ok, surface.dim)
-    seeds_mask = surface.crossing & fu_crossing
-    seed_cells = np.argwhere(seeds_mask)
-
-    polished = []
-    dropped = 0
-    for cell in seed_cells:
-        point = _polish_seed(sys, cell_center(surface.axes, cell),
-                             surface.box)
-        if point is None:
-            dropped += 1
-        else:
-            polished.append(point)
+    seed_cells = _seed_cells(sys.F_u, surface)
+    polished, ok = _polish(sys, cell_center(surface.axes, seed_cells),
+                           surface.box)
+    polished = polished[ok].tolist()
+    dropped = len(ok) - len(polished)
 
     # deduplicate within one cell diagonal, deterministically
     diag = surface.cell_diagonal
     points = np.zeros((len(polished), surface.dim))
     kept = 0
-    for point in sorted(polished, key=tuple):
+    for point in sorted(polished):
         if np.all(np.linalg.norm(points[:kept] - point, axis=1) > diag):
             points[kept] = point
             kept += 1
     points = points[:kept]
 
-    degenerate = np.array([_is_degenerate(sys, p) for p in points],
-                          dtype=bool)
+    degenerate = _degenerate(sys, points)
     polylines: list[np.ndarray] = []
 
     if n == 1:

@@ -56,10 +56,13 @@ class Box:
     def highs(self) -> np.ndarray:
         return np.array([r[1] for r in self.ranges])
 
-    def contains(self, point, atol: float = 0.0) -> bool:
+    def contains(self, point, atol: float = 0.0):
+        """Whether the point lies in the box widened by ``atol``; for an
+        (m, dim) array of points, the (m,) mask."""
         p = np.asarray(point, dtype=float)
-        return bool(np.all(p >= self.lows() - atol)
-                    and np.all(p <= self.highs() + atol))
+        inside = np.all((p >= self.lows() - atol) & (p <= self.highs() + atol),
+                        axis=-1)
+        return bool(inside) if p.ndim == 1 else inside
 
     def validate(self):
         for (lo, hi) in self.ranges:

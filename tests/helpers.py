@@ -6,16 +6,17 @@ import math
 from itertools import permutations
 
 import numpy as np
+import pytest
 
 import charmax
-from charmax import domain
+from charmax import domain, locus
 from charmax.domain import contains, maximal_domain
 from charmax.expr import (Binary, Const, EvalDomainError, Unary, Var, diff,
                           evaluate, var_names, variables)
 from charmax.integrals import implicit_solution_for_problem
 from charmax.locus import (LevelSurface, SurfaceComponent, _classify_cells,
-                           cell_of, extract_singular_locus, extract_surface,
-                           split_component)
+                           _grid_values, cell_of, extract_singular_locus,
+                           extract_surface, split_component)
 from charmax.problem import load_problem_bundle
 
 EXAMPLES = ("ode_quadratic", "circular", "burgers_ramp", "burgers_reciprocal")
@@ -148,6 +149,90 @@ def fold_lines_by_points(component, sigma) -> list:
         if keep:
             lines.append(keep)
     return lines
+
+
+# ---------------------------------------------------------------------------
+# References for the sigma stage: the full grid and one seed at a time
+
+def seed_cells_by_grid(F_u, surface):
+    """Reference for locus._seed_cells: F_u on every grid vertex, and the
+    crossing cells where it changes sign by _classify_cells."""
+    values, valid = _grid_values(F_u, surface.axes, surface.dim - 2)
+    fu_crossing, _ = _classify_cells(values, valid, surface.dim)
+    return np.argwhere(surface.crossing & fu_crossing)
+
+
+def _polish_seed(sys, center, box):
+    """One seed's polish by locus._damped_newton, in the two coordinates
+    across the curve (the tangent's largest component frozen), or None."""
+    dim = sys.n + 2
+    if dim == 2:
+        free = [0, 1]
+    else:
+        t = sys.tangent(center)
+        if t is None:
+            # fall back to freezing u; the rank check flags degeneracy later
+            free = [0, 1]
+        else:
+            frozen = int(np.argmax(np.abs(t)))
+            free = [i for i in range(dim) if i != frozen]
+
+    base = np.asarray(center, dtype=float)
+
+    def embed(xy):
+        p = base.copy()
+        p[free] = xy
+        return p
+
+    def res(xy):
+        return sys.residual(embed(xy))
+
+    def jac(xy):
+        J = sys.jacobian2(embed(xy))
+        return None if J is None else J[:, free]
+
+    sol = locus._damped_newton(res, jac, base[free])
+    if sol is None:
+        return None
+    point = embed(sol)
+    return point if box.contains(point, atol=1e-12) else None
+
+
+def polish_seed_by_seed(sys, centers, box):
+    """Reference for locus._polish: _polish_seed on each centre in turn.
+    Returns the (k, dim) points, NaN for failed seeds, and the (k,) mask
+    of the seeds that converged."""
+    points = np.full(np.shape(centers), np.nan)
+    ok = np.zeros(len(points), dtype=bool)
+    for i, center in enumerate(centers):
+        point = _polish_seed(sys, center, box)
+        if point is not None:
+            points[i], ok[i] = point, True
+    return points, ok
+
+
+def degenerate_point_by_point(sys, points):
+    """Reference for locus._degenerate: one SVD per point."""
+    flags = []
+    for point in points:
+        J = sys.jacobian2(point)
+        if J is None:
+            flags.append(True)
+            continue
+        sv = np.linalg.svd(J, compute_uv=False)
+        flags.append(bool(sv[-1] <= locus.DEGENERATE_RATIO
+                          * max(sv[0], 1e-300)))
+    return np.array(flags, dtype=bool)
+
+
+def singular_locus_by_seed(F, surface):
+    """extract_singular_locus with its seeds, polish and rank check
+    replaced by the references above."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(locus, "_seed_cells", seed_cells_by_grid)
+        patch.setattr(locus, "_polish", polish_seed_by_seed)
+        patch.setattr(locus, "_degenerate", degenerate_point_by_point)
+        return extract_singular_locus(F, surface)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -324,3 +325,49 @@ class TestFoldAtNZero:
         assert out[0] == verdict
         if verdict == "inside":
             assert abs(float(out[1]) - (1.0 + float(t)) ** 0.5) <= 1e-8
+
+
+class TestOutputDigests:
+    """The numerical outputs of `domain` and `singular` at the default
+    resolution, by sha256, as recorded at commit baf1d70 (x86-64, numpy
+    2.4, OpenBLAS 0.3.31).  A refactor keeps them; a change that moves a
+    number states that in CHANGES.md and records the new digests here.
+    `--with-surface` is left out: its rows come from numpy interpolation
+    on the grid."""
+
+    DIGESTS = {
+        "ode_quadratic": {
+            "domain.json": "e160023f3e6e05c6f0614180eabc6e722e2f3f0f252db07a57e914e668bb1baa",
+            "summary.json": "2789e22a2be1ba67eb8f21f56ee827ac351b3685e35a3141657e0d21abf7c4d6",
+            "sigma.csv": "d863f542e4082df4e526d38999862afea92806e46256dc379d54e931ec6ecd00",
+        },
+        "circular": {
+            "domain.json": "ef987f0bbe32741f5627a4a9fe818ecda6496cbe0975c3d3bddbbd9c2a690def",
+            "summary.json": "2129855b859319b3937bdc8c07d501ae876ca42b98bb804c9346a05dbc3edaa8",
+            "sigma.csv": "b55100a9e542162c61b930c40ba7f8c609193059f67fe5ab039787a10b313a72",
+        },
+        "burgers_ramp": {
+            "domain.json": "92f668ebf1f5118440a58fb927b7c6742c492a2e20b36174195d0bc72cfafa9b",
+            "summary.json": "e45e42b22bcd770d1c69b2e1cb6f6c0288ac52a8cccc42d0fa8a7bcbc913e9ea",
+            "sigma.csv": "6608ea832591eb48dd53444dc9cbcb4fe29bbdca9b4406ed7e55a3451beaa5bc",
+        },
+        "burgers_reciprocal": {
+            "domain.json": "fc82c0289a7fc60e8ca3e2ff3420a0ea53e0979669b56664c1a486e383aaec34",
+            "summary.json": "91592edebe277c84bfb45f9a33759c2bd3206e08208e0ad40e3f160b73f2c650",
+            "sigma.csv": "008c560e450a0e93ed3d614924d6889e1d8854185baaff5a1fab69817890b8f6",
+        },
+    }
+
+    @pytest.mark.parametrize("name", list(DIGESTS))
+    def test_outputs_match_the_recorded_digests(self, name, tmp_path,
+                                                capsys):
+        for command in ("domain", "singular"):
+            assert main([command, "--problem", problem_file(name),
+                         "--out", str(tmp_path)]) == 0
+        for file, digest in self.DIGESTS[name].items():
+            got = hashlib.sha256((tmp_path / file).read_bytes()).hexdigest()
+            assert got == digest, (
+                f"{name}: {file} is not byte-identical to the recorded "
+                f"output (sha256 {got}); a change to numerical results must "
+                "be stated in CHANGES.md, with the new digest recorded in "
+                "TestOutputDigests")

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,12 +7,15 @@ import pytest
 import helpers
 from charmax import locus
 from charmax.domain import MaximalDomain
-from charmax.expr import diff, evaluate, parse, var_names
+from charmax.expr import EvalDomainError, diff, evaluate, parse, var_names
+from charmax.integrals import implicit_solution_for_problem
 from charmax.locus import (_TETS3, ResolutionError, cell_center, cell_of,
                            cell_pieces, extract_singular_locus,
                            extract_surface, flood, patch_vertices,
                            split_component)
-from charmax.problem import Box, initial_set_samples, make_problem
+from charmax.problem import (Box, initial_set_samples, load_problem_bundle,
+                             make_problem)
+from test_cli import N0_FOLD_DATA, SQRT_DATA
 
 
 def adjacency_components(surface):
@@ -496,3 +500,187 @@ class TestDimensionLimit:
             s_range=((-0.1, 0.1), (-0.1, 0.1)))
         with pytest.raises(NotImplementedError):
             extract_surface(parse("u - x1 - x2", n=2), problem.box, 16)
+
+
+# Burgers-type laws u_t + a(u) u_x = 0 whose sigma polish drops seeds
+EXP_SIN_DATA = {
+    "n": 1, "alpha": "1", "a": ["exp(u)"], "b": "0", "h": "sin(x)",
+    "s_range": [-0.1, 0.1],
+    "box": {"t": [-0.5, 1.5], "x": [[-2.0, 2.0]], "u": [-1.3, 1.3]},
+}
+CUBE_GAUSS_DATA = {
+    "n": 1, "alpha": "1", "a": ["u^3/3"], "b": "0", "h": "exp(-x^2)",
+    "s_range": [-0.1, 0.1],
+    "box": {"t": [-0.5, 3.0], "x": [[-2.0, 3.0]], "u": [-0.2, 1.2]},
+}
+SIGMA_PROBLEMS = {"sqrt": SQRT_DATA, "n0_fold": N0_FOLD_DATA,
+                  "exp_sin": EXP_SIN_DATA, "cube_gauss": CUBE_GAUSS_DATA}
+SIGMA_CASES = (
+    [(name, r) for name in ("circular", "burgers_ramp", "burgers_reciprocal")
+     for r in (24, 48, 128)]
+    + [(name, r) for name in ("ode_quadratic", "n0_fold") for r in (64, 1024)]
+    + [(name, r) for name in ("sqrt", "exp_sin", "cube_gauss")
+       for r in (24, 48, 128)])
+
+
+@pytest.fixture(scope="module")
+def sigma_problem(tmp_path_factory, solutions):
+    """(bundle, solution) of a bundled problem or of SIGMA_PROBLEMS."""
+    cache = {}
+
+    def get(name):
+        if name not in SIGMA_PROBLEMS:
+            b, _, sol = solutions(name)
+            return b, sol
+        if name not in cache:
+            path = tmp_path_factory.mktemp("sigma") / f"{name}.json"
+            path.write_text(json.dumps(SIGMA_PROBLEMS[name]))
+            b = load_problem_bundle(path)
+            _, sol = implicit_solution_for_problem(b.problem, b.data, b.rho,
+                                                   b.f)
+            cache[name] = b, sol
+        return cache[name]
+
+    return get
+
+
+def _same_bytes(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and (
+        a.tobytes() == b.tobytes())
+
+
+class StubSigmaSystem(locus._SigmaSystem):
+    """Hand-written (F, F_u) and Jacobian on (t, x, u): the seed's label
+    round(x) picks the behaviour.  Where the Jacobian has no x column the
+    tangent is along x, so x stays frozen at the label."""
+
+    n = 1
+    CENTRES = np.array([[1.6, 0.0, 0.5],
+                        *([0.6, k, 0.5] for k in range(1, 10))])
+    # label 0 converges through Armijo halving (Newton on atan overshoots
+    # from 1.5 away); 8 (zero tangent, a root at the centre) and 9
+    # (non-finite tangent, polished in (t, x)) converge too
+    CONVERGES = [True] + [False] * 7 + [True, True]
+
+    def __init__(self):
+        pass
+
+    @staticmethod
+    def values(t, x, u):
+        label, s = round(x), t - 0.1
+        if label == 0:
+            return math.atan(s), u - 0.2
+        if label == 1:                      # no residual at the start
+            raise EvalDomainError("stub residual")
+        if label in (2, 3, 4):
+            return s + s * s, u - 0.2
+        if label in (5, 6):
+            return s, u - 0.2
+        if label == 7:                      # the root t = 5 is off the box
+            return t - 5.0, u - 0.2
+        if label == 8:
+            return t - 0.6, u - 0.5
+        return s, x - 9.05
+
+    @staticmethod
+    def derivatives(t, x, u):
+        label, s = round(x), t - 0.1
+        at_centre = t == 0.6
+        if label == 0:
+            return 1 / (1 + s * s), 0.0, 0.0, 0.0, 0.0, 1.0
+        if label in (2, 3, 4) and at_centre:
+            return 1 + 2 * s, 0.0, 0.0, 0.0, 0.0, 1.0
+        if label == 2:                      # no Jacobian after one step
+            raise EvalDomainError("stub Jacobian")
+        if label == 3:                      # exactly singular in (t, u)
+            return 1.0, 0.0, 1.0, 1.0, 0.0, 1.0
+        if label == 4:                      # the step overflows
+            return 5e-324, 0.0, 0.0, 0.0, 0.0, 1.0
+        if label == 5:                      # uphill: Armijo runs out
+            return -1.0, 0.0, 0.0, 0.0, 0.0, -1.0
+        if label == 6:                      # r shrinks by 0.7 a step
+            return 1 / 0.3, 0.0, 0.0, 0.0, 0.0, 1 / 0.3
+        if label == 8:
+            return (0.0,) * 6
+        if label == 9:
+            return 1.0, 0.0, 1e300, 0.0, 1.0, 1e300
+        return 1.0, 0.0, 0.0, 0.0, 0.0, 1.0
+
+
+STUB_BOX = Box((-2.0, 2.0), ((-1.0, 10.0),), (-1.0, 1.0))
+
+
+class TestSigmaStage:
+    @pytest.mark.parametrize("name, resolution", SIGMA_CASES)
+    def test_matches_the_seed_by_seed_reference(self, name, resolution,
+                                                sigma_problem):
+        b, sol = sigma_problem(name)
+        surface = extract_surface(sol.F, b.problem.box, resolution)
+        got = extract_singular_locus(sol.F, surface)
+        want = helpers.singular_locus_by_seed(sol.F, surface)
+        for field in ("points", "degenerate", "seed_cells"):
+            assert _same_bytes(getattr(got, field), getattr(want, field)), field
+        assert len(got.polylines) == len(want.polylines)
+        assert all(map(_same_bytes, got.polylines, want.polylines))
+        assert got.dropped == want.dropped
+        if name == "exp_sin":
+            assert got.dropped == 2
+        elif name == "cube_gauss":
+            assert 8 <= got.dropped <= 11
+        elif (name, resolution) == ("burgers_reciprocal", 128):
+            assert (len(got.seed_cells), len(got.points), got.dropped) == (
+                1463, 80, 2)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_every_exit_in_one_batch(self):
+        stub, centres = StubSigmaSystem(), StubSigmaSystem.CENTRES
+        points, ok = locus._polish(stub, centres, STUB_BOX)
+        assert ok.tolist() == StubSigmaSystem.CONVERGES
+        want_points, want_ok = helpers.polish_seed_by_seed(stub, centres,
+                                                           STUB_BOX)
+        assert _same_bytes(ok, want_ok)
+        assert _same_bytes(points, want_points)
+        assert np.abs(points[0] - [0.1, 0.0, 0.2]).max() <= 1e-12
+        assert points[8].tolist() == centres[8].tolist()
+        assert np.abs(points[9] - [0.1, 9.05, 0.5]).max() <= 1e-12
+        solo, solo_ok = locus._polish(stub, centres[:1], STUB_BOX)
+        assert solo_ok.tolist() == [True]
+        assert _same_bytes(solo[0], points[0])
+
+    def test_degenerate_flags_match_one_svd_per_point(self):
+        stub = StubSigmaSystem()
+        points = StubSigmaSystem.CENTRES + [0.1, 0.0, 0.0]   # off-centre
+        flags = locus._degenerate(stub, points)
+        assert _same_bytes(flags, helpers.degenerate_point_by_point(stub,
+                                                                     points))
+        assert flags.any() and not flags.all()
+        assert locus._degenerate(stub, points[:0]).shape == (0,)
+
+    def test_squared_norms_equal_dot(self):
+        rng = np.random.default_rng(23)
+        for dim in (2, 3):
+            v = rng.standard_normal((20000, dim)) * np.exp(
+                rng.uniform(-20.0, 20.0, (20000, 1)))
+            want = np.array([np.dot(r, r) for r in v])
+            assert _same_bytes(locus._squared_norms(v), want)
+
+    def test_cell_centres_of_an_array_match_one_cell_at_a_time(self):
+        axes = (np.linspace(-1.0, 2.0, 13), np.linspace(0.0, 0.7, 9),
+                np.linspace(-3.0, 3.1, 17))
+        rng = np.random.default_rng(29)
+        cells = rng.integers(0, [12, 8, 16], (100, 3))
+        centres = cell_center(axes, cells)
+        assert _same_bytes(centres, np.array([cell_center(axes, c)
+                                              for c in cells.tolist()]))
+        assert _same_bytes(centres[0], np.array(
+            [0.5 * (ax[i] + ax[i + 1]) for ax, i in zip(axes, cells[0])]))
+        assert cell_center(axes, cells[:0]).shape == (0, 3)
+
+    def test_no_crossing_cells_no_seeds(self):
+        F = parse("u - 10", n=1)
+        surface = extract_surface(F, Box((0.0, 1.0), ((0.0, 1.0),),
+                                         (-1.0, 1.0)), 16)
+        sigma = extract_singular_locus(F, surface)
+        assert sigma.seed_cells.shape == (0, 3)
+        assert sigma.points.shape == (0, 3) and sigma.dropped == 0
