@@ -24,8 +24,8 @@ import numpy as np
 from .expr import EvalDomainError, Expr, diff, evaluate, var_names
 from .expr import compile as compile_exprs
 from .integrals import ImplicitSolution, _newton_u
-from .locus import (SurfaceComponent, _damped_newton, cell_center, cell_of,
-                    flood)
+from .locus import (SurfaceComponent, _damped_newton, cell_center,
+                    cell_indices, cell_of, flood)
 from .problem import InitialData, Problem
 
 SOLVE_TOL = 1e-12
@@ -184,6 +184,18 @@ def _neighbour(mask: np.ndarray, axis: int, step: int) -> np.ndarray:
     return out
 
 
+def _beside(mask: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Per row of the (m, ndim) ``cells``, whether a cell sharing a facet
+    with it lies in ``mask``."""
+    out = np.zeros(len(cells), dtype=bool)
+    for axis, size in enumerate(mask.shape):
+        for step in (-1, 1):
+            near = cells + step * np.eye(mask.ndim, dtype=cells.dtype)[axis]
+            on = (near[:, axis] >= 0) & (near[:, axis] < size)
+            out[on] |= mask[tuple(near[on].T)]
+    return out
+
+
 def _assemble_boundary(component: SurfaceComponent, mask, base_axes):
     """Window boundary from the mask outline: the sides of masked cells
     whose neighbour is neither masked nor a singular base cell (a side
@@ -191,7 +203,7 @@ def _assemble_boundary(component: SurfaceComponent, mask, base_axes):
     closed = mask | component.sigma_cells.any(axis=-1)
     outline = [(tuple(base), axis, step)
                for axis in range(mask.ndim) for step in (-1, 1)
-               for base in np.argwhere(
+               for base in cell_indices(
                    mask & ~_neighbour(closed, axis, step)).tolist()]
     return [BoundaryPolyline("window", line)
             for line in _chain_outline(outline, base_axes)]
@@ -261,15 +273,11 @@ def _attach_sigma_boundary(dom: MaximalDomain, component: SurfaceComponent,
     as fold boundary."""
     axes = component.surface.axes
     near = component.sigma_cells
-    comp = component.mask
-    # singular cells, and cells sharing a facet with a component cell
-    near_or_touching = near.copy()
-    for axis in range(comp.ndim):
-        for step in (-1, 1):
-            near_or_touching |= _neighbour(comp, axis, step)
     fold_lines = []
     for line in sigma.polylines:
-        keep = line[near_or_touching[tuple(cell_of(axes, line).T)]]
+        # in a singular cell, or sharing a facet with a component cell
+        cells = cell_of(axes, line)
+        keep = line[near[tuple(cells.T)] | _beside(component.mask, cells)]
         if len(keep):
             fold_lines.append(keep[:, :-1])
     if not fold_lines and len(sigma.points):

@@ -2,23 +2,25 @@
 
 The zero set of F is discretized over the computational box on a regular
 grid: a cell "crosses" when F changes sign among its corner vertices,
-and adjacency is shared-facet adjacency between crossing cells.  Linear
-pieces of the surface inside the cells (marching-squares segments in the
-plane case, triangles from a six-tetrahedron cube decomposition in the
-space case) come from one sign-case table per cell shape, looked up for
-all crossing cells at once, and are built on demand, for point-cloud
-dumps only.
+and adjacency is shared-facet adjacency between crossing cells.  Each
+vertex gets a sign code and each cell the OR of its corners' codes,
+reduced one axis at a time.  Linear pieces of the surface inside the
+cells (marching-squares segments in the plane case, triangles from a
+six-tetrahedron cube decomposition in the space case) come from one
+sign-case table per cell shape, looked up for all crossing cells at
+once, and are built on demand, for point-cloud dumps only.
 
 The singular locus is the subset of the surface where F_u vanishes too.
-Crossing cells where F_u changes sign too, F_u taken only at their
-corners, seed a damped Newton polish that runs all seeds in lockstep; in
-the space case the polished points are then ordered into polylines by
+Crossing cells where F_u changes sign too, by the same sign codes with
+F_u taken only at their corners, seed a damped Newton polish that runs
+all seeds in lockstep; the polished points are thinned to one per cell
+diagonal, and in the space case ordered into polylines by
 pseudo-arclength continuation along the one-dimensional solution curve.
 
 Splitting off the connected component of the initial set is a pure
 flood fill over cell adjacency with singular cells removed.  The grid
-helpers here (cell lookup, cell centres, flood fill) serve the base-space
-mask as well.
+helpers here (cell lookup, cell centres, mask to index list by one flat
+scan, flood fill) serve the base-space mask as well.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ class LevelSurface:
     def cells(self) -> np.ndarray:
         """(k, dim) indices of the crossing cells, lexicographically
         sorted."""
-        return np.argwhere(self.crossing)
+        return cell_indices(self.crossing)
 
 
 @dataclass
@@ -96,7 +98,7 @@ class SurfaceComponent:
     def cells(self) -> np.ndarray:
         """(k, dim) indices of the component cells, lexicographically
         sorted."""
-        return np.argwhere(self.mask)
+        return cell_indices(self.mask)
 
 
 # ---------------------------------------------------------------------------
@@ -113,22 +115,29 @@ def _corner_offsets(dim: int):
     return list(product((0, 1), repeat=dim))
 
 
+def _sign_codes(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Per vertex, 1 when valid and >= 0, 2 when valid and < 0, 4 when
+    invalid (a valid NaN gets 0)."""
+    code = (values < 0.0).view(np.uint8) << 1
+    code |= values >= 0.0
+    code[~valid] = 4
+    return code
+
+
+def _cell_or(code: np.ndarray, dim: int) -> np.ndarray:
+    """Per cell, the OR of its corner codes, one axis at a time."""
+    for axis in range(dim):
+        at = (slice(None),) * axis
+        code = code[at + (slice(None, -1),)] | code[at + (slice(1, None),)]
+    return code
+
+
 def _classify_cells(values: np.ndarray, valid: np.ndarray, dim: int):
     """Masks over cells: all corners valid, and both F signs present
-    (a vertex value of exactly zero counts as positive)."""
-    cell_shape = tuple(s - 1 for s in values.shape)
-    all_ok = np.ones(cell_shape, dtype=bool)
-    has_pos = np.zeros(cell_shape, dtype=bool)
-    has_neg = np.zeros(cell_shape, dtype=bool)
-    for offs in _corner_offsets(dim):
-        sl = tuple(slice(1, None) if o else slice(None, -1) for o in offs)
-        v = values[sl]
-        ok = valid[sl]
-        all_ok &= ok
-        has_pos |= ok & (v >= 0.0)
-        has_neg |= ok & (v < 0.0)
-    crossing = all_ok & has_pos & has_neg
-    return crossing, all_ok
+    (a vertex value of exactly zero counts as positive), from the cells'
+    OR of the vertex sign codes."""
+    code = _cell_or(_sign_codes(values, valid), dim)
+    return code == 3, code < 4
 
 
 def _square_case(case: int) -> list:
@@ -225,7 +234,7 @@ def extract_surface(F: Expr, box: Box, resolution: int) -> LevelSurface:
     values, valid = _grid_values(F, axes, n)
     crossing, all_ok = _classify_cells(values, valid, dim)
     return LevelSurface(F, box, resolution, axes, values, valid, crossing,
-                        np.argwhere(~all_ok))
+                        cell_indices(~all_ok))
 
 
 def cell_pieces(surface: LevelSurface):
@@ -266,6 +275,12 @@ def cell_pieces(surface: LevelSurface):
 
 # ---------------------------------------------------------------------------
 # Grid cells, shared with the base-space mask
+
+def cell_indices(mask: np.ndarray) -> np.ndarray:
+    """``np.argwhere(mask)`` by one flat scan: the (k, ndim) indices of the
+    True cells, lexicographically sorted."""
+    return np.transpose(np.unravel_index(np.flatnonzero(mask), mask.shape))
+
 
 def cell_of(axes, point):
     """Index of the grid cell holding ``point``, as a tuple; for an (m, dim)
@@ -407,23 +422,23 @@ class _SigmaSystem:
 
 def _seed_cells(F_u: Expr, surface: LevelSurface) -> np.ndarray:
     """The crossing cells where F_u changes sign too, by the rule of
-    ``_classify_cells``, with F_u evaluated only at the distinct corners of
-    the crossing cells."""
-    cells = surface.cells
-    shape = surface.values.shape
-    offsets = np.array(_corner_offsets(surface.dim))
-    corners = (np.ravel_multi_index(cells.T, shape)[:, None]
-               + np.ravel_multi_index(offsets.T, shape))
-    flat, inverse = np.unique(corners, return_inverse=True)
+    ``_classify_cells``, with F_u evaluated only at the corners of the
+    crossing cells: the vertices the crossing mask reaches when grown by
+    one vertex along each axis in turn, in flat order."""
+    corner = surface.crossing
+    for axis in range(surface.dim):
+        pad = [(0, int(a == axis)) for a in range(surface.dim)]
+        grown = np.pad(corner, pad)
+        grown[(slice(None),) * axis + (slice(1, None),)] |= corner
+        corner = grown
+    flat = np.flatnonzero(corner)
     coords = [ax[i] for ax, i in zip(surface.axes,
-                                     np.unravel_index(flat, shape))]
+                                     np.unravel_index(flat, corner.shape))]
     values, valid = evaluate_grid(
         F_u, dict(zip(var_names(surface.dim - 2), coords)), shape=flat.shape)
-    inverse = inverse.reshape(corners.shape)
-    v = values[inverse]
-    seed = (valid[inverse].all(axis=1) & (v >= 0.0).any(axis=1)
-            & (v < 0.0).any(axis=1))
-    return cells[seed]
+    code = np.zeros(corner.shape, dtype=np.uint8)
+    code.flat[flat] = _sign_codes(values, valid)
+    return cell_indices(surface.crossing & (_cell_or(code, surface.dim) == 3))
 
 
 def _evaluate_rows(fn, points, width: int):
@@ -587,6 +602,17 @@ def _trace_from(sys: _SigmaSystem, start, direction, box: Box, ds0,
     return points
 
 
+def _deduplicate(points: np.ndarray, diag: float) -> np.ndarray:
+    """The sorted points each more than ``diag`` from every earlier kept
+    point: each kept point drops the later points within ``diag``."""
+    keep = np.ones(len(points), dtype=bool)
+    for i in range(len(points)):
+        if keep[i]:
+            keep[i + 1:] &= np.linalg.norm(points[i] - points[i + 1:],
+                                           axis=1) > diag
+    return points[keep]
+
+
 def extract_singular_locus(F: Expr, surface: LevelSurface) -> SingularLocus:
     """Refine the set {F = 0, F_u = 0} from cells where both sign-change.
 
@@ -595,26 +621,20 @@ def extract_singular_locus(F: Expr, surface: LevelSurface) -> SingularLocus:
     lockstep by damped Newton on the square system from their cell centres
     (in the plane case in (t, u); in the space case in the two coordinates
     across the solution curve, with the along-curve coordinate frozen).
-    Space-case points are then ordered into polylines by pseudo-arclength
-    continuation.  Diverging seeds are dropped and counted.
+    Diverging seeds are dropped and counted.  The sorted polished points
+    are thinned so that no two kept points lie within one cell diagonal,
+    and space-case points are then ordered into polylines by
+    pseudo-arclength continuation.
     """
     n = surface.dim - 2
     sys = _SigmaSystem(F, n)
     seed_cells = _seed_cells(sys.F_u, surface)
     polished, ok = _polish(sys, cell_center(surface.axes, seed_cells),
                            surface.box)
-    polished = polished[ok].tolist()
+    polished = sorted(polished[ok].tolist())
     dropped = len(ok) - len(polished)
-
-    # deduplicate within one cell diagonal, deterministically
     diag = surface.cell_diagonal
-    points = np.zeros((len(polished), surface.dim))
-    kept = 0
-    for point in sorted(polished):
-        if np.all(np.linalg.norm(points[:kept] - point, axis=1) > diag):
-            points[kept] = point
-            kept += 1
-    points = points[:kept]
+    points = _deduplicate(np.reshape(polished, (-1, surface.dim)), diag)
 
     degenerate = _degenerate(sys, points)
     polylines: list[np.ndarray] = []

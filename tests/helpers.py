@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ import charmax
 from charmax import domain, locus
 from charmax.domain import contains, maximal_domain
 from charmax.expr import (Binary, Const, EvalDomainError, Unary, Var, diff,
-                          evaluate, var_names, variables)
+                          evaluate, evaluate_grid, var_names, variables)
 from charmax.integrals import implicit_solution_for_problem
 from charmax.locus import (LevelSurface, SurfaceComponent, _classify_cells,
                            _grid_values, cell_of, extract_singular_locus,
@@ -154,12 +154,62 @@ def fold_lines_by_points(component, sigma) -> list:
 # ---------------------------------------------------------------------------
 # References for the sigma stage: the full grid and one seed at a time
 
+def classify_cells_by_corners(values, valid, dim):
+    """Reference for locus._classify_cells: one slice per cell corner, its
+    validity and sign flags folded into the cell masks."""
+    cell_shape = tuple(s - 1 for s in values.shape)
+    all_ok = np.ones(cell_shape, dtype=bool)
+    has_pos = np.zeros(cell_shape, dtype=bool)
+    has_neg = np.zeros(cell_shape, dtype=bool)
+    for offs in product((0, 1), repeat=dim):
+        sl = tuple(slice(1, None) if o else slice(None, -1) for o in offs)
+        v = values[sl]
+        ok = valid[sl]
+        all_ok &= ok
+        has_pos |= ok & (v >= 0.0)
+        has_neg |= ok & (v < 0.0)
+    crossing = all_ok & has_pos & has_neg
+    return crossing, all_ok
+
+
 def seed_cells_by_grid(F_u, surface):
     """Reference for locus._seed_cells: F_u on every grid vertex, and the
-    crossing cells where it changes sign by _classify_cells."""
+    crossing cells where it changes sign by classify_cells_by_corners."""
     values, valid = _grid_values(F_u, surface.axes, surface.dim - 2)
-    fu_crossing, _ = _classify_cells(values, valid, surface.dim)
+    fu_crossing, _ = classify_cells_by_corners(values, valid, surface.dim)
     return np.argwhere(surface.crossing & fu_crossing)
+
+
+def seed_cells_by_unique(F_u, surface):
+    """Reference for locus._seed_cells: F_u at the distinct corners of the
+    crossing cells by np.unique, gathered back onto (k, 8) corners."""
+    cells = np.argwhere(surface.crossing)
+    shape = surface.values.shape
+    offsets = np.array(list(product((0, 1), repeat=surface.dim)))
+    corners = (np.ravel_multi_index(cells.T, shape)[:, None]
+               + np.ravel_multi_index(offsets.T, shape))
+    flat, inverse = np.unique(corners, return_inverse=True)
+    coords = [ax[i] for ax, i in zip(surface.axes,
+                                     np.unravel_index(flat, shape))]
+    values, valid = evaluate_grid(
+        F_u, dict(zip(var_names(surface.dim - 2), coords)), shape=flat.shape)
+    inverse = inverse.reshape(corners.shape)
+    v = values[inverse]
+    seed = (valid[inverse].all(axis=1) & (v >= 0.0).any(axis=1)
+            & (v < 0.0).any(axis=1))
+    return cells[seed]
+
+
+def deduplicate_point_by_point(points, diag):
+    """Reference for locus._deduplicate: each sorted point in turn, kept
+    when it lies more than diag from every point kept before it."""
+    kept = np.zeros(np.shape(points))
+    count = 0
+    for point in np.asarray(points).tolist():
+        if np.all(np.linalg.norm(kept[:count] - point, axis=1) > diag):
+            kept[count] = point
+            count += 1
+    return kept[:count]
 
 
 def _polish_seed(sys, center, box):

@@ -153,6 +153,20 @@ class TestProjectionOfHandMadeMasks:
         dom = maximal_domain(comp)
         assert np.argwhere(dom.mask).tolist() == [[1, 1], [1, 2]]
 
+    @pytest.mark.parametrize("shape", [(7,), (4, 5), (4, 5, 6)])
+    def test_beside_is_the_or_of_the_shifted_masks(self, shape):
+        rng = np.random.default_rng(31)
+        every_cell = np.argwhere(np.ones(shape, dtype=bool))
+        for density in (0.0, 0.1, 0.5, 1.0):
+            mask = rng.random(shape) < density
+            shifted = np.zeros(shape, dtype=bool)
+            for axis in range(len(shape)):
+                for step in (-1, 1):
+                    shifted |= domain._neighbour(mask, axis, step)
+            assert np.array_equal(domain._beside(mask, every_cell),
+                                  shifted[tuple(every_cell.T)])
+        assert domain._beside(mask, every_cell[:0]).shape == (0,)
+
     @pytest.mark.parametrize("name,resolution", [("ode_quadratic", 512),
                                                  ("circular", 48),
                                                  ("burgers_ramp", 48),

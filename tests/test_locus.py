@@ -3,14 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 from charmax import locus
 from charmax.domain import MaximalDomain
 from charmax.expr import EvalDomainError, diff, evaluate, parse, var_names
 from charmax.integrals import implicit_solution_for_problem
-from charmax.locus import (_TETS3, ResolutionError, cell_center, cell_of,
-                           cell_pieces, extract_singular_locus,
+from charmax.locus import (_TETS3, ResolutionError, cell_center,
+                           cell_indices, cell_of, cell_pieces,
+                           extract_singular_locus,
                            extract_surface, flood, patch_vertices,
                            split_component)
 from charmax.problem import (Box, initial_set_samples, load_problem_bundle,
@@ -684,3 +686,108 @@ class TestSigmaStage:
         sigma = extract_singular_locus(F, surface)
         assert sigma.seed_cells.shape == (0, 3)
         assert sigma.points.shape == (0, 3) and sigma.dropped == 0
+
+
+# vertex values that sit on the sign rule's edges: signed zeros, NaN (marked
+# valid or not), the tiniest subnormals
+EDGE_VALUES = np.array([0.0, -0.0, math.nan, 5e-324, -5e-324, 1.0, -1.0,
+                        math.inf, -math.inf])
+
+
+class TestCellReductions:
+    @given(shape=st.lists(st.integers(2, 5), min_size=2, max_size=3),
+           seed=st.integers(0, 2**32 - 1),
+           sign=st.sampled_from([None, 1.0, -1.0]),
+           invalid=st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_classification_matches_the_corner_loop(self, shape, seed, sign,
+                                                    invalid):
+        rng = np.random.default_rng(seed)
+        values = np.where(rng.random(shape) < 0.5,
+                          rng.choice(EDGE_VALUES, shape),
+                          rng.standard_normal(shape))
+        if sign is not None:                # one-sign grid, zeros >= 0
+            values = np.where(values == 0.0, sign, sign * np.abs(values))
+        valid = rng.random(shape) >= invalid
+        got = locus._classify_cells(values, valid, len(shape))
+        want = helpers.classify_cells_by_corners(values, valid, len(shape))
+        assert _same_bytes(got[0], want[0]) and _same_bytes(got[1], want[1])
+        if sign is not None:
+            assert not got[0].any()
+
+    def test_classification_of_the_smallest_grids(self):
+        for dim in (2, 3):
+            for corners in ([0.0] * 2 ** dim, [-0.0] * 2 ** dim,
+                            [0.0, -1.0] + [1.0] * (2 ** dim - 2),
+                            [-0.0, -1.0] + [-1.0] * (2 ** dim - 2),
+                            [math.nan, -1.0] + [1.0] * (2 ** dim - 2)):
+                values = np.reshape(corners, (2,) * dim)
+                for valid in (np.ones((2,) * dim, dtype=bool),
+                              np.arange(2 ** dim).reshape((2,) * dim) != 3):
+                    got = locus._classify_cells(values, valid, dim)
+                    want = helpers.classify_cells_by_corners(values, valid,
+                                                             dim)
+                    assert _same_bytes(got[0], want[0])
+                    assert _same_bytes(got[1], want[1])
+
+    @given(shape=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+           seed=st.integers(0, 2**32 - 1),
+           density=st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_cell_indices_equal_argwhere(self, shape, seed, density):
+        mask = np.random.default_rng(seed).random(shape) < density
+        got = cell_indices(mask)
+        assert _same_bytes(got, np.argwhere(mask))
+        assert got.dtype == np.intp and got.shape == (mask.sum(), len(shape))
+
+    def test_cell_indices_of_an_empty_mask(self):
+        for shape in ((4,), (3, 5), (2, 3, 4)):
+            got = cell_indices(np.zeros(shape, dtype=bool))
+            assert got.shape == (0, len(shape)) and got.dtype == np.intp
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_deduplication_at_the_diagonal(self, dim):
+        diag = 0.1 * math.sqrt(dim)
+        inside, outside = np.nextafter(diag, 0.0), np.nextafter(diag, 1.0)
+        points = np.zeros((4, dim))
+        points[1:, 0] = inside, diag, outside
+        # |p0 - p| is |p[0]| exactly, so the three sit one ulp apart
+        assert np.linalg.norm(points[0] - points[1:], axis=1).tolist() == [
+            inside, diag, outside]
+        got = locus._deduplicate(points, diag)
+        assert _same_bytes(got, helpers.deduplicate_point_by_point(points,
+                                                                   diag))
+        assert got.tolist() == [points[0].tolist(), points[3].tolist()]
+        # a dropped point drops nothing: p2 would drop p3, but p1 drops p2
+        chain = np.zeros((3, dim))
+        chain[1:, 0] = 0.75 * diag, 1.5 * diag
+        assert _same_bytes(locus._deduplicate(chain, diag), chain[[0, 2]])
+
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3]),
+           count=st.integers(0, 60))
+    @settings(max_examples=200, deadline=None)
+    def test_deduplication_matches_the_point_loop(self, seed, dim, count):
+        rng = np.random.default_rng(seed)
+        diag = 0.1
+        # points on a lattice of diag / 2, some an ulp off, so that many
+        # distances sit on the diagonal or right next to it
+        points = 0.05 * rng.integers(0, 6, (count, dim))
+        nudge = rng.random((count, dim)) < 0.2
+        points[nudge] = np.nextafter(points[nudge], rng.choice(
+            [-1.0, 1.0], nudge.sum()))
+        points = np.array(sorted(points.tolist())).reshape(-1, dim)
+        assert _same_bytes(locus._deduplicate(points, diag),
+                           helpers.deduplicate_point_by_point(points, diag))
+
+    @pytest.mark.parametrize("name, resolution", [
+        (name, r) for name in ("circular", "burgers_ramp", "burgers_reciprocal",
+                               "sqrt", "exp_sin") for r in (24, 48)]
+        + [("ode_quadratic", 64), ("n0_fold", 64)])
+    def test_seeds_match_the_unique_corner_rule(self, name, resolution,
+                                                sigma_problem):
+        b, sol = sigma_problem(name)
+        surface = extract_surface(sol.F, b.problem.box, resolution)
+        F_u = diff(sol.F, "u")
+        got = locus._seed_cells(F_u, surface)
+        assert _same_bytes(got, helpers.seed_cells_by_unique(F_u, surface))
+        assert len(got) or name == "ode_quadratic"
