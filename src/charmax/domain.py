@@ -9,8 +9,11 @@ Point queries do not use the grid at all: they continue the root of
 F(t, x, u) = 0 along a path from the initial set to the query point by
 predictor-corrector Newton steps.  The query answers "outside" where
 |F_u| shrinks before the path's end, which is where the implicit function
-theorem stops guaranteeing a single-valued branch; ``_march`` lists how a
-march ends.
+theorem stops guaranteeing a single-valued branch.  When a step finds no
+root, Newton on the turning-point system F = F_u = 0 (Keller 1977) locates
+that fold in one solve, checked by one corrector call just short of it;
+where the solve settles nothing, step halving locates the onset.
+``_march`` lists how a march ends.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -42,6 +46,18 @@ INITIAL_FRACTION = 1.0 / 16.0
 MAX_FRACTION = 1.0 / 8.0
 MIN_FRACTION = 1e-12
 BOUNDARY_FRACTION = 1e-3
+# turning-point solve: accepted points a march tries it from, Newton
+# iterations, and the least shrink factor of |ds| from the third iterate
+# on (Newton contracts quadratically at a regular fold, only linearly
+# where u runs off to infinity, which it reports as BLOW_UP)
+FOLD_PROBES = 3
+FOLD_MAXIT = 8
+FOLD_CONTRACTION = 0.5
+BLOW_UP = "blow-up"
+# edge of F's domain: corrector calls, and the failing step, as a fraction
+# of the path, that brackets it closely enough
+EDGE_STEPS = 90
+EDGE_FRACTION = 1e-8
 
 
 class ProjectionError(Exception):
@@ -337,6 +353,12 @@ def _singular_threshold(grads) -> float:
     return SINGULAR_FACTOR * (1.0 + _grad_norm(grads))
 
 
+def _relaxed_threshold(grads) -> float:
+    """The |F_u| up to which a branch that stops being trackable counts
+    as having met the singular locus."""
+    return math.sqrt(SINGULAR_FACTOR) * (1.0 + _grad_norm(grads))
+
+
 def _corrector(sol: ImplicitSolution, point, u):
     """Newton in u at a fixed base point.  Returns (u, f_u, ok)."""
     return _newton_u(sol.F, sol.F_and_Fu, point, u, SOLVE_TOL, CORRECTOR_MAXIT)
@@ -387,11 +409,30 @@ def _march(problem, sol, waypoints, u0) -> Verdict:
     """Continue u0 along the waypoint polyline by predictor-corrector
     steps.  A march that reaches the end (at once if the path has length
     zero) answers "inside", or "boundary" where |F_u| is below the singular
-    threshold.  Else step halving locates the onset to MIN_FRACTION of the
-    path: if F_u at the last accepted point (the start, if none was) has
-    shrunk to the relaxed threshold, the answer is "outside" ("boundary"
-    within the path's last BOUNDARY_FRACTION); if not, PathLeftWindowError,
-    as after MAX_MARCH_STEPS steps (a march creeping toward undefined F)."""
+    threshold.
+
+    A step whose corrector finds no root at all, with F and F_u defined,
+    after an accepted step may have crossed a fold: ``_turning_point``
+    solves F = F_u = 0 in that step, and one corrector call just short of
+    the solution confirms that the branch reaches it there with |F_u|
+    shrunk to the relaxed threshold.  The answer is then "outside"
+    ("boundary" within the path's last BOUNDARY_FRACTION) at the fold.
+    This is tried from at most FOLD_PROBES accepted points, and no more
+    once the solve finds u running off to infinity.  A solve that settles
+    nothing leaves the march as it was.
+
+    A step whose corrector runs into undefined F after an accepted step,
+    with F_u still above the relaxed threshold, may have met the edge of
+    F's domain, which the branch approaches so closely that step halving
+    would creep toward it for MAX_MARCH_STEPS steps.  ``_domain_edge``
+    marches on from there, once, with a tangent predictor; where it
+    brackets the edge, the answer is PathLeftWindowError.
+
+    Otherwise step halving locates the onset to MIN_FRACTION of the path:
+    if F_u at the last accepted point (the start, if none was) has shrunk
+    to the relaxed threshold, the answer is "outside" (or "boundary") at
+    the failed step; if not, PathLeftWindowError, as after MAX_MARCH_STEPS
+    steps (a march creeping toward undefined F)."""
     names = var_names(problem.n)
     pts = [tuple(float(c) for c in w) for w in waypoints]
     legs = [float(np.linalg.norm(np.subtract(b, a)))
@@ -404,7 +445,8 @@ def _march(problem, sol, waypoints, u0) -> Verdict:
         for a, b, L in zip(pts, pts[1:], legs):
             if s <= acc + L or L == 0.0:
                 frac = 0.0 if L == 0.0 else (s - acc) / L
-                return tuple(ai + frac * (bi - ai) for ai, bi in zip(a, b))
+                return tuple([ai + frac * (bi - ai)
+                              for ai, bi in zip(a, b)])
             acc += L
         return end
 
@@ -419,6 +461,9 @@ def _march(problem, sol, waypoints, u0) -> Verdict:
     s_cur = 0.0
     u = u0
     grads = None               # at the last accepted point, as is fu_good
+    probed_at = None           # the last accepted point probed from
+    folds = 0
+    edged = False
     steps = 0
     while s_cur < total:
         if steps == MAX_MARCH_STEPS:
@@ -439,17 +484,39 @@ def _march(problem, sol, waypoints, u0) -> Verdict:
                 s_cur = s_next
                 h = min(h * 1.4, h_max)
                 continue
+        elif (not ok and fu is None and grads is not None and not edged
+              and abs(fu_good) > _relaxed_threshold(grads)):
+            edged = True
+            found = _domain_edge(sol, at, pts, legs, s_cur, h, u, fu_good,
+                                 grads, fu_sign)
+            if found:
+                s_bad, fu_bad = found
+                raise PathLeftWindowError(
+                    f"path meets the edge of F's domain at {list(at(s_bad))} "
+                    f"with healthy F_u = {fu_bad:.3e}")
+        elif (not ok and fu is not None and grads is not None
+              and folds < FOLD_PROBES and probed_at != s_cur
+              and (dp := _leg_direction(pts, legs, s_cur, s_next))):
+            # no root at all after an accepted step, with F and F_u
+            # defined: a fold may lie in (s_cur, s_next]; but where Newton
+            # in u ran off to where F_u vanishes, u runs off to infinity
+            folds += 1
+            probed_at = s_cur
+            fold = (BLOW_UP if abs(fu) < _singular_threshold(grads) else
+                    _turning_point(sol, at, dp, s_cur, s_next, u, fu_sign,
+                                   h_min))
+            if fold is BLOW_UP:
+                folds = FOLD_PROBES
+            elif fold is not None:
+                return _onset(at, total, *fold)
         if h > h_min:
             h *= 0.5
             continue
         # the branch stops being trackable inside (s_cur, s_next]
         if grads is None:      # nothing accepted yet: judge at the start
             grads = sol.grad_values(*pts[0], u0)
-        relaxed = math.sqrt(SINGULAR_FACTOR) * (1.0 + _grad_norm(grads))
-        if abs(fu_good) <= relaxed:
-            kind = ("boundary" if total - s_next <= BOUNDARY_FRACTION * total
-                    else "outside")
-            return Verdict(kind, None, fu_good, at(s_next))
+        if abs(fu_good) <= _relaxed_threshold(grads):
+            return _onset(at, total, s_next, fu_good)
         raise PathLeftWindowError(
             f"corrector diverged at {list(at(s_next))} with healthy "
             f"F_u = {fu_good:.3e}; box too small or F undefined along the path")
@@ -458,6 +525,142 @@ def _march(problem, sol, waypoints, u0) -> Verdict:
     if abs(fu) < _singular_threshold(grads):
         return Verdict("boundary", None, fu, end)
     return Verdict("inside", u, fu, end)
+
+
+def _onset(at, total: float, s: float, fu: float) -> Verdict:
+    """"outside" at the parameter s of a path of length ``total`` where
+    its branch stops, "boundary" within the path's last
+    BOUNDARY_FRACTION."""
+    kind = "boundary" if total - s <= BOUNDARY_FRACTION * total else "outside"
+    return Verdict(kind, None, fu, at(s))
+
+
+def _track(sol, point, u: float, fu_sign: float):
+    """(u, F_u, gradient of F) of the corrector from u at the base point,
+    or None where it does not track the branch there: no root, or |F_u|
+    below the singular threshold or of the other sign than ``fu_sign``."""
+    u, fu, ok = _corrector(sol, point, u)
+    if ok and fu is not None and fu * fu_sign > 0:
+        grads = sol.grad_values(*point, u)
+        if abs(fu) >= _singular_threshold(grads):
+            return u, fu, grads
+    return None
+
+
+def _leg_direction(pts, legs, lo: float, hi: float):
+    """d at(s) / ds on the leg of the path through ``pts`` (leg lengths
+    ``legs``) that holds (lo, hi]; None where that spans two legs."""
+    acc = 0.0
+    for a, b, L in zip(pts, pts[1:], legs):
+        if lo < acc + L:
+            if hi > acc + L:
+                return None
+            return tuple([(bi - ai) / L for ai, bi in zip(a, b)])
+        acc += L
+    return None
+
+
+def _domain_edge(sol, at, pts, legs, s_good, h, u, fu_good, grads, fu_sign):
+    """Where the corrector of a march ran into undefined F, with F_u
+    healthy at the last accepted point (s_good, u), march on from there
+    to bracket the edge of F's domain.  Near that edge the branch stays
+    close to it, so the march's predictor, the last accepted u, lands
+    outside F's domain unless the step is tiny, and the march creeps.
+    Here each corrector starts from the tangent u + u' ds, with
+    u' = -F_s / F_u from the last accepted gradient ``grads``, and no
+    step reaches past the nearest point that failed since the last
+    accepted one; a step that fails halves the next one.
+
+    Returns (s_bad, F_u at the last accepted point) once a step shorter
+    than EDGE_FRACTION of the path fails with F_u there still above the
+    relaxed threshold: the branch ends at the edge.  None where it reaches
+    the path's end or F_u shrinks (a fold, left to the march), or after
+    EDGE_STEPS corrector calls."""
+    total = sum(legs)
+    s_bad = total              # nearest point failed since s_good moved
+    for _ in range(EDGE_STEPS):
+        s_try = min(s_good + h, s_bad)
+        dp = _leg_direction(pts, legs, s_good, s_good)
+        slope = -sum(map(mul, grads[:-1], dp)) / grads[-1]
+        tracked = _track(sol, at(s_try), u + slope * (s_try - s_good),
+                         fu_sign)
+        if tracked:
+            if s_try >= total:
+                return None
+            if s_try == s_bad:
+                s_bad = total
+            s_good = s_try
+            u, fu_good, grads = tracked
+            h *= 1.4
+        elif s_try - s_good > EDGE_FRACTION * total:
+            s_bad = s_try
+            h = 0.5 * (s_try - s_good)
+        elif abs(fu_good) > _relaxed_threshold(grads):
+            return s_try, fu_good
+        else:
+            return None
+    return None
+
+
+def _turning_point(sol, at, dp, s_lo, s_hi, u, fu_sign, tol):
+    """Newton for the fold G(s, u) = (F, F_u)(at(s), u) = 0 in the failed
+    step (s_lo, s_hi] of a march, from its last accepted point (s_lo, u).
+    The Jacobian of G is [[grad_b F . dp, F_u], [grad_b F_u . dp, F_uu]],
+    with ``dp`` = d at / ds on the step's leg, along which the iterates'
+    base points are at(s_lo) + (s - s_lo) dp.
+
+    Returns the fold s* and F_u at a check just short of it: a corrector
+    call where the quadratic fold model F ~ F_s (s - s*) + F_uu (u - u*)^2
+    / 2 puts F_u, with the sign ``fu_sign``, at the geometric mean of the
+    singular and the relaxed threshold.  That call must track the branch
+    (``_track``) with |F_u| within the relaxed threshold.  BLOW_UP where
+    |ds| shrinks by less than FOLD_CONTRACTION from the third iterate on
+    while du grows without changing sign: no fold lies ahead, u runs off
+    to infinity.  None where |ds| so shrinks otherwise, an iterate falls
+    back to s_lo or before (one beyond s_hi is put back on s_hi: from a
+    point of the branch, Newton overshoots a quadratic fold twice over in
+    s), the Jacobian is singular, F is undefined, FOLD_MAXIT iterates do
+    not bring |ds| below ``tol``, or the check fails."""
+    origin = at(s_lo)
+    m = len(origin) + 1        # fold_values: F, grad F, grad F_u
+    last = math.inf
+    s = s_lo
+    for it in range(FOLD_MAXIT):
+        try:
+            values = sol.fold_values(
+                *[o + (s - s_lo) * d for o, d in zip(origin, dp)], u)
+        except EvalDomainError:
+            return None
+        F, F_u, F_uu = values[0], values[m], values[-1]
+        F_s = sum(map(mul, values[1:m], dp))
+        F_us = sum(map(mul, values[m + 1:-1], dp))
+        det = F_s * F_uu - F_u * F_us
+        if det == 0.0:
+            return None
+        ds = (F_u * F_u - F * F_uu) / det
+        du = (F * F_us - F_s * F_u) / det
+        if it >= 2 and not abs(ds) <= FOLD_CONTRACTION * last:
+            return BLOW_UP if du * last_du > last_du * last_du else None
+        last, last_du = abs(ds), du
+        s = min(s + ds, s_hi)
+        u += du
+        if not (s_lo < s and math.isfinite(u)):
+            return None
+        if last <= tol:
+            break
+    else:
+        return None
+    if F_s * F_uu == 0.0:
+        return None
+    # F_u = F_uu (u - u*) and F_u^2 = 2 F_s F_uu (s* - s) on the model
+    target = SINGULAR_FACTOR ** 0.75 * (1.0 + _grad_norm(values[1:m + 1]))
+    s_check = s - target * target / (2.0 * abs(F_s * F_uu))
+    if not s_lo < s_check:
+        return None
+    checked = _track(sol, at(s_check), u + fu_sign * target / F_uu, fu_sign)
+    if checked and abs(checked[1]) <= _relaxed_threshold(checked[2]):
+        return s, checked[1]
+    return None
 
 
 def _staircase(domain: MaximalDomain, start, goal):

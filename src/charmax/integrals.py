@@ -114,7 +114,9 @@ class SolutionChecks:
 class ImplicitSolution:
     """F = f o rho with its u-derivative and gradient cached and compiled
     (``F_and_Fu`` and ``grad_values`` take t, x1..xn, u), and what its
-    checks measured."""
+    checks measured.  ``fold_values`` gives F, grad F and grad F_u (whose
+    last component is F_uu) at one point, for the query's turning-point
+    solve; it is compiled on its first call."""
 
     f: Expr
     F: Expr
@@ -125,6 +127,7 @@ class ImplicitSolution:
     checks: SolutionChecks = field(compare=False)
     F_and_Fu: Callable = field(compare=False, repr=False)
     grad_values: Callable = field(compare=False, repr=False)
+    fold_values: Callable = field(compare=False, repr=False)
 
 
 def apply_field(fld: VectorField, g: Expr) -> Expr:
@@ -297,9 +300,26 @@ def build_implicit_solution(rho_set: FirstIntegralSet, f: Expr, gamma,
         min_Fu = min(min_Fu, abs(fu))
 
     flow = _check_flow_invariance(F, F_and_Fu, gradient, fld, box, gamma)
-    return ImplicitSolution(f, F, F_u, gradient, gamma, n,
-                            SolutionChecks(max_F, min_Fu, *flow), F_and_Fu,
-                            compile_exprs(gradient, names))
+    return ImplicitSolution(
+        f, F, F_u, gradient, gamma, n, SolutionChecks(max_F, min_Fu, *flow),
+        F_and_Fu, compile_exprs(gradient, names),
+        _compiled_on_first_call(lambda: compile_exprs(
+            [F, *gradient, *(diff(F_u, v) for v in names)], names)))
+
+
+def _compiled_on_first_call(build: Callable) -> Callable:
+    """The function ``build()`` returns, built when it is first called:
+    a query that never needs it never pays for differentiating and
+    compiling its trees."""
+    compiled = None
+
+    def call(*values):
+        nonlocal compiled
+        if compiled is None:
+            compiled = build()
+        return compiled(*values)
+
+    return call
 
 
 def _check_flow_invariance(F, F_and_Fu, gradient, fld, box, gamma):

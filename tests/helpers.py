@@ -363,9 +363,84 @@ def newton_u_by_tree(F, F_u, binding: dict, u: float, tol: float,
 
 
 # ---------------------------------------------------------------------------
-# Reference for the continuation march: step halving to MIN_FRACTION, then a
-# fixed 60-step bisection of the failing step for the onset, on numpy path
-# points, without a bound on the number of steps
+# References for the continuation march
+
+def march_by_halving(problem, sol, waypoints, u0):
+    """Stands in for domain._march: the march without its fold and edge
+    probes, locating every onset by step halving."""
+    names = var_names(problem.n)
+    pts = [tuple(float(c) for c in w) for w in waypoints]
+    legs = [float(np.linalg.norm(np.subtract(b, a)))
+            for a, b in zip(pts, pts[1:])]
+    total = sum(legs)
+    end = pts[-1]
+
+    def at(s: float) -> tuple:
+        acc = 0.0
+        for a, b, L in zip(pts, pts[1:], legs):
+            if s <= acc + L or L == 0.0:
+                frac = 0.0 if L == 0.0 else (s - acc) / L
+                return tuple(ai + frac * (bi - ai) for ai, bi in zip(a, b))
+            acc += L
+        return end
+
+    # F_u alone, as other components of the gradient may fail to
+    # evaluate on the initial set where F_u does not
+    fu_good = evaluate(sol.F_u, dict(zip(names, [*pts[0], u0])))
+    fu_sign = 1.0 if fu_good >= 0 else -1.0
+
+    h = total * domain.INITIAL_FRACTION
+    h_max = total * domain.MAX_FRACTION
+    h_min = total * domain.MIN_FRACTION
+    s_cur = 0.0
+    u = u0
+    grads = None               # at the last accepted point, as is fu_good
+    steps = 0
+    while s_cur < total:
+        if steps == domain.MAX_MARCH_STEPS:
+            raise domain.PathLeftWindowError(
+                f"path not ended after {steps} steps, at {list(at(s_cur))} "
+                f"({s_cur / total:.6g} of it); F undefined along the path?")
+        steps += 1
+        s_next = min(s_cur + h, total)
+        point = at(s_next)
+        u_new, fu, ok = domain._corrector(sol, point, u)
+        if ok and fu is not None:
+            # crossing the singular locus on the branch is either |F_u|
+            # fading out or F_u flipping sign between step points
+            grads_new = sol.grad_values(*point, u_new)
+            if (abs(fu) >= domain._singular_threshold(grads_new)
+                    and fu * fu_sign > 0):
+                u, fu_good, grads = u_new, fu, grads_new
+                s_cur = s_next
+                h = min(h * 1.4, h_max)
+                continue
+        if h > h_min:
+            h *= 0.5
+            continue
+        # the branch stops being trackable inside (s_cur, s_next]
+        if grads is None:      # nothing accepted yet: judge at the start
+            grads = sol.grad_values(*pts[0], u0)
+        relaxed = (math.sqrt(domain.SINGULAR_FACTOR)
+                   * (1.0 + domain._grad_norm(grads)))
+        if abs(fu_good) <= relaxed:
+            kind = ("boundary"
+                    if total - s_next <= domain.BOUNDARY_FRACTION * total
+                    else "outside")
+            return domain.Verdict(kind, None, fu_good, at(s_next))
+        raise domain.PathLeftWindowError(
+            f"corrector diverged at {list(at(s_next))} with healthy "
+            f"F_u = {fu_good:.3e}; box too small or F undefined along the path")
+    grads = sol.grad_values(*end, u)
+    fu = grads[-1]
+    if abs(fu) < domain._singular_threshold(grads):
+        return domain.Verdict("boundary", None, fu, end)
+    return domain.Verdict("inside", u, fu, end)
+
+
+# step halving to MIN_FRACTION, then a fixed 60-step bisection of the
+# failing step for the onset, on numpy path points, without a bound on the
+# number of steps
 
 def march_with_bisection(problem, sol, waypoints, u0):
     """Stands in for domain._march."""

@@ -13,8 +13,9 @@ from charmax.domain import (CORRECTOR_MAXIT, MAX_MARCH_STEPS, SOLVE_TOL,
 from charmax.expr import diff, evaluate, parse, var_names
 from charmax.expr import compile as compile_exprs
 from charmax.integrals import _newton_u, implicit_solution_for_problem
-from charmax.locus import (SurfaceComponent, extract_singular_locus,
-                           extract_surface, flood, split_component)
+from charmax.locus import (SurfaceComponent, cell_center, cell_indices,
+                           extract_singular_locus, extract_surface, flood,
+                           split_component)
 from charmax.problem import Box, make_problem
 
 
@@ -421,7 +422,10 @@ class TestCompiledQuery:
         names = var_names(sol.n)
         by_tree = dataclasses.replace(
             sol, F_and_Fu=helpers.compile_by_tree([sol.F, sol.F_u], names),
-            grad_values=helpers.compile_by_tree(sol.gradient, names))
+            grad_values=helpers.compile_by_tree(sol.gradient, names),
+            fold_values=helpers.compile_by_tree(
+                [sol.F, *sol.gradient, *(diff(sol.F_u, v) for v in names)],
+                names))
         rng = np.random.default_rng(12)
         face = problem.box.ranges[:problem.n + 1]
         lows = np.array([lo for lo, _ in face])
@@ -461,8 +465,42 @@ def counting_corrector(monkeypatch, budget=math.inf):
     return calls
 
 
+def face_points(problem, rng, count):
+    """``count`` uniform points of the (t, x) face of the problem's box."""
+    face = problem.box.ranges[:problem.n + 1]
+    lows = np.array([lo for lo, _ in face])
+    highs = np.array([hi for _, hi in face])
+    return [lows + rng.random(len(face)) * (highs - lows)
+            for _ in range(count)]
+
+
+def path_start(data, q):
+    """The start (0, s*) of the straight path of ``contains`` to q."""
+    return [0.0, *([min(max(q[1], data.interval[0]), data.interval[1])]
+                   if len(q) > 1 else [])]
+
+
+def assert_same_verdicts(got, expect, lengths):
+    """Verdicts (None for PathLeftWindowError) of two marches over paths
+    of the given lengths: the same kinds, inside verdicts equal by repr
+    (of u, f_u and the floats of at), and outside and boundary ones placed
+    within 1e-9 of the path length.  Returns the kinds."""
+    kinds = [v.kind if v else "PathLeftWindowError" for v in got]
+    assert kinds == [v.kind if v else "PathLeftWindowError"
+                     for v in expect]
+    for kind, v, ref, length in zip(kinds, got, expect, lengths):
+        if kind == "inside":
+            assert [repr(v.u), repr(v.f_u), *map(repr, map(float, v.at))] == [
+                repr(ref.u), repr(ref.f_u), *map(repr, map(float, ref.at))]
+        elif kind in ("outside", "boundary"):
+            shift = max(abs(a - b) for a, b in zip(v.at, ref.at))
+            assert shift <= 1e-9 * length
+    return kinds
+
+
 class TestMarch:
-    """The march locates the onset by step halving alone, and ends."""
+    """The march locates the onset by a turning-point solve or by step
+    halving, and ends."""
 
     # the reference re-bisects the failing step of an outside verdict 60
     # times; its queries that creep toward where F is undefined (sqrt only)
@@ -489,8 +527,8 @@ class TestMarch:
             except PathLeftWindowError:
                 return None
 
-        points = [lows + rng.random(len(face)) * (highs - lows)
-                  for _ in range(count)] + ([np.array(last)] if last else [])
+        points = face_points(problem, rng, count) + (
+            [np.array(last)] if last else [])
         got = [verdict(q) for q in points]
         calls = counting_corrector(monkeypatch, budget=2 * MAX_MARCH_STEPS)
         monkeypatch.setattr(domain, "_march", helpers.march_with_bisection)
@@ -499,34 +537,186 @@ class TestMarch:
             calls[0] = 0
             expect.append(verdict(q))
 
-        kinds = [v.kind if v else "PathLeftWindowError" for v in got]
-        assert kinds == [v.kind if v else "PathLeftWindowError"
-                         for v in expect]
-        for q, kind, v, ref in zip(points, kinds, got, expect):
-            if kind == "inside":
-                assert (repr(v.u), repr(v.f_u)) == (repr(ref.u),
-                                                    repr(ref.f_u))
-                assert v.at == ref.at
-            elif kind in ("outside", "boundary"):
-                start = [0.0, *([min(max(q[1], data.interval[0]),
-                                     data.interval[1])] if len(q) > 1
-                                else [])]
-                shift = max(abs(a - b) for a, b in zip(v.at, ref.at))
-                assert shift <= 1e-9 * math.dist(start, q)
+        kinds = assert_same_verdicts(
+            got, expect, [math.dist(path_start(data, q), q) for q in points])
         assert set(kinds) >= ({"inside", "outside", "PathLeftWindowError"}
                               if name == "sqrt" else {"inside", "outside"})
         assert (kinds[-1] == "boundary") == (last is not None)
 
+    # the march without the turning-point solve; it bounds the steps as
+    # the march does, so creeping sqrt queries end alike
+    @pytest.mark.parametrize("name, count", [
+        *((name, 200) for name in helpers.EXAMPLES), ("sqrt", 150)])
+    def test_matches_the_halving_reference(self, name, count, solutions,
+                                           monkeypatch):
+        problem, data, sol = compiled_case(name, solutions)
+        points = face_points(problem, np.random.default_rng(41), count)
+
+        def verdicts():
+            out = []
+            for q in points:
+                try:
+                    out.append(contains(problem, data, sol, q))
+                except PathLeftWindowError:
+                    out.append(None)
+            return out
+
+        got = verdicts()
+        monkeypatch.setattr(domain, "_march", helpers.march_by_halving)
+        kinds = assert_same_verdicts(
+            got, verdicts(),
+            [math.dist(path_start(data, q), q) for q in points])
+        assert set(kinds) >= {"inside", "outside"}
+
+    def test_matches_the_halving_reference_on_staircases(self, pipelines,
+                                                         monkeypatch):
+        # mask paths from the initial set to the centres of masked cells,
+        # then on by 1 in t, and back: a fold is crossed on the last of
+        # many legs, or on the leg before it
+        b, sol, _, _, _, dom = pipelines("circular", 48)
+        rng = np.random.default_rng(43)
+        start = [0.0, 0.0]
+        paths = []
+        for cell in rng.permutation(cell_indices(dom.mask))[:40]:
+            goal = cell_center(dom.axes, tuple(cell))
+            waypoints = _staircase(dom, start, goal)
+            beyond = goal + np.array([1.0, 0.0])
+            paths += [waypoints + [beyond], waypoints + [beyond, goal]]
+        u0 = evaluate(b.data.h, {"x1": start[1]})
+
+        calls = counting_corrector(monkeypatch)
+        spent = []
+
+        def verdicts(march):
+            out = []
+            for waypoints in paths:
+                calls[0] = 0
+                try:
+                    out.append(march(b.problem, sol, waypoints, u0))
+                except PathLeftWindowError:
+                    out.append(None)
+                spent.append(calls[0])
+            return out
+
+        got = verdicts(domain._march)
+        lengths = [sum(math.dist(p, q) for p, q in zip(w, w[1:]))
+                   for w in paths]
+        kinds = assert_same_verdicts(got, verdicts(helpers.march_by_halving),
+                                     lengths)
+        outside = [i for i, kind in enumerate(kinds) if kind == "outside"]
+        # with the fold on the last leg and on the one before it, reached
+        # by the solve on most of them
+        assert {i % 2 for i in outside} == {0, 1}
+        assert len(outside) >= 10
+        assert np.mean([spent[i] for i in outside]) <= 20
+
+    # halving alone spends 65-70 corrector calls on an outside verdict
+    @pytest.mark.parametrize("name", ["circular", "burgers_reciprocal"])
+    def test_outside_verdicts_take_few_corrector_calls(self, name, solutions,
+                                                       monkeypatch):
+        problem, data, sol = compiled_case(name, solutions)
+        calls = counting_corrector(monkeypatch)
+        spent = []
+        for q in face_points(problem, np.random.default_rng(47), 200):
+            calls[0] = 0
+            if contains(problem, data, sol, q).kind == "outside":
+                spent.append(calls[0])
+        assert len(spent) >= 50
+        assert np.mean(spent) <= 20
+
+    def test_turning_point_on_circular(self, solutions):
+        # along x = 0, F = t^2 + u^2 - 1 folds at t = 1, u = 0
+        _, _, sol = solutions("circular")
+        s_star, f_u = domain._turning_point(
+            sol, lambda s: (s, 0.0), (1.0, 0.0), 0.9, 1.1, math.sqrt(0.19),
+            1.0, 1e-12)
+        assert abs(s_star - 1.0) <= 1e-12
+        # checked where F_u = 2u sits between the two thresholds, near
+        # their geometric mean (grad F is (2t, 0, 2u): 1 + |grad F| is
+        # about 3 there)
+        threshold = domain.SINGULAR_FACTOR * 3.0
+        assert 10 * threshold < f_u < 100 * threshold
+
+    def test_turning_point_check_bounds_F_u(self, solutions, monkeypatch):
+        # the check must find |F_u| within the relaxed threshold; with
+        # that threshold pulled down to the singular one, no check can
+        _, _, sol = solutions("circular")
+        monkeypatch.setattr(domain, "_relaxed_threshold",
+                            domain._singular_threshold)
+        assert domain._turning_point(
+            sol, lambda s: (s, 0.0), (1.0, 0.0), 0.9, 1.1, math.sqrt(0.19),
+            1.0, 1e-12) is None
+
+    def test_leg_direction_within_one_leg_only(self):
+        pts = [(0.0, 0.0), (1.0, 0.0), (1.0, 2.0)]
+        legs = [1.0, 2.0]
+        assert domain._leg_direction(pts, legs, 0.2, 1.0) == (1.0, 0.0)
+        assert domain._leg_direction(pts, legs, 1.0, 1.5) == (0.0, 1.0)
+        assert domain._leg_direction(pts, legs, 0.9, 1.1) is None
+
+    def test_blow_ups_are_told_apart_cheaply(self, solutions, monkeypatch):
+        # ode_quadratic's outside verdicts are blow-ups, u = 1 / (1 - t):
+        # Newton in u mostly runs off to where F_u = -1/u^2 vanishes,
+        # which ends the solves of a march before one starts
+        b, _, sol = solutions("ode_quadratic")
+        turning_point = domain._turning_point
+        solved = []
+
+        def counted(*args):
+            solved.append(turning_point(*args))
+            return solved[-1]
+
+        monkeypatch.setattr(domain, "_turning_point", counted)
+        kinds = [contains(b.problem, b.data, sol, q).kind for q in
+                 face_points(b.problem, np.random.default_rng(53), 200)]
+        assert kinds.count("outside") >= 20
+        assert set(solved) == {domain.BLOW_UP}
+        assert len(solved) <= kinds.count("outside") / 2
+
+    def test_turning_point_leaves_blow_ups_and_degenerate_folds(self,
+                                                               solutions):
+        # ode_quadratic: u = 1 / (1 - t) runs off to infinity at t = 1,
+        # and Newton on (F, F_u) chases it, |ds| shrinking by 2/3
+        _, _, sol = solutions("ode_quadratic")
+        assert domain._turning_point(sol, lambda s: (s,), (1.0,), 0.9, 1.1,
+                                     10.0, -1.0, 1e-12) is domain.BLOW_UP
+        # burgers_ramp: F = u (1 - 2t) + 2x is linear in u, F_uu = 0
+        _, _, sol = solutions("burgers_ramp")
+        assert domain._turning_point(
+            sol, lambda s: (s, 0.1), (1.0, 0.0), 0.4, 0.6, -1.0, 1.0,
+            1e-12) is None
+
     def test_creeping_query_ends_within_the_bound(self, solutions,
                                                   monkeypatch):
-        # without the step bound this query crept toward x = -1, where F
-        # stops being defined, for about 84,000 corrector calls
+        # step halving alone creeps toward x = -1, where F stops being
+        # defined, for MAX_MARCH_STEPS steps (about 84,000 corrector calls
+        # without that bound); bracketing the edge ends it
         problem, data, sol = compiled_case("sqrt", solutions)
         calls = counting_corrector(monkeypatch)
         with pytest.raises(PathLeftWindowError,
-                           match=f"after {MAX_MARCH_STEPS} steps"):
+                           match=r"edge of F's domain at \[0\.7\d*, "
+                                 r"-0\.99999\d*\] with healthy"):
             contains(problem, data, sol, [0.859, -1.152])
-        assert calls[0] == MAX_MARCH_STEPS
+        assert calls[0] < 100
+
+    def test_creeping_queries_end_early(self, solutions, monkeypatch):
+        # about one sqrt query in four lies at x < -1, t > 0, which no
+        # characteristic reaches: its branch ends where F is undefined
+        problem, data, sol = compiled_case("sqrt", solutions)
+        calls = counting_corrector(monkeypatch)
+        ended = []
+        for q in face_points(problem, np.random.default_rng(12), 150):
+            unreached = q[1] < -1.0 and q[0] > 0.0
+            calls[0] = 0
+            try:
+                contains(problem, data, sol, q)
+            except PathLeftWindowError:
+                ended.append(calls[0])
+                assert unreached
+            else:
+                assert not unreached
+        assert len(ended) >= 25
+        assert max(ended) < 100
 
     # on circular's fold F = t^2 + u^2 - 1 + x^3 is u^2 there: F_u = 0
     FOLD = (0.6, 0.64 ** (1.0 / 3.0))

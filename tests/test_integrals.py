@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from charmax.expr import Const, Var, evaluate, parse, substitute
+from charmax import integrals
+from charmax.expr import (Const, Var, diff, evaluate, parse, substitute,
+                          var_names)
 from charmax.integrals import (FirstIntegralError, FirstIntegralSet,
                                ImplicitSolutionError, build_implicit_solution,
                                check_nondegeneracy, conservation_law_integrals,
@@ -241,6 +243,25 @@ class TestAssembly:
         _, many = implicit_solution_for_problem(problem, data, gamma_count=65)
         assert few.F == many.F
         assert few.F_u == many.F_u
+
+    def test_fold_values_compiled_on_first_call(self, monkeypatch):
+        problem, data = burgers()
+        _, sol = implicit_solution_for_problem(problem, data)
+        compiled = []
+        compile_exprs = integrals.compile_exprs
+
+        def counted(exprs, names, **kw):
+            compiled.append(list(exprs))
+            return compile_exprs(exprs, names, **kw)
+
+        monkeypatch.setattr(integrals, "compile_exprs", counted)
+        names = var_names(1)
+        trees = [sol.F, *sol.gradient, *(diff(sol.F_u, v) for v in names)]
+        for point in box_samples(BURGERS_BOX, 20, seed=5).tolist():
+            binding = dict(zip(names, point))
+            assert sol.fold_values(*point) == tuple(
+                evaluate(e, binding) for e in trees)
+        assert compiled == [trees]
 
     def test_non_conservation_needs_rho(self):
         problem, data = circular()
