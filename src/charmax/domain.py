@@ -11,9 +11,12 @@ predictor-corrector Newton steps.  The query answers "outside" where
 |F_u| shrinks before the path's end, which is where the implicit function
 theorem stops guaranteeing a single-valued branch.  When a step finds no
 root, Newton on the turning-point system F = F_u = 0 (Keller 1977) locates
-that fold in one solve, checked by one corrector call just short of it;
-where the solve settles nothing, step halving locates the onset.
-``_march`` lists how a march ends.
+that fold in one solve, checked by one corrector call just short of it.
+When a step finds a root whose |F_u| has faded (as where u blows up),
+Illinois regula falsi on the track margin, |F_u| less the singular
+threshold, locates the onset in the failed step; where that search lands
+on another branch, or the solve settles nothing, step halving locates the
+onset.  ``_march`` lists how a march ends.
 """
 
 from __future__ import annotations
@@ -58,6 +61,9 @@ BLOW_UP = "blow-up"
 # of the path, that brackets it closely enough
 EDGE_STEPS = 90
 EDGE_FRACTION = 1e-8
+# faded onset: corrector calls of the margin search (bisection alone takes
+# about 37 from MAX_FRACTION down to MIN_FRACTION)
+MARGIN_STEPS = 64
 
 
 class ProjectionError(Exception):
@@ -421,6 +427,17 @@ def _march(problem, sol, waypoints, u0) -> Verdict:
     once the solve finds u running off to infinity.  A solve that settles
     nothing leaves the march as it was.
 
+    A step whose corrector finds a root with |F_u| faded below the
+    singular threshold, or of the other sign, after an accepted step
+    brackets the onset between the two.  ``_faded_onset`` locates it,
+    once per march, by regula falsi on the track margin
+    F_u sign - singular threshold, as closely as step halving would, and
+    judges it as halving would (below).  The answer is then "outside" (or
+    "boundary") at the bracket's bad end.  Where |F_u| at its good end is
+    still above the relaxed threshold, a long trial may have landed on
+    another branch: the search is dropped and the march halves its step
+    from where it was.
+
     A step whose corrector runs into undefined F after an accepted step,
     with F_u still above the relaxed threshold, may have met the edge of
     F's domain, which the branch approaches so closely that step halving
@@ -435,6 +452,7 @@ def _march(problem, sol, waypoints, u0) -> Verdict:
     steps (a march creeping toward undefined F)."""
     names = var_names(problem.n)
     pts = [tuple(float(c) for c in w) for w in waypoints]
+    # sets every step; a math.sqrt sum is 1 ulp off on ~8 % of 2-D legs
     legs = [float(np.linalg.norm(np.subtract(b, a)))
             for a, b in zip(pts, pts[1:])]
     total = sum(legs)
@@ -463,7 +481,7 @@ def _march(problem, sol, waypoints, u0) -> Verdict:
     grads = None               # at the last accepted point, as is fu_good
     probed_at = None           # the last accepted point probed from
     folds = 0
-    edged = False
+    edged = faded = False
     steps = 0
     while s_cur < total:
         if steps == MAX_MARCH_STEPS:
@@ -484,6 +502,14 @@ def _march(problem, sol, waypoints, u0) -> Verdict:
                 s_cur = s_next
                 h = min(h * 1.4, h_max)
                 continue
+            if grads is not None and not faded:
+                faded = True
+                verdict = _faded_onset(
+                    sol, at, total, s_cur, s_next,
+                    fu * fu_sign - _singular_threshold(grads_new), u,
+                    fu_good, grads, fu_sign)
+                if verdict:
+                    return verdict
         elif (not ok and fu is None and grads is not None and not edged
               and abs(fu_good) > _relaxed_threshold(grads)):
             edged = True
@@ -599,6 +625,56 @@ def _domain_edge(sol, at, pts, legs, s_good, h, u, fu_good, grads, fu_sign):
             return s_try, fu_good
         else:
             return None
+    return None
+
+
+def _faded_onset(sol, at, total, s_good, s_bad, m_bad, u, fu_good, grads,
+                 fu_sign):
+    """Where a march's step from its last accepted point (s_good, u) found
+    a root at s_bad with |F_u| below the singular threshold or of the
+    other sign, locate the onset on the track margin
+    m(s) = F_u fu_sign - singular threshold (m_bad at s_bad), taken at
+    the root of the corrector from the bracket's good end's u.  Regula
+    falsi with the Illinois halving of the margin of an end kept twice
+    (Dowell & Jarratt 1971) narrows the bracket; a trial without a root
+    is a bad end, and it, or an interpolant outside the open bracket,
+    makes the next trial a bisection.
+
+    Once the bracket is within MIN_FRACTION of the path, judges it as the
+    march's halving tail does: "outside" (or "boundary") at its bad end
+    where |F_u| at its good end is within the relaxed threshold.  None
+    otherwise, or after MARGIN_STEPS corrector calls: a long trial can
+    land on another branch with small F_u, which halving from s_good
+    steers clear of."""
+    h_min = total * MIN_FRACTION
+    m_good = fu_good * fu_sign - _singular_threshold(grads)
+    kept = 0                   # +1: the good end moved last, -1: the bad
+    for _ in range(MARGIN_STEPS):
+        if s_bad - s_good <= h_min:
+            if abs(fu_good) <= _relaxed_threshold(grads):
+                return _onset(at, total, s_bad, fu_good)
+            return None
+        s = s_good + 0.5 * (s_bad - s_good)
+        if m_bad is not None:
+            s_false = s_bad - m_bad * (s_bad - s_good) / (m_bad - m_good)
+            if s_good < s_false < s_bad:
+                s = s_false
+        point = at(s)
+        u_new, fu, ok = _corrector(sol, point, u)
+        if not ok or fu is None:
+            s_bad, m_bad, kept = s, None, -1
+            continue
+        grads_new = sol.grad_values(*point, u_new)
+        m = fu * fu_sign - _singular_threshold(grads_new)
+        if m >= 0.0:
+            if kept == 1 and m_bad is not None:
+                m_bad *= 0.5
+            s_good, u, fu_good, grads, m_good, kept = (s, u_new, fu,
+                                                       grads_new, m, 1)
+        else:
+            if kept == -1:
+                m_good *= 0.5
+            s_bad, m_bad, kept = s, m, -1
     return None
 
 

@@ -366,8 +366,8 @@ def newton_u_by_tree(F, F_u, binding: dict, u: float, tol: float,
 # References for the continuation march
 
 def march_by_halving(problem, sol, waypoints, u0):
-    """Stands in for domain._march: the march without its fold and edge
-    probes, locating every onset by step halving."""
+    """Stands in for domain._march: the march without its fold, margin
+    and edge searches, locating every onset by step halving."""
     names = var_names(problem.n)
     pts = [tuple(float(c) for c in w) for w in waypoints]
     legs = [float(np.linalg.norm(np.subtract(b, a)))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -334,13 +335,30 @@ class TestContains:
 # evaluate on part of the box, so Newton meets domain violations there
 SQRT_PROBLEM = dict(n=1, alpha="1", a=["u"], b="0", h="sqrt(x + 1)",
                     box=Box((-0.5, 1.0), ((-2.0, 1.0),), (0.05, 2.0)))
+# blow-ups whose track margin is not the quadratic one of the bundled
+# problems: u' = u^3, u(0) = 1, u = 1 / sqrt(1 - 2t) up to t = 1/2, with
+# rho and f as a problem file gives them; and Burgers with h = -x/2,
+# u = -x / (2 - t) up to t = 2
+CUBIC_PROBLEM = dict(n=0, alpha="1", a=[], b="u^3", h="1",
+                     box=Box((-1.0, 1.0), (), (-10.0, 10.0)))
+CUBIC_INTEGRAL = ("t + 1/(2*u^2)", "y1 - 1/2")
+SLOPE_PROBLEM = dict(n=1, alpha="1", a=["u"], b="0", h="-x/2",
+                     box=Box((-0.5, 3.0), ((-1.0, 1.0),), (-3.0, 3.0)))
 
 
 def compiled_case(name, solutions):
-    """(problem, data, solution) of a bundled problem or, for "sqrt", of
-    SQRT_PROBLEM."""
-    if name == "sqrt":
-        problem, data = make_problem(**SQRT_PROBLEM)
+    """(problem, data, solution) of a bundled problem or, for "sqrt",
+    "cubic" and "slope", of SQRT_PROBLEM, CUBIC_PROBLEM and
+    SLOPE_PROBLEM."""
+    if name == "cubic":
+        problem, data = make_problem(**CUBIC_PROBLEM)
+        rho, f = CUBIC_INTEGRAL
+        return problem, data, implicit_solution_for_problem(
+            problem, data, (parse(rho, n=0),),
+            parse(f, n=0, allowed_variables=["y1"]))[1]
+    if name in ("sqrt", "slope"):
+        problem, data = make_problem(
+            **(SQRT_PROBLEM if name == "sqrt" else SLOPE_PROBLEM))
         return problem, data, implicit_solution_for_problem(problem,
                                                             data)[1]
     b, _, sol = solutions(name)
@@ -499,8 +517,8 @@ def assert_same_verdicts(got, expect, lengths):
 
 
 class TestMarch:
-    """The march locates the onset by a turning-point solve or by step
-    halving, and ends."""
+    """The march locates the onset by a turning-point solve, a margin
+    search or step halving, and ends."""
 
     # the reference re-bisects the failing step of an outside verdict 60
     # times; its queries that creep toward where F is undefined (sqrt only)
@@ -543,10 +561,12 @@ class TestMarch:
                               if name == "sqrt" else {"inside", "outside"})
         assert (kinds[-1] == "boundary") == (last is not None)
 
-    # the march without the turning-point solve; it bounds the steps as
-    # the march does, so creeping sqrt queries end alike
+    # the march without the turning-point solve and the margin search; it
+    # bounds the steps as the march does, so creeping sqrt queries end
+    # alike
     @pytest.mark.parametrize("name, count", [
-        *((name, 200) for name in helpers.EXAMPLES), ("sqrt", 150)])
+        *((name, 200) for name in helpers.EXAMPLES), ("sqrt", 150),
+        ("cubic", 150), ("slope", 150)])
     def test_matches_the_halving_reference(self, name, count, solutions,
                                            monkeypatch):
         problem, data, sol = compiled_case(name, solutions)
@@ -610,19 +630,77 @@ class TestMarch:
         assert len(outside) >= 10
         assert np.mean([spent[i] for i in outside]) <= 20
 
-    # halving alone spends 65-70 corrector calls on an outside verdict
-    @pytest.mark.parametrize("name", ["circular", "burgers_reciprocal"])
+    # halving alone spends 65-70 corrector calls on an outside verdict;
+    # the turning-point solve ends circular's and burgers_reciprocal's
+    # folds, the margin search the blow-ups of the other two.  Points
+    # drawn and the mean calls allowed: ode_quadratic's outside is the
+    # last seventh of its face
+    OUTSIDE_CALLS = {"circular": (200, 20), "burgers_reciprocal": (200, 20),
+                     "burgers_ramp": (200, 25), "ode_quadratic": (500, 35)}
+
+    @pytest.mark.parametrize("name", ["circular", "burgers_reciprocal",
+                                      "burgers_ramp", "ode_quadratic"])
     def test_outside_verdicts_take_few_corrector_calls(self, name, solutions,
                                                        monkeypatch):
         problem, data, sol = compiled_case(name, solutions)
+        count, bound = self.OUTSIDE_CALLS[name]
         calls = counting_corrector(monkeypatch)
         spent = []
-        for q in face_points(problem, np.random.default_rng(47), 200):
+        for q in face_points(problem, np.random.default_rng(47), count):
             calls[0] = 0
             if contains(problem, data, sol, q).kind == "outside":
                 spent.append(calls[0])
         assert len(spent) >= 50
-        assert np.mean(spent) <= 20
+        assert np.mean(spent) <= bound
+
+    def test_faded_root_on_another_branch_does_not_end_the_march(
+            self, solutions, monkeypatch):
+        # the march toward this inside point fails a step at about
+        # (1.345, 1.324) with a root of small F_u; the margin search
+        # from there settles on an onset with healthy F_u at its good
+        # end, so the march goes back to halving its step
+        problem, data, sol = compiled_case("burgers_reciprocal", solutions)
+        q = [1.7410952826497295, 1.684021239152389]
+        faded_onset = domain._faded_onset
+        searched = []
+
+        def counted(*args):
+            searched.append(faded_onset(*args))
+            return searched[-1]
+
+        monkeypatch.setattr(domain, "_faded_onset", counted)
+        got = contains(problem, data, sol, q)
+        assert searched == [None]
+        monkeypatch.setattr(domain, "_march", helpers.march_by_halving)
+        expect = contains(problem, data, sol, q)
+        assert assert_same_verdicts([got], [expect], [math.dist(
+            path_start(data, q), q)]) == ["inside"]
+
+    def test_margin_search_steps_over_a_stretch_without_root(self,
+                                                            monkeypatch):
+        # along at(s) = (s,): F_u = 0.5 - s up to s = 0.7, no root from
+        # there to 0.9, and a root of another branch, F_u = -0.1, beyond.
+        # A trial without a root is a bad end, so the search finds the
+        # onset where 0.5 - s meets the singular threshold
+        def f_u(s):
+            return 0.5 - s if s < 0.7 else None if s < 0.9 else -0.1
+
+        trials = []
+
+        def corrector(sol, point, u):
+            trials.append(f_u(point[0]))
+            return u, trials[-1], trials[-1] is not None
+
+        monkeypatch.setattr(domain, "_corrector", corrector)
+        sol = types.SimpleNamespace(grad_values=lambda s, u: (0.0, f_u(s)))
+        m_bad = -0.1 - domain._singular_threshold((0.0, -0.1))
+        v = domain._faded_onset(sol, lambda s: (s,), 1.0, 0.0, 1.0, m_bad,
+                                1.0, 0.5, (0.0, 0.5), 1.0)
+        # 0.5 - s = SINGULAR_FACTOR (1 + |0.5 - s|) there
+        onset = 0.5 - domain.SINGULAR_FACTOR / (1.0 - domain.SINGULAR_FACTOR)
+        assert v.kind == "outside"
+        assert abs(v.at[0] - onset) <= 2 * domain.MIN_FRACTION
+        assert None in trials
 
     def test_turning_point_on_circular(self, solutions):
         # along x = 0, F = t^2 + u^2 - 1 folds at t = 1, u = 0
