@@ -16,11 +16,17 @@ F_u taken only at their corners, seed a damped Newton polish that runs
 all seeds in lockstep; the polished points are thinned to one per cell
 diagonal, and in the space case ordered into polylines by
 pseudo-arclength continuation along the one-dimensional solution curve.
+The continuation does its elementwise 3-vector steps in Python floats and
+its reductions (dot products, norms, solves) in numpy, so that the traced
+points are bit for bit those of an all-numpy trace.
 
-Splitting off the connected component of the initial set is a pure
-flood fill over cell adjacency with singular cells removed.  The grid
-helpers here (cell lookup, cell centres, mask to index list by one flat
-scan, flood fill) serve the base-space mask as well.
+Splitting off the connected component of the initial set is a
+breadth-first flood fill over cell adjacency with singular cells removed.
+It expands one level of the search at a time: a level of many cells in
+one numpy step, a level of a few cells cell by cell, both in the order
+of a one-cell-at-a-time queue.  The grid helpers here (cell lookup, cell
+centres, mask to index list by one flat scan, flood fill) serve the
+base-space mask as well.
 """
 
 from __future__ import annotations
@@ -39,6 +45,10 @@ NEWTON_MAXIT = 50
 SIGMA_RESIDUAL = 1e-10
 DEGENERATE_RATIO = 1e-6
 MIN_RESOLUTION = 16
+# flood expands a level of at least this many cells by one numpy step; the
+# cell-by-cell loop and the numpy step cost the same at about 26 cells a
+# level in 3-D and 35 in 2-D
+_LEVEL_CROSSOVER = 32
 
 
 class ResolutionError(Exception):
@@ -312,23 +322,63 @@ def flood(mask: np.ndarray, seeds, parents: bool = False):
     taken axis by axis, lower side first.  Returns the reached cells as a
     mask or, with ``parents``, as a dict mapping each reached cell to the
     cell it was first reached from (None for seeds).
+
+    The queue is walked one level (one distance from the seeds) at a time.
+    A level of at least _LEVEL_CROSSOVER cells is expanded by one numpy
+    step: the neighbours of all its cells in (cell, neighbour) order, of
+    which the first occurrence of each unreached cell of the mask joins
+    the next level.  That is the order in which the cell-by-cell queue
+    appends them, so levels and parents are the queue's.  Smaller levels
+    run the cell-by-cell loop itself, where a numpy step costs more than
+    it saves (a one-cell-wide chain has levels of one or two cells).
     """
     # a False rim stops the search at the grid edge, so flat-index
     # neighbours never wrap around an axis; one byte per cell, so the
-    # array's byte strides are its flat-index strides
+    # array's byte strides are its flat-index strides.  Both branches read
+    # and write the same bytes: the loop as bytes and bytearray, the numpy
+    # step through views of them.
     padded = np.pad(np.asarray(mask, dtype=bool), 1)
     inside = padded.tobytes()
-    offsets = [d for stride in padded.strides for d in (-stride, stride)]
     reached = bytearray(len(inside))
-    queue, came_from = [], []
-    for seed in seeds:
-        i = int(np.ravel_multi_index(np.add(seed, 1), padded.shape))
+    inside_view = np.frombuffer(inside, dtype=bool)
+    reached_view = np.frombuffer(reached, dtype=bool)
+    offsets = [d for stride in padded.strides for d in (-stride, stride)]
+    steps = np.array(offsets)
+    seeds = np.asarray(seeds, dtype=np.intp).reshape(-1, padded.ndim) + 1
+    queue = []
+    for i in np.ravel_multi_index(seeds.T, padded.shape).tolist():
         if inside[i] and not reached[i]:
             reached[i] = 1
             queue.append(i)
-            came_from.append(-1)
-    head = 0
+    # the queue is a Python list through small levels; a large level and
+    # the large levels after it are numpy arrays.  A stretch of the queue
+    # keeps its cells' parent positions less its own offset.
+    came_from = [-1] * len(queue)
+    stretches = []                # finished (cells, came_from, offset)
+    # start: the queue position of queue[0]; head: the index in queue of
+    # the next cell, end: of the first cell after its level
+    start = head = end = 0
     while head < len(queue):
+        if head == end:           # queue[head:] is the next level
+            end = len(queue)
+            if end - head >= _LEVEL_CROSSOVER:
+                stretches.append((queue, came_from, start))
+                level, start = np.array(queue[head:]), start + head
+                while True:
+                    near = (level[:, None] + steps).ravel()
+                    fresh = np.flatnonzero(inside_view[near]
+                                           & ~reached_view[near])
+                    first = np.unique(near[fresh], return_index=True)[1]
+                    first = fresh[np.sort(first)]
+                    level, up = near[first], start + first // len(offsets)
+                    reached_view[level] = True
+                    start += len(near) // len(offsets)
+                    if len(level) < _LEVEL_CROSSOVER:
+                        break
+                    stretches.append((level, up, 0))
+                queue, came_from = level.tolist(), (up - start).tolist()
+                head = end = 0
+                continue
         i = queue[head]
         for d in offsets:
             j = i + d
@@ -338,13 +388,17 @@ def flood(mask: np.ndarray, seeds, parents: bool = False):
                 came_from.append(head)
         head += 1
     if parents:
+        stretches.append((queue, came_from, start))
+        queue = np.concatenate([np.asarray(part, dtype=np.intp)
+                                for part, _, _ in stretches])
+        came_from = np.concatenate([np.asarray(up, dtype=np.intp) + offset
+                                    for _, up, offset in stretches])
         cells = np.array(np.unravel_index(queue, padded.shape)).T - 1
         cells = [tuple(c) for c in cells.tolist()]
         return {c: cells[k] if k >= 0 else None
-                for c, k in zip(cells, came_from)}
+                for c, k in zip(cells, came_from.tolist())}
     interior = tuple(slice(1, -1) for _ in mask.shape)
-    reached = np.frombuffer(reached, dtype=bool).reshape(padded.shape)
-    return reached[interior].copy()
+    return reached_view.reshape(padded.shape)[interior].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -395,25 +449,19 @@ class _SigmaSystem:
         self.derivatives = compile_exprs(
             [diff(e, v) for e in (F, self.F_u) for v in names], names)
 
-    def residual(self, point):
-        try:
-            return np.array(self.values(*point))
-        except EvalDomainError:
-            return None
-
-    def jacobian2(self, point):
-        """Full 2 x (n+2) Jacobian of (F, F_u)."""
-        try:
-            return np.array(self.derivatives(*point)).reshape(2, self.n + 2)
-        except EvalDomainError:
-            return None
-
     def tangent(self, point):
-        """Unit tangent of the solution curve (space case only)."""
-        J = self.jacobian2(point)
-        if J is None:
+        """Unit tangent of the solution curve (space case only): the cross
+        product of the two Jacobian rows, normalised.  None where the
+        Jacobian fails to evaluate or the product is zero or not finite.
+        The product is taken in Python floats, the same multiplications
+        and subtractions as ``np.cross``; the norm stays the BLAS dot of
+        ``np.linalg.norm``."""
+        try:
+            a0, a1, a2, b0, b1, b2 = self.derivatives(*point)
+        except EvalDomainError:
             return None
-        t = np.cross(J[0], J[1])
+        t = np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
+                      a0 * b1 - a1 * b0])
         norm = np.linalg.norm(t)
         if norm == 0.0 or not np.isfinite(norm):
             return None
@@ -559,25 +607,41 @@ def _degenerate(sys: _SigmaSystem, points: np.ndarray) -> np.ndarray:
 
 def _trace_from(sys: _SigmaSystem, start, direction, box: Box, ds0,
                 max_steps):
-    """Pseudo-arclength continuation of the (F, F_u) = 0 curve."""
+    """Pseudo-arclength continuation of the (F, F_u) = 0 curve from
+    ``start`` along the unit tangent ``direction``.
+
+    Each step predicts ``p + ds T`` and corrects it by ``_damped_newton``
+    on (F, F_u, T.(q - pred)) = 0.  A failed corrector halves ds, down to
+    ds0/64; an accepted point grows it by 1.3, up to ds0.  The trace ends
+    outside the box, where the tangent fails, or back at its start.
+
+    The elementwise steps run in Python floats, which round each operation
+    as numpy does: the predictor, the Jacobian rows taken straight from the
+    compiled tuple, the box test and the tangent's cross product.  The
+    reductions stay numpy calls (``np.dot``, ``np.linalg.norm``, the solve
+    in ``_damped_newton``), since BLAS may sum in another order than a
+    float sum and the points would no longer be bit for bit the same.
+    """
     points = [np.asarray(start, dtype=float)]
     T = direction
     ds = ds0
     for _ in range(max_steps):
-        p = points[-1]
-        pred = p + ds * T
+        row = T.tolist()
+        pred = np.array([a + ds * b for a, b in zip(points[-1].tolist(), row)])
 
         def res(q):
-            r = sys.residual(q)
-            if r is None:
+            try:
+                f, f_u = sys.values(*q.tolist())
+            except EvalDomainError:
                 return None
-            return np.array([r[0], r[1], float(np.dot(T, q - pred))])
+            return np.array([f, f_u, float(np.dot(T, q - pred))])
 
         def jac(q):
-            J = sys.jacobian2(q)
-            if J is None:
+            try:
+                d = sys.derivatives(*q.tolist())
+            except EvalDomainError:
                 return None
-            return np.vstack([J, T])
+            return np.array([d[:3], d[3:], row])
 
         q = _damped_newton(res, jac, pred, maxit=25)
         if q is None:
@@ -587,7 +651,7 @@ def _trace_from(sys: _SigmaSystem, start, direction, box: Box, ds0,
             break
         if not box.contains(q, atol=1e-12):
             break
-        Tn = sys.tangent(q)
+        Tn = sys.tangent(q.tolist())
         if Tn is None:
             points.append(q)
             break
@@ -600,6 +664,19 @@ def _trace_from(sys: _SigmaSystem, start, direction, box: Box, ds0,
             break
         ds = min(ds * 1.3, ds0)
     return points
+
+
+def _near_line(points: np.ndarray, line: np.ndarray, diag: float):
+    """Per point, whether its distance to the nearest vertex of ``line``,
+    by ``np.linalg.norm`` of the differences, is at most ``diag``.  The
+    points go in blocks, so that their differences to the line stay under
+    a megabyte however long the line."""
+    near = np.zeros(len(points), dtype=bool)
+    block = max(1, 2 ** 15 // len(line))
+    for lo in range(0, len(points), block):
+        d = np.linalg.norm(line - points[lo:lo + block, None], axis=2)
+        near[lo:lo + block] = d.min(axis=1) <= diag
+    return near
 
 
 def _deduplicate(points: np.ndarray, diag: float) -> np.ndarray:
@@ -655,10 +732,8 @@ def extract_singular_locus(F: Expr, surface: LevelSurface) -> SingularLocus:
             polylines.append(line)
             # mark polished points swept by this polyline (never empty: it
             # holds the start) as visited
-            for j in np.nonzero(~visited)[0]:
-                d = np.min(np.linalg.norm(line - points[j], axis=1))
-                if d <= diag:
-                    visited[j] = True
+            rest = np.flatnonzero(~visited)
+            visited[rest[_near_line(points[rest], line, diag)]] = True
             visited[i] = True
 
     return SingularLocus(points, degenerate, polylines, seed_cells, dropped)

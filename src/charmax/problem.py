@@ -58,11 +58,16 @@ class Box:
 
     def contains(self, point, atol: float = 0.0):
         """Whether the point lies in the box widened by ``atol``; for an
-        (m, dim) array of points, the (m,) mask."""
+        (m, dim) array of points, the (m,) mask.  One point is tested in
+        Python floats, ``lo - atol <= v <= hi + atol`` per coordinate: the
+        same roundings and comparisons as the array test, without its
+        numpy calls."""
         p = np.asarray(point, dtype=float)
-        inside = np.all((p >= self.lows() - atol) & (p <= self.highs() + atol),
-                        axis=-1)
-        return bool(inside) if p.ndim == 1 else inside
+        if p.ndim == 1:
+            return all(lo - atol <= v <= hi + atol for (lo, hi), v
+                       in zip(self.ranges, p.tolist(), strict=True))
+        return np.all((p >= self.lows() - atol) & (p <= self.highs() + atol),
+                      axis=-1)
 
     def validate(self):
         for (lo, hi) in self.ranges:

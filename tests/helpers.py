@@ -219,7 +219,7 @@ def _polish_seed(sys, center, box):
     if dim == 2:
         free = [0, 1]
     else:
-        t = sys.tangent(center)
+        t = tangent_by_numpy(sys, center)
         if t is None:
             # fall back to freezing u; the rank check flags degeneracy later
             free = [0, 1]
@@ -235,17 +235,17 @@ def _polish_seed(sys, center, box):
         return p
 
     def res(xy):
-        return sys.residual(embed(xy))
+        return residual_by_numpy(sys, embed(xy))
 
     def jac(xy):
-        J = sys.jacobian2(embed(xy))
+        J = jacobian_by_numpy(sys, embed(xy))
         return None if J is None else J[:, free]
 
     sol = locus._damped_newton(res, jac, base[free])
     if sol is None:
         return None
     point = embed(sol)
-    return point if box.contains(point, atol=1e-12) else None
+    return point if contains_by_numpy(box, point, atol=1e-12) else None
 
 
 def polish_seed_by_seed(sys, centers, box):
@@ -265,7 +265,7 @@ def degenerate_point_by_point(sys, points):
     """Reference for locus._degenerate: one SVD per point."""
     flags = []
     for point in points:
-        J = sys.jacobian2(point)
+        J = jacobian_by_numpy(sys, point)
         if J is None:
             flags.append(True)
             continue
@@ -275,14 +275,138 @@ def degenerate_point_by_point(sys, points):
     return np.array(flags, dtype=bool)
 
 
+def residual_by_numpy(sys, point):
+    """(F, F_u) at the point as an array, or None where it fails."""
+    try:
+        return np.array(sys.values(*point))
+    except EvalDomainError:
+        return None
+
+
+def jacobian_by_numpy(sys, point):
+    """The 2 x (n+2) Jacobian of (F, F_u) as an array, or None where it
+    fails."""
+    try:
+        return np.array(sys.derivatives(*point)).reshape(2, sys.n + 2)
+    except EvalDomainError:
+        return None
+
+
+def tangent_by_numpy(sys, point):
+    """Reference for locus._SigmaSystem.tangent: np.cross of the Jacobian
+    rows over its np.linalg.norm."""
+    J = jacobian_by_numpy(sys, point)
+    if J is None:
+        return None
+    t = np.cross(J[0], J[1])
+    norm = np.linalg.norm(t)
+    if norm == 0.0 or not np.isfinite(norm):
+        return None
+    return t / norm
+
+
+def contains_by_numpy(box, point, atol=0.0):
+    """Reference for Box.contains on one point: the array test."""
+    p = np.asarray(point, dtype=float)
+    return bool(np.all((p >= box.lows() - atol) & (p <= box.highs() + atol)))
+
+
+def trace_by_numpy(sys, start, direction, box, ds0, max_steps):
+    """Reference for locus._trace_from: numpy calls on every 3-vector."""
+    points = [np.asarray(start, dtype=float)]
+    T = direction
+    ds = ds0
+    for _ in range(max_steps):
+        p = points[-1]
+        pred = p + ds * T
+
+        def res(q):
+            r = residual_by_numpy(sys, q)
+            if r is None:
+                return None
+            return np.array([r[0], r[1], float(np.dot(T, q - pred))])
+
+        def jac(q):
+            J = jacobian_by_numpy(sys, q)
+            if J is None:
+                return None
+            return np.vstack([J, T])
+
+        q = locus._damped_newton(res, jac, pred, maxit=25)
+        if q is None:
+            if ds > ds0 / 64:
+                ds *= 0.5
+                continue
+            break
+        if not contains_by_numpy(box, q, atol=1e-12):
+            break
+        Tn = tangent_by_numpy(sys, q)
+        if Tn is None:
+            points.append(q)
+            break
+        if np.dot(Tn, T) < 0:
+            Tn = -Tn
+        T = Tn
+        points.append(q)
+        if len(points) > 3 and np.linalg.norm(q - points[0]) < 0.6 * ds0:
+            points.append(points[0].copy())
+            break
+        ds = min(ds * 1.3, ds0)
+    return points
+
+
+def near_line_point_by_point(points, line, diag):
+    """Reference for locus._near_line: one norm over the line per point."""
+    return np.array([np.min(np.linalg.norm(line - p, axis=1)) <= diag
+                     for p in points], dtype=bool)
+
+
 def singular_locus_by_seed(F, surface):
-    """extract_singular_locus with its seeds, polish and rank check
-    replaced by the references above."""
+    """extract_singular_locus with its seeds, polish, rank check, tangent,
+    trace and sweep of the traced points replaced by the references
+    above."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(locus, "_seed_cells", seed_cells_by_grid)
         patch.setattr(locus, "_polish", polish_seed_by_seed)
         patch.setattr(locus, "_degenerate", degenerate_point_by_point)
+        patch.setattr(locus._SigmaSystem, "tangent", tangent_by_numpy)
+        patch.setattr(locus, "_trace_from", trace_by_numpy)
+        patch.setattr(locus, "_near_line", near_line_point_by_point)
         return extract_singular_locus(F, surface)
+
+
+def flood_by_queue(mask, seeds, parents=False):
+    """Reference for locus.flood: one FIFO queue, one cell at a time."""
+    padded = np.pad(np.asarray(mask, dtype=bool), 1)
+    inside = padded.tobytes()
+    offsets = [d for stride in padded.strides for d in (-stride, stride)]
+    reached = bytearray(len(inside))
+    queue, came_from = [], []
+    for seed in seeds:
+        i = int(np.ravel_multi_index(np.add(seed, 1), padded.shape))
+        if inside[i] and not reached[i]:
+            reached[i] = 1
+            queue.append(i)
+            came_from.append(-1)
+    head = 0
+    while head < len(queue):
+        i = queue[head]
+        for d in offsets:
+            j = i + d
+            if inside[j] and not reached[j]:
+                reached[j] = 1
+                queue.append(j)
+                came_from.append(head)
+        head += 1
+    if parents:
+        cells = np.array(np.unravel_index(np.array(queue, dtype=np.intp),
+                                          padded.shape)).T - 1
+        cells = [tuple(c) for c in cells.tolist()]
+        return {c: cells[k] if k >= 0 else None
+                for c, k in zip(cells, came_from)}
+    interior = tuple(slice(1, -1) for _ in mask.shape)
+    reached = np.frombuffer(reached, dtype=bool).reshape(padded.shape)
+    return reached[interior].copy()
 
 
 # ---------------------------------------------------------------------------

@@ -428,6 +428,69 @@ def flood_path(mask, src, dst):
     return path
 
 
+def flood_mask(kind, shape, seed):
+    """A mask for the flood tests: random, one cell, all True, all False,
+    a one-cell-wide serpentine in the first two axes, or a ball."""
+    rng = np.random.default_rng(seed)
+    mask = np.zeros(shape, dtype=bool)
+    if kind == "random":
+        mask = rng.random(shape) < rng.uniform(0.5, 0.95)
+    elif kind == "one":
+        mask[tuple(rng.integers(0, shape))] = True
+    elif kind == "full":
+        mask[...] = True
+    elif kind == "serpentine":
+        # even rows open, odd rows open at alternate ends
+        at = (slice(None), slice(None)) + (0,) * (len(shape) - 2)
+        plane = mask[at] if len(shape) > 1 else mask[:, None]
+        plane[::2] = True
+        plane[1::4, -1] = plane[3::4, 0] = True
+    elif kind == "ball":
+        centre = rng.uniform(0, shape)
+        grid = np.indices(shape) - centre.reshape((-1,) + (1,) * len(shape))
+        radius = rng.uniform(0.25, 1.0) * max(shape)
+        mask = (grid ** 2).sum(axis=0) <= radius ** 2
+    return mask
+
+
+def flood_seeds(mask, count, seed):
+    """``count`` seeds in any order: cells of the mask, repeated ones, and
+    cells off the mask, the grid's one-cell rim included."""
+    rng = np.random.default_rng(seed)
+    inside = np.argwhere(mask)
+    seeds = []
+    for _ in range(count):
+        pick = rng.integers(3)
+        if pick == 0 and len(inside):
+            seeds.append(inside[rng.integers(len(inside))])
+        elif pick == 1 and seeds:
+            seeds.append(seeds[rng.integers(len(seeds))])
+        else:
+            seeds.append(rng.integers(-1, np.add(mask.shape, 1)))
+    return [tuple(int(i) for i in c) for c in seeds]
+
+
+def check_flood(mask, seeds):
+    """flood against the one-queue reference helpers.flood_by_queue: the
+    same mask, and the same parents dict in the same order.  Returns the
+    parents."""
+    got = flood(mask, seeds)
+    want = helpers.flood_by_queue(mask, seeds)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    got = flood(mask, seeds, parents=True)
+    want = helpers.flood_by_queue(mask, seeds, parents=True)
+    assert list(got.items()) == list(want.items())
+    return got
+
+
+def level_sizes(parent) -> list:
+    """Cells per distance from the seeds, from flood's parents dict."""
+    depth = {}
+    for cell, up in parent.items():
+        depth[cell] = 0 if up is None else depth[up] + 1
+    return np.bincount(list(depth.values())).tolist()
+
+
 class TestFlood:
     def test_far_end_not_reached_from_index_zero(self):
         line = np.array([True, False, False, True])
@@ -463,6 +526,41 @@ class TestFlood:
             assert flood_path(mask, src, dst) == want
             compared += want is not None
         assert compared >= 10
+
+
+    @given(dim=st.integers(1, 3),
+           kind=st.sampled_from(["random", "one", "full", "empty",
+                                 "serpentine", "ball"]),
+           seed=st.integers(0, 2**32 - 1), count=st.integers(0, 48))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_the_queue(self, dim, kind, seed, count):
+        rng = np.random.default_rng(seed)
+        top = {1: 90, 2: 64, 3: 16}[dim]
+        shape = tuple(int(v) for v in rng.integers(1, top + 1, dim))
+        mask = flood_mask(kind, shape, seed)
+        check_flood(mask, flood_seeds(mask, count, seed))
+
+    def test_levels_cross_the_crossover_both_ways(self):
+        # a disc seeded at its centre grows levels past the crossover and
+        # shrinks them below it at its rim; a one-cell-wide tail follows
+        mask = np.zeros((45, 45), dtype=bool)
+        grid = np.indices(mask.shape) - 20
+        mask[(grid ** 2).sum(axis=0) <= 18 ** 2] = True
+        mask[20, 38:] = True
+        mask[21:, 44] = True
+        sizes = level_sizes(check_flood(mask, [(20, 20)]))
+        big = [k for k, n in enumerate(sizes) if n >= locus._LEVEL_CROSSOVER]
+        assert big and sizes[0] < locus._LEVEL_CROSSOVER
+        assert len(sizes) > big[-1] + 10          # small levels after them
+        # many seeds: the seed level itself is large
+        seeds = [(i,) for i in range(199, 0, -3)]
+        assert len(seeds) >= locus._LEVEL_CROSSOVER
+        check_flood(np.ones(200, dtype=bool), seeds)
+
+    def test_no_cell_reached(self):
+        mask = np.zeros((3, 4), dtype=bool)
+        assert not flood(mask, [(1, 1), (-1, 4)]).any()
+        assert flood(mask, [], parents=True) == {}
 
 
 class TestCellOf:
@@ -626,6 +724,12 @@ class TestSigmaStage:
         assert len(got.polylines) == len(want.polylines)
         assert all(map(_same_bytes, got.polylines, want.polylines))
         assert got.dropped == want.dropped
+        mask = split_component(surface, got, sol.gamma_samples).mask
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(locus, "flood", helpers.flood_by_queue)
+            want_mask = split_component(surface, want,
+                                        sol.gamma_samples).mask
+        assert _same_bytes(mask, want_mask)
         if name == "exp_sin":
             assert got.dropped == 2
         elif name == "cube_gauss":
@@ -658,6 +762,25 @@ class TestSigmaStage:
                                                                      points))
         assert flags.any() and not flags.all()
         assert locus._degenerate(stub, points[:0]).shape == (0,)
+
+    @pytest.mark.parametrize("length", [1, 7, 5000])
+    def test_near_line_matches_one_norm_per_point(self, length):
+        rng = np.random.default_rng(length)
+        line = rng.uniform(-1.0, 1.0, (length, 3))
+        diag = 0.25
+        # random points, and points exactly diag from a vertex of the line
+        # along an axis or a 3-4-5 diagonal, either side by one ulp
+        on = line[rng.integers(length, size=20)] + np.array(
+            [[diag, 0.0, 0.0], [0.0, 0.6 * diag, 0.8 * diag]])[
+                rng.integers(2, size=20)]
+        points = np.vstack([rng.uniform(-1.5, 1.5, (60, 3)), on,
+                            np.nextafter(on, np.inf),
+                            np.nextafter(on, -np.inf)])
+        near = locus._near_line(points, line, diag)
+        assert _same_bytes(near, helpers.near_line_point_by_point(
+            points, line, diag))
+        assert near.any() and not near.all()
+        assert locus._near_line(points[:0], line, diag).shape == (0,)
 
     def test_squared_norms_equal_dot(self):
         rng = np.random.default_rng(23)

@@ -1,10 +1,12 @@
 import json
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
 import charmax
+import helpers
 from charmax.expr import Binary, Const, Unary, Var, parse
 from charmax.problem import (Box, SchemaError, ValidationError,
                              characteristic_field, initial_set_samples,
@@ -173,3 +175,34 @@ class TestGeneralDimension:
         fld = characteristic_field(problem)
         assert len(fld.components) == 4
         assert fld.n == 2
+
+
+class TestBoxContains:
+    # faces at signed zeros, and values on, just inside and just outside
+    # each face by the atol and by one ulp beyond it
+    BOX = Box((-0.0, 1.0), ((-2.5, 0.0),), (0.1, 3.0))
+
+    @staticmethod
+    def values(lo, hi):
+        near = [lo, hi, lo - 1e-12, hi + 1e-12]
+        near += [math.nextafter(v, d) for v in near for d in (-math.inf,
+                                                              math.inf)]
+        return near + [0.5 * (lo + hi), 0.0, -0.0, math.nan, math.inf,
+                       -math.inf]
+
+    def test_one_point_matches_the_array_test(self):
+        box = self.BOX
+        points = np.array(list(product(*(self.values(lo, hi)
+                                         for lo, hi in box.ranges))))
+        for atol in (0.0, 1e-12):
+            want = [helpers.contains_by_numpy(box, p, atol) for p in points]
+            got = [box.contains(p, atol=atol) for p in points]
+            assert got == want and {type(g) for g in got} == {bool}
+            assert [box.contains(p, atol) for p in points.tolist()] == want
+            assert box.contains(points, atol=atol).tolist() == want
+            assert 0 < sum(want) < len(want)
+        assert box.contains(points[:0]).shape == (0,)
+
+    def test_wrong_length_point_raises(self):
+        with pytest.raises(ValueError):
+            self.BOX.contains([0.5, -1.0])
