@@ -527,7 +527,6 @@ class TestFlood:
             compared += want is not None
         assert compared >= 10
 
-
     @given(dim=st.integers(1, 3),
            kind=st.sampled_from(["random", "one", "full", "empty",
                                  "serpentine", "ball"]),
@@ -768,8 +767,9 @@ class TestSigmaStage:
         rng = np.random.default_rng(length)
         line = rng.uniform(-1.0, 1.0, (length, 3))
         diag = 0.25
-        # random points, and points exactly diag from a vertex of the line
-        # along an axis or a 3-4-5 diagonal, either side by one ulp
+        # random points, and points diag from a vertex of the line (up to
+        # rounding, some exactly) along an axis or a 3-4-5 diagonal, and
+        # one ulp either side of those
         on = line[rng.integers(length, size=20)] + np.array(
             [[diag, 0.0, 0.0], [0.0, 0.6 * diag, 0.8 * diag]])[
                 rng.integers(2, size=20)]
