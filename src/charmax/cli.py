@@ -19,8 +19,8 @@ import numpy as np
 
 from . import conslaw
 from .characteristics import characteristic_strip
-from .domain import (NoConvergenceError, PathLeftWindowError,
-                     ProjectionError, contains, maximal_domain)
+from .domain import (PathLeftWindowError, ProjectionError, contains,
+                     maximal_domain)
 from .expr import Const, EvalDomainError, ParseError, to_str
 from .integrals import (FirstIntegralError, ImplicitSolutionError,
                         implicit_solution_for_problem)
@@ -52,10 +52,19 @@ def _write(out_dir: Path, name: str, text: str) -> Path:
     return path
 
 
+def _json_cell(text: str):
+    """A CSV cell as a JSON number, or as a string when it is not one (the
+    ``kind`` column)."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def _csv_to_json(text: str) -> str:
     lines = [l for l in text.strip().splitlines() if l]
     header = lines[0].split(",")
-    rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+    rows = [[_json_cell(v) for v in line.split(",")] for line in lines[1:]]
     return json.dumps({"columns": header, "rows": rows}, sort_keys=True)
 
 
@@ -166,14 +175,7 @@ def cmd_singular(args) -> int:
     sigma = extract_singular_locus(sol.F, surface)
 
     text = points_csv(surface, sigma, with_surface=args.with_surface)
-    out_dir = Path(args.out)
-    if args.format == "json":
-        lines = text.strip().splitlines()
-        doc = {"columns": lines[0].split(","),
-               "rows": [line.split(",") for line in lines[1:]]}
-        _write(out_dir, "sigma.json", json.dumps(doc, sort_keys=True))
-    else:
-        _write(out_dir, "sigma.csv", text)
+    _dump(Path(args.out), "sigma", text, args.format)
     print(f"{len(sigma.points)} sigma points "
           f"({int(np.count_nonzero(sigma.degenerate))} degenerate, "
           f"{sigma.dropped} seeds dropped)")
@@ -254,9 +256,8 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
     except (ValidationError, FirstIntegralError, ImplicitSolutionError,
-            ResolutionError, ProjectionError, NoConvergenceError,
-            PathLeftWindowError, EvalDomainError, ValueError,
-            NotImplementedError) as err:
+            ResolutionError, ProjectionError, PathLeftWindowError,
+            EvalDomainError, ValueError, NotImplementedError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -169,10 +169,12 @@ def maximal_domain(component: SurfaceComponent,
     surface = component.surface
     base_axes = surface.axes[:-1]
 
-    mask = comp.any(axis=-1)
-    first = comp.argmax(axis=-1)
-    last = comp.shape[-1] - 1 - comp[..., ::-1].argmax(axis=-1)
-    split = mask & (np.count_nonzero(comp, axis=-1) != last - first + 1)
+    # u-runs per base column: a run starts at a component cell whose lower
+    # neighbour in u is not one (or that is the column's first cell)
+    runs = comp[..., 0] + np.count_nonzero(comp[..., 1:] & ~comp[..., :-1],
+                                           axis=-1)
+    mask = runs > 0
+    split = runs > 1
     if split.any():
         base = tuple(int(v) for v in np.argwhere(split)[0])
         raise ProjectionError(

@@ -22,11 +22,14 @@ points are bit for bit those of an all-numpy trace.
 
 Splitting off the connected component of the initial set is a
 breadth-first flood fill over cell adjacency with singular cells removed.
-It expands one level of the search at a time: a level of many cells in
-one numpy step, a level of a few cells cell by cell, both in the order
-of a one-cell-at-a-time queue.  The grid helpers here (cell lookup, cell
-centres, mask to index list by one flat scan, flood fill) serve the
-base-space mask as well.
+It is a loop over the levels of the search: a level of many cells is
+expanded in one numpy step, a level of a few cells cell by cell, and
+both produce the next level in the order of a one-cell-at-a-time queue.
+The breadth-first tree, where it is asked for, is derived after the
+search: a cell's parent is its neighbour that comes first in
+breadth-first order.  The grid helpers here (cell lookup, cell centres,
+mask to index list by one flat scan, flood fill) serve the base-space
+mask as well.
 """
 
 from __future__ import annotations
@@ -320,17 +323,20 @@ def flood(mask: np.ndarray, seeds, parents: bool = False):
 
     Breadth-first from the seeds in the order given, a cell's neighbours
     taken axis by axis, lower side first.  Returns the reached cells as a
-    mask or, with ``parents``, as a dict mapping each reached cell to the
-    cell it was first reached from (None for seeds).
+    mask or, with ``parents``, as a dict in breadth-first order mapping
+    each reached cell to the cell it was first reached from (None for
+    seeds).
 
-    The queue is walked one level (one distance from the seeds) at a time.
-    A level of at least _LEVEL_CROSSOVER cells is expanded by one numpy
+    The search runs one level (one distance from the seeds) at a time.  A
+    level of at least _LEVEL_CROSSOVER cells is expanded by one numpy
     step: the neighbours of all its cells in (cell, neighbour) order, of
     which the first occurrence of each unreached cell of the mask joins
-    the next level.  That is the order in which the cell-by-cell queue
-    appends them, so levels and parents are the queue's.  Smaller levels
-    run the cell-by-cell loop itself, where a numpy step costs more than
-    it saves (a one-cell-wide chain has levels of one or two cells).
+    the next level.  That is the order in which a one-cell-at-a-time queue
+    appends them.  Smaller levels run that cell-by-cell loop itself, where
+    a numpy step costs more than it saves (a one-cell-wide chain has
+    levels of one or two cells).  The parents come after the search: a
+    cell is queued while its earliest-queued neighbour is expanded, so
+    its parent is the neighbour that comes first in breadth-first order.
     """
     # a False rim stops the search at the grid edge, so flat-index
     # neighbours never wrap around an axis; one byte per cell, so the
@@ -345,58 +351,43 @@ def flood(mask: np.ndarray, seeds, parents: bool = False):
     offsets = [d for stride in padded.strides for d in (-stride, stride)]
     steps = np.array(offsets)
     seeds = np.asarray(seeds, dtype=np.intp).reshape(-1, padded.ndim) + 1
-    queue = []
+    level = []
     for i in np.ravel_multi_index(seeds.T, padded.shape).tolist():
         if inside[i] and not reached[i]:
             reached[i] = 1
-            queue.append(i)
-    # the queue is a Python list through small levels; a large level and
-    # the large levels after it are numpy arrays.  A stretch of the queue
-    # keeps its cells' parent positions less its own offset.
-    came_from = [-1] * len(queue)
-    stretches = []                # finished (cells, came_from, offset)
-    # start: the queue position of queue[0]; head: the index in queue of
-    # the next cell, end: of the first cell after its level
-    start = head = end = 0
-    while head < len(queue):
-        if head == end:           # queue[head:] is the next level
-            end = len(queue)
-            if end - head >= _LEVEL_CROSSOVER:
-                stretches.append((queue, came_from, start))
-                level, start = np.array(queue[head:]), start + head
-                while True:
-                    near = (level[:, None] + steps).ravel()
-                    fresh = np.flatnonzero(inside_view[near]
-                                           & ~reached_view[near])
-                    first = np.unique(near[fresh], return_index=True)[1]
-                    first = fresh[np.sort(first)]
-                    level, up = near[first], start + first // len(offsets)
-                    reached_view[level] = True
-                    start += len(near) // len(offsets)
-                    if len(level) < _LEVEL_CROSSOVER:
-                        break
-                    stretches.append((level, up, 0))
-                queue, came_from = level.tolist(), (up - start).tolist()
-                head = end = 0
-                continue
-        i = queue[head]
-        for d in offsets:
-            j = i + d
-            if inside[j] and not reached[j]:
-                reached[j] = 1
-                queue.append(j)
-                came_from.append(head)
-        head += 1
+            level.append(i)
+    levels = [level]
+    while len(level):
+        if len(level) >= _LEVEL_CROSSOVER:
+            near = (np.asarray(level)[:, None] + steps).ravel()
+            fresh = np.flatnonzero(inside_view[near] & ~reached_view[near])
+            first = np.unique(near[fresh], return_index=True)[1]
+            level = near[fresh[np.sort(first)]]
+            reached_view[level] = True
+            if len(level) < _LEVEL_CROSSOVER:
+                level = level.tolist()   # Python ints for the loop
+        else:
+            current, level = level, []
+            for i in current:
+                for d in offsets:
+                    j = i + d
+                    if inside[j] and not reached[j]:
+                        reached[j] = 1
+                        level.append(j)
+        levels.append(level)
     if parents:
-        stretches.append((queue, came_from, start))
-        queue = np.concatenate([np.asarray(part, dtype=np.intp)
-                                for part, _, _ in stretches])
-        came_from = np.concatenate([np.asarray(up, dtype=np.intp) + offset
-                                    for _, up, offset in stretches])
-        cells = np.array(np.unravel_index(queue, padded.shape)).T - 1
+        order = np.concatenate([np.asarray(part, dtype=np.intp)
+                                for part in levels])
+        # each cell's place in breadth-first order; unreached cells last
+        pos = np.full(len(inside), len(order))
+        pos[order] = np.arange(len(order))
+        n_seeds = len(levels[0])          # the seeds have no parent
+        up = pos[order[n_seeds:, None] + steps].min(axis=1)
+        cells = np.array(np.unravel_index(order, padded.shape)).T - 1
         cells = [tuple(c) for c in cells.tolist()]
-        return {c: cells[k] if k >= 0 else None
-                for c, k in zip(cells, came_from.tolist())}
+        parent = dict.fromkeys(cells[:n_seeds])
+        parent.update(zip(cells[n_seeds:], [cells[k] for k in up.tolist()]))
+        return parent
     interior = tuple(slice(1, -1) for _ in mask.shape)
     return reached_view.reshape(padded.shape)[interior].copy()
 

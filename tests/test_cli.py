@@ -311,7 +311,8 @@ class TestFoldAtNZero:
         doc = json.loads((out_dir / "sigma.json").read_text())
         assert doc["columns"] == ["t", "u", "kind"]
         ((t, u, kind),) = doc["rows"]
-        assert abs(float(t) + 1.0) <= 1e-8 and abs(float(u)) <= 1e-8
+        assert type(t) is float and type(u) is float
+        assert abs(t + 1.0) <= 1e-8 and abs(u) <= 1e-8
         assert kind == "sigma"
         assert not (out_dir / "sigma.csv").exists()
 

@@ -78,12 +78,17 @@ class TestMaximalDomain:
 
     def test_two_branch_projection_rejected(self, pipelines):
         _, _, surf, _, comp, _ = pipelines("circular", 48)
-        mask = np.zeros_like(surf.crossing)
-        mask[3, 3, [4, 8]] = True  # u-gap over one base cell
-        fake = SurfaceComponent(surf, mask, [(3, 3, 4)],
-                                np.zeros_like(mask))
-        with pytest.raises(ProjectionError, match="two u-branches"):
-            maximal_domain(fake)
+        top = surf.crossing.shape[-1] - 1
+        # a u-gap over one base cell; then runs at the column's first and
+        # last u cell
+        for low, high in [(4, 8), (0, top)]:
+            mask = np.zeros_like(surf.crossing)
+            mask[3, 3, [low, high]] = True
+            fake = SurfaceComponent(surf, mask, [(3, 3, low)],
+                                    np.zeros_like(mask))
+            with pytest.raises(ProjectionError, match=r"two u-branches "
+                               r"onto base cell \(3, 3\)"):
+                maximal_domain(fake)
 
     def test_boundary_has_fold_and_window_parts(self, pipelines):
         _, _, _, _, _, dom = pipelines("circular", 48)
