@@ -99,6 +99,7 @@ def cmd_verify(args) -> int:
           f"{checks.max_flow_residual!r}")
     doc = {"rho": [json.loads(r.to_json()) for r in rho_set.reports],
            "min_singular_value": ndg.min_singular_value,
+           "nondegeneracy_excluded": len(ndg.excluded),
            "F": to_str(sol.F), **dataclasses.asdict(checks)}
     _write(Path(args.out), "verify.json", json.dumps(doc, sort_keys=True))
     print("PASS")

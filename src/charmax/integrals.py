@@ -84,6 +84,7 @@ class ResidualReport:
             "mean_residual": self.mean_residual,
             "worst_point": self.worst_point,
             "pass": self.passed,
+            "excluded": len(self.excluded),
         }, sort_keys=True)
 
 
@@ -195,20 +196,23 @@ def check_nondegeneracy(rho_set: FirstIntegralSet, samples,
     names = var_names(n)
     jacobian = compile_exprs([diff(r, v) for r in rho_set.rho for v in names],
                              names)
+    jacobians, evaluated, excluded = [], [], []
+    for point in samples.tolist():
+        try:
+            jacobians.append(jacobian(*point))
+        except EvalDomainError as err:
+            excluded.append((point, str(err)))
+            continue
+        evaluated.append(point)
     worst = None
     min_seen = np.inf
-    excluded = []
-    for point in samples:
-        try:
-            jac = np.array(jacobian(*point.tolist())).reshape(
-                len(rho_set.rho), len(names))
-        except EvalDomainError as err:
-            excluded.append((point.tolist(), str(err)))
-            continue
-        sv = np.linalg.svd(jac, compute_uv=False)[-1]
-        if sv < min_seen:
-            min_seen = sv
-            worst = point.tolist()
+    if jacobians:
+        stack = np.reshape(jacobians, (-1, len(rho_set.rho), len(names)))
+        sv = np.linalg.svd(stack, compute_uv=False)[:, -1]
+        sv[np.isnan(sv)] = np.inf  # an infinite entry: the point is skipped
+        k = int(np.argmin(sv))     # the first smallest
+        if sv[k] < np.inf:
+            min_seen, worst = sv[k], evaluated[k]
     ok = bool(min_seen >= MIN_SINGULAR_VALUE) and not np.isinf(min_seen)
     return NondegeneracyReport(ok, float(min_seen), worst, excluded)
 
@@ -299,7 +303,7 @@ def build_implicit_solution(rho_set: FirstIntegralSet, f: Expr, gamma,
         max_F = max(max_F, abs(fv))
         min_Fu = min(min_Fu, abs(fu))
 
-    flow = _check_flow_invariance(F, F_and_Fu, gradient, fld, box, gamma)
+    flow = _check_flow_invariance(F, gradient, fld, box, gamma)
     return ImplicitSolution(
         f, F, F_u, gradient, gamma, n, SolutionChecks(max_F, min_Fu, *flow),
         F_and_Fu, compile_exprs(gradient, names),
@@ -322,32 +326,39 @@ def _compiled_on_first_call(build: Callable) -> Callable:
     return call
 
 
-def _check_flow_invariance(F, F_and_Fu, gradient, fld, box, gamma):
+def _check_flow_invariance(F, gradient, fld, box, gamma):
     """|X F| at points of {F = 0}: the initial samples plus FLOW_SAMPLES
     random box points projected onto the surface by Newton in u.  Fewer
     than FLOW_SAMPLES // 2 projected (within the draw budget) or checked
     is an error.  Returns the largest |X F| / scale, the points projected,
-    the draws used and the points whose residual evaluated."""
+    the draws used and the points whose residual evaluated.
+
+    The draws are projected in blocks of 2 * FLOW_SAMPLES by
+    ``_newton_u_rows``, and the surface points are the first FLOW_SAMPLES
+    converged ones in the box, in draw order."""
     n = fld.n
+    names = var_names(n)
     residual_terms = compile_exprs(
-        [apply_field(fld, F), *chain(*zip(fld.components, gradient))],
-        var_names(n))
+        [apply_field(fld, F), *chain(*zip(fld.components, gradient))], names)
+    F_and_Fu_rows = compile_exprs([F, gradient[-1]], names, arrays=True)
     points = [p.tolist() for p in gamma]
     rng = np.random.default_rng(_RNG_SEED)
     lows, highs = box.lows(), box.highs()
-    attempts = 0
-    while (len(points) < len(gamma) + FLOW_SAMPLES
-           and attempts < 20 * FLOW_SAMPLES):
-        attempts += 1
-        draw = lows + rng.random(n + 2) * (highs - lows)
-        u, _, ok = _newton_u(F, F_and_Fu, draw[:-1].tolist(),
-                             float(draw[-1]), FLOW_NEWTON_TOL,
-                             FLOW_NEWTON_MAXIT, FLOW_NEWTON_MAX_STEP)
-        if not ok:
-            continue
-        candidate = list(draw[:-1]) + [u]
-        if box.contains(candidate):
-            points.append(candidate)
+    budget = 20 * FLOW_SAMPLES
+    draws = lows + rng.random((budget, n + 2)) * (highs - lows)
+    attempts = budget
+    for start in range(0, budget, 2 * FLOW_SAMPLES):
+        block = draws[start:start + 2 * FLOW_SAMPLES]
+        u, ok = _newton_u_rows(F_and_Fu_rows, block[:, :-1], block[:, -1],
+                               FLOW_NEWTON_TOL, FLOW_NEWTON_MAXIT,
+                               FLOW_NEWTON_MAX_STEP)
+        found = np.column_stack([block[:, :-1], u])
+        rows = np.flatnonzero(ok & box.contains(found))
+        rows = rows[:len(gamma) + FLOW_SAMPLES - len(points)]
+        points += found[rows].tolist()
+        if len(points) == len(gamma) + FLOW_SAMPLES:
+            attempts = start + int(rows[-1]) + 1
+            break
     projected = len(points) - len(gamma)
     if projected < FLOW_SAMPLES // 2:
         raise ImplicitSolutionError(
@@ -375,6 +386,55 @@ def _check_flow_invariance(F, F_and_Fu, gradient, fld, box, gamma):
             f"flow residual evaluated at only {checked} of {len(points)} "
             "surface points; X F is undefined on too much of the surface")
     return worst, projected, attempts, checked
+
+
+def _newton_u_rows(F_and_Fu_rows: Callable, base: np.ndarray, u: np.ndarray,
+                   tol: float, maxit: int, max_step: float):
+    """``_newton_u`` on every row at once: Newton in u for F = 0 at the
+    base points ``base`` (m, n + 1) of (t, x1..xn), from the (m,) values
+    ``u``, on the array back end of compile([F, F_u]).  Returns the final
+    iterates and the (m,) mask of rows that converged.
+
+    A row leaves by the exits of ``_newton_u``, in its order: converged
+    when |F| <= tol; failed when F_u is zero or not finite, when the step
+    is longer than ``max_step``, or when the pair hits a domain violation
+    at the start.  A row whose pair hits one after a step ends there, and
+    on the last iteration F alone decides whether it converged.  Where
+    the two back ends round alike (+ - * / sqrt), every row takes the
+    steps of ``_newton_u``; numpy's ``power``, ``exp`` and ``log`` may
+    differ from libm in the last bit.
+    """
+    u = np.array(u, dtype=float)
+    ok = np.zeros(len(u), dtype=bool)
+    live = np.arange(len(u))  # the rows still iterating
+
+    def pair(at):
+        """F, F_u, F's violation mask and the pair's, at the rows ``at``
+        (compile gives a scalar for a tree of constants and for a mask
+        with no domain test)."""
+        (r, r_bad), (fu, fu_bad) = F_and_Fu_rows(*base[at].T, u[at])
+        return [v if np.ndim(v) else np.full(at.shape, v)
+                for v in (r, fu, r_bad, r_bad | fu_bad)]
+
+    with np.errstate(all="ignore"):
+        r, fu, _, bad = pair(live)
+        live, r, fu = live[~bad], r[~bad], fu[~bad]
+        for it in range(maxit):
+            if not live.size:
+                break
+            done = np.abs(r) <= tol
+            ok[live[done]] = True
+            step = r / fu
+            go = (~done & (fu != 0.0) & np.isfinite(fu)
+                  & ~(np.abs(step) > max_step))
+            live = live[go]
+            u[live] -= step[go]
+            r, fu, r_bad, bad = pair(live)
+            if it == maxit - 1:
+                ok[live[bad & ~r_bad & (np.abs(r) <= tol)]] = True
+            live, r, fu = live[~bad], r[~bad], fu[~bad]
+    ok[live[np.abs(r) <= tol]] = True
+    return u, ok
 
 
 def implicit_solution_for_problem(problem: Problem, data: InitialData,

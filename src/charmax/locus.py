@@ -376,8 +376,14 @@ def flood(mask: np.ndarray, seeds, parents: bool = False):
                         level.append(j)
         levels.append(level)
     if parents:
-        order = np.concatenate([np.asarray(part, dtype=np.intp)
-                                for part in levels])
+        order, run = [], []
+        for part in levels:  # one array per run of the loop's lists
+            if isinstance(part, list):
+                run += part
+            else:
+                order += [np.asarray(run, dtype=np.intp), part]
+                run = []
+        order = np.concatenate([*order, np.asarray(run, dtype=np.intp)])
         # each cell's place in breadth-first order; unreached cells last
         pos = np.full(len(inside), len(order))
         pos[order] = np.arange(len(order))

@@ -3,17 +3,19 @@
 from __future__ import annotations
 
 import math
-from itertools import permutations, product
+from itertools import chain, permutations, product
 
 import numpy as np
 import pytest
 
 import charmax
-from charmax import domain, locus
+from charmax import domain, integrals, locus
 from charmax.domain import contains, maximal_domain
 from charmax.expr import (Binary, Const, EvalDomainError, Unary, Var, diff,
                           evaluate, evaluate_grid, var_names, variables)
-from charmax.integrals import implicit_solution_for_problem
+from charmax.expr import compile as compile_exprs
+from charmax.integrals import (ImplicitSolutionError, apply_field,
+                               implicit_solution_for_problem)
 from charmax.locus import (LevelSurface, SurfaceComponent, _classify_cells,
                            _grid_values, cell_of, extract_singular_locus,
                            extract_surface, split_component)
@@ -450,6 +452,86 @@ def compile_by_tree(exprs, names):
         binding = dict(zip(names, values))
         return tuple(evaluate(e, binding) for e in exprs)
     return by_tree
+
+
+def nondegeneracy_point_by_point(rho_set, samples, n):
+    """Reference for integrals.check_nondegeneracy: one SVD per sample."""
+    names = var_names(n)
+    jacobian = compile_exprs([diff(r, v) for r in rho_set.rho for v in names],
+                             names)
+    worst = None
+    min_seen = np.inf
+    excluded = []
+    for point in np.asarray(samples, dtype=float):
+        try:
+            jac = np.array(jacobian(*point.tolist())).reshape(
+                len(rho_set.rho), len(names))
+        except EvalDomainError as err:
+            excluded.append((point.tolist(), str(err)))
+            continue
+        sv = np.linalg.svd(jac, compute_uv=False)[-1]
+        if sv < min_seen:
+            min_seen = sv
+            worst = point.tolist()
+    ok = (bool(min_seen >= integrals.MIN_SINGULAR_VALUE)
+          and not np.isinf(min_seen))
+    return integrals.NondegeneracyReport(ok, float(min_seen), worst, excluded)
+
+
+def flow_check_by_draws(F, gradient, fld, box, gamma):
+    """Reference for integrals._check_flow_invariance: one random draw at
+    a time, each projected by the scalar integrals._newton_u."""
+    n = fld.n
+    residual_terms = compile_exprs([apply_field(fld, F),
+                                    *chain(*zip(fld.components, gradient))],
+                                   var_names(n))
+    F_and_Fu = compile_exprs([F, gradient[-1]], var_names(n))
+    points = [p.tolist() for p in gamma]
+    rng = np.random.default_rng(integrals._RNG_SEED)
+    lows, highs = box.lows(), box.highs()
+    attempts = 0
+    while (len(points) < len(gamma) + integrals.FLOW_SAMPLES
+           and attempts < 20 * integrals.FLOW_SAMPLES):
+        attempts += 1
+        draw = lows + rng.random(n + 2) * (highs - lows)
+        u, _, ok = integrals._newton_u(F, F_and_Fu, draw[:-1].tolist(),
+                                       float(draw[-1]),
+                                       integrals.FLOW_NEWTON_TOL,
+                                       integrals.FLOW_NEWTON_MAXIT,
+                                       integrals.FLOW_NEWTON_MAX_STEP)
+        if not ok:
+            continue
+        candidate = list(draw[:-1]) + [u]
+        if box.contains(candidate):
+            points.append(candidate)
+    projected = len(points) - len(gamma)
+    if projected < integrals.FLOW_SAMPLES // 2:
+        raise ImplicitSolutionError(
+            f"flow check projected only {projected} of "
+            f"{integrals.FLOW_SAMPLES} surface points in {attempts} draws; "
+            "the box holds too little of the surface to check flow "
+            "invariance")
+    worst, checked = 0.0, 0
+    for point in points:
+        try:
+            r, *terms = residual_terms(*point)
+        except EvalDomainError:
+            continue
+        r = abs(r)
+        scale = 1.0
+        for comp, g in zip(terms[::2], terms[1::2]):
+            scale += abs(comp * g)
+        if r > integrals.FLOW_TOL * scale:
+            raise ImplicitSolutionError(
+                f"zero set is not flow-invariant: |XF| = {r:.3e} "
+                f"(scale {scale:.3e}) at {point}")
+        worst = max(worst, r / scale)
+        checked += 1
+    if checked < integrals.FLOW_SAMPLES // 2:
+        raise ImplicitSolutionError(
+            f"flow residual evaluated at only {checked} of {len(points)} "
+            "surface points; X F is undefined on too much of the surface")
+    return worst, projected, attempts, checked
 
 
 def newton_u_by_tree(F, F_u, binding: dict, u: float, tol: float,

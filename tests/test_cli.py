@@ -5,10 +5,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import charmax
 from charmax.cli import main
+from charmax.integrals import (implicit_solution_for_problem,
+                               verification_samples)
+from charmax.problem import load_problem_bundle
 
 
 def problem_file(name):
@@ -50,6 +54,14 @@ UNDEFINED_FLOW_DATA = {
     "box": {"t": [-1, 0.001], "u": [0, 2]}, "rho": ["u"], "f": "y1 - 1",
 }
 
+# u' = u, u(0) = 1, with rho = t - log(u): rho and X rho fail to evaluate
+# on the lower quarter of the box, u <= 0, and the check still passes
+LOG_RHO_DATA = {
+    "n": 0, "alpha": "1", "b": "u", "h": "1",
+    "box": {"t": [-1.0, 1.0], "u": [-1.0, 3.0]},
+    "rho": ["t - log(u)"], "f": "y1",
+}
+
 TWO_SPEED_DATA = {
     "n": 2, "alpha": "1", "a": ["u", "u^2"], "b": "0", "h": "x1 + x2",
     "s_range": [[-0.1, 0.1], [-0.1, 0.1]], "f": "y1 - y2 - y3",
@@ -88,6 +100,66 @@ class TestVerify:
         assert (f"zero set flow-invariant at 201 points (200 surface points "
                 f"projected in 2037 draws): max |XF| / scale = "
                 f"{doc['max_flow_residual']!r}") in out
+
+    @pytest.mark.parametrize("problem, checks", [
+        ("circular", "SolutionChecks(max_abs_F_on_gamma=3.215743643592006e-16,"
+         " min_abs_F_u_on_gamma=1.998999749874922, max_flow_residual=0.0,"
+         " flow_points_projected=200, flow_draws=352,"
+         " flow_points_checked=265)"),
+        ("burgers_ramp", "SolutionChecks(max_abs_F_on_gamma=0.0,"
+         " min_abs_F_u_on_gamma=1.0, max_flow_residual=0.0,"
+         " flow_points_projected=200, flow_draws=243,"
+         " flow_points_checked=265)"),
+        ("burgers_reciprocal", "SolutionChecks(max_abs_F_on_gamma=0.0,"
+         " min_abs_F_u_on_gamma=1.0,"
+         " max_flow_residual=1.0737393908314842e-16,"
+         " flow_points_projected=200, flow_draws=496,"
+         " flow_points_checked=265)"),
+        (SQRT_DATA, "SolutionChecks(max_abs_F_on_gamma=0.0,"
+         " min_abs_F_u_on_gamma=1.0, max_flow_residual=5.551115123125783e-17,"
+         " flow_points_projected=200, flow_draws=352,"
+         " flow_points_checked=265)"),
+        (N0_FOLD_DATA, "SolutionChecks(max_abs_F_on_gamma=0.0,"
+         " min_abs_F_u_on_gamma=2.0, max_flow_residual=3.700743415417188e-17,"
+         " flow_points_projected=200, flow_draws=332,"
+         " flow_points_checked=201)"),
+        (CONSTANT_DATA, "SolutionChecks(max_abs_F_on_gamma=0.0,"
+         " min_abs_F_u_on_gamma=1.0, max_flow_residual=0.0,"
+         " flow_points_projected=200, flow_draws=200,"
+         " flow_points_checked=265)"),
+        (TWO_SPEED_DATA, "SolutionChecks("
+         "max_abs_F_on_gamma=1.3877787807814457e-17,"
+         " min_abs_F_u_on_gamma=1.0, max_flow_residual=6.01396015608448e-17,"
+         " flow_points_projected=200, flow_draws=257,"
+         " flow_points_checked=4425)"),
+    ], ids=["circular", "burgers_ramp", "burgers_reciprocal", "sqrt",
+            "n0_fold", "constant", "two_speed"])
+    def test_checks_repeat_bit_for_bit(self, problem, checks, tmp_path):
+        # recorded with the draw-by-draw projection that
+        # helpers.flow_check_by_draws keeps
+        path = (problem_file(problem) if isinstance(problem, str)
+                else write(tmp_path, problem))
+        bundle = load_problem_bundle(path)
+        _, sol = implicit_solution_for_problem(bundle.problem, bundle.data,
+                                               bundle.rho, bundle.f)
+        assert repr(sol.checks) == checks
+
+    def test_reports_the_samples_left_out(self, tmp_path, capsys):
+        assert main(["verify", "--problem", write(tmp_path, LOG_RHO_DATA),
+                     "--out", str(tmp_path / "out")]) == 0
+        doc = json.loads((tmp_path / "out" / "verify.json").read_text())
+        bundle = load_problem_bundle(str(tmp_path / "problem.json"))
+        samples = verification_samples(bundle.problem.box,
+                                       np.array([[0.0, 1.0]]))
+        (rho,) = doc["rho"]
+        assert rho["pass"]
+        assert rho["excluded"] == np.count_nonzero(samples[:, 1] <= 0.0) > 0
+        assert doc["nondegeneracy_excluded"] == 0
+        assert main(["verify", "--problem", problem_file("burgers_ramp"),
+                     "--out", str(tmp_path / "out")]) == 0
+        doc = json.loads((tmp_path / "out" / "verify.json").read_text())
+        assert [r["excluded"] for r in doc["rho"]] == [0, 0]
+        assert doc["nondegeneracy_excluded"] == 0
 
     def test_wrong_f_fails_validation(self, tmp_path, capsys):
         doc = dict(CONSTANT_DATA, rho=["u", "x - u*t"], f="y1")

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+import helpers
 from charmax import integrals
 from charmax.expr import (Const, Var, diff, evaluate, parse, substitute,
                           var_names)
+from charmax.expr import compile as compile_exprs
 from charmax.integrals import (FirstIntegralError, FirstIntegralSet,
                                ImplicitSolutionError, build_implicit_solution,
                                check_nondegeneracy, conservation_law_integrals,
@@ -77,7 +79,7 @@ class TestVerify:
                                        box_samples(problem.box, 10))
         doc = json.loads(report.to_json())
         assert set(doc) == {"max_residual", "mean_residual", "worst_point",
-                            "pass"}
+                            "pass", "excluded"}
 
 
 class TestConservation:
@@ -126,6 +128,22 @@ class TestNondegeneracy:
         assert not check_nondegeneracy(rho, bad, n=1).ok
         gamma = np.array([[0.0, 0.0, 1.0], [0.0, 0.1, math.sqrt(0.999)]])
         assert check_nondegeneracy(rho, gamma, n=1).ok
+
+    @pytest.mark.parametrize("rho, n", [
+        (("u", "x - u*t"), 1),
+        (("x1", "t^2 + u^2"), 1),
+        (("u", "x1 - u*t", "x2 - u^2*t"), 2),
+        # d(u log u)/du = log(u) + 1 fails to evaluate where u <= 0, and
+        # exp(exp(u^3)) overflows to an infinite entry where u > 1.87
+        (("t + u*log(u)", "x*exp(exp(u^3))"), 1),
+    ])
+    def test_matches_one_svd_per_point(self, rho, n):
+        rho_set = FirstIntegralSet(tuple(parse(r, n=n) for r in rho),
+                                   "user-supplied")
+        box = Box((-1.0, 1.0), ((-1.0, 1.0),) * n, (-3.0, 3.0))
+        samples = box_samples(box, 400, seed=n)
+        assert (check_nondegeneracy(rho_set, samples, n)
+                == helpers.nondegeneracy_point_by_point(rho_set, samples, n))
 
 
 class TestDefiningFunction:
@@ -292,3 +310,86 @@ class TestGeneralDimension:
             assert report.passed
         gamma = initial_set_samples(data, 3)
         assert check_nondegeneracy(rho_set, gamma, n=2).ok
+
+
+class TestFlowProjection:
+    """integrals._newton_u_rows against the scalar integrals._newton_u on
+    trees of + - * / sqrt, which both back ends round alike."""
+
+    CUBIC = "u*u*u - t*u + x"
+    SQRT = "t*sqrt(u) + u"
+    TOL = integrals.FLOW_NEWTON_TOL
+    MAX_STEP = integrals.FLOW_NEWTON_MAX_STEP
+
+    def scalar_and_rows(self, text, rows, maxit, max_step=MAX_STEP):
+        F = parse(text, n=1)
+        names = var_names(1)
+        trees = [F, diff(F, "u")]
+        F_and_Fu = compile_exprs(trees, names)
+        want = [integrals._newton_u(F, F_and_Fu, [t, x], u0, self.TOL, maxit,
+                                    max_step) for t, x, u0 in rows]
+        rows = np.array(rows, dtype=float)
+        with np.errstate(all="raise"):  # it silences its own warnings
+            got_u, got_ok = integrals._newton_u_rows(
+                compile_exprs(trees, names, arrays=True), rows[:, :2],
+                rows[:, 2], self.TOL, maxit, max_step)
+        assert got_ok.tolist() == [ok for _, _, ok in want]
+        assert np.array_equal(got_u, [u for u, _, _ in want], equal_nan=True)
+        return want
+
+    @pytest.mark.parametrize("text, row, maxit, max_step, exit_", [
+        (CUBIC, (0.5, 0.3, 1.0), 40, MAX_STEP, "converged"),
+        # with no step limit, only the F_u test stops the step r / 0
+        (CUBIC, (0.0, 0.5, 0.0), 40, math.inf, "F_u zero"),
+        (CUBIC, (0.0, 0.5, 1e200), 40, MAX_STEP, "F_u not finite"),
+        (CUBIC, (1e-12, 1.0, 0.0), 40, MAX_STEP, "step too long"),
+        # Newton on u^3 - 2u + 2 cycles 0, 1, 0, ...
+        (CUBIC, (2.0, 2.0, 0.0), 40, MAX_STEP, "iterations spent"),
+        (SQRT, (1.0, 0.0, -1.0), 40, MAX_STEP, "violation at the start"),
+        (SQRT, (0.0, 0.0, 0.5), 40, MAX_STEP, "violation after a step"),
+        (SQRT, (0.0, 0.0, 0.5), 1, MAX_STEP, "F alone at the last iteration"),
+        (SQRT, (1.0, 0.0, 0.5), 1, MAX_STEP,
+         "F fails too at the last iteration"),
+    ])
+    def test_each_exit_matches_the_scalar_newton(self, text, row, maxit,
+                                                 max_step, exit_):
+        ((u, fu, ok),) = self.scalar_and_rows(text, [row], maxit, max_step)
+        u0 = row[2]
+        if exit_ == "converged":
+            assert ok and fu is not None
+        elif exit_ == "F_u zero":
+            assert not ok and fu == 0.0 and u == u0
+        elif exit_ == "F_u not finite":
+            assert not ok and math.isinf(fu) and u == u0
+        elif exit_ == "step too long":
+            assert not ok and fu != 0.0 and u == u0
+        elif exit_ == "iterations spent":
+            assert not ok and fu is not None and u == u0
+        elif exit_ == "violation at the start":
+            assert not ok and fu is None and u == u0
+        elif exit_ == "violation after a step":
+            # at t = 0 the step lands on u = 0, where F = 0 but F_u divides
+            # by sqrt(0)
+            assert not ok and fu is None and u == 0.0
+        elif exit_ == "F alone at the last iteration":
+            assert ok and fu is None and u == 0.0
+        else:  # at t = 1 the step lands at u < 0
+            assert not ok and fu is not None and u < 0.0
+
+    @pytest.mark.parametrize("text", [CUBIC, SQRT])
+    @pytest.mark.parametrize("maxit", [3, 5, 40])
+    def test_random_rows_match_the_scalar_newton(self, text, maxit):
+        rng = np.random.default_rng(17)
+        rows = np.column_stack([rng.uniform(-2.0, 2.0, (300, 2)),
+                                rng.uniform(-3.0, 3.0, 300)]).tolist()
+        want = self.scalar_and_rows(text, rows, maxit)
+        assert 0 < sum(ok for _, _, ok in want) < len(want)
+
+
+@pytest.mark.parametrize("name", helpers.EXAMPLES)
+def test_flow_check_matches_the_draw_by_draw_reference(name, solutions):
+    b, _, sol = solutions(name)
+    args = (sol.F, sol.gradient, characteristic_field(b.problem),
+            b.problem.box, sol.gamma_samples)
+    assert (integrals._check_flow_invariance(*args)
+            == helpers.flow_check_by_draws(*args))
