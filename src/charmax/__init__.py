@@ -11,7 +11,7 @@ grid.
 """
 
 from .conslaw import ConservationLaw, blowup_time, envelope, singular_time
-from .domain import MaximalDomain, Verdict, contains, maximal_domain, solve_u
+from .domain import MaximalDomain, Verdict, contains, maximal_domain
 from .expr import Expr, diff, evaluate, parse, to_str
 from .integrals import (FirstIntegralSet, ImplicitSolution,
                         build_implicit_solution, conservation_law_integrals,
@@ -33,7 +33,7 @@ __all__ = [
     "extract_singular_locus", "extract_surface",
     "implicit_solution_for_problem", "initial_set_samples", "load_problem",
     "load_problem_bundle", "maximal_domain", "parse", "singular_time",
-    "solve_u", "split_component", "to_str", "verify_first_integral",
+    "split_component", "to_str", "verify_first_integral",
 ]
 
 

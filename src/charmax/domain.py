@@ -28,15 +28,12 @@ from operator import mul
 
 import numpy as np
 
-from .expr import EvalDomainError, Expr, diff, evaluate, var_names
-from .expr import compile as compile_exprs
+from .expr import EvalDomainError, evaluate, var_names
 from .integrals import ImplicitSolution, _newton_u
-from .locus import (SurfaceComponent, _damped_newton, cell_center,
-                    cell_indices, cell_of, flood)
+from .locus import SurfaceComponent, cell_center, cell_indices, cell_of, flood
 from .problem import InitialData, Problem
 
 SOLVE_TOL = 1e-12
-SOLVE_MAXIT = 50
 SINGULAR_FACTOR = 1e-6
 
 # continuation query: corrector iterations per step and steps per path
@@ -71,22 +68,10 @@ class ProjectionError(Exception):
     injective on the component, i.e. the resolution failed."""
 
 
-class NoConvergenceError(Exception):
-    """Newton in u failed to converge."""
-
-
 class PathLeftWindowError(Exception):
     """The continuation corrector diverged while F_u was still healthy:
     the path left the region where the surface is tracked (box too small
     or the path crosses a set where F is undefined)."""
-
-
-@dataclass
-class SolveResult:
-    u: float
-    f_u: float
-    residual: float
-    iterations: int
 
 
 @dataclass
@@ -105,7 +90,7 @@ class Verdict:
 @dataclass
 class BoundaryPolyline:
     kind: str                  # "fold" (sigma projection) | "window"
-    points: np.ndarray         # (m, base_dim)
+    points: np.ndarray         # (m, n + 1) base-space points
 
 
 @dataclass
@@ -115,10 +100,6 @@ class MaximalDomain:
     mask: np.ndarray                  # bool over base cells
     boundary: list[BoundaryPolyline]
     base_cells: list[tuple]           # projections of the initial-set cells
-
-    @property
-    def base_dim(self) -> int:
-        return len(self.axes)
 
     @property
     def cell_area(self) -> float:
@@ -311,40 +292,6 @@ def _attach_sigma_boundary(dom: MaximalDomain, component: SurfaceComponent,
     dom.boundary = ([BoundaryPolyline("fold", l) for l in fold_lines]
                     + dom.boundary)
     return dom
-
-
-# ---------------------------------------------------------------------------
-# Newton in one unknown
-
-def solve_u(F: Expr, t: float, x, seed: float) -> SolveResult:
-    """Damped Newton for F(t, x, u) = 0 in u from the given seed."""
-    x = np.atleast_1d(np.asarray(x, dtype=float)) if x is not None else np.zeros(0)
-    names = var_names(len(x))
-    F_fn = compile_exprs([F], names)
-    F_u_fn = compile_exprs([diff(F, "u")], names)
-    base = [float(t), *x.tolist()]
-    iterations = 0
-
-    def at(fn, u):
-        try:
-            return np.array(fn(*base, float(u[0])))
-        except EvalDomainError:
-            return None
-
-    def jacobian(u):  # called once per Newton step
-        nonlocal iterations
-        iterations += 1
-        fu = at(F_u_fn, u)
-        return None if fu is None else fu.reshape(1, 1)
-
-    root = _damped_newton(lambda u: at(F_fn, u), jacobian, [float(seed)],
-                          SOLVE_TOL, SOLVE_MAXIT)
-    if root is None:
-        raise NoConvergenceError(f"no root of F in u from seed {seed!r} "
-                                 f"within {SOLVE_MAXIT} iterations")
-    u = float(root[0])
-    (r,) = F_fn(*base, u)
-    return SolveResult(u, F_u_fn(*base, u)[0], abs(r), iterations)
 
 
 # ---------------------------------------------------------------------------

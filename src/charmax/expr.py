@@ -571,8 +571,8 @@ def compile(exprs: Sequence[Expr], names: Sequence[str], arrays: bool = False):
     """
     exprs, names = tuple(exprs), tuple(names)
     lib = np if arrays else math
-    env = {name: getattr(lib, name)
-           for name in ("exp", "log", "sin", "cos", "sqrt", "floor")}
+    env = {name: getattr(lib, name) for name in
+           ("exp", "log", "sin", "cos", "sqrt", "floor", "isinf")}
     env.update(pow=np.power if arrays else _scalar_pow, asarray=np.asarray,
                False_=np.False_,
                ERRORS=(ArithmeticError, ValueError, EvalDomainError))
@@ -615,7 +615,8 @@ def compile(exprs: Sequence[Expr], names: Sequence[str], arrays: bool = False):
                 a = operand(e.arg)
                 children = (a,)
                 code = f"-{a}" if e.op == NEG else f"{e.op}({a})"
-                viol = {"log": f"{a} <= 0.0", "sqrt": f"{a} < 0.0"}.get(e.op)
+                viol = {"log": f"{a} <= 0.0", "sqrt": f"{a} < 0.0",
+                        "sin": f"isinf({a})", "cos": f"isinf({a})"}.get(e.op)
             else:
                 if e.op not in ("+", "-", "*", "/", "^"):
                     raise ValueError(f"unknown binary op {e.op!r}")

@@ -62,10 +62,6 @@ class FirstIntegralSet:
     nondegeneracy: NondegeneracyReport | None = field(
         default=None, compare=False, repr=False)
 
-    @property
-    def count(self) -> int:
-        return len(self.rho)
-
 
 @dataclass
 class ResidualReport:
@@ -189,7 +185,9 @@ def conservation_law_integrals(a: Sequence[Expr]) -> FirstIntegralSet:
 def check_nondegeneracy(rho_set: FirstIntegralSet, samples,
                         n: int) -> NondegeneracyReport:
     """Smallest singular value of the (n+1) x (n+2) Jacobian of rho at each
-    sample; nondegenerate iff it stays >= MIN_SINGULAR_VALUE everywhere."""
+    sample; nondegenerate iff it stays >= MIN_SINGULAR_VALUE everywhere.
+    A sample whose Jacobian fails to evaluate or has a non-finite entry
+    is left out and listed in ``excluded``, in sample order."""
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("at least one sample is required")
@@ -199,20 +197,23 @@ def check_nondegeneracy(rho_set: FirstIntegralSet, samples,
     jacobians, evaluated, excluded = [], [], []
     for point in samples.tolist():
         try:
-            jacobians.append(jacobian(*point))
+            jac = jacobian(*point)
         except EvalDomainError as err:
             excluded.append((point, str(err)))
             continue
+        bad = [v for v in jac if not math.isfinite(v)]
+        if bad:
+            excluded.append((point, f"non-finite Jacobian entry {bad[0]!r}"))
+            continue
+        jacobians.append(jac)
         evaluated.append(point)
     worst = None
     min_seen = np.inf
     if jacobians:
         stack = np.reshape(jacobians, (-1, len(rho_set.rho), len(names)))
         sv = np.linalg.svd(stack, compute_uv=False)[:, -1]
-        sv[np.isnan(sv)] = np.inf  # an infinite entry: the point is skipped
         k = int(np.argmin(sv))     # the first smallest
-        if sv[k] < np.inf:
-            min_seen, worst = sv[k], evaluated[k]
+        min_seen, worst = sv[k], evaluated[k]
     ok = bool(min_seen >= MIN_SINGULAR_VALUE) and not np.isinf(min_seen)
     return NondegeneracyReport(ok, float(min_seen), worst, excluded)
 

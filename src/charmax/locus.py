@@ -45,7 +45,6 @@ from .problem import Box
 
 NEWTON_TOL = 1e-12
 NEWTON_MAXIT = 50
-SIGMA_RESIDUAL = 1e-10
 DEGENERATE_RATIO = 1e-6
 MIN_RESOLUTION = 16
 # flood expands a level of at least this many cells by one numpy step; the
@@ -60,12 +59,10 @@ class ResolutionError(Exception):
 
 @dataclass
 class LevelSurface:
-    F: Expr
     box: Box
     resolution: int
     axes: tuple[np.ndarray, ...]       # vertex coordinates per axis
     values: np.ndarray                 # F at vertices
-    valid: np.ndarray                  # vertex validity
     crossing: np.ndarray               # cell-shaped bool mask
     excluded_cells: np.ndarray         # cells dropped for invalid vertices
 
@@ -246,7 +243,7 @@ def extract_surface(F: Expr, box: Box, resolution: int) -> LevelSurface:
     axes = tuple(np.linspace(lo, hi, resolution + 1) for lo, hi in box.ranges)
     values, valid = _grid_values(F, axes, n)
     crossing, all_ok = _classify_cells(values, valid, dim)
-    return LevelSurface(F, box, resolution, axes, values, valid, crossing,
+    return LevelSurface(box, resolution, axes, values, crossing,
                         cell_indices(~all_ok))
 
 

@@ -430,6 +430,8 @@ def eval_arrays_by_tree(e, b):
             return np.log(v), bad | (v <= 0.0)
         if e.op == "sqrt":
             return np.sqrt(v), bad | (v < 0.0)
+        if e.op in ("sin", "cos"):
+            return getattr(np, e.op)(v), bad | np.isinf(v)
         return getattr(np, e.op)(v), bad
     l, lbad = eval_arrays_by_tree(e.left, b)
     r, rbad = eval_arrays_by_tree(e.right, b)
@@ -468,6 +470,11 @@ def nondegeneracy_point_by_point(rho_set, samples, n):
                 len(rho_set.rho), len(names))
         except EvalDomainError as err:
             excluded.append((point.tolist(), str(err)))
+            continue
+        bad = jac[~np.isfinite(jac)].tolist()
+        if bad:
+            excluded.append((point.tolist(),
+                             f"non-finite Jacobian entry {bad[0]!r}"))
             continue
         sv = np.linalg.svd(jac, compute_uv=False)[-1]
         if sv < min_seen:
@@ -838,8 +845,8 @@ def grid_surface(values, lows=None, highs=None):
                  for lo, hi, k in zip(lows, highs, values.shape))
     valid = np.ones(values.shape, dtype=bool)
     crossing, all_ok = _classify_cells(values, valid, values.ndim)
-    return LevelSurface(None, None, values.shape[0] - 1, axes, values, valid,
-                        crossing, np.argwhere(~all_ok))
+    return LevelSurface(None, values.shape[0] - 1, axes, values, crossing,
+                        np.argwhere(~all_ok))
 
 
 # ---------------------------------------------------------------------------
@@ -867,7 +874,7 @@ def hand_component(mask, sigma_cells=None, gamma_cells=None):
     to the first component cell."""
     mask = np.asarray(mask, dtype=bool)
     axes = tuple(np.arange(k + 1, dtype=float) for k in mask.shape)
-    surface = LevelSurface(None, None, mask.shape[0], axes, None, None, mask,
+    surface = LevelSurface(None, mask.shape[0], axes, None, mask,
                            np.zeros((0, mask.ndim), int))
     if sigma_cells is None:
         sigma_cells = np.zeros_like(mask)

@@ -8,9 +8,9 @@ import pytest
 import helpers
 from charmax import domain, integrals
 from charmax.domain import (CORRECTOR_MAXIT, MAX_MARCH_STEPS, SOLVE_TOL,
-                            NoConvergenceError, PathLeftWindowError,
-                            ProjectionError, _chain_outline, _staircase,
-                            contains, maximal_domain, solve_u)
+                            PathLeftWindowError, ProjectionError,
+                            _chain_outline, _staircase, contains,
+                            maximal_domain)
 from charmax.expr import diff, evaluate, parse, var_names
 from charmax.expr import compile as compile_exprs
 from charmax.integrals import _newton_u, implicit_solution_for_problem
@@ -226,25 +226,6 @@ class TestProjectionOfHandMadeMasks:
         assert window_lines("..####..") == [[[2.0]], [[6.0]]]
         assert window_lines("####....") == [[[0.0]], [[4.0]]]
         assert window_lines("..####s.") == [[[2.0]]]
-
-
-class TestSolveU:
-    def test_linear_single_step(self):
-        res = solve_u(parse("u - 3", n=1), 0.2, [0.1], seed=0.0)
-        assert res.u == 3.0
-        assert res.f_u == 1.0
-
-    def test_ode_initial_value(self):
-        res = solve_u(parse("t + 1/u - 1", n=0), 0.0, [], seed=0.5)
-        assert abs(res.u - 1.0) <= 1e-12
-
-    def test_cap_surface_origin(self):
-        res = solve_u(parse("t^2 + u^2 - 1 + x^3", n=1), 0.0, [0.0], seed=0.9)
-        assert abs(res.u - 1.0) <= 1e-12
-
-    def test_no_real_root(self):
-        with pytest.raises(NoConvergenceError):
-            solve_u(parse("u^2 + 1", n=0), 0.0, [], seed=0.3)
 
 
 class TestContains:

@@ -424,6 +424,19 @@ class TestCompileArrays:
             assert all(map(same_arrays, got, grid_by_tree(e, binding,
                                                           (4, 4, 4))))
 
+    @pytest.mark.parametrize("fn", ["sin", "cos"])
+    def test_infinite_argument_is_a_violation(self, fn):
+        # the mask is set exactly where the scalar back end raises
+        e = parse(f"{fn}(exp(u))", n=0)
+        with np.errstate(all="ignore"):
+            ((vals, bad),) = compile_exprs([e], ("t", "u"), arrays=True)(
+                np.zeros(2), np.array([1.0, 800.0]))
+        assert vals[0] == evaluate(e, {"t": 0.0, "u": 1.0})
+        with pytest.raises(EvalDomainError, match="infinite"):
+            evaluate(e, {"t": 0.0, "u": 800.0})
+        assert math.isnan(vals[1])
+        assert bad.tolist() == [False, True]
+
     @pytest.mark.parametrize("name", helpers.EXAMPLES)
     def test_bundled_grids_release_temporaries(self, name, solutions):
         # the same values as the tree walk, and no more memory: holding

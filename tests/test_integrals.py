@@ -145,6 +145,22 @@ class TestNondegeneracy:
         assert (check_nondegeneracy(rho_set, samples, n)
                 == helpers.nondegeneracy_point_by_point(rho_set, samples, n))
 
+    def test_reports_samples_with_an_infinite_entry(self):
+        # 197 samples fail to evaluate (u <= 0) and 81 have an infinite
+        # entry (u > 1.87); all are left out and reported, in sample order
+        rho_set = FirstIntegralSet((parse("t + u*log(u)", n=1),
+                                    parse("x*exp(exp(u^3))", n=1)),
+                                   "user-supplied")
+        box = Box((-1.0, 1.0), ((-1.0, 1.0),), (-3.0, 3.0))
+        samples = box_samples(box, 400, seed=1)
+        excluded = check_nondegeneracy(rho_set, samples, 1).excluded
+        assert len(excluded) == 278
+        infinite = [p for p, reason in excluded if "non-finite" in reason]
+        assert len(infinite) == 81
+        assert min(u for _, _, u in infinite) > 1.87
+        order = [samples.tolist().index(p) for p, _ in excluded]
+        assert order == sorted(order)
+
 
 class TestDefiningFunction:
     def test_reciprocal_data(self):
