@@ -58,18 +58,6 @@ class ConservationLaw:
         return evaluate(self.g_prime, {"x1": float(s)})
 
 
-@dataclass(frozen=True)
-class CharacteristicLine:
-    """x(t) = s + speed * t at constant height u."""
-
-    s: float
-    speed: float
-    u: float
-
-    def x_at(self, t: float) -> float:
-        return self.s + self.speed * t
-
-
 @dataclass
 class EnvelopeCurve:
     s: np.ndarray
@@ -90,11 +78,6 @@ class EnvelopeCurve:
                 stext = "nan"
             out.write(f"{float(s)!r},{float(t)!r},{float(x)!r},{stext}\n")
         return out.getvalue()
-
-
-def characteristic_line(law: ConservationLaw, s: float) -> CharacteristicLine:
-    """The straight characteristic through the initial point at parameter s."""
-    return CharacteristicLine(float(s), law.g_at(s), law.h_at(s))
 
 
 def singular_time(law: ConservationLaw, s: float) -> float | None:

@@ -669,6 +669,13 @@ def compile(exprs: Sequence[Expr], names: Sequence[str], arrays: bool = False):
     return env["compiled"]
 
 
+def output_rows(outputs, shape):
+    """The ``(values, bad)`` pairs of an array-compiled function at
+    ``shape``, where compile gave 0-d ones (constants, no domain test)."""
+    return [tuple(v if np.ndim(v) else np.full(shape, v) for v in pair)
+            for pair in outputs]
+
+
 _TEMP = re.compile(r"\bt\d+\b")
 
 

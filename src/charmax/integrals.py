@@ -24,7 +24,7 @@ import numpy as np
 
 from .expr import (Const, EvalDomainError, Expr, Var, diff, evaluate,
                    mul, sub, substitute, to_str, var_names, variables)
-from .expr import compile as compile_exprs
+from .expr import compile as compile_exprs, output_rows
 from .problem import (Box, InitialData, Problem, VectorField,
                       characteristic_field, initial_set_samples)
 
@@ -410,12 +410,10 @@ def _newton_u_rows(F_and_Fu_rows: Callable, base: np.ndarray, u: np.ndarray,
     live = np.arange(len(u))  # the rows still iterating
 
     def pair(at):
-        """F, F_u, F's violation mask and the pair's, at the rows ``at``
-        (compile gives a scalar for a tree of constants and for a mask
-        with no domain test)."""
-        (r, r_bad), (fu, fu_bad) = F_and_Fu_rows(*base[at].T, u[at])
-        return [v if np.ndim(v) else np.full(at.shape, v)
-                for v in (r, fu, r_bad, r_bad | fu_bad)]
+        """F, F_u, F's violation mask and the pair's, at the rows ``at``."""
+        (r, r_bad), (fu, fu_bad) = output_rows(
+            F_and_Fu_rows(*base[at].T, u[at]), at.shape)
+        return r, fu, r_bad, r_bad | fu_bad
 
     with np.errstate(all="ignore"):
         r, fu, _, bad = pair(live)

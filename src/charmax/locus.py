@@ -13,9 +13,9 @@ once, and are built on demand, for point-cloud dumps only.
 The singular locus is the subset of the surface where F_u vanishes too.
 Crossing cells where F_u changes sign too, by the same sign codes with
 F_u taken only at their corners, seed a damped Newton polish that runs
-all seeds in lockstep; the polished points are thinned to one per cell
-diagonal, and in the space case ordered into polylines by
-pseudo-arclength continuation along the one-dimensional solution curve.
+all seeds in lockstep on compile's array back end; the polished points
+are thinned to one per cell diagonal, and in the space case ordered into
+polylines by pseudo-arclength continuation along the curve.
 The continuation does its elementwise 3-vector steps in Python floats and
 its reductions (dot products, norms, solves) in numpy, so that the traced
 points are bit for bit those of an all-numpy trace.
@@ -40,7 +40,7 @@ from itertools import permutations, product
 import numpy as np
 
 from .expr import EvalDomainError, Expr, diff, evaluate_grid, var_names
-from .expr import compile as compile_exprs
+from .expr import compile as compile_exprs, output_rows
 from .problem import Box
 
 NEWTON_TOL = 1e-12
@@ -431,17 +431,37 @@ def _damped_newton(res_fn, jac_fn, x0, tol=NEWTON_TOL, maxit=NEWTON_MAXIT):
     return x if float(np.max(np.abs(r))) <= tol else None
 
 
-class _SigmaSystem:
-    """Evaluation helpers for the square system (F, F_u) = 0, compiled
-    once; a point where it fails to evaluate gives None."""
+def _rows(compiled, points: np.ndarray):
+    """An array-compiled function at each row of ``points``: the (k, width)
+    values, 0 on the rows where an output hit a domain violation, and the
+    (k,) mask of the other rows."""
+    with np.errstate(all="ignore"):
+        outs = output_rows(compiled(*points.T), len(points))
+    values = np.column_stack([v for v, _ in outs])
+    bad = np.logical_or.reduce([b for _, b in outs])
+    values[bad] = 0.0
+    return values, ~bad
 
-    def __init__(self, F: Expr, n: int):
+
+class _SigmaSystem:
+    """(F, F_u) and its Jacobian, compiled once on each back end: the
+    array one for the rows of the polish and rank check (by ``_rows``),
+    the scalar one for the tangent and trace."""
+
+    def __init__(self, F: Expr, F_u: Expr, n: int):
         self.n = n
         names = var_names(n)
-        self.F_u = diff(F, "u")
-        self.values = compile_exprs([F, self.F_u], names)
-        self.derivatives = compile_exprs(
-            [diff(e, v) for e in (F, self.F_u) for v in names], names)
+        jacobian = [diff(e, v) for e in (F, F_u) for v in names]
+        self.values = compile_exprs([F, F_u], names)
+        self.derivatives = compile_exprs(jacobian, names)
+        self._value_rows = compile_exprs([F, F_u], names, arrays=True)
+        self._derivative_rows = compile_exprs(jacobian, names, arrays=True)
+
+    def value_rows(self, points: np.ndarray):
+        return _rows(self._value_rows, points)
+
+    def derivative_rows(self, points: np.ndarray):
+        return _rows(self._derivative_rows, points)
 
     def tangent(self, point):
         """Unit tangent of the solution curve (space case only): the cross
@@ -483,19 +503,6 @@ def _seed_cells(F_u: Expr, surface: LevelSurface) -> np.ndarray:
     return cell_indices(surface.crossing & (_cell_or(code, surface.dim) == 3))
 
 
-def _evaluate_rows(fn, points, width: int):
-    """``fn`` at each row of ``points``: the (k, width) values and the (k,)
-    mask of the rows where it evaluated."""
-    out = np.zeros((len(points), width))
-    ok = np.ones(len(points), dtype=bool)
-    for i, p in enumerate(points.tolist()):
-        try:
-            out[i] = fn(*p)
-        except EvalDomainError:
-            ok[i] = False
-    return out, ok
-
-
 def _squared_norms(v: np.ndarray) -> np.ndarray:
     """Row-wise ``np.dot(v, v)``, bit for bit: a stacked product runs the
     same BLAS dot, where ``v0*v0 + v1*v1`` rounds differently."""
@@ -527,7 +534,7 @@ def _free_pairs(sys: _SigmaSystem, centers: np.ndarray) -> np.ndarray:
     free = np.tile([0, 1], (k, 1))
     if dim == 2:
         return free
-    J, ok = _evaluate_rows(sys.derivatives, centers, 2 * dim)
+    J, ok = sys.derivative_rows(centers)
     J = J.reshape(k, 2, dim)
     T = np.cross(J[:, 0], J[:, 1])
     norm = np.sqrt(_squared_norms(T))
@@ -550,7 +557,7 @@ def _polish(sys: _SigmaSystem, centers: np.ndarray, box: Box):
     k, dim = centers.shape
     free = _free_pairs(sys, centers)
     P = centers.astype(float)
-    R, active = _evaluate_rows(sys.values, P, 2)
+    R, active = sys.value_rows(P)
     converged = np.zeros(k, dtype=bool)
     for _ in range(NEWTON_MAXIT):
         idx = np.flatnonzero(active)
@@ -560,7 +567,7 @@ def _polish(sys: _SigmaSystem, centers: np.ndarray, box: Box):
         active[:] = False            # a row stays by accepting a step
         if not len(idx):
             break
-        J, ok = _evaluate_rows(sys.derivatives, P[idx], 2 * dim)
+        J, ok = sys.derivative_rows(P[idx])
         idx = idx[ok]
         J = np.take_along_axis(J[ok].reshape(-1, 2, dim), free[idx, None], 2)
         step = _solve_rows(J, -R[idx])
@@ -575,7 +582,7 @@ def _polish(sys: _SigmaSystem, centers: np.ndarray, box: Box):
             cand = P[i]
             cand[np.arange(len(i))[:, None], free[i]] = (X[pending]
                                                         + lam * step[pending])
-            rc, good = _evaluate_rows(sys.values, cand, 2)
+            rc, good = sys.value_rows(cand)
             good &= _squared_norms(rc) <= (1 - 0.5 * lam) * base[pending]
             P[i[good]], R[i[good]] = cand[good], rc[good]
             active[i[good]] = True
@@ -592,7 +599,7 @@ def _degenerate(sys: _SigmaSystem, points: np.ndarray) -> np.ndarray:
     """Per point, whether the 2 x dim Jacobian of (F, F_u) fails to
     evaluate or is rank deficient relative to DEGENERATE_RATIO."""
     dim = points.shape[1]
-    J, ok = _evaluate_rows(sys.derivatives, points, 2 * dim)
+    J, ok = sys.derivative_rows(points)
     sv = np.linalg.svd(J[ok].reshape(-1, 2, dim), compute_uv=False)
     flags = ~ok
     flags[ok] = sv[:, -1] <= DEGENERATE_RATIO * np.maximum(sv[:, 0], 1e-300)
@@ -695,11 +702,15 @@ def extract_singular_locus(F: Expr, surface: LevelSurface) -> SingularLocus:
     Diverging seeds are dropped and counted.  The sorted polished points
     are thinned so that no two kept points lie within one cell diagonal,
     and space-case points are then ordered into polylines by
-    pseudo-arclength continuation.
+    pseudo-arclength continuation.  With no seeds, nothing is compiled.
     """
     n = surface.dim - 2
-    sys = _SigmaSystem(F, n)
-    seed_cells = _seed_cells(sys.F_u, surface)
+    F_u = diff(F, "u")
+    seed_cells = _seed_cells(F_u, surface)
+    if not len(seed_cells):
+        return SingularLocus(np.zeros((0, surface.dim)),
+                             np.zeros(0, dtype=bool), [], seed_cells, 0)
+    sys = _SigmaSystem(F, F_u, n)
     polished, ok = _polish(sys, cell_center(surface.axes, seed_cells),
                            surface.box)
     polished = sorted(polished[ok].tolist())

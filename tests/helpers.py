@@ -216,12 +216,13 @@ def deduplicate_point_by_point(points, diag):
 
 def _polish_seed(sys, center, box):
     """One seed's polish by locus._damped_newton, in the two coordinates
-    across the curve (the tangent's largest component frozen), or None."""
+    across the curve (the tangent's largest component frozen), or None.
+    The system is evaluated by its row methods on one row at a time."""
     dim = sys.n + 2
     if dim == 2:
         free = [0, 1]
     else:
-        t = tangent_by_numpy(sys, center)
+        t = tangent_by_numpy(sys, center, jacobian_by_row)
         if t is None:
             # fall back to freezing u; the rank check flags degeneracy later
             free = [0, 1]
@@ -237,10 +238,10 @@ def _polish_seed(sys, center, box):
         return p
 
     def res(xy):
-        return residual_by_numpy(sys, embed(xy))
+        return residual_by_row(sys, embed(xy))
 
     def jac(xy):
-        J = jacobian_by_numpy(sys, embed(xy))
+        J = jacobian_by_row(sys, embed(xy))
         return None if J is None else J[:, free]
 
     sol = locus._damped_newton(res, jac, base[free])
@@ -264,10 +265,11 @@ def polish_seed_by_seed(sys, centers, box):
 
 
 def degenerate_point_by_point(sys, points):
-    """Reference for locus._degenerate: one SVD per point."""
+    """Reference for locus._degenerate: one row evaluation and one SVD per
+    point."""
     flags = []
     for point in points:
-        J = jacobian_by_numpy(sys, point)
+        J = jacobian_by_row(sys, point)
         if J is None:
             flags.append(True)
             continue
@@ -275,6 +277,46 @@ def degenerate_point_by_point(sys, points):
         flags.append(bool(sv[-1] <= locus.DEGENERATE_RATIO
                           * max(sv[0], 1e-300)))
     return np.array(flags, dtype=bool)
+
+
+def evaluate_rows(fn, points, width: int):
+    """Per-row reference for the row methods of locus._SigmaSystem: the
+    scalar ``fn`` at each row of ``points``, the (k, width) values (0
+    where it fails) and the (k,) mask of the rows where it evaluated."""
+    out = np.zeros((len(points), width))
+    ok = np.ones(len(points), dtype=bool)
+    for i, p in enumerate(points.tolist()):
+        try:
+            out[i] = fn(*p)
+        except EvalDomainError:
+            ok[i] = False
+    return out, ok
+
+
+def value_rows_by_row(sys, points):
+    """locus._SigmaSystem.value_rows on the scalar back end, by
+    evaluate_rows."""
+    return evaluate_rows(sys.values, points, 2)
+
+
+def derivative_rows_by_row(sys, points):
+    """locus._SigmaSystem.derivative_rows on the scalar back end, by
+    evaluate_rows."""
+    return evaluate_rows(sys.derivatives, points, 2 * (sys.n + 2))
+
+
+def residual_by_row(sys, point):
+    """(F, F_u) at the point by the system's row evaluation of one row, or
+    None where it fails."""
+    r, ok = sys.value_rows(np.asarray(point, dtype=float)[None])
+    return r[0] if ok[0] else None
+
+
+def jacobian_by_row(sys, point):
+    """The 2 x (n+2) Jacobian of (F, F_u) by the system's row evaluation
+    of one row, or None where it fails."""
+    J, ok = sys.derivative_rows(np.asarray(point, dtype=float)[None])
+    return J[0].reshape(2, sys.n + 2) if ok[0] else None
 
 
 def residual_by_numpy(sys, point):
@@ -294,10 +336,10 @@ def jacobian_by_numpy(sys, point):
         return None
 
 
-def tangent_by_numpy(sys, point):
+def tangent_by_numpy(sys, point, jacobian=jacobian_by_numpy):
     """Reference for locus._SigmaSystem.tangent: np.cross of the Jacobian
-    rows over its np.linalg.norm."""
-    J = jacobian_by_numpy(sys, point)
+    rows, taken by ``jacobian``, over its np.linalg.norm."""
+    J = jacobian(sys, point)
     if J is None:
         return None
     t = np.cross(J[0], J[1])
@@ -366,7 +408,8 @@ def near_line_point_by_point(points, line, diag):
 def singular_locus_by_seed(F, surface):
     """extract_singular_locus with its seeds, polish, rank check, tangent,
     trace and sweep of the traced points replaced by the references
-    above."""
+    above: the polish and the rank check one seed at a time on the array
+    back end, the tangent and the trace on the scalar one."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(locus, "_seed_cells", seed_cells_by_grid)
         patch.setattr(locus, "_polish", polish_seed_by_seed)
@@ -374,6 +417,17 @@ def singular_locus_by_seed(F, surface):
         patch.setattr(locus._SigmaSystem, "tangent", tangent_by_numpy)
         patch.setattr(locus, "_trace_from", trace_by_numpy)
         patch.setattr(locus, "_near_line", near_line_point_by_point)
+        return extract_singular_locus(F, surface)
+
+
+def singular_locus_by_scalar_rows(F, surface):
+    """extract_singular_locus with the rows of the polish, its free pairs
+    and the rank check evaluated one at a time on the scalar back end, by
+    evaluate_rows."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(locus._SigmaSystem, "value_rows", value_rows_by_row)
+        patch.setattr(locus._SigmaSystem, "derivative_rows",
+                      derivative_rows_by_row)
         return extract_singular_locus(F, surface)
 
 

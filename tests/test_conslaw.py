@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from charmax.conslaw import (ConservationLaw, VerticalTangentError,
-                             blowup_time, characteristic_line, envelope,
-                             propagation_speed, singular_time)
+                             blowup_time, envelope, propagation_speed,
+                             singular_time)
 from charmax.expr import EvalDomainError, parse
 
 
@@ -46,25 +46,26 @@ class TestConstruction:
 
 
 class TestCharacteristicLine:
+    # the characteristic from s is x = s + g(s) t at height u = h(s)
     def test_burgers_through_origin(self):
-        line = characteristic_line(RECIP, 0.0)
-        assert line.u == 1.0
-        assert line.speed == 1.0
-        assert line.x_at(1.0) == 1.0  # x = t
+        assert RECIP.h_at(0.0) == 1.0
+        assert RECIP.g_at(0.0) == 1.0
+        assert 0.0 + RECIP.g_at(0.0) * 1.0 == 1.0  # x = t
 
     def test_constant_speed_parallel(self):
         cl = law("2", "x^2")
-        slopes = {characteristic_line(cl, s).speed for s in (-1.0, 0.0, 1.0)}
+        slopes = {cl.g_at(s) for s in (-1.0, 0.0, 1.0)}
         assert slopes == {2.0}
 
     def test_ramp_line(self):
-        line = characteristic_line(RAMP, 1.0)
-        assert line.u == -2.0
-        assert line.x_at(0.5) == 0.0  # x = 1 - 2t
+        assert RAMP.h_at(1.0) == -2.0
+        assert 1.0 + RAMP.g_at(1.0) * 0.5 == 0.0  # x = 1 - 2t
 
     def test_data_domain_violation_propagates(self):
         with pytest.raises(EvalDomainError):
-            characteristic_line(RECIP, -1.0)
+            RECIP.g_at(-1.0)
+        with pytest.raises(EvalDomainError):
+            RECIP.h_at(-1.0)
 
 
 class TestSingularTime:

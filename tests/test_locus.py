@@ -243,8 +243,9 @@ class TestSingularLocus:
             assert abs(evaluate(Fu, bind)) <= 1e-10
             assert np.all(p >= lo - 1e-12) and np.all(p <= hi + 1e-12)
 
-    # the sigma system compiles (F, F_u), then its derivatives
-    @pytest.mark.parametrize("faulty", [0, 1])
+    # the sigma system compiles (F, F_u), then its derivatives, on the
+    # scalar back end, then the same two on the array back end
+    @pytest.mark.parametrize("faulty", [0, 1, 2, 3])
     def test_evaluator_faults_are_not_dropped_seeds(self, faulty, solutions,
                                                     monkeypatch):
         # a fault of the evaluator itself is not a domain violation at a
@@ -254,10 +255,10 @@ class TestSingularLocus:
         compile_exprs = locus.compile_exprs
         calls = []
 
-        def compile_with_fault(exprs, names):
+        def compile_with_fault(exprs, names, arrays=False):
             calls.append(exprs)
             if len(calls) - 1 != faulty:
-                return compile_exprs(exprs, names)
+                return compile_exprs(exprs, names, arrays=arrays)
 
             def evaluator(*values):
                 raise TypeError("faulty evaluator")
@@ -662,6 +663,9 @@ class StubSigmaSystem(locus._SigmaSystem):
     # (non-finite tangent, polished in (t, x)) converge too
     CONVERGES = [True] + [False] * 7 + [True, True]
 
+    value_rows = helpers.value_rows_by_row
+    derivative_rows = helpers.derivative_rows_by_row
+
     def __init__(self):
         pass
 
@@ -736,6 +740,65 @@ class TestSigmaStage:
         elif (name, resolution) == ("burgers_reciprocal", 128):
             assert (len(got.seed_cells), len(got.points), got.dropped) == (
                 1463, 80, 2)
+
+    @pytest.mark.parametrize("name, resolution", SIGMA_CASES)
+    def test_array_rows_match_the_scalar_rows(self, name, resolution,
+                                              sigma_problem):
+        # numpy's power, exp and log may round differently from libm in
+        # the last bit, so the polished points may move by an ulp or so
+        b, sol = sigma_problem(name)
+        surface = extract_surface(sol.F, b.problem.box, resolution)
+        got = extract_singular_locus(sol.F, surface)
+        want = helpers.singular_locus_by_scalar_rows(sol.F, surface)
+        assert _same_bytes(got.seed_cells, want.seed_cells)
+        assert got.dropped == want.dropped
+        assert _same_bytes(got.degenerate, want.degenerate)
+        assert len(got.polylines) == len(want.polylines)
+        assert got.points.shape == want.points.shape
+        assert np.abs(got.points - want.points).max(initial=0.0) <= 2e-15
+        masks = [split_component(surface, s, sol.gamma_samples).mask
+                 for s in (got, want)]
+        assert _same_bytes(*masks)
+
+    @pytest.mark.parametrize("text", ["2*t + sqrt(u)*x", "x - t/(u - 1)"])
+    def test_rows_match_the_scalar_loop(self, text):
+        # + - * / and sqrt round alike on both back ends.  At u = 0 and
+        # -0.0 only F_u fails, at u = 1 or -1 F fails too, and some
+        # derivatives are constants (0-d on the array back end)
+        F = parse(text, n=1)
+        system = locus._SigmaSystem(F, diff(F, "u"), 1)
+        points = np.random.default_rng(37).uniform(0.5, 2.0, (24, 3))
+        points[:4, 2] = -1.0, 0.0, -0.0, 1.0
+        for rows, by_row in ((system.value_rows, helpers.value_rows_by_row),
+                             (system.derivative_rows,
+                              helpers.derivative_rows_by_row)):
+            (got, ok), (want, want_ok) = rows(points), by_row(system, points)
+            assert _same_bytes(got, want) and _same_bytes(ok, want_ok)
+            assert ok.any() and not ok.all()
+            empty = rows(points[:0])
+            assert empty[0].shape == (0, want.shape[1])
+            assert empty[1].shape == (0,)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_solve_rows_match_one_solve_per_row(self, dim):
+        rng = np.random.default_rng(31 + dim)
+        J = rng.standard_normal((12, dim, dim))
+        b = rng.standard_normal((12, dim))
+        J[3] = 0.0                                  # all zero
+        J[5, :, 1] = 0.0                            # a zero column
+        J[8, 1] = 2.0 * J[8, 0]                     # a doubled row
+        want = np.full(b.shape, np.nan)
+        singular = []
+        for i in range(len(J)):
+            try:
+                want[i] = np.linalg.solve(J[i], b[i])
+            except np.linalg.LinAlgError:
+                singular.append(i)
+        assert singular == [3, 5, 8]
+        assert _same_bytes(locus._solve_rows(J, b), want)
+        regular = [i for i in range(len(J)) if i not in singular]
+        assert _same_bytes(locus._solve_rows(J[regular], b[regular]),
+                           want[regular])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_every_exit_in_one_batch(self):
