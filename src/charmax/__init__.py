@@ -19,7 +19,7 @@ from .integrals import (FirstIntegralSet, ImplicitSolution,
 from .locus import (LevelSurface, SingularLocus, extract_singular_locus,
                     extract_surface, split_component)
 from .problem import (Box, InitialData, Problem, VectorField,
-                      characteristic_field, initial_set_samples, load_problem,
+                      characteristic_field, initial_set_samples,
                       load_problem_bundle)
 
 __version__ = "0.1.0"
@@ -31,7 +31,7 @@ __all__ = [
     "blowup_time", "build_implicit_solution", "characteristic_field",
     "conservation_law_integrals", "contains", "diff", "envelope", "evaluate",
     "extract_singular_locus", "extract_surface",
-    "implicit_solution_for_problem", "initial_set_samples", "load_problem",
+    "implicit_solution_for_problem", "initial_set_samples",
     "load_problem_bundle", "maximal_domain", "parse", "singular_time",
     "split_component", "to_str", "verify_first_integral",
 ]

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import EvalDomainError, Expr, Var, diff, evaluate, substitute, variables
+from .expr import (Const, EvalDomainError, Expr, Var, add, diff, div,
+                   evaluate, mul, substitute, variables)
 
 SCAN_SAMPLES = 10_000
 REFINE_TOL = 1e-12
@@ -157,8 +158,8 @@ def propagation_speed(law: ConservationLaw, s: float) -> float:
     if tstar is None:
         raise ValueError(f"no singular time at s = {s}")
     x1 = Var("x1")
-    tstar_expr = -1 / law.g_prime
-    xstar_expr = x1 + law.g * tstar_expr
+    tstar_expr = div(Const(-1.0), law.g_prime)
+    xstar_expr = add(x1, mul(law.g, tstar_expr))
     dt_ds = evaluate(diff(tstar_expr, "x1"), {"x1": float(s)})
     dx_ds = evaluate(diff(xstar_expr, "x1"), {"x1": float(s)})
     eps = 1e-12 * (1.0 + abs(dx_ds))

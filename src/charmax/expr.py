@@ -63,37 +63,7 @@ class EvalDomainError(ExprError):
 
 @dataclass(frozen=True)
 class Expr:
-    """Immutable expression node.  Arithmetic operators build folded trees."""
-
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    def __radd__(self, other):
-        return add(_coerce(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _coerce(other))
-
-    def __rmul__(self, other):
-        return mul(_coerce(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _coerce(other))
-
-    def __rtruediv__(self, other):
-        return div(_coerce(other), self)
-
-    def __pow__(self, other):
-        return pow_(self, _coerce(other))
-
-    def __neg__(self):
-        return neg(self)
+    """Immutable expression node; the smart constructors build it folded."""
 
     def __str__(self):
         return to_str(self)
@@ -120,14 +90,6 @@ class Binary(Expr):
     op: str  # one of + - * / ^
     left: Expr
     right: Expr
-
-
-def _coerce(v) -> Expr:
-    if isinstance(v, Expr):
-        return v
-    if isinstance(v, (int, float)):
-        return Const(float(v))
-    raise TypeError(f"cannot use {type(v).__name__} as an expression operand")
 
 
 # ---------------------------------------------------------------------------

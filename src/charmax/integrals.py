@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .expr import (Const, EvalDomainError, Expr, Var, diff, evaluate,
+from .expr import (Const, EvalDomainError, Expr, Var, add, diff, evaluate,
                    mul, sub, substitute, to_str, var_names, variables)
 from .expr import compile as compile_exprs, output_rows
 from .problem import (Box, InitialData, Problem, VectorField,
@@ -72,7 +72,7 @@ class ResidualReport:
     worst_point: list[float] | None
     passed: bool
     tol: float
-    excluded: list  # (point, reason) pairs for domain violations
+    excluded: list  # (point, reason) pairs for the samples left out
 
     def to_json(self) -> str:
         return json.dumps({
@@ -97,7 +97,7 @@ class SolutionChecks:
     """What building F = f o rho measured: |F| and |F_u| over the
     initial-set samples, and the largest flow residual |X F| / scale of
     the flow check, with the surface points it projected, the random
-    draws that took, and the points whose residual evaluated."""
+    draws that took, and the points whose residual terms are finite."""
 
     max_abs_F_on_gamma: float
     min_abs_F_u_on_gamma: float
@@ -132,7 +132,7 @@ def apply_field(fld: VectorField, g: Expr) -> Expr:
     names = var_names(fld.n)
     out: Expr = Const(0.0)
     for comp, name in zip(fld.components, names):
-        out = out + mul(comp, diff(g, name))
+        out = add(out, mul(comp, diff(g, name)))
     return out
 
 
@@ -140,32 +140,44 @@ def verify_first_integral(fld: VectorField, rho: Expr, samples,
                           tol: float = RESIDUAL_TOL) -> ResidualReport:
     """Check |X rho| <= tol * (1 + |rho|) at each sample.
 
-    Points where rho or X rho hits a domain violation are excluded from
-    the statistics and listed separately.
+    Samples where rho or X rho fails to evaluate or is not finite are
+    excluded from the statistics and listed separately; with none left,
+    the check fails.
     """
     residual_and_rho = compile_exprs([apply_field(fld, rho), rho],
                                      var_names(fld.n))
-    vals = []
-    excluded = []
-    worst = None
-    worst_norm = -1.0
-    for point in np.asarray(samples, dtype=float):
-        try:
-            r, rho_value = residual_and_rho(*point.tolist())
-        except EvalDomainError as err:
-            excluded.append((point.tolist(), str(err)))
-            continue
-        r = abs(r)
-        scale = 1.0 + abs(rho_value)
-        vals.append(r)
-        if r / scale > worst_norm:
-            worst_norm = r / scale
-            worst = point.tolist()
-    if not vals:
+    rows, kept, excluded = _screened(
+        residual_and_rho, np.asarray(samples, dtype=float).tolist(), "value")
+    if not rows:
         return ResidualReport(float("nan"), float("nan"), None, False, tol,
                               excluded)
-    return ResidualReport(max(vals), float(np.mean(vals)), worst,
-                          worst_norm <= tol, tol, excluded)
+    vals = [abs(r) for r, _ in rows]
+    norms = [r / (1.0 + abs(rho_value))
+             for r, (_, rho_value) in zip(vals, rows)]
+    k = max(range(len(norms)), key=norms.__getitem__)  # the first largest
+    return ResidualReport(max(vals), float(np.mean(vals)), kept[k],
+                          norms[k] <= tol, tol, excluded)
+
+
+def _screened(compiled: Callable, samples: list, what: str):
+    """Call the scalar compiled function at each sample.  A sample where
+    it raises EvalDomainError, or where an output is not finite, is left
+    out as (sample, reason), in sample order.  Returns the output rows of
+    the kept samples, the kept samples and the left-out ones."""
+    rows, kept, left_out = [], [], []
+    for point in samples:
+        try:
+            values = compiled(*point)
+        except EvalDomainError as err:
+            left_out.append((point, str(err)))
+            continue
+        if all(map(math.isfinite, values)):
+            rows.append(values)
+            kept.append(point)
+        else:
+            v = next(v for v in values if not math.isfinite(v))
+            left_out.append((point, f"non-finite {what} {v!r}"))
+    return rows, kept, left_out
 
 
 def conservation_law_integrals(a: Sequence[Expr]) -> FirstIntegralSet:
@@ -194,19 +206,8 @@ def check_nondegeneracy(rho_set: FirstIntegralSet, samples,
     names = var_names(n)
     jacobian = compile_exprs([diff(r, v) for r in rho_set.rho for v in names],
                              names)
-    jacobians, evaluated, excluded = [], [], []
-    for point in samples.tolist():
-        try:
-            jac = jacobian(*point)
-        except EvalDomainError as err:
-            excluded.append((point, str(err)))
-            continue
-        bad = [v for v in jac if not math.isfinite(v)]
-        if bad:
-            excluded.append((point, f"non-finite Jacobian entry {bad[0]!r}"))
-            continue
-        jacobians.append(jac)
-        evaluated.append(point)
+    jacobians, evaluated, excluded = _screened(jacobian, samples.tolist(),
+                                               "Jacobian entry")
     worst = None
     min_seen = np.inf
     if jacobians:
@@ -286,21 +287,19 @@ def build_implicit_solution(rho_set: FirstIntegralSet, f: Expr, gamma,
     F_and_Fu = compile_exprs([F, F_u], names)
     gamma = np.asarray(gamma, dtype=float)
 
+    rows, points, left_out = _screened(F_and_Fu, gamma.tolist(), "value")
+    if left_out:
+        raise ImplicitSolutionError(
+            f"F fails to evaluate on the initial set: {left_out[0][1]}")
     max_F, min_Fu = 0.0, math.inf
-    for point in gamma:
-        try:
-            fv, fu = F_and_Fu(*point.tolist())
-        except EvalDomainError as err:
-            raise ImplicitSolutionError(
-                f"F fails to evaluate on the initial set: {err}") from err
+    for point, (fv, fu) in zip(points, rows):
         if abs(fv) > GAMMA_TOL * (1.0 + abs(fv)):
             raise ImplicitSolutionError(
                 f"F does not vanish on the initial set: |F| = {abs(fv):.3e} "
-                f"at {point.tolist()}")
+                f"at {point}")
         if abs(fu) < FU_MIN_ON_GAMMA:
             raise ImplicitSolutionError(
-                f"F_u = {fu:.3e} degenerates on the initial set at "
-                f"{point.tolist()}")
+                f"F_u = {fu:.3e} degenerates on the initial set at {point}")
         max_F = max(max_F, abs(fv))
         min_Fu = min(min_Fu, abs(fu))
 
@@ -332,7 +331,8 @@ def _check_flow_invariance(F, gradient, fld, box, gamma):
     random box points projected onto the surface by Newton in u.  Fewer
     than FLOW_SAMPLES // 2 projected (within the draw budget) or checked
     is an error.  Returns the largest |X F| / scale, the points projected,
-    the draws used and the points whose residual evaluated.
+    the draws used and the points checked: those whose residual terms
+    evaluate and are finite.
 
     The draws are projected in blocks of 2 * FLOW_SAMPLES by
     ``_newton_u_rows``, and the surface points are the first FLOW_SAMPLES
@@ -366,12 +366,9 @@ def _check_flow_invariance(F, gradient, fld, box, gamma):
             f"flow check projected only {projected} of {FLOW_SAMPLES} "
             f"surface points in {attempts} draws; the box holds too little "
             "of the surface to check flow invariance")
-    worst, checked = 0.0, 0
-    for point in points:
-        try:
-            r, *terms = residual_terms(*point)
-        except EvalDomainError:
-            continue
+    rows, kept, _ = _screened(residual_terms, points, "flow residual term")
+    worst, checked = 0.0, len(rows)
+    for point, (r, *terms) in zip(kept, rows):
         r = abs(r)
         scale = 1.0
         for comp, g in zip(terms[::2], terms[1::2]):
@@ -381,7 +378,6 @@ def _check_flow_invariance(F, gradient, fld, box, gamma):
                 f"zero set is not flow-invariant: |XF| = {r:.3e} "
                 f"(scale {scale:.3e}) at {point}")
         worst = max(worst, r / scale)
-        checked += 1
     if checked < FLOW_SAMPLES // 2:
         raise ImplicitSolutionError(
             f"flow residual evaluated at only {checked} of {len(points)} "

@@ -158,10 +158,6 @@ def _get(doc: dict, field: str, kind, path: str):
     if field not in doc:
         raise SchemaError(f"{path}{field}", "missing required field")
     value = doc[field]
-    if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise SchemaError(f"{path}{field}", "expected a number")
-        return float(value)
     if not isinstance(value, kind):
         raise SchemaError(f"{path}{field}", f"expected {kind.__name__}")
     return value
@@ -251,11 +247,6 @@ def load_problem_bundle(path) -> ProblemBundle:
     problem = Problem(n, alpha, a, b, box)
     _validate_problem(problem, data)
     return ProblemBundle(problem, data, rho, f)
-
-
-def load_problem(path) -> tuple[Problem, InitialData]:
-    bundle = load_problem_bundle(path)
-    return bundle.problem, bundle.data
 
 
 def _validate_problem(p: Problem, d: InitialData):

@@ -578,6 +578,8 @@ def flow_check_by_draws(F, gradient, fld, box, gamma):
             r, *terms = residual_terms(*point)
         except EvalDomainError:
             continue
+        if not all(np.isfinite([r, *terms])):
+            continue
         r = abs(r)
         scale = 1.0
         for comp, g in zip(terms[::2], terms[1::2]):

@@ -197,6 +197,62 @@ class TestVerify:
         assert "alpha vanishes" in capsys.readouterr().err
 
 
+def _with_box(doc, **ranges):
+    return dict(doc, box=dict(doc["box"], **ranges))
+
+
+class TestErrorPaths:
+    """A malformed or invalid problem file, or a query without --t, ends
+    in a clean exit: 1 for a schema or parse error or a missing argument,
+    2 for a validation error."""
+
+    @pytest.mark.parametrize("command, doc, code, fragment", [
+        ("verify", [1], 1, "top level must be an object"),
+        ("verify", dict(CONSTANT_DATA, n=-1), 1, "n: expected an integer"),
+        ("verify", dict(CONSTANT_DATA, n=True), 1, "n: expected an integer"),
+        ("verify", dict(CONSTANT_DATA, a=["u", "u"]), 1,
+         "a: expected 1 expressions, got 2"),
+        ("verify", _with_box(CONSTANT_DATA, x=[]), 1,
+         "box.x: expected 1 ranges"),
+        ("verify", dict(TWO_SPEED_DATA, s_range=[[-0.1, 0.1]]), 1,
+         "s_range: expected 2 intervals"),
+        ("verify", dict(TWO_SPEED_DATA, s_range=[-0.1, 0.1]), 1,
+         "s_range: expected a list of intervals"),
+        ("verify", dict(CONSTANT_DATA, alpha=1), 1, "alpha: expected str"),
+        ("verify", dict(CONSTANT_DATA, f=1), 1,
+         "f: expected an expression string"),
+        ("verify", _with_box(CONSTANT_DATA, t=[1]), 1,
+         "box.t: expected [lo, hi]"),
+        ("verify", dict(CONSTANT_DATA, alpha="$"), 1,
+         "unexpected character '$'"),
+        ("verify", dict(CONSTANT_DATA, alpha="(u"), 1, "expected ')'"),
+        ("verify", dict(CONSTANT_DATA, alpha="u 1"), 1,
+         "expected an operator or end of input"),
+        ("verify", dict(CONSTANT_DATA, alpha="."), 1,
+         "malformed number starting with '.'"),
+        ("verify", _with_box(CONSTANT_DATA, t=[1, 1]), 2,
+         "box range [1.0, 1.0] is empty"),
+        ("verify", dict(CONSTANT_DATA, alpha="log(t)"), 2,
+         "alpha fails to evaluate at lattice point"),
+        ("verify", dict(CONSTANT_DATA, h="log(x)"), 2,
+         "h fails to evaluate on s_range"),
+        ("query", CONSTANT_DATA, 1, "query needs --t"),
+    ], ids=["not_an_object", "negative_n", "bool_n", "a_count",
+            "box_x_count", "s_range_count", "s_range_not_intervals",
+            "alpha_not_a_string", "f_not_a_string", "box_t_malformed",
+            "parse_dollar", "parse_missing_paren", "parse_trailing_input",
+            "parse_lone_dot", "empty_box_range", "alpha_fails_on_lattice",
+            "h_fails_on_s_range", "query_without_t"])
+    def test_exit_code_and_message(self, command, doc, code, fragment,
+                                   tmp_path, capsys):
+        argv = [command, "--problem", write(tmp_path, doc)]
+        if command != "query":
+            argv += ["--out", str(tmp_path / "out")]
+        assert main(argv) == code
+        assert fragment in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestQuery:
     def test_ode_inside(self, capsys):
         assert main(["query", "--problem", problem_file("ode_quadratic"),
@@ -403,8 +459,10 @@ class TestFoldAtNZero:
 class TestOutputDigests:
     """The numerical outputs of `domain` and `singular` at the default
     resolution, by sha256, as recorded at commit baf1d70 (x86-64, numpy
-    2.4, OpenBLAS 0.3.31).  A refactor keeps them; a change that moves a
-    number states that in CHANGES.md and records the new digests here.
+    2.4, OpenBLAS 0.3.31), and of `envelope` on the two conservation laws,
+    as recorded at commit dc1b8b7.  A refactor keeps them; a change that
+    moves a number states that in CHANGES.md and records the new digests
+    here.
     `--with-surface` is left out: its rows come from numpy interpolation
     on the grid."""
 
@@ -423,18 +481,23 @@ class TestOutputDigests:
             "domain.json": "92f668ebf1f5118440a58fb927b7c6742c492a2e20b36174195d0bc72cfafa9b",
             "summary.json": "e45e42b22bcd770d1c69b2e1cb6f6c0288ac52a8cccc42d0fa8a7bcbc913e9ea",
             "sigma.csv": "6608ea832591eb48dd53444dc9cbcb4fe29bbdca9b4406ed7e55a3451beaa5bc",
+            "envelope.csv": "f6d0ed7547d1a34e6ddf2fb8a8ffd5ea69c192d2488c84c70b76e50cc1c2b8a0",
         },
         "burgers_reciprocal": {
             "domain.json": "fc82c0289a7fc60e8ca3e2ff3420a0ea53e0979669b56664c1a486e383aaec34",
             "summary.json": "91592edebe277c84bfb45f9a33759c2bd3206e08208e0ad40e3f160b73f2c650",
             "sigma.csv": "008c560e450a0e93ed3d614924d6889e1d8854185baaff5a1fab69817890b8f6",
+            "envelope.csv": "48de1bfb7d711c86d37d8e1c69c8db6ba7084b7a2c7178126f6d7f0f25ec6ef2",
         },
     }
 
     @pytest.mark.parametrize("name", list(DIGESTS))
     def test_outputs_match_the_recorded_digests(self, name, tmp_path,
                                                 capsys):
-        for command in ("domain", "singular"):
+        commands = ["domain", "singular"]
+        if "envelope.csv" in self.DIGESTS[name]:
+            commands.append("envelope")
+        for command in commands:
             assert main([command, "--problem", problem_file(name),
                          "--out", str(tmp_path)]) == 0
         for file, digest in self.DIGESTS[name].items():

@@ -125,6 +125,13 @@ class TestBlowup:
         cl = law("u", "x")
         assert blowup_time(cl, (-1.0, 1.0)) == math.inf
 
+    def test_interior_minimum(self):
+        # g = exp(-s^2), t* = exp(s^2) / (2 s) for s > 0, smallest at
+        # s = 1/sqrt(2): the golden-section search narrows from both sides
+        cl = law("u", "exp(-x^2)")
+        assert abs(blowup_time(cl, (-2.0, 2.0))
+                   - math.sqrt(math.e / 2.0)) <= 1e-10
+
 
 class TestPropagationSpeed:
     def test_inverse_sqrt_t(self):

@@ -6,8 +6,8 @@ import pytest
 
 import helpers
 from charmax import integrals
-from charmax.expr import (Const, Var, diff, evaluate, parse, substitute,
-                          var_names)
+from charmax.expr import (Const, EvalDomainError, Var, diff, evaluate, parse,
+                          substitute, var_names)
 from charmax.expr import compile as compile_exprs
 from charmax.integrals import (FirstIntegralError, FirstIntegralSet,
                                ImplicitSolutionError, build_implicit_solution,
@@ -15,7 +15,7 @@ from charmax.integrals import (FirstIntegralError, FirstIntegralSet,
                                defining_function_from_initial,
                                implicit_solution_for_problem,
                                verify_first_integral)
-from charmax.problem import (Box, characteristic_field,
+from charmax.problem import (Box, VectorField, characteristic_field,
                              initial_set_samples, make_problem)
 
 BURGERS_BOX = Box((-0.25, 2.5), ((-0.6, 2.0),), (0.05, 3.05))
@@ -71,6 +71,22 @@ class TestVerify:
         assert report.passed
         assert len(report.excluded) == 1
         assert report.excluded[0][0] == [0.5, 0.0]
+
+    @pytest.mark.parametrize("text", ["t*exp(exp(u))", "exp(exp(u))"])
+    def test_non_finite_samples_are_left_out(self, text):
+        # exp(exp(u)) is inf for every u in [10, 20]: no sample is finite,
+        # so the check proves nothing and fails, although exp(exp(u)) is a
+        # first integral of (1, u, 0)
+        problem, _ = make_problem(
+            1, "1", ["u"], "0", "x + 15",
+            Box((-1.0, 1.0), ((-1.0, 1.0),), (10.0, 20.0)))
+        report = verify_first_integral(characteristic_field(problem),
+                                       parse(text, n=1),
+                                       box_samples(problem.box, 200))
+        assert not report.passed
+        assert report.worst_point is None
+        assert len(report.excluded) == 200
+        assert all("non-finite" in reason for _, reason in report.excluded)
 
     def test_report_json(self):
         problem, _ = burgers()
@@ -162,6 +178,20 @@ class TestNondegeneracy:
         assert order == sorted(order)
 
 
+class TestScreen:
+    def test_leaves_out_domain_errors_and_non_finite_values_in_order(self):
+        compiled = compile_exprs([parse("log(u)", n=0),
+                                  parse("exp(exp(u))", n=0)], ("t", "u"))
+        samples = [[0.0, 1.0], [0.0, -1.0], [0.0, 10.0], [0.0, 2.0]]
+        with pytest.raises(EvalDomainError) as err:
+            compiled(0.0, -1.0)
+        rows, kept, left_out = integrals._screened(compiled, samples, "thing")
+        assert kept == [[0.0, 1.0], [0.0, 2.0]]
+        assert rows == [compiled(0.0, 1.0), compiled(0.0, 2.0)]
+        assert left_out == [([0.0, -1.0], str(err.value)),
+                            ([0.0, 10.0], "non-finite thing inf")]
+
+
 class TestDefiningFunction:
     def test_reciprocal_data(self):
         _, data = burgers()
@@ -229,6 +259,31 @@ class TestBuild:
         gamma = initial_set_samples(data, 9)
         with pytest.raises(ImplicitSolutionError, match="degenerates"):
             build_implicit_solution(rho, f, gamma, fld, problem.box)
+
+    def test_non_finite_F_on_gamma_rejected(self):
+        # exp(exp(y1)) - exp(exp(y1)) is inf - inf = nan near u = 8
+        problem, data = make_problem(
+            1, "1", ["u"], "0", "x + 8",
+            Box((-1.0, 1.0), ((-1.0, 1.0),), (7.0, 9.0)))
+        f = parse("y1 - (y2 + 8) + (exp(exp(y1)) - exp(exp(y1)))",
+                  allowed_variables=["y1", "y2"])
+        with pytest.raises(ImplicitSolutionError,
+                           match="F fails to evaluate on the initial set: "
+                                 "non-finite value nan"):
+            implicit_solution_for_problem(problem, data, None, f)
+
+    def test_flow_check_with_non_finite_residual_fails(self):
+        # X F = exp(exp(u)) - exp(exp(u)) is inf - inf = nan on u in [7, 8]
+        F = parse("u - x", n=1)
+        fld = VectorField((Const(1.0), parse("exp(exp(u))", n=1),
+                           parse("exp(exp(u))", n=1)))
+        s = np.linspace(7.1, 7.9, 65)
+        gamma = np.column_stack([np.zeros(65), s, s])
+        with pytest.raises(ImplicitSolutionError,
+                           match="flow residual evaluated at only 0 of 265"):
+            integrals._check_flow_invariance(
+                F, tuple(diff(F, v) for v in var_names(1)), fld,
+                Box((-1.0, 1.0), ((7.0, 8.0),), (7.0, 8.0)), gamma)
 
     def test_flow_invariance_enforced(self):
         # rho = u - t is not a first integral of u_t + u u_x = 0

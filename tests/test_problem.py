@@ -10,7 +10,7 @@ import helpers
 from charmax.expr import Binary, Const, Unary, Var, parse
 from charmax.problem import (Box, SchemaError, ValidationError,
                              characteristic_field, initial_set_samples,
-                             load_problem, load_problem_bundle, make_problem)
+                             load_problem_bundle, make_problem)
 
 
 def write_problem(tmp_path, doc, name="problem.json"):
@@ -28,7 +28,8 @@ BURGERS = {
 
 class TestLoad:
     def test_burgers_file_valid(self, tmp_path):
-        problem, data = load_problem(write_problem(tmp_path, BURGERS))
+        bundle = load_problem_bundle(write_problem(tmp_path, BURGERS))
+        problem, data = bundle.problem, bundle.data
         assert problem.n == 1
         assert problem.alpha == Const(1.0)
         assert problem.a == (Var("u"),)
@@ -39,12 +40,13 @@ class TestLoad:
         doc["box"] = {"t": [-1.0, 1.0], "x": [[-1.0, 1.0]], "u": [0.05, 3.05]}
         doc["h"] = "1/(x+2)"
         with pytest.raises(ValidationError, match="alpha vanishes"):
-            load_problem(write_problem(tmp_path, doc))
+            load_problem_bundle(write_problem(tmp_path, doc))
 
     def test_ode_n0_file_valid(self, tmp_path):
         doc = {"n": 0, "alpha": "1", "a": [], "b": "u^2", "h": "1",
                "box": {"t": [-5, 2], "x": [], "u": [-10, 10]}}
-        problem, data = load_problem(write_problem(tmp_path, doc))
+        bundle = load_problem_bundle(write_problem(tmp_path, doc))
+        problem, data = bundle.problem, bundle.data
         assert problem.n == 0
         assert problem.b == parse("u^2", n=0)
         assert data.n == 0
@@ -53,23 +55,23 @@ class TestLoad:
         doc = dict(BURGERS)
         del doc["alpha"]
         with pytest.raises(SchemaError, match="alpha"):
-            load_problem(write_problem(tmp_path, doc))
+            load_problem_bundle(write_problem(tmp_path, doc))
 
     def test_expression_error_carries_field_path(self, tmp_path):
         doc = dict(BURGERS, a=["u +"])
         with pytest.raises(SchemaError, match=r"a\[0\]"):
-            load_problem(write_problem(tmp_path, doc))
+            load_problem_bundle(write_problem(tmp_path, doc))
 
     def test_h_must_use_x_only(self, tmp_path):
         doc = dict(BURGERS, h="t + x")
         with pytest.raises(SchemaError, match="x-variables"):
-            load_problem(write_problem(tmp_path, doc))
+            load_problem_bundle(write_problem(tmp_path, doc))
 
     def test_gamma_must_stay_in_box(self, tmp_path):
         doc = dict(BURGERS)
         doc["box"] = {"t": [-0.25, 2.5], "x": [[-0.6, 2.0]], "u": [2.0, 3.05]}
         with pytest.raises(ValidationError, match="initial set leaves"):
-            load_problem(write_problem(tmp_path, doc))
+            load_problem_bundle(write_problem(tmp_path, doc))
 
     def test_rho_count_checked(self, tmp_path):
         doc = dict(BURGERS, rho=["u"])
@@ -86,7 +88,7 @@ class TestLoad:
         path = tmp_path / "broken.json"
         path.write_text("{nope")
         with pytest.raises(SchemaError, match="not valid JSON"):
-            load_problem(path)
+            load_problem_bundle(path)
 
     def test_bundled_files_load(self):
         for name in ("ode_quadratic", "circular", "burgers_ramp",
