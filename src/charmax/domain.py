@@ -24,11 +24,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import mul
 
 import numpy as np
 
-from .expr import EvalDomainError, evaluate, var_names
+from .expr import EvalDomainError, evaluate
 from .integrals import ImplicitSolution, _newton_u
 from .locus import SurfaceComponent, cell_center, cell_indices, cell_of, flood
 from .problem import InitialData, Problem
@@ -39,11 +40,12 @@ SINGULAR_FACTOR = 1e-6
 # continuation query: corrector iterations per step and steps per path
 # (accepted or not), and the initial, largest and smallest step and the
 # "within the final step" window for a boundary verdict, as fractions of
-# the path length
+# the path length; no step passes a waypoint, so a straight path takes
+# three steps of 1/4, 0.35 and the rest
 CORRECTOR_MAXIT = 8
 MAX_MARCH_STEPS = 1000
-INITIAL_FRACTION = 1.0 / 16.0
-MAX_FRACTION = 1.0 / 8.0
+INITIAL_FRACTION = 1.0 / 4.0
+MAX_FRACTION = 1.0 / 2.0
 MIN_FRACTION = 1e-12
 BOUNDARY_FRACTION = 1e-3
 # turning-point solve: accepted points a march tries it from, Newton
@@ -59,7 +61,7 @@ BLOW_UP = "blow-up"
 EDGE_STEPS = 90
 EDGE_FRACTION = 1e-8
 # faded onset: corrector calls of the margin search (bisection alone takes
-# about 37 from MAX_FRACTION down to MIN_FRACTION)
+# about 39 from MAX_FRACTION down to MIN_FRACTION)
 MARGIN_STEPS = 64
 
 
@@ -362,9 +364,12 @@ def contains(problem: Problem, data: InitialData, sol: ImplicitSolution, q,
 
 def _march(problem, sol, waypoints, u0) -> Verdict:
     """Continue u0 along the waypoint polyline by predictor-corrector
-    steps.  A march that reaches the end (at once if the path has length
-    zero) answers "inside", or "boundary" where |F_u| is below the singular
-    threshold.
+    steps.  Steps start at INITIAL_FRACTION of the path, grow to at most
+    MAX_FRACTION and never pass a waypoint, so a path that pokes past the
+    fold and comes back answers "outside".  A root that ``_on_branch``
+    finds on another sheet fails its step.  A march that reaches the end
+    (at once if the path has length zero) answers "inside", or "boundary"
+    where |F_u| is below the singular threshold.
 
     A step whose corrector finds no root at all, with F and F_u defined,
     after an accepted step may have crossed a fold: ``_turning_point``
@@ -399,12 +404,12 @@ def _march(problem, sol, waypoints, u0) -> Verdict:
     to the relaxed threshold, the answer is "outside" (or "boundary") at
     the failed step; if not, PathLeftWindowError, as after MAX_MARCH_STEPS
     steps (a march creeping toward undefined F)."""
-    names = var_names(problem.n)
     pts = [tuple(float(c) for c in w) for w in waypoints]
     # sets every step; a math.sqrt sum is 1 ulp off on ~8 % of 2-D legs
     legs = [float(np.linalg.norm(np.subtract(b, a)))
             for a, b in zip(pts, pts[1:])]
     total = sum(legs)
+    stops = list(accumulate(legs))     # the waypoints' path parameters
     end = pts[-1]
 
     def at(s: float) -> tuple:
@@ -419,7 +424,7 @@ def _march(problem, sol, waypoints, u0) -> Verdict:
 
     # F_u alone, as other components of the gradient may fail to
     # evaluate on the initial set where F_u does not
-    fu_good = evaluate(sol.F_u, dict(zip(names, [*pts[0], u0])))
+    fu_good, = sol.Fu_value(*pts[0], u0)
     fu_sign = 1.0 if fu_good >= 0 else -1.0
 
     h = total * INITIAL_FRACTION
@@ -438,7 +443,7 @@ def _march(problem, sol, waypoints, u0) -> Verdict:
                 f"path not ended after {steps} steps, at {list(at(s_cur))} "
                 f"({s_cur / total:.6g} of it); F undefined along the path?")
         steps += 1
-        s_next = min(s_cur + h, total)
+        s_next = min(s_cur + h, next(c for c in stops if c > s_cur))
         point = at(s_next)
         u_new, fu, ok = _corrector(sol, point, u)
         if ok and fu is not None:
@@ -446,7 +451,8 @@ def _march(problem, sol, waypoints, u0) -> Verdict:
             # fading out or F_u flipping sign between step points
             grads_new = sol.grad_values(*point, u_new)
             if (abs(fu) >= _singular_threshold(grads_new)
-                    and fu * fu_sign > 0):
+                    and fu * fu_sign > 0 and (grads is None or _on_branch(
+                        grads, grads_new, at(s_cur), point, u_new - u))):
                 u, fu_good, grads = u_new, fu, grads_new
                 s_cur = s_next
                 h = min(h * 1.4, h_max)
@@ -470,16 +476,15 @@ def _march(problem, sol, waypoints, u0) -> Verdict:
                     f"path meets the edge of F's domain at {list(at(s_bad))} "
                     f"with healthy F_u = {fu_bad:.3e}")
         elif (not ok and fu is not None and grads is not None
-              and folds < FOLD_PROBES and probed_at != s_cur
-              and (dp := _leg_direction(pts, legs, s_cur, s_next))):
+              and folds < FOLD_PROBES and probed_at != s_cur):
             # no root at all after an accepted step, with F and F_u
             # defined: a fold may lie in (s_cur, s_next]; but where Newton
             # in u ran off to where F_u vanishes, u runs off to infinity
             folds += 1
             probed_at = s_cur
             fold = (BLOW_UP if abs(fu) < _singular_threshold(grads) else
-                    _turning_point(sol, at, dp, s_cur, s_next, u, fu_sign,
-                                   h_min))
+                    _turning_point(sol, at, _leg_direction(pts, legs, s_cur),
+                                   s_cur, s_next, u, fu_sign, h_min))
             if fold is BLOW_UP:
                 folds = FOLD_PROBES
             elif fold is not None:
@@ -510,6 +515,18 @@ def _onset(at, total: float, s: float, fu: float) -> Verdict:
     return Verdict(kind, None, fu, at(s))
 
 
+def _on_branch(grads, grads_new, a, b, du: float) -> bool:
+    """Whether a corrector root that moved u by du from base point a to b,
+    with F gradients ``grads`` at a and ``grads_new`` at b, stays on the
+    branch: where its slope is monotone, du lies between the ends' tangent
+    changes d0 and d1 (mean value theorem).  Allowed beyond: |d0| + |d1|
+    and SOLVE_TOL / |F_u| per end; another sheet's root lands far off."""
+    step = [bi - ai for ai, bi in zip(a, b)]
+    d0, d1 = (-sum(map(mul, g[:-1], step)) / g[-1] for g in (grads, grads_new))
+    return (abs(du - 0.5 * (d0 + d1)) <= 0.5 * abs(d1 - d0) + abs(d0) + abs(d1)
+            + SOLVE_TOL / abs(grads[-1]) + SOLVE_TOL / abs(grads_new[-1]))
+
+
 def _track(sol, point, u: float, fu_sign: float):
     """(u, F_u, gradient of F) of the corrector from u at the base point,
     or None where it does not track the branch there: no root, or |F_u|
@@ -522,14 +539,13 @@ def _track(sol, point, u: float, fu_sign: float):
     return None
 
 
-def _leg_direction(pts, legs, lo: float, hi: float):
+def _leg_direction(pts, legs, s: float):
     """d at(s) / ds on the leg of the path through ``pts`` (leg lengths
-    ``legs``) that holds (lo, hi]; None where that spans two legs."""
+    ``legs``) that runs on from s, the one that holds a march step from s;
+    None from the path's end on."""
     acc = 0.0
     for a, b, L in zip(pts, pts[1:], legs):
-        if lo < acc + L:
-            if hi > acc + L:
-                return None
+        if s < acc + L:
             return tuple([(bi - ai) / L for ai, bi in zip(a, b)])
         acc += L
     return None
@@ -555,7 +571,7 @@ def _domain_edge(sol, at, pts, legs, s_good, h, u, fu_good, grads, fu_sign):
     s_bad = total              # nearest point failed since s_good moved
     for _ in range(EDGE_STEPS):
         s_try = min(s_good + h, s_bad)
-        dp = _leg_direction(pts, legs, s_good, s_good)
+        dp = _leg_direction(pts, legs, s_good)
         slope = -sum(map(mul, grads[:-1], dp)) / grads[-1]
         tracked = _track(sol, at(s_try), u + slope * (s_try - s_good),
                          fu_sign)

@@ -111,9 +111,9 @@ class SolutionChecks:
 class ImplicitSolution:
     """F = f o rho with its u-derivative and gradient cached and compiled
     (``F_and_Fu`` and ``grad_values`` take t, x1..xn, u), and what its
-    checks measured.  ``fold_values`` gives F, grad F and grad F_u (whose
-    last component is F_uu) at one point, for the query's turning-point
-    solve; it is compiled on its first call."""
+    checks measured.  ``fold_values`` (F, grad F and grad F_u, whose last
+    component is F_uu: the query's turning-point solve) and ``Fu_value``
+    ((F_u,): the query's start) are compiled on their first call."""
 
     f: Expr
     F: Expr
@@ -125,6 +125,7 @@ class ImplicitSolution:
     F_and_Fu: Callable = field(compare=False, repr=False)
     grad_values: Callable = field(compare=False, repr=False)
     fold_values: Callable = field(compare=False, repr=False)
+    Fu_value: Callable = field(compare=False, repr=False)
 
 
 def apply_field(fld: VectorField, g: Expr) -> Expr:
@@ -308,7 +309,8 @@ def build_implicit_solution(rho_set: FirstIntegralSet, f: Expr, gamma,
         f, F, F_u, gradient, gamma, n, SolutionChecks(max_F, min_Fu, *flow),
         F_and_Fu, compile_exprs(gradient, names),
         _compiled_on_first_call(lambda: compile_exprs(
-            [F, *gradient, *(diff(F_u, v) for v in names)], names)))
+            [F, *gradient, *(diff(F_u, v) for v in names)], names)),
+        _compiled_on_first_call(lambda: compile_exprs([F_u], names)))
 
 
 def _compiled_on_first_call(build: Callable) -> Callable:

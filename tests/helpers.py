@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from itertools import chain, permutations, product
+from itertools import accumulate, chain, permutations, product
 
 import numpy as np
 import pytest
@@ -636,12 +636,15 @@ def newton_u_by_tree(F, F_u, binding: dict, u: float, tol: float,
 
 def march_by_halving(problem, sol, waypoints, u0):
     """Stands in for domain._march: the march without its fold, margin
-    and edge searches, locating every onset by step halving."""
+    and edge searches, locating every onset by step halving.  Its steps
+    stop at every waypoint and reject roots off the branch, as the
+    march's do."""
     names = var_names(problem.n)
     pts = [tuple(float(c) for c in w) for w in waypoints]
     legs = [float(np.linalg.norm(np.subtract(b, a)))
             for a, b in zip(pts, pts[1:])]
     total = sum(legs)
+    stops = list(accumulate(legs))
     end = pts[-1]
 
     def at(s: float) -> tuple:
@@ -671,7 +674,8 @@ def march_by_halving(problem, sol, waypoints, u0):
                 f"path not ended after {steps} steps, at {list(at(s_cur))} "
                 f"({s_cur / total:.6g} of it); F undefined along the path?")
         steps += 1
-        s_next = min(s_cur + h, total)
+        # no step passes a waypoint
+        s_next = min(s_cur + h, min(c for c in stops if c > s_cur))
         point = at(s_next)
         u_new, fu, ok = domain._corrector(sol, point, u)
         if ok and fu is not None:
@@ -679,7 +683,9 @@ def march_by_halving(problem, sol, waypoints, u0):
             # fading out or F_u flipping sign between step points
             grads_new = sol.grad_values(*point, u_new)
             if (abs(fu) >= domain._singular_threshold(grads_new)
-                    and fu * fu_sign > 0):
+                    and fu * fu_sign > 0
+                    and (grads is None or domain._on_branch(
+                        grads, grads_new, at(s_cur), point, u_new - u))):
                 u, fu_good, grads = u_new, fu, grads_new
                 s_cur = s_next
                 h = min(h * 1.4, h_max)

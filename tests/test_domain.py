@@ -429,7 +429,8 @@ class TestCompiledQuery:
             grad_values=helpers.compile_by_tree(sol.gradient, names),
             fold_values=helpers.compile_by_tree(
                 [sol.F, *sol.gradient, *(diff(sol.F_u, v) for v in names)],
-                names))
+                names),
+            Fu_value=helpers.compile_by_tree([sol.F_u], names))
         rng = np.random.default_rng(12)
         face = problem.box.ranges[:problem.n + 1]
         lows = np.array([lo for lo, _ in face])
@@ -616,6 +617,21 @@ class TestMarch:
         assert len(outside) >= 10
         assert np.mean([spent[i] for i in outside]) <= 20
 
+    # three steps cross a straight path (1/4, 0.35 and the rest of it)
+    # where all three are accepted
+    @pytest.mark.parametrize("name", helpers.EXAMPLES)
+    def test_inside_verdicts_take_few_corrector_calls(self, name, solutions,
+                                                      monkeypatch):
+        problem, data, sol = compiled_case(name, solutions)
+        calls = counting_corrector(monkeypatch)
+        spent = []
+        for q in face_points(problem, np.random.default_rng(47), 200):
+            calls[0] = 0
+            if contains(problem, data, sol, q).kind == "inside":
+                spent.append(calls[0])
+        assert len(spent) >= 50
+        assert np.mean(spent) <= 4
+
     # halving alone spends 65-70 corrector calls on an outside verdict;
     # the turning-point solve ends circular's and burgers_reciprocal's
     # folds, the margin search the blow-ups of the other two.  Points
@@ -638,6 +654,60 @@ class TestMarch:
                 spent.append(calls[0])
         assert len(spent) >= 50
         assert np.mean(spent) <= bound
+
+    # the references share the march's step rule, so they cannot tell a
+    # long step that lands on another sheet (circular's lower root, say);
+    # the closed form can
+    @pytest.mark.parametrize("name", helpers.EXAMPLES)
+    def test_inside_u_matches_the_closed_form(self, name, solutions):
+        problem, data, sol = compiled_case(name, solutions)
+        inside = 0
+        for q in face_points(problem, np.random.default_rng(51), 400):
+            if helpers.true_inside(name, q) < 0.05:
+                continue
+            v = contains(problem, data, sol, q)
+            if v.kind != "inside":
+                # only where the straight path from the initial set
+                # leaves the domain: contains tries no other route then
+                start = np.array(path_start(data, q))
+                assert min(helpers.true_inside(name, start + lam * (q - start))
+                           for lam in np.linspace(0.0, 1.0, 65)) < 0.0
+                continue
+            inside += 1
+            expect = helpers.true_u(name, q)
+            assert abs(v.u - expect) <= 1e-8 * max(1.0, abs(v.u))
+        assert inside >= 100
+
+    @pytest.mark.parametrize("peak", [1.02, 1.05])
+    def test_a_path_past_the_fold_and_back_answers_outside(self, peak,
+                                                           solutions):
+        # along x = 0, circular's branch u = sqrt(1 - t^2) ends at t = 1;
+        # a step over the waypoint at the peak would land back at t = 0.9
+        # on the branch and answer "inside"
+        b, _, sol = solutions("circular")
+        u0 = evaluate(b.data.h, {"x1": 0.0})
+        v = domain._march(b.problem, sol, [(0.0, 0.0), (0.9, 0.0),
+                                           (peak, 0.0), (0.9, 0.0)], u0)
+        assert v.kind == "outside"
+        assert abs(v.at[0] - 1.0) <= 1e-6 and v.at[1] == 0.0
+
+    # u_t + u^2 u_x = 0 with u = 1/(x + 3) at t = 0 keeps u > 0.  On a
+    # long step near the end of each of these paths, the corrector from
+    # the last accepted u finds a root of F = u - 1/(x - u^2 t + 3) with
+    # u < 0 and F_u > 0, while the branch itself folds before the end
+    @pytest.mark.parametrize("q", [[0.7861064148813539, -1.8656576987781426],
+                                   [0.8936563311955092, -1.735670013103701],
+                                   [0.6223364126218673, -1.6532747075418288]])
+    def test_a_long_step_does_not_land_on_another_sheet(self, q,
+                                                        monkeypatch):
+        problem, data = make_problem(
+            1, "1", ["u^2"], "0", "1/(x+3)",
+            Box((-0.5, 1.0), ((-2.0, 2.0),), (-3.0, 3.0)))
+        _, sol = implicit_solution_for_problem(problem, data)
+        assert contains(problem, data, sol, q).kind == "outside"
+        monkeypatch.setattr(domain, "_on_branch", lambda *args: True)
+        v = contains(problem, data, sol, q)
+        assert v.kind == "inside" and v.u < 0.0
 
     def test_faded_root_on_another_branch_does_not_end_the_march(
             self, solutions, monkeypatch):
@@ -711,12 +781,15 @@ class TestMarch:
             sol, lambda s: (s, 0.0), (1.0, 0.0), 0.9, 1.1, math.sqrt(0.19),
             1.0, 1e-12) is None
 
-    def test_leg_direction_within_one_leg_only(self):
+    def test_leg_direction_of_the_leg_on_from_a_point(self):
+        # a march step never spans two legs, so the leg that runs on from
+        # its start holds it; from a waypoint, that is the next leg
         pts = [(0.0, 0.0), (1.0, 0.0), (1.0, 2.0)]
         legs = [1.0, 2.0]
-        assert domain._leg_direction(pts, legs, 0.2, 1.0) == (1.0, 0.0)
-        assert domain._leg_direction(pts, legs, 1.0, 1.5) == (0.0, 1.0)
-        assert domain._leg_direction(pts, legs, 0.9, 1.1) is None
+        assert domain._leg_direction(pts, legs, 0.0) == (1.0, 0.0)
+        assert domain._leg_direction(pts, legs, 0.2) == (1.0, 0.0)
+        assert domain._leg_direction(pts, legs, 1.0) == (0.0, 1.0)
+        assert domain._leg_direction(pts, legs, 3.0) is None
 
     def test_blow_ups_are_told_apart_cheaply(self, solutions, monkeypatch):
         # ode_quadratic's outside verdicts are blow-ups, u = 1 / (1 - t):

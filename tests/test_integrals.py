@@ -352,6 +352,34 @@ class TestAssembly:
                 evaluate(e, binding) for e in trees)
         assert compiled == [trees]
 
+    def test_Fu_value_compiled_on_first_call(self, monkeypatch):
+        # F_u alone: it fails to evaluate exactly where evaluate does
+        problem, data = make_problem(
+            1, "1", ["u"], "0", "sqrt(x + 1)",
+            Box((-0.5, 1.0), ((-2.0, 1.0),), (0.05, 2.0)))
+        _, sol = implicit_solution_for_problem(problem, data)
+        compiled = []
+        compile_exprs = integrals.compile_exprs
+
+        def counted(exprs, names, **kw):
+            compiled.append(list(exprs))
+            return compile_exprs(exprs, names, **kw)
+
+        monkeypatch.setattr(integrals, "compile_exprs", counted)
+        names = var_names(1)
+        failed = 0
+        for point in box_samples(problem.box, 40, seed=5).tolist():
+            try:
+                expect = (evaluate(sol.F_u, dict(zip(names, point))),)
+            except EvalDomainError:
+                with pytest.raises(EvalDomainError):
+                    sol.Fu_value(*point)
+                failed += 1
+            else:
+                assert repr(sol.Fu_value(*point)) == repr(expect)
+        assert 0 < failed < 40
+        assert compiled == [[sol.F_u]]
+
     def test_non_conservation_needs_rho(self):
         problem, data = circular()
         with pytest.raises(FirstIntegralError, match="not a conservation law"):
