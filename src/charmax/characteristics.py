@@ -47,11 +47,9 @@ class IntegrationError(Exception):
 
 @dataclass
 class CharacteristicCurve:
-    seed: np.ndarray
     taus: np.ndarray              # shape (m,)
     states: np.ndarray            # shape (m, n+2)
     termination: str              # one of the TERM_* constants
-    tol: float
 
     @property
     def end(self) -> np.ndarray:
@@ -123,8 +121,8 @@ def integrate_characteristic(fld: VectorField, seed, span, tol: float = DEFAULT_
     states = [seed.copy()]
     termination = TERM_SPAN_END
     if total == 0.0:
-        return CharacteristicCurve(seed, np.array(taus), np.array(states),
-                                   termination, tol)
+        return CharacteristicCurve(np.array(taus), np.array(states),
+                                   termination)
 
     compiled = compile_exprs(fld.components, var_names(fld.n))
     try:
@@ -184,8 +182,7 @@ def integrate_characteristic(fld: VectorField, seed, span, tol: float = DEFAULT_
     else:
         termination = TERM_STEP_FAILURE
 
-    return CharacteristicCurve(seed, np.array(taus), np.array(states),
-                               termination, tol)
+    return CharacteristicCurve(np.array(taus), np.array(states), termination)
 
 
 def characteristic_strip(fld: VectorField, seeds, span, tol: float = DEFAULT_TOL,

@@ -32,10 +32,16 @@ class VerticalTangentError(Exception):
 
 @dataclass(frozen=True)
 class ConservationLaw:
-    a: Expr        # characteristic speed, in u
-    h: Expr        # initial data, in x (= x1)
-    g: Expr        # a o h, in x
-    g_prime: Expr  # dg/dx, symbolic
+    """The closed-form trees of one law with speed a(u) and initial data
+    h, all in x (= x1), derived once by ``from_parts``: g = a o h, g', and
+    the s-derivatives of the envelope's t* = -1/g' and x* = s + g t*,
+    which every ``propagation_speed`` call evaluates."""
+
+    h: Expr        # initial data
+    g: Expr        # a o h
+    g_prime: Expr  # dg/dx
+    t_prime: Expr  # dt*/ds
+    x_prime: Expr  # dx*/ds
 
     @classmethod
     def from_parts(cls, a: Expr, h: Expr) -> "ConservationLaw":
@@ -47,7 +53,10 @@ class ConservationLaw:
             raise ValueError(f"initial data must depend on x only, "
                              f"found {sorted(bad)}")
         g = substitute(a, {"u": h})
-        return cls(a, h, g, diff(g, "x1"))
+        g_prime = diff(g, "x1")
+        tstar = div(Const(-1.0), g_prime)
+        xstar = add(Var("x1"), mul(g, tstar))
+        return cls(h, g, g_prime, diff(tstar, "x1"), diff(xstar, "x1"))
 
     def g_at(self, s: float) -> float:
         return evaluate(self.g, {"x1": float(s)})
@@ -157,11 +166,8 @@ def propagation_speed(law: ConservationLaw, s: float) -> float:
     tstar = singular_time(law, s)
     if tstar is None:
         raise ValueError(f"no singular time at s = {s}")
-    x1 = Var("x1")
-    tstar_expr = div(Const(-1.0), law.g_prime)
-    xstar_expr = add(x1, mul(law.g, tstar_expr))
-    dt_ds = evaluate(diff(tstar_expr, "x1"), {"x1": float(s)})
-    dx_ds = evaluate(diff(xstar_expr, "x1"), {"x1": float(s)})
+    dt_ds = evaluate(law.t_prime, {"x1": float(s)})
+    dx_ds = evaluate(law.x_prime, {"x1": float(s)})
     eps = 1e-12 * (1.0 + abs(dx_ds))
     if abs(dt_ds) > eps:
         return dx_ds / dt_ds
@@ -173,7 +179,7 @@ def propagation_speed(law: ConservationLaw, s: float) -> float:
     probes = []
     for sp in (s - delta, s + delta):
         try:
-            probes.append(evaluate(diff(tstar_expr, "x1"), {"x1": sp}))
+            probes.append(evaluate(law.t_prime, {"x1": sp}))
         except EvalDomainError:
             probes.append(0.0)
     if all(abs(p) <= eps for p in probes):

@@ -101,7 +101,6 @@ class MaximalDomain:
     axes: tuple[np.ndarray, ...]      # base-space vertex coordinates
     mask: np.ndarray                  # bool over base cells
     boundary: list[BoundaryPolyline]
-    base_cells: list[tuple]           # projections of the initial-set cells
 
     @property
     def cell_area(self) -> float:
@@ -111,21 +110,18 @@ class MaximalDomain:
         return self.cell_area * int(np.count_nonzero(self.mask))
 
     def to_json(self) -> str:
-        rows = []
+        """The mask as [start, length] runs of True cells per row (the
+        first axis), found by one edge scan, and the boundary points."""
         flat = self.mask.reshape(self.mask.shape[0], -1)
-        for row in flat:
-            runs = []
-            start = None
-            for j, v in enumerate(row.tolist() + [False]):
-                if v and start is None:
-                    start = j
-                elif not v and start is not None:
-                    runs.append([start, j - start])
-                    start = None
-            rows.append(runs)
-        boundary_pts = []
-        for line in self.boundary:
-            boundary_pts.extend([[float(c) for c in p] for p in line.points])
+        edge = np.diff(flat.astype(np.int8), axis=1, prepend=0, append=0)
+        row, start = np.nonzero(edge == 1)
+        end = np.nonzero(edge == -1)[1]
+        rows = [[] for _ in flat]
+        for r, run in zip(row.tolist(),
+                          np.column_stack([start, end - start]).tolist()):
+            rows[r].append(run)
+        boundary_pts = [p for line in self.boundary
+                        for p in line.points.tolist()]
         return json.dumps({
             "resolution": self.resolution,
             "mask": {"rows": rows},
@@ -164,16 +160,14 @@ def maximal_domain(component: SurfaceComponent,
             f"component projects two u-branches onto base cell {base}; "
             "resolution too coarse to separate sheets")
 
-    gamma_base = list(dict.fromkeys(
-        tuple(int(v) for v in c[:-1]) for c in component.gamma_cells))
-    for base in gamma_base:
+    for cell in component.gamma_cells:
+        base = tuple(int(v) for v in cell[:-1])
         if not mask[base]:
             raise ProjectionError(
                 f"initial-set base cell {base} is not masked")
 
     boundary = _assemble_boundary(component, mask, base_axes)
-    dom = MaximalDomain(surface.resolution, base_axes, mask, boundary,
-                        gamma_base)
+    dom = MaximalDomain(surface.resolution, base_axes, mask, boundary)
     if sigma is not None:
         _attach_sigma_boundary(dom, component, sigma)
     return dom

@@ -664,16 +664,16 @@ def _release(lines: list[str]) -> list[str]:
     return out
 
 
-def evaluate_grid(e: Expr, binding: Mapping[str, np.ndarray],
-                  shape: tuple[int, ...]):
-    """Evaluate over arrays that broadcast to ``shape``, by ``compile``'s
-    array back end.
+def evaluate_grid(e: Expr, binding: Mapping[str, np.ndarray]):
+    """Evaluate over the arrays of ``binding``, by ``compile``'s array back
+    end.
 
-    Returns (values, valid), both of ``shape``, where valid marks points
-    whose evaluation hit no domain violation and produced a finite number.
-    Values at invalid points follow IEEE semantics (inf/nan) and must not
-    be trusted.
+    Returns (values, valid), both of the shape the bound arrays broadcast
+    to, where valid marks points whose evaluation hit no domain violation
+    and produced a finite number.  Values at invalid points follow IEEE
+    semantics (inf/nan) and must not be trusted.
     """
+    shape = np.broadcast_shapes(*map(np.shape, binding.values()))
     with np.errstate(all="ignore"):
         ((vals, bad),) = compile([e], tuple(binding), arrays=True)(
             *binding.values())

@@ -37,6 +37,7 @@ FLOW_NEWTON_MAXIT = 40
 FLOW_NEWTON_MAX_STEP = 1e8
 MIN_SINGULAR_VALUE = 1e-6
 FLOW_SAMPLES = 200          # surface points the flow check projects
+GAMMA_SAMPLES = 65          # initial-set samples for n >= 1
 VERIFICATION_SAMPLES = 500  # random box points the rho check adds
 _RNG_SEED = 74025317  # fixed seed so reports are deterministic
 
@@ -71,7 +72,6 @@ class ResidualReport:
     mean_residual: float
     worst_point: list[float] | None
     passed: bool
-    tol: float
     excluded: list  # (point, reason) pairs for the samples left out
 
     def to_json(self) -> str:
@@ -115,7 +115,6 @@ class ImplicitSolution:
     component is F_uu: the query's turning-point solve) and ``Fu_value``
     ((F_u,): the query's start) are compiled on their first call."""
 
-    f: Expr
     F: Expr
     F_u: Expr
     gradient: tuple[Expr, ...]     # dF/d(t, x1..xn, u)
@@ -150,14 +149,13 @@ def verify_first_integral(fld: VectorField, rho: Expr, samples,
     rows, kept, excluded = _screened(
         residual_and_rho, np.asarray(samples, dtype=float).tolist(), "value")
     if not rows:
-        return ResidualReport(float("nan"), float("nan"), None, False, tol,
-                              excluded)
+        return ResidualReport(float("nan"), float("nan"), None, False, excluded)
     vals = [abs(r) for r, _ in rows]
     norms = [r / (1.0 + abs(rho_value))
              for r, (_, rho_value) in zip(vals, rows)]
     k = max(range(len(norms)), key=norms.__getitem__)  # the first largest
     return ResidualReport(max(vals), float(np.mean(vals)), kept[k],
-                          norms[k] <= tol, tol, excluded)
+                          norms[k] <= tol, excluded)
 
 
 def _screened(compiled: Callable, samples: list, what: str):
@@ -306,7 +304,7 @@ def build_implicit_solution(rho_set: FirstIntegralSet, f: Expr, gamma,
 
     flow = _check_flow_invariance(F, gradient, fld, box, gamma)
     return ImplicitSolution(
-        f, F, F_u, gradient, gamma, n, SolutionChecks(max_F, min_Fu, *flow),
+        F, F_u, gradient, gamma, n, SolutionChecks(max_F, min_Fu, *flow),
         F_and_Fu, compile_exprs(gradient, names),
         _compiled_on_first_call(lambda: compile_exprs(
             [F, *gradient, *(diff(F_u, v) for v in names)], names)),
@@ -436,15 +434,14 @@ def _newton_u_rows(F_and_Fu_rows: Callable, base: np.ndarray, u: np.ndarray,
 
 def implicit_solution_for_problem(problem: Problem, data: InitialData,
                                   rho: tuple[Expr, ...] | None = None,
-                                  f: Expr | None = None,
-                                  gamma_count: int = 65):
+                                  f: Expr | None = None):
     """Assemble (FirstIntegralSet, ImplicitSolution) for one problem.
 
     User-supplied rho/f are validated; otherwise the conservation-law
     construction is used when the problem has that form.
     """
     fld = characteristic_field(problem)
-    gamma = initial_set_samples(data, 1 if problem.n == 0 else gamma_count)
+    gamma = initial_set_samples(data, 1 if problem.n == 0 else GAMMA_SAMPLES)
 
     if rho is not None:
         rho_set = FirstIntegralSet(tuple(rho), "user-supplied")

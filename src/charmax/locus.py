@@ -114,13 +114,6 @@ class SurfaceComponent:
 # ---------------------------------------------------------------------------
 # Surface extraction
 
-def _grid_values(e: Expr, axes, n: int):
-    names = var_names(n)
-    grids = np.meshgrid(*axes, indexing="ij", sparse=True)
-    shape = tuple(len(ax) for ax in axes)
-    return evaluate_grid(e, dict(zip(names, grids)), shape=shape)
-
-
 def _corner_offsets(dim: int):
     return list(product((0, 1), repeat=dim))
 
@@ -241,7 +234,8 @@ def extract_surface(F: Expr, box: Box, resolution: int) -> LevelSurface:
                                   "n in {0, 1}")
     dim = n + 2
     axes = tuple(np.linspace(lo, hi, resolution + 1) for lo, hi in box.ranges)
-    values, valid = _grid_values(F, axes, n)
+    grids = np.meshgrid(*axes, indexing="ij", sparse=True)
+    values, valid = evaluate_grid(F, dict(zip(var_names(n), grids)))
     crossing, all_ok = _classify_cells(values, valid, dim)
     return LevelSurface(box, resolution, axes, values, crossing,
                         cell_indices(~all_ok))
@@ -250,11 +244,11 @@ def extract_surface(F: Expr, box: Box, resolution: int) -> LevelSurface:
 def cell_pieces(surface: LevelSurface):
     """Linear pieces of the zero set in the crossing cells: segments of
     the square in the plane case, triangles of the six Kuhn tetrahedra in
-    the space case.  Returns the (k, slots, width, dim) piece vertices, in
+    the space case.  Returns the (m, dim, dim) vertices of the m pieces, in
     ``surface.cells`` order and (shape, piece, vertex) order within a cell,
-    and the (k, slots) mask of the slots in use; unused slots hold zeros.
-    Each vertex is the zero ``a + s (b - a)``, ``s = va / (va - vb)``, of
-    a cut edge from corner a to corner b."""
+    and the (m,) index into ``surface.cells`` of each piece's cell.  Each
+    vertex is the zero ``a + s (b - a)``, ``s = va / (va - vb)``, of a cut
+    edge from corner a to corner b."""
     dim = surface.dim
     corners = surface.cells[:, None, :] + np.array(_corner_offsets(dim))
     vals = surface.values[tuple(np.moveaxis(corners, -1, 0))]
@@ -272,15 +266,13 @@ def cell_pieces(surface: LevelSurface):
     cell, slot = np.nonzero(used)
     shape = slot // 2
     a, b = np.moveaxis(edges[shape, case[cell, shape], slot % 2], -1, 0)
-    cell = cell[:, None]
-    va, vb = vals[cell, a], vals[cell, b]
-    pa, z = pts[cell, a], pts[cell, b]
+    at = cell[:, None]
+    va, vb = vals[at, a], vals[at, b]
+    pa, z = pts[at, a], pts[at, b]
     z -= pa                             # z = a + s (b - a), in place
     z *= (va / (va - vb))[..., None]
     z += pa
-    pieces = np.zeros(used.shape + (dim, dim))
-    pieces[used] = z
-    return pieces, used
+    return z, cell
 
 
 # ---------------------------------------------------------------------------
@@ -433,12 +425,14 @@ def _damped_newton(res_fn, jac_fn, x0, tol=NEWTON_TOL, maxit=NEWTON_MAXIT):
 
 def _rows(compiled, points: np.ndarray):
     """An array-compiled function at each row of ``points``: the (k, width)
-    values, 0 on the rows where an output hit a domain violation, and the
-    (k,) mask of the other rows."""
+    values, 0 on the rows where an output hit a domain violation or is not
+    finite (the screen of ``evaluate_grid``), and the (k,) mask of the
+    other rows."""
     with np.errstate(all="ignore"):
         outs = output_rows(compiled(*points.T), len(points))
     values = np.column_stack([v for v, _ in outs])
     bad = np.logical_or.reduce([b for _, b in outs])
+    bad |= ~np.isfinite(values).all(axis=1)
     values[bad] = 0.0
     return values, ~bad
 
@@ -496,8 +490,8 @@ def _seed_cells(F_u: Expr, surface: LevelSurface) -> np.ndarray:
     flat = np.flatnonzero(corner)
     coords = [ax[i] for ax, i in zip(surface.axes,
                                      np.unravel_index(flat, corner.shape))]
-    values, valid = evaluate_grid(
-        F_u, dict(zip(var_names(surface.dim - 2), coords)), shape=flat.shape)
+    values, valid = evaluate_grid(F_u, dict(zip(var_names(surface.dim - 2),
+                                                coords)))
     code = np.zeros(corner.shape, dtype=np.uint8)
     code.flat[flat] = _sign_codes(values, valid)
     return cell_indices(surface.crossing & (_cell_or(code, surface.dim) == 3))
@@ -795,8 +789,7 @@ def split_component(surface: LevelSurface, sigma: SingularLocus,
 
 def patch_vertices(surface: LevelSurface) -> np.ndarray:
     """All vertices of the cell pieces as one (m, dim) point cloud."""
-    pieces, used = cell_pieces(surface)
-    return pieces[used].reshape(-1, surface.dim)
+    return cell_pieces(surface)[0].reshape(-1, surface.dim)
 
 
 def points_csv(surface: LevelSurface, sigma: SingularLocus,

@@ -252,9 +252,7 @@ def load_problem_bundle(path) -> ProblemBundle:
 def _validate_problem(p: Problem, d: InitialData):
     axes = [np.linspace(lo, hi, ALPHA_LATTICE_POINTS) for lo, hi in p.box.ranges]
     grids = np.meshgrid(*axes, indexing="ij", sparse=True)
-    binding = dict(zip(var_names(p.n), grids))
-    shape = tuple(ALPHA_LATTICE_POINTS for _ in p.box.ranges)
-    vals, ok = evaluate_grid(p.alpha, binding, shape=shape)
+    vals, ok = evaluate_grid(p.alpha, dict(zip(var_names(p.n), grids)))
 
     def lattice_point(mask):
         idx = np.argwhere(mask)[0]

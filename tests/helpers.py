@@ -17,8 +17,8 @@ from charmax.expr import compile as compile_exprs
 from charmax.integrals import (ImplicitSolutionError, apply_field,
                                implicit_solution_for_problem)
 from charmax.locus import (LevelSurface, SurfaceComponent, _classify_cells,
-                           _grid_values, cell_of, extract_singular_locus,
-                           extract_surface, split_component)
+                           cell_of, extract_singular_locus, extract_surface,
+                           split_component)
 from charmax.problem import load_problem_bundle
 
 EXAMPLES = ("ode_quadratic", "circular", "burgers_ramp", "burgers_reciprocal")
@@ -153,6 +153,24 @@ def fold_lines_by_points(component, sigma) -> list:
     return lines
 
 
+def mask_runs_by_cells(mask) -> list:
+    """Reference for the mask rows of MaximalDomain.to_json, one cell at a
+    time: per row of the mask (the first axis, the rest flattened), the
+    [start, length] runs of True cells."""
+    rows = []
+    for row in mask.reshape(mask.shape[0], -1):
+        runs = []
+        start = None
+        for j, v in enumerate(row.tolist() + [False]):
+            if v and start is None:
+                start = j
+            elif not v and start is not None:
+                runs.append([start, j - start])
+                start = None
+        rows.append(runs)
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # References for the sigma stage: the full grid and one seed at a time
 
@@ -177,7 +195,9 @@ def classify_cells_by_corners(values, valid, dim):
 def seed_cells_by_grid(F_u, surface):
     """Reference for locus._seed_cells: F_u on every grid vertex, and the
     crossing cells where it changes sign by classify_cells_by_corners."""
-    values, valid = _grid_values(F_u, surface.axes, surface.dim - 2)
+    grids = np.meshgrid(*surface.axes, indexing="ij", sparse=True)
+    values, valid = evaluate_grid(F_u, dict(zip(var_names(surface.dim - 2),
+                                                grids)))
     fu_crossing, _ = classify_cells_by_corners(values, valid, surface.dim)
     return np.argwhere(surface.crossing & fu_crossing)
 
@@ -193,8 +213,8 @@ def seed_cells_by_unique(F_u, surface):
     flat, inverse = np.unique(corners, return_inverse=True)
     coords = [ax[i] for ax, i in zip(surface.axes,
                                      np.unravel_index(flat, shape))]
-    values, valid = evaluate_grid(
-        F_u, dict(zip(var_names(surface.dim - 2), coords)), shape=flat.shape)
+    values, valid = evaluate_grid(F_u, dict(zip(var_names(surface.dim - 2),
+                                                coords)))
     inverse = inverse.reshape(corners.shape)
     v = values[inverse]
     seed = (valid[inverse].all(axis=1) & (v >= 0.0).any(axis=1)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import types
 
@@ -8,6 +9,7 @@ import pytest
 import helpers
 from charmax import domain, integrals
 from charmax.domain import (CORRECTOR_MAXIT, MAX_MARCH_STEPS, SOLVE_TOL,
+                            BoundaryPolyline, MaximalDomain,
                             PathLeftWindowError, ProjectionError,
                             _chain_outline, _staircase, contains,
                             maximal_domain)
@@ -61,7 +63,7 @@ class TestMaximalDomain:
 
     def test_gamma_base_cells_masked(self, pipelines):
         _, _, _, _, comp, dom = pipelines("circular", 48)
-        for base in dom.base_cells:
+        for base in dict.fromkeys(c[:-1] for c in comp.gamma_cells):
             assert dom.mask[base]
 
     @pytest.mark.parametrize("name,resolution", [
@@ -73,8 +75,9 @@ class TestMaximalDomain:
                                                   pipelines):
         """The projection of a facet-connected component is facet-connected:
         every masked base cell is reached from the initial-set base cells."""
-        dom = pipelines(name, resolution)[-1]
-        assert np.array_equal(flood(dom.mask, dom.base_cells), dom.mask)
+        comp, dom = pipelines(name, resolution)[-2:]
+        base_cells = list(dict.fromkeys(c[:-1] for c in comp.gamma_cells))
+        assert np.array_equal(flood(dom.mask, base_cells), dom.mask)
 
     def test_two_branch_projection_rejected(self, pipelines):
         _, _, surf, _, comp, _ = pipelines("circular", 48)
@@ -954,9 +957,25 @@ class TestStaircase:
 
 class TestDump:
     def test_json_roundtrip_fields(self, pipelines):
-        import json
         _, _, _, _, _, dom = pipelines("burgers_ramp", 48)
         doc = json.loads(dom.to_json())
         assert set(doc) == {"resolution", "mask", "boundary"}
         nmasked = sum(run[1] for row in doc["mask"]["rows"] for run in row)
         assert nmasked == int(np.count_nonzero(dom.mask))
+
+    @pytest.mark.parametrize("shape", [(1,), (7,), (40,), (1, 1), (5, 1),
+                                       (1, 9), (12, 17), (30, 64)])
+    def test_mask_runs_match_the_cell_loop(self, shape):
+        # random masks of every density, with an empty and a full row
+        rng = np.random.default_rng(2020)
+        for density in (0.0, 0.1, 0.5, 0.9, 1.0):
+            mask = rng.random(shape) < density
+            if mask.ndim == 2 and shape[0] > 2:
+                mask[0] = False
+                mask[-1] = True
+            axes = tuple(np.linspace(0.0, 1.0, k + 1) for k in shape)
+            line = BoundaryPolyline("window", rng.random((3, len(shape))))
+            doc = json.loads(MaximalDomain(8, axes, mask, [line]).to_json())
+            assert doc["mask"]["rows"] == helpers.mask_runs_by_cells(mask)
+            assert doc["boundary"] == [[float(c) for c in p]
+                                       for p in line.points]

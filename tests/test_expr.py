@@ -115,8 +115,7 @@ class TestEval:
         with pytest.raises(EvalDomainError, match="of infinite value"):
             compile_exprs([parse(text, n=0)], ("t", "u"))(0.0, u)
         _, ok = evaluate_grid(parse(text, n=0), {"t": np.float64(0.0),
-                                                 "u": np.array([u, 0.0])},
-                              shape=(2,))
+                                                 "u": np.array([u, 0.0])})
         assert list(ok) == [False, True]
         assert math.isnan(ev("sin(u) + cos(u)", n=0, t=0.0, u=math.nan))
 
@@ -138,8 +137,8 @@ class TestGridEval:
         e = parse("sin(t)*u + t^2/(u + 3)", n=0)
         ts = np.linspace(-2, 2, 11)
         us = np.linspace(-2, 2, 11)
-        vals, ok = evaluate_grid(e, {"t": ts[:, None], "u": us[None, :]},
-                                 shape=(11, 11))
+        vals, ok = evaluate_grid(e, {"t": ts[:, None], "u": us[None, :]})
+        assert vals.shape == ok.shape == (11, 11)
         assert ok.all()
         for i, t in enumerate(ts):
             for j, u in enumerate(us):
@@ -148,14 +147,13 @@ class TestGridEval:
     def test_invalid_vertices_flagged(self):
         e = parse("t + 1/u", n=0)
         us = np.array([-1.0, 0.0, 1.0])
-        vals, ok = evaluate_grid(e, {"t": np.float64(0.0), "u": us},
-                                 shape=(3,))
+        vals, ok = evaluate_grid(e, {"t": np.float64(0.0), "u": us})
         assert list(ok) == [True, False, True]
 
     def test_violation_through_finite_result(self):
         # 1/(1/u) is finite at u = 0 in IEEE arithmetic but still flagged
         e = parse("1/(1/u)", n=0)
-        vals, ok = evaluate_grid(e, {"u": np.array([0.0, 2.0])}, shape=(2,))
+        vals, ok = evaluate_grid(e, {"u": np.array([0.0, 2.0])})
         assert not ok[0] and ok[1]
 
 
@@ -241,7 +239,7 @@ class TestGeneratedProperties:
         e = helpers.random_expr(rng, ["t", "u"], depth=4)
         ts = rng.uniform(-2, 2, size=5)
         us = rng.uniform(-2, 2, size=5)
-        vals, ok = evaluate_grid(e, {"t": ts, "u": us}, shape=(5,))
+        vals, ok = evaluate_grid(e, {"t": ts, "u": us})
         for i in range(5):
             b = {"t": float(ts[i]), "u": float(us[i])}
             try:
@@ -420,7 +418,7 @@ class TestCompileArrays:
             assert same_arrays(np.isfinite(vals) & ~bad,
                                np.isfinite(want_vals) & ~want_bad)
         for e in exprs:
-            got = evaluate_grid(e, binding, shape=(4, 4, 4))
+            got = evaluate_grid(e, binding)
             assert all(map(same_arrays, got, grid_by_tree(e, binding,
                                                           (4, 4, 4))))
 
@@ -455,7 +453,7 @@ class TestCompileArrays:
                 tracemalloc.stop()
 
         for e in (sol.F, sol.F_u):
-            got, got_peak = peak(lambda: evaluate_grid(e, binding, shape))
+            got, got_peak = peak(lambda: evaluate_grid(e, binding))
             expect, expect_peak = peak(lambda: grid_by_tree(e, binding,
                                                             shape))
             assert all(map(same_arrays, got, expect))

@@ -326,13 +326,6 @@ class TestAssembly:
         assert rho_set.provenance == "builtin-conservation"
         assert sol.F == parse("u - 1/(x - u*t + 1)", n=1)
 
-    def test_F_independent_of_gamma_sample_count(self):
-        problem, data = burgers()
-        _, few = implicit_solution_for_problem(problem, data, gamma_count=9)
-        _, many = implicit_solution_for_problem(problem, data, gamma_count=65)
-        assert few.F == many.F
-        assert few.F_u == many.F_u
-
     def test_fold_values_compiled_on_first_call(self, monkeypatch):
         problem, data = burgers()
         _, sol = implicit_solution_for_problem(problem, data)

@@ -9,6 +9,7 @@ import helpers
 from charmax import locus
 from charmax.domain import MaximalDomain
 from charmax.expr import EvalDomainError, diff, evaluate, parse, var_names
+from charmax.expr import compile as compile_exprs
 from charmax.integrals import implicit_solution_for_problem
 from charmax.locus import (_TETS3, ResolutionError, cell_center,
                            cell_indices, cell_of, cell_pieces,
@@ -66,9 +67,9 @@ class TestExtractSurface:
         _, sol, surf, _, _, _ = pipelines("circular", 48)
         assert len(surf.cells) > 0
         # every crossing cell has a patch with at least one triangle
-        pieces, used = cell_pieces(surf)
-        assert pieces.shape == (len(surf.cells), 12, 3, 3)
-        assert used.any(axis=1).all()
+        pieces, cells = cell_pieces(surf)
+        assert pieces.shape[1:] == (3, 3)
+        assert np.array_equal(np.unique(cells), np.arange(len(surf.cells)))
 
     def test_patch_linear_interp_bound(self, pipelines):
         _, sol, surf, _, _, _ = pipelines("circular", 48)
@@ -77,9 +78,9 @@ class TestExtractSurface:
         diag = surf.cell_diagonal
         rng = np.random.default_rng(11)
         idx = rng.choice(len(surf.cells), size=200, replace=False)
-        pieces, used = cell_pieces(surf)
+        pieces, cells = cell_pieces(surf)
         for i in idx:
-            vertices = pieces[i][used[i]].reshape(-1, 3)
+            vertices = pieces[cells == i].reshape(-1, 3)
             corners = cell_center(surf.axes, surf.cells[i])
             gmax = 0.0
             for p in list(vertices) + [corners]:
@@ -103,16 +104,16 @@ class TestExtractSurface:
 
 
 def assert_pieces_match_reference(surface):
-    pieces, used = cell_pieces(surface)
+    pieces, cells = cell_pieces(surface)
     ref_pieces, ref_used, ref_vertices = helpers.cell_pieces_by_cells(surface)
     assert pieces.dtype == ref_pieces.dtype
-    assert pieces.shape == ref_pieces.shape
-    assert pieces.tobytes() == ref_pieces.tobytes()
-    assert np.array_equal(used, ref_used)
+    assert pieces.shape == ref_pieces[ref_used].shape
+    assert pieces.tobytes() == ref_pieces[ref_used].tobytes()
+    assert np.array_equal(cells, np.nonzero(ref_used)[0])
     vertices = patch_vertices(surface)
     assert vertices.shape == ref_vertices.shape
     assert vertices.tobytes() == ref_vertices.tobytes()
-    return pieces, used
+    return pieces, cells
 
 
 class TestCellPieces:
@@ -127,8 +128,8 @@ class TestCellPieces:
     def test_bundled_problems(self, name, resolution, solutions):
         b, _, sol = solutions(name)
         surface = extract_surface(sol.F, b.problem.box, resolution)
-        _, used = assert_pieces_match_reference(surface)
-        assert used.any()
+        _, cells = assert_pieces_match_reference(surface)
+        assert len(cells)
 
     @pytest.mark.parametrize("shape", [(23, 19), (9, 8, 7)])
     def test_random_grids_with_exact_zeros(self, shape):
@@ -159,15 +160,15 @@ class TestCellPieces:
         connect through the centre, so each segment cuts off 10 or 01."""
         v00, v10, v11, v01 = ring
         surface = helpers.grid_surface([[v00, v01], [v10, v11]])
-        pieces, used = assert_pieces_match_reference(surface)
-        assert used.tolist() == [[True, True]]
+        pieces, cells = assert_pieces_match_reference(surface)
+        assert cells.tolist() == [0, 0]
         # name the cut ring edge of each endpoint on the square [-1, 1]^2
         def side(point):
             t, u = point
             return ("bottom" if u == -1.0 else "top" if u == 1.0
                     else "left" if t == -1.0 else "right")
 
-        cuts = {frozenset(map(side, seg.tolist())) for seg in pieces[0]}
+        cuts = {frozenset(map(side, seg.tolist())) for seg in pieces}
         if joined:
             assert cuts == {frozenset({"bottom", "right"}),
                             frozenset({"top", "left"})}
@@ -201,8 +202,9 @@ class TestCellPieces:
         box = Box((-1.0, 1.0), ((-1.0, 1.0),) * n, (-1.0, 1.0))
         surface = extract_surface(F, box, 16)
         assert len(surface.cells) == 0
-        pieces, used = assert_pieces_match_reference(surface)
-        assert pieces.shape == (0, 2 if n == 0 else 12, n + 2, n + 2)
+        pieces, cells = assert_pieces_match_reference(surface)
+        assert pieces.shape == (0, n + 2, n + 2)
+        assert cells.shape == (0,)
         assert patch_vertices(surface).shape == (0, n + 2)
 
 
@@ -580,7 +582,7 @@ class TestCellOf:
         # cell_of clamps; the tests' mask lookup puts off-grid points,
         # the last vertex included, in no cell
         axes = (np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 5))
-        everywhere = MaximalDomain(4, axes, np.ones((4, 4), bool), [], [])
+        everywhere = MaximalDomain(4, axes, np.ones((4, 4), bool), [])
         assert cell_of(axes, [0.3, 1.0]) == (1, 3)
         assert not helpers.contains_cell(everywhere, [0.3, 1.0])
         assert not helpers.contains_cell(everywhere, [-0.1, 0.5])
@@ -714,6 +716,22 @@ class StubSigmaSystem(locus._SigmaSystem):
 STUB_BOX = Box((-2.0, 2.0), ((-1.0, 10.0),), (-1.0, 1.0))
 
 
+class NonFiniteJacobian(locus._SigmaSystem):
+    """A hand-written array back end for the Jacobian rows on (t, x, u):
+    [[e, 0, 0], [0, 1, 0]] with e = inf where x > 1, NaN where x < -1 and
+    1 elsewhere, each output with no domain violation, as compile gives
+    an overflow."""
+
+    def __init__(self):
+        pass
+
+    @staticmethod
+    def _derivative_rows(t, x, u):
+        entry = np.where(x > 1.0, np.inf, np.where(x < -1.0, np.nan, 1.0))
+        zero, one = np.zeros_like(t), np.ones_like(t)
+        return [(v, np.False_) for v in (entry, zero, zero, zero, one, zero)]
+
+
 class TestSigmaStage:
     @pytest.mark.parametrize("name, resolution", SIGMA_CASES)
     def test_matches_the_seed_by_seed_reference(self, name, resolution,
@@ -824,6 +842,22 @@ class TestSigmaStage:
                                                                      points))
         assert flags.any() and not flags.all()
         assert locus._degenerate(stub, points[:0]).shape == (0,)
+
+    def test_rows_with_non_finite_outputs_are_not_ok(self):
+        # exp(exp(10)) overflows to inf with no domain violation
+        F = parse("exp(exp(u))", n=0)
+        compiled = compile_exprs([F, diff(F, "u")], var_names(0), arrays=True)
+        values, ok = locus._rows(compiled, np.array([[0.0, 1.0], [0.0, 10.0]]))
+        assert ok.tolist() == [True, False]
+        assert values[1].tolist() == [0.0, 0.0]
+
+    def test_degenerate_flags_non_finite_jacobians(self):
+        # an inf entry must not pass as full rank, nor a NaN one stop the
+        # stacked SVD with LinAlgError
+        points = np.array([[0.0, 0.0, 0.5], [0.0, 2.0, 0.5],
+                           [0.0, -2.0, 0.5], [0.0, 0.5, 0.5]])
+        flags = locus._degenerate(NonFiniteJacobian(), points)
+        assert flags.tolist() == [False, True, True, False]
 
     @pytest.mark.parametrize("length", [1, 7, 5000])
     def test_near_line_matches_one_norm_per_point(self, length):
