@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -41,7 +42,11 @@ GRAMMAR_NOTE = (
 )
 
 
-def _default_resolution(n: int) -> int:
+def _resolution(args, n: int) -> int:
+    """``--resolution`` as given, 0 included, else 1024 for n = 0 and 128
+    for n >= 1."""
+    if args.resolution is not None:
+        return args.resolution
     return 1024 if n == 0 else 128
 
 
@@ -53,19 +58,22 @@ def _write(out_dir: Path, name: str, text: str) -> Path:
 
 
 def _json_cell(text: str):
-    """A CSV cell as a JSON number, or as a string when it is not one (the
-    ``kind`` column)."""
+    """A CSV cell as a JSON number, null when it is not finite (JSON has no
+    NaN or infinity), or a string when it is not a number (the ``kind``
+    column)."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         return text
+    return value if math.isfinite(value) else None
 
 
 def _csv_to_json(text: str) -> str:
     lines = [l for l in text.strip().splitlines() if l]
     header = lines[0].split(",")
     rows = [[_json_cell(v) for v in line.split(",")] for line in lines[1:]]
-    return json.dumps({"columns": header, "rows": rows}, sort_keys=True)
+    return json.dumps({"columns": header, "rows": rows}, sort_keys=True,
+                      allow_nan=False)
 
 
 def _dump(out_dir: Path, stem: str, csv_text: str, fmt: str) -> Path:
@@ -109,8 +117,8 @@ def cmd_verify(args) -> int:
 def cmd_domain(args) -> int:
     bundle = load_problem_bundle(args.problem)
     _, sol = _solution(bundle)
-    resolution = args.resolution or _default_resolution(bundle.problem.n)
-    surface = extract_surface(sol.F, bundle.problem.box, resolution)
+    surface = extract_surface(sol.F, bundle.problem.box,
+                              _resolution(args, bundle.problem.n))
     sigma = extract_singular_locus(sol.F, surface)
     component = split_component(surface, sigma, sol.gamma_samples)
     dom = maximal_domain(component, sigma)
@@ -171,8 +179,8 @@ def cmd_characteristics(args) -> int:
 def cmd_singular(args) -> int:
     bundle = load_problem_bundle(args.problem)
     _, sol = _solution(bundle)
-    resolution = args.resolution or _default_resolution(bundle.problem.n)
-    surface = extract_surface(sol.F, bundle.problem.box, resolution)
+    surface = extract_surface(sol.F, bundle.problem.box,
+                              _resolution(args, bundle.problem.n))
     sigma = extract_singular_locus(sol.F, surface)
 
     text = points_csv(surface, sigma, with_surface=args.with_surface)
@@ -231,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("singular", help="dump the singular locus")
     common(s, fmt=True, resolution=True)
     s.add_argument("--with-surface", action="store_true",
-                   help="also dump surface patch vertices")
+                   help="also dump the surface: the zero of F on each "
+                        "cut grid edge")
     e = sub.add_parser("envelope", help="dump the characteristic envelope")
     common(e, fmt=True)
     e.add_argument("--samples", type=int, default=201)

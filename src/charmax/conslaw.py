@@ -61,9 +61,6 @@ class ConservationLaw:
     def g_at(self, s: float) -> float:
         return evaluate(self.g, {"x1": float(s)})
 
-    def h_at(self, s: float) -> float:
-        return evaluate(self.h, {"x1": float(s)})
-
     def g_prime_at(self, s: float) -> float:
         return evaluate(self.g_prime, {"x1": float(s)})
 

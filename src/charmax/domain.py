@@ -346,17 +346,17 @@ def contains(problem: Problem, data: InitialData, sol: ImplicitSolution, q,
         start, u0 = (0.0, s), evaluate(data.h, {"x1": s})
 
     try:
-        return _march(problem, sol, [start, q], u0)
+        return _march(sol, [start, q], u0)
     except PathLeftWindowError:
         if domain is None:
             raise
         waypoints = _staircase(domain, start, q)
         if waypoints is None:
             raise
-        return _march(problem, sol, waypoints, u0)
+        return _march(sol, waypoints, u0)
 
 
-def _march(problem, sol, waypoints, u0) -> Verdict:
+def _march(sol, waypoints, u0) -> Verdict:
     """Continue u0 along the waypoint polyline by predictor-corrector
     steps.  Steps start at INITIAL_FRACTION of the path, grow to at most
     MAX_FRACTION and never pass a waypoint, so a path that pokes past the

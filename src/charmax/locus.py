@@ -4,11 +4,11 @@ The zero set of F is discretized over the computational box on a regular
 grid: a cell "crosses" when F changes sign among its corner vertices,
 and adjacency is shared-facet adjacency between crossing cells.  Each
 vertex gets a sign code and each cell the OR of its corners' codes,
-reduced one axis at a time.  Linear pieces of the surface inside the
-cells (marching-squares segments in the plane case, triangles from a
-six-tetrahedron cube decomposition in the space case) come from one
-sign-case table per cell shape, looked up for all crossing cells at
-once, and are built on demand, for point-cloud dumps only.
+reduced one axis at a time.  For point-cloud dumps only, the surface is
+also given as the zero of F on each cut edge of the crossing cells (the
+square's sides in the plane case, the edges of the cube's six Kuhn
+tetrahedra in the space case), found for all edges in one pass; these
+are the vertices of the linear pieces inside the cells.
 
 The singular locus is the subset of the surface where F_u vanishes too.
 Crossing cells where F_u changes sign too, by the same sign codes with
@@ -35,7 +35,7 @@ mask as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import product
 
 import numpy as np
 
@@ -114,10 +114,6 @@ class SurfaceComponent:
 # ---------------------------------------------------------------------------
 # Surface extraction
 
-def _corner_offsets(dim: int):
-    return list(product((0, 1), repeat=dim))
-
-
 def _sign_codes(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """Per vertex, 1 when valid and >= 0, 2 when valid and < 0, 4 when
     invalid (a valid NaN gets 0)."""
@@ -143,83 +139,6 @@ def _classify_cells(values: np.ndarray, valid: np.ndarray, dim: int):
     return code == 3, code < 4
 
 
-def _square_case(case: int) -> list:
-    """Marching-squares segments for one sign case of the ring 00, 10, 11,
-    01: bit i is set when ring corner i is >= 0, bit 4 when the bilinear
-    centre value is.  The cut ring edges are taken in ring order; in the
-    saddle case corners 00 and 11 join through the centre when it has
-    their sign."""
-    signs = [case >> i & 1 for i in range(5)]
-    cut = [(i, (i + 1) % 4) for i in range(4)
-           if signs[i] != signs[(i + 1) % 4]]
-    if len(cut) == 2:
-        return [cut]
-    if len(cut) == 4:
-        if signs[4] == signs[0]:
-            return [cut[:2], cut[2:]]
-        return [[cut[3], cut[0]], cut[1:3]]
-    return []
-
-
-def _tet_case(case: int) -> list:
-    """Marching-tetrahedra triangles (Doi & Koide 1991) for one sign case:
-    bit i is set when corner i is >= 0.  A lone corner of either sign cuts
-    the three edges leaving it; a two-two split cuts the four edges from
-    the positive to the negative corners into two triangles."""
-    pos = [i for i in range(4) if case >> i & 1]
-    negs = [i for i in range(4) if not case >> i & 1]
-    if not pos or not negs:
-        return []
-    if len(pos) == 1 or len(negs) == 1:
-        lone = pos[0] if len(pos) == 1 else negs[0]
-        return [[(lone, o) for o in range(4) if o != lone]]
-    (a, b), (c, d) = pos, negs
-    q = [(a, c), (a, d), (b, d), (b, c)]
-    return [[q[0], q[1], q[2]], [q[0], q[2], q[3]]]
-
-
-# six-tetrahedron (Kuhn) decomposition of the unit cube: each tet walks
-# 0 -> e_s1 -> e_s1+e_s2 -> (1,1,1) for a permutation (s1, s2, s3)
-def _kuhn_tets(dim: int = 3):
-    tets = []
-    for perm in permutations(range(dim)):
-        corner = [0] * dim
-        path = [tuple(corner)]
-        for axis in perm:
-            corner[axis] = 1
-            path.append(tuple(corner))
-        tets.append(tuple(path))
-    return tets
-
-
-_TETS3 = _kuhn_tets(3)
-
-
-def _case_table(shapes, case_pieces, bits: int):
-    """Sign-case table of one cell shape (the idiom of Lorensen & Cline
-    1987) in each of its placements ``shapes`` in the cell: the (n, c)
-    corners of each placement as cell-corner indices, and per placement
-    and sign case the (2, dim, 2) edges of the two piece slots, as pairs
-    of cell-corner indices in endpoint order, with the (2,) mask of the
-    slots in use."""
-    offsets = _corner_offsets(len(shapes[0][0]))
-    corners = np.array([[offsets.index(o) for o in shape] for shape in shapes])
-    edges = np.zeros((len(shapes), 2 ** bits, 2, len(offsets[0]), 2),
-                     dtype=np.intp)
-    used = np.zeros((len(shapes), 2 ** bits, 2), dtype=bool)
-    for case in range(2 ** bits):
-        for slot, piece in enumerate(case_pieces(case)):
-            edges[:, case, slot] = corners[:, piece]
-            used[:, case, slot] = True
-    return corners, edges, used
-
-
-_CASE_TABLES = {
-    2: _case_table([((0, 0), (1, 0), (1, 1), (0, 1))], _square_case, 5),
-    3: _case_table(_TETS3, _tet_case, 4),
-}
-
-
 def extract_surface(F: Expr, box: Box, resolution: int) -> LevelSurface:
     """Find all sign-crossing cells of F over the box.
 
@@ -239,40 +158,6 @@ def extract_surface(F: Expr, box: Box, resolution: int) -> LevelSurface:
     crossing, all_ok = _classify_cells(values, valid, dim)
     return LevelSurface(box, resolution, axes, values, crossing,
                         cell_indices(~all_ok))
-
-
-def cell_pieces(surface: LevelSurface):
-    """Linear pieces of the zero set in the crossing cells: segments of
-    the square in the plane case, triangles of the six Kuhn tetrahedra in
-    the space case.  Returns the (m, dim, dim) vertices of the m pieces, in
-    ``surface.cells`` order and (shape, piece, vertex) order within a cell,
-    and the (m,) index into ``surface.cells`` of each piece's cell.  Each
-    vertex is the zero ``a + s (b - a)``, ``s = va / (va - vb)``, of a cut
-    edge from corner a to corner b."""
-    dim = surface.dim
-    corners = surface.cells[:, None, :] + np.array(_corner_offsets(dim))
-    vals = surface.values[tuple(np.moveaxis(corners, -1, 0))]
-    pts = np.stack([ax[corners[..., d]] for d, ax in enumerate(surface.axes)],
-                   axis=-1)
-    shapes, edges, slots = _CASE_TABLES[dim]
-    bits = vals[:, shapes] >= 0.0
-    case = (bits << np.arange(shapes.shape[1])).sum(axis=-1)
-    if dim == 2:
-        v = vals[:, shapes[0]]
-        centre = (v[:, 0] + v[:, 1] + v[:, 2] + v[:, 3]) / 4.0
-        case[:, 0] += (centre >= 0.0) << 4
-    used = slots[np.arange(len(shapes)), case].reshape(len(case),
-                                                      2 * len(shapes))
-    cell, slot = np.nonzero(used)
-    shape = slot // 2
-    a, b = np.moveaxis(edges[shape, case[cell, shape], slot % 2], -1, 0)
-    at = cell[:, None]
-    va, vb = vals[at, a], vals[at, b]
-    pa, z = pts[at, a], pts[at, b]
-    z -= pa                             # z = a + s (b - a), in place
-    z *= (va / (va - vb))[..., None]
-    z += pa
-    return z, cell
 
 
 # ---------------------------------------------------------------------------
@@ -788,8 +673,34 @@ def split_component(surface: LevelSurface, sigma: SingularLocus,
 # Diagnostics used by tests and the CLI
 
 def patch_vertices(surface: LevelSurface) -> np.ndarray:
-    """All vertices of the cell pieces as one (m, dim) point cloud."""
-    return cell_pieces(surface)[0].reshape(-1, surface.dim)
+    """The zero of F on each cut edge of the crossing cells, as one (m, dim)
+    point cloud: the vertices of the linear pieces of the surface.
+
+    The edges of a cell are the sides of the square in the plane case, and
+    in the space case the cube's edges and the diagonals of its six Kuhn
+    tetrahedra, which are the nonzero 0/1 offsets (Doi & Koide 1991;
+    Allgower & Georg 1990, ch. 12).  Each edge runs from its lower end a to
+    b and is cut where exactly one end is >= 0, the rule of
+    ``_classify_cells``; its zero is ``a + s (b - a)`` with
+    ``s = va / (va - vb)``.  An edge of several crossing cells gives one
+    row; the rows are in (flat index of a, direction) order."""
+    dim, shape = surface.dim, surface.values.shape
+    offsets = np.array(list(product((0, 1), repeat=dim)))
+    steps = offsets[1:] if dim == 3 else offsets[offsets.sum(axis=1) == 1]
+    # the edges of a cell, each as its lower corner and its step
+    corner, step = np.nonzero((offsets[:, None] + steps <= 1).all(axis=-1))
+    lo = (np.ravel_multi_index(surface.cells.T, shape)[:, None]
+          + np.ravel_multi_index(offsets[corner].T, shape))
+    hi = lo + np.ravel_multi_index(steps[step].T, shape)
+    values = surface.values.ravel()
+    cut = (values[lo] >= 0.0) != (values[hi] >= 0.0)
+    _, first = np.unique((lo * len(steps) + step)[cut], return_index=True)
+    a, b = lo[cut][first], hi[cut][first]
+    pa, pb = (np.column_stack([ax[i] for ax, i in
+                               zip(surface.axes, np.unravel_index(v, shape))])
+              for v in (a, b))
+    va, vb = values[a], values[b]
+    return pa + (va / (va - vb))[:, None] * (pb - pa)
 
 
 def points_csv(surface: LevelSurface, sigma: SingularLocus,

@@ -654,12 +654,12 @@ def newton_u_by_tree(F, F_u, binding: dict, u: float, tol: float,
 # ---------------------------------------------------------------------------
 # References for the continuation march
 
-def march_by_halving(problem, sol, waypoints, u0):
+def march_by_halving(sol, waypoints, u0):
     """Stands in for domain._march: the march without its fold, margin
     and edge searches, locating every onset by step halving.  Its steps
     stop at every waypoint and reject roots off the branch, as the
     march's do."""
-    names = var_names(problem.n)
+    names = var_names(sol.n)
     pts = [tuple(float(c) for c in w) for w in waypoints]
     legs = [float(np.linalg.norm(np.subtract(b, a)))
             for a, b in zip(pts, pts[1:])]
@@ -737,9 +737,9 @@ def march_by_halving(problem, sol, waypoints, u0):
 # failing step for the onset, on numpy path points, without a bound on the
 # number of steps
 
-def march_with_bisection(problem, sol, waypoints, u0):
+def march_with_bisection(sol, waypoints, u0):
     """Stands in for domain._march."""
-    names = var_names(problem.n)
+    names = var_names(sol.n)
     pts = [np.asarray(w, dtype=float) for w in waypoints]
     legs = [np.linalg.norm(b - a) for a, b in zip(pts, pts[1:])]
     total = float(sum(legs))
@@ -831,12 +831,46 @@ def _refine_onset_by_bisection(sol, at, s_good, s_bad, u_good, fu_sign):
 
 
 # ---------------------------------------------------------------------------
-# Reference for the cell pieces: marching squares and tetrahedra, one cell
-# and one shape at a time
+# References for the surface points: the zero on each cut edge, one grid
+# edge at a time, and the vertices of the linear pieces by marching squares
+# and tetrahedra, one cell and one shape at a time
 
 def _edge_zero(pa, va, pb, vb):
     s = va / (va - vb)
     return tuple(a + s * (b - a) for a, b in zip(pa, pb))
+
+
+def patch_vertices_by_edges(surface):
+    """Reference for locus.patch_vertices, one grid vertex and direction at
+    a time: the edge from vertex a along a 0/1 step (the sides of the
+    square, or all seven steps of the cube) is kept when its ends differ in
+    sign, 0.0 and -0.0 counting as >= 0, and one of the cells holding it is
+    crossing.  Its row is the zero from a."""
+    dim, axes, shape = surface.dim, surface.axes, surface.values.shape
+    cells = surface.crossing.shape
+    values = surface.values.ravel().tolist()
+    steps = [o for o in product((0, 1), repeat=dim)
+             if any(o) and (dim == 3 or sum(o) == 1)]
+    strides = [int(np.ravel_multi_index(o, shape)) for o in steps]
+    rows = []
+    for ia, a in enumerate(product(*map(range, shape))):
+        va = values[ia]
+        for step, stride in zip(steps, strides):
+            # a step off the grid may wrap to another vertex; the bound
+            # check below drops it
+            vb = values[(ia + stride) % len(values)]
+            if (va >= 0.0) == (vb >= 0.0):
+                continue
+            b = [i + o for i, o in zip(a, step)]
+            if any(j >= n for j, n in zip(b, shape)):
+                continue
+            holders = product(*([i] if o else [i - 1, i]
+                                for i, o in zip(a, step)))
+            if any(all(0 <= i < n for i, n in zip(c, cells))
+                   and surface.crossing[c] for c in holders):
+                rows.append(_edge_zero([ax[i] for ax, i in zip(axes, a)], va,
+                                       [ax[i] for ax, i in zip(axes, b)], vb))
+    return np.array(rows, dtype=float).reshape(-1, dim)
 
 
 def _square_segments(vals, pts):
@@ -891,30 +925,23 @@ def _cube_tets():
 
 
 def cell_pieces_by_cells(surface):
-    """Reference for locus.cell_pieces, one crossing cell at a time: the
-    (k, slots, width, dim) pieces and (k, slots) use mask, two slots per
-    square or per Kuhn tetrahedron, and the patch vertices, the stacked
-    vertices of each cell's pieces."""
+    """The (m, dim) vertices of the linear pieces of the crossing cells, one
+    cell at a time: the segments of the square, a saddle resolved by the
+    bilinear centre value, or the triangles of the six Kuhn tetrahedra."""
     dim, axes, values = surface.dim, surface.axes, surface.values
-    cells = surface.cells.tolist()
     if dim == 2:
         shapes, pieces_of = [((0, 0), (1, 0), (1, 1), (0, 1))], _square_segments
     else:
         shapes, pieces_of = _cube_tets(), _tet_triangles
-    pieces = np.zeros((len(cells), 2 * len(shapes), dim, dim))
-    used = np.zeros(pieces.shape[:2], dtype=bool)
-    chunks = []
-    for k, cell in enumerate(cells):
-        for j, shape in enumerate(shapes):
+    vertices = []
+    for cell in surface.cells.tolist():
+        for shape in shapes:
             corners = [[c + o for c, o in zip(cell, off)] for off in shape]
             vals = [values[tuple(c)] for c in corners]
             pts = [tuple(ax[i] for ax, i in zip(axes, c)) for c in corners]
-            for slot, piece in enumerate(pieces_of(vals, pts), start=2 * j):
-                pieces[k, slot] = piece
-                used[k, slot] = True
-                chunks.append(np.array(piece, dtype=float))
-    vertices = (np.vstack(chunks) if chunks else np.zeros((0, dim)))
-    return pieces, used, vertices
+            for piece in pieces_of(vals, pts):
+                vertices += piece
+    return np.array(vertices, dtype=float).reshape(-1, dim)
 
 
 def grid_surface(values, lows=None, highs=None):

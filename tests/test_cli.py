@@ -303,6 +303,16 @@ class TestDomain:
         assert outs[0] == outs[1]
 
 
+class TestResolution:
+    @pytest.mark.parametrize("command", ["domain", "singular"])
+    def test_zero_is_rejected_not_replaced(self, command, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert main([command, "--problem", problem_file("burgers_ramp"),
+                     "--resolution", "0", "--out", str(out_dir)]) == 2
+        assert "resolution must be >= 16" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
 class TestUnsupportedDimension:
     @pytest.mark.parametrize("command", ["domain", "singular"])
     def test_n2_surface_is_a_clean_error(self, command, tmp_path):
@@ -412,6 +422,39 @@ class TestEnvelope:
     def test_non_conservation_rejected(self, capsys):
         assert main(["envelope", "--problem", problem_file("circular"),
                      "--out", "unused"]) == 2
+
+
+class TestStrictJson:
+    """``--format json`` writes JSON that a strict parser reads: a number
+    that is not finite becomes null."""
+
+    CASES = [
+        (["envelope"], "burgers_ramp", "envelope.json"),
+        (["envelope"], "burgers_reciprocal", "envelope.json"),
+        (["singular", "--with-surface", "--resolution", "32"],
+         "burgers_reciprocal", "sigma.json"),
+        (["characteristics", "--samples", "3"], "burgers_reciprocal",
+         "characteristic_001.json"),
+    ]
+
+    @pytest.mark.parametrize("argv,name,artifact", CASES,
+                             ids=["envelope-ramp", "envelope-reciprocal",
+                                  "singular", "characteristics"])
+    def test_parses_without_nan_or_infinity(self, argv, name, artifact,
+                                            tmp_path):
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        out_dir = tmp_path / "out"
+        assert main(argv + ["--format", "json", "--problem",
+                            problem_file(name), "--out", str(out_dir)]) == 0
+        doc = json.loads((out_dir / artifact).read_text(),
+                         parse_constant=reject)
+        assert len(doc["rows"]) > 1
+        if name == "burgers_ramp":
+            # the ramp's envelope is the one point t* = 1/2, x* = 0, where
+            # the speed along it is 0/0
+            assert {row[3] for row in doc["rows"]} == {None}
 
 
 class TestFoldAtNZero:

@@ -6,7 +6,7 @@ import pytest
 from charmax.conslaw import (ConservationLaw, VerticalTangentError,
                              blowup_time, envelope, propagation_speed,
                              singular_time)
-from charmax.expr import EvalDomainError, parse
+from charmax.expr import EvalDomainError, evaluate, parse
 
 
 def law(a_text, h_text):
@@ -48,7 +48,7 @@ class TestConstruction:
 class TestCharacteristicLine:
     # the characteristic from s is x = s + g(s) t at height u = h(s)
     def test_burgers_through_origin(self):
-        assert RECIP.h_at(0.0) == 1.0
+        assert evaluate(RECIP.h, {"x1": 0.0}) == 1.0
         assert RECIP.g_at(0.0) == 1.0
         assert 0.0 + RECIP.g_at(0.0) * 1.0 == 1.0  # x = t
 
@@ -58,14 +58,14 @@ class TestCharacteristicLine:
         assert slopes == {2.0}
 
     def test_ramp_line(self):
-        assert RAMP.h_at(1.0) == -2.0
+        assert evaluate(RAMP.h, {"x1": 1.0}) == -2.0
         assert 1.0 + RAMP.g_at(1.0) * 0.5 == 0.0  # x = 1 - 2t
 
     def test_data_domain_violation_propagates(self):
         with pytest.raises(EvalDomainError):
             RECIP.g_at(-1.0)
         with pytest.raises(EvalDomainError):
-            RECIP.h_at(-1.0)
+            evaluate(RECIP.h, {"x1": -1.0})
 
 
 class TestSingularTime:

@@ -602,7 +602,7 @@ class TestMarch:
             for waypoints in paths:
                 calls[0] = 0
                 try:
-                    out.append(march(b.problem, sol, waypoints, u0))
+                    out.append(march(sol, waypoints, u0))
                 except PathLeftWindowError:
                     out.append(None)
                 spent.append(calls[0])
@@ -689,8 +689,8 @@ class TestMarch:
         # on the branch and answer "inside"
         b, _, sol = solutions("circular")
         u0 = evaluate(b.data.h, {"x1": 0.0})
-        v = domain._march(b.problem, sol, [(0.0, 0.0), (0.9, 0.0),
-                                           (peak, 0.0), (0.9, 0.0)], u0)
+        v = domain._march(sol, [(0.0, 0.0), (0.9, 0.0), (peak, 0.0),
+                                (0.9, 0.0)], u0)
         assert v.kind == "outside"
         assert abs(v.at[0] - 1.0) <= 1e-6 and v.at[1] == 0.0
 
@@ -863,12 +863,12 @@ class TestMarch:
 
     def test_zero_length_path_is_judged_at_its_end(self, solutions):
         b, _, sol = solutions("circular")
-        v = domain._march(b.problem, sol, [self.FOLD, self.FOLD], 0.0)
+        v = domain._march(sol, [self.FOLD, self.FOLD], 0.0)
         assert (v.kind, v.u, v.f_u, v.at) == ("boundary", None, 0.0,
                                               self.FOLD)
         start = (0.0, 0.05)
         u0 = evaluate(b.data.h, {"x1": 0.05})
-        v = domain._march(b.problem, sol, [start, start], u0)
+        v = domain._march(sol, [start, start], u0)
         assert (v.kind, v.u, v.at) == ("inside", u0, start)
         assert v.f_u == 2.0 * u0
 
@@ -879,7 +879,7 @@ class TestMarch:
         # (t up) as toward the inside, so no step is ever accepted
         b, _, sol = solutions("circular")
         calls = counting_corrector(monkeypatch)
-        v = domain._march(b.problem, sol, [self.FOLD, goal], 0.0)
+        v = domain._march(sol, [self.FOLD, goal], 0.0)
         assert (v.kind, v.u, v.f_u) == ("outside", None, 0.0)
         assert math.dist(v.at, self.FOLD) <= (
             2 * domain.MIN_FRACTION * math.dist(self.FOLD, goal))
@@ -908,11 +908,11 @@ class TestMarch:
         march = domain._march
         legs = []
 
-        def fail_straight(problem, sol, waypoints, u0):
+        def fail_straight(sol, waypoints, u0):
             legs.append(len(waypoints) - 1)
             if len(legs) == 1:
                 raise PathLeftWindowError("straight path cut")
-            return march(problem, sol, waypoints, u0)
+            return march(sol, waypoints, u0)
 
         monkeypatch.setattr(domain, "_march", fail_straight)
         with pytest.raises(PathLeftWindowError, match="straight path cut"):

@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from charmax.domain import MaximalDomain
 from charmax.expr import EvalDomainError, diff, evaluate, parse, var_names
 from charmax.expr import compile as compile_exprs
 from charmax.integrals import implicit_solution_for_problem
-from charmax.locus import (_TETS3, ResolutionError, cell_center,
-                           cell_indices, cell_of, cell_pieces,
+from charmax.locus import (ResolutionError, _cells_touching, cell_center,
+                           cell_indices, cell_of,
                            extract_singular_locus,
                            extract_surface, flood, patch_vertices,
                            split_component)
@@ -66,29 +67,26 @@ class TestExtractSurface:
     def test_cap_surface_closed(self, pipelines):
         _, sol, surf, _, _, _ = pipelines("circular", 48)
         assert len(surf.cells) > 0
-        # every crossing cell has a patch with at least one triangle
-        pieces, cells = cell_pieces(surf)
-        assert pieces.shape[1:] == (3, 3)
-        assert np.array_equal(np.unique(cells), np.arange(len(surf.cells)))
+        # every crossing cell holds at least a triangle's worth of points
+        held = Counter(c for p in patch_vertices(surf).tolist()
+                       for c in _cells_touching(surf.axes, p))
+        assert min(held[tuple(c)] for c in surf.cells.tolist()) >= 3
 
     def test_patch_linear_interp_bound(self, pipelines):
         _, sol, surf, _, _, _ = pipelines("circular", 48)
         names = var_names(1)
         grads = [diff(sol.F, v) for v in names]
         diag = surf.cell_diagonal
+        points = patch_vertices(surf)
         rng = np.random.default_rng(11)
-        idx = rng.choice(len(surf.cells), size=200, replace=False)
-        pieces, cells = cell_pieces(surf)
-        for i in idx:
-            vertices = pieces[cells == i].reshape(-1, 3)
-            corners = cell_center(surf.axes, surf.cells[i])
+        for p in points[rng.choice(len(points), size=200, replace=False)]:
+            centre = cell_center(surf.axes, cell_of(surf.axes, p))
             gmax = 0.0
-            for p in list(vertices) + [corners]:
-                b = dict(zip(names, (float(v) for v in p)))
+            for q in (p, centre):
+                b = dict(zip(names, (float(v) for v in q)))
                 gmax = max(gmax, math.hypot(*(evaluate(g, b) for g in grads)))
-            for p in vertices:
-                b = dict(zip(names, (float(v) for v in p)))
-                assert abs(evaluate(sol.F, b)) <= 0.5 * diag * gmax + 1e-12
+            b = dict(zip(names, (float(v) for v in p)))
+            assert abs(evaluate(sol.F, b)) <= 0.5 * diag * gmax + 1e-12
 
     def test_resolution_minimum(self):
         with pytest.raises(ValueError, match="16"):
@@ -103,22 +101,41 @@ class TestExtractSurface:
             assert corners.min() < 0 <= corners.max()
 
 
-def assert_pieces_match_reference(surface):
-    pieces, cells = cell_pieces(surface)
-    ref_pieces, ref_used, ref_vertices = helpers.cell_pieces_by_cells(surface)
-    assert pieces.dtype == ref_pieces.dtype
-    assert pieces.shape == ref_pieces[ref_used].shape
-    assert pieces.tobytes() == ref_pieces[ref_used].tobytes()
-    assert np.array_equal(cells, np.nonzero(ref_used)[0])
+def within(points, others, tol):
+    """Per row of ``points``, whether a row of ``others`` lies within
+    ``tol`` of it in the max norm.  Candidates are the rows whose
+    projection on a fixed direction lies within the projected tolerance."""
+    r = np.sqrt(np.arange(2.0, 2.0 + points.shape[1]))
+    key = others @ r
+    order = np.argsort(key)
+    key = key[order]
+    lo = np.searchsorted(key, points @ r - 2 * tol * r.sum())
+    hi = np.searchsorted(key, points @ r + 2 * tol * r.sum(), side="right")
+    found = np.zeros(len(points), dtype=bool)
+    for k in range(int((hi - lo).max(initial=0))):
+        near = others[order[np.minimum(lo + k, len(key) - 1)]]
+        found |= (lo + k < hi) & (np.abs(near - points).max(axis=1) <= tol)
+    return found
+
+
+def assert_edge_zeros_match_references(surface):
+    """The points byte for byte against the per-edge reference, and within
+    1e-12 both ways of the distinct vertices of the cell pieces."""
     vertices = patch_vertices(surface)
-    assert vertices.shape == ref_vertices.shape
-    assert vertices.tobytes() == ref_vertices.tobytes()
-    return pieces, cells
+    ref = helpers.patch_vertices_by_edges(surface)
+    assert vertices.dtype == ref.dtype
+    assert vertices.shape == ref.shape
+    assert vertices.tobytes() == ref.tobytes()
+    pieces = np.unique(helpers.cell_pieces_by_cells(surface), axis=0)
+    assert within(vertices, pieces, 1e-12).all()
+    assert within(pieces, vertices, 1e-12).all()
+    return vertices
 
 
 class TestCellPieces:
-    """The case-table pieces against the cell-by-cell reference, byte for
-    byte."""
+    """The vertices of the cell pieces, one zero per cut edge, against the
+    per-edge reference byte for byte and the pieces of marching squares
+    and tetrahedra within 1e-12."""
 
     @pytest.mark.parametrize("name,resolution", [
         ("ode_quadratic", 64), ("ode_quadratic", 1024),
@@ -128,8 +145,7 @@ class TestCellPieces:
     def test_bundled_problems(self, name, resolution, solutions):
         b, _, sol = solutions(name)
         surface = extract_surface(sol.F, b.problem.box, resolution)
-        _, cells = assert_pieces_match_reference(surface)
-        assert len(cells)
+        assert len(assert_edge_zeros_match_references(surface))
 
     @pytest.mark.parametrize("shape", [(23, 19), (9, 8, 7)])
     def test_random_grids_with_exact_zeros(self, shape):
@@ -143,38 +159,32 @@ class TestCellPieces:
             highs = rng.uniform(0.1, 3.0, len(shape))
             surface = helpers.grid_surface(values, lows, highs)
             assert len(surface.cells)
-            assert_pieces_match_reference(surface)
+            assert_edge_zeros_match_references(surface)
 
-    @pytest.mark.parametrize("ring,joined", [
-        ((1.0, -1.0, 2.0, -1.0), True),     # centre > 0, 00 positive
-        ((1.0, -2.0, 1.0, -1.0), False),    # centre < 0, 00 positive
-        ((1.0, -1.0, 1.0, -1.0), True),     # centre exactly 0
-        ((-1.0, 2.0, -1.0, 1.0), False),    # centre > 0, 00 negative
-        ((-2.0, 1.0, -1.0, 1.0), True),     # centre < 0, 00 negative
-        ((-1.0, 1.0, -1.0, 1.0), False),    # centre exactly 0, 00 negative
+    @pytest.mark.parametrize("ring", [
+        (1.0, -1.0, 2.0, -1.0),             # centre > 0, 00 positive
+        (1.0, -2.0, 1.0, -1.0),             # centre < 0, 00 positive
+        (1.0, -1.0, 1.0, -1.0),             # centre exactly 0
+        (-1.0, 2.0, -1.0, 1.0),             # centre > 0, 00 negative
+        (-2.0, 1.0, -1.0, 1.0),             # centre < 0, 00 negative
+        (-1.0, 1.0, -1.0, 1.0),             # centre exactly 0, 00 negative
         # centre sum -5e-324, which divides by 4 to -0.0
-        ((5e-324, -1e-323, 5e-324, -5e-324), True),
+        (5e-324, -1e-323, 5e-324, -5e-324),
     ])
-    def test_saddle_squares(self, ring, joined):
-        """Ring values 00, 10, 11, 01; ``joined`` when corners 00 and 11
-        connect through the centre, so each segment cuts off 10 or 01."""
+    def test_saddle_squares(self, ring):
+        """Ring values 00, 10, 11, 01: one zero on each side of the square
+        [-1, 1]^2, whichever way the pieces inside would join."""
         v00, v10, v11, v01 = ring
         surface = helpers.grid_surface([[v00, v01], [v10, v11]])
-        pieces, cells = assert_pieces_match_reference(surface)
-        assert cells.tolist() == [0, 0]
-        # name the cut ring edge of each endpoint on the square [-1, 1]^2
+        vertices = assert_edge_zeros_match_references(surface)
+
         def side(point):
             t, u = point
             return ("bottom" if u == -1.0 else "top" if u == 1.0
                     else "left" if t == -1.0 else "right")
 
-        cuts = {frozenset(map(side, seg.tolist())) for seg in pieces}
-        if joined:
-            assert cuts == {frozenset({"bottom", "right"}),
-                            frozenset({"top", "left"})}
-        else:
-            assert cuts == {frozenset({"left", "bottom"}),
-                            frozenset({"right", "top"})}
+        assert sorted(map(side, vertices.tolist())) == [
+            "bottom", "left", "right", "top"]
 
     def test_every_tetrahedron_sign_pattern(self):
         """All 256 corner sign patterns of one cube, so each Kuhn
@@ -191,8 +201,8 @@ class TestCellPieces:
             surface = helpers.grid_surface(values)
             if pattern in (0, 255):
                 assert len(surface.cells) == 0
-            assert_pieces_match_reference(surface)
-            for tet in _TETS3:
+            assert_edge_zeros_match_references(surface)
+            for tet in helpers._cube_tets():
                 seen.add(tuple(bool(signs[c] > 0) for c in tet))
         assert len(seen) == 16
 
@@ -202,10 +212,8 @@ class TestCellPieces:
         box = Box((-1.0, 1.0), ((-1.0, 1.0),) * n, (-1.0, 1.0))
         surface = extract_surface(F, box, 16)
         assert len(surface.cells) == 0
-        pieces, cells = assert_pieces_match_reference(surface)
-        assert pieces.shape == (0, n + 2, n + 2)
-        assert cells.shape == (0,)
-        assert patch_vertices(surface).shape == (0, n + 2)
+        vertices = assert_edge_zeros_match_references(surface)
+        assert vertices.shape == (0, n + 2)
 
 
 class TestSingularLocus:
