@@ -109,11 +109,13 @@ def integrate_characteristic(fld: VectorField, seed, span, tol: float = DEFAULT_
     """
     if not 1e-13 <= tol <= 1e-3:
         raise ValueError(f"tol {tol} outside [1e-13, 1e-3]")
+    tau0, tau1 = float(span[0]), float(span[1])
+    if not np.isfinite([tau0, tau1]).all():
+        raise ValueError(f"span ({tau0}, {tau1}) is not finite")
     seed = np.asarray(seed, dtype=float)
     if not box.contains(seed, atol=1e-12):
         raise IntegrationError(f"seed {seed.tolist()} is outside the box")
 
-    tau0, tau1 = float(span[0]), float(span[1])
     direction = 1.0 if tau1 >= tau0 else -1.0
     total = abs(tau1 - tau0)
 

@@ -119,7 +119,7 @@ def cmd_domain(args) -> int:
     _, sol = _solution(bundle)
     surface = extract_surface(sol.F, bundle.problem.box,
                               _resolution(args, bundle.problem.n))
-    sigma = extract_singular_locus(sol.F, surface)
+    sigma = extract_singular_locus(sol, surface)
     component = split_component(surface, sigma, sol.gamma_samples)
     dom = maximal_domain(component, sigma)
 
@@ -181,7 +181,7 @@ def cmd_singular(args) -> int:
     _, sol = _solution(bundle)
     surface = extract_surface(sol.F, bundle.problem.box,
                               _resolution(args, bundle.problem.n))
-    sigma = extract_singular_locus(sol.F, surface)
+    sigma = extract_singular_locus(sol, surface)
 
     text = points_csv(surface, sigma, with_surface=args.with_surface)
     _dump(Path(args.out), "sigma", text, args.format)

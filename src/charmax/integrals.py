@@ -109,11 +109,12 @@ class SolutionChecks:
 
 @dataclass(frozen=True)
 class ImplicitSolution:
-    """F = f o rho with its u-derivative and gradient cached and compiled
-    (``F_and_Fu`` and ``grad_values`` take t, x1..xn, u), and what its
-    checks measured.  ``fold_values`` (F, grad F and grad F_u, whose last
-    component is F_uu: the query's turning-point solve) and ``Fu_value``
-    ((F_u,): the query's start) are compiled on their first call."""
+    """F = f o rho with its derivative trees and their only compiled forms,
+    which take t, x1..xn, u, and what its checks measured.  ``F_and_Fu``,
+    ``grad_values`` and the array form ``F_and_Fu_rows`` are compiled here;
+    ``fold_values`` (F, grad F and grad F_u: the query's turning-point
+    solve, and without F the sigma trace's Jacobian), ``Fu_value`` ((F_u,))
+    and ``jacobian_rows`` (grad F and grad F_u, array form) on first call."""
 
     F: Expr
     F_u: Expr
@@ -125,6 +126,8 @@ class ImplicitSolution:
     grad_values: Callable = field(compare=False, repr=False)
     fold_values: Callable = field(compare=False, repr=False)
     Fu_value: Callable = field(compare=False, repr=False)
+    F_and_Fu_rows: Callable = field(compare=False, repr=False)
+    jacobian_rows: Callable = field(compare=False, repr=False)
 
 
 def apply_field(fld: VectorField, g: Expr) -> Expr:
@@ -302,19 +305,21 @@ def build_implicit_solution(rho_set: FirstIntegralSet, f: Expr, gamma,
         max_F = max(max_F, abs(fv))
         min_Fu = min(min_Fu, abs(fu))
 
-    flow = _check_flow_invariance(F, gradient, fld, box, gamma)
+    F_and_Fu_rows = compile_exprs([F, F_u], names, arrays=True)
+    flow = _check_flow_invariance(F_and_Fu_rows, F, gradient, fld, box, gamma)
+    jacobian = [*gradient, *(diff(F_u, v) for v in names)]  # of (F, F_u)
     return ImplicitSolution(
         F, F_u, gradient, gamma, n, SolutionChecks(max_F, min_Fu, *flow),
         F_and_Fu, compile_exprs(gradient, names),
-        _compiled_on_first_call(lambda: compile_exprs(
-            [F, *gradient, *(diff(F_u, v) for v in names)], names)),
-        _compiled_on_first_call(lambda: compile_exprs([F_u], names)))
+        _compiled_on_first_call(lambda: compile_exprs([F, *jacobian], names)),
+        _compiled_on_first_call(lambda: compile_exprs([F_u], names)),
+        F_and_Fu_rows, _compiled_on_first_call(
+            lambda: compile_exprs(jacobian, names, arrays=True)))
 
 
 def _compiled_on_first_call(build: Callable) -> Callable:
     """The function ``build()`` returns, built when it is first called:
-    a query that never needs it never pays for differentiating and
-    compiling its trees."""
+    a query that never needs it never pays for compiling its trees."""
     compiled = None
 
     def call(*values):
@@ -326,7 +331,7 @@ def _compiled_on_first_call(build: Callable) -> Callable:
     return call
 
 
-def _check_flow_invariance(F, gradient, fld, box, gamma):
+def _check_flow_invariance(F_and_Fu_rows, F, gradient, fld, box, gamma):
     """|X F| at points of {F = 0}: the initial samples plus FLOW_SAMPLES
     random box points projected onto the surface by Newton in u.  Fewer
     than FLOW_SAMPLES // 2 projected (within the draw budget) or checked
@@ -341,7 +346,6 @@ def _check_flow_invariance(F, gradient, fld, box, gamma):
     names = var_names(n)
     residual_terms = compile_exprs(
         [apply_field(fld, F), *chain(*zip(fld.components, gradient))], names)
-    F_and_Fu_rows = compile_exprs([F, gradient[-1]], names, arrays=True)
     points = [p.tolist() for p in gamma]
     rng = np.random.default_rng(_RNG_SEED)
     lows, highs = box.lows(), box.highs()

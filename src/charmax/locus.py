@@ -15,7 +15,9 @@ Crossing cells where F_u changes sign too, by the same sign codes with
 F_u taken only at their corners, seed a damped Newton polish that runs
 all seeds in lockstep on compile's array back end; the polished points
 are thinned to one per cell diagonal, and in the space case ordered into
-polylines by pseudo-arclength continuation along the curve.
+polylines by pseudo-arclength continuation along the curve.  All of it
+runs on the implicit solution's trees and compiled forms, which the
+query's turning-point solve uses too; the stage compiles nothing.
 The continuation does its elementwise 3-vector steps in Python floats and
 its reductions (dot products, norms, solves) in numpy, so that the traced
 points are bit for bit those of an all-numpy trace.
@@ -39,8 +41,8 @@ from itertools import product
 
 import numpy as np
 
-from .expr import EvalDomainError, Expr, diff, evaluate_grid, var_names
-from .expr import compile as compile_exprs, output_rows
+from .expr import EvalDomainError, Expr, evaluate_grid, output_rows, var_names
+from .integrals import ImplicitSolution
 from .problem import Box
 
 NEWTON_TOL = 1e-12
@@ -322,43 +324,22 @@ def _rows(compiled, points: np.ndarray):
     return values, ~bad
 
 
-class _SigmaSystem:
-    """(F, F_u) and its Jacobian, compiled once on each back end: the
-    array one for the rows of the polish and rank check (by ``_rows``),
-    the scalar one for the tangent and trace."""
-
-    def __init__(self, F: Expr, F_u: Expr, n: int):
-        self.n = n
-        names = var_names(n)
-        jacobian = [diff(e, v) for e in (F, F_u) for v in names]
-        self.values = compile_exprs([F, F_u], names)
-        self.derivatives = compile_exprs(jacobian, names)
-        self._value_rows = compile_exprs([F, F_u], names, arrays=True)
-        self._derivative_rows = compile_exprs(jacobian, names, arrays=True)
-
-    def value_rows(self, points: np.ndarray):
-        return _rows(self._value_rows, points)
-
-    def derivative_rows(self, points: np.ndarray):
-        return _rows(self._derivative_rows, points)
-
-    def tangent(self, point):
-        """Unit tangent of the solution curve (space case only): the cross
-        product of the two Jacobian rows, normalised.  None where the
-        Jacobian fails to evaluate or the product is zero or not finite.
-        The product is taken in Python floats, the same multiplications
-        and subtractions as ``np.cross``; the norm stays the BLAS dot of
-        ``np.linalg.norm``."""
-        try:
-            a0, a1, a2, b0, b1, b2 = self.derivatives(*point)
-        except EvalDomainError:
-            return None
-        t = np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
-                      a0 * b1 - a1 * b0])
-        norm = np.linalg.norm(t)
-        if norm == 0.0 or not np.isfinite(norm):
-            return None
-        return t / norm
+def _tangent(sol: ImplicitSolution, point):
+    """Unit tangent of the solution curve (space case only): the cross
+    product of the Jacobian rows, ``fold_values`` without F, normalised;
+    None where it fails to evaluate or is zero or not finite.  The product
+    is taken in Python floats, as ``np.cross`` rounds; the norm stays the
+    BLAS dot of ``np.linalg.norm``."""
+    try:
+        _, a0, a1, a2, b0, b1, b2 = sol.fold_values(*point)
+    except EvalDomainError:
+        return None
+    t = np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
+                  a0 * b1 - a1 * b0])
+    norm = np.linalg.norm(t)
+    if norm == 0.0 or not np.isfinite(norm):
+        return None
+    return t / norm
 
 
 def _seed_cells(F_u: Expr, surface: LevelSurface) -> np.ndarray:
@@ -403,7 +384,7 @@ def _solve_rows(J: np.ndarray, b: np.ndarray) -> np.ndarray:
         return out
 
 
-def _free_pairs(sys: _SigmaSystem, centers: np.ndarray) -> np.ndarray:
+def _free_pairs(sol: ImplicitSolution, centers: np.ndarray) -> np.ndarray:
     """Per seed, the two coordinates the polish moves: all of them in the
     plane case; in the space case all but the largest component of the
     curve tangent at the cell centre, or (t, x) when that tangent is zero,
@@ -413,7 +394,7 @@ def _free_pairs(sys: _SigmaSystem, centers: np.ndarray) -> np.ndarray:
     free = np.tile([0, 1], (k, 1))
     if dim == 2:
         return free
-    J, ok = sys.derivative_rows(centers)
+    J, ok = _rows(sol.jacobian_rows, centers)
     J = J.reshape(k, 2, dim)
     T = np.cross(J[:, 0], J[:, 1])
     norm = np.sqrt(_squared_norms(T))
@@ -423,7 +404,7 @@ def _free_pairs(sys: _SigmaSystem, centers: np.ndarray) -> np.ndarray:
     return free
 
 
-def _polish(sys: _SigmaSystem, centers: np.ndarray, box: Box):
+def _polish(sol: ImplicitSolution, centers: np.ndarray, box: Box):
     """Damped Newton on (F, F_u) = 0 from every seed-cell centre at once,
     in each seed's free pair of coordinates, the others frozen at the
     centre.  The steps of ``_damped_newton``, on the rows still active:
@@ -434,9 +415,9 @@ def _polish(sys: _SigmaSystem, centers: np.ndarray, box: Box):
     root lies outside the box.  Returns the (k, dim) points, NaN for
     failed seeds, and the (k,) mask of the seeds that converged."""
     k, dim = centers.shape
-    free = _free_pairs(sys, centers)
+    free = _free_pairs(sol, centers)
     P = centers.astype(float)
-    R, active = sys.value_rows(P)
+    R, active = _rows(sol.F_and_Fu_rows, P)
     converged = np.zeros(k, dtype=bool)
     for _ in range(NEWTON_MAXIT):
         idx = np.flatnonzero(active)
@@ -446,7 +427,7 @@ def _polish(sys: _SigmaSystem, centers: np.ndarray, box: Box):
         active[:] = False            # a row stays by accepting a step
         if not len(idx):
             break
-        J, ok = sys.derivative_rows(P[idx])
+        J, ok = _rows(sol.jacobian_rows, P[idx])
         idx = idx[ok]
         J = np.take_along_axis(J[ok].reshape(-1, 2, dim), free[idx, None], 2)
         step = _solve_rows(J, -R[idx])
@@ -461,7 +442,7 @@ def _polish(sys: _SigmaSystem, centers: np.ndarray, box: Box):
             cand = P[i]
             cand[np.arange(len(i))[:, None], free[i]] = (X[pending]
                                                         + lam * step[pending])
-            rc, good = sys.value_rows(cand)
+            rc, good = _rows(sol.F_and_Fu_rows, cand)
             good &= _squared_norms(rc) <= (1 - 0.5 * lam) * base[pending]
             P[i[good]], R[i[good]] = cand[good], rc[good]
             active[i[good]] = True
@@ -474,18 +455,18 @@ def _polish(sys: _SigmaSystem, centers: np.ndarray, box: Box):
     return P, converged
 
 
-def _degenerate(sys: _SigmaSystem, points: np.ndarray) -> np.ndarray:
+def _degenerate(sol: ImplicitSolution, points: np.ndarray) -> np.ndarray:
     """Per point, whether the 2 x dim Jacobian of (F, F_u) fails to
     evaluate or is rank deficient relative to DEGENERATE_RATIO."""
     dim = points.shape[1]
-    J, ok = sys.derivative_rows(points)
+    J, ok = _rows(sol.jacobian_rows, points)
     sv = np.linalg.svd(J[ok].reshape(-1, 2, dim), compute_uv=False)
     flags = ~ok
     flags[ok] = sv[:, -1] <= DEGENERATE_RATIO * np.maximum(sv[:, 0], 1e-300)
     return flags
 
 
-def _trace_from(sys: _SigmaSystem, start, direction, box: Box, ds0,
+def _trace_from(sol: ImplicitSolution, start, direction, box: Box, ds0,
                 max_steps):
     """Pseudo-arclength continuation of the (F, F_u) = 0 curve from
     ``start`` along the unit tangent ``direction``.
@@ -511,14 +492,14 @@ def _trace_from(sys: _SigmaSystem, start, direction, box: Box, ds0,
 
         def res(q):
             try:
-                f, f_u = sys.values(*q.tolist())
+                f, f_u = sol.F_and_Fu(*q.tolist())
             except EvalDomainError:
                 return None
             return np.array([f, f_u, float(np.dot(T, q - pred))])
 
         def jac(q):
             try:
-                d = sys.derivatives(*q.tolist())
+                _, *d = sol.fold_values(*q.tolist())
             except EvalDomainError:
                 return None
             return np.array([d[:3], d[3:], row])
@@ -531,7 +512,7 @@ def _trace_from(sys: _SigmaSystem, start, direction, box: Box, ds0,
             break
         if not box.contains(q, atol=1e-12):
             break
-        Tn = sys.tangent(q.tolist())
+        Tn = _tangent(sol, q.tolist())
         if Tn is None:
             points.append(q)
             break
@@ -570,7 +551,8 @@ def _deduplicate(points: np.ndarray, diag: float) -> np.ndarray:
     return points[keep]
 
 
-def extract_singular_locus(F: Expr, surface: LevelSurface) -> SingularLocus:
+def extract_singular_locus(sol: ImplicitSolution,
+                           surface: LevelSurface) -> SingularLocus:
     """Refine the set {F = 0, F_u = 0} from cells where both sign-change.
 
     The seeds are the crossing cells where F_u, evaluated at the corners of
@@ -581,23 +563,22 @@ def extract_singular_locus(F: Expr, surface: LevelSurface) -> SingularLocus:
     Diverging seeds are dropped and counted.  The sorted polished points
     are thinned so that no two kept points lie within one cell diagonal,
     and space-case points are then ordered into polylines by
-    pseudo-arclength continuation.  With no seeds, nothing is compiled.
+    pseudo-arclength continuation.  With no seeds, neither ``fold_values``
+    nor ``jacobian_rows`` is compiled.
     """
     n = surface.dim - 2
-    F_u = diff(F, "u")
-    seed_cells = _seed_cells(F_u, surface)
+    seed_cells = _seed_cells(sol.F_u, surface)
     if not len(seed_cells):
         return SingularLocus(np.zeros((0, surface.dim)),
                              np.zeros(0, dtype=bool), [], seed_cells, 0)
-    sys = _SigmaSystem(F, F_u, n)
-    polished, ok = _polish(sys, cell_center(surface.axes, seed_cells),
+    polished, ok = _polish(sol, cell_center(surface.axes, seed_cells),
                            surface.box)
     polished = sorted(polished[ok].tolist())
     dropped = len(ok) - len(polished)
     diag = surface.cell_diagonal
     points = _deduplicate(np.reshape(polished, (-1, surface.dim)), diag)
 
-    degenerate = _degenerate(sys, points)
+    degenerate = _degenerate(sol, points)
     polylines: list[np.ndarray] = []
 
     if n == 1:
@@ -606,12 +587,12 @@ def extract_singular_locus(F: Expr, surface: LevelSurface) -> SingularLocus:
         for i, p in enumerate(points):
             if visited[i]:
                 continue
-            t = sys.tangent(p)
+            t = _tangent(sol, p)
             if t is None:
                 visited[i] = True
                 continue
-            fwd = _trace_from(sys, p, t, surface.box, diag, max_steps)
-            bwd = _trace_from(sys, p, -t, surface.box, diag, max_steps)
+            fwd = _trace_from(sol, p, t, surface.box, diag, max_steps)
+            bwd = _trace_from(sol, p, -t, surface.box, diag, max_steps)
             line = np.array(list(reversed(bwd[1:])) + fwd)
             polylines.append(line)
             # mark polished points swept by this polyline (never empty: it

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from itertools import accumulate, chain, permutations, product
 
@@ -39,7 +40,7 @@ def pipeline(name: str, resolution: int):
     domain)."""
     b, _, sol = solution(name)
     surface = extract_surface(sol.F, b.problem.box, resolution)
-    sigma = extract_singular_locus(sol.F, surface)
+    sigma = extract_singular_locus(sol, surface)
     component = split_component(surface, sigma, sol.gamma_samples)
     dom = maximal_domain(component, sigma)
     return b, sol, surface, sigma, component, dom
@@ -234,15 +235,16 @@ def deduplicate_point_by_point(points, diag):
     return kept[:count]
 
 
-def _polish_seed(sys, center, box):
+def _polish_seed(sol, center, box):
     """One seed's polish by locus._damped_newton, in the two coordinates
     across the curve (the tangent's largest component frozen), or None.
-    The system is evaluated by its row methods on one row at a time."""
-    dim = sys.n + 2
+    (F, F_u) and its Jacobian are evaluated by the solution's array forms
+    on one row at a time."""
+    dim = sol.n + 2
     if dim == 2:
         free = [0, 1]
     else:
-        t = tangent_by_numpy(sys, center, jacobian_by_row)
+        t = tangent_by_numpy(sol, center, jacobian_by_row)
         if t is None:
             # fall back to freezing u; the rank check flags degeneracy later
             free = [0, 1]
@@ -258,38 +260,38 @@ def _polish_seed(sys, center, box):
         return p
 
     def res(xy):
-        return residual_by_row(sys, embed(xy))
+        return residual_by_row(sol, embed(xy))
 
     def jac(xy):
-        J = jacobian_by_row(sys, embed(xy))
+        J = jacobian_by_row(sol, embed(xy))
         return None if J is None else J[:, free]
 
-    sol = locus._damped_newton(res, jac, base[free])
-    if sol is None:
+    root = locus._damped_newton(res, jac, base[free])
+    if root is None:
         return None
-    point = embed(sol)
+    point = embed(root)
     return point if contains_by_numpy(box, point, atol=1e-12) else None
 
 
-def polish_seed_by_seed(sys, centers, box):
+def polish_seed_by_seed(sol, centers, box):
     """Reference for locus._polish: _polish_seed on each centre in turn.
     Returns the (k, dim) points, NaN for failed seeds, and the (k,) mask
     of the seeds that converged."""
     points = np.full(np.shape(centers), np.nan)
     ok = np.zeros(len(points), dtype=bool)
     for i, center in enumerate(centers):
-        point = _polish_seed(sys, center, box)
+        point = _polish_seed(sol, center, box)
         if point is not None:
             points[i], ok[i] = point, True
     return points, ok
 
 
-def degenerate_point_by_point(sys, points):
+def degenerate_point_by_point(sol, points):
     """Reference for locus._degenerate: one row evaluation and one SVD per
     point."""
     flags = []
     for point in points:
-        J = jacobian_by_row(sys, point)
+        J = jacobian_by_row(sol, point)
         if J is None:
             flags.append(True)
             continue
@@ -300,9 +302,9 @@ def degenerate_point_by_point(sys, points):
 
 
 def evaluate_rows(fn, points, width: int):
-    """Per-row reference for the row methods of locus._SigmaSystem: the
-    scalar ``fn`` at each row of ``points``, the (k, width) values (0
-    where it fails) and the (k,) mask of the rows where it evaluated."""
+    """Per-row reference for locus._rows: the scalar ``fn`` at each row of
+    ``points``, the (k, width) values (0 where it fails) and the (k,) mask
+    of the rows where it evaluated."""
     out = np.zeros((len(points), width))
     ok = np.ones(len(points), dtype=bool)
     for i, p in enumerate(points.tolist()):
@@ -313,53 +315,57 @@ def evaluate_rows(fn, points, width: int):
     return out, ok
 
 
-def value_rows_by_row(sys, points):
-    """locus._SigmaSystem.value_rows on the scalar back end, by
-    evaluate_rows."""
-    return evaluate_rows(sys.values, points, 2)
+def rows_by_row(fn, width: int):
+    """Stands in for an array form of compile: the scalar ``fn`` at each
+    row by evaluate_rows, every output flagged where it fails."""
+    def rows(*columns):
+        values, ok = evaluate_rows(fn, np.column_stack(columns), width)
+        return [(v, ~ok) for v in values.T]
+    return rows
 
 
-def derivative_rows_by_row(sys, points):
-    """locus._SigmaSystem.derivative_rows on the scalar back end, by
-    evaluate_rows."""
-    return evaluate_rows(sys.derivatives, points, 2 * (sys.n + 2))
+def jacobian_trees(sol):
+    """grad F and grad F_u, the trees of ``sol.jacobian_rows``."""
+    return [*sol.gradient, *(diff(sol.F_u, v) for v in var_names(sol.n))]
 
 
-def residual_by_row(sys, point):
-    """(F, F_u) at the point by the system's row evaluation of one row, or
+def residual_by_row(sol, point):
+    """(F, F_u) at the point by the solution's array form on one row, or
     None where it fails."""
-    r, ok = sys.value_rows(np.asarray(point, dtype=float)[None])
+    r, ok = locus._rows(sol.F_and_Fu_rows,
+                        np.asarray(point, dtype=float)[None])
     return r[0] if ok[0] else None
 
 
-def jacobian_by_row(sys, point):
-    """The 2 x (n+2) Jacobian of (F, F_u) by the system's row evaluation
-    of one row, or None where it fails."""
-    J, ok = sys.derivative_rows(np.asarray(point, dtype=float)[None])
-    return J[0].reshape(2, sys.n + 2) if ok[0] else None
+def jacobian_by_row(sol, point):
+    """The 2 x (n+2) Jacobian of (F, F_u) by the solution's array form on
+    one row, or None where it fails."""
+    J, ok = locus._rows(sol.jacobian_rows,
+                        np.asarray(point, dtype=float)[None])
+    return J[0].reshape(2, sol.n + 2) if ok[0] else None
 
 
-def residual_by_numpy(sys, point):
+def residual_by_numpy(sol, point):
     """(F, F_u) at the point as an array, or None where it fails."""
     try:
-        return np.array(sys.values(*point))
+        return np.array(sol.F_and_Fu(*point))
     except EvalDomainError:
         return None
 
 
-def jacobian_by_numpy(sys, point):
-    """The 2 x (n+2) Jacobian of (F, F_u) as an array, or None where it
-    fails."""
+def jacobian_by_numpy(sol, point):
+    """The 2 x (n+2) Jacobian of (F, F_u), ``fold_values`` without F, as
+    an array, or None where it fails."""
     try:
-        return np.array(sys.derivatives(*point)).reshape(2, sys.n + 2)
+        return np.array(sol.fold_values(*point)[1:]).reshape(2, sol.n + 2)
     except EvalDomainError:
         return None
 
 
-def tangent_by_numpy(sys, point, jacobian=jacobian_by_numpy):
-    """Reference for locus._SigmaSystem.tangent: np.cross of the Jacobian
-    rows, taken by ``jacobian``, over its np.linalg.norm."""
-    J = jacobian(sys, point)
+def tangent_by_numpy(sol, point, jacobian=jacobian_by_numpy):
+    """Reference for locus._tangent: np.cross of the Jacobian rows, taken
+    by ``jacobian``, over its np.linalg.norm."""
+    J = jacobian(sol, point)
     if J is None:
         return None
     t = np.cross(J[0], J[1])
@@ -375,7 +381,7 @@ def contains_by_numpy(box, point, atol=0.0):
     return bool(np.all((p >= box.lows() - atol) & (p <= box.highs() + atol)))
 
 
-def trace_by_numpy(sys, start, direction, box, ds0, max_steps):
+def trace_by_numpy(sol, start, direction, box, ds0, max_steps):
     """Reference for locus._trace_from: numpy calls on every 3-vector."""
     points = [np.asarray(start, dtype=float)]
     T = direction
@@ -385,13 +391,13 @@ def trace_by_numpy(sys, start, direction, box, ds0, max_steps):
         pred = p + ds * T
 
         def res(q):
-            r = residual_by_numpy(sys, q)
+            r = residual_by_numpy(sol, q)
             if r is None:
                 return None
             return np.array([r[0], r[1], float(np.dot(T, q - pred))])
 
         def jac(q):
-            J = jacobian_by_numpy(sys, q)
+            J = jacobian_by_numpy(sol, q)
             if J is None:
                 return None
             return np.vstack([J, T])
@@ -404,7 +410,7 @@ def trace_by_numpy(sys, start, direction, box, ds0, max_steps):
             break
         if not contains_by_numpy(box, q, atol=1e-12):
             break
-        Tn = tangent_by_numpy(sys, q)
+        Tn = tangent_by_numpy(sol, q)
         if Tn is None:
             points.append(q)
             break
@@ -425,7 +431,7 @@ def near_line_point_by_point(points, line, diag):
                      for p in points], dtype=bool)
 
 
-def singular_locus_by_seed(F, surface):
+def singular_locus_by_seed(sol, surface):
     """extract_singular_locus with its seeds, polish, rank check, tangent,
     trace and sweep of the traced points replaced by the references
     above: the polish and the rank check one seed at a time on the array
@@ -434,21 +440,24 @@ def singular_locus_by_seed(F, surface):
         patch.setattr(locus, "_seed_cells", seed_cells_by_grid)
         patch.setattr(locus, "_polish", polish_seed_by_seed)
         patch.setattr(locus, "_degenerate", degenerate_point_by_point)
-        patch.setattr(locus._SigmaSystem, "tangent", tangent_by_numpy)
+        patch.setattr(locus, "_tangent", tangent_by_numpy)
         patch.setattr(locus, "_trace_from", trace_by_numpy)
         patch.setattr(locus, "_near_line", near_line_point_by_point)
-        return extract_singular_locus(F, surface)
+        return extract_singular_locus(sol, surface)
 
 
-def singular_locus_by_scalar_rows(F, surface):
+def singular_locus_by_scalar_rows(sol, surface):
     """extract_singular_locus with the rows of the polish, its free pairs
     and the rank check evaluated one at a time on the scalar back end, by
-    evaluate_rows."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(locus._SigmaSystem, "value_rows", value_rows_by_row)
-        patch.setattr(locus._SigmaSystem, "derivative_rows",
-                      derivative_rows_by_row)
-        return extract_singular_locus(F, surface)
+    rows_by_row: the solution's array forms swapped for scalar ones of
+    the same trees."""
+    names = var_names(sol.n)
+    jacobian = jacobian_trees(sol)
+    scalar_rows = dataclasses.replace(
+        sol, F_and_Fu_rows=rows_by_row(sol.F_and_Fu, 2),
+        jacobian_rows=rows_by_row(compile_exprs(jacobian, names),
+                                  len(jacobian)))
+    return extract_singular_locus(scalar_rows, surface)
 
 
 def flood_by_queue(mask, seeds, parents=False):

@@ -40,7 +40,7 @@ def test_criterion_1_ode_example():
     _, sol = implicit_solution_for_problem(problem, data, rho, f)
 
     surface = extract_surface(sol.F, problem.box, 1024)
-    sigma = extract_singular_locus(sol.F, surface)
+    sigma = extract_singular_locus(sol, surface)
     component = split_component(surface, sigma, sol.gamma_samples)
     dom = maximal_domain(component, sigma)
     cell = 7.0 / 1024.0
@@ -79,7 +79,7 @@ def test_criterion_2_circular_example():
         assert evaluate(sol.F, bind) == evaluate(expect, bind)
 
     surface = extract_surface(sol.F, problem.box, 128)
-    sigma = extract_singular_locus(sol.F, surface)
+    sigma = extract_singular_locus(sol, surface)
     component = split_component(surface, sigma, sol.gamma_samples)
     maximal_domain(component, sigma)
 

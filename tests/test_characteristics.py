@@ -66,6 +66,14 @@ class TestIntegrator:
             integrate_characteristic(fld, [0.0, 1.0], (0.0, 1.0), tol=1e-2,
                                      box=BIG)
 
+    def test_non_finite_span_rejected(self):
+        # a NaN end once gave NaN values of tau
+        fld = field(0, "1", "u")
+        with pytest.raises(ValueError, match=r"span \(nan, 1\.0\) is not "
+                                             "finite"):
+            integrate_characteristic(fld, [0.0, 1.0], (math.nan, 1.0),
+                                     box=BIG)
+
 
 class TestExampleFields:
     def test_burgers_straight_lines(self):

@@ -12,7 +12,7 @@ import charmax
 from charmax.cli import main
 from charmax.integrals import (implicit_solution_for_problem,
                                verification_samples)
-from charmax.problem import load_problem_bundle
+from charmax.problem import initial_set_samples, load_problem_bundle
 
 
 def problem_file(name):
@@ -373,6 +373,49 @@ class TestCharacteristics:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: tol 1.0 outside [1e-13, 1e-3]"]
         assert not out_dir.exists()
+
+    # nan once wrote curves running backward to the box, inf and -inf
+    # one-row curves marked span_end
+    @pytest.mark.parametrize("span", ["nan", "inf", "-inf"])
+    def test_non_finite_span_is_one_error(self, span, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert main(["characteristics", "--problem",
+                     problem_file("burgers_ramp"), f"--span={span}",
+                     "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: span (0.0, {float(span)}) is not finite"]
+        assert not out_dir.exists()
+
+    def test_seed_errors_are_reported_per_seed(self, tmp_path, capsys):
+        # b = sqrt(x) fails to evaluate at the four seeds with x < 0; the
+        # other five curves are written
+        doc = {"n": 1, "alpha": "1", "a": ["u"], "b": "sqrt(x)", "h": "1",
+               "s_range": [-0.1, 0.1],
+               "box": {"t": [0.0, 1.0], "x": [[-1.0, 1.0]],
+                       "u": [0.0, 3.0]}}
+        out_dir = tmp_path / "out"
+        assert main(["characteristics", "--problem", write(tmp_path, doc),
+                     "--out", str(out_dir)]) == 2
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            f"characteristic_{i:03d}.csv" for i in range(4, 9)]
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 4
+        for i, line in enumerate(err):
+            assert line.startswith(
+                f"seed {i}: field fails to evaluate at seed: sqrt of negative")
+        assert captured.out == "wrote 5 characteristic curves\n"
+
+    def test_zero_span_writes_the_seeds(self, tmp_path):
+        out_dir = tmp_path / "out"
+        assert main(["characteristics", "--problem",
+                     problem_file("burgers_ramp"), "--span", "0",
+                     "--samples", "3", "--out", str(out_dir)]) == 0
+        data = load_problem_bundle(problem_file("burgers_ramp")).data
+        for i, seed in enumerate(initial_set_samples(data, 3).tolist()):
+            text = (out_dir / f"characteristic_{i:03d}.csv").read_text()
+            assert text.splitlines() == [
+                "tau,t,x1,u", ",".join(map(repr, [0.0, *seed]))]
 
 
 class TestSingular:

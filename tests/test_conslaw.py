@@ -149,6 +149,16 @@ class TestPropagationSpeed:
         with pytest.raises(VerticalTangentError):
             propagation_speed(RAMP, 0.05)
 
+    def test_removable_zero_gives_the_limit(self):
+        # h = -x^3 - x: dt*/ds and dx*/ds both vanish at s = 0, an isolated
+        # zero of dt*/ds, where the speed is the limit g(0) = -0.0
+        cl = law("u", "-x^3 - x")
+        assert evaluate(cl.t_prime, {"x1": 0.0}) == 0.0
+        assert evaluate(cl.x_prime, {"x1": 0.0}) == 0.0
+        speed = propagation_speed(cl, 0.0)
+        assert speed == 0.0 and math.copysign(1.0, speed) == -1.0
+        assert abs(propagation_speed(cl, 0.1) + 0.101) <= 1e-12
+
     def test_requires_singular_time(self):
         cl = law("u", "x")
         with pytest.raises(ValueError, match="no singular time"):

@@ -1,13 +1,15 @@
 import dataclasses
 import json
 import math
+import re
 import types
 
 import numpy as np
 import pytest
 
 import helpers
-from charmax import domain, integrals
+from charmax import domain, integrals, problem_path
+from charmax.cli import main
 from charmax.domain import (CORRECTOR_MAXIT, MAX_MARCH_STEPS, SOLVE_TOL,
                             BoundaryPolyline, MaximalDomain,
                             PathLeftWindowError, ProjectionError,
@@ -123,7 +125,7 @@ class TestMaximalDomain:
             problem, data, (parse("u^2 - t", n=0),),
             parse("y1 - 1", n=0, allowed_variables=["y1"]))
         surface = extract_surface(sol.F, problem.box, 1024)
-        sigma = extract_singular_locus(sol.F, surface)
+        sigma = extract_singular_locus(sol, surface)
         assert sigma.polylines == []
         dom = maximal_domain(
             split_component(surface, sigma, sol.gamma_samples), sigma)
@@ -899,6 +901,35 @@ class TestMarch:
         with pytest.raises(PathLeftWindowError,
                            match=r"with healthy F_u = 1\.000e\+00"):
             contains(problem, data, sol, [0.5, -0.5])
+
+    def test_halving_tail_with_healthy_F_u(self, monkeypatch):
+        # the problem above with no edge search: step halving runs out at
+        # the edge of F's domain, x = 0, with F_u still 1
+        problem, data = make_problem(
+            1, "1", ["0"], "0", "1 + sqrt(x)^2",
+            Box((-0.5, 1.0), ((-1.0, 1.0),), (0.0, 3.0)),
+            s_range=((0.05, 0.5),))
+        _, sol = implicit_solution_for_problem(problem, data)
+        monkeypatch.setattr(domain, "_domain_edge", lambda *args: None)
+        with pytest.raises(PathLeftWindowError,
+                           match=r"^corrector diverged at \[0\.04545\d*, "
+                                 r"-1\.84\d*e-13\] with healthy "
+                                 r"F_u = 1\.000e\+00"):
+            contains(problem, data, sol, [0.5, -0.5])
+
+    def test_max_march_steps_ends_the_march(self, solutions, monkeypatch,
+                                            capsys):
+        b, _, sol = solutions("burgers_reciprocal")
+        monkeypatch.setattr(domain, "MAX_MARCH_STEPS", 2)
+        message = (r"path not ended after 2 steps, at \[0\.3, 0\.64\] "
+                   r"\(0\.6 of it\)")
+        with pytest.raises(PathLeftWindowError, match=f"^{message}"):
+            contains(b.problem, b.data, sol, [0.5, 1.0])
+        assert main(["query", "--problem",
+                     str(problem_path("burgers_reciprocal")), "--t", "0.5",
+                     "--x", "1.0"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and re.match(f"^error: {message}", err[0])
 
     def test_staircase_retry_after_a_straight_path_fails(self, pipelines,
                                                          monkeypatch):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import helpers
-from charmax import integrals
+from charmax import integrals, problem_path
+from charmax.cli import main
 from charmax.expr import (Const, EvalDomainError, Var, diff, evaluate, parse,
                           substitute, var_names)
 from charmax.expr import compile as compile_exprs
@@ -279,11 +280,13 @@ class TestBuild:
                            parse("exp(exp(u))", n=1)))
         s = np.linspace(7.1, 7.9, 65)
         gamma = np.column_stack([np.zeros(65), s, s])
+        gradient = tuple(diff(F, v) for v in var_names(1))
         with pytest.raises(ImplicitSolutionError,
                            match="flow residual evaluated at only 0 of 265"):
             integrals._check_flow_invariance(
-                F, tuple(diff(F, v) for v in var_names(1)), fld,
-                Box((-1.0, 1.0), ((7.0, 8.0),), (7.0, 8.0)), gamma)
+                compile_exprs([F, gradient[-1]], var_names(1), arrays=True),
+                F, gradient, fld, Box((-1.0, 1.0), ((7.0, 8.0),), (7.0, 8.0)),
+                gamma)
 
     def test_flow_invariance_enforced(self):
         # rho = u - t is not a first integral of u_t + u u_x = 0
@@ -344,6 +347,28 @@ class TestAssembly:
             assert sol.fold_values(*point) == tuple(
                 evaluate(e, binding) for e in trees)
         assert compiled == [trees]
+
+    @pytest.mark.parametrize("name", helpers.EXAMPLES)
+    def test_sigma_forms_compiled_once_by_a_domain_run(self, name, solutions,
+                                                       monkeypatch, tmp_path):
+        # the sigma stage compiles nothing itself: fold_values and
+        # jacobian_rows once each where it has seeds, neither where not
+        _, _, sol = solutions(name)
+        jacobian = helpers.jacobian_trees(sol)
+        compiled = []
+        compile_exprs = integrals.compile_exprs
+
+        def counted(exprs, names, **kw):
+            compiled.append((list(exprs), kw.get("arrays", False)))
+            return compile_exprs(exprs, names, **kw)
+
+        monkeypatch.setattr(integrals, "compile_exprs", counted)
+        assert main(["domain", "--problem", str(problem_path(name)),
+                     "--resolution", "48", "--out", str(tmp_path)]) == 0
+        count = 0 if name == "ode_quadratic" else 1
+        assert compiled.count(([sol.F, *jacobian], False)) == count
+        assert compiled.count((jacobian, True)) == count
+        assert compiled.count(([sol.F, sol.F_u], True)) == 1
 
     def test_Fu_value_compiled_on_first_call(self, monkeypatch):
         # F_u alone: it fails to evaluate exactly where evaluate does
@@ -483,5 +508,5 @@ def test_flow_check_matches_the_draw_by_draw_reference(name, solutions):
     b, _, sol = solutions(name)
     args = (sol.F, sol.gradient, characteristic_field(b.problem),
             b.problem.box, sol.gamma_samples)
-    assert (integrals._check_flow_invariance(*args)
+    assert (integrals._check_flow_invariance(sol.F_and_Fu_rows, *args)
             == helpers.flow_check_by_draws(*args))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from collections import Counter
@@ -253,30 +254,23 @@ class TestSingularLocus:
             assert abs(evaluate(Fu, bind)) <= 1e-10
             assert np.all(p >= lo - 1e-12) and np.all(p <= hi + 1e-12)
 
-    # the sigma system compiles (F, F_u), then its derivatives, on the
-    # scalar back end, then the same two on the array back end
+    # the sigma stage runs on the solution's (F, F_u) and its derivatives
+    # on the scalar back end, and the same two on the array back end
     @pytest.mark.parametrize("faulty", [0, 1, 2, 3])
-    def test_evaluator_faults_are_not_dropped_seeds(self, faulty, solutions,
-                                                    monkeypatch):
+    def test_evaluator_faults_are_not_dropped_seeds(self, faulty, solutions):
         # a fault of the evaluator itself is not a domain violation at a
         # seed: it must reach the caller
         b, _, sol = solutions("burgers_reciprocal")
         surface = extract_surface(sol.F, b.problem.box, 32)
-        compile_exprs = locus.compile_exprs
-        calls = []
 
-        def compile_with_fault(exprs, names, arrays=False):
-            calls.append(exprs)
-            if len(calls) - 1 != faulty:
-                return compile_exprs(exprs, names, arrays=arrays)
+        def evaluator(*values):
+            raise TypeError("faulty evaluator")
 
-            def evaluator(*values):
-                raise TypeError("faulty evaluator")
-            return evaluator
-
-        monkeypatch.setattr(locus, "compile_exprs", compile_with_fault)
+        form = ("F_and_Fu", "fold_values", "F_and_Fu_rows",
+                "jacobian_rows")[faulty]
+        faulty_sol = dataclasses.replace(sol, **{form: evaluator})
         with pytest.raises(TypeError, match="faulty evaluator"):
-            extract_singular_locus(sol.F, surface)
+            extract_singular_locus(faulty_sol, surface)
 
     def test_ode_sigma_empty(self, pipelines):
         _, _, _, sigma, _, _ = pipelines("ode_quadratic", 512)
@@ -313,9 +307,9 @@ class TestSplitComponent:
         problem, data = make_problem(
             1, "1", ["u"], "0", "2",
             Box((-1.0, 1.0), ((-1.0, 1.0),), (-3.0, 3.0)))
-        F = parse("u - 2", n=1)
-        surf = extract_surface(F, problem.box, 16)
-        sigma = extract_singular_locus(F, surf)
+        _, sol = implicit_solution_for_problem(problem, data)
+        surf = extract_surface(sol.F, problem.box, 16)
+        sigma = extract_singular_locus(sol, surf)
         assert len(sigma.points) == 0
         gamma = initial_set_samples(data, 9)
         comp = split_component(surf, sigma, gamma)
@@ -660,24 +654,17 @@ def _same_bytes(a, b) -> bool:
         a.tobytes() == b.tobytes())
 
 
-class StubSigmaSystem(locus._SigmaSystem):
+class StubForms:
     """Hand-written (F, F_u) and Jacobian on (t, x, u): the seed's label
     round(x) picks the behaviour.  Where the Jacobian has no x column the
     tangent is along x, so x stays frozen at the label."""
 
-    n = 1
     CENTRES = np.array([[1.6, 0.0, 0.5],
                         *([0.6, k, 0.5] for k in range(1, 10))])
     # label 0 converges through Armijo halving (Newton on atan overshoots
     # from 1.5 away); 8 (zero tangent, a root at the centre) and 9
     # (non-finite tangent, polished in (t, x)) converge too
     CONVERGES = [True] + [False] * 7 + [True, True]
-
-    value_rows = helpers.value_rows_by_row
-    derivative_rows = helpers.derivative_rows_by_row
-
-    def __init__(self):
-        pass
 
     @staticmethod
     def values(t, x, u):
@@ -724,20 +711,24 @@ class StubSigmaSystem(locus._SigmaSystem):
 STUB_BOX = Box((-2.0, 2.0), ((-1.0, 10.0),), (-1.0, 1.0))
 
 
-class NonFiniteJacobian(locus._SigmaSystem):
-    """A hand-written array back end for the Jacobian rows on (t, x, u):
+@pytest.fixture
+def stub_solution(solutions):
+    """An n = 1 solution whose array forms of (F, F_u) and its Jacobian
+    are StubForms', evaluated one row at a time."""
+    _, _, sol = solutions("burgers_reciprocal")
+    return dataclasses.replace(
+        sol, F_and_Fu_rows=helpers.rows_by_row(StubForms.values, 2),
+        jacobian_rows=helpers.rows_by_row(StubForms.derivatives, 6))
+
+
+def non_finite_jacobian_rows(t, x, u):
+    """A hand-written array form of the Jacobian on (t, x, u):
     [[e, 0, 0], [0, 1, 0]] with e = inf where x > 1, NaN where x < -1 and
     1 elsewhere, each output with no domain violation, as compile gives
     an overflow."""
-
-    def __init__(self):
-        pass
-
-    @staticmethod
-    def _derivative_rows(t, x, u):
-        entry = np.where(x > 1.0, np.inf, np.where(x < -1.0, np.nan, 1.0))
-        zero, one = np.zeros_like(t), np.ones_like(t)
-        return [(v, np.False_) for v in (entry, zero, zero, zero, one, zero)]
+    entry = np.where(x > 1.0, np.inf, np.where(x < -1.0, np.nan, 1.0))
+    zero, one = np.zeros_like(t), np.ones_like(t)
+    return [(v, np.False_) for v in (entry, zero, zero, zero, one, zero)]
 
 
 class TestSigmaStage:
@@ -746,8 +737,8 @@ class TestSigmaStage:
                                                 sigma_problem):
         b, sol = sigma_problem(name)
         surface = extract_surface(sol.F, b.problem.box, resolution)
-        got = extract_singular_locus(sol.F, surface)
-        want = helpers.singular_locus_by_seed(sol.F, surface)
+        got = extract_singular_locus(sol, surface)
+        want = helpers.singular_locus_by_seed(sol, surface)
         for field in ("points", "degenerate", "seed_cells"):
             assert _same_bytes(getattr(got, field), getattr(want, field)), field
         assert len(got.polylines) == len(want.polylines)
@@ -774,8 +765,8 @@ class TestSigmaStage:
         # the last bit, so the polished points may move by an ulp or so
         b, sol = sigma_problem(name)
         surface = extract_surface(sol.F, b.problem.box, resolution)
-        got = extract_singular_locus(sol.F, surface)
-        want = helpers.singular_locus_by_scalar_rows(sol.F, surface)
+        got = extract_singular_locus(sol, surface)
+        want = helpers.singular_locus_by_scalar_rows(sol, surface)
         assert _same_bytes(got.seed_cells, want.seed_cells)
         assert got.dropped == want.dropped
         assert _same_bytes(got.degenerate, want.degenerate)
@@ -792,16 +783,18 @@ class TestSigmaStage:
         # -0.0 only F_u fails, at u = 1 or -1 F fails too, and some
         # derivatives are constants (0-d on the array back end)
         F = parse(text, n=1)
-        system = locus._SigmaSystem(F, diff(F, "u"), 1)
+        F_u, names = diff(F, "u"), var_names(1)
         points = np.random.default_rng(37).uniform(0.5, 2.0, (24, 3))
         points[:4, 2] = -1.0, 0.0, -0.0, 1.0
-        for rows, by_row in ((system.value_rows, helpers.value_rows_by_row),
-                             (system.derivative_rows,
-                              helpers.derivative_rows_by_row)):
-            (got, ok), (want, want_ok) = rows(points), by_row(system, points)
+        for exprs in ([F, F_u], [diff(e, v) for e in (F, F_u) for v in names]):
+            compiled = compile_exprs(exprs, names, arrays=True)
+            (got, ok), (want, want_ok) = (
+                locus._rows(compiled, points),
+                helpers.evaluate_rows(compile_exprs(exprs, names), points,
+                                      len(exprs)))
             assert _same_bytes(got, want) and _same_bytes(ok, want_ok)
             assert ok.any() and not ok.all()
-            empty = rows(points[:0])
+            empty = locus._rows(compiled, points[:0])
             assert empty[0].shape == (0, want.shape[1])
             assert empty[1].shape == (0,)
 
@@ -827,10 +820,10 @@ class TestSigmaStage:
                            want[regular])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_every_exit_in_one_batch(self):
-        stub, centres = StubSigmaSystem(), StubSigmaSystem.CENTRES
+    def test_every_exit_in_one_batch(self, stub_solution):
+        stub, centres = stub_solution, StubForms.CENTRES
         points, ok = locus._polish(stub, centres, STUB_BOX)
-        assert ok.tolist() == StubSigmaSystem.CONVERGES
+        assert ok.tolist() == StubForms.CONVERGES
         want_points, want_ok = helpers.polish_seed_by_seed(stub, centres,
                                                            STUB_BOX)
         assert _same_bytes(ok, want_ok)
@@ -842,9 +835,9 @@ class TestSigmaStage:
         assert solo_ok.tolist() == [True]
         assert _same_bytes(solo[0], points[0])
 
-    def test_degenerate_flags_match_one_svd_per_point(self):
-        stub = StubSigmaSystem()
-        points = StubSigmaSystem.CENTRES + [0.1, 0.0, 0.0]   # off-centre
+    def test_degenerate_flags_match_one_svd_per_point(self, stub_solution):
+        stub = stub_solution
+        points = StubForms.CENTRES + [0.1, 0.0, 0.0]   # off-centre
         flags = locus._degenerate(stub, points)
         assert _same_bytes(flags, helpers.degenerate_point_by_point(stub,
                                                                      points))
@@ -859,12 +852,14 @@ class TestSigmaStage:
         assert ok.tolist() == [True, False]
         assert values[1].tolist() == [0.0, 0.0]
 
-    def test_degenerate_flags_non_finite_jacobians(self):
+    def test_degenerate_flags_non_finite_jacobians(self, solutions):
         # an inf entry must not pass as full rank, nor a NaN one stop the
         # stacked SVD with LinAlgError
         points = np.array([[0.0, 0.0, 0.5], [0.0, 2.0, 0.5],
                            [0.0, -2.0, 0.5], [0.0, 0.5, 0.5]])
-        flags = locus._degenerate(NonFiniteJacobian(), points)
+        _, _, sol = solutions("burgers_reciprocal")
+        flags = locus._degenerate(dataclasses.replace(
+            sol, jacobian_rows=non_finite_jacobian_rows), points)
         assert flags.tolist() == [False, True, True, False]
 
     @pytest.mark.parametrize("length", [1, 7, 5000])
@@ -908,10 +903,14 @@ class TestSigmaStage:
         assert cell_center(axes, cells[:0]).shape == (0, 3)
 
     def test_no_crossing_cells_no_seeds(self):
-        F = parse("u - 10", n=1)
-        surface = extract_surface(F, Box((0.0, 1.0), ((0.0, 1.0),),
-                                         (-1.0, 1.0)), 16)
-        sigma = extract_singular_locus(F, surface)
+        # F = u - 10 has no zero in the surface's box
+        problem, data = make_problem(
+            1, "1", ["u"], "0", "10",
+            Box((0.0, 1.0), ((-1.0, 1.0),), (9.0, 11.0)))
+        _, sol = implicit_solution_for_problem(problem, data)
+        surface = extract_surface(sol.F, Box((0.0, 1.0), ((0.0, 1.0),),
+                                             (-1.0, 1.0)), 16)
+        sigma = extract_singular_locus(sol, surface)
         assert sigma.seed_cells.shape == (0, 3)
         assert sigma.points.shape == (0, 3) and sigma.dropped == 0
 
