@@ -118,7 +118,8 @@ def cmd_domain(args) -> int:
     bundle = load_problem_bundle(args.problem)
     _, sol = _solution(bundle)
     surface = extract_surface(sol.F, bundle.problem.box,
-                              _resolution(args, bundle.problem.n))
+                              _resolution(args, bundle.problem.n),
+                              sol.gamma_samples)
     sigma = extract_singular_locus(sol, surface)
     component = split_component(surface, sigma, sol.gamma_samples)
     dom = maximal_domain(component, sigma)

@@ -98,8 +98,11 @@ def singular_time(law: ConservationLaw, s: float) -> float | None:
 def envelope(law: ConservationLaw, s_range, samples: int) -> EnvelopeCurve:
     """Points (t*(s), x*(s)) with x* = s + g(s) t*, sampled and ordered in s.
 
-    Parameters where t* is undefined are skipped; the curve may be empty.
+    ``samples`` >= 2, both ends of the range included.  Parameters where
+    t* is undefined are skipped; the curve may be empty.
     """
+    if samples < 2:
+        raise ValueError(f"samples must be >= 2, got {samples}")
     lo, hi = float(s_range[0]), float(s_range[1])
     ss, ts, xs = [], [], []
     for s in np.linspace(lo, hi, samples):

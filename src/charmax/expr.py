@@ -28,7 +28,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -664,9 +664,11 @@ def _release(lines: list[str]) -> list[str]:
     return out
 
 
-def evaluate_grid(e: Expr, binding: Mapping[str, np.ndarray]):
+def evaluate_grid(e: Expr | Callable, binding: Mapping[str, np.ndarray]):
     """Evaluate over the arrays of ``binding``, by ``compile``'s array back
-    end.
+    end.  ``e`` is a tree, or what ``compile([tree], names, arrays=True)``
+    returned for the names of ``binding``: a caller that evaluates one
+    tree on many grids compiles it once.
 
     Returns (values, valid), both of the shape the bound arrays broadcast
     to, where valid marks points whose evaluation hit no domain violation
@@ -674,9 +676,10 @@ def evaluate_grid(e: Expr, binding: Mapping[str, np.ndarray]):
     semantics (inf/nan) and must not be trusted.
     """
     shape = np.broadcast_shapes(*map(np.shape, binding.values()))
+    if isinstance(e, Expr):
+        e = compile([e], tuple(binding), arrays=True)
     with np.errstate(all="ignore"):
-        ((vals, bad),) = compile([e], tuple(binding), arrays=True)(
-            *binding.values())
+        ((vals, bad),) = e(*binding.values())
     vals = np.asarray(vals, dtype=float)
     ok = np.isfinite(vals) & ~bad
     return np.broadcast_to(vals, shape), np.broadcast_to(ok, shape)

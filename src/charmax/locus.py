@@ -4,15 +4,23 @@ The zero set of F is discretized over the computational box on a regular
 grid: a cell "crosses" when F changes sign among its corner vertices,
 and adjacency is shared-facet adjacency between crossing cells.  Each
 vertex gets a sign code and each cell the OR of its corners' codes,
-reduced one axis at a time.  For point-cloud dumps only, the surface is
+reduced one axis at a time.  F and F_u are evaluated tile by tile, each
+tile on its own sparse axes, so that a subtree in fewer variables is
+evaluated on fewer points and a tile's values are the whole grid's.
+Asked for every tile (``singular``), the surface evaluates the whole grid
+as one tile.  Given the initial set (``domain``), it evaluates only the
+tiles of TILE cells per axis that the initial set's flood reaches: the
+flood holds the cells it reaches in tiles not yet evaluated, and when
+it has no other cell left, one call evaluates all their tiles, and the
+flood resumes from them.  For point-cloud dumps only, the surface is
 also given as the zero of F on each cut edge of the crossing cells (the
 square's sides in the plane case, the edges of the cube's six Kuhn
 tetrahedra in the space case), found for all edges in one pass; these
 are the vertices of the linear pieces inside the cells.
 
 The singular locus is the subset of the surface where F_u vanishes too.
-Crossing cells where F_u changes sign too, by the same sign codes with
-F_u taken only at their corners, seed a damped Newton polish that runs
+Crossing cells where F_u changes sign too, by the same sign codes, found
+with the surface on its tiles, seed a damped Newton polish that runs
 all seeds in lockstep on compile's array back end; the polished points
 are thinned to one per cell diagonal, and in the space case ordered into
 polylines by pseudo-arclength continuation along the curve.  All of it
@@ -24,12 +32,15 @@ points are bit for bit those of an all-numpy trace.
 
 Splitting off the connected component of the initial set is a
 breadth-first flood fill over cell adjacency with singular cells removed.
-It is a loop over the levels of the search: a level of many cells is
-expanded in one numpy step, a level of a few cells cell by cell, and
-both produce the next level in the order of a one-cell-at-a-time queue.
-The breadth-first tree, where it is asked for, is derived after the
-search: a cell's parent is its neighbour that comes first in
-breadth-first order.  The grid helpers here (cell lookup, cell centres,
+The flood that chose the tiles is cut at the seed cells; it is the
+component unless a cell of a polished sigma point or polyline lies in
+it, and only then is the component flooded again.  The flood is a loop
+over the levels of the search: a level of many cells is expanded in one
+numpy step, a level of a few cells cell by cell, and both produce the
+next level in the order of a one-cell-at-a-time queue.  The
+breadth-first tree, where it is asked for, is derived after the search:
+a cell's parent is its neighbour that comes first in breadth-first
+order.  The grid helpers here (cell lookup, cell centres,
 mask to index list by one flat scan, flood fill) serve the base-space
 mask as well.
 """
@@ -41,7 +52,8 @@ from itertools import product
 
 import numpy as np
 
-from .expr import EvalDomainError, Expr, evaluate_grid, output_rows, var_names
+from .expr import (EvalDomainError, Expr, compile, diff, evaluate_grid,
+                   output_rows, var_names)
 from .integrals import ImplicitSolution
 from .problem import Box
 
@@ -53,6 +65,10 @@ MIN_RESOLUTION = 16
 # cell-by-cell loop and the numpy step cost the same at about 26 cells a
 # level in 3-D and 35 in 2-D
 _LEVEL_CROSSOVER = 32
+# cells per tile axis, by grid dimension, of the tiles extract_surface
+# evaluates as the initial set's flood reaches them: of the sizes tried on
+# the bundled problems, the fastest for their `domain` runs
+TILE = {2: 128, 3: 16}
 
 
 class ResolutionError(Exception):
@@ -64,9 +80,11 @@ class LevelSurface:
     box: Box
     resolution: int
     axes: tuple[np.ndarray, ...]       # vertex coordinates per axis
-    values: np.ndarray                 # F at vertices
+    values: np.ndarray | None          # F at vertices (whole grid only)
     crossing: np.ndarray               # cell-shaped bool mask
     excluded_cells: np.ndarray         # cells dropped for invalid vertices
+    seed_cells: np.ndarray | None = None   # (j, dim) sigma seed cells
+    reached: np.ndarray | None = None  # cell mask of the seed-cut flood
 
     @property
     def dim(self) -> int:
@@ -126,23 +144,72 @@ def _sign_codes(values: np.ndarray, valid: np.ndarray) -> np.ndarray:
 
 
 def _cell_or(code: np.ndarray, dim: int) -> np.ndarray:
-    """Per cell, the OR of its corner codes, one axis at a time."""
-    for axis in range(dim):
-        at = (slice(None),) * axis
-        code = code[at + (slice(None, -1),)] | code[at + (slice(1, None),)]
+    """Per cell, the OR of its corner codes, one axis at a time over the
+    last ``dim`` axes (a leading axis numbers tiles); an axis of length 1
+    stands for codes that do not change along it, and stays."""
+    for axis in range(code.ndim - dim, code.ndim):
+        if code.shape[axis] > 1:
+            at = (slice(None),) * axis
+            code = code[at + (slice(None, -1),)] | code[at + (slice(1, None),)]
     return code
 
 
 def _classify_cells(values: np.ndarray, valid: np.ndarray, dim: int):
     """Masks over cells: all corners valid, and both F signs present
     (a vertex value of exactly zero counts as positive), from the cells'
-    OR of the vertex sign codes."""
-    code = _cell_or(_sign_codes(values, valid), dim)
+    OR of the vertex sign codes.  Along an axis where both arrays are
+    broadcast (stride 0, as ``evaluate_grid`` returns a tree that does not
+    depend on that axis's variable) the codes are taken at one vertex."""
+    lead = values.ndim - dim
+    at = tuple(slice(None) if axis < lead or values.strides[axis]
+               or valid.strides[axis] else slice(0, 1)
+               for axis in range(values.ndim))
+    code = _cell_or(_sign_codes(values[at], valid[at]), dim)
+    code = np.broadcast_to(code, values.shape[:lead]
+                           + tuple(k - 1 for k in values.shape[lead:]))
     return code == 3, code < 4
 
 
-def extract_surface(F: Expr, box: Box, resolution: int) -> LevelSurface:
-    """Find all sign-crossing cells of F over the box.
+def _evaluate_tiles(F, F_u, axes, origins: np.ndarray, size: int):
+    """F and F_u, both compiled for the array back end, at the vertices of
+    the tiles of ``size`` cells per axis whose first cells are the rows of
+    the (k, dim) ``origins``.  One ``evaluate_grid`` call each, on sparse
+    (k, 1, .., size + 1, .., 1) axes per tile, so that a subtree in fewer
+    variables is evaluated on fewer points.  Returns F's (k, size + 1, ..)
+    values and valid masks, and the tiles' (k, size, ..) masks of the
+    crossing cells, of the cells with all corners valid, and of the seed
+    cells: the crossing cells where F_u changes sign too, by the same
+    rule."""
+    k, dim = origins.shape
+    ticks = np.arange(size + 1)
+    coords = [ax[origins[:, a, None] + ticks].reshape(
+                  (k,) + tuple(size + 1 if b == a else 1 for b in range(dim)))
+              for a, ax in enumerate(axes)]
+    binding = dict(zip(var_names(dim - 2), coords))
+    values, valid = evaluate_grid(F, binding)
+    crossing, all_ok = _classify_cells(values, valid, dim)
+    seeds = crossing & _classify_cells(*evaluate_grid(F_u, binding), dim)[0]
+    return values, valid, crossing, all_ok, seeds
+
+
+def extract_surface(F: Expr, box: Box, resolution: int,
+                    gamma=None) -> LevelSurface:
+    """Find the sign-crossing cells of F over the box, and among them the
+    sigma seed cells, where F_u changes sign too.
+
+    F and F_u = dF/du are evaluated tile by tile by ``_evaluate_tiles``,
+    each compiled once.  Without ``gamma`` every tile is evaluated, the
+    whole grid as one tile, and the surface keeps F's vertex values (for
+    ``patch_vertices``).  With the (m, dim) initial-set samples ``gamma``
+    the tiles have TILE cells per axis (a last tile that does not fit
+    starts at ``resolution - TILE``, overlapping its neighbour), and only
+    those are evaluated that the flood of the crossing cells from the
+    cells holding the samples, cut at the seed cells, reaches: ``flood``
+    holds the cells it reaches in tiles not yet evaluated, and when it has
+    no other cell left evaluates all their tiles in one call and resumes
+    from them.  That flood is the surface's ``reached`` mask, which
+    ``split_component`` takes as the component where no sigma point cuts
+    it; the masks and cell lists hold the evaluated tiles only.
 
     Vertices where F fails to evaluate are marked invalid; their incident
     cells are excluded from the surface and reported.
@@ -154,12 +221,43 @@ def extract_surface(F: Expr, box: Box, resolution: int) -> LevelSurface:
         raise NotImplementedError("surface extraction is implemented for "
                                   "n in {0, 1}")
     dim = n + 2
+    names = var_names(n)
     axes = tuple(np.linspace(lo, hi, resolution + 1) for lo, hi in box.ranges)
-    grids = np.meshgrid(*axes, indexing="ij", sparse=True)
-    values, valid = evaluate_grid(F, dict(zip(var_names(n), grids)))
-    crossing, all_ok = _classify_cells(values, valid, dim)
-    return LevelSurface(box, resolution, axes, values, crossing,
-                        cell_indices(~all_ok))
+    F_grid = compile([F], names, arrays=True)
+    F_u_grid = compile([diff(F, "u")], names, arrays=True)
+    size = resolution if gamma is None else min(TILE[dim], resolution)
+    tiles = (-(-resolution // size),) * dim
+    cells = (resolution,) * dim
+    crossing = np.zeros(cells, dtype=bool)
+    excluded = np.zeros(cells, dtype=bool)
+    seeds = np.zeros(cells, dtype=bool)
+    values = reached = None     # the last tiles' F; the flood's mask
+
+    def reveal(held: np.ndarray) -> list:
+        """Evaluate F and F_u on the tiles of the (m, dim) held cells, mark
+        their crossing, excluded and seed cells, and return each tile's
+        first cell with its cells that the flood may enter: crossing and
+        not seeds."""
+        nonlocal values
+        index = np.minimum(held // size, np.array(tiles) - 1)
+        index = np.unique(np.ravel_multi_index(index.T, tiles))
+        origins = np.minimum(np.transpose(np.unravel_index(index, tiles))
+                             * size, resolution - size)
+        values, _, cross, all_ok, seed = _evaluate_tiles(
+            F_grid, F_u_grid, axes, origins, size)
+        for origin, c, bad, s in zip(origins.tolist(), cross, ~all_ok, seed):
+            at = tuple(slice(i, i + size) for i in origin)
+            crossing[at], excluded[at], seeds[at] = c, bad, s
+        return list(zip(origins.tolist(), cross & ~seed))
+
+    if gamma is None:
+        reveal(np.zeros((1, dim), dtype=int))
+    else:
+        reached = flood(np.broadcast_to(True, cells),
+                        _cells_touching(axes, gamma)[0], reveal=reveal)
+    return LevelSurface(box, resolution, axes,
+                        values[0] if gamma is None else None, crossing,
+                        cell_indices(excluded), cell_indices(seeds), reached)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +292,7 @@ def cell_center(axes, cell) -> np.ndarray:
                      for ax, i in zip(axes, np.moveaxis(cell, -1, 0))], axis=-1)
 
 
-def flood(mask: np.ndarray, seeds, parents: bool = False):
+def flood(mask: np.ndarray, seeds, parents: bool = False, reveal=None):
     """Cells of ``mask`` facet-connected to the seed cells that lie in it.
 
     Breadth-first from the seeds in the order given, a cell's neighbours
@@ -213,33 +311,58 @@ def flood(mask: np.ndarray, seeds, parents: bool = False):
     levels of one or two cells).  The parents come after the search: a
     cell is queued while its earliest-queued neighbour is expanded, so
     its parent is the neighbour that comes first in breadth-first order.
+
+    With ``reveal`` the cells of ``mask`` are not known yet: the search
+    holds every cell it reaches there instead of expanding it.  When no
+    other cell is left, it calls ``reveal`` with the (m, ndim) held cells,
+    which returns (first cell, block) pairs that make known the blocks of
+    cells starting at those first cells, True where a cell is in the
+    mask; every held cell must lie in a block.  The search then resumes
+    from the held cells in the mask, one level for all, so only the
+    reached mask, not the parents, is meaningful then.
     """
     # a False rim stops the search at the grid edge, so flat-index
     # neighbours never wrap around an axis; one byte per cell, so the
     # array's byte strides are its flat-index strides.  Both branches read
-    # and write the same bytes: the loop as bytes and bytearray, the numpy
-    # step through views of them.
+    # and write the same bytes: the loop as bytearrays, the numpy step
+    # through views of them.
     padded = np.pad(np.asarray(mask, dtype=bool), 1)
-    inside = padded.tobytes()
+    inside = bytearray(padded)
     reached = bytearray(len(inside))
-    inside_view = np.frombuffer(inside, dtype=bool)
-    reached_view = np.frombuffer(reached, dtype=bool)
+    hidden = bytearray(inside if reveal is not None else len(inside))
+    inside_view, reached_view, hidden_view = (
+        np.frombuffer(b, dtype=bool) for b in (inside, reached, hidden))
     offsets = [d for stride in padded.strides for d in (-stride, stride)]
     steps = np.array(offsets)
     seeds = np.asarray(seeds, dtype=np.intp).reshape(-1, padded.ndim) + 1
-    level = []
+    level, held = [], []
     for i in np.ravel_multi_index(seeds.T, padded.shape).tolist():
         if inside[i] and not reached[i]:
             reached[i] = 1
-            level.append(i)
+            (held if hidden[i] else level).append(i)
     levels = [level]
-    while len(level):
+    while len(level) or held:
+        if not len(level):
+            cells = np.transpose(np.unravel_index(held, padded.shape)) - 1
+            for first, block in reveal(cells):
+                at = tuple(slice(i + 1, i + 1 + k)
+                           for i, k in zip(first, block.shape))
+                inside_view.reshape(padded.shape)[at] = block
+                hidden_view.reshape(padded.shape)[at] = False
+            held = np.asarray(held)
+            into = inside_view[held]
+            reached_view[held[~into]] = False
+            level, held = held[into].tolist(), []
         if len(level) >= _LEVEL_CROSSOVER:
             near = (np.asarray(level)[:, None] + steps).ravel()
             fresh = np.flatnonzero(inside_view[near] & ~reached_view[near])
             first = np.unique(near[fresh], return_index=True)[1]
             level = near[fresh[np.sort(first)]]
             reached_view[level] = True
+            if reveal is not None:
+                hold = hidden_view[level]
+                held += level[hold].tolist()
+                level = level[~hold]
             if len(level) < _LEVEL_CROSSOVER:
                 level = level.tolist()   # Python ints for the loop
         else:
@@ -249,7 +372,7 @@ def flood(mask: np.ndarray, seeds, parents: bool = False):
                     j = i + d
                     if inside[j] and not reached[j]:
                         reached[j] = 1
-                        level.append(j)
+                        (held if hidden[j] else level).append(j)
         levels.append(level)
     if parents:
         order, run = [], []
@@ -340,27 +463,6 @@ def _tangent(sol: ImplicitSolution, point):
     if norm == 0.0 or not np.isfinite(norm):
         return None
     return t / norm
-
-
-def _seed_cells(F_u: Expr, surface: LevelSurface) -> np.ndarray:
-    """The crossing cells where F_u changes sign too, by the rule of
-    ``_classify_cells``, with F_u evaluated only at the corners of the
-    crossing cells: the vertices the crossing mask reaches when grown by
-    one vertex along each axis in turn, in flat order."""
-    corner = surface.crossing
-    for axis in range(surface.dim):
-        pad = [(0, int(a == axis)) for a in range(surface.dim)]
-        grown = np.pad(corner, pad)
-        grown[(slice(None),) * axis + (slice(1, None),)] |= corner
-        corner = grown
-    flat = np.flatnonzero(corner)
-    coords = [ax[i] for ax, i in zip(surface.axes,
-                                     np.unravel_index(flat, corner.shape))]
-    values, valid = evaluate_grid(F_u, dict(zip(var_names(surface.dim - 2),
-                                                coords)))
-    code = np.zeros(corner.shape, dtype=np.uint8)
-    code.flat[flat] = _sign_codes(values, valid)
-    return cell_indices(surface.crossing & (_cell_or(code, surface.dim) == 3))
 
 
 def _squared_norms(v: np.ndarray) -> np.ndarray:
@@ -555,8 +657,8 @@ def extract_singular_locus(sol: ImplicitSolution,
                            surface: LevelSurface) -> SingularLocus:
     """Refine the set {F = 0, F_u = 0} from cells where both sign-change.
 
-    The seeds are the crossing cells where F_u, evaluated at the corners of
-    the crossing cells only, changes sign too.  All seeds are polished in
+    The seeds are the surface's seed cells, the crossing cells where F_u
+    changes sign too, on the tiles it evaluated.  All seeds are polished in
     lockstep by damped Newton on the square system from their cell centres
     (in the plane case in (t, u); in the space case in the two coordinates
     across the solution curve, with the along-curve coordinate frozen).
@@ -567,7 +669,7 @@ def extract_singular_locus(sol: ImplicitSolution,
     nor ``jacobian_rows`` is compiled.
     """
     n = surface.dim - 2
-    seed_cells = _seed_cells(sol.F_u, surface)
+    seed_cells = surface.seed_cells
     if not len(seed_cells):
         return SingularLocus(np.zeros((0, surface.dim)),
                              np.zeros(0, dtype=bool), [], seed_cells, 0)
@@ -607,45 +709,62 @@ def extract_singular_locus(sol: ImplicitSolution,
 # ---------------------------------------------------------------------------
 # Component of the initial set
 
-def _cells_touching(axes, point) -> list[tuple]:
-    """All cells whose closed region contains the point (a point on a
-    vertex plane belongs to both neighbors)."""
-    choices = []
-    for ax, v, i in zip(axes, point, cell_of(axes, point)):
-        frac = (v - ax[0]) / (ax[1] - ax[0])
-        opts = {i}
-        if abs(frac - round(frac)) < 1e-9:
-            j = int(round(frac))
-            opts.update(c for c in (j - 1, j) if 0 <= c <= len(ax) - 2)
-        choices.append(sorted(opts))
-    return list(product(*choices))
+def _cells_touching(axes, points):
+    """The cells whose closed region holds a row of the (m, dim)
+    ``points`` (a point on a vertex plane belongs to both neighbours):
+    the (j, dim) cells, row by row and in lexicographic order within a
+    row, and the (j,) row each belongs to."""
+    points = np.asarray(points, dtype=float).reshape(-1, len(axes))
+    lo = np.array([ax[0] for ax in axes])
+    step = np.array([ax[1] - ax[0] for ax in axes])
+    top = np.array([len(ax) - 2 for ax in axes])
+    cell = cell_of(axes, points)
+    frac = (points - lo) / step
+    plane = np.round(frac)
+    on = np.abs(frac - plane) < 1e-9
+    low = np.where(on, np.clip(plane - 1, 0, top), cell).astype(int)
+    high = np.where(on, np.clip(plane, 0, top), cell).astype(int)
+    cells = low[:, None] + np.array(list(product((0, 1), repeat=len(axes))))
+    row, corner = np.nonzero((cells <= high[:, None]).all(axis=2))
+    return cells[row, corner], row
 
 
 def split_component(surface: LevelSurface, sigma: SingularLocus,
                     gamma) -> SurfaceComponent:
     """Flood-fill the crossing cells from the initial-set cells, with
     singular cells removed first: the sigma seed cells and the cells of
-    the polished sigma points and polylines."""
+    the polished sigma points and polylines.
+
+    A surface with a ``reached`` mask, the flood from the initial set cut
+    at the seed cells alone, is flooded again only where a cell of a sigma
+    point or polyline lies in that mask; otherwise the mask is the
+    component, as the same flood with more cells removed outside it reaches
+    the same cells.  A surface evaluated on every tile is always flooded
+    here."""
     sigma_cells = np.zeros_like(surface.crossing)
     sigma_cells[tuple(sigma.seed_cells.T)] = True
-    on_sigma = np.vstack([sigma.points, *sigma.polylines])
-    sigma_cells[tuple(cell_of(surface.axes, on_sigma).T)] = True
+    on_sigma = cell_of(surface.axes, np.vstack([sigma.points,
+                                                *sigma.polylines]))
+    sigma_cells[tuple(on_sigma.T)] = True
 
-    gamma_cells = []
-    for sample in np.asarray(gamma, dtype=float):
-        cands = [c for c in _cells_touching(surface.axes, sample)
-                 if surface.crossing[c]]
-        if not cands:
-            raise ResolutionError(
-                f"initial-set sample {sample.tolist()} lies in no crossing "
-                "cell; increase the resolution")
-        gamma_cells.extend(cands)
+    gamma = np.asarray(gamma, dtype=float).reshape(-1, surface.dim)
+    cells, row = _cells_touching(surface.axes, gamma)
+    crossing = surface.crossing[tuple(cells.T)]
+    missing = np.setdiff1d(np.arange(len(gamma)), row[crossing])
+    if len(missing):
+        raise ResolutionError(
+            f"initial-set sample {gamma[missing[0]].tolist()} lies in no "
+            "crossing cell; increase the resolution")
+    gamma_cells = [tuple(c) for c in cells[crossing].tolist()]
 
     frontier = [c for c in gamma_cells if not sigma_cells[c]]
     if not frontier:
         raise ResolutionError(
             "all initial-set cells are singular at this resolution")
-    mask = flood(surface.crossing & ~sigma_cells, frontier)
+    if surface.reached is None or surface.reached[tuple(on_sigma.T)].any():
+        mask = flood(surface.crossing & ~sigma_cells, frontier)
+    else:
+        mask = surface.reached
     return SurfaceComponent(surface, mask, list(dict.fromkeys(gamma_cells)),
                             sigma_cells)
 

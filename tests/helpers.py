@@ -11,16 +11,16 @@ import pytest
 
 import charmax
 from charmax import domain, integrals, locus
-from charmax.domain import contains, maximal_domain
+from charmax.domain import ProjectionError, contains, maximal_domain
 from charmax.expr import (Binary, Const, EvalDomainError, Unary, Var, diff,
                           evaluate, evaluate_grid, var_names, variables)
 from charmax.expr import compile as compile_exprs
 from charmax.integrals import (ImplicitSolutionError, apply_field,
                                implicit_solution_for_problem)
-from charmax.locus import (LevelSurface, SurfaceComponent, _classify_cells,
-                           cell_of, extract_singular_locus, extract_surface,
-                           split_component)
-from charmax.problem import load_problem_bundle
+from charmax.locus import (LevelSurface, ResolutionError, SurfaceComponent,
+                           _classify_cells, cell_of, extract_singular_locus,
+                           extract_surface, split_component)
+from charmax.problem import Box, load_problem_bundle, make_problem
 
 EXAMPLES = ("ode_quadratic", "circular", "burgers_ramp", "burgers_reciprocal")
 
@@ -44,6 +44,59 @@ def pipeline(name: str, resolution: int):
     component = split_component(surface, sigma, sol.gamma_samples)
     dom = maximal_domain(component, sigma)
     return b, sol, surface, sigma, component, dom
+
+
+def domain_on_tiles(problem, sol, resolution: int, tiled: bool):
+    """The grid pipeline of `charmax domain` at ``resolution``, on the
+    tiles that the initial set's flood reaches (``tiled``) or on the whole
+    grid: (domain, sigma), or the ResolutionError or ProjectionError it
+    raised, as text."""
+    try:
+        surface = extract_surface(sol.F, problem.box, resolution,
+                                  sol.gamma_samples if tiled else None)
+        sigma = extract_singular_locus(sol, surface)
+        component = split_component(surface, sigma, sol.gamma_samples)
+        return maximal_domain(component, sigma), sigma
+    except (ResolutionError, ProjectionError) as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def assert_same_domain(got, want, fold_tol=1e-12):
+    """Two results of domain_on_tiles: the same error, or the same mask,
+    summary numbers, boundary kinds and window points, byte for byte, and
+    fold points within ``fold_tol``."""
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    (dom, sigma), (ref, ref_sigma) = got, want
+    assert dom.mask.tobytes() == ref.mask.tobytes()
+    assert dom.mask_area() == ref.mask_area()
+    assert len(sigma.points) == len(ref_sigma.points)
+    assert [(b.kind, b.points.shape) for b in dom.boundary] == [
+        (b.kind, b.points.shape) for b in ref.boundary]
+    for line, ref_line in zip(dom.boundary, ref.boundary):
+        if line.kind == "window":
+            assert line.points.tobytes() == ref_line.points.tobytes()
+        else:
+            assert np.abs(line.points - ref_line.points).max(
+                initial=0.0) <= fold_tol
+
+
+# u_t + a(u) u_x = 0, u(0, x) = h(x) on x in [-1.5, 1.5], in the box
+# t in [-0.5, 1], x in [-2, 2], u in [-3, 3]
+GENERATED_LAWS = [(a, h) for a in ("u", "u^2", "u^3/3", "exp(u)", "sin(u)",
+                                   "u + 0.5*u^2")
+                  for h in ("x", "1/(x+3)", "sin(x)", "exp(-x^2)", "0.5*x^3",
+                            "log(x+3)", "sqrt(x+3)")]
+
+
+def generated_law(a: str, h: str):
+    """(problem, solution) of one of GENERATED_LAWS."""
+    problem, data = make_problem(
+        1, "1", [a], "0", h, Box((-0.5, 1.0), ((-2.0, 2.0),), (-3.0, 3.0)),
+        s_range=((-1.5, 1.5),))
+    _, sol = implicit_solution_for_problem(problem, data)
+    return problem, sol
 
 
 def binding_at(point, n: int) -> dict[str, float]:
@@ -79,6 +132,21 @@ def fold_discriminant(F, point, displacement) -> float:
     fu = evaluate(F_u, b)
     fuu = evaluate(F_uu, b)
     return fu * fu - 2.0 * fv * fuu
+
+
+def cells_touching_point_by_point(axes, point) -> list[tuple]:
+    """Reference for locus._cells_touching, one point at a time: all cells
+    whose closed region contains the point (a point on a vertex plane
+    belongs to both neighbours), in lexicographic order."""
+    choices = []
+    for ax, v, i in zip(axes, point, cell_of(axes, point)):
+        frac = (v - ax[0]) / (ax[1] - ax[0])
+        opts = {i}
+        if abs(frac - round(frac)) < 1e-9:
+            j = int(round(frac))
+            opts.update(c for c in (j - 1, j) if 0 <= c <= len(ax) - 2)
+        choices.append(sorted(opts))
+    return list(product(*choices))
 
 
 def sigma_cells_oracle(surface, sigma) -> set:
@@ -194,8 +262,9 @@ def classify_cells_by_corners(values, valid, dim):
 
 
 def seed_cells_by_grid(F_u, surface):
-    """Reference for locus._seed_cells: F_u on every grid vertex, and the
-    crossing cells where it changes sign by classify_cells_by_corners."""
+    """Reference for the seed cells of locus.extract_surface: F_u on every
+    grid vertex, and the crossing cells where it changes sign by
+    classify_cells_by_corners."""
     grids = np.meshgrid(*surface.axes, indexing="ij", sparse=True)
     values, valid = evaluate_grid(F_u, dict(zip(var_names(surface.dim - 2),
                                                 grids)))
@@ -204,8 +273,9 @@ def seed_cells_by_grid(F_u, surface):
 
 
 def seed_cells_by_unique(F_u, surface):
-    """Reference for locus._seed_cells: F_u at the distinct corners of the
-    crossing cells by np.unique, gathered back onto (k, 8) corners."""
+    """Reference for the seed cells of locus.extract_surface: F_u at the
+    distinct corners of the crossing cells by np.unique, gathered back
+    onto (k, 8) corners."""
     cells = np.argwhere(surface.crossing)
     shape = surface.values.shape
     offsets = np.array(list(product((0, 1), repeat=surface.dim)))
@@ -432,12 +502,13 @@ def near_line_point_by_point(points, line, diag):
 
 
 def singular_locus_by_seed(sol, surface):
-    """extract_singular_locus with its seeds, polish, rank check, tangent,
-    trace and sweep of the traced points replaced by the references
-    above: the polish and the rank check one seed at a time on the array
-    back end, the tangent and the trace on the scalar one."""
+    """extract_singular_locus with the surface's seeds, polish, rank
+    check, tangent, trace and sweep of the traced points replaced by the
+    references above: the polish and the rank check one seed at a time on
+    the array back end, the tangent and the trace on the scalar one."""
+    surface = dataclasses.replace(
+        surface, seed_cells=seed_cells_by_grid(sol.F_u, surface))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(locus, "_seed_cells", seed_cells_by_grid)
         patch.setattr(locus, "_polish", polish_seed_by_seed)
         patch.setattr(locus, "_degenerate", degenerate_point_by_point)
         patch.setattr(locus, "_tangent", tangent_by_numpy)

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 import helpers
 from charmax import locus
 from charmax.domain import MaximalDomain
-from charmax.expr import EvalDomainError, diff, evaluate, parse, var_names
+from charmax.expr import (EvalDomainError, diff, evaluate, evaluate_grid, parse,
+                          var_names)
 from charmax.expr import compile as compile_exprs
 from charmax.integrals import implicit_solution_for_problem
 from charmax.locus import (ResolutionError, _cells_touching, cell_center,
@@ -69,8 +70,8 @@ class TestExtractSurface:
         _, sol, surf, _, _, _ = pipelines("circular", 48)
         assert len(surf.cells) > 0
         # every crossing cell holds at least a triangle's worth of points
-        held = Counter(c for p in patch_vertices(surf).tolist()
-                       for c in _cells_touching(surf.axes, p))
+        held = Counter(map(tuple, _cells_touching(
+            surf.axes, patch_vertices(surf))[0].tolist()))
         assert min(held[tuple(c)] for c in surf.cells.tolist()) >= 3
 
     def test_patch_linear_interp_bound(self, pipelines):
@@ -475,6 +476,29 @@ def flood_seeds(mask, count, seed):
     return [tuple(int(i) for i in c) for c in seeds]
 
 
+def block_reveal(mask, size, revealed):
+    """A ``reveal`` for flood that makes ``mask`` known in blocks of
+    ``size`` cells per axis (fewer on a shorter axis, the last block of an
+    axis ending at its edge), as extract_surface's tiles; the first cell of
+    each block it returns is appended to ``revealed``."""
+    shape = np.array(mask.shape)
+    size = np.minimum(size, shape)
+    last = -(-shape // size) - 1
+
+    def reveal(cells):
+        assert len(cells) and mask.ndim == cells.shape[1]
+        firsts = np.minimum(np.minimum(cells // size, last) * size,
+                            shape - size)
+        blocks = []
+        for first in dict.fromkeys(map(tuple, firsts.tolist())):
+            revealed.append(first)
+            blocks.append((first, mask[tuple(slice(i, i + k) for i, k in
+                                             zip(first, size))]))
+        return blocks
+
+    return reveal
+
+
 def check_flood(mask, seeds):
     """flood against the one-queue reference helpers.flood_by_queue: the
     same mask, and the same parents dict in the same order.  Returns the
@@ -566,6 +590,26 @@ class TestFlood:
         assert not flood(mask, [(1, 1), (-1, 4)]).any()
         assert flood(mask, [], parents=True) == {}
 
+    @given(dim=st.integers(1, 3),
+           kind=st.sampled_from(["random", "one", "full", "empty",
+                                 "serpentine", "ball"]),
+           seed=st.integers(0, 2**32 - 1), count=st.integers(0, 48),
+           size=st.integers(1, 9))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_reveal_matches_the_known_mask(self, dim, kind, seed, count,
+                                           size):
+        rng = np.random.default_rng(seed)
+        top = {1: 90, 2: 64, 3: 16}[dim]
+        shape = tuple(int(v) for v in rng.integers(1, top + 1, dim))
+        mask = flood_mask(kind, shape, seed)
+        seeds = flood_seeds(mask, count, seed)
+        revealed = []
+        got = flood(np.ones(shape, dtype=bool), seeds,
+                    reveal=block_reveal(mask, size, revealed))
+        assert np.array_equal(got, flood(mask, seeds))
+        # every block is asked for once, and only for a cell it holds
+        assert len(revealed) == len(set(revealed))
+
 
 class TestCellOf:
     def test_array_of_points_matches_scalar_calls(self):
@@ -579,6 +623,22 @@ class TestCellOf:
         assert [tuple(c) for c in cells.tolist()] == [cell_of(axes, p)
                                                      for p in points]
         assert cell_of(axes, points[:0]).shape == (0, 3)
+
+    def test_cells_touching_match_the_point_loop(self):
+        axes = (np.linspace(-1.0, 2.0, 13), np.linspace(0.0, 1.0, 9),
+                np.linspace(-3.0, 3.0, 17))
+        rng = np.random.default_rng(6)
+        points = rng.uniform([-1.5, -0.2, -3.5], [2.5, 1.2, 3.5], (300, 3))
+        for a, ax in enumerate(axes):     # on vertex planes, edges included
+            on = rng.random(300) < 0.4
+            points[on, a] = ax[rng.integers(0, len(ax), on.sum())]
+        points[:2] = [ax[0] for ax in axes], [ax[-1] for ax in axes]
+        cells, row = _cells_touching(axes, points)
+        assert [(r, tuple(c)) for r, c in zip(row.tolist(),
+                                              cells.tolist())] == [
+            (r, c) for r, p in enumerate(points)
+            for c in helpers.cells_touching_point_by_point(axes, p)]
+        assert (np.bincount(row, minlength=300) > 1).sum() > 100
 
     def test_off_grid_without_clamp(self):
         # cell_of clamps; the tests' mask lookup puts off-grid points,
@@ -942,6 +1002,29 @@ class TestCellReductions:
         if sign is not None:
             assert not got[0].any()
 
+    @given(shape=st.lists(st.integers(2, 5), min_size=2, max_size=4),
+           seed=st.integers(0, 2**32 - 1), lead=st.integers(0, 1),
+           invalid=st.sampled_from([0.0, 0.2]))
+    @settings(max_examples=200, deadline=None)
+    def test_broadcast_axes_match_the_corner_loop(self, shape, seed, lead,
+                                                  invalid):
+        # evaluate_grid returns a tree that does not depend on a variable
+        # as a view of stride 0 along its axis; the validity may still
+        # change there, or be broadcast along other axes
+        rng = np.random.default_rng(seed)
+        dim = len(shape) - lead
+        kept, kept_ok = (rng.random(len(shape)) < 0.5 for _ in range(2))
+        values = rng.standard_normal(np.where(kept, shape, 1))
+        valid = rng.random(np.where(kept_ok, shape, 1)) >= invalid
+        values, valid = (np.broadcast_to(a, shape) for a in (values, valid))
+        got = locus._classify_cells(values, valid, dim)
+        for k, ref in enumerate(zip(*(
+                helpers.classify_cells_by_corners(v, ok, dim)
+                for v, ok in zip(values.reshape((-1,) + values.shape[lead:]),
+                                 valid.reshape((-1,) + valid.shape[lead:]))))):
+            want = np.reshape(ref, got[k].shape)
+            assert _same_bytes(np.ascontiguousarray(got[k]), want)
+
     def test_classification_of_the_smallest_grids(self):
         for dim in (2, 3):
             for corners in ([0.0] * 2 ** dim, [-0.0] * 2 ** dim,
@@ -1014,7 +1097,131 @@ class TestCellReductions:
                                                 sigma_problem):
         b, sol = sigma_problem(name)
         surface = extract_surface(sol.F, b.problem.box, resolution)
-        F_u = diff(sol.F, "u")
-        got = locus._seed_cells(F_u, surface)
-        assert _same_bytes(got, helpers.seed_cells_by_unique(F_u, surface))
+        got = surface.seed_cells
+        assert _same_bytes(got, helpers.seed_cells_by_unique(
+            diff(sol.F, "u"), surface))
         assert len(got) or name == "ode_quadratic"
+
+
+class TestTiles:
+    """extract_surface with the initial samples evaluates only the tiles
+    that the flood from them reaches.  On each of those tiles it finds
+    what the whole grid finds, bit for bit: numpy's SIMD and strided loops
+    may round an element differently, and this would show it."""
+
+    @pytest.mark.parametrize("name, resolution", [
+        (name, r) for name in ("circular", "burgers_ramp", "burgers_reciprocal")
+        for r in (128, 100)] + [("ode_quadratic", 1024), ("ode_quadratic", 300)])
+    def test_tiles_match_the_whole_grid(self, name, resolution, solutions):
+        b, _, sol = solutions(name)
+        evaluate_tiles, calls = locus._evaluate_tiles, []
+
+        def recording(*args):
+            calls.append((*args[3:], evaluate_tiles(*args)))
+            return calls[-1][-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(locus, "_evaluate_tiles", recording)
+            tiled = extract_surface(sol.F, b.problem.box, resolution,
+                                    sol.gamma_samples)
+        full = extract_surface(sol.F, b.problem.box, resolution)
+        grids = np.meshgrid(*full.axes, indexing="ij", sparse=True)
+        values, valid = evaluate_grid(sol.F, dict(zip(var_names(sol.n),
+                                                      grids)))
+        seeds = np.zeros_like(full.crossing)
+        seeds[tuple(helpers.seed_cells_by_unique(sol.F_u, full).T)] = True
+        excluded = np.zeros_like(full.crossing)
+        excluded[tuple(full.excluded_cells.T)] = True
+        size = min(locus.TILE[full.dim], resolution)
+        covered = np.zeros_like(full.crossing)
+        origins = np.vstack([origins for origins, *_ in calls])
+        for origins, tile, (v, ok, crossing, all_ok, seed) in calls:
+            assert tile == size
+            for k, first in enumerate(origins.tolist()):
+                vertices = tuple(slice(i, i + size + 1) for i in first)
+                cells = tuple(slice(i, i + size) for i in first)
+                assert _same_bytes(v[k], values[vertices])
+                assert _same_bytes(ok[k], valid[vertices])
+                assert _same_bytes(crossing[k], full.crossing[cells])
+                assert _same_bytes(~all_ok[k], excluded[cells])
+                assert _same_bytes(seed[k], seeds[cells])
+                covered[cells] = True
+        assert _same_bytes(tiled.crossing, full.crossing & covered)
+        assert _same_bytes(tiled.seed_cells, cell_indices(seeds & covered))
+        assert _same_bytes(tiled.excluded_cells,
+                           cell_indices(excluded & covered))
+        assert not (tiled.reached & ~covered).any()
+        assert tiled.values is None and covered.mean() < 0.5
+        # the tiles are distinct, and a resolution TILE does not divide
+        # clamps the last tile of an axis to end at the grid's edge
+        assert len(np.unique(origins, axis=0)) == len(origins)
+        assert (origins % size != 0).any() == (resolution % size != 0)
+
+
+class TestTiledDomain:
+    """`charmax domain`'s grid pipeline on the tiles that the initial
+    set's flood reaches against the same pipeline on the whole grid: the
+    same errors, or the same mask, summary numbers and window points, byte
+    for byte, and fold points within 1e-12 (seed cells left out of the
+    tiles may change which seed of a sigma point is polished)."""
+
+    @pytest.mark.parametrize("a, h", helpers.GENERATED_LAWS)
+    def test_generated_laws(self, a, h):
+        problem, sol = helpers.generated_law(a, h)
+        helpers.assert_same_domain(
+            helpers.domain_on_tiles(problem, sol, 48, True),
+            helpers.domain_on_tiles(problem, sol, 48, False))
+
+    @pytest.mark.parametrize("name", helpers.EXAMPLES)
+    @pytest.mark.parametrize("resolution", [16, 17, 100])
+    def test_bundled_problems(self, name, resolution, solutions):
+        b, _, sol = solutions(name)
+        helpers.assert_same_domain(
+            helpers.domain_on_tiles(b.problem, sol, resolution, True),
+            helpers.domain_on_tiles(b.problem, sol, resolution, False))
+
+    @pytest.mark.parametrize("name", helpers.EXAMPLES)
+    def test_bundled_problems_flood_once(self, name, solutions):
+        # no sigma point or polyline of a bundled problem lies in the
+        # seed-cut flood, so that flood is the component
+        b, _, sol = solutions(name)
+        resolution = 1024 if sol.n == 0 else 128
+        surface = extract_surface(sol.F, b.problem.box, resolution,
+                                  sol.gamma_samples)
+        sigma = extract_singular_locus(sol, surface)
+
+        def second_flood(*args, **kwargs):
+            raise AssertionError("split_component flooded again")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(locus, "flood", second_flood)
+            component = split_component(surface, sigma, sol.gamma_samples)
+        assert component.mask is surface.reached
+
+    def test_a_sigma_cut_in_the_flood_floods_again(self, solutions):
+        b, _, sol = solutions("circular")
+        gamma = sol.gamma_samples
+        tiled, full = (extract_surface(sol.F, b.problem.box, 32, samples)
+                       for samples in (gamma, None))
+        # a stub polyline through the centres of the reached cells of one
+        # t-row that holds no initial-set cell cuts the flood in two
+        cells = cell_indices(tiled.reached)
+        row = cells[cells[:, 0] == cell_of(tiled.axes, gamma[0])[0] + 8]
+        stub = cell_center(tiled.axes, row)
+        floods = []
+
+        def counting(*args, **kwargs):
+            floods.append(args)
+            return flood(*args, **kwargs)
+
+        masks = []
+        for surface in (tiled, full):
+            sigma = extract_singular_locus(sol, surface)
+            sigma = dataclasses.replace(sigma,
+                                        polylines=[*sigma.polylines, stub])
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(locus, "flood", counting)
+                masks.append(split_component(surface, sigma, gamma).mask)
+        assert len(floods) == 2
+        assert _same_bytes(*masks)
+        assert len(row) and (tiled.reached & ~masks[0]).sum() > len(row)
