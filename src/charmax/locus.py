@@ -26,9 +26,13 @@ are thinned to one per cell diagonal, and in the space case ordered into
 polylines by pseudo-arclength continuation along the curve.  All of it
 runs on the implicit solution's trees and compiled forms, which the
 query's turning-point solve uses too; the stage compiles nothing.
-The continuation does its elementwise 3-vector steps in Python floats and
-its reductions (dot products, norms, solves) in numpy, so that the traced
-points are bit for bit those of an all-numpy trace.
+The continuation does its elementwise 3-vector work in Python floats:
+the predictor, the componentwise convergence and finiteness tests of its
+Newton corrector, and each norm as the square root of a numpy dot, which
+is what ``np.linalg.norm`` computes.  The dot products and the 3 x 3
+solves stay numpy calls, so that the traced points are bit for bit those
+of an all-numpy trace.  The thinning tests each kept point only against
+the later points whose first coordinate lies within a cell diagonal.
 
 Splitting off the connected component of the initial set is a
 breadth-first flood fill over cell adjacency with singular cells removed.
@@ -36,10 +40,11 @@ The flood that chose the tiles is cut at the seed cells; it is the
 component unless a cell of a polished sigma point or polyline lies in
 it, and only then is the component flooded again.  The flood is a loop
 over the levels of the search: a level of many cells is expanded in one
-numpy step, a level of a few cells cell by cell, and both produce the
-next level in the order of a one-cell-at-a-time queue.  The
-breadth-first tree, where it is asked for, is derived after the search:
-a cell's parent is its neighbour that comes first in breadth-first
+numpy step, a level of a few cells cell by cell.  Only a flood that asks
+for the breadth-first tree keeps every level in the order of a
+one-cell-at-a-time queue; one that returns the mask sorts a numpy level
+and drops its repeats instead.  The tree is derived after the search: a
+cell's parent is its neighbour that comes first in breadth-first
 order.  The grid helpers here (cell lookup, cell centres,
 mask to index list by one flat scan, flood fill) serve the base-space
 mask as well.
@@ -47,6 +52,7 @@ mask as well.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -61,9 +67,11 @@ NEWTON_TOL = 1e-12
 NEWTON_MAXIT = 50
 DEGENERATE_RATIO = 1e-6
 MIN_RESOLUTION = 16
-# flood expands a level of at least this many cells by one numpy step; the
-# cell-by-cell loop and the numpy step cost the same at about 26 cells a
-# level in 3-D and 35 in 2-D
+# flood expands a level of at least this many cells by one numpy step.  The
+# cell-by-cell loop and the sorting step of a mask flood cost the same at
+# about 18 cells a level in 3-D and 22 in 2-D, the queue-order step of a
+# parents flood at about 35; on the bundled problems' floods every value
+# from 8 to 48 takes the same time
 _LEVEL_CROSSOVER = 32
 # cells per tile axis, by grid dimension, of the tiles extract_surface
 # evaluates as the initial set's flood reaches them: of the sizes tried on
@@ -303,14 +311,17 @@ def flood(mask: np.ndarray, seeds, parents: bool = False, reveal=None):
 
     The search runs one level (one distance from the seeds) at a time.  A
     level of at least _LEVEL_CROSSOVER cells is expanded by one numpy
-    step: the neighbours of all its cells in (cell, neighbour) order, of
-    which the first occurrence of each unreached cell of the mask joins
-    the next level.  That is the order in which a one-cell-at-a-time queue
-    appends them.  Smaller levels run that cell-by-cell loop itself, where
-    a numpy step costs more than it saves (a one-cell-wide chain has
-    levels of one or two cells).  The parents come after the search: a
-    cell is queued while its earliest-queued neighbour is expanded, so
-    its parent is the neighbour that comes first in breadth-first order.
+    step over the neighbours of all its cells, of which the unreached
+    cells of the mask join the next level.  Only a flood with ``parents``
+    keeps the order of a one-cell-at-a-time queue: it takes the
+    neighbours in (cell, neighbour) order and keeps the first occurrence
+    of each cell, which is the order in which the queue appends them.  A
+    flood that returns the mask needs no order, and sorts the level and
+    drops its repeats.  Smaller levels run the cell-by-cell loop, where a
+    numpy step costs more than it saves (a one-cell-wide chain has levels
+    of one or two cells).  The parents come after the search: a cell is
+    queued while its earliest-queued neighbour is expanded, so its parent
+    is the neighbour that comes first in breadth-first order.
 
     With ``reveal`` the cells of ``mask`` are not known yet: the search
     holds every cell it reaches there instead of expanding it.  When no
@@ -355,9 +366,15 @@ def flood(mask: np.ndarray, seeds, parents: bool = False, reveal=None):
             level, held = held[into].tolist(), []
         if len(level) >= _LEVEL_CROSSOVER:
             near = (np.asarray(level)[:, None] + steps).ravel()
-            fresh = np.flatnonzero(inside_view[near] & ~reached_view[near])
-            first = np.unique(near[fresh], return_index=True)[1]
-            level = near[fresh[np.sort(first)]]
+            level = near[inside_view[near] & ~reached_view[near]]
+            if parents:     # each cell's first occurrence, in queue order
+                level = level[np.sort(np.unique(level,
+                                                return_index=True)[1])]
+            else:           # each cell once, in flat-index order
+                level.sort()
+                once = np.ones(len(level), dtype=bool)
+                np.not_equal(level[1:], level[:-1], out=once[1:])
+                level = level[once]
             reached_view[level] = True
             if reveal is not None:
                 hold = hidden_view[level]
@@ -401,14 +418,17 @@ def flood(mask: np.ndarray, seeds, parents: bool = False, reveal=None):
 # Singular locus
 
 def _damped_newton(res_fn, jac_fn, x0, tol=NEWTON_TOL, maxit=NEWTON_MAXIT):
-    """Newton with Armijo halving on |r|^2.  Returns the solution or None."""
+    """Newton with Armijo halving on |r|^2.  Returns the solution or None.
+
+    The tests on each component (converged, step finite) run in Python
+    floats; a NaN residual never converges, as under ``np.max``.  The
+    squared norms and the solve stay numpy calls."""
     x = np.asarray(x0, dtype=float).copy()
     r = res_fn(x)
     if r is None:
         return None
     for _ in range(maxit):
-        nr = float(np.max(np.abs(r)))
-        if nr <= tol:
+        if all(abs(v) <= tol for v in r.tolist()):
             return x
         J = jac_fn(x)
         if J is None:
@@ -417,7 +437,7 @@ def _damped_newton(res_fn, jac_fn, x0, tol=NEWTON_TOL, maxit=NEWTON_MAXIT):
             step = np.linalg.solve(J, -r)
         except np.linalg.LinAlgError:
             return None
-        if not np.all(np.isfinite(step)):
+        if not all(map(math.isfinite, step.tolist())):
             return None
         base = float(np.dot(r, r))
         lam = 1.0
@@ -430,7 +450,7 @@ def _damped_newton(res_fn, jac_fn, x0, tol=NEWTON_TOL, maxit=NEWTON_MAXIT):
             lam *= 0.5
         else:
             return None
-    return x if float(np.max(np.abs(r))) <= tol else None
+    return x if all(abs(v) <= tol for v in r.tolist()) else None
 
 
 def _rows(compiled, points: np.ndarray):
@@ -447,20 +467,27 @@ def _rows(compiled, points: np.ndarray):
     return values, ~bad
 
 
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a 1-D float vector, bit for bit: the square
+    root of its BLAS dot with itself, without the call's overhead."""
+    return math.sqrt(np.dot(v, v))
+
+
 def _tangent(sol: ImplicitSolution, point):
     """Unit tangent of the solution curve (space case only): the cross
     product of the Jacobian rows, ``fold_values`` without F, normalised;
-    None where it fails to evaluate or is zero or not finite.  The product
-    is taken in Python floats, as ``np.cross`` rounds; the norm stays the
-    BLAS dot of ``np.linalg.norm``."""
+    None where it fails to evaluate or is zero or not finite.  The cross
+    product and the finiteness test run in Python floats, the product as
+    ``np.cross`` rounds; the norm is ``_norm``, the square root of the
+    numpy dot, and the division by it is one numpy operation."""
     try:
         _, a0, a1, a2, b0, b1, b2 = sol.fold_values(*point)
     except EvalDomainError:
         return None
     t = np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
                   a0 * b1 - a1 * b0])
-    norm = np.linalg.norm(t)
-    if norm == 0.0 or not np.isfinite(norm):
+    norm = _norm(t)
+    if norm == 0.0 or not math.isfinite(norm):
         return None
     return t / norm
 
@@ -578,12 +605,15 @@ def _trace_from(sol: ImplicitSolution, start, direction, box: Box, ds0,
     ds0/64; an accepted point grows it by 1.3, up to ds0.  The trace ends
     outside the box, where the tangent fails, or back at its start.
 
-    The elementwise steps run in Python floats, which round each operation
+    The elementwise work runs in Python floats, which round each operation
     as numpy does: the predictor, the Jacobian rows taken straight from the
-    compiled tuple, the box test and the tangent's cross product.  The
-    reductions stay numpy calls (``np.dot``, ``np.linalg.norm``, the solve
-    in ``_damped_newton``), since BLAS may sum in another order than a
-    float sum and the points would no longer be bit for bit the same.
+    compiled tuple, the corrector's convergence and finiteness tests, the
+    box test and the tangent's cross product; the distance back to the
+    start is ``_norm``, the square root of a numpy dot, as
+    ``np.linalg.norm`` takes it.  The dot products and the corrector's
+    solve stay numpy calls, since BLAS and LAPACK may sum in another order
+    than a float sum and the points would no longer be bit for bit the
+    same.
     """
     points = [np.asarray(start, dtype=float)]
     T = direction
@@ -622,7 +652,7 @@ def _trace_from(sol: ImplicitSolution, start, direction, box: Box, ds0,
             Tn = -Tn
         T = Tn
         points.append(q)
-        if len(points) > 3 and np.linalg.norm(q - points[0]) < 0.6 * ds0:
+        if len(points) > 3 and _norm(q - points[0]) < 0.6 * ds0:
             points.append(points[0].copy())
             break
         ds = min(ds * 1.3, ds0)
@@ -644,12 +674,26 @@ def _near_line(points: np.ndarray, line: np.ndarray, diag: float):
 
 def _deduplicate(points: np.ndarray, diag: float) -> np.ndarray:
     """The sorted points each more than ``diag`` from every earlier kept
-    point: each kept point drops the later points within ``diag``."""
+    point: each kept point drops the later points within ``diag``.
+
+    A norm is at least the size of its first coordinate, rounded too, so
+    a kept point is tested only against the later points up to the first
+    whose first-coordinate difference rounds to more than ``diag``.  That
+    bound comes from ``np.searchsorted`` and is walked on where the sum
+    it searched for rounded down."""
+    x = points[:, 0]
+    end = np.searchsorted(x, x + diag, side="right")
+    while True:
+        on = np.flatnonzero(end < len(x))
+        on = on[x[end[on]] - x[on] <= diag]
+        if not len(on):
+            break
+        end[on] += 1
     keep = np.ones(len(points), dtype=bool)
-    for i in range(len(points)):
-        if keep[i]:
-            keep[i + 1:] &= np.linalg.norm(points[i] - points[i + 1:],
-                                           axis=1) > diag
+    for i, j in enumerate(end.tolist()):
+        if keep[i] and j > i + 1:
+            keep[i + 1:j] &= np.linalg.norm(points[i] - points[i + 1:j],
+                                            axis=1) > diag
     return points[keep]
 
 

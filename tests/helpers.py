@@ -305,8 +305,43 @@ def deduplicate_point_by_point(points, diag):
     return kept[:count]
 
 
+def damped_newton_by_numpy(res_fn, jac_fn, x0, tol=locus.NEWTON_TOL,
+                           maxit=locus.NEWTON_MAXIT):
+    """Reference for locus._damped_newton: every test on the residual and
+    the step by numpy calls."""
+    x = np.asarray(x0, dtype=float).copy()
+    r = res_fn(x)
+    if r is None:
+        return None
+    for _ in range(maxit):
+        nr = float(np.max(np.abs(r)))
+        if nr <= tol:
+            return x
+        J = jac_fn(x)
+        if J is None:
+            return None
+        try:
+            step = np.linalg.solve(J, -r)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(step)):
+            return None
+        base = float(np.dot(r, r))
+        lam = 1.0
+        while lam > 2.0 ** -24:
+            cand = x + lam * step
+            rc = res_fn(cand)
+            if rc is not None and float(np.dot(rc, rc)) <= (1 - 0.5 * lam) * base:
+                x, r = cand, rc
+                break
+            lam *= 0.5
+        else:
+            return None
+    return x if float(np.max(np.abs(r))) <= tol else None
+
+
 def _polish_seed(sol, center, box):
-    """One seed's polish by locus._damped_newton, in the two coordinates
+    """One seed's polish by damped_newton_by_numpy, in the two coordinates
     across the curve (the tangent's largest component frozen), or None.
     (F, F_u) and its Jacobian are evaluated by the solution's array forms
     on one row at a time."""
@@ -336,7 +371,7 @@ def _polish_seed(sol, center, box):
         J = jacobian_by_row(sol, embed(xy))
         return None if J is None else J[:, free]
 
-    root = locus._damped_newton(res, jac, base[free])
+    root = damped_newton_by_numpy(res, jac, base[free])
     if root is None:
         return None
     point = embed(root)
@@ -472,7 +507,7 @@ def trace_by_numpy(sol, start, direction, box, ds0, max_steps):
                 return None
             return np.vstack([J, T])
 
-        q = locus._damped_newton(res, jac, pred, maxit=25)
+        q = damped_newton_by_numpy(res, jac, pred, maxit=25)
         if q is None:
             if ds > ds0 / 64:
                 ds *= 0.5

@@ -610,6 +610,24 @@ class TestFlood:
         # every block is asked for once, and only for a cell it holds
         assert len(revealed) == len(set(revealed))
 
+    @pytest.mark.parametrize("size", [5, 8, 16])
+    def test_shell_above_the_crossover_with_reveal(self, size):
+        # a spherical shell of a 40^3 grid, seeded at one cell: its levels
+        # grow past the crossover, and blocks of ``size`` cells hold the
+        # search at every block face it reaches
+        grid = np.indices((40, 40, 40)) - 19.5
+        radius = np.sqrt((grid ** 2).sum(axis=0))
+        mask = (radius >= 14.0) & (radius <= 17.0)
+        seed = [tuple(int(i) for i in np.argwhere(mask)[0])]
+        sizes = level_sizes(check_flood(mask, seed))
+        assert max(sizes) >= 4 * locus._LEVEL_CROSSOVER
+        revealed = []
+        got = flood(np.ones(mask.shape, dtype=bool), seed,
+                    reveal=block_reveal(mask, size, revealed))
+        assert _same_bytes(got, helpers.flood_by_queue(mask, seed))
+        assert got.sum() == mask.sum()
+        assert len(revealed) == len(set(revealed)) > 8
+
 
 class TestCellOf:
     def test_array_of_points_matches_scalar_calls(self):
@@ -789,6 +807,100 @@ def non_finite_jacobian_rows(t, x, u):
     entry = np.where(x > 1.0, np.inf, np.where(x < -1.0, np.nan, 1.0))
     zero, one = np.zeros_like(t), np.ones_like(t)
     return [(v, np.False_) for v in (entry, zero, zero, zero, one, zero)]
+
+
+class NewtonProblem:
+    """A random 3 x 3 system r(x) = A x + c x^2 - b drawn from ``seed``,
+    for locus._damped_newton, with ``fault`` on the ``at``-th call of the
+    residual or of the Jacobian: a None return, a residual of zeros but
+    for one NaN or +-inf entry, an exactly singular Jacobian (a zero row),
+    or one whose solve gives a step that is not finite (a row that is
+    zero but for a subnormal diagonal).  ``calls`` logs every point either
+    is called at, and ``fired`` whether the fault came."""
+
+    FAULTS = ("none", "res None", "res nan", "res inf", "res -inf",
+              "jac None", "jac singular", "jac tiny")
+
+    def __init__(self, seed, fault, at):
+        rng = np.random.default_rng(seed)
+        self.A = rng.standard_normal((3, 3))
+        self.c = rng.standard_normal(3) * rng.choice([0.0, 0.1, 1.0])
+        self.b = rng.standard_normal(3) * rng.choice([1e-13, 1.0, 10.0])
+        self.x0 = rng.standard_normal(3)
+        self.entry = int(rng.integers(3))
+        self.fault, self.at = fault, at
+        self.calls, self.fired = [], False
+
+    def _fires(self, kind, x):
+        self.calls.append((kind, x.tobytes()))
+        fire = (self.fault.startswith(kind)
+                and sum(k == kind for k, _ in self.calls) == self.at)
+        self.fired |= fire
+        return fire
+
+    def res(self, x):
+        r = self.A @ x + self.c * x * x - self.b
+        if not self._fires("res", x):
+            return r
+        if self.fault == "res None":
+            return None
+        r[:] = 0.0
+        r[self.entry] = float(self.fault.split()[1])
+        return r
+
+    def jac(self, x):
+        J = self.A + np.diag(2.0 * self.c * x)
+        if not self._fires("jac", x):
+            return J
+        if self.fault == "jac None":
+            return None
+        J[self.entry] = 0.0
+        if self.fault == "jac tiny":
+            J[self.entry, self.entry] = 5e-324
+        return J
+
+
+def check_newton(seed, fault, at, maxit):
+    """locus._damped_newton and helpers.damped_newton_by_numpy on the same
+    NewtonProblem: the same root bit for bit, or None for both, after the
+    same calls at the same points.  Returns the root and the problem."""
+    runs = []
+    for solve in (locus._damped_newton, helpers.damped_newton_by_numpy):
+        problem = NewtonProblem(seed, fault, at)
+        with np.errstate(over="ignore", invalid="ignore"):
+            root = solve(problem.res, problem.jac, problem.x0, maxit=maxit)
+        runs.append((root, problem))
+    (got, problem), (want, reference) = runs
+    assert (got is None) == (want is None)
+    assert want is None or _same_bytes(got, want)
+    assert problem.calls == reference.calls
+    return got, problem
+
+
+class TestDampedNewton:
+    @given(seed=st.integers(0, 2**32 - 1),
+           fault=st.sampled_from(NewtonProblem.FAULTS),
+           at=st.integers(1, 4), maxit=st.sampled_from([1, 3, 25, 50]))
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_matches_the_numpy_reference(self, seed, fault, at, maxit):
+        check_newton(seed, fault, at, maxit)
+
+    @pytest.mark.parametrize("fault", NewtonProblem.FAULTS[1:])
+    def test_every_fault_on_its_first_call(self, fault):
+        # the first residual, or the Jacobian at the start, of a draw that
+        # converges without the fault
+        assert check_newton(7, "none", 1, 50)[0] is not None
+        root, problem = check_newton(7, fault, 1, 50)
+        assert problem.fired and root is None
+        if fault == "jac tiny":              # the solve does not raise
+            x0 = problem.x0
+            J = NewtonProblem(7, fault, 1).jac(x0)
+            assert not np.isfinite(np.linalg.solve(J, -problem.res(x0))).all()
+
+    def test_most_draws_converge(self):
+        # so that the comparison is not mostly None against None
+        roots = [check_newton(seed, "none", 1, 50)[0] for seed in range(20)]
+        assert sum(root is not None for root in roots) >= 10
 
 
 class TestSigmaStage:
@@ -1072,6 +1184,40 @@ class TestCellReductions:
         chain = np.zeros((3, dim))
         chain[1:, 0] = 0.75 * diag, 1.5 * diag
         assert _same_bytes(locus._deduplicate(chain, diag), chain[[0, 2]])
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("offset", [0.0, -0.05, 1e6])
+    def test_deduplication_bounds(self, dim, offset):
+        # first coordinates diag, diag +- 1 ulp and 2 diag after a start
+        # (exactly so at offset 0, rounded at 1e6) and exact duplicates
+        diag = 0.1
+        gaps = [np.nextafter(diag, 0.0), diag, np.nextafter(diag, 1.0),
+                2.0 * diag]
+        rows = [[offset + dx, 10.0 * k + dy]
+                for k, gap in enumerate(gaps)
+                for dx in (0.0, gap, gap) for dy in (0.0, 1e-9, 0.5 * diag)]
+        points = np.zeros((len(rows), dim))
+        points[:, :2] = rows
+        points = np.array(sorted(points.tolist()))
+        got = locus._deduplicate(points, diag)
+        assert _same_bytes(got, helpers.deduplicate_point_by_point(points,
+                                                                   diag))
+        assert len(np.unique(got, axis=0)) == len(got)
+        assert (got[:, 0] > offset).any() and len(got) < len(points) - 12
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_deduplication_bound_that_rounds_short(self, dim):
+        # -0.05 + diag rounds down: the next point lies past the searched
+        # bound but exactly diag away, so it is dropped
+        diag = 0.1
+        points = np.zeros((2, dim))
+        points[:, 0] = -0.05, np.nextafter(-0.05 + diag, 1.0)
+        assert points[1, 0] > points[0, 0] + diag
+        assert np.linalg.norm(points[1] - points[0]) == diag
+        got = locus._deduplicate(points, diag)
+        assert _same_bytes(got, points[:1])
+        assert _same_bytes(got, helpers.deduplicate_point_by_point(points,
+                                                                   diag))
 
     @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 3]),
            count=st.integers(0, 60))
