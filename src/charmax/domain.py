@@ -140,22 +140,30 @@ def maximal_domain(component: SurfaceComponent,
     become the fold part of the boundary.  Also checks that the component
     carries exactly one u-branch over every masked base cell, i.e. one
     unbroken run of cells in its u-column (the projection restricted to
-    the component must be injective); two branches raise ProjectionError.
+    the component must be injective); two branches raise ProjectionError,
+    naming the first such base cell.  The runs are counted from the
+    component's cells, not over the whole grid.
     """
     comp = component.mask
-    if not comp.any():
+    cells = np.flatnonzero(comp)
+    if not len(cells):
         raise ValueError("component is empty")
     surface = component.surface
     base_axes = surface.axes[:-1]
 
-    # u-runs per base column: a run starts at a component cell whose lower
-    # neighbour in u is not one (or that is the column's first cell)
-    runs = comp[..., 0] + np.count_nonzero(comp[..., 1:] & ~comp[..., :-1],
-                                           axis=-1)
-    mask = runs > 0
-    split = runs > 1
-    if split.any():
-        base = tuple(int(v) for v in np.argwhere(split)[0])
+    # u-runs per base column, from the sorted flat indices of the cells: a
+    # run starts at a cell that is its column's first (u = 0) or whose
+    # predecessor in the list is not the cell below it
+    column, u = np.divmod(cells, comp.shape[-1])
+    start = u == 0
+    start[1:] |= cells[1:] - 1 != cells[:-1]
+    start[0] = True
+    runs = np.bincount(column[start], minlength=comp[..., 0].size)
+    mask = runs.reshape(comp.shape[:-1]) > 0
+    split = np.flatnonzero(runs > 1)
+    if len(split):
+        base = tuple(int(v) for v in np.unravel_index(split[0],
+                                                      comp.shape[:-1]))
         raise ProjectionError(
             f"component projects two u-branches onto base cell {base}; "
             "resolution too coarse to separate sheets")

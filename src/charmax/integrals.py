@@ -110,11 +110,12 @@ class SolutionChecks:
 @dataclass(frozen=True)
 class ImplicitSolution:
     """F = f o rho with its derivative trees and their only compiled forms,
-    which take t, x1..xn, u, and what its checks measured.  ``F_and_Fu``,
-    ``grad_values`` and the array form ``F_and_Fu_rows`` are compiled here;
-    ``fold_values`` (F, grad F and grad F_u: the query's turning-point
-    solve, and without F the sigma trace's Jacobian), ``Fu_value`` ((F_u,))
-    and ``jacobian_rows`` (grad F and grad F_u, array form) on first call."""
+    which take t, x1..xn, u, and what its checks measured.  ``F_and_Fu``
+    and the array form ``F_and_Fu_rows`` are compiled here; ``grad_values``
+    (grad F: the query's march), ``fold_values`` (F, grad F and grad F_u:
+    the query's turning-point solve, and without F the sigma trace's
+    Jacobian), ``Fu_value`` ((F_u,)) and ``jacobian_rows`` (grad F and
+    grad F_u, array form) on first call."""
 
     F: Expr
     F_u: Expr
@@ -310,7 +311,8 @@ def build_implicit_solution(rho_set: FirstIntegralSet, f: Expr, gamma,
     jacobian = [*gradient, *(diff(F_u, v) for v in names)]  # of (F, F_u)
     return ImplicitSolution(
         F, F_u, gradient, gamma, n, SolutionChecks(max_F, min_Fu, *flow),
-        F_and_Fu, compile_exprs(gradient, names),
+        F_and_Fu,
+        _compiled_on_first_call(lambda: compile_exprs(gradient, names)),
         _compiled_on_first_call(lambda: compile_exprs([F, *jacobian], names)),
         _compiled_on_first_call(lambda: compile_exprs([F_u], names)),
         F_and_Fu_rows, _compiled_on_first_call(

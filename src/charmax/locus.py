@@ -7,12 +7,17 @@ vertex gets a sign code and each cell the OR of its corners' codes,
 reduced one axis at a time.  F and F_u are evaluated tile by tile, each
 tile on its own sparse axes, so that a subtree in fewer variables is
 evaluated on fewer points and a tile's values are the whole grid's.
-Asked for every tile (``singular``), the surface evaluates the whole grid
-as one tile.  Given the initial set (``domain``), it evaluates only the
-tiles of TILE cells per axis that the initial set's flood reaches: the
-flood holds the cells it reaches in tiles not yet evaluated, and when
-it has no other cell left, one call evaluates all their tiles, and the
-flood resumes from them.  For point-cloud dumps only, the surface is
+Each evaluated tile gives its cells one state code each: not crossing,
+excluded, crossing, or a sigma seed.  Asked for every tile
+(``singular``), the surface evaluates the whole grid as one tile and
+reads its masks from that tile's codes.  Given the initial set
+(``domain``), it evaluates only the tiles of TILE cells per axis that
+the initial set's flood reaches: the flood keeps one state byte per cell,
+holds the cells it reaches in tiles not yet evaluated, and when it has
+no other cell left, one call evaluates all their tiles, their codes are
+merged into the states by one maximum per tile, and the flood resumes
+from them; every mask and cell list of the surface is read from the
+final states.  For point-cloud dumps only, the surface is
 also given as the zero of F on each cut edge of the crossing cells (the
 square's sides in the plane case, the edges of the cube's six Kuhn
 tetrahedra in the space case), found for all edges in one pass; these
@@ -36,16 +41,17 @@ the later points whose first coordinate lies within a cell diagonal.
 
 Splitting off the connected component of the initial set is a
 breadth-first flood fill over cell adjacency with singular cells removed.
-The flood that chose the tiles is cut at the seed cells; it is the
-component unless a cell of a polished sigma point or polyline lies in
-it, and only then is the component flooded again.  The flood is a loop
-over the levels of the search: a level of many cells is expanded in one
-numpy step, a level of a few cells cell by cell.  Only a flood that asks
-for the breadth-first tree keeps every level in the order of a
-one-cell-at-a-time queue; one that returns the mask sorts a numpy level
-and drops its repeats instead.  The tree is derived after the search: a
-cell's parent is its neighbour that comes first in breadth-first
-order.  The grid helpers here (cell lookup, cell centres,
+The flood that chose the tiles is cut at the seed cells; its reached
+cells are the component unless a cell of a polished sigma point or
+polyline lies in them, and only then is the component flooded again.
+The flood is a loop over the levels of the search on one state byte per
+cell: a level of many cells is expanded in one numpy step, a level of a
+few cells cell by cell, each reading one state per neighbour.  Only a
+flood that asks for the breadth-first tree keeps every level in the
+order of a one-cell-at-a-time queue; one that returns the mask sorts a
+numpy level and drops its repeats instead.  The tree is derived after
+the search: a cell's parent is its neighbour that comes first in
+breadth-first order.  The grid helpers here (cell lookup, cell centres,
 mask to index list by one flat scan, flood fill) serve the base-space
 mask as well.
 """
@@ -77,6 +83,10 @@ _LEVEL_CROSSOVER = 32
 # evaluates as the initial set's flood reaches them: of the sizes tried on
 # the bundled problems, the fastest for their `domain` runs
 TILE = {2: 128, 3: 16}
+# a cell's state in flood, ordered so that a maximum merges a revealed block:
+# not known yet (HIDDEN, or HELD once reached), not in the mask (NONE, or
+# EXCLUDED for an invalid corner, or SEED), in the mask (OPEN), and REACHED
+HIDDEN, HELD, NONE, EXCLUDED, OPEN, SEED, REACHED = range(7)
 
 
 class ResolutionError(Exception):
@@ -206,18 +216,21 @@ def extract_surface(F: Expr, box: Box, resolution: int,
     sigma seed cells, where F_u changes sign too.
 
     F and F_u = dF/du are evaluated tile by tile by ``_evaluate_tiles``,
-    each compiled once.  Without ``gamma`` every tile is evaluated, the
-    whole grid as one tile, and the surface keeps F's vertex values (for
-    ``patch_vertices``).  With the (m, dim) initial-set samples ``gamma``
-    the tiles have TILE cells per axis (a last tile that does not fit
-    starts at ``resolution - TILE``, overlapping its neighbour), and only
-    those are evaluated that the flood of the crossing cells from the
-    cells holding the samples, cut at the seed cells, reaches: ``flood``
-    holds the cells it reaches in tiles not yet evaluated, and when it has
-    no other cell left evaluates all their tiles in one call and resumes
-    from them.  That flood is the surface's ``reached`` mask, which
+    each compiled once, and each tile's cells get one of flood's state
+    codes: NONE, EXCLUDED, OPEN (crossing) or SEED.  Without ``gamma``
+    every tile is evaluated, the whole grid as one tile, and the surface
+    keeps F's vertex values (for ``patch_vertices``).  With the (m, dim)
+    initial-set samples ``gamma`` the tiles have TILE cells per axis (a
+    last tile that does not fit starts at ``resolution - TILE``,
+    overlapping its neighbour), and only those are evaluated that the
+    flood of the crossing cells from the cells holding the samples, cut at
+    the seed cells, reaches: ``flood`` holds the cells it reaches in tiles
+    not yet evaluated, and when it has no other cell left evaluates all
+    their tiles in one call and merges their codes into its states.  The
+    REACHED cells are the surface's ``reached`` mask, which
     ``split_component`` takes as the component where no sigma point cuts
-    it; the masks and cell lists hold the evaluated tiles only.
+    it; every field is read from the final states, so the masks and cell
+    lists hold the evaluated tiles only.
 
     Vertices where F fails to evaluate are marked invalid; their incident
     cells are excluded from the surface and reported.
@@ -235,37 +248,37 @@ def extract_surface(F: Expr, box: Box, resolution: int,
     F_u_grid = compile([diff(F, "u")], names, arrays=True)
     size = resolution if gamma is None else min(TILE[dim], resolution)
     tiles = (-(-resolution // size),) * dim
-    cells = (resolution,) * dim
-    crossing = np.zeros(cells, dtype=bool)
-    excluded = np.zeros(cells, dtype=bool)
-    seeds = np.zeros(cells, dtype=bool)
-    values = reached = None     # the last tiles' F; the flood's mask
+
+    def codes(origins: np.ndarray):
+        """F's vertex values and the cells' state codes on the tiles."""
+        values, _, cross, all_ok, seed = _evaluate_tiles(
+            F_grid, F_u_grid, axes, origins, size)
+        code = np.full(cross.shape, NONE, dtype=np.uint8)
+        # NONE + invalid + 2 crossing + seed: NONE, EXCLUDED, OPEN or SEED
+        for part in (~all_ok, cross, cross, seed):
+            code += part
+        return values, code
 
     def reveal(held: np.ndarray) -> list:
-        """Evaluate F and F_u on the tiles of the (m, dim) held cells, mark
-        their crossing, excluded and seed cells, and return each tile's
-        first cell with its cells that the flood may enter: crossing and
-        not seeds."""
-        nonlocal values
+        """The first cell and the state codes of each tile of the (m, dim)
+        held cells."""
         index = np.minimum(held // size, np.array(tiles) - 1)
         index = np.unique(np.ravel_multi_index(index.T, tiles))
         origins = np.minimum(np.transpose(np.unravel_index(index, tiles))
                              * size, resolution - size)
-        values, _, cross, all_ok, seed = _evaluate_tiles(
-            F_grid, F_u_grid, axes, origins, size)
-        for origin, c, bad, s in zip(origins.tolist(), cross, ~all_ok, seed):
-            at = tuple(slice(i, i + size) for i in origin)
-            crossing[at], excluded[at], seeds[at] = c, bad, s
-        return list(zip(origins.tolist(), cross & ~seed))
+        return list(zip(origins.tolist(), codes(origins)[1]))
 
     if gamma is None:
-        reveal(np.zeros((1, dim), dtype=int))
+        values, state = codes(np.zeros((1, dim), dtype=int))
+        values, state = values[0], state[0]
     else:
-        reached = flood(np.broadcast_to(True, cells),
-                        _cells_touching(axes, gamma)[0], reveal=reveal)
-    return LevelSurface(box, resolution, axes,
-                        values[0] if gamma is None else None, crossing,
-                        cell_indices(excluded), cell_indices(seeds), reached)
+        values = None
+        state = flood((resolution,) * dim, _cells_touching(axes, gamma)[0],
+                      reveal=reveal)
+    return LevelSurface(box, resolution, axes, values, state >= OPEN,
+                        cell_indices(state == EXCLUDED),
+                        cell_indices(state == SEED),
+                        None if gamma is None else state == REACHED)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +313,7 @@ def cell_center(axes, cell) -> np.ndarray:
                      for ax, i in zip(axes, np.moveaxis(cell, -1, 0))], axis=-1)
 
 
-def flood(mask: np.ndarray, seeds, parents: bool = False, reveal=None):
+def flood(mask, seeds, parents: bool = False, reveal=None):
     """Cells of ``mask`` facet-connected to the seed cells that lie in it.
 
     Breadth-first from the seeds in the order given, a cell's neighbours
@@ -309,64 +322,84 @@ def flood(mask: np.ndarray, seeds, parents: bool = False, reveal=None):
     each reached cell to the cell it was first reached from (None for
     seeds).
 
+    The search keeps one state byte per cell (HIDDEN to REACHED) of the
+    grid padded by a rim of one cell.  The bytes start zeroed, HIDDEN; the
+    rim is set to NONE, so that flat-index neighbours never wrap around an
+    axis, and the interior is filled from ``mask``: OPEN where True, NONE
+    where False.
+
     The search runs one level (one distance from the seeds) at a time.  A
     level of at least _LEVEL_CROSSOVER cells is expanded by one numpy
-    step over the neighbours of all its cells, of which the unreached
-    cells of the mask join the next level.  Only a flood with ``parents``
-    keeps the order of a one-cell-at-a-time queue: it takes the
-    neighbours in (cell, neighbour) order and keeps the first occurrence
-    of each cell, which is the order in which the queue appends them.  A
-    flood that returns the mask needs no order, and sorts the level and
-    drops its repeats.  Smaller levels run the cell-by-cell loop, where a
-    numpy step costs more than it saves (a one-cell-wide chain has levels
-    of one or two cells).  The parents come after the search: a cell is
-    queued while its earliest-queued neighbour is expanded, so its parent
-    is the neighbour that comes first in breadth-first order.
+    step over the neighbours of all its cells, of which the OPEN cells
+    join the next level.  Only a flood with ``parents`` keeps the order of
+    a one-cell-at-a-time queue: it takes the neighbours in (cell,
+    neighbour) order and keeps the first occurrence of each cell, which is
+    the order in which the queue appends them.  A flood that returns the
+    mask needs no order, and sorts the level and drops its repeats.
+    Smaller levels run the cell-by-cell loop, where a numpy step costs
+    more than it saves (a one-cell-wide chain has levels of one or two
+    cells).  Both read one state per neighbour: the loop from the
+    bytearray, the numpy step through a view of it.  The parents come
+    after the search: a cell is queued while its earliest-queued
+    neighbour is expanded, so its parent is the neighbour that comes first
+    in breadth-first order.
 
-    With ``reveal`` the cells of ``mask`` are not known yet: the search
-    holds every cell it reaches there instead of expanding it.  When no
+    With ``reveal``, ``mask`` is only the grid's shape: the interior stays
+    HIDDEN, and the search holds each HIDDEN cell it reaches.  When no
     other cell is left, it calls ``reveal`` with the (m, ndim) held cells,
-    which returns (first cell, block) pairs that make known the blocks of
-    cells starting at those first cells, True where a cell is in the
-    mask; every held cell must lie in a block.  The search then resumes
-    from the held cells in the mask, one level for all, so only the
-    reached mask, not the parents, is meaningful then.
+    which returns (first cell, block) pairs, uint8 blocks of codes NONE to
+    SEED that cover every held cell.  A block is merged by its maximum with
+    the states, which keeps the REACHED cells where it overlaps the search,
+    and the search resumes from the held cells that turned OPEN, one level
+    for all, so the parents are not meaningful then.  The flood returns the
+    cells' states, a view of its own bytes.
     """
-    # a False rim stops the search at the grid edge, so flat-index
-    # neighbours never wrap around an axis; one byte per cell, so the
-    # array's byte strides are its flat-index strides.  Both branches read
-    # and write the same bytes: the loop as bytearrays, the numpy step
-    # through views of them.
-    padded = np.pad(np.asarray(mask, dtype=bool), 1)
-    inside = bytearray(padded)
-    reached = bytearray(len(inside))
-    hidden = bytearray(inside if reveal is not None else len(inside))
-    inside_view, reached_view, hidden_view = (
-        np.frombuffer(b, dtype=bool) for b in (inside, reached, hidden))
-    offsets = [d for stride in padded.strides for d in (-stride, stride)]
+    shape = tuple(mask) if reveal is not None else np.shape(mask)
+    padded = tuple(k + 2 for k in shape)
+    state = bytearray(math.prod(padded))
+    view = np.frombuffer(state, dtype=np.uint8)
+    grid = view.reshape(padded)
+    for axis in range(len(padded)):
+        at = (slice(None),) * axis
+        grid[at + (0,)] = grid[at + (-1,)] = NONE
+    interior = tuple(slice(1, -1) for _ in padded)
+    if reveal is None:
+        inner = grid[interior]
+        np.copyto(inner, mask)
+        inner *= OPEN - NONE
+        inner += NONE
+    # one byte per cell, so the byte strides are the flat-index strides
+    offsets = [d for stride in grid.strides for d in (-stride, stride)]
     steps = np.array(offsets)
-    seeds = np.asarray(seeds, dtype=np.intp).reshape(-1, padded.ndim) + 1
+    seeds = np.asarray(seeds, dtype=np.intp).reshape(-1, len(padded)) + 1
     level, held = [], []
-    for i in np.ravel_multi_index(seeds.T, padded.shape).tolist():
-        if inside[i] and not reached[i]:
-            reached[i] = 1
-            (held if hidden[i] else level).append(i)
+    for i in np.ravel_multi_index(seeds.T, padded).tolist():
+        code = state[i]
+        if code == OPEN:
+            state[i] = REACHED
+            level.append(i)
+        elif code == HIDDEN:
+            state[i] = HELD
+            held.append(i)
     levels = [level]
     while len(level) or held:
         if not len(level):
-            cells = np.transpose(np.unravel_index(held, padded.shape)) - 1
+            cells = np.transpose(np.unravel_index(held, padded)) - 1
             for first, block in reveal(cells):
-                at = tuple(slice(i + 1, i + 1 + k)
-                           for i, k in zip(first, block.shape))
-                inside_view.reshape(padded.shape)[at] = block
-                hidden_view.reshape(padded.shape)[at] = False
+                part = grid[tuple(slice(i + 1, i + 1 + k)
+                                  for i, k in zip(first, block.shape))]
+                np.maximum(part, block, out=part)
             held = np.asarray(held)
-            into = inside_view[held]
-            reached_view[held[~into]] = False
-            level, held = held[into].tolist(), []
+            held = held[view[held] == OPEN]
+            view[held] = REACHED
+            level, held = held.tolist(), []
         if len(level) >= _LEVEL_CROSSOVER:
             near = (np.asarray(level)[:, None] + steps).ravel()
-            level = near[inside_view[near] & ~reached_view[near]]
+            code = view[near]
+            enter = code == OPEN
+            if reveal is not None:
+                enter |= code == HIDDEN
+            level = near[enter]
             if parents:     # each cell's first occurrence, in queue order
                 level = level[np.sort(np.unique(level,
                                                 return_index=True)[1])]
@@ -375,11 +408,12 @@ def flood(mask: np.ndarray, seeds, parents: bool = False, reveal=None):
                 once = np.ones(len(level), dtype=bool)
                 np.not_equal(level[1:], level[:-1], out=once[1:])
                 level = level[once]
-            reached_view[level] = True
             if reveal is not None:
-                hold = hidden_view[level]
+                hold = view[level] == HIDDEN
+                view[level[hold]] = HELD
                 held += level[hold].tolist()
                 level = level[~hold]
+            view[level] = REACHED
             if len(level) < _LEVEL_CROSSOVER:
                 level = level.tolist()   # Python ints for the loop
         else:
@@ -387,9 +421,13 @@ def flood(mask: np.ndarray, seeds, parents: bool = False, reveal=None):
             for i in current:
                 for d in offsets:
                     j = i + d
-                    if inside[j] and not reached[j]:
-                        reached[j] = 1
-                        (held if hidden[j] else level).append(j)
+                    code = state[j]
+                    if code == OPEN:
+                        state[j] = REACHED
+                        level.append(j)
+                    elif code == HIDDEN:
+                        state[j] = HELD
+                        held.append(j)
         levels.append(level)
     if parents:
         order, run = [], []
@@ -401,17 +439,18 @@ def flood(mask: np.ndarray, seeds, parents: bool = False, reveal=None):
                 run = []
         order = np.concatenate([*order, np.asarray(run, dtype=np.intp)])
         # each cell's place in breadth-first order; unreached cells last
-        pos = np.full(len(inside), len(order))
+        pos = np.full(len(state), len(order))
         pos[order] = np.arange(len(order))
         n_seeds = len(levels[0])          # the seeds have no parent
         up = pos[order[n_seeds:, None] + steps].min(axis=1)
-        cells = np.array(np.unravel_index(order, padded.shape)).T - 1
+        cells = np.array(np.unravel_index(order, padded)).T - 1
         cells = [tuple(c) for c in cells.tolist()]
         parent = dict.fromkeys(cells[:n_seeds])
         parent.update(zip(cells[n_seeds:], [cells[k] for k in up.tolist()]))
         return parent
-    interior = tuple(slice(1, -1) for _ in mask.shape)
-    return reached_view.reshape(padded.shape)[interior].copy()
+    if reveal is not None:
+        return grid[interior]
+    return grid[interior] == REACHED
 
 
 # ---------------------------------------------------------------------------

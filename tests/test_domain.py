@@ -6,6 +6,7 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 from charmax import domain, integrals, problem_path
@@ -164,6 +165,43 @@ class TestProjectionOfHandMadeMasks:
         mask[2:] = False
         dom = maximal_domain(comp)
         assert np.argwhere(dom.mask).tolist() == [[1, 1], [1, 2]]
+
+    @given(dim=st.integers(2, 3), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_u_runs_match_the_dense_count(self, dim, seed):
+        # a column is empty, full, one run from u = 0, to the top u cell or
+        # between, or, at a rate drawn per mask, up to three random runs,
+        # which may touch either end and make two or more
+        rng = np.random.default_rng(seed)
+        shape = tuple(int(k) for k in rng.integers(1, 7, dim - 1)) + (
+            int(rng.integers(1, 12)),)
+        top = shape[-1]
+        several = rng.choice([0.0, 0.05, 0.5])
+        mask = np.zeros(shape, dtype=bool)
+        for column in np.ndindex(shape[:-1]):
+            if rng.random() < several:
+                for lo, hi in np.sort(rng.integers(0, top, (3, 2))):
+                    mask[column][lo:hi + 1] = True
+            else:
+                lo, hi = np.sort(rng.integers(0, top, 2)) + (0, 1)
+                start, stop = [(0, 0), (0, top), (0, hi), (lo, top),
+                               (lo, hi)][rng.integers(5)]
+                mask[column][start:stop] = True
+        if not mask.any():
+            mask.flat[rng.integers(mask.size)] = True
+        runs = helpers.u_runs_by_shifted_masks(mask)
+        comp = helpers.hand_component(mask)
+        if (runs > 1).any():
+            base = tuple(np.argwhere(runs > 1)[0].tolist())
+            with pytest.raises(ProjectionError) as err:
+                maximal_domain(comp)
+            assert str(err.value) == (
+                f"component projects two u-branches onto base cell {base}; "
+                "resolution too coarse to separate sheets")
+        else:
+            got = maximal_domain(comp).mask
+            assert got.dtype == bool and got.shape == runs.shape
+            assert np.array_equal(got, runs > 0)
 
     @pytest.mark.parametrize("shape", [(7,), (4, 5), (4, 5, 6)])
     def test_beside_is_the_or_of_the_shifted_masks(self, shape):

@@ -352,8 +352,9 @@ class TestAssembly:
     def test_sigma_forms_compiled_once_by_a_domain_run(self, name, solutions,
                                                        monkeypatch, tmp_path):
         # the sigma stage compiles nothing itself: fold_values and
-        # jacobian_rows once each where it has seeds, neither where not
-        _, _, sol = solutions(name)
+        # jacobian_rows once each where it has seeds, neither where not;
+        # grad_values only when a query marches
+        _, rho_set, sol = solutions(name)
         jacobian = helpers.jacobian_trees(sol)
         compiled = []
         compile_exprs = integrals.compile_exprs
@@ -369,6 +370,17 @@ class TestAssembly:
         assert compiled.count(([sol.F, *jacobian], False)) == count
         assert compiled.count((jacobian, True)) == count
         assert compiled.count(([sol.F, sol.F_u], True)) == 1
+        # each command compiles rho's Jacobian for the nondegeneracy check,
+        # and on ode_quadratic that is grad F itself
+        gradient = (list(sol.gradient), False)
+        rho_jacobian = [diff(r, v) for r in rho_set.rho
+                        for v in var_names(sol.n)]
+        same = int(gradient[0] == rho_jacobian)
+        assert compiled.count(gradient) == same
+        x = [] if name == "ode_quadratic" else ["--x", "0.5"]
+        assert main(["query", "--problem", str(problem_path(name)),
+                     "--t", "0.1", *x]) == 0
+        assert compiled.count(gradient) == 2 * same + 1
 
     def test_Fu_value_compiled_on_first_call(self, monkeypatch):
         # F_u alone: it fails to evaluate exactly where evaluate does

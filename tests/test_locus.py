@@ -476,6 +476,12 @@ def flood_seeds(mask, count, seed):
     return [tuple(int(i) for i in c) for c in seeds]
 
 
+def block_codes(mask):
+    """flood's state codes of a known mask: OPEN where True, NONE where
+    False."""
+    return np.where(mask, locus.OPEN, locus.NONE).astype(np.uint8)
+
+
 def block_reveal(mask, size, revealed):
     """A ``reveal`` for flood that makes ``mask`` known in blocks of
     ``size`` cells per axis (fewer on a shorter axis, the last block of an
@@ -492,11 +498,33 @@ def block_reveal(mask, size, revealed):
         blocks = []
         for first in dict.fromkeys(map(tuple, firsts.tolist())):
             revealed.append(first)
-            blocks.append((first, mask[tuple(slice(i, i + k) for i, k in
-                                             zip(first, size))]))
+            blocks.append((first, block_codes(mask[block_at(first, size)])))
         return blocks
 
     return reveal
+
+
+def block_at(first, size):
+    """The block of ``size[a]`` cells along each axis a from ``first``."""
+    return tuple(slice(i, i + k) for i, k in zip(first, size))
+
+
+def check_reveal(mask, seeds, size):
+    """flood with ``block_reveal`` against the flood of the known mask:
+    REACHED on the same cells, each revealed block's codes on its other
+    cells, HIDDEN on the cells of no block, and every block asked for
+    once.  Returns the first cells of the blocks."""
+    revealed = []
+    got = flood(mask.shape, seeds, reveal=block_reveal(mask, size, revealed))
+    want = np.zeros(mask.shape, dtype=np.uint8)
+    size = np.minimum(size, mask.shape)
+    for first in revealed:
+        at = block_at(first, size)
+        want[at] = block_codes(mask[at])
+    want[flood(mask, seeds)] = locus.REACHED
+    assert got.dtype == np.uint8 and np.array_equal(got, want)
+    assert len(revealed) == len(set(revealed))
+    return revealed
 
 
 def check_flood(mask, seeds):
@@ -602,13 +630,7 @@ class TestFlood:
         top = {1: 90, 2: 64, 3: 16}[dim]
         shape = tuple(int(v) for v in rng.integers(1, top + 1, dim))
         mask = flood_mask(kind, shape, seed)
-        seeds = flood_seeds(mask, count, seed)
-        revealed = []
-        got = flood(np.ones(shape, dtype=bool), seeds,
-                    reveal=block_reveal(mask, size, revealed))
-        assert np.array_equal(got, flood(mask, seeds))
-        # every block is asked for once, and only for a cell it holds
-        assert len(revealed) == len(set(revealed))
+        check_reveal(mask, flood_seeds(mask, count, seed), size)
 
     @pytest.mark.parametrize("size", [5, 8, 16])
     def test_shell_above_the_crossover_with_reveal(self, size):
@@ -621,12 +643,22 @@ class TestFlood:
         seed = [tuple(int(i) for i in np.argwhere(mask)[0])]
         sizes = level_sizes(check_flood(mask, seed))
         assert max(sizes) >= 4 * locus._LEVEL_CROSSOVER
-        revealed = []
-        got = flood(np.ones(mask.shape, dtype=bool), seed,
-                    reveal=block_reveal(mask, size, revealed))
-        assert _same_bytes(got, helpers.flood_by_queue(mask, seed))
-        assert got.sum() == mask.sum()
-        assert len(revealed) == len(set(revealed)) > 8
+        assert len(check_reveal(mask, seed, size)) > 8
+        assert (flood(mask, seed) == mask).all()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_block_over_reached_cells_keeps_them(self, dim):
+        # two branches from the first row: one runs to the last row, the
+        # other stops short of it and meets the first only in the first
+        # row.  The last block (rows 1 to 16) re-covers both after the
+        # search reached them; a block written over the states instead of
+        # merged would reopen the short branch, which no cell the search
+        # still expands would reach again
+        mask = np.zeros((17, 3) + (1,) * (dim - 2), dtype=bool)
+        mask[0] = mask[:, 0] = mask[:11, 2] = True
+        got = check_reveal(mask, [(0,) * dim], 16)
+        assert got == [(0,) * dim, (1,) + (0,) * (dim - 1)]
+        assert flood(mask, [(0,) * dim]).sum() == 17 + 2 + 10
 
 
 class TestCellOf:
