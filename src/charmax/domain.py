@@ -31,7 +31,8 @@ import numpy as np
 
 from .expr import EvalDomainError, evaluate
 from .integrals import ImplicitSolution, _newton_u
-from .locus import SurfaceComponent, cell_center, cell_indices, cell_of, flood
+from .locus import (SurfaceComponent, among, cell_center, cell_indices,
+                    cell_of, flood)
 from .problem import InitialData, Problem
 
 SOLVE_TOL = 1e-12
@@ -142,28 +143,26 @@ def maximal_domain(component: SurfaceComponent,
     unbroken run of cells in its u-column (the projection restricted to
     the component must be injective); two branches raise ProjectionError,
     naming the first such base cell.  The runs are counted from the
-    component's cells, not over the whole grid.
+    component's sorted flat cell indices, not over the whole grid.
     """
-    comp = component.mask
-    cells = np.flatnonzero(comp)
+    cells = component.cells_flat
     if not len(cells):
         raise ValueError("component is empty")
     surface = component.surface
     base_axes = surface.axes[:-1]
+    base_shape = surface.state.shape[:-1]
 
-    # u-runs per base column, from the sorted flat indices of the cells: a
-    # run starts at a cell that is its column's first (u = 0) or whose
-    # predecessor in the list is not the cell below it
-    column, u = np.divmod(cells, comp.shape[-1])
+    # u-runs per base column: a run starts at a cell that is its column's
+    # first (u = 0) or whose predecessor in the list is not the cell below
+    column, u = np.divmod(cells, surface.state.shape[-1])
     start = u == 0
     start[1:] |= cells[1:] - 1 != cells[:-1]
     start[0] = True
-    runs = np.bincount(column[start], minlength=comp[..., 0].size)
-    mask = runs.reshape(comp.shape[:-1]) > 0
+    runs = np.bincount(column[start], minlength=math.prod(base_shape))
+    mask = runs.reshape(base_shape) > 0
     split = np.flatnonzero(runs > 1)
     if len(split):
-        base = tuple(int(v) for v in np.unravel_index(split[0],
-                                                      comp.shape[:-1]))
+        base = tuple(int(v) for v in np.unravel_index(split[0], base_shape))
         raise ProjectionError(
             f"component projects two u-branches onto base cell {base}; "
             "resolution too coarse to separate sheets")
@@ -193,15 +192,15 @@ def _neighbour(mask: np.ndarray, axis: int, step: int) -> np.ndarray:
     return out
 
 
-def _beside(mask: np.ndarray, cells: np.ndarray) -> np.ndarray:
+def _beside(cells: np.ndarray, flat: np.ndarray, shape) -> np.ndarray:
     """Per row of the (m, ndim) ``cells``, whether a cell sharing a facet
-    with it lies in ``mask``."""
+    with it is one of the sorted flat indices ``flat`` of ``shape``."""
     out = np.zeros(len(cells), dtype=bool)
-    for axis, size in enumerate(mask.shape):
+    for axis, size in enumerate(shape):
         for step in (-1, 1):
-            near = cells + step * np.eye(mask.ndim, dtype=cells.dtype)[axis]
+            near = cells + step * np.eye(len(shape), dtype=cells.dtype)[axis]
             on = (near[:, axis] >= 0) & (near[:, axis] < size)
-            out[on] |= mask[tuple(near[on].T)]
+            out[on] |= among(near[on], flat, shape)
     return out
 
 
@@ -209,7 +208,9 @@ def _assemble_boundary(component: SurfaceComponent, mask, base_axes):
     """Window boundary from the mask outline: the sides of masked cells
     whose neighbour is neither masked nor a singular base cell (a side
     facing a singular cell is fold, covered by sigma projections)."""
-    closed = mask | component.sigma_cells.any(axis=-1)
+    u_size = component.surface.state.shape[-1]
+    closed = mask.copy()
+    closed.flat[component.sigma_flat // u_size] = True
     outline = [(tuple(base), axis, step)
                for axis in range(mask.ndim) for step in (-1, 1)
                for base in cell_indices(
@@ -280,17 +281,18 @@ def _attach_sigma_boundary(dom: MaximalDomain, component: SurfaceComponent,
                            sigma) -> MaximalDomain:
     """Attach projected sigma polylines/points near the component closure
     as fold boundary."""
-    axes = component.surface.axes
-    near = component.sigma_cells
+    axes, shape = component.surface.axes, component.surface.state.shape
     fold_lines = []
     for line in sigma.polylines:
         # in a singular cell, or sharing a facet with a component cell
         cells = cell_of(axes, line)
-        keep = line[near[tuple(cells.T)] | _beside(component.mask, cells)]
+        keep = line[among(cells, component.sigma_flat, shape)
+                    | _beside(cells, component.cells_flat, shape)]
         if len(keep):
             fold_lines.append(keep[:, :-1])
     if not fold_lines and len(sigma.points):
-        pts = sigma.points[near[tuple(cell_of(axes, sigma.points).T)]]
+        pts = sigma.points[among(cell_of(axes, sigma.points),
+                                 component.sigma_flat, shape)]
         if len(pts):
             fold_lines.append(pts[:, :-1])
     dom.boundary = ([BoundaryPolyline("fold", l) for l in fold_lines]

@@ -2,58 +2,43 @@
 
 The zero set of F is discretized over the computational box on a regular
 grid: a cell "crosses" when F changes sign among its corner vertices,
-and adjacency is shared-facet adjacency between crossing cells.  Each
-vertex gets a sign code and each cell the OR of its corners' codes,
-reduced one axis at a time.  F and F_u are evaluated tile by tile, each
-tile on its own sparse axes, so that a subtree in fewer variables is
-evaluated on fewer points and a tile's values are the whole grid's.
-Each evaluated tile gives its cells one state code each: not crossing,
-excluded, crossing, or a sigma seed.  Asked for every tile
-(``singular``), the surface evaluates the whole grid as one tile and
-reads its masks from that tile's codes.  Given the initial set
-(``domain``), it evaluates only the tiles of TILE cells per axis that
-the initial set's flood reaches: the flood keeps one state byte per cell,
-holds the cells it reaches in tiles not yet evaluated, and when it has
-no other cell left, one call evaluates all their tiles, their codes are
-merged into the states by one maximum per tile, and the flood resumes
-from them; every mask and cell list of the surface is read from the
-final states.  For point-cloud dumps only, the surface is
-also given as the zero of F on each cut edge of the crossing cells (the
-square's sides in the plane case, the edges of the cube's six Kuhn
-tetrahedra in the space case), found for all edges in one pass; these
-are the vertices of the linear pieces inside the cells.
+and adjacency is shared-facet adjacency between crossing cells.  F and
+F_u are evaluated tile by tile, each tile on its own sparse axes, so that
+a subtree in fewer variables is evaluated on fewer points and a tile's
+values are the whole grid's.  Each vertex gets a sign code and each cell
+the OR of its corners' codes, reduced one axis at a time, and from those
+one uint8 state code: not crossing, excluded, crossing, or a sigma seed
+(F_u changes sign too).  ``singular`` evaluates the whole grid as one
+tile; ``domain`` only the tiles of TILE cells per axis that the initial
+set's flood reaches, revealed as the flood asks for them.  The states
+are the surface's one cell-shaped array: the flood also returns the
+sorted flat indices of the cells it reached, each evaluated tile lists
+its seed cells, and masks of the crossing, reached and excluded cells are
+derived only for readers that ask for them.  For point-cloud dumps only,
+the surface is also given as the zero of F on each cut edge of the
+crossing cells (the square's sides in the plane case, the edges of the
+cube's six Kuhn tetrahedra in the space case).
 
 The singular locus is the subset of the surface where F_u vanishes too.
-Crossing cells where F_u changes sign too, by the same sign codes, found
-with the surface on its tiles, seed a damped Newton polish that runs
-all seeds in lockstep on compile's array back end; the polished points
-are thinned to one per cell diagonal, and in the space case ordered into
-polylines by pseudo-arclength continuation along the curve.  All of it
-runs on the implicit solution's trees and compiled forms, which the
-query's turning-point solve uses too; the stage compiles nothing.
-The continuation does its elementwise 3-vector work in Python floats:
-the predictor, the componentwise convergence and finiteness tests of its
-Newton corrector, and each norm as the square root of a numpy dot, which
-is what ``np.linalg.norm`` computes.  The dot products and the 3 x 3
-solves stay numpy calls, so that the traced points are bit for bit those
-of an all-numpy trace.  The thinning tests each kept point only against
-the later points whose first coordinate lies within a cell diagonal.
+The seed cells start a damped Newton polish that runs all seeds in
+lockstep on compile's array back end; the polished points are thinned
+to one per cell diagonal, and in the space case ordered into polylines
+by pseudo-arclength continuation along the curve, on the implicit
+solution's trees and compiled forms; the stage compiles nothing.  The
+continuation does its elementwise 3-vector work in Python floats and
+each norm as the square root of a numpy dot, as ``np.linalg.norm``
+does; the dot products and the 3 x 3 solves stay numpy calls, so that
+the traced points are bit for bit those of an all-numpy trace.
 
-Splitting off the connected component of the initial set is a
-breadth-first flood fill over cell adjacency with singular cells removed.
-The flood that chose the tiles is cut at the seed cells; its reached
-cells are the component unless a cell of a polished sigma point or
-polyline lies in them, and only then is the component flooded again.
-The flood is a loop over the levels of the search on one state byte per
-cell: a level of many cells is expanded in one numpy step, a level of a
-few cells cell by cell, each reading one state per neighbour.  Only a
-flood that asks for the breadth-first tree keeps every level in the
-order of a one-cell-at-a-time queue; one that returns the mask sorts a
-numpy level and drops its repeats instead.  The tree is derived after
-the search: a cell's parent is its neighbour that comes first in
-breadth-first order.  The grid helpers here (cell lookup, cell centres,
-mask to index list by one flat scan, flood fill) serve the base-space
-mask as well.
+The component of the initial set is a breadth-first flood fill over
+cell adjacency with the singular cells removed, kept as sorted flat
+indices like the singular cells.  The cells the seed-cut flood reached
+are the component unless a cell of a polished sigma point or polyline
+is among them; only then is a copy of the states flooded again.  The
+flood expands a level of many cells in one numpy step and a level of a
+few cells cell by cell, each reading one state per neighbour.  The grid
+helpers here (cell lookup, cell centres, index lists, flood fill) serve
+the base-space mask as well.
 """
 
 from __future__ import annotations
@@ -99,10 +84,9 @@ class LevelSurface:
     resolution: int
     axes: tuple[np.ndarray, ...]       # vertex coordinates per axis
     values: np.ndarray | None          # F at vertices (whole grid only)
-    crossing: np.ndarray               # cell-shaped bool mask
-    excluded_cells: np.ndarray         # cells dropped for invalid vertices
-    seed_cells: np.ndarray | None = None   # (j, dim) sigma seed cells
-    reached: np.ndarray | None = None  # cell mask of the seed-cut flood
+    state: np.ndarray                  # cell-shaped uint8 flood state codes
+    seed_cells: np.ndarray             # (j, dim) sigma seed cells
+    reached_flat: np.ndarray | None = None  # sorted flat, seed-cut flood
 
     @property
     def dim(self) -> int:
@@ -117,9 +101,19 @@ class LevelSurface:
         return float(np.linalg.norm(self.cell_size))
 
     @property
-    def cells(self) -> np.ndarray:
-        """(k, dim) indices of the crossing cells, lexicographically
-        sorted."""
+    def crossing(self) -> np.ndarray:       # mask of the crossing cells
+        return self.state >= OPEN
+
+    @property
+    def reached(self) -> np.ndarray:        # mask of the seed-cut flood
+        return self.state == REACHED
+
+    @property
+    def excluded_cells(self) -> np.ndarray:  # (k, dim), invalid vertices
+        return cell_indices(self.state == EXCLUDED)
+
+    @property
+    def cells(self) -> np.ndarray:          # (k, dim) crossing cells, sorted
         return cell_indices(self.crossing)
 
 
@@ -138,15 +132,22 @@ class SurfaceComponent:
     without touching singular cells."""
 
     surface: LevelSurface
-    mask: np.ndarray                   # cell-shaped bool mask
+    cells_flat: np.ndarray             # sorted flat indices of its cells
     gamma_cells: list[tuple]
-    sigma_cells: np.ndarray            # cell-shaped bool mask
+    sigma_flat: np.ndarray             # sorted flat indices, singular cells
 
     @property
-    def cells(self) -> np.ndarray:
-        """(k, dim) indices of the component cells, lexicographically
-        sorted."""
-        return cell_indices(self.mask)
+    def cells(self) -> np.ndarray:          # (k, dim) its cells, sorted
+        shape = self.surface.state.shape
+        return np.transpose(np.unravel_index(self.cells_flat, shape))
+
+    @property
+    def mask(self) -> np.ndarray:           # mask of the component cells
+        return cell_mask(self.cells_flat, self.surface.state.shape)
+
+    @property
+    def sigma_cells(self) -> np.ndarray:    # mask of the singular cells
+        return cell_mask(self.sigma_flat, self.surface.state.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -217,23 +218,16 @@ def extract_surface(F: Expr, box: Box, resolution: int,
 
     F and F_u = dF/du are evaluated tile by tile by ``_evaluate_tiles``,
     each compiled once, and each tile's cells get one of flood's state
-    codes: NONE, EXCLUDED, OPEN (crossing) or SEED.  Without ``gamma``
-    every tile is evaluated, the whole grid as one tile, and the surface
-    keeps F's vertex values (for ``patch_vertices``).  With the (m, dim)
-    initial-set samples ``gamma`` the tiles have TILE cells per axis (a
-    last tile that does not fit starts at ``resolution - TILE``,
-    overlapping its neighbour), and only those are evaluated that the
-    flood of the crossing cells from the cells holding the samples, cut at
-    the seed cells, reaches: ``flood`` holds the cells it reaches in tiles
-    not yet evaluated, and when it has no other cell left evaluates all
-    their tiles in one call and merges their codes into its states.  The
-    REACHED cells are the surface's ``reached`` mask, which
-    ``split_component`` takes as the component where no sigma point cuts
-    it; every field is read from the final states, so the masks and cell
-    lists hold the evaluated tiles only.
-
-    Vertices where F fails to evaluate are marked invalid; their incident
-    cells are excluded from the surface and reported.
+    codes: NONE, EXCLUDED (a vertex where F fails to evaluate), OPEN
+    (crossing) or SEED.  Without ``gamma`` the whole grid is one tile, and
+    the surface keeps F's vertex values (for ``patch_vertices``).  With the
+    (m, dim) initial-set samples ``gamma`` the tiles have TILE cells per
+    axis (a last tile that does not fit starts at ``resolution - TILE``),
+    and ``flood`` evaluates those that the flood of the crossing cells
+    from the samples' cells, cut at the seed cells, reaches; its REACHED
+    cells' sorted flat indices are ``reached_flat``.  The surface keeps
+    the states, the only cell-shaped array, and the seed cells, which each
+    call lists from its tiles.
     """
     if resolution < MIN_RESOLUTION:
         raise ValueError(f"resolution must be >= {MIN_RESOLUTION}")
@@ -247,7 +241,8 @@ def extract_surface(F: Expr, box: Box, resolution: int,
     F_grid = compile([F], names, arrays=True)
     F_u_grid = compile([diff(F, "u")], names, arrays=True)
     size = resolution if gamma is None else min(TILE[dim], resolution)
-    tiles = (-(-resolution // size),) * dim
+    shape, tiles = (resolution,) * dim, (-(-resolution // size),) * dim
+    seeds = []                     # the seed cells' flat indices, per call
 
     def codes(origins: np.ndarray):
         """F's vertex values and the cells' state codes on the tiles."""
@@ -257,6 +252,8 @@ def extract_surface(F: Expr, box: Box, resolution: int,
         # NONE + invalid + 2 crossing + seed: NONE, EXCLUDED, OPEN or SEED
         for part in (~all_ok, cross, cross, seed):
             code += part
+        tile, *at = np.unravel_index(np.flatnonzero(seed), seed.shape)
+        seeds.append(np.ravel_multi_index(origins[tile].T + at, shape))
         return values, code
 
     def reveal(held: np.ndarray) -> list:
@@ -270,15 +267,14 @@ def extract_surface(F: Expr, box: Box, resolution: int,
 
     if gamma is None:
         values, state = codes(np.zeros((1, dim), dtype=int))
-        values, state = values[0], state[0]
+        values, state, reached = values[0], state[0], None
     else:
         values = None
-        state = flood((resolution,) * dim, _cells_touching(axes, gamma)[0],
-                      reveal=reveal)
-    return LevelSurface(box, resolution, axes, values, state >= OPEN,
-                        cell_indices(state == EXCLUDED),
-                        cell_indices(state == SEED),
-                        None if gamma is None else state == REACHED)
+        state, reached = flood(shape, _cells_touching(axes, gamma)[0],
+                               reveal=reveal)
+    seeds = np.unique(np.concatenate(seeds))   # a cell of two tiles once
+    return LevelSurface(box, resolution, axes, values, state,
+                        np.transpose(np.unravel_index(seeds, shape)), reached)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +284,18 @@ def cell_indices(mask: np.ndarray) -> np.ndarray:
     """``np.argwhere(mask)`` by one flat scan: the (k, ndim) indices of the
     True cells, lexicographically sorted."""
     return np.transpose(np.unravel_index(np.flatnonzero(mask), mask.shape))
+
+
+def cell_mask(flat: np.ndarray, shape) -> np.ndarray:
+    """The bool mask of the given shape that is True at the flat indices."""
+    return np.bincount(flat, minlength=math.prod(shape)).reshape(shape) > 0
+
+
+def among(cells: np.ndarray, flat: np.ndarray, shape) -> np.ndarray:
+    """Per row of the (m, ndim) ``cells`` of a grid of ``shape``, whether
+    the sorted flat indices ``flat`` hold it (its insertion points differ)."""
+    at = np.ravel_multi_index(cells.T, shape)
+    return np.searchsorted(flat, at) != np.searchsorted(flat, at, "right")
 
 
 def cell_of(axes, point):
@@ -316,45 +324,38 @@ def cell_center(axes, cell) -> np.ndarray:
 def flood(mask, seeds, parents: bool = False, reveal=None):
     """Cells of ``mask`` facet-connected to the seed cells that lie in it.
 
-    Breadth-first from the seeds in the order given, a cell's neighbours
-    taken axis by axis, lower side first.  Returns the reached cells as a
-    mask or, with ``parents``, as a dict in breadth-first order mapping
-    each reached cell to the cell it was first reached from (None for
-    seeds).
+    ``mask`` is a bool mask or the cells' uint8 codes NONE to OPEN, OPEN in
+    the mask.  Breadth-first from the seeds in the order given, a cell's
+    neighbours taken axis by axis, lower side first.  Returns the reached
+    cells of a bool mask as a mask; of codes or with ``reveal``, the states
+    (a view of the flood's own bytes) and the REACHED cells' sorted flat
+    indices; with ``parents``, a dict in breadth-first order mapping each
+    reached cell to the cell it was first reached from (None for seeds).
 
     The search keeps one state byte per cell (HIDDEN to REACHED) of the
-    grid padded by a rim of one cell.  The bytes start zeroed, HIDDEN; the
-    rim is set to NONE, so that flat-index neighbours never wrap around an
-    axis, and the interior is filled from ``mask``: OPEN where True, NONE
-    where False.
-
-    The search runs one level (one distance from the seeds) at a time.  A
-    level of at least _LEVEL_CROSSOVER cells is expanded by one numpy
+    grid padded by a rim of one cell: the rim is NONE, so that flat-index
+    neighbours never wrap around an axis, and the interior is filled from
+    ``mask``.  It runs one level (one distance from the seeds) at a time.
+    A level of at least _LEVEL_CROSSOVER cells is expanded by one numpy
     step over the neighbours of all its cells, of which the OPEN cells
-    join the next level.  Only a flood with ``parents`` keeps the order of
-    a one-cell-at-a-time queue: it takes the neighbours in (cell,
-    neighbour) order and keeps the first occurrence of each cell, which is
-    the order in which the queue appends them.  A flood that returns the
-    mask needs no order, and sorts the level and drops its repeats.
-    Smaller levels run the cell-by-cell loop, where a numpy step costs
-    more than it saves (a one-cell-wide chain has levels of one or two
-    cells).  Both read one state per neighbour: the loop from the
-    bytearray, the numpy step through a view of it.  The parents come
-    after the search: a cell is queued while its earliest-queued
-    neighbour is expanded, so its parent is the neighbour that comes first
-    in breadth-first order.
+    join the next level; smaller levels run a cell-by-cell loop, where a
+    numpy step costs more than it saves.  Only a flood with ``parents``
+    keeps the order of a one-cell-at-a-time queue, taking the neighbours
+    in (cell, neighbour) order and keeping each cell's first occurrence;
+    any other sorts the level and drops its repeats.  A cell is queued
+    while its earliest-queued neighbour is expanded, so its parent is the
+    neighbour that comes first in breadth-first order.
 
     With ``reveal``, ``mask`` is only the grid's shape: the interior stays
     HIDDEN, and the search holds each HIDDEN cell it reaches.  When no
     other cell is left, it calls ``reveal`` with the (m, ndim) held cells,
     which returns (first cell, block) pairs, uint8 blocks of codes NONE to
     SEED that cover every held cell.  A block is merged by its maximum with
-    the states, which keeps the REACHED cells where it overlaps the search,
-    and the search resumes from the held cells that turned OPEN, one level
-    for all, so the parents are not meaningful then.  The flood returns the
-    cells' states, a view of its own bytes.
+    the states, keeping the REACHED cells it overlaps, and the search
+    resumes from the held cells that turned OPEN, one level for all.
     """
     shape = tuple(mask) if reveal is not None else np.shape(mask)
+    known = reveal is None and np.asarray(mask).dtype == bool
     padded = tuple(k + 2 for k in shape)
     state = bytearray(math.prod(padded))
     view = np.frombuffer(state, dtype=np.uint8)
@@ -364,10 +365,7 @@ def flood(mask, seeds, parents: bool = False, reveal=None):
         grid[at + (0,)] = grid[at + (-1,)] = NONE
     interior = tuple(slice(1, -1) for _ in padded)
     if reveal is None:
-        inner = grid[interior]
-        np.copyto(inner, mask)
-        inner *= OPEN - NONE
-        inner += NONE
+        grid[interior] = np.where(mask, OPEN, NONE) if known else mask
     # one byte per cell, so the byte strides are the flat-index strides
     offsets = [d for stride in grid.strides for d in (-stride, stride)]
     steps = np.array(offsets)
@@ -392,6 +390,7 @@ def flood(mask, seeds, parents: bool = False, reveal=None):
             held = np.asarray(held)
             held = held[view[held] == OPEN]
             view[held] = REACHED
+            levels.append(held)
             level, held = held.tolist(), []
         if len(level) >= _LEVEL_CROSSOVER:
             near = (np.asarray(level)[:, None] + steps).ravel()
@@ -429,15 +428,9 @@ def flood(mask, seeds, parents: bool = False, reveal=None):
                         state[j] = HELD
                         held.append(j)
         levels.append(level)
+    # the levels in breadth-first order (an empty list reads as float64)
+    order = np.concatenate(levels, dtype=np.intp, casting="unsafe")
     if parents:
-        order, run = [], []
-        for part in levels:  # one array per run of the loop's lists
-            if isinstance(part, list):
-                run += part
-            else:
-                order += [np.asarray(run, dtype=np.intp), part]
-                run = []
-        order = np.concatenate([*order, np.asarray(run, dtype=np.intp)])
         # each cell's place in breadth-first order; unreached cells last
         pos = np.full(len(state), len(order))
         pos[order] = np.arange(len(order))
@@ -448,9 +441,15 @@ def flood(mask, seeds, parents: bool = False, reveal=None):
         parent = dict.fromkeys(cells[:n_seeds])
         parent.update(zip(cells[n_seeds:], [cells[k] for k in up.tolist()]))
         return parent
-    if reveal is not None:
-        return grid[interior]
-    return grid[interior] == REACHED
+    if known:
+        return grid[interior] == REACHED
+    order.sort()
+    flat, scale = 0, 1      # less the rim, axis by axis from the last
+    for size in reversed(padded):
+        quot = order // size
+        flat += (order - quot * size - 1) * scale
+        order, scale = quot, scale * (size - 2)
+    return grid[interior], flat
 
 
 # ---------------------------------------------------------------------------
@@ -814,42 +813,41 @@ def _cells_touching(axes, points):
 
 def split_component(surface: LevelSurface, sigma: SingularLocus,
                     gamma) -> SurfaceComponent:
-    """Flood-fill the crossing cells from the initial-set cells, with
-    singular cells removed first: the sigma seed cells and the cells of
-    the polished sigma points and polylines.
-
-    A surface with a ``reached`` mask, the flood from the initial set cut
-    at the seed cells alone, is flooded again only where a cell of a sigma
-    point or polyline lies in that mask; otherwise the mask is the
-    component, as the same flood with more cells removed outside it reaches
-    the same cells.  A surface evaluated on every tile is always flooded
-    here."""
-    sigma_cells = np.zeros_like(surface.crossing)
-    sigma_cells[tuple(sigma.seed_cells.T)] = True
+    """Flood-fill the crossing cells from the initial-set cells, with the
+    singular cells (sorted flat indices) removed: the sigma seed cells and
+    the cells of the polished sigma points and polylines.  The flood from
+    the initial set cut at the seed cells alone, ``reached_flat``, is the
+    component unless a cell of a sigma point or polyline is REACHED, as
+    the same flood with more cells removed outside it reaches the same
+    cells; otherwise, and always without ``reached_flat``, a copy of the
+    states with NONE in the singular cells is flooded."""
+    shape = surface.state.shape
     on_sigma = cell_of(surface.axes, np.vstack([sigma.points,
                                                 *sigma.polylines]))
-    sigma_cells[tuple(on_sigma.T)] = True
+    sigma_flat = np.union1d(np.ravel_multi_index(sigma.seed_cells.T, shape),
+                            np.ravel_multi_index(on_sigma.T, shape))
 
     gamma = np.asarray(gamma, dtype=float).reshape(-1, surface.dim)
     cells, row = _cells_touching(surface.axes, gamma)
-    crossing = surface.crossing[tuple(cells.T)]
+    crossing = surface.state[tuple(cells.T)] >= OPEN
     missing = np.setdiff1d(np.arange(len(gamma)), row[crossing])
     if len(missing):
         raise ResolutionError(
             f"initial-set sample {gamma[missing[0]].tolist()} lies in no "
             "crossing cell; increase the resolution")
-    gamma_cells = [tuple(c) for c in cells[crossing].tolist()]
-
-    frontier = [c for c in gamma_cells if not sigma_cells[c]]
-    if not frontier:
+    cells = cells[crossing]
+    frontier = cells[~among(cells, sigma_flat, shape)]
+    if not len(frontier):
         raise ResolutionError(
             "all initial-set cells are singular at this resolution")
-    if surface.reached is None or surface.reached[tuple(on_sigma.T)].any():
-        mask = flood(surface.crossing & ~sigma_cells, frontier)
-    else:
-        mask = surface.reached
-    return SurfaceComponent(surface, mask, list(dict.fromkeys(gamma_cells)),
-                            sigma_cells)
+    flat = surface.reached_flat
+    if flat is None or (surface.state[tuple(on_sigma.T)] == REACHED).any():
+        codes = np.clip(surface.state, NONE, OPEN)   # crossing cells OPEN
+        codes.flat[sigma_flat] = NONE
+        flat = flood(codes, frontier)[1]
+    return SurfaceComponent(surface, flat,
+                            list(dict.fromkeys(map(tuple, cells.tolist()))),
+                            sigma_flat)
 
 
 # ---------------------------------------------------------------------------

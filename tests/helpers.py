@@ -575,8 +575,12 @@ def singular_locus_by_scalar_rows(sol, surface):
 
 
 def flood_by_queue(mask, seeds, parents=False):
-    """Reference for locus.flood: one FIFO queue, one cell at a time."""
-    padded = np.pad(np.asarray(mask, dtype=bool), 1)
+    """Reference for locus.flood: one FIFO queue, one cell at a time.  Of
+    uint8 state codes, the OPEN cells are the mask, and it returns the
+    states with the reached cells REACHED and their sorted flat indices."""
+    mask = np.asarray(mask)
+    codes = mask.dtype == np.uint8
+    padded = np.pad(mask == locus.OPEN if codes else mask.astype(bool), 1)
     inside = padded.tobytes()
     offsets = [d for stride in padded.strides for d in (-stride, stride)]
     reached = bytearray(len(inside))
@@ -605,7 +609,11 @@ def flood_by_queue(mask, seeds, parents=False):
                 for c, k in zip(cells, came_from)}
     interior = tuple(slice(1, -1) for _ in mask.shape)
     reached = np.frombuffer(reached, dtype=bool).reshape(padded.shape)
-    return reached[interior].copy()
+    reached = reached[interior].copy()
+    if codes:
+        return (np.where(reached, locus.REACHED, mask).astype(np.uint8),
+                np.flatnonzero(reached))
+    return reached
 
 
 # ---------------------------------------------------------------------------
@@ -1077,8 +1085,9 @@ def grid_surface(values, lows=None, highs=None):
                  for lo, hi, k in zip(lows, highs, values.shape))
     valid = np.ones(values.shape, dtype=bool)
     crossing, all_ok = _classify_cells(values, valid, values.ndim)
-    return LevelSurface(None, values.shape[0] - 1, axes, values, crossing,
-                        np.argwhere(~all_ok))
+    state = (locus.NONE + ~all_ok + 2 * crossing).astype(np.uint8)
+    return LevelSurface(None, values.shape[0] - 1, axes, values, state,
+                        np.zeros((0, values.ndim), dtype=int))
 
 
 # ---------------------------------------------------------------------------
@@ -1106,13 +1115,15 @@ def hand_component(mask, sigma_cells=None, gamma_cells=None):
     to the first component cell."""
     mask = np.asarray(mask, dtype=bool)
     axes = tuple(np.arange(k + 1, dtype=float) for k in mask.shape)
-    surface = LevelSurface(None, mask.shape[0], axes, None, mask,
+    state = np.where(mask, locus.OPEN, locus.NONE).astype(np.uint8)
+    surface = LevelSurface(None, mask.shape[0], axes, None, state,
                            np.zeros((0, mask.ndim), int))
     if sigma_cells is None:
         sigma_cells = np.zeros_like(mask)
     if gamma_cells is None:
         gamma_cells = [tuple(np.argwhere(mask)[0].tolist())]
-    return SurfaceComponent(surface, mask, gamma_cells, sigma_cells)
+    return SurfaceComponent(surface, np.flatnonzero(mask), gamma_cells,
+                            np.flatnonzero(sigma_cells))
 
 
 # ---------------------------------------------------------------------------

@@ -528,6 +528,18 @@ class TestFoldAtNZero:
         assert abs(boundary[0][0] + 1.0) <= 1e-8
         assert boundary[-1] == [1.0]
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the staircase "
+                       "outline also lists the fold side -1.001953125 as a "
+                       "window point")
+    def test_domain_boundary_is_the_fold_and_the_window(self, tmp_path,
+                                                        capsys):
+        out_dir = tmp_path / "out"
+        assert main(["domain", "--problem", write(tmp_path, N0_FOLD_DATA),
+                     "--out", str(out_dir)]) == 0
+        boundary = json.loads((out_dir / "domain.json").read_text())[
+            "boundary"]
+        assert boundary == [[-1.0], [1.0]]     # fold, then window
+
     def test_singular_json_has_the_fold(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
         assert main(["singular", "--problem", write(tmp_path, N0_FOLD_DATA),

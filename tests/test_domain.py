@@ -90,8 +90,8 @@ class TestMaximalDomain:
         for low, high in [(4, 8), (0, top)]:
             mask = np.zeros_like(surf.crossing)
             mask[3, 3, [low, high]] = True
-            fake = SurfaceComponent(surf, mask, [(3, 3, low)],
-                                    np.zeros_like(mask))
+            fake = SurfaceComponent(surf, np.flatnonzero(mask),
+                                    [(3, 3, low)], np.zeros(0, dtype=int))
             with pytest.raises(ProjectionError, match=r"two u-branches "
                                r"onto base cell \(3, 3\)"):
                 maximal_domain(fake)
@@ -163,7 +163,8 @@ class TestProjectionOfHandMadeMasks:
                            match=r"two u-branches onto base cell \(2, 3\);"):
             maximal_domain(comp)
         mask[2:] = False
-        dom = maximal_domain(comp)
+        dom = maximal_domain(helpers.hand_component(mask,
+                                                    gamma_cells=[(1, 1, 0)]))
         assert np.argwhere(dom.mask).tolist() == [[1, 1], [1, 2]]
 
     @given(dim=st.integers(2, 3), seed=st.integers(0, 2**32 - 1))
@@ -213,9 +214,11 @@ class TestProjectionOfHandMadeMasks:
             for axis in range(len(shape)):
                 for step in (-1, 1):
                     shifted |= domain._neighbour(mask, axis, step)
-            assert np.array_equal(domain._beside(mask, every_cell),
-                                  shifted[tuple(every_cell.T)])
-        assert domain._beside(mask, every_cell[:0]).shape == (0,)
+            assert np.array_equal(
+                domain._beside(every_cell, np.flatnonzero(mask), shape),
+                shifted[tuple(every_cell.T)])
+        assert domain._beside(every_cell[:0], np.flatnonzero(mask),
+                              shape).shape == (0,)
 
     @pytest.mark.parametrize("name,resolution", [("ode_quadratic", 512),
                                                  ("circular", 48),

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
-from charmax import locus
-from charmax.domain import MaximalDomain
+from charmax import cli, locus, problem_path
+from charmax.domain import MaximalDomain, maximal_domain
 from charmax.expr import (EvalDomainError, diff, evaluate, evaluate_grid, parse,
                           var_names)
 from charmax.expr import compile as compile_exprs
@@ -515,7 +516,8 @@ def check_reveal(mask, seeds, size):
     cells, HIDDEN on the cells of no block, and every block asked for
     once.  Returns the first cells of the blocks."""
     revealed = []
-    got = flood(mask.shape, seeds, reveal=block_reveal(mask, size, revealed))
+    got, reached = flood(mask.shape, seeds,
+                         reveal=block_reveal(mask, size, revealed))
     want = np.zeros(mask.shape, dtype=np.uint8)
     size = np.minimum(size, mask.shape)
     for first in revealed:
@@ -523,6 +525,7 @@ def check_reveal(mask, seeds, size):
         want[at] = block_codes(mask[at])
     want[flood(mask, seeds)] = locus.REACHED
     assert got.dtype == np.uint8 and np.array_equal(got, want)
+    assert _same_bytes(reached, np.flatnonzero(want == locus.REACHED))
     assert len(revealed) == len(set(revealed))
     return revealed
 
@@ -1374,7 +1377,7 @@ class TestTiledDomain:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(locus, "flood", second_flood)
             component = split_component(surface, sigma, sol.gamma_samples)
-        assert component.mask is surface.reached
+        assert component.cells_flat is surface.reached_flat
 
     def test_a_sigma_cut_in_the_flood_floods_again(self, solutions):
         b, _, sol = solutions("circular")
@@ -1403,3 +1406,65 @@ class TestTiledDomain:
         assert len(floods) == 2
         assert _same_bytes(*masks)
         assert len(row) and (tiled.reached & ~masks[0]).sum() > len(row)
+
+
+class TestCellState:
+    """The flood's state codes are the one cell-shaped array from the
+    surface through the projection: the component and the singular cells
+    are sorted flat indices, and the masks are computed only for readers
+    that ask for them."""
+
+    def test_component_and_projection_allocate_no_cell_mask(self, solutions):
+        b, _, sol = solutions("circular")
+        surface = extract_surface(sol.F, b.problem.box, 128,
+                                  sol.gamma_samples)
+        sigma = extract_singular_locus(sol, surface)
+        tracemalloc.start()
+        try:
+            component = split_component(surface, sigma, sol.gamma_samples)
+            maximal_domain(component, sigma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 ** 3            # one bool mask of the cells
+        shape = surface.state.shape
+        for obj, want in ((surface, ["state"]), (component, [])):
+            held = [f.name for f in dataclasses.fields(obj)
+                    if np.shape(getattr(obj, f.name)) == shape]
+            assert held == want
+        assert _same_bytes(component.mask, surface.reached)
+        assert _same_bytes(component.cells, cell_indices(surface.reached))
+
+    @pytest.mark.parametrize("name", helpers.EXAMPLES)
+    def test_domain_scans_no_states(self, name, tmp_path):
+        # the states the flood returns, and every part of them, log each
+        # numpy operation on them with its size.  A `domain` run only looks
+        # up a few cells in them: the tiles list their own seed cells, and
+        # the component and the projection read flat index lists
+        seen, full = [], []
+
+        class Logged(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                seen.extend((ufunc.__name__, x.size) for x in inputs
+                            if isinstance(x, Logged))
+                inputs = [np.asarray(x) for x in inputs]
+                if "out" in kwargs:
+                    kwargs["out"] = tuple(map(np.asarray, kwargs["out"]))
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+            def __array_function__(self, func, types, args, kwargs):
+                seen.append((func.__name__, self.size))
+                return super().__array_function__(func, types, args, kwargs)
+
+        def logging_flood(*args, **kwargs):
+            state, reached = flood(*args, **kwargs)
+            full.append(state.size)
+            return state.view(Logged), reached
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(locus, "flood", logging_flood)
+            assert cli.main(["domain", "--problem",
+                             str(problem_path(name)),
+                             "--out", str(tmp_path)]) == 0
+        assert len(full) == 1 and seen
+        assert max(size for _, size in seen) < full[0] // 1000
