@@ -149,6 +149,8 @@ def cmd_query(args) -> int:
     if n >= 1 and args.x is None:
         print("query needs --x for this problem", file=sys.stderr)
         return EXIT_IO
+    if n == 0 and args.x is not None:
+        raise ValueError("query takes no --x: the problem has n = 0")
     q = [args.t] + ([args.x] if n >= 1 else [])
     verdict = contains(bundle.problem, bundle.data, sol, q)
     print(str(verdict))

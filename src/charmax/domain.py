@@ -9,20 +9,16 @@ Point queries do not use the grid at all: they continue the root of
 F(t, x, u) = 0 along a path from the initial set to the query point by
 predictor-corrector Newton steps.  The query answers "outside" where
 |F_u| shrinks before the path's end, which is where the implicit function
-theorem stops guaranteeing a single-valued branch.  When a step finds no
-root, Newton on the turning-point system F = F_u = 0 (Keller 1977) locates
-that fold in one solve, checked by one corrector call just short of it.
-When a step finds a root whose |F_u| has faded (as where u blows up),
-Illinois regula falsi on the track margin, |F_u| less the singular
-threshold, locates the onset in the failed step; where that search lands
-on another branch, or the solve settles nothing, step halving locates the
-onset.  ``_march`` lists how a march ends.
+theorem stops guaranteeing a single-valued branch.  A turning-point solve
+of F = F_u = 0 (Keller 1977), Illinois regula falsi on the track margin
+or step halving locates that onset; ``_march`` lists how a march ends.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from operator import mul
@@ -31,8 +27,8 @@ import numpy as np
 
 from .expr import EvalDomainError, evaluate
 from .integrals import ImplicitSolution, _newton_u
-from .locus import (SurfaceComponent, among, cell_center, cell_indices,
-                    cell_of, flood)
+from .locus import (SurfaceComponent, _norm, among, cell_center,
+                    cell_indices, cell_of, flood)
 from .problem import InitialData, Problem
 
 SOLVE_TOL = 1e-12
@@ -337,23 +333,24 @@ def contains(problem: Problem, data: InitialData, sol: ImplicitSolution, q,
     to it (n = 1 only), which is useful for path-independence checks.
     """
     n = problem.n
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    if len(q) != n + 1:
+    q = np.array(q, dtype=float, ndmin=1)
+    if q.shape != (n + 1,):
         raise ValueError(f"query point must have {n + 1} coordinates")
-    face = problem.box.ranges[:n + 1]
-    for v, (lo, hi) in zip(q, face):
+    q = q.tolist()
+    for v, (lo, hi) in zip(q, (problem.box.t, *problem.box.x)):
         if not lo <= v <= hi:
             raise ValueError(
-                f"query point {q.tolist()} is outside the (t, x) face of "
-                f"the box")
+                f"query point {q} is outside the (t, x) face of the box")
 
     if n == 0:
-        start, u0 = (0.0,), evaluate(data.h, {})
+        start, u0 = [0.0], evaluate(data.h, {})
     else:
         lo, hi = data.interval
-        s = min(max(float(q[1] if base_point is None else base_point), lo),
-                hi)
-        start, u0 = (0.0, s), evaluate(data.h, {"x1": s})
+        s = q[1] if base_point is None else float(base_point)
+        if not math.isfinite(s):
+            raise ValueError(f"base point {base_point!r} is not finite")
+        s = min(max(s, lo), hi)
+        start, u0 = [0.0, s], evaluate(data.h, {"x1": s})
 
     try:
         return _march(sol, [start, q], u0)
@@ -408,23 +405,22 @@ def _march(sol, waypoints, u0) -> Verdict:
     to the relaxed threshold, the answer is "outside" (or "boundary") at
     the failed step; if not, PathLeftWindowError, as after MAX_MARCH_STEPS
     steps (a march creeping toward undefined F)."""
-    pts = [tuple(float(c) for c in w) for w in waypoints]
-    # sets every step; a math.sqrt sum is 1 ulp off on ~8 % of 2-D legs
-    legs = [float(np.linalg.norm(np.subtract(b, a)))
-            for a, b in zip(pts, pts[1:])]
+    pts = [tuple(map(float, w)) for w in waypoints]
+    diffs = [[bi - ai for ai, bi in zip(a, b)] for a, b in zip(pts, pts[1:])]
+    # np.linalg.norm's: a math.sqrt sum is 1 ulp off on ~8 % of 2-D legs
+    legs = [_norm(np.array(d)) for d in diffs]
     total = sum(legs)
     stops = list(accumulate(legs))     # the waypoints' path parameters
+    starts = [0.0, *stops]
     end = pts[-1]
 
     def at(s: float) -> tuple:
-        acc = 0.0
-        for a, b, L in zip(pts, pts[1:], legs):
-            if s <= acc + L or L == 0.0:
-                frac = 0.0 if L == 0.0 else (s - acc) / L
-                return tuple([ai + frac * (bi - ai)
-                              for ai, bi in zip(a, b)])
-            acc += L
-        return end
+        k = bisect_left(stops, s)      # the first leg that reaches s
+        if k == len(legs):
+            return end
+        L = legs[k]
+        frac = 0.0 if L == 0.0 else (s - starts[k]) / L
+        return tuple([ai + frac * di for ai, di in zip(pts[k], diffs[k])])
 
     # F_u alone, as other components of the gradient may fail to
     # evaluate on the initial set where F_u does not
@@ -436,7 +432,7 @@ def _march(sol, waypoints, u0) -> Verdict:
     h_min = total * MIN_FRACTION
     s_cur = 0.0
     u = u0
-    grads = None               # at the last accepted point, as is fu_good
+    grads = here = None        # as fu_good: at the last accepted point
     probed_at = None           # the last accepted point probed from
     folds = 0
     edged = faded = False
@@ -447,7 +443,7 @@ def _march(sol, waypoints, u0) -> Verdict:
                 f"path not ended after {steps} steps, at {list(at(s_cur))} "
                 f"({s_cur / total:.6g} of it); F undefined along the path?")
         steps += 1
-        s_next = min(s_cur + h, next(c for c in stops if c > s_cur))
+        s_next = min(s_cur + h, stops[bisect_right(stops, s_cur)])
         point = at(s_next)
         u_new, fu, ok = _corrector(sol, point, u)
         if ok and fu is not None:
@@ -456,8 +452,8 @@ def _march(sol, waypoints, u0) -> Verdict:
             grads_new = sol.grad_values(*point, u_new)
             if (abs(fu) >= _singular_threshold(grads_new)
                     and fu * fu_sign > 0 and (grads is None or _on_branch(
-                        grads, grads_new, at(s_cur), point, u_new - u))):
-                u, fu_good, grads = u_new, fu, grads_new
+                        grads, grads_new, here, point, u_new - u))):
+                u, fu_good, grads, here = u_new, fu, grads_new, point
                 s_cur = s_next
                 h = min(h * 1.4, h_max)
                 continue
@@ -526,7 +522,9 @@ def _on_branch(grads, grads_new, a, b, du: float) -> bool:
     changes d0 and d1 (mean value theorem).  Allowed beyond: |d0| + |d1|
     and SOLVE_TOL / |F_u| per end; another sheet's root lands far off."""
     step = [bi - ai for ai, bi in zip(a, b)]
-    d0, d1 = (-sum(map(mul, g[:-1], step)) / g[-1] for g in (grads, grads_new))
+    # map stops at the end of step, before the F_u of each gradient
+    d0 = -sum(map(mul, grads, step)) / grads[-1]
+    d1 = -sum(map(mul, grads_new, step)) / grads_new[-1]
     return (abs(du - 0.5 * (d0 + d1)) <= 0.5 * abs(d1 - d0) + abs(d0) + abs(d1)
             + SOLVE_TOL / abs(grads[-1]) + SOLVE_TOL / abs(grads_new[-1]))
 
@@ -547,11 +545,9 @@ def _leg_direction(pts, legs, s: float):
     """d at(s) / ds on the leg of the path through ``pts`` (leg lengths
     ``legs``) that runs on from s, the one that holds a march step from s;
     None from the path's end on."""
-    acc = 0.0
-    for a, b, L in zip(pts, pts[1:], legs):
-        if s < acc + L:
-            return tuple([(bi - ai) / L for ai, bi in zip(a, b)])
-        acc += L
+    k = bisect_right(list(accumulate(legs)), s)
+    if k < len(legs):
+        return tuple([(bi - ai) / legs[k] for ai, bi in zip(*pts[k:k + 2])])
     return None
 
 
@@ -671,14 +667,16 @@ def _turning_point(sol, at, dp, s_lo, s_hi, u, fu_sign, tol):
     last = math.inf
     s = s_lo
     for it in range(FOLD_MAXIT):
+        shift = s - s_lo
         try:
             values = sol.fold_values(
-                *[o + (s - s_lo) * d for o, d in zip(origin, dp)], u)
+                *[o + shift * d for o, d in zip(origin, dp)], u)
         except EvalDomainError:
             return None
         F, F_u, F_uu = values[0], values[m], values[-1]
-        F_s = sum(map(mul, values[1:m], dp))
-        F_us = sum(map(mul, values[m + 1:-1], dp))
+        # map stops at the end of dp: the base components of grad F, F_u
+        F_s = sum(map(mul, dp, values[1:]))
+        F_us = sum(map(mul, dp, values[m + 1:]))
         det = F_s * F_uu - F_u * F_us
         if det == 0.0:
             return None

@@ -248,7 +248,7 @@ def _newton_u(F: Expr, F_and_Fu: Callable, point: list, u: float,
     for it in range(maxit):
         if abs(r) <= tol:
             return u, fu, True
-        if fu == 0.0 or not math.isfinite(fu):
+        if not 0.0 < abs(fu) < math.inf:     # zero, infinite or NaN
             return u, fu, False
         step = r / fu
         if abs(step) > max_step:

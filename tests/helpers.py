@@ -5,21 +5,29 @@ from __future__ import annotations
 import dataclasses
 import math
 from itertools import accumulate, chain, permutations, product
+from operator import mul
 
 import numpy as np
 import pytest
 
 import charmax
 from charmax import domain, integrals, locus
-from charmax.domain import ProjectionError, contains, maximal_domain
+from charmax.domain import (BLOW_UP, BOUNDARY_FRACTION, CORRECTOR_MAXIT,
+                            EDGE_FRACTION, EDGE_STEPS, FOLD_CONTRACTION,
+                            FOLD_MAXIT, FOLD_PROBES, INITIAL_FRACTION,
+                            MARGIN_STEPS, MAX_FRACTION, MAX_MARCH_STEPS,
+                            MIN_FRACTION, SINGULAR_FACTOR, SOLVE_TOL,
+                            PathLeftWindowError, ProjectionError, Verdict,
+                            contains, maximal_domain)
 from charmax.expr import (Binary, Const, EvalDomainError, Unary, Var, diff,
                           evaluate, evaluate_grid, var_names, variables)
 from charmax.expr import compile as compile_exprs
 from charmax.integrals import (ImplicitSolutionError, apply_field,
                                implicit_solution_for_problem)
 from charmax.locus import (LevelSurface, ResolutionError, SurfaceComponent,
-                           _classify_cells, cell_of, extract_singular_locus,
-                           extract_surface, split_component)
+                           _classify_cells, cell_center, cell_of,
+                           extract_singular_locus, extract_surface, flood,
+                           split_component)
 from charmax.problem import Box, load_problem_bundle, make_problem
 
 EXAMPLES = ("ode_quadratic", "circular", "burgers_ramp", "burgers_reciprocal")
@@ -91,12 +99,12 @@ GENERATED_LAWS = [(a, h) for a in ("u", "u^2", "u^3/3", "exp(u)", "sin(u)",
 
 
 def generated_law(a: str, h: str):
-    """(problem, solution) of one of GENERATED_LAWS."""
+    """(problem, initial data, solution) of one of GENERATED_LAWS."""
     problem, data = make_problem(
         1, "1", [a], "0", h, Box((-0.5, 1.0), ((-2.0, 2.0),), (-3.0, 3.0)),
         s_range=((-1.5, 1.5),))
     _, sol = implicit_solution_for_problem(problem, data)
-    return problem, sol
+    return problem, data, sol
 
 
 def binding_at(point, n: int) -> dict[str, float]:
@@ -799,9 +807,11 @@ def march_by_halving(sol, waypoints, u0):
     end = pts[-1]
 
     def at(s: float) -> tuple:
+        # the first leg that reaches s: a repeated waypoint, a leg of
+        # length zero, holds no s past its start
         acc = 0.0
         for a, b, L in zip(pts, pts[1:], legs):
-            if s <= acc + L or L == 0.0:
+            if s <= acc + L:
                 frac = 0.0 if L == 0.0 else (s - acc) / L
                 return tuple(ai + frac * (bi - ai) for ai, bi in zip(a, b))
             acc += L
@@ -959,6 +969,349 @@ def _refine_onset_by_bisection(sol, at, s_good, s_bad, u_good, fu_sign):
                 continue
         s_bad = mid
     return s_bad, fu_good, grad_scale
+
+
+# ---------------------------------------------------------------------------
+# Reference for the continuation query: domain.contains, its march and every
+# helper they call, integrals._newton_u included, as they stood before the
+# query's per-step bookkeeping was cut (numpy leg lengths, at(s) re-walking
+# the legs, a generator for the next waypoint), kept verbatim but for the
+# ref_ names, and the docstrings and some annotations left out.
+# ref_corrector is the seam that counts its corrector calls, as
+# domain._corrector is for contains.
+
+def ref_grad_norm(grads) -> float:
+    total = 0.0
+    for g in grads:
+        total += g ** 2
+    return math.sqrt(total)
+
+
+def ref_singular_threshold(grads) -> float:
+    return SINGULAR_FACTOR * (1.0 + ref_grad_norm(grads))
+
+
+def ref_relaxed_threshold(grads) -> float:
+    return math.sqrt(SINGULAR_FACTOR) * (1.0 + ref_grad_norm(grads))
+
+
+def ref_corrector(sol, point, u):
+    return ref_newton_u(sol.F, sol.F_and_Fu, point, u, SOLVE_TOL,
+                        CORRECTOR_MAXIT)
+
+
+def ref_newton_u(F, F_and_Fu, point: list, u: float, tol: float,
+                 maxit: int, max_step: float = math.inf):
+    try:
+        r, fu = F_and_Fu(*point, u)
+    except EvalDomainError:
+        return u, None, False
+    for it in range(maxit):
+        if abs(r) <= tol:
+            return u, fu, True
+        if fu == 0.0 or not math.isfinite(fu):
+            return u, fu, False
+        step = r / fu
+        if abs(step) > max_step:
+            return u, fu, False
+        u -= step
+        try:
+            r, fu = F_and_Fu(*point, u)
+        except EvalDomainError:
+            try:
+                r = evaluate(F, dict(zip(var_names(len(point) - 1),
+                                         [*point, u])))
+            except EvalDomainError:
+                return u, fu, False
+            return u, None, it == maxit - 1 and abs(r) <= tol
+    return u, fu, abs(r) <= tol
+
+
+def ref_contains(problem, data, sol, q, domain=None,
+                 base_point: float | None = None) -> Verdict:
+    n = problem.n
+    q = np.atleast_1d(np.asarray(q, dtype=float))
+    if len(q) != n + 1:
+        raise ValueError(f"query point must have {n + 1} coordinates")
+    face = problem.box.ranges[:n + 1]
+    for v, (lo, hi) in zip(q, face):
+        if not lo <= v <= hi:
+            raise ValueError(
+                f"query point {q.tolist()} is outside the (t, x) face of "
+                f"the box")
+
+    if n == 0:
+        start, u0 = (0.0,), evaluate(data.h, {})
+    else:
+        lo, hi = data.interval
+        s = min(max(float(q[1] if base_point is None else base_point), lo),
+                hi)
+        start, u0 = (0.0, s), evaluate(data.h, {"x1": s})
+
+    try:
+        return ref_march(sol, [start, q], u0)
+    except PathLeftWindowError:
+        if domain is None:
+            raise
+        waypoints = ref_staircase(domain, start, q)
+        if waypoints is None:
+            raise
+        return ref_march(sol, waypoints, u0)
+
+
+def ref_march(sol, waypoints, u0) -> Verdict:
+    pts = [tuple(float(c) for c in w) for w in waypoints]
+    # sets every step; a math.sqrt sum is 1 ulp off on ~8 % of 2-D legs
+    legs = [float(np.linalg.norm(np.subtract(b, a)))
+            for a, b in zip(pts, pts[1:])]
+    total = sum(legs)
+    stops = list(accumulate(legs))     # the waypoints' path parameters
+    end = pts[-1]
+
+    def at(s: float) -> tuple:
+        acc = 0.0
+        for a, b, L in zip(pts, pts[1:], legs):
+            if s <= acc + L or L == 0.0:
+                frac = 0.0 if L == 0.0 else (s - acc) / L
+                return tuple([ai + frac * (bi - ai)
+                              for ai, bi in zip(a, b)])
+            acc += L
+        return end
+
+    # F_u alone, as other components of the gradient may fail to
+    # evaluate on the initial set where F_u does not
+    fu_good, = sol.Fu_value(*pts[0], u0)
+    fu_sign = 1.0 if fu_good >= 0 else -1.0
+
+    h = total * INITIAL_FRACTION
+    h_max = total * MAX_FRACTION
+    h_min = total * MIN_FRACTION
+    s_cur = 0.0
+    u = u0
+    grads = None               # at the last accepted point, as is fu_good
+    probed_at = None           # the last accepted point probed from
+    folds = 0
+    edged = faded = False
+    steps = 0
+    while s_cur < total:
+        if steps == MAX_MARCH_STEPS:
+            raise PathLeftWindowError(
+                f"path not ended after {steps} steps, at {list(at(s_cur))} "
+                f"({s_cur / total:.6g} of it); F undefined along the path?")
+        steps += 1
+        s_next = min(s_cur + h, next(c for c in stops if c > s_cur))
+        point = at(s_next)
+        u_new, fu, ok = ref_corrector(sol, point, u)
+        if ok and fu is not None:
+            # crossing the singular locus on the branch is either |F_u|
+            # fading out or F_u flipping sign between step points
+            grads_new = sol.grad_values(*point, u_new)
+            if (abs(fu) >= ref_singular_threshold(grads_new)
+                    and fu * fu_sign > 0 and (grads is None or ref_on_branch(
+                        grads, grads_new, at(s_cur), point, u_new - u))):
+                u, fu_good, grads = u_new, fu, grads_new
+                s_cur = s_next
+                h = min(h * 1.4, h_max)
+                continue
+            if grads is not None and not faded:
+                faded = True
+                verdict = ref_faded_onset(
+                    sol, at, total, s_cur, s_next,
+                    fu * fu_sign - ref_singular_threshold(grads_new), u,
+                    fu_good, grads, fu_sign)
+                if verdict:
+                    return verdict
+        elif (not ok and fu is None and grads is not None and not edged
+              and abs(fu_good) > ref_relaxed_threshold(grads)):
+            edged = True
+            found = ref_domain_edge(sol, at, pts, legs, s_cur, h, u, fu_good,
+                                 grads, fu_sign)
+            if found:
+                s_bad, fu_bad = found
+                raise PathLeftWindowError(
+                    f"path meets the edge of F's domain at {list(at(s_bad))} "
+                    f"with healthy F_u = {fu_bad:.3e}")
+        elif (not ok and fu is not None and grads is not None
+              and folds < FOLD_PROBES and probed_at != s_cur):
+            # no root at all after an accepted step, with F and F_u
+            # defined: a fold may lie in (s_cur, s_next]; but where Newton
+            # in u ran off to where F_u vanishes, u runs off to infinity
+            folds += 1
+            probed_at = s_cur
+            fold = (BLOW_UP if abs(fu) < ref_singular_threshold(grads) else
+                    ref_turning_point(sol, at,
+                                      ref_leg_direction(pts, legs, s_cur),
+                                      s_cur, s_next, u, fu_sign, h_min))
+            if fold is BLOW_UP:
+                folds = FOLD_PROBES
+            elif fold is not None:
+                return ref_onset(at, total, *fold)
+        if h > h_min:
+            h *= 0.5
+            continue
+        # the branch stops being trackable inside (s_cur, s_next]
+        if grads is None:      # nothing accepted yet: judge at the start
+            grads = sol.grad_values(*pts[0], u0)
+        if abs(fu_good) <= ref_relaxed_threshold(grads):
+            return ref_onset(at, total, s_next, fu_good)
+        raise PathLeftWindowError(
+            f"corrector diverged at {list(at(s_next))} with healthy "
+            f"F_u = {fu_good:.3e}; box too small or F undefined along the path")
+    grads = sol.grad_values(*end, u)
+    fu = grads[-1]
+    if abs(fu) < ref_singular_threshold(grads):
+        return Verdict("boundary", None, fu, end)
+    return Verdict("inside", u, fu, end)
+
+
+def ref_onset(at, total: float, s: float, fu: float) -> Verdict:
+    kind = "boundary" if total - s <= BOUNDARY_FRACTION * total else "outside"
+    return Verdict(kind, None, fu, at(s))
+
+
+def ref_on_branch(grads, grads_new, a, b, du: float) -> bool:
+    step = [bi - ai for ai, bi in zip(a, b)]
+    d0, d1 = (-sum(map(mul, g[:-1], step)) / g[-1] for g in (grads, grads_new))
+    return (abs(du - 0.5 * (d0 + d1)) <= 0.5 * abs(d1 - d0) + abs(d0) + abs(d1)
+            + SOLVE_TOL / abs(grads[-1]) + SOLVE_TOL / abs(grads_new[-1]))
+
+
+def ref_track(sol, point, u: float, fu_sign: float):
+    u, fu, ok = ref_corrector(sol, point, u)
+    if ok and fu is not None and fu * fu_sign > 0:
+        grads = sol.grad_values(*point, u)
+        if abs(fu) >= ref_singular_threshold(grads):
+            return u, fu, grads
+    return None
+
+
+def ref_leg_direction(pts, legs, s: float):
+    acc = 0.0
+    for a, b, L in zip(pts, pts[1:], legs):
+        if s < acc + L:
+            return tuple([(bi - ai) / L for ai, bi in zip(a, b)])
+        acc += L
+    return None
+
+
+def ref_domain_edge(sol, at, pts, legs, s_good, h, u, fu_good, grads,
+                    fu_sign):
+    total = sum(legs)
+    s_bad = total              # nearest point failed since s_good moved
+    for _ in range(EDGE_STEPS):
+        s_try = min(s_good + h, s_bad)
+        dp = ref_leg_direction(pts, legs, s_good)
+        slope = -sum(map(mul, grads[:-1], dp)) / grads[-1]
+        tracked = ref_track(sol, at(s_try), u + slope * (s_try - s_good),
+                         fu_sign)
+        if tracked:
+            if s_try >= total:
+                return None
+            if s_try == s_bad:
+                s_bad = total
+            s_good = s_try
+            u, fu_good, grads = tracked
+            h *= 1.4
+        elif s_try - s_good > EDGE_FRACTION * total:
+            s_bad = s_try
+            h = 0.5 * (s_try - s_good)
+        elif abs(fu_good) > ref_relaxed_threshold(grads):
+            return s_try, fu_good
+        else:
+            return None
+    return None
+
+
+def ref_faded_onset(sol, at, total, s_good, s_bad, m_bad, u, fu_good,
+                    grads, fu_sign):
+    h_min = total * MIN_FRACTION
+    m_good = fu_good * fu_sign - ref_singular_threshold(grads)
+    kept = 0                   # +1: the good end moved last, -1: the bad
+    for _ in range(MARGIN_STEPS):
+        if s_bad - s_good <= h_min:
+            if abs(fu_good) <= ref_relaxed_threshold(grads):
+                return ref_onset(at, total, s_bad, fu_good)
+            return None
+        s = s_good + 0.5 * (s_bad - s_good)
+        if m_bad is not None:
+            s_false = s_bad - m_bad * (s_bad - s_good) / (m_bad - m_good)
+            if s_good < s_false < s_bad:
+                s = s_false
+        point = at(s)
+        u_new, fu, ok = ref_corrector(sol, point, u)
+        if not ok or fu is None:
+            s_bad, m_bad, kept = s, None, -1
+            continue
+        grads_new = sol.grad_values(*point, u_new)
+        m = fu * fu_sign - ref_singular_threshold(grads_new)
+        if m >= 0.0:
+            if kept == 1 and m_bad is not None:
+                m_bad *= 0.5
+            s_good, u, fu_good, grads, m_good, kept = (s, u_new, fu,
+                                                       grads_new, m, 1)
+        else:
+            if kept == -1:
+                m_good *= 0.5
+            s_bad, m_bad, kept = s, m, -1
+    return None
+
+
+def ref_turning_point(sol, at, dp, s_lo, s_hi, u, fu_sign, tol):
+    origin = at(s_lo)
+    m = len(origin) + 1        # fold_values: F, grad F, grad F_u
+    last = math.inf
+    s = s_lo
+    for it in range(FOLD_MAXIT):
+        try:
+            values = sol.fold_values(
+                *[o + (s - s_lo) * d for o, d in zip(origin, dp)], u)
+        except EvalDomainError:
+            return None
+        F, F_u, F_uu = values[0], values[m], values[-1]
+        F_s = sum(map(mul, values[1:m], dp))
+        F_us = sum(map(mul, values[m + 1:-1], dp))
+        det = F_s * F_uu - F_u * F_us
+        if det == 0.0:
+            return None
+        ds = (F_u * F_u - F * F_uu) / det
+        du = (F * F_us - F_s * F_u) / det
+        if it >= 2 and not abs(ds) <= FOLD_CONTRACTION * last:
+            return BLOW_UP if du * last_du > last_du * last_du else None
+        last, last_du = abs(ds), du
+        s = min(s + ds, s_hi)
+        u += du
+        if not (s_lo < s and math.isfinite(u)):
+            return None
+        if last <= tol:
+            break
+    else:
+        return None
+    if F_s * F_uu == 0.0:
+        return None
+    # F_u = F_uu (u - u*) and F_u^2 = 2 F_s F_uu (s* - s) on the model
+    target = SINGULAR_FACTOR ** 0.75 * (1.0 + ref_grad_norm(values[1:m + 1]))
+    s_check = s - target * target / (2.0 * abs(F_s * F_uu))
+    if not s_lo < s_check:
+        return None
+    checked = ref_track(sol, at(s_check), u + fu_sign * target / F_uu, fu_sign)
+    if checked and abs(checked[1]) <= ref_relaxed_threshold(checked[2]):
+        return s, checked[1]
+    return None
+
+
+def ref_staircase(domain, start, goal):
+    dst = cell_of(domain.axes, goal)
+    parent = flood(domain.mask, [cell_of(domain.axes, start)], parents=True)
+    if dst not in parent:
+        return None
+    path = [np.asarray(goal, dtype=float)]
+    cell = dst
+    while cell is not None:
+        path.append(cell_center(domain.axes, cell))
+        cell = parent[cell]
+    path.append(np.asarray(start, dtype=float))
+    return list(reversed(path))
+
 
 
 # ---------------------------------------------------------------------------

@@ -279,6 +279,14 @@ class TestQuery:
         assert main(["query", "--problem", problem_file("circular"),
                      "--t", "0.5"]) == 1
 
+    def test_x_for_n_0_is_a_validation_error(self, capsys):
+        # it used to be ignored: "inside 2.0", exit 0
+        assert main(["query", "--problem", problem_file("ode_quadratic"),
+                     "--t", "0.5", "--x", "0.3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: query takes no --x: the problem has n = 0\n"
+
 
 class TestDomain:
     def test_constant_data_masks_whole_window(self, tmp_path, capsys):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import helpers
+from test_cli import N0_FOLD_DATA, SQRT_DATA
 from charmax import domain, integrals, problem_path
 from charmax.cli import main
 from charmax.domain import (CORRECTOR_MAXIT, MAX_MARCH_STEPS, SOLVE_TOL,
@@ -22,7 +23,7 @@ from charmax.integrals import _newton_u, implicit_solution_for_problem
 from charmax.locus import (SurfaceComponent, cell_center, cell_indices,
                            extract_singular_locus, extract_surface, flood,
                            split_component)
-from charmax.problem import Box, make_problem
+from charmax.problem import Box, load_problem_bundle, make_problem
 
 
 class TestMaximalDomain:
@@ -302,6 +303,26 @@ class TestContains:
         b, _, sol = solutions("circular")
         with pytest.raises(ValueError, match="outside the .t, x. face"):
             contains(b.problem, b.data, sol, [5.0, 0.0])
+
+    @pytest.mark.parametrize("name, q", [
+        ("ode_quadratic", [[0.5]]), ("ode_quadratic", [0.5, 0.3]),
+        ("circular", [[0.5, 0.5]]), ("circular", [[0.5], [0.5]]),
+        ("circular", 0.5)])
+    def test_query_of_another_shape_rejected(self, name, q, solutions):
+        # a nested query used to pass the count check and fail in the
+        # march with a TypeError
+        b, _, sol = solutions(name)
+        with pytest.raises(ValueError, match=r"^query point must have "
+                           f"{b.problem.n + 1} coordinates$"):
+            contains(b.problem, b.data, sol, q)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_base_point_rejected(self, s, solutions):
+        # a NaN base point used to give a path of length NaN, which no
+        # step marched, and the answer "inside nan"
+        b, _, sol = solutions("burgers_reciprocal")
+        with pytest.raises(ValueError, match=r"^base point .* is not finite"):
+            contains(b.problem, b.data, sol, [0.5, 1.0], base_point=s)
 
     def test_boundary_verdict_on_the_curve(self, solutions):
         b, _, sol = solutions("circular")
@@ -1007,6 +1028,102 @@ class TestMarch:
             v = contains(b.problem, b.data, sol, q)
             assert type(v.at) is tuple
             assert all(type(c) is float for c in v.at)
+
+
+def same_as_the_reference(monkeypatch, problem, data, sol, points,
+                          **kwargs):
+    """contains and helpers.ref_contains, the query kept verbatim, at each
+    point: the same verdict kind and the same u, F_u and place by repr, or
+    the same exception type and message, after the same number of
+    corrector calls.  Returns the kinds, exception names included."""
+    calls = {}
+    for module, name in ((domain, "_corrector"), (helpers, "ref_corrector")):
+        def counted(*args, corrector=getattr(module, name), name=name):
+            calls[name] += 1
+            return corrector(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    kinds = []
+    for q in points:
+        runs = []
+        for query, name in ((contains, "_corrector"),
+                            (helpers.ref_contains, "ref_corrector")):
+            calls[name] = 0
+            try:
+                v = query(problem, data, sol, q, **kwargs)
+                got = (v.kind, repr(v.u), repr(v.f_u), repr(v.at))
+            except Exception as err:  # compared, not handled
+                got = (type(err).__name__, str(err))
+            runs.append((got, calls[name]))
+        assert runs[0] == runs[1], q
+        kinds.append(runs[0][0][0])
+    return kinds
+
+
+def cli_problem(tmp_path, doc):
+    """(problem, data, solution) of a problem file's document."""
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    b = load_problem_bundle(path)
+    return b.problem, b.data, implicit_solution_for_problem(
+        b.problem, b.data, b.rho, b.f)[1]
+
+
+class TestQueryReference:
+    """The query against the one it replaced, kept verbatim in helpers:
+    its per-step bookkeeping was cut, every rounding kept."""
+
+    @pytest.mark.parametrize("name", helpers.EXAMPLES)
+    def test_bundled_problems(self, name, solutions, monkeypatch):
+        b, _, sol = solutions(name)
+        points = face_points(b.problem, np.random.default_rng(27), 400)
+        kinds = same_as_the_reference(monkeypatch, b.problem, b.data, sol,
+                                      points)
+        assert {"inside", "outside"} <= set(kinds)
+
+    def test_base_points(self, solutions, monkeypatch):
+        b, _, sol = solutions("burgers_reciprocal")
+        rng = np.random.default_rng(28)
+        lo, hi = b.data.interval
+        for s in lo - 0.5 + rng.random(10) * (hi - lo + 1.0):
+            points = face_points(b.problem, rng, 20)
+            same_as_the_reference(monkeypatch, b.problem, b.data, sol,
+                                  points, base_point=s)
+
+    @pytest.mark.parametrize("a, h", helpers.GENERATED_LAWS)
+    def test_generated_laws(self, a, h, monkeypatch):
+        problem, data, sol = helpers.generated_law(a, h)
+        points = face_points(problem, np.random.default_rng(29), 25)
+        same_as_the_reference(monkeypatch, problem, data, sol, points)
+
+    # the partly undefined F of sqrt, with queries that creep toward where
+    # it is undefined, and the n = 0 fold of u' = 1/(2u)
+    @pytest.mark.parametrize("doc, kind", [
+        (SQRT_DATA, "PathLeftWindowError"), (N0_FOLD_DATA, "outside")])
+    def test_problems_of_the_cli(self, doc, kind, tmp_path, monkeypatch):
+        problem, data, sol = cli_problem(tmp_path, doc)
+        points = face_points(problem, np.random.default_rng(30), 400)
+        kinds = same_as_the_reference(monkeypatch, problem, data, sol,
+                                      points)
+        assert {"inside", kind} <= set(kinds)
+
+    def test_a_staircase_retry(self, pipelines, monkeypatch):
+        # both queries lose their straight path, so every verdict comes
+        # from a march along the mask's staircase, or none reaches q
+        b, sol, _, _, _, dom = pipelines("circular", 48)
+        for module, name in ((domain, "_march"), (helpers, "ref_march")):
+            def cut(sol, waypoints, u0, march=getattr(module, name)):
+                if len(waypoints) == 2:
+                    raise PathLeftWindowError("straight path cut")
+                return march(sol, waypoints, u0)
+
+            monkeypatch.setattr(module, name, cut)
+        points = [[0.5, 0.5], *face_points(b.problem,
+                                           np.random.default_rng(31), 30)]
+        kinds = same_as_the_reference(monkeypatch, b.problem, b.data, sol,
+                                      points, domain=dom)
+        assert kinds[0] == "inside"
+        assert {"outside", "PathLeftWindowError"} <= set(kinds)
 
 
 class TestStaircase:

@@ -1348,7 +1348,7 @@ class TestTiledDomain:
 
     @pytest.mark.parametrize("a, h", helpers.GENERATED_LAWS)
     def test_generated_laws(self, a, h):
-        problem, sol = helpers.generated_law(a, h)
+        problem, _, sol = helpers.generated_law(a, h)
         helpers.assert_same_domain(
             helpers.domain_on_tiles(problem, sol, 48, True),
             helpers.domain_on_tiles(problem, sol, 48, False))
