@@ -122,7 +122,7 @@ def cmd_domain(args) -> int:
                               sol.gamma_samples)
     sigma = extract_singular_locus(sol, surface)
     component = split_component(surface, sigma, sol.gamma_samples)
-    dom = maximal_domain(component, sigma)
+    dom = maximal_domain(sol, component, sigma)
 
     out_dir = Path(args.out)
     _write(out_dir, "domain.json", dom.to_json())

@@ -1,9 +1,10 @@
 """Projection of the surface component to base space and point queries.
 
 The component of the initial set projects to a mask of base-space cells,
-which is the computed maximal domain relative to the box.  Its boundary is
-assembled from Newton-polished singular-locus projections plus cell-edge
-segments where the component leaves the window.
+which is the computed maximal domain relative to the box.  It is bounded
+by the projection of sigma and by the box: the Newton-polished sigma
+points that bound the component (fold), then the zeros of F on the cut
+edges of component cells in a face of the box (window).
 
 Point queries do not use the grid at all: they continue the root of
 F(t, x, u) = 0 along a path from the initial set to the query point by
@@ -20,18 +21,20 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, product
 from operator import mul
 
 import numpy as np
 
 from .expr import EvalDomainError, evaluate
 from .integrals import ImplicitSolution, _newton_u
-from .locus import (SurfaceComponent, _norm, among, cell_center,
-                    cell_indices, cell_of, flood)
+from .locus import (LevelSurface, SingularLocus, SurfaceComponent, _norm,
+                    cell_center, cell_of, flood)
 from .problem import InitialData, Problem
 
 SOLVE_TOL = 1e-12
+# |F| at which a window point's refinement stops
+WINDOW_TOL = 1e-14
 SINGULAR_FACTOR = 1e-6
 
 # continuation query: corrector iterations per step and steps per path
@@ -88,7 +91,7 @@ class Verdict:
 
 @dataclass
 class BoundaryPolyline:
-    kind: str                  # "fold" (sigma projection) | "window"
+    kind: str                  # "fold" (sigma) | "window" (box faces)
     points: np.ndarray         # (m, n + 1) base-space points
 
 
@@ -129,17 +132,17 @@ class MaximalDomain:
 # ---------------------------------------------------------------------------
 # Projection
 
-def maximal_domain(component: SurfaceComponent,
-                   sigma=None) -> MaximalDomain:
+def maximal_domain(sol: ImplicitSolution, component: SurfaceComponent,
+                   sigma: SingularLocus) -> MaximalDomain:
     """Project the component cells to base space and assemble the boundary.
 
-    When the singular locus is passed in, its Newton-polished projections
-    become the fold part of the boundary.  Also checks that the component
-    carries exactly one u-branch over every masked base cell, i.e. one
-    unbroken run of cells in its u-column (the projection restricted to
-    the component must be injective); two branches raise ProjectionError,
-    naming the first such base cell.  The runs are counted from the
-    component's sorted flat cell indices, not over the whole grid.
+    Checks that the component carries exactly one u-branch over every
+    masked base cell, i.e. one unbroken run of cells in its u-column (the
+    projection restricted to the component must be injective); two
+    branches raise ProjectionError, naming the first such base cell.  The
+    runs are counted from the component's sorted flat cell indices, not
+    over the whole grid.  The boundary lists the fold lines of ``_fold``,
+    then one entry of the window points of ``_window``, none or more.
     """
     cells = component.cells_flat
     if not len(cells):
@@ -169,131 +172,127 @@ def maximal_domain(component: SurfaceComponent,
             raise ProjectionError(
                 f"initial-set base cell {base} is not masked")
 
-    boundary = _assemble_boundary(component, mask, base_axes)
-    dom = MaximalDomain(surface.resolution, base_axes, mask, boundary)
-    if sigma is not None:
-        _attach_sigma_boundary(dom, component, sigma)
-    return dom
+    rim = np.ones(base_shape, dtype=bool)     # base cells in a box face
+    rim[(slice(1, -1),) * len(base_shape)] = False
+    window = _window(sol, surface, cells[rim.ravel()[column] | (u == 0)
+                                         | (u == surface.state.shape[-1] - 1)])
+    boundary = [BoundaryPolyline("fold", line)
+                for line in _fold(component, sigma)]
+    return MaximalDomain(surface.resolution, base_axes, mask,
+                         boundary + [BoundaryPolyline("window", window)])
 
 
-def _neighbour(mask: np.ndarray, axis: int, step: int) -> np.ndarray:
-    """The mask's value at each cell's neighbour one cell up (``step`` 1)
-    or down (``step`` -1) along ``axis``; False where that neighbour is
-    off the grid."""
-    out = np.zeros_like(mask)
-    lower, upper = slice(None, -1), slice(1, None)
-    near, far = (lower, upper) if step > 0 else (upper, lower)
-    at = (slice(None),) * axis
-    out[at + (near,)] = mask[at + (far,)]
-    return out
+def _facets(cells: np.ndarray, flat: np.ndarray, shape) -> np.ndarray:
+    """Per cell sharing a facet with a row of the (m, ndim) ``cells`` of a
+    grid of ``shape``, its position in the sorted flat indices ``flat``, or
+    ``len(flat)`` where there is none: (2 ndim, m), a row per axis and side
+    (each row's search keys ascend as the cells do)."""
+    stride = np.cumprod((1,) + tuple(shape[:0:-1]))[::-1]
+    near = (np.ravel_multi_index(cells.T, shape)
+            + np.concatenate([-stride, stride])[:, None])
+    pos = np.searchsorted(flat, near)
+    pos[np.concatenate([cells == 0, cells == np.array(shape) - 1], axis=1).T
+        | (np.append(flat, -1)[pos] != near)] = len(flat)
+    return pos
 
 
 def _beside(cells: np.ndarray, flat: np.ndarray, shape) -> np.ndarray:
     """Per row of the (m, ndim) ``cells``, whether a cell sharing a facet
     with it is one of the sorted flat indices ``flat`` of ``shape``."""
-    out = np.zeros(len(cells), dtype=bool)
-    for axis, size in enumerate(shape):
-        for step in (-1, 1):
-            near = cells + step * np.eye(len(shape), dtype=cells.dtype)[axis]
-            on = (near[:, axis] >= 0) & (near[:, axis] < size)
-            out[on] |= among(near[on], flat, shape)
-    return out
+    return (_facets(cells, flat, shape) < len(flat)).any(axis=0)
 
 
-def _assemble_boundary(component: SurfaceComponent, mask, base_axes):
-    """Window boundary from the mask outline: the sides of masked cells
-    whose neighbour is neither masked nor a singular base cell (a side
-    facing a singular cell is fold, covered by sigma projections)."""
-    u_size = component.surface.state.shape[-1]
-    closed = mask.copy()
-    closed.flat[component.sigma_flat // u_size] = True
-    outline = [(tuple(base), axis, step)
-               for axis in range(mask.ndim) for step in (-1, 1)
-               for base in cell_indices(
-                   mask & ~_neighbour(closed, axis, step)).tolist()]
-    return [BoundaryPolyline("window", line)
-            for line in _chain_outline(outline, base_axes)]
-
-
-def _chain_outline(outline, base_axes):
-    """Stitch outline edges into ordered polylines at cell-edge accuracy.
-
-    In the 1-D base case the outline is isolated interval endpoints, each
-    reported as its own single-point polyline.  Pinch vertices (degree
-    above two) end a chain and start another.
-    """
-    if len(base_axes) == 1:
-        pts = sorted({(float(base_axes[0][base[0] + (1 if step > 0 else 0)]),)
-                      for base, step in ((b, s) for b, _, s in outline)})
-        return [np.array([p]) for p in pts]
-
-    def corner(idx):
-        return (float(base_axes[0][idx[0]]), float(base_axes[1][idx[1]]))
-
-    edges = set()
-    for base, axis, step in outline:
-        other = 1 - axis
-        fixed = base[axis] + (1 if step > 0 else 0)
-        a = [0, 0]
-        a[axis] = fixed
-        a[other] = base[other]
-        b = [0, 0]
-        b[axis] = fixed
-        b[other] = base[other] + 1
-        edges.add((tuple(a), tuple(b)))
-
-    by_vertex: dict[tuple, list] = {}
-    for e in edges:
-        for v in e:
-            by_vertex.setdefault(v, []).append(e)
-
-    lines = []
-    unused = set(edges)
-    for start_edge in sorted(edges):
-        if start_edge not in unused:
-            continue
-        unused.discard(start_edge)
-        chain = list(start_edge)
-        for grow_at_end in (True, False):
-            while True:
-                tip = chain[-1] if grow_at_end else chain[0]
-                if len(by_vertex.get(tip, [])) != 2:
-                    break  # open end or pinch vertex
-                nxt = [e for e in by_vertex[tip] if e in unused]
-                if len(nxt) != 1:
-                    break
-                e = nxt[0]
-                unused.discard(e)
-                other_v = e[0] if e[1] == tip else e[1]
-                if grow_at_end:
-                    chain.append(other_v)
-                else:
-                    chain.insert(0, other_v)
-        lines.append(np.array([corner(v) for v in chain]))
-    return lines
-
-
-def _attach_sigma_boundary(dom: MaximalDomain, component: SurfaceComponent,
-                           sigma) -> MaximalDomain:
-    """Attach projected sigma polylines/points near the component closure
-    as fold boundary."""
+def _fold(component: SurfaceComponent, sigma: SingularLocus) -> list:
+    """The base projections of the sigma points that bound the component:
+    those in a singular cell joined, through singular cells sharing a
+    facet, to a singular cell beside the component.  The points of each
+    polyline there, or, when no polyline keeps one, the sigma points there
+    as one line.  The search, one layer of singular cells at a time, stops
+    once it has reached every cell of a sigma point (``split_component``
+    makes each such cell singular)."""
     axes, shape = component.surface.axes, component.surface.state.shape
-    fold_lines = []
-    for line in sigma.polylines:
-        # in a singular cell, or sharing a facet with a component cell
-        cells = cell_of(axes, line)
-        keep = line[among(cells, component.sigma_flat, shape)
-                    | _beside(cells, component.cells_flat, shape)]
-        if len(keep):
-            fold_lines.append(keep[:, :-1])
-    if not fold_lines and len(sigma.points):
-        pts = sigma.points[among(cell_of(axes, sigma.points),
-                                 component.sigma_flat, shape)]
-        if len(pts):
-            fold_lines.append(pts[:, :-1])
-    dom.boundary = ([BoundaryPolyline("fold", l) for l in fold_lines]
-                    + dom.boundary)
-    return dom
+    flat = component.sigma_flat
+    lines = [*sigma.polylines, sigma.points]
+    held = [np.searchsorted(flat, np.ravel_multi_index(
+        cell_of(axes, line).T, shape)) for line in lines]
+    cells = np.transpose(np.unravel_index(flat, shape))
+    # the last entry stands for "no singular cell", and counts as reached
+    linked = np.append(_beside(cells, component.cells_flat, shape), True)
+    front, near = np.flatnonzero(linked[:-1]), _facets(cells, flat, shape)
+    while len(front) and not linked[np.concatenate(held)].all():
+        front = near[:, front].ravel()
+        front = front[~linked[front]]
+        linked[front] = True
+    lines = [line[linked[at], :-1] for line, at in zip(lines, held)]
+    return ([line for line in lines[:-1] if len(line)]
+            or [line for line in lines[-1:] if len(line)])
+
+
+def _window(sol: ImplicitSolution, surface: LevelSurface,
+            cells: np.ndarray) -> np.ndarray:
+    """The base points where the component leaves the box, from the sorted
+    flat indices of its cells in a box face: per cut edge in a box face
+    (one end's F >= 0, the other's < 0), the zero of F on it, in the order
+    of the edges' lower vertices (flat index, then the edge's axis).
+
+    Illinois regula falsi (Dowell & Jarratt 1971) refines all open edges
+    at once, one ``F_and_Fu_rows`` call a round, until |F| <= WINDOW_TOL or
+    the bracket is one ulp wide.  An edge gives no point where F fails to
+    evaluate, nor where |F| at the closed bracket exceeds |F| at both of
+    its ends: a pole, across which F changes sign too."""
+    shape = np.array(surface.state.shape)
+    dim = len(shape)
+    # a cell's edges, as a corner offset and an axis the offset is 0 on;
+    # an edge lies in a box face where, on another axis, its lower vertex
+    # is on the first or the last vertex plane
+    offsets = np.array(list(product((0, 1), repeat=dim)))
+    corner, along = np.nonzero(offsets == 0)
+    cells = np.transpose(np.unravel_index(cells, shape))
+    on = cells[:, None] + offsets[corner]
+    on = (on == 0) | (on == shape)
+    on[:, np.arange(len(along)), along] = False
+    key = (np.ravel_multi_index(cells.T, shape + 1)[:, None]
+           + np.ravel_multi_index(offsets[corner].T, shape + 1)) * dim + along
+    key = np.sort(key[on.any(axis=2)])
+    low, along = np.divmod(_once(key), dim)
+    step = np.ravel_multi_index(np.eye(dim, dtype=int), shape + 1)
+    ends = np.concatenate([low, low + step[along]])
+    verts = _once(np.sort(ends))
+    coords = np.column_stack([ax[i] for ax, i in zip(
+        surface.axes, np.unravel_index(verts, shape + 1))])
+    with np.errstate(all="ignore"):
+        (f, bad), _ = sol.F_and_Fu_rows(*coords.T)
+        ok = ~bad & np.isfinite(f)
+        ia, ib = np.split(np.searchsorted(verts, ends), 2)
+        cut = ok[ia] & ok[ib] & ((f[ia] >= 0.0) != (f[ib] >= 0.0))
+        points, along, ia, ib = coords[ia[cut]], along[cut], ia[cut], ib[cut]
+        m = np.arange(len(points))
+        # per open edge: the end the bracket keeps, the newest point, and F
+        # at both (at the kept end halved each time it is kept again)
+        bracket = np.array([points[m, along], coords[ib, along], f[ia],
+                            f[ib]])
+        bound = np.abs(bracket[2:]).min(axis=0)
+        found = np.zeros(len(points), dtype=bool)
+        while len(m):
+            a, b, fa, fb = bracket[:, m]
+            c = b - fb * (b - a) / (fb - fa)
+            points[m, along[m]] = c
+            (fc, bad), _ = sol.F_and_Fu_rows(*points[m].T)
+            flip = (fc >= 0.0) != (fb >= 0.0)
+            a = np.where(flip, b, a)
+            bracket[:, m] = a, c, np.where(flip, fb, 0.5 * fa), fc
+            zero = np.abs(fc) <= WINDOW_TOL
+            closed = np.nextafter(a, c) == c    # no float between a and c
+            ok = ~bad & np.isfinite(fc)
+            found[m] = ok & (zero | closed & (np.abs(fc) <= bound[m]))
+            m = m[ok & ~zero & ~closed]
+    return points[found, :-1]
+
+
+def _once(values: np.ndarray) -> np.ndarray:
+    """The sorted ``values`` without repeats, as ``np.unique`` gives them
+    about 40 times slower on these few thousand integers (numpy 2.4)."""
+    return values[np.append(True, values[1:] != values[:-1])]
 
 
 # ---------------------------------------------------------------------------

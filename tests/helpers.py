@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import types
 from itertools import accumulate, chain, permutations, product
 from operator import mul
 
@@ -20,14 +21,15 @@ from charmax.domain import (BLOW_UP, BOUNDARY_FRACTION, CORRECTOR_MAXIT,
                             PathLeftWindowError, ProjectionError, Verdict,
                             contains, maximal_domain)
 from charmax.expr import (Binary, Const, EvalDomainError, Unary, Var, diff,
-                          evaluate, evaluate_grid, var_names, variables)
+                          evaluate, evaluate_grid, parse, var_names,
+                          variables)
 from charmax.expr import compile as compile_exprs
 from charmax.integrals import (ImplicitSolutionError, apply_field,
                                implicit_solution_for_problem)
-from charmax.locus import (LevelSurface, ResolutionError, SurfaceComponent,
-                           _classify_cells, cell_center, cell_of,
-                           extract_singular_locus, extract_surface, flood,
-                           split_component)
+from charmax.locus import (LevelSurface, ResolutionError, SingularLocus,
+                           SurfaceComponent, _classify_cells, cell_center,
+                           cell_of, extract_singular_locus, extract_surface,
+                           flood, split_component)
 from charmax.problem import Box, load_problem_bundle, make_problem
 
 EXAMPLES = ("ode_quadratic", "circular", "burgers_ramp", "burgers_reciprocal")
@@ -50,7 +52,7 @@ def pipeline(name: str, resolution: int):
     surface = extract_surface(sol.F, b.problem.box, resolution)
     sigma = extract_singular_locus(sol, surface)
     component = split_component(surface, sigma, sol.gamma_samples)
-    dom = maximal_domain(component, sigma)
+    dom = maximal_domain(sol, component, sigma)
     return b, sol, surface, sigma, component, dom
 
 
@@ -64,7 +66,7 @@ def domain_on_tiles(problem, sol, resolution: int, tiled: bool):
                                   sol.gamma_samples if tiled else None)
         sigma = extract_singular_locus(sol, surface)
         component = split_component(surface, sigma, sol.gamma_samples)
-        return maximal_domain(component, sigma), sigma
+        return maximal_domain(sol, component, sigma), sigma
     except (ResolutionError, ProjectionError) as err:
         return f"{type(err).__name__}: {err}"
 
@@ -169,65 +171,144 @@ def sigma_cells_oracle(surface, sigma) -> set:
 
 def projection_by_cells(component):
     """Reference for maximal_domain's projection, one cell at a time: the
-    base mask, the first base cell whose u-column is not one unbroken run
-    (None if every column is), and the window outline as (base cell,
-    axis, step) sides of masked cells facing neither a masked nor a
-    singular base cell."""
+    base mask, and the first base cell whose u-column is not one unbroken
+    run (None if every column is)."""
     columns: dict[tuple, list[int]] = {}
     for cell in component.cells.tolist():
         columns.setdefault(tuple(cell[:-1]), []).append(cell[-1])
-    shape = component.mask.shape[:-1]
-    mask = np.zeros(shape, dtype=bool)
+    mask = np.zeros(component.mask.shape[:-1], dtype=bool)
     split = None
     for base, ius in columns.items():
         if split is None and max(ius) - min(ius) + 1 != len(ius):
             split = base
         mask[base] = True
-    sigma_base = {tuple(c[:-1])
-                  for c in np.argwhere(component.sigma_cells).tolist()}
-    outline = []
-    for base in map(tuple, np.argwhere(mask).tolist()):
-        for axis in range(len(shape)):
-            for step in (-1, 1):
-                nb = list(base)
-                nb[axis] += step
-                nb = tuple(nb)
-                if 0 <= nb[axis] < shape[axis] and (mask[nb]
-                                                    or nb in sigma_base):
-                    continue
-                outline.append((base, axis, step))
-    return mask, split, outline
+    return mask, split
+
+
+def _facet_neighbours(cell, shape):
+    """The cells sharing a facet with ``cell`` on a grid of ``shape``."""
+    for axis in range(len(shape)):
+        for step in (-1, 1):
+            nb = list(cell)
+            nb[axis] += step
+            if 0 <= nb[axis] < shape[axis]:
+                yield tuple(nb)
 
 
 def fold_lines_by_points(component, sigma) -> list:
     """Reference for the fold boundary, one sigma point at a time: the
-    (t, x) projections of the polyline points in a singular cell or in a
-    cell sharing a facet with the component, or, when no polyline keeps a
-    point, of the sigma points in a singular cell."""
+    (t, x) projections of the polyline points whose cell is joined to a
+    singular cell beside the component through singular cells sharing a
+    facet, by a breadth-first search over the whole set of singular cells;
+    or, when no polyline keeps a point, of the sigma points there."""
     axes, comp = component.surface.axes, component.mask
     singular = set(map(tuple, np.argwhere(component.sigma_cells).tolist()))
-
-    def touching(cell):
-        for axis in range(comp.ndim):
-            for step in (-1, 1):
-                nb = list(cell)
-                nb[axis] += step
-                if 0 <= nb[axis] < comp.shape[axis] and comp[tuple(nb)]:
-                    return True
-        return False
-
-    lines = []
-    for line in sigma.polylines:
-        keep = [p[:-1].tolist() for p in line
-                if cell_of(axes, p) in singular or touching(cell_of(axes, p))]
-        if keep:
-            lines.append(keep)
+    queue = [cell for cell in sorted(singular)
+             if any(comp[nb] for nb in _facet_neighbours(cell, comp.shape))]
+    linked = set(queue)
+    while queue:
+        for nb in _facet_neighbours(queue.pop(), comp.shape):
+            if nb in singular and nb not in linked:
+                linked.add(nb)
+                queue.append(nb)
+    lines = [[p[:-1].tolist() for p in line if cell_of(axes, p) in linked]
+             for line in sigma.polylines]
+    lines = [line for line in lines if line]
     if not lines:
         keep = [p[:-1].tolist() for p in sigma.points
-                if cell_of(axes, p) in singular]
-        if keep:
-            lines.append(keep)
+                if cell_of(axes, p) in linked]
+        lines = [keep] if keep else []
     return lines
+
+
+def window_points_by_cells(F, component) -> np.ndarray:
+    """Reference for maximal_domain's window points, one cell at a time:
+    per edge of a component cell that lies in a box face (on another axis
+    its lower vertex is on the first or last vertex plane), F at its ends
+    by scalar evaluate; where exactly one end is >= 0, the zero by
+    bisection down to adjacent floats, kept where |F| there is no larger
+    than at both ends (not a pole) and F evaluates at every step.  The
+    base projections, in (lower vertex, axis) order."""
+    surface = component.surface
+    shape = surface.state.shape
+    n = len(shape) - 2
+    found = {}
+
+    def at(low, axis, value):
+        p = [ax[i] for ax, i in zip(surface.axes, low)]
+        p[axis] = value
+        return p, evaluate(F, binding_at(p, n))
+
+    for cell in component.cells.tolist():
+        for corner in product((0, 1), repeat=len(shape)):
+            low = tuple(c + o for c, o in zip(cell, corner))
+            for axis in range(len(shape)):
+                if corner[axis] or (low, axis) in found or not any(
+                        low[a] in (0, shape[a])
+                        for a in range(len(shape)) if a != axis):
+                    continue
+                ax = surface.axes[axis]
+                lo, hi = ax[low[axis]], ax[low[axis] + 1]
+                try:
+                    (p, f_lo), (_, f_hi) = at(low, axis, lo), at(low, axis,
+                                                                   hi)
+                    if (f_lo >= 0.0) == (f_hi >= 0.0):
+                        continue
+                    bound = min(abs(f_lo), abs(f_hi))
+                    while lo < (mid := 0.5 * (lo + hi)) < hi:
+                        if (at(low, axis, mid)[1] >= 0.0) == (f_lo >= 0.0):
+                            lo = mid
+                        else:
+                            hi = mid
+                    best = min(at(low, axis, lo), at(low, axis, hi),
+                               key=lambda pf: abs(pf[1]))
+                except EvalDomainError:
+                    continue
+                if abs(best[1]) <= bound:
+                    found[(low, axis)] = best[0][:-1]
+    return np.array([found[k] for k in sorted(found)]).reshape(
+        -1, len(shape) - 1)
+
+
+def off_the_faces(points, box, on_u_face) -> list:
+    """The base points that lie on no t- or x-face of the box to 1e-12 and
+    for which ``on_u_face`` (the point, the u-face value) holds at neither
+    u-face."""
+    ranges = [box.t, *box.x]
+    return [q for q in np.asarray(points).tolist()
+            if not any(abs(v - end) <= 1e-12
+                       for v, r in zip(q, ranges) for end in r)
+            and not any(on_u_face(q, end) for end in box.u)]
+
+
+def window_off_the_faces(sol, box, result) -> list:
+    """The window points of a domain_on_tiles result that off_the_faces
+    finds, with F within 1e-10 of 0 at the point on a u-face; none for an
+    error."""
+    if isinstance(result, str):
+        return []
+
+    def on_u_face(q, end):
+        try:
+            return abs(evaluate(sol.F, binding_at([*q, end], box.n))) <= 1e-10
+        except EvalDomainError:
+            return False
+
+    return off_the_faces([p for line in result[0].boundary
+                          if line.kind == "window" for p in line.points],
+                         box, on_u_face)
+
+
+def shifted(mask, axis: int, step: int) -> np.ndarray:
+    """The mask's value at each cell's neighbour one cell up (``step`` 1)
+    or down (``step`` -1) along ``axis``; False where that neighbour is
+    off the grid."""
+    out = np.zeros_like(mask)
+    lower, upper = slice(None, -1), slice(1, None)
+    near, far = (lower, upper) if step > 0 else (upper, lower)
+    at = (slice(None),) * axis
+    out[at + (near,)] = mask[at + (far,)]
+    return out
 
 
 def u_runs_by_shifted_masks(mask) -> np.ndarray:
@@ -1446,22 +1527,6 @@ def grid_surface(values, lows=None, highs=None):
 # ---------------------------------------------------------------------------
 # Hand-made components on the integer grid
 
-def drawn_masks(picture: str, u_cells: int = 2):
-    """(component mask, singular-cell mask) from a drawing of base cells:
-    one line per t cell and one character per x cell, or a single line of
-    t cells for a 1-D base.  '#' is a component cell and 's' a singular
-    cell, both in u-cell 0; '.' is neither."""
-    lines = picture.split()
-    base = np.array([list(line) for line in lines])
-    if len(lines) == 1:
-        base = base[0]
-    mask = np.zeros(base.shape + (u_cells,), dtype=bool)
-    sigma_cells = np.zeros_like(mask)
-    mask[..., 0] = base == "#"
-    sigma_cells[..., 0] = base == "s"
-    return mask, sigma_cells
-
-
 def hand_component(mask, sigma_cells=None, gamma_cells=None):
     """A SurfaceComponent over a hand-made cell mask, on a grid whose vertex
     coordinates are 0, 1, 2, ... on every axis.  The initial set defaults
@@ -1477,6 +1542,22 @@ def hand_component(mask, sigma_cells=None, gamma_cells=None):
         gamma_cells = [tuple(np.argwhere(mask)[0].tolist())]
     return SurfaceComponent(surface, np.flatnonzero(mask), gamma_cells,
                             np.flatnonzero(sigma_cells))
+
+
+def hand_domain(component, F: str = "u + 1", points=None, polylines=()):
+    """maximal_domain of a hand-made component, with F given as text in t,
+    x1.., u over its integer grid (the default has no zero there) and the
+    given sigma points and polylines."""
+    dim = component.surface.dim
+    tree = parse(F, n=dim - 2)
+    sol = types.SimpleNamespace(F=tree, F_and_Fu_rows=compile_exprs(
+        [tree, diff(tree, "u")], var_names(dim - 2), arrays=True))
+    points = np.zeros((0, dim)) if points is None else np.asarray(points,
+                                                                  float)
+    sigma = SingularLocus(points, np.zeros(len(points), dtype=bool),
+                          [np.asarray(line, float) for line in polylines],
+                          np.zeros((0, dim), dtype=int), 0)
+    return maximal_domain(sol, component, sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ def test_criterion_1_ode_example():
     surface = extract_surface(sol.F, problem.box, 1024)
     sigma = extract_singular_locus(sol, surface)
     component = split_component(surface, sigma, sol.gamma_samples)
-    dom = maximal_domain(component, sigma)
+    dom = maximal_domain(sol, component, sigma)
     cell = 7.0 / 1024.0
 
     # boundary of the maximal extension, located by the continuation query
@@ -81,7 +81,7 @@ def test_criterion_2_circular_example():
     surface = extract_surface(sol.F, problem.box, 128)
     sigma = extract_singular_locus(sol, surface)
     component = split_component(surface, sigma, sol.gamma_samples)
-    maximal_domain(component, sigma)
+    maximal_domain(sol, component, sigma)
 
     diag = math.hypot(2.8 / 128, 2.8 / 128)
     (tlo, thi), ((xlo, xhi),) = problem.box.t, problem.box.x

@@ -47,6 +47,15 @@ N0_FOLD_DATA = {
     "rho": ["u^2 - t"], "f": "y1 - 1",
 }
 
+# u' = 1/(u^2 - 1), u(0) = 2: F = u^3/3 - u - t - 2/3 folds where u^2 = 1,
+# at (t, u) = (-4/3, 1) on the initial set's branch and at (0, -1) on the
+# branch below, whose fold lies within the masked t-range [-4/3, 1]
+TWO_FOLD_DATA = {
+    "n": 0, "alpha": "1", "b": "1/(u^2 - 1)", "h": "2",
+    "box": {"t": [-2, 1], "u": [-3, 3]},
+    "rho": ["u^3/3 - u - t"], "f": "y1 - 2/3",
+}
+
 # X F = b = log(t) - log(t) is undefined wherever t <= 0, which is all of
 # the box but t in (0, 0.001]
 UNDEFINED_FLOW_DATA = {
@@ -536,9 +545,6 @@ class TestFoldAtNZero:
         assert abs(boundary[0][0] + 1.0) <= 1e-8
         assert boundary[-1] == [1.0]
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the staircase "
-                       "outline also lists the fold side -1.001953125 as a "
-                       "window point")
     def test_domain_boundary_is_the_fold_and_the_window(self, tmp_path,
                                                         capsys):
         out_dir = tmp_path / "out"
@@ -547,6 +553,17 @@ class TestFoldAtNZero:
         boundary = json.loads((out_dir / "domain.json").read_text())[
             "boundary"]
         assert boundary == [[-1.0], [1.0]]     # fold, then window
+
+    @pytest.mark.parametrize("resolution", ["100", "128", "1024"])
+    def test_the_other_branch_fold_is_left_out(self, resolution, tmp_path,
+                                              capsys):
+        out_dir = tmp_path / "out"
+        assert main(["domain", "--problem", write(tmp_path, TWO_FOLD_DATA),
+                     "--resolution", resolution, "--out", str(out_dir)]) == 0
+        (fold,), window = json.loads(
+            (out_dir / "domain.json").read_text())["boundary"]
+        assert abs(fold + 4.0 / 3.0) <= 1e-8
+        assert window == [1.0]
 
     def test_singular_json_has_the_fold(self, tmp_path, capsys):
         out_dir = tmp_path / "out"
@@ -579,6 +596,12 @@ class TestOutputDigests:
     as recorded at commit dc1b8b7.  `burgers_reciprocal`'s domain.json was
     recorded again when `domain` came to evaluate only the tiles that the
     initial set's flood reaches: its fold points moved by less than 1e-13.
+    All four domain.json files, and the summary.json files of the three
+    n = 1 problems, were recorded again when the window part of the
+    boundary became the zeros of F on the box faces instead of the mask's
+    staircase outline: the mask, its area and the fold points stayed byte
+    for byte, the window points went from 2, 477, 423 and 468 to 2, 331,
+    554 and 400 (ode_quadratic's u-window point from 0.90625 to 0.9).
     A refactor keeps them; a change that
     moves a number states that in CHANGES.md and records the new digests
     here.
@@ -587,24 +610,24 @@ class TestOutputDigests:
 
     DIGESTS = {
         "ode_quadratic": {
-            "domain.json": "e160023f3e6e05c6f0614180eabc6e722e2f3f0f252db07a57e914e668bb1baa",
+            "domain.json": "ccb58cbe71144c8b63657c33ce87dbf89710bb1e1d4ed87ec9791b46fa748da4",
             "summary.json": "2789e22a2be1ba67eb8f21f56ee827ac351b3685e35a3141657e0d21abf7c4d6",
             "sigma.csv": "d863f542e4082df4e526d38999862afea92806e46256dc379d54e931ec6ecd00",
         },
         "circular": {
-            "domain.json": "ef987f0bbe32741f5627a4a9fe818ecda6496cbe0975c3d3bddbbd9c2a690def",
-            "summary.json": "2129855b859319b3937bdc8c07d501ae876ca42b98bb804c9346a05dbc3edaa8",
+            "domain.json": "53ebf49512d744f3878ad991b8a6615251dffb630b6debcc9ff6e43213a48073",
+            "summary.json": "e3e427b99715773df1a87651b3adfd193ee066a0c121018e64e50ff81494927e",
             "sigma.csv": "b55100a9e542162c61b930c40ba7f8c609193059f67fe5ab039787a10b313a72",
         },
         "burgers_ramp": {
-            "domain.json": "92f668ebf1f5118440a58fb927b7c6742c492a2e20b36174195d0bc72cfafa9b",
-            "summary.json": "e45e42b22bcd770d1c69b2e1cb6f6c0288ac52a8cccc42d0fa8a7bcbc913e9ea",
+            "domain.json": "40aeb25de091281ab71a2d021e7dfc4afe89f35757675850604badb8e429a9c0",
+            "summary.json": "07364690d75a19e2308dd1f47eb54cb1f2b39f03871bddd0c8cd4ecb4943a366",
             "sigma.csv": "6608ea832591eb48dd53444dc9cbcb4fe29bbdca9b4406ed7e55a3451beaa5bc",
             "envelope.csv": "f6d0ed7547d1a34e6ddf2fb8a8ffd5ea69c192d2488c84c70b76e50cc1c2b8a0",
         },
         "burgers_reciprocal": {
-            "domain.json": "2710947ddf208c958cfa7bb8c782755f3de7265f09d5c1fff9da60c73f355cd1",
-            "summary.json": "91592edebe277c84bfb45f9a33759c2bd3206e08208e0ad40e3f160b73f2c650",
+            "domain.json": "a4deed566db89561bb85b9f637d0b2c74d0da2fd171838456932db1e7d6dd322",
+            "summary.json": "5eff19fb44cce5d30dd7157d4e72bcdb2f7c0865c2f23b2f472a0ff82bb321fd",
             "sigma.csv": "008c560e450a0e93ed3d614924d6889e1d8854185baaff5a1fab69817890b8f6",
             "envelope.csv": "48de1bfb7d711c86d37d8e1c69c8db6ba7084b7a2c7178126f6d7f0f25ec6ef2",
         },

@@ -15,8 +15,7 @@ from charmax.cli import main
 from charmax.domain import (CORRECTOR_MAXIT, MAX_MARCH_STEPS, SOLVE_TOL,
                             BoundaryPolyline, MaximalDomain,
                             PathLeftWindowError, ProjectionError,
-                            _chain_outline, _staircase, contains,
-                            maximal_domain)
+                            _staircase, contains, maximal_domain)
 from charmax.expr import diff, evaluate, parse, var_names
 from charmax.expr import compile as compile_exprs
 from charmax.integrals import _newton_u, implicit_solution_for_problem
@@ -24,6 +23,25 @@ from charmax.locus import (SurfaceComponent, cell_center, cell_indices,
                            extract_singular_locus, extract_surface, flood,
                            split_component)
 from charmax.problem import Box, load_problem_bundle, make_problem
+
+
+# u' = 1/(2u), u(0) = 1: F = u^2 - t - 1 folds at (t, u) = (-1, 0); the
+# problem of N0_FOLD_DATA, as (rho, f, problem, data)
+N0_FOLD_PROBLEM = ("u^2 - t", "y1 - 1", *make_problem(
+    0, "1", [], "1/(2*u)", "1", Box((-1.5, 1.0), (), (-0.7, 1.5))))
+
+
+def n0_fold_domain(resolution):
+    """(sigma, domain) of N0_FOLD_PROBLEM on the whole grid; n = 0 sigma
+    has points but no polylines."""
+    rho, f, problem, data = N0_FOLD_PROBLEM
+    _, sol = implicit_solution_for_problem(
+        problem, data, (parse(rho, n=0),),
+        parse(f, n=0, allowed_variables=["y1"]))
+    surface = extract_surface(sol.F, problem.box, resolution)
+    sigma = extract_singular_locus(sol, surface)
+    return sigma, maximal_domain(
+        sol, split_component(surface, sigma, sol.gamma_samples), sigma)
 
 
 class TestMaximalDomain:
@@ -95,7 +113,7 @@ class TestMaximalDomain:
                                     [(3, 3, low)], np.zeros(0, dtype=int))
             with pytest.raises(ProjectionError, match=r"two u-branches "
                                r"onto base cell \(3, 3\)"):
-                maximal_domain(fake)
+                helpers.hand_domain(fake)
 
     def test_boundary_has_fold_and_window_parts(self, pipelines):
         _, _, _, _, _, dom = pipelines("circular", 48)
@@ -106,49 +124,66 @@ class TestMaximalDomain:
             resid = 1.0 - line.points[:, 0] ** 2 - line.points[:, 1] ** 3
             assert np.abs(resid).max() <= 1e-8
 
-    def test_window_boundary_is_chained(self, pipelines):
-        _, _, surf, _, _, dom = pipelines("circular", 48)
-        window = [b for b in dom.boundary if b.kind == "window"]
-        assert window
-        edge_lengths = {round(float(ax[1] - ax[0]), 12) for ax in dom.axes}
-        for line in window:
-            assert len(line.points) >= 2
-            steps = np.linalg.norm(np.diff(line.points, axis=0), axis=1)
-            # consecutive polyline points are exactly one cell edge apart
-            for s in steps:
-                assert round(float(s), 12) in edge_lengths
+    @pytest.mark.parametrize("name,resolution", [
+        ("ode_quadratic", 512), ("circular", 48), ("burgers_ramp", 48),
+        ("burgers_reciprocal", 48), ("n0_fold", 1024)])
+    def test_boundary_lies_on_the_fold_and_the_box_faces(self, name,
+                                                         resolution,
+                                                         pipelines):
+        # window points on a t- or x-face, or where the closed-form u is
+        # on a u-face; fold points on the closed-form fold
+        if name == "n0_fold":            # u = sqrt(1 + t), fold at t = -1
+            problem, dom = N0_FOLD_PROBLEM[2], n0_fold_domain(resolution)[1]
+            true_u = lambda q: math.sqrt(1.0 + q[0])  # noqa: E731
+            margin = lambda q: 1.0 + q[0]             # noqa: E731
+        else:
+            b, _, _, _, _, dom = pipelines(name, resolution)
+            problem = b.problem
+            true_u = lambda q: helpers.true_u(name, q)  # noqa: E731
+            margin = lambda q: helpers.true_inside(name, q)  # noqa: E731
+
+        def on_u_face(q, end):
+            try:
+                return abs(true_u(q) - end) <= 1e-10
+            except ZeroDivisionError:
+                # the ramp's fold (1/2, 0), where u (1 - 2t) = -2x holds
+                # for every u: a grid vertex at resolution 48
+                return name == "burgers_ramp" and q == [0.5, 0.0]
+
+        kinds = [line.kind for line in dom.boundary]
+        assert kinds.count("window") == 1 and kinds[-1] == "window"
+        assert helpers.off_the_faces(dom.boundary[-1].points, problem.box,
+                                     on_u_face) == []
+        for line in dom.boundary[:-1]:
+            assert line.kind == "fold"
+            assert max(abs(margin(q)) for q in line.points) <= 1e-8
 
     def test_n0_fold_is_a_fold_boundary_point(self):
-        # u' = 1/(2u), u(0) = 1: F = u^2 - t - 1 folds at (t, u) = (-1, 0);
-        # n = 0 sigma has points but no polylines
-        problem, data = make_problem(0, "1", [], "1/(2*u)", "1",
-                                     Box((-1.5, 1.0), (), (-0.7, 1.5)))
-        _, sol = implicit_solution_for_problem(
-            problem, data, (parse("u^2 - t", n=0),),
-            parse("y1 - 1", n=0, allowed_variables=["y1"]))
-        surface = extract_surface(sol.F, problem.box, 1024)
-        sigma = extract_singular_locus(sol, surface)
+        sigma, dom = n0_fold_domain(1024)
         assert sigma.polylines == []
-        dom = maximal_domain(
-            split_component(surface, sigma, sol.gamma_samples), sigma)
         lines = {kind: [b.points.tolist() for b in dom.boundary
                         if b.kind == kind] for kind in ("fold", "window")}
         ((fold,),) = lines["fold"]
         assert abs(fold[0] + 1.0) <= 1e-8
         assert [[1.0]] in lines["window"]
 
-    def test_ode_window_boundary_is_two_points(self, pipelines):
+    def test_ode_window_is_the_box_start_and_the_u_window(self,
+                                                          pipelines):
+        # u = 1/(1 - t) leaves the box at t = -5 and through u = 10 at
+        # t = 0.9, the one point of each face
         _, _, _, _, _, dom = pipelines("ode_quadratic", 512)
-        window = [b for b in dom.boundary if b.kind == "window"]
-        assert len(window) == 2
-        assert all(len(b.points) == 1 for b in window)
+        (window,) = [b for b in dom.boundary if b.kind == "window"]
+        assert window.points[0].tolist() == [-5.0]
+        assert abs(window.points[1, 0] - 0.9) <= 1e-12
+        assert window.points.shape == (2, 1)
 
 
-def window_lines(picture):
-    mask, sigma_cells = helpers.drawn_masks(picture)
-    dom = maximal_domain(helpers.hand_component(mask, sigma_cells))
-    assert {b.kind for b in dom.boundary} <= {"window"}
-    return [b.points.tolist() for b in dom.boundary]
+def hand_window(mask, F):
+    """The window points of maximal_domain over a hand-made mask on the
+    integer grid, with F given as text."""
+    dom = helpers.hand_domain(helpers.hand_component(mask), F)
+    assert [b.kind for b in dom.boundary] == ["window"]
+    return dom.boundary[0].points.tolist()
 
 
 class TestProjectionOfHandMadeMasks:
@@ -162,10 +197,10 @@ class TestProjectionOfHandMadeMasks:
         assert helpers.projection_by_cells(comp)[1] == (2, 3)
         with pytest.raises(ProjectionError,
                            match=r"two u-branches onto base cell \(2, 3\);"):
-            maximal_domain(comp)
+            helpers.hand_domain(comp)
         mask[2:] = False
-        dom = maximal_domain(helpers.hand_component(mask,
-                                                    gamma_cells=[(1, 1, 0)]))
+        dom = helpers.hand_domain(helpers.hand_component(
+            mask, gamma_cells=[(1, 1, 0)]))
         assert np.argwhere(dom.mask).tolist() == [[1, 1], [1, 2]]
 
     @given(dim=st.integers(2, 3), seed=st.integers(0, 2**32 - 1))
@@ -196,12 +231,12 @@ class TestProjectionOfHandMadeMasks:
         if (runs > 1).any():
             base = tuple(np.argwhere(runs > 1)[0].tolist())
             with pytest.raises(ProjectionError) as err:
-                maximal_domain(comp)
+                helpers.hand_domain(comp)
             assert str(err.value) == (
                 f"component projects two u-branches onto base cell {base}; "
                 "resolution too coarse to separate sheets")
         else:
-            got = maximal_domain(comp).mask
+            got = helpers.hand_domain(comp).mask
             assert got.dtype == bool and got.shape == runs.shape
             assert np.array_equal(got, runs > 0)
 
@@ -214,7 +249,7 @@ class TestProjectionOfHandMadeMasks:
             shifted = np.zeros(shape, dtype=bool)
             for axis in range(len(shape)):
                 for step in (-1, 1):
-                    shifted |= domain._neighbour(mask, axis, step)
+                    shifted |= helpers.shifted(mask, axis, step)
             assert np.array_equal(
                 domain._beside(every_cell, np.flatnonzero(mask), shape),
                 shifted[tuple(every_cell.T)])
@@ -227,52 +262,78 @@ class TestProjectionOfHandMadeMasks:
                                                  ("burgers_reciprocal", 48)])
     def test_matches_the_cell_by_cell_reference(self, name, resolution,
                                                 pipelines):
-        _, _, _, sigma, comp, dom = pipelines(name, resolution)
-        mask, split, outline = helpers.projection_by_cells(comp)
+        _, sol, _, sigma, comp, dom = pipelines(name, resolution)
+        mask, split = helpers.projection_by_cells(comp)
         assert split is None
         assert np.array_equal(dom.mask, mask)
-        lines = {kind: [b.points.tolist() for b in dom.boundary
-                        if b.kind == kind] for kind in ("fold", "window")}
-        assert lines["window"] == [line.tolist() for line
-                                   in _chain_outline(outline, dom.axes)]
-        assert lines["fold"] == helpers.fold_lines_by_points(comp, sigma)
+        lines = {kind: [b.points for b in dom.boundary if b.kind == kind]
+                 for kind in ("fold", "window")}
+        (window,) = lines["window"]
+        want = helpers.window_points_by_cells(sol.F, comp)
+        assert window.shape == want.shape
+        assert np.abs(window - want).max() <= 1e-12
+        assert [line.tolist() for line in lines["fold"]] == (
+            helpers.fold_lines_by_points(comp, sigma))
 
-    def test_window_outline_around_a_hole(self):
-        assert window_lines("""###
-                               #.#
-                               ###""") == [
-            [[0, 0], [0, 1], [0, 2], [0, 3], [1, 3], [2, 3], [3, 3], [3, 2],
-             [3, 1], [3, 0], [2, 0], [1, 0], [0, 0]],
-            [[1, 1], [1, 2], [2, 2], [2, 1], [1, 1]]]
+    def test_window_points_are_the_zeros_on_the_box_faces(self):
+        # the line u = 0.3 + t/4 crosses the t = 0 face at u = 0.3 and
+        # leaves through the u = 2 face at t = 6.8; it cuts no other face
+        # edge of the cells it passes
+        mask = np.zeros((8, 2), dtype=bool)
+        mask[[0, 1, 2, 2, 3, 4, 5, 6], [0, 0, 0, 1, 1, 1, 1, 1]] = True
+        for _ in range(2):
+            (start,), (end,) = hand_window(mask, "u - 0.3 - t/4")
+            assert start == 0.0 and abs(end - 6.8) <= 1e-14
+            # a face cell past the exit adds nothing
+            mask[7, 1] = True
 
-    def test_window_outline_ends_at_a_pinch_vertex(self):
-        # cells (1, 1) and (2, 2) meet only at the vertex (2, 2), where the
-        # outer outline and the outline of the hole at (2, 1) both pass
-        assert window_lines("""....
-                               ##..
-                               #.#.
-                               ###.""") == [
-            [[2, 2], [2, 3], [3, 3], [4, 3], [4, 2], [4, 1], [4, 0], [3, 0],
-             [2, 0], [1, 0], [1, 1], [1, 2], [2, 2]],
-            [[2, 2], [3, 2], [3, 1], [2, 1], [2, 2]]]
+    def test_window_points_on_the_faces_of_a_space_grid(self):
+        # u = 1/2 over the four low cells of a 2 x 2 x 2 grid: the vertical
+        # edges on the base's rim, each once, in flat-index order
+        mask = np.zeros((2, 2, 2), dtype=bool)
+        mask[..., 0] = True
+        assert hand_window(mask, "u - 1/2") == [
+            [0.0, 0.0], [0.0, 1.0], [0.0, 2.0], [1.0, 0.0], [1.0, 2.0],
+            [2.0, 0.0], [2.0, 1.0], [2.0, 2.0]]
+        # x = 1/2 + u/4 over all eight cells: the x-edges from x = 0 on the
+        # t-faces (u = 0, 1, 2) and on the u-faces (t = 0, 1, 2), each once
+        mask[...] = True
+        assert hand_window(mask, "x - 1/2 - u/4") == [
+            [0.0, 0.5], [0.0, 0.75], [0.0, 1.0], [1.0, 0.5], [1.0, 1.0],
+            [2.0, 0.5], [2.0, 0.75], [2.0, 1.0]]
 
-    def test_sides_facing_a_singular_base_cell_are_left_out(self):
-        assert window_lines("""###
-                               ...
-                               ...""") == [
-            [[0, 0], [0, 1], [0, 2], [0, 3], [1, 3], [1, 2], [1, 1], [1, 0],
-             [0, 0]]]
-        # the side between vertices (1, 1) and (1, 2) faces the singular
-        # cell (1, 1) and is fold, not window
-        assert window_lines("""###
-                               .s.
-                               ...""") == [
-            [[1, 1], [1, 0], [0, 0], [0, 1], [0, 2], [0, 3], [1, 3], [1, 2]]]
+    def test_no_window_point_at_a_pole_or_where_F_fails(self):
+        mask = np.ones((4, 2), dtype=bool)
+        # F changes sign across its pole u = sqrt(1/5) on the t = 0 and
+        # t = 4 faces, and has no zero there: the bracket closes on the
+        # pole, where no float makes u^2 - 1/5 vanish
+        assert hand_window(mask, "1/(u*u - 0.2)") == []
+        # F is undefined where (u - 1/5)(u - 4/5) < 0, inside the edges
+        # from u = 0 to u = 1 where it changes sign
+        assert hand_window(mask, "u - 1/2 + 0 * sqrt((u - 1/5)*(u - 4/5))"
+                           ) == []
+        assert hand_window(mask, "u - 1/2") == [[0.0], [4.0]]
 
-    def test_one_dimensional_base_gives_isolated_endpoints(self):
-        assert window_lines("..####..") == [[[2.0]], [[6.0]]]
-        assert window_lines("####....") == [[[0.0]], [[4.0]]]
-        assert window_lines("..####s.") == [[[2.0]]]
+    def test_fold_keeps_the_sigma_points_joined_to_the_component(self):
+        # component cells in u-cell 0 of base cells (0..2, 0); singular
+        # cells (3, 0), (4, 0) beside and after them, and (6, 0) apart
+        mask = np.zeros((8, 1, 2), dtype=bool)
+        mask[:3, 0, 0] = True
+        sigma_cells = np.zeros_like(mask)
+        sigma_cells[[3, 4, 6], 0, 0] = True
+        comp = helpers.hand_component(mask, sigma_cells)
+        points = [[4.5, 0.5, 0.5], [6.5, 0.5, 0.5], [3.5, 0.5, 0.5]]
+        dom = helpers.hand_domain(comp, points=points)
+        assert [(b.kind, b.points.tolist()) for b in dom.boundary] == [
+            ("fold", [[4.5, 0.5], [3.5, 0.5]]), ("window", [])]
+        dom = helpers.hand_domain(comp, polylines=[points[:2], points[1:]])
+        assert [(b.kind, b.points.tolist()) for b in dom.boundary] == [
+            ("fold", [[4.5, 0.5]]), ("fold", [[3.5, 0.5]]), ("window", [])]
+        # no polyline keeps a point: the sigma points joined to it
+        dom = helpers.hand_domain(comp, points=points,
+                                  polylines=[points[1:2]])
+        assert [b.points.tolist() for b in dom.boundary] == [
+            [[4.5, 0.5], [3.5, 0.5]], []]
 
 
 class TestContains:

@@ -1349,9 +1349,10 @@ class TestTiledDomain:
     @pytest.mark.parametrize("a, h", helpers.GENERATED_LAWS)
     def test_generated_laws(self, a, h):
         problem, _, sol = helpers.generated_law(a, h)
+        tiled = helpers.domain_on_tiles(problem, sol, 48, True)
         helpers.assert_same_domain(
-            helpers.domain_on_tiles(problem, sol, 48, True),
-            helpers.domain_on_tiles(problem, sol, 48, False))
+            tiled, helpers.domain_on_tiles(problem, sol, 48, False))
+        assert helpers.window_off_the_faces(sol, problem.box, tiled) == []
 
     @pytest.mark.parametrize("name", helpers.EXAMPLES)
     @pytest.mark.parametrize("resolution", [16, 17, 100])
@@ -1422,7 +1423,7 @@ class TestCellState:
         tracemalloc.start()
         try:
             component = split_component(surface, sigma, sol.gamma_samples)
-            maximal_domain(component, sigma)
+            maximal_domain(sol, component, sigma)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
