@@ -210,9 +210,11 @@ def _fold(component: SurfaceComponent, sigma: SingularLocus) -> list:
     as one line.  The search, one layer of singular cells at a time, stops
     once it has reached every cell of a sigma point (``split_component``
     makes each such cell singular)."""
+    lines = [*sigma.polylines, sigma.points]
+    if not any(map(len, lines)):
+        return []
     axes, shape = component.surface.axes, component.surface.state.shape
     flat = component.sigma_flat
-    lines = [*sigma.polylines, sigma.points]
     held = [np.searchsorted(flat, np.ravel_multi_index(
         cell_of(axes, line).T, shape)) for line in lines]
     cells = np.transpose(np.unravel_index(flat, shape))
@@ -238,8 +240,9 @@ def _window(sol: ImplicitSolution, surface: LevelSurface,
     Illinois regula falsi (Dowell & Jarratt 1971) refines all open edges
     at once, one ``F_and_Fu_rows`` call a round, until |F| <= WINDOW_TOL or
     the bracket is one ulp wide.  An edge gives no point where F fails to
-    evaluate, nor where |F| at the closed bracket exceeds |F| at both of
-    its ends: a pole, across which F changes sign too."""
+    evaluate, nor where |F| at the closed bracket is larger than the
+    smaller of |F| at the edge's two ends: a pole, across which F changes
+    sign too."""
     shape = np.array(surface.state.shape)
     dim = len(shape)
     # a cell's edges, as a corner offset and an axis the offset is 0 on;
@@ -263,7 +266,7 @@ def _window(sol: ImplicitSolution, surface: LevelSurface,
     with np.errstate(all="ignore"):
         (f, bad), _ = sol.F_and_Fu_rows(*coords.T)
         ok = ~bad & np.isfinite(f)
-        ia, ib = np.split(np.searchsorted(verts, ends), 2)
+        ia, ib = np.searchsorted(verts, ends).reshape(2, -1)
         cut = ok[ia] & ok[ib] & ((f[ia] >= 0.0) != (f[ib] >= 0.0))
         points, along, ia, ib = coords[ia[cut]], along[cut], ia[cut], ib[cut]
         m = np.arange(len(points))
@@ -271,28 +274,30 @@ def _window(sol: ImplicitSolution, surface: LevelSurface,
         # at both (at the kept end halved each time it is kept again)
         bracket = np.array([points[m, along], coords[ib, along], f[ia],
                             f[ib]])
-        bound = np.abs(bracket[2:]).min(axis=0)
-        found = np.zeros(len(points), dtype=bool)
+        # the largest last |F| with which an edge gives a point: WINDOW_TOL,
+        # or, once its bracket is closed, the smaller |F| at its ends (a
+        # pole ends larger); NaN, where F fails, gives none
+        bound = np.maximum(np.abs(bracket[2:]).min(axis=0), WINDOW_TOL)
         while len(m):
             a, b, fa, fb = bracket[:, m]
             c = b - fb * (b - a) / (fb - fa)
             points[m, along[m]] = c
             (fc, bad), _ = sol.F_and_Fu_rows(*points[m].T)
+            fc = np.where(bad, np.nan, fc)
             flip = (fc >= 0.0) != (fb >= 0.0)
             a = np.where(flip, b, a)
             bracket[:, m] = a, c, np.where(flip, fb, 0.5 * fa), fc
-            zero = np.abs(fc) <= WINDOW_TOL
-            closed = np.nextafter(a, c) == c    # no float between a and c
-            ok = ~bad & np.isfinite(fc)
-            found[m] = ok & (zero | closed & (np.abs(fc) <= bound[m]))
-            m = m[ok & ~zero & ~closed]
-    return points[found, :-1]
+            # open while |F| > WINDOW_TOL and a float lies between a and c
+            m = m[(np.abs(fc) > WINDOW_TOL) & (np.nextafter(a, c) != c)]
+    return points[np.abs(bracket[3]) <= bound, :-1]
 
 
 def _once(values: np.ndarray) -> np.ndarray:
     """The sorted ``values`` without repeats, as ``np.unique`` gives them
     about 40 times slower on these few thousand integers (numpy 2.4)."""
-    return values[np.append(True, values[1:] != values[:-1])]
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
 
 
 # ---------------------------------------------------------------------------

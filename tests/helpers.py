@@ -227,7 +227,8 @@ def window_points_by_cells(F, component) -> np.ndarray:
     its lower vertex is on the first or last vertex plane), F at its ends
     by scalar evaluate; where exactly one end is >= 0, the zero by
     bisection down to adjacent floats, kept where |F| there is no larger
-    than at both ends (not a pole) and F evaluates at every step.  The
+    than the smaller of |F| at the two ends (not a pole) and F evaluates
+    at every step.  The
     base projections, in (lower vertex, axis) order."""
     surface = component.surface
     shape = surface.state.shape

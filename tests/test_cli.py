@@ -56,6 +56,13 @@ TWO_FOLD_DATA = {
     "rho": ["u^3/3 - u - t"], "f": "y1 - 2/3",
 }
 
+# u' = 1/cos(u), u(0) = 0: F = sin(u) - t folds at u = -pi/2 and pi/2,
+# where t = -1 and 1, inside the box, so the branch meets no box face
+TWO_SIDED_FOLD_DATA = {
+    "n": 0, "alpha": "1", "b": "1/cos(u)", "h": "0",
+    "box": {"t": [-2, 2], "u": [-3, 3]}, "rho": ["sin(u) - t"], "f": "y1",
+}
+
 # X F = b = log(t) - log(t) is undefined wherever t <= 0, which is all of
 # the box but t in (0, 0.001]
 UNDEFINED_FLOW_DATA = {
@@ -564,6 +571,17 @@ class TestFoldAtNZero:
             (out_dir / "domain.json").read_text())["boundary"]
         assert abs(fold + 4.0 / 3.0) <= 1e-8
         assert window == [1.0]
+
+    def test_a_domain_bounded_by_two_folds(self, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        assert main(["domain", "--problem",
+                     write(tmp_path, TWO_SIDED_FOLD_DATA),
+                     "--out", str(out_dir)]) == 0
+        summary = json.loads((out_dir / "summary.json").read_text())
+        assert summary["area_of_mask"] == 2.0
+        boundary = json.loads((out_dir / "domain.json").read_text())[
+            "boundary"]
+        assert boundary == [[-1.0], [1.0]]     # two folds, no window point
 
     def test_singular_json_has_the_fold(self, tmp_path, capsys):
         out_dir = tmp_path / "out"

@@ -256,6 +256,12 @@ class TestProjectionOfHandMadeMasks:
         assert domain._beside(every_cell[:0], np.flatnonzero(mask),
                               shape).shape == (0,)
 
+    def test_once_is_unique_of_sorted_values(self):
+        rng = np.random.default_rng(32)
+        for size in (0, 1, 2, 50):
+            values = np.sort(rng.integers(0, 10, size))
+            assert np.array_equal(domain._once(values), np.unique(values))
+
     @pytest.mark.parametrize("name,resolution", [("ode_quadratic", 512),
                                                  ("circular", 48),
                                                  ("burgers_ramp", 48),
@@ -301,6 +307,12 @@ class TestProjectionOfHandMadeMasks:
         assert hand_window(mask, "x - 1/2 - u/4") == [
             [0.0, 0.5], [0.0, 0.75], [0.0, 1.0], [1.0, 0.5], [1.0, 1.0],
             [2.0, 0.5], [2.0, 0.75], [2.0, 1.0]]
+
+    def test_no_window_point_without_a_face_cell(self):
+        # a component bounded by folds on every side touches no box face
+        mask = np.zeros((4, 4), dtype=bool)
+        mask[[1, 2], 1] = True
+        assert hand_window(mask, "u - 3/2") == []
 
     def test_no_window_point_at_a_pole_or_where_F_fails(self):
         mask = np.ones((4, 2), dtype=bool)
