@@ -228,8 +228,7 @@ def window_points_by_cells(F, component) -> np.ndarray:
     by scalar evaluate; where exactly one end is >= 0, the zero by
     bisection down to adjacent floats, kept where |F| there is no larger
     than the smaller of |F| at the two ends (not a pole) and F evaluates
-    at every step.  The
-    base projections, in (lower vertex, axis) order."""
+    at every step.  The base projections, in (lower vertex, axis) order."""
     surface = component.surface
     shape = surface.state.shape
     n = len(shape) - 2
