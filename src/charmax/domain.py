@@ -28,7 +28,7 @@ import numpy as np
 
 from .expr import EvalDomainError, evaluate
 from .integrals import ImplicitSolution, _newton_u
-from .locus import (LevelSurface, SingularLocus, SurfaceComponent, _norm,
+from .locus import (LevelSurface, SingularLocus, SurfaceComponent,
                     cell_center, cell_of, flood)
 from .problem import InitialData, Problem
 
@@ -203,31 +203,29 @@ def _beside(cells: np.ndarray, flat: np.ndarray, shape) -> np.ndarray:
 
 
 def _fold(component: SurfaceComponent, sigma: SingularLocus) -> list:
-    """The base projections of the sigma points that bound the component:
-    those in a singular cell joined, through singular cells sharing a
-    facet, to a singular cell beside the component.  The points of each
-    polyline there, or, when no polyline keeps one, the sigma points there
-    as one line.  The search, one layer of singular cells at a time, stops
-    once it has reached every cell of a sigma point (``split_component``
-    makes each such cell singular)."""
-    lines = [*sigma.polylines, sigma.points]
-    if not any(map(len, lines)):
+    """The base projections of the sigma points that bound the component,
+    as one line in the points' order, or none: the points in a singular
+    cell joined, through singular cells sharing a facet, to a singular
+    cell beside the component.  The search, one layer of singular cells at
+    a time, stops once it has reached every cell of a sigma point
+    (``split_component`` makes each such cell singular)."""
+    points = sigma.points
+    if not len(points):
         return []
     axes, shape = component.surface.axes, component.surface.state.shape
     flat = component.sigma_flat
-    held = [np.searchsorted(flat, np.ravel_multi_index(
-        cell_of(axes, line).T, shape)) for line in lines]
+    held = np.searchsorted(flat, np.ravel_multi_index(
+        cell_of(axes, points).T, shape))
     cells = np.transpose(np.unravel_index(flat, shape))
     # the last entry stands for "no singular cell", and counts as reached
     linked = np.append(_beside(cells, component.cells_flat, shape), True)
     front, near = np.flatnonzero(linked[:-1]), _facets(cells, flat, shape)
-    while len(front) and not linked[np.concatenate(held)].all():
+    while len(front) and not linked[held].all():
         front = near[:, front].ravel()
         front = front[~linked[front]]
         linked[front] = True
-    lines = [line[linked[at], :-1] for line, at in zip(lines, held)]
-    return ([line for line in lines[:-1] if len(line)]
-            or [line for line in lines[-1:] if len(line)])
+    line = points[linked[held], :-1]
+    return [line] if len(line) else []
 
 
 def _window(sol: ImplicitSolution, surface: LevelSurface,
@@ -303,6 +301,12 @@ def _once(values: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Continuation query
 
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a 1-D float vector, bit for bit: the square
+    root of its BLAS dot with itself, without the call's overhead."""
+    return math.sqrt(np.dot(v, v))
+
+
 def _grad_norm(grads) -> float:
     total = 0.0
     for g in grads:
@@ -334,7 +338,8 @@ def contains(problem: Problem, data: InitialData, sol: ImplicitSolution, q,
 
     The path starts at the initial-set base point (0, s*) with s* the
     query's x clamped to the parameter interval, or ``base_point`` clamped
-    to it (n = 1 only), which is useful for path-independence checks.
+    to it, which is useful for path-independence checks.  ``base_point``
+    is for n = 1 only: with n = 0 it raises ValueError.
     """
     n = problem.n
     q = np.array(q, dtype=float, ndmin=1)
@@ -347,6 +352,9 @@ def contains(problem: Problem, data: InitialData, sol: ImplicitSolution, q,
                 f"query point {q} is outside the (t, x) face of the box")
 
     if n == 0:
+        if base_point is not None:
+            raise ValueError("base_point is for n = 1 only; an n = 0 "
+                             "path starts at t = 0")
         start, u0 = [0.0], evaluate(data.h, {})
     else:
         lo, hi = data.interval

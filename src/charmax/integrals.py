@@ -113,9 +113,9 @@ class ImplicitSolution:
     which take t, x1..xn, u, and what its checks measured.  ``F_and_Fu``
     and the array form ``F_and_Fu_rows`` are compiled here; ``grad_values``
     (grad F: the query's march), ``fold_values`` (F, grad F and grad F_u:
-    the query's turning-point solve, and without F the sigma trace's
-    Jacobian), ``Fu_value`` ((F_u,)) and ``jacobian_rows`` (grad F and
-    grad F_u, array form) on first call."""
+    the query's turning-point solve), ``Fu_value`` ((F_u,)) and
+    ``jacobian_rows`` (grad F and grad F_u, array form: the sigma polish
+    and rank check) on first call."""
 
     F: Expr
     F_u: Expr

@@ -21,22 +21,18 @@ cube's six Kuhn tetrahedra in the space case).
 
 The singular locus is the subset of the surface where F_u vanishes too.
 The seed cells start a damped Newton polish that runs all seeds in
-lockstep on compile's array back end; the polished points are thinned
-to one per cell diagonal, and in the space case ordered into polylines
-by pseudo-arclength continuation along the curve, on the implicit
-solution's trees and compiled forms; the stage compiles nothing.  The
-continuation does its elementwise 3-vector work in Python floats and
-each norm as the square root of a numpy dot, as ``np.linalg.norm``
-does; the dot products and the 3 x 3 solves stay numpy calls, so that
-the traced points are bit for bit those of an all-numpy trace.
+lockstep on compile's array back end, on the implicit solution's
+compiled forms; the stage compiles nothing.  The polished points,
+thinned to one per cell diagonal, are sigma in every dimension: no
+curve is traced through them.
 
 The component of the initial set is a breadth-first flood fill over
 cell adjacency with the singular cells removed, kept as sorted flat
 indices like the singular cells.  The cells the seed-cut flood reached
-are the component unless a cell of a polished sigma point or polyline
-is among them; only then is a copy of the states flooded again.  The
-flood expands a level of many cells in one numpy step and a level of a
-few cells cell by cell, each reading one state per neighbour.  The grid
+are the component unless a cell of a polished sigma point is among
+them; only then is a copy of the states flooded again.  The flood
+expands a level of many cells in one numpy step and a level of a few
+cells cell by cell, each reading one state per neighbour.  The grid
 helpers here (cell lookup, cell centres, index lists, flood fill) serve
 the base-space mask as well.
 """
@@ -49,8 +45,7 @@ from itertools import product
 
 import numpy as np
 
-from .expr import (EvalDomainError, Expr, compile, diff, evaluate_grid,
-                   output_rows, var_names)
+from .expr import Expr, compile, diff, evaluate_grid, output_rows, var_names
 from .integrals import ImplicitSolution
 from .problem import Box
 
@@ -121,7 +116,8 @@ class LevelSurface:
 class SingularLocus:
     points: np.ndarray                 # (m, dim) refined points
     degenerate: np.ndarray             # (m,) bool flags
-    polylines: list                    # ordered (k, dim) arrays (space case)
+    polylines: list                    # always []: perfbench's traced
+                                       # observer still reads the field
     seed_cells: np.ndarray             # (j, dim) cells with F and F_u crossings
     dropped: int                       # Newton divergences
 
@@ -455,42 +451,6 @@ def flood(mask, seeds, parents: bool = False, reveal=None):
 # ---------------------------------------------------------------------------
 # Singular locus
 
-def _damped_newton(res_fn, jac_fn, x0, tol=NEWTON_TOL, maxit=NEWTON_MAXIT):
-    """Newton with Armijo halving on |r|^2.  Returns the solution or None.
-
-    The tests on each component (converged, step finite) run in Python
-    floats; a NaN residual never converges, as under ``np.max``.  The
-    squared norms and the solve stay numpy calls."""
-    x = np.asarray(x0, dtype=float).copy()
-    r = res_fn(x)
-    if r is None:
-        return None
-    for _ in range(maxit):
-        if all(abs(v) <= tol for v in r.tolist()):
-            return x
-        J = jac_fn(x)
-        if J is None:
-            return None
-        try:
-            step = np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError:
-            return None
-        if not all(map(math.isfinite, step.tolist())):
-            return None
-        base = float(np.dot(r, r))
-        lam = 1.0
-        while lam > 2.0 ** -24:
-            cand = x + lam * step
-            rc = res_fn(cand)
-            if rc is not None and float(np.dot(rc, rc)) <= (1 - 0.5 * lam) * base:
-                x, r = cand, rc
-                break
-            lam *= 0.5
-        else:
-            return None
-    return x if all(abs(v) <= tol for v in r.tolist()) else None
-
-
 def _rows(compiled, points: np.ndarray):
     """An array-compiled function at each row of ``points``: the (k, width)
     values, 0 on the rows where an output hit a domain violation or is not
@@ -503,31 +463,6 @@ def _rows(compiled, points: np.ndarray):
     bad |= ~np.isfinite(values).all(axis=1)
     values[bad] = 0.0
     return values, ~bad
-
-
-def _norm(v: np.ndarray) -> float:
-    """``np.linalg.norm`` of a 1-D float vector, bit for bit: the square
-    root of its BLAS dot with itself, without the call's overhead."""
-    return math.sqrt(np.dot(v, v))
-
-
-def _tangent(sol: ImplicitSolution, point):
-    """Unit tangent of the solution curve (space case only): the cross
-    product of the Jacobian rows, ``fold_values`` without F, normalised;
-    None where it fails to evaluate or is zero or not finite.  The cross
-    product and the finiteness test run in Python floats, the product as
-    ``np.cross`` rounds; the norm is ``_norm``, the square root of the
-    numpy dot, and the division by it is one numpy operation."""
-    try:
-        _, a0, a1, a2, b0, b1, b2 = sol.fold_values(*point)
-    except EvalDomainError:
-        return None
-    t = np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
-                  a0 * b1 - a1 * b0])
-    norm = _norm(t)
-    if norm == 0.0 or not math.isfinite(norm):
-        return None
-    return t / norm
 
 
 def _squared_norms(v: np.ndarray) -> np.ndarray:
@@ -574,13 +509,14 @@ def _free_pairs(sol: ImplicitSolution, centers: np.ndarray) -> np.ndarray:
 def _polish(sol: ImplicitSolution, centers: np.ndarray, box: Box):
     """Damped Newton on (F, F_u) = 0 from every seed-cell centre at once,
     in each seed's free pair of coordinates, the others frozen at the
-    centre.  The steps of ``_damped_newton``, on the rows still active:
-    converged at NEWTON_TOL, one stacked 2 x 2 solve, Armijo halving of
-    the rows whose step is not yet accepted.  A row fails where the
-    residual or Jacobian does not evaluate, the Jacobian is singular, the
-    step is not finite, the halving runs out, NEWTON_MAXIT runs out or the
-    root lies outside the box.  Returns the (k, dim) points, NaN for
-    failed seeds, and the (k,) mask of the seeds that converged."""
+    centre.  Each round, on the rows still active: a row converges at
+    NEWTON_TOL, the others take one stacked 2 x 2 solve, and the Newton
+    step of a row is halved (Armijo, on |r|^2) until it is accepted.  A
+    row fails where the residual or Jacobian does not evaluate, the
+    Jacobian is singular, the step is not finite, the halving runs out,
+    NEWTON_MAXIT runs out or the root lies outside the box.  Returns the
+    (k, dim) points, NaN for failed seeds, and the (k,) mask of the seeds
+    that converged."""
     k, dim = centers.shape
     free = _free_pairs(sol, centers)
     P = centers.astype(float)
@@ -633,83 +569,6 @@ def _degenerate(sol: ImplicitSolution, points: np.ndarray) -> np.ndarray:
     return flags
 
 
-def _trace_from(sol: ImplicitSolution, start, direction, box: Box, ds0,
-                max_steps):
-    """Pseudo-arclength continuation of the (F, F_u) = 0 curve from
-    ``start`` along the unit tangent ``direction``.
-
-    Each step predicts ``p + ds T`` and corrects it by ``_damped_newton``
-    on (F, F_u, T.(q - pred)) = 0.  A failed corrector halves ds, down to
-    ds0/64; an accepted point grows it by 1.3, up to ds0.  The trace ends
-    outside the box, where the tangent fails, or back at its start.
-
-    The elementwise work runs in Python floats, which round each operation
-    as numpy does: the predictor, the Jacobian rows taken straight from the
-    compiled tuple, the corrector's convergence and finiteness tests, the
-    box test and the tangent's cross product; the distance back to the
-    start is ``_norm``, the square root of a numpy dot, as
-    ``np.linalg.norm`` takes it.  The dot products and the corrector's
-    solve stay numpy calls, since BLAS and LAPACK may sum in another order
-    than a float sum and the points would no longer be bit for bit the
-    same.
-    """
-    points = [np.asarray(start, dtype=float)]
-    T = direction
-    ds = ds0
-    for _ in range(max_steps):
-        row = T.tolist()
-        pred = np.array([a + ds * b for a, b in zip(points[-1].tolist(), row)])
-
-        def res(q):
-            try:
-                f, f_u = sol.F_and_Fu(*q.tolist())
-            except EvalDomainError:
-                return None
-            return np.array([f, f_u, float(np.dot(T, q - pred))])
-
-        def jac(q):
-            try:
-                _, *d = sol.fold_values(*q.tolist())
-            except EvalDomainError:
-                return None
-            return np.array([d[:3], d[3:], row])
-
-        q = _damped_newton(res, jac, pred, maxit=25)
-        if q is None:
-            if ds > ds0 / 64:
-                ds *= 0.5
-                continue
-            break
-        if not box.contains(q, atol=1e-12):
-            break
-        Tn = _tangent(sol, q.tolist())
-        if Tn is None:
-            points.append(q)
-            break
-        if np.dot(Tn, T) < 0:
-            Tn = -Tn
-        T = Tn
-        points.append(q)
-        if len(points) > 3 and _norm(q - points[0]) < 0.6 * ds0:
-            points.append(points[0].copy())
-            break
-        ds = min(ds * 1.3, ds0)
-    return points
-
-
-def _near_line(points: np.ndarray, line: np.ndarray, diag: float):
-    """Per point, whether its distance to the nearest vertex of ``line``,
-    by ``np.linalg.norm`` of the differences, is at most ``diag``.  The
-    points go in blocks, so that their differences to the line stay under
-    a megabyte however long the line."""
-    near = np.zeros(len(points), dtype=bool)
-    block = max(1, 2 ** 15 // len(line))
-    for lo in range(0, len(points), block):
-        d = np.linalg.norm(line - points[lo:lo + block, None], axis=2)
-        near[lo:lo + block] = d.min(axis=1) <= diag
-    return near
-
-
 def _deduplicate(points: np.ndarray, diag: float) -> np.ndarray:
     """The sorted points each more than ``diag`` from every earlier kept
     point: each kept point drops the later points within ``diag``.
@@ -746,11 +605,10 @@ def extract_singular_locus(sol: ImplicitSolution,
     across the solution curve, with the along-curve coordinate frozen).
     Diverging seeds are dropped and counted.  The sorted polished points
     are thinned so that no two kept points lie within one cell diagonal,
-    and space-case points are then ordered into polylines by
-    pseudo-arclength continuation.  With no seeds, neither ``fold_values``
-    nor ``jacobian_rows`` is compiled.
+    and each kept point is flagged where the rank check finds the
+    Jacobian of (F, F_u) deficient.  The kept points are sigma in every
+    dimension.  With no seeds, ``jacobian_rows`` is not compiled.
     """
-    n = surface.dim - 2
     seed_cells = surface.seed_cells
     if not len(seed_cells):
         return SingularLocus(np.zeros((0, surface.dim)),
@@ -761,31 +619,8 @@ def extract_singular_locus(sol: ImplicitSolution,
     dropped = len(ok) - len(polished)
     diag = surface.cell_diagonal
     points = _deduplicate(np.reshape(polished, (-1, surface.dim)), diag)
-
-    degenerate = _degenerate(sol, points)
-    polylines: list[np.ndarray] = []
-
-    if n == 1:
-        visited = degenerate.copy()
-        max_steps = 40 * surface.resolution
-        for i, p in enumerate(points):
-            if visited[i]:
-                continue
-            t = _tangent(sol, p)
-            if t is None:
-                visited[i] = True
-                continue
-            fwd = _trace_from(sol, p, t, surface.box, diag, max_steps)
-            bwd = _trace_from(sol, p, -t, surface.box, diag, max_steps)
-            line = np.array(list(reversed(bwd[1:])) + fwd)
-            polylines.append(line)
-            # mark polished points swept by this polyline (never empty: it
-            # holds the start) as visited
-            rest = np.flatnonzero(~visited)
-            visited[rest[_near_line(points[rest], line, diag)]] = True
-            visited[i] = True
-
-    return SingularLocus(points, degenerate, polylines, seed_cells, dropped)
+    return SingularLocus(points, _degenerate(sol, points), [], seed_cells,
+                         dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -815,15 +650,14 @@ def split_component(surface: LevelSurface, sigma: SingularLocus,
                     gamma) -> SurfaceComponent:
     """Flood-fill the crossing cells from the initial-set cells, with the
     singular cells (sorted flat indices) removed: the sigma seed cells and
-    the cells of the polished sigma points and polylines.  The flood from
-    the initial set cut at the seed cells alone, ``reached_flat``, is the
-    component unless a cell of a sigma point or polyline is REACHED, as
-    the same flood with more cells removed outside it reaches the same
-    cells; otherwise, and always without ``reached_flat``, a copy of the
-    states with NONE in the singular cells is flooded."""
+    the cells of the polished sigma points.  The flood from the initial
+    set cut at the seed cells alone, ``reached_flat``, is the component
+    unless a cell of a sigma point is REACHED, as the same flood with
+    more cells removed outside it reaches the same cells; otherwise, and
+    always without ``reached_flat``, a copy of the states with NONE in
+    the singular cells is flooded."""
     shape = surface.state.shape
-    on_sigma = cell_of(surface.axes, np.vstack([sigma.points,
-                                                *sigma.polylines]))
+    on_sigma = cell_of(surface.axes, sigma.points)
     sigma_flat = np.union1d(np.ravel_multi_index(sigma.seed_cells.T, shape),
                             np.ravel_multi_index(on_sigma.T, shape))
 

@@ -162,10 +162,9 @@ def cells_touching_point_by_point(axes, point) -> list[tuple]:
 def sigma_cells_oracle(surface, sigma) -> set:
     """The singular cells split_component removes, built point by point
     with scalar cell_of: the seed cells plus the cells of every polished
-    sigma point and polyline point."""
+    sigma point."""
     cells = {tuple(c) for c in sigma.seed_cells.tolist()}
-    for line in (sigma.points, *sigma.polylines):
-        cells.update(cell_of(surface.axes, p) for p in line)
+    cells.update(cell_of(surface.axes, p) for p in sigma.points)
     return cells
 
 
@@ -197,10 +196,10 @@ def _facet_neighbours(cell, shape):
 
 def fold_lines_by_points(component, sigma) -> list:
     """Reference for the fold boundary, one sigma point at a time: the
-    (t, x) projections of the polyline points whose cell is joined to a
+    (t, x) projections of the sigma points whose cell is joined to a
     singular cell beside the component through singular cells sharing a
-    facet, by a breadth-first search over the whole set of singular cells;
-    or, when no polyline keeps a point, of the sigma points there."""
+    facet, by a breadth-first search over the whole set of singular cells,
+    as one line or none."""
     axes, comp = component.surface.axes, component.mask
     singular = set(map(tuple, np.argwhere(component.sigma_cells).tolist()))
     queue = [cell for cell in sorted(singular)
@@ -211,14 +210,9 @@ def fold_lines_by_points(component, sigma) -> list:
             if nb in singular and nb not in linked:
                 linked.add(nb)
                 queue.append(nb)
-    lines = [[p[:-1].tolist() for p in line if cell_of(axes, p) in linked]
-             for line in sigma.polylines]
-    lines = [line for line in lines if line]
-    if not lines:
-        keep = [p[:-1].tolist() for p in sigma.points
-                if cell_of(axes, p) in linked]
-        lines = [keep] if keep else []
-    return lines
+    keep = [p[:-1].tolist() for p in sigma.points
+            if cell_of(axes, p) in linked]
+    return [keep] if keep else []
 
 
 def window_points_by_cells(F, component) -> np.ndarray:
@@ -446,7 +440,7 @@ def _polish_seed(sol, center, box):
     if dim == 2:
         free = [0, 1]
     else:
-        t = tangent_by_numpy(sol, center, jacobian_by_row)
+        t = tangent_by_numpy(sol, center)
         if t is None:
             # fall back to freezing u; the rank check flags degeneracy later
             free = [0, 1]
@@ -547,27 +541,11 @@ def jacobian_by_row(sol, point):
     return J[0].reshape(2, sol.n + 2) if ok[0] else None
 
 
-def residual_by_numpy(sol, point):
-    """(F, F_u) at the point as an array, or None where it fails."""
-    try:
-        return np.array(sol.F_and_Fu(*point))
-    except EvalDomainError:
-        return None
-
-
-def jacobian_by_numpy(sol, point):
-    """The 2 x (n+2) Jacobian of (F, F_u), ``fold_values`` without F, as
-    an array, or None where it fails."""
-    try:
-        return np.array(sol.fold_values(*point)[1:]).reshape(2, sol.n + 2)
-    except EvalDomainError:
-        return None
-
-
-def tangent_by_numpy(sol, point, jacobian=jacobian_by_numpy):
-    """Reference for locus._tangent: np.cross of the Jacobian rows, taken
-    by ``jacobian``, over its np.linalg.norm."""
-    J = jacobian(sol, point)
+def tangent_by_numpy(sol, point):
+    """The unit tangent of the (F, F_u) = 0 curve for _polish_seed's free
+    pair: np.cross of the rows of jacobian_by_row, over its
+    np.linalg.norm; None where that fails, is zero or is not finite."""
+    J = jacobian_by_row(sol, point)
     if J is None:
         return None
     t = np.cross(J[0], J[1])
@@ -583,69 +561,15 @@ def contains_by_numpy(box, point, atol=0.0):
     return bool(np.all((p >= box.lows() - atol) & (p <= box.highs() + atol)))
 
 
-def trace_by_numpy(sol, start, direction, box, ds0, max_steps):
-    """Reference for locus._trace_from: numpy calls on every 3-vector."""
-    points = [np.asarray(start, dtype=float)]
-    T = direction
-    ds = ds0
-    for _ in range(max_steps):
-        p = points[-1]
-        pred = p + ds * T
-
-        def res(q):
-            r = residual_by_numpy(sol, q)
-            if r is None:
-                return None
-            return np.array([r[0], r[1], float(np.dot(T, q - pred))])
-
-        def jac(q):
-            J = jacobian_by_numpy(sol, q)
-            if J is None:
-                return None
-            return np.vstack([J, T])
-
-        q = damped_newton_by_numpy(res, jac, pred, maxit=25)
-        if q is None:
-            if ds > ds0 / 64:
-                ds *= 0.5
-                continue
-            break
-        if not contains_by_numpy(box, q, atol=1e-12):
-            break
-        Tn = tangent_by_numpy(sol, q)
-        if Tn is None:
-            points.append(q)
-            break
-        if np.dot(Tn, T) < 0:
-            Tn = -Tn
-        T = Tn
-        points.append(q)
-        if len(points) > 3 and np.linalg.norm(q - points[0]) < 0.6 * ds0:
-            points.append(points[0].copy())
-            break
-        ds = min(ds * 1.3, ds0)
-    return points
-
-
-def near_line_point_by_point(points, line, diag):
-    """Reference for locus._near_line: one norm over the line per point."""
-    return np.array([np.min(np.linalg.norm(line - p, axis=1)) <= diag
-                     for p in points], dtype=bool)
-
-
 def singular_locus_by_seed(sol, surface):
-    """extract_singular_locus with the surface's seeds, polish, rank
-    check, tangent, trace and sweep of the traced points replaced by the
-    references above: the polish and the rank check one seed at a time on
-    the array back end, the tangent and the trace on the scalar one."""
+    """extract_singular_locus with the surface's seeds, polish and rank
+    check replaced by the references above, the polish and the rank check
+    one seed at a time on the array back end."""
     surface = dataclasses.replace(
         surface, seed_cells=seed_cells_by_grid(sol.F_u, surface))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(locus, "_polish", polish_seed_by_seed)
         patch.setattr(locus, "_degenerate", degenerate_point_by_point)
-        patch.setattr(locus, "_tangent", tangent_by_numpy)
-        patch.setattr(locus, "_trace_from", trace_by_numpy)
-        patch.setattr(locus, "_near_line", near_line_point_by_point)
         return extract_singular_locus(sol, surface)
 
 
@@ -1544,18 +1468,17 @@ def hand_component(mask, sigma_cells=None, gamma_cells=None):
                             np.flatnonzero(sigma_cells))
 
 
-def hand_domain(component, F: str = "u + 1", points=None, polylines=()):
+def hand_domain(component, F: str = "u + 1", points=None):
     """maximal_domain of a hand-made component, with F given as text in t,
     x1.., u over its integer grid (the default has no zero there) and the
-    given sigma points and polylines."""
+    given sigma points."""
     dim = component.surface.dim
     tree = parse(F, n=dim - 2)
     sol = types.SimpleNamespace(F=tree, F_and_Fu_rows=compile_exprs(
         [tree, diff(tree, "u")], var_names(dim - 2), arrays=True))
     points = np.zeros((0, dim)) if points is None else np.asarray(points,
                                                                   float)
-    sigma = SingularLocus(points, np.zeros(len(points), dtype=bool),
-                          [np.asarray(line, float) for line in polylines],
+    sigma = SingularLocus(points, np.zeros(len(points), dtype=bool), [],
                           np.zeros((0, dim), dtype=int), 0)
     return maximal_domain(sol, component, sigma)
 
@@ -1612,27 +1535,6 @@ def verdict_transition(problem, data, sol, q_of, lo, hi, steps=60):
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-# ---------------------------------------------------------------------------
-# Geometry helpers
-
-def point_segment_distance(p, a, b) -> float:
-    p, a, b = map(np.asarray, (p, a, b))
-    ab = b - a
-    denom = float(np.dot(ab, ab))
-    if denom == 0.0:
-        return float(np.linalg.norm(p - a))
-    s = float(np.clip(np.dot(p - a, ab) / denom, 0.0, 1.0))
-    return float(np.linalg.norm(p - (a + s * ab)))
-
-
-def point_polyline_distance(p, line) -> float:
-    line = np.asarray(line)
-    if len(line) == 1:
-        return float(np.linalg.norm(np.asarray(p) - line[0]))
-    return min(point_segment_distance(p, a, b)
-               for a, b in zip(line[:-1], line[1:]))
 
 
 # ---------------------------------------------------------------------------

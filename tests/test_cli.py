@@ -620,6 +620,13 @@ class TestOutputDigests:
     staircase outline: the mask, its area and the fold points stayed byte
     for byte, the window points went from 2, 477, 423 and 468 to 2, 331,
     554 and 400 (ode_quadratic's u-window point from 0.90625 to 0.9).
+    The domain.json and summary.json files of the three n = 1 problems
+    were recorded again when the fold part became the polished sigma
+    points themselves, with no polyline traced through them: the mask, its
+    area, the window points and sigma.csv stayed byte for byte, the fold
+    points went from 141, 119 and 117 to 114, 63 and 80 (circular,
+    burgers_ramp, burgers_reciprocal), and summary.json's
+    boundary_point_count with them.
     A refactor keeps them; a change that
     moves a number states that in CHANGES.md and records the new digests
     here.
@@ -633,19 +640,19 @@ class TestOutputDigests:
             "sigma.csv": "d863f542e4082df4e526d38999862afea92806e46256dc379d54e931ec6ecd00",
         },
         "circular": {
-            "domain.json": "53ebf49512d744f3878ad991b8a6615251dffb630b6debcc9ff6e43213a48073",
-            "summary.json": "e3e427b99715773df1a87651b3adfd193ee066a0c121018e64e50ff81494927e",
+            "domain.json": "b23ef5c0e67c7e5ca72218626bd2b6bba23475b00b54e4994922e41583be3c72",
+            "summary.json": "7460dc1f41c741334a364eddf5951233a87d53f38b78f6f9ae3223ac1d1098b8",
             "sigma.csv": "b55100a9e542162c61b930c40ba7f8c609193059f67fe5ab039787a10b313a72",
         },
         "burgers_ramp": {
-            "domain.json": "40aeb25de091281ab71a2d021e7dfc4afe89f35757675850604badb8e429a9c0",
-            "summary.json": "07364690d75a19e2308dd1f47eb54cb1f2b39f03871bddd0c8cd4ecb4943a366",
+            "domain.json": "b84297cf538f354ebb923ceda920ca3db75b32fb8c3cbad97b84e092a4ccf3de",
+            "summary.json": "d6b1ab2f5f774292c04c79d41c162ba8f7a265fb8d5679d3f5f9c9669460d0b5",
             "sigma.csv": "6608ea832591eb48dd53444dc9cbcb4fe29bbdca9b4406ed7e55a3451beaa5bc",
             "envelope.csv": "f6d0ed7547d1a34e6ddf2fb8a8ffd5ea69c192d2488c84c70b76e50cc1c2b8a0",
         },
         "burgers_reciprocal": {
-            "domain.json": "a4deed566db89561bb85b9f637d0b2c74d0da2fd171838456932db1e7d6dd322",
-            "summary.json": "5eff19fb44cce5d30dd7157d4e72bcdb2f7c0865c2f23b2f472a0ff82bb321fd",
+            "domain.json": "53e288b8aeaa19676ff377468f01673b34e45d7c402117d1894bc7fd9e6cc66f",
+            "summary.json": "cc534181b78a478a2d2fb8c7518c848904384bee84bb0ee285c2ee45015f147d",
             "sigma.csv": "008c560e450a0e93ed3d614924d6889e1d8854185baaff5a1fab69817890b8f6",
             "envelope.csv": "48de1bfb7d711c86d37d8e1c69c8db6ba7084b7a2c7178126f6d7f0f25ec6ef2",
         },

@@ -32,8 +32,7 @@ N0_FOLD_PROBLEM = ("u^2 - t", "y1 - 1", *make_problem(
 
 
 def n0_fold_domain(resolution):
-    """(sigma, domain) of N0_FOLD_PROBLEM on the whole grid; n = 0 sigma
-    has points but no polylines."""
+    """(sigma, domain) of N0_FOLD_PROBLEM on the whole grid."""
     rho, f, problem, data = N0_FOLD_PROBLEM
     _, sol = implicit_solution_for_problem(
         problem, data, (parse(rho, n=0),),
@@ -157,6 +156,21 @@ class TestMaximalDomain:
         for line in dom.boundary[:-1]:
             assert line.kind == "fold"
             assert max(abs(margin(q)) for q in line.points) <= 1e-8
+
+    @pytest.mark.parametrize("name, count", [
+        ("ode_quadratic", 0), ("circular", 114), ("burgers_ramp", 63),
+        ("burgers_reciprocal", 80)])
+    def test_fold_is_the_sigma_points(self, name, count, solutions):
+        # at `domain`'s default resolution every sigma point of a bundled
+        # problem bounds its component: the fold entry is all of them,
+        # projected, in their sorted order, and no polyline is traced
+        b, _, sol = solutions(name)
+        dom, sigma = helpers.domain_on_tiles(
+            b.problem, sol, 1024 if sol.n == 0 else 128, True)
+        assert len(sigma.points) == count and sigma.polylines == []
+        folds = [line.points.tobytes() for line in dom.boundary
+                 if line.kind == "fold"]
+        assert folds == ([sigma.points[:, :-1].tobytes()] if count else [])
 
     def test_n0_fold_is_a_fold_boundary_point(self):
         sigma, dom = n0_fold_domain(1024)
@@ -335,17 +349,18 @@ class TestProjectionOfHandMadeMasks:
         sigma_cells[[3, 4, 6], 0, 0] = True
         comp = helpers.hand_component(mask, sigma_cells)
         points = [[4.5, 0.5, 0.5], [6.5, 0.5, 0.5], [3.5, 0.5, 0.5]]
+        # one fold line, in the points' order, of those joined to it
         dom = helpers.hand_domain(comp, points=points)
         assert [(b.kind, b.points.tolist()) for b in dom.boundary] == [
             ("fold", [[4.5, 0.5], [3.5, 0.5]]), ("window", [])]
-        dom = helpers.hand_domain(comp, polylines=[points[:2], points[1:]])
+        dom = helpers.hand_domain(comp, points=points[::-1])
         assert [(b.kind, b.points.tolist()) for b in dom.boundary] == [
-            ("fold", [[4.5, 0.5]]), ("fold", [[3.5, 0.5]]), ("window", [])]
-        # no polyline keeps a point: the sigma points joined to it
-        dom = helpers.hand_domain(comp, points=points,
-                                  polylines=[points[1:2]])
-        assert [b.points.tolist() for b in dom.boundary] == [
-            [[4.5, 0.5], [3.5, 0.5]], []]
+            ("fold", [[3.5, 0.5], [4.5, 0.5]]), ("window", [])]
+        # no sigma point joined to it, or none at all: no fold line
+        for apart in (points[1:2], None):
+            dom = helpers.hand_domain(comp, points=apart)
+            assert [(b.kind, b.points.tolist()) for b in dom.boundary] == [
+                ("window", [])]
 
 
 class TestContains:
@@ -396,6 +411,15 @@ class TestContains:
         b, _, sol = solutions("burgers_reciprocal")
         with pytest.raises(ValueError, match=r"^base point .* is not finite"):
             contains(b.problem, b.data, sol, [0.5, 1.0], base_point=s)
+
+    @pytest.mark.parametrize("s", [0.3, math.nan])
+    def test_base_point_rejected_for_n_zero(self, s, solutions):
+        # an n = 0 path starts at t = 0: a base point used to be ignored,
+        # finite or not, and the answer was "inside 2.0"
+        b, _, sol = solutions("ode_quadratic")
+        with pytest.raises(ValueError, match=r"^base_point is for n = 1 only"):
+            contains(b.problem, b.data, sol, [0.5], base_point=s)
+        assert str(contains(b.problem, b.data, sol, [0.5])) == "inside 2.0"
 
     def test_boundary_verdict_on_the_curve(self, solutions):
         b, _, sol = solutions("circular")

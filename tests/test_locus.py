@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import helpers
 from charmax import cli, locus, problem_path
+from charmax.conslaw import ConservationLaw, envelope
 from charmax.domain import MaximalDomain, maximal_domain
 from charmax.expr import (EvalDomainError, diff, evaluate, evaluate_grid, parse,
                           var_names)
@@ -233,10 +234,28 @@ class TestSingularLocus:
         assert np.abs(sigma.points[:, 0] - 0.5).max() <= 1e-10
         assert np.abs(sigma.points[:, 1]).max() <= 1e-10
         assert not sigma.degenerate.any()
-        # the traced polyline spans the u-range of the box
-        assert len(sigma.polylines) == 1
-        us = sigma.polylines[0][:, 2]
+        # the polished points span the u-range of the box
+        us = sigma.points[:, 2]
         assert us.max() - us.min() > 4.0
+
+    @pytest.mark.parametrize("resolution", [48, 64, 100, 128, 256])
+    @pytest.mark.parametrize("name, h", [("burgers_reciprocal", "1/(x+1)"),
+                                         ("burgers_ramp", "-2*x")])
+    def test_points_cover_the_closed_form_envelope(self, name, h, resolution,
+                                                   solutions):
+        # the polished points of the tiles that `domain` evaluates stand
+        # for the whole fold: each of 41 envelope points must lie within
+        # one cell diagonal of one of them, projected to (t, x)
+        b, _, sol = solutions(name)
+        surface = extract_surface(sol.F, b.problem.box, resolution,
+                                  sol.gamma_samples)
+        projected = extract_singular_locus(sol, surface).points[:, :2]
+        law = ConservationLaw.from_parts(parse("u", n=1), parse(h, n=1))
+        env = envelope(law, b.data.interval, 41)
+        assert len(env.t) == 41
+        for t, x in zip(env.t, env.x):
+            d = np.linalg.norm(projected - [t, x], axis=1).min()
+            assert d <= surface.cell_diagonal, (t, x, d)
 
     def test_reciprocal_sigma_matches_fold(self, pipelines):
         _, _, _, sigma, _, _ = pipelines("burgers_reciprocal", 48)
@@ -257,9 +276,9 @@ class TestSingularLocus:
             assert np.all(p >= lo - 1e-12) and np.all(p <= hi + 1e-12)
 
     # the sigma stage runs on the solution's (F, F_u) and its derivatives
-    # on the scalar back end, and the same two on the array back end
-    @pytest.mark.parametrize("faulty", [0, 1, 2, 3])
-    def test_evaluator_faults_are_not_dropped_seeds(self, faulty, solutions):
+    # on the array back end
+    @pytest.mark.parametrize("form", ["F_and_Fu_rows", "jacobian_rows"])
+    def test_evaluator_faults_are_not_dropped_seeds(self, form, solutions):
         # a fault of the evaluator itself is not a domain violation at a
         # seed: it must reach the caller
         b, _, sol = solutions("burgers_reciprocal")
@@ -268,8 +287,6 @@ class TestSingularLocus:
         def evaluator(*values):
             raise TypeError("faulty evaluator")
 
-        form = ("F_and_Fu", "fold_values", "F_and_Fu_rows",
-                "jacobian_rows")[faulty]
         faulty_sol = dataclasses.replace(sol, **{form: evaluator})
         with pytest.raises(TypeError, match="faulty evaluator"):
             extract_singular_locus(faulty_sol, surface)
@@ -844,100 +861,6 @@ def non_finite_jacobian_rows(t, x, u):
     return [(v, np.False_) for v in (entry, zero, zero, zero, one, zero)]
 
 
-class NewtonProblem:
-    """A random 3 x 3 system r(x) = A x + c x^2 - b drawn from ``seed``,
-    for locus._damped_newton, with ``fault`` on the ``at``-th call of the
-    residual or of the Jacobian: a None return, a residual of zeros but
-    for one NaN or +-inf entry, an exactly singular Jacobian (a zero row),
-    or one whose solve gives a step that is not finite (a row that is
-    zero but for a subnormal diagonal).  ``calls`` logs every point either
-    is called at, and ``fired`` whether the fault came."""
-
-    FAULTS = ("none", "res None", "res nan", "res inf", "res -inf",
-              "jac None", "jac singular", "jac tiny")
-
-    def __init__(self, seed, fault, at):
-        rng = np.random.default_rng(seed)
-        self.A = rng.standard_normal((3, 3))
-        self.c = rng.standard_normal(3) * rng.choice([0.0, 0.1, 1.0])
-        self.b = rng.standard_normal(3) * rng.choice([1e-13, 1.0, 10.0])
-        self.x0 = rng.standard_normal(3)
-        self.entry = int(rng.integers(3))
-        self.fault, self.at = fault, at
-        self.calls, self.fired = [], False
-
-    def _fires(self, kind, x):
-        self.calls.append((kind, x.tobytes()))
-        fire = (self.fault.startswith(kind)
-                and sum(k == kind for k, _ in self.calls) == self.at)
-        self.fired |= fire
-        return fire
-
-    def res(self, x):
-        r = self.A @ x + self.c * x * x - self.b
-        if not self._fires("res", x):
-            return r
-        if self.fault == "res None":
-            return None
-        r[:] = 0.0
-        r[self.entry] = float(self.fault.split()[1])
-        return r
-
-    def jac(self, x):
-        J = self.A + np.diag(2.0 * self.c * x)
-        if not self._fires("jac", x):
-            return J
-        if self.fault == "jac None":
-            return None
-        J[self.entry] = 0.0
-        if self.fault == "jac tiny":
-            J[self.entry, self.entry] = 5e-324
-        return J
-
-
-def check_newton(seed, fault, at, maxit):
-    """locus._damped_newton and helpers.damped_newton_by_numpy on the same
-    NewtonProblem: the same root bit for bit, or None for both, after the
-    same calls at the same points.  Returns the root and the problem."""
-    runs = []
-    for solve in (locus._damped_newton, helpers.damped_newton_by_numpy):
-        problem = NewtonProblem(seed, fault, at)
-        with np.errstate(over="ignore", invalid="ignore"):
-            root = solve(problem.res, problem.jac, problem.x0, maxit=maxit)
-        runs.append((root, problem))
-    (got, problem), (want, reference) = runs
-    assert (got is None) == (want is None)
-    assert want is None or _same_bytes(got, want)
-    assert problem.calls == reference.calls
-    return got, problem
-
-
-class TestDampedNewton:
-    @given(seed=st.integers(0, 2**32 - 1),
-           fault=st.sampled_from(NewtonProblem.FAULTS),
-           at=st.integers(1, 4), maxit=st.sampled_from([1, 3, 25, 50]))
-    @settings(max_examples=400, deadline=None, derandomize=True)
-    def test_matches_the_numpy_reference(self, seed, fault, at, maxit):
-        check_newton(seed, fault, at, maxit)
-
-    @pytest.mark.parametrize("fault", NewtonProblem.FAULTS[1:])
-    def test_every_fault_on_its_first_call(self, fault):
-        # the first residual, or the Jacobian at the start, of a draw that
-        # converges without the fault
-        assert check_newton(7, "none", 1, 50)[0] is not None
-        root, problem = check_newton(7, fault, 1, 50)
-        assert problem.fired and root is None
-        if fault == "jac tiny":              # the solve does not raise
-            x0 = problem.x0
-            J = NewtonProblem(7, fault, 1).jac(x0)
-            assert not np.isfinite(np.linalg.solve(J, -problem.res(x0))).all()
-
-    def test_most_draws_converge(self):
-        # so that the comparison is not mostly None against None
-        roots = [check_newton(seed, "none", 1, 50)[0] for seed in range(20)]
-        assert sum(root is not None for root in roots) >= 10
-
-
 class TestSigmaStage:
     @pytest.mark.parametrize("name, resolution", SIGMA_CASES)
     def test_matches_the_seed_by_seed_reference(self, name, resolution,
@@ -948,8 +871,6 @@ class TestSigmaStage:
         want = helpers.singular_locus_by_seed(sol, surface)
         for field in ("points", "degenerate", "seed_cells"):
             assert _same_bytes(getattr(got, field), getattr(want, field)), field
-        assert len(got.polylines) == len(want.polylines)
-        assert all(map(_same_bytes, got.polylines, want.polylines))
         assert got.dropped == want.dropped
         mask = split_component(surface, got, sol.gamma_samples).mask
         with pytest.MonkeyPatch.context() as patch:
@@ -977,7 +898,6 @@ class TestSigmaStage:
         assert _same_bytes(got.seed_cells, want.seed_cells)
         assert got.dropped == want.dropped
         assert _same_bytes(got.degenerate, want.degenerate)
-        assert len(got.polylines) == len(want.polylines)
         assert got.points.shape == want.points.shape
         assert np.abs(got.points - want.points).max(initial=0.0) <= 2e-15
         masks = [split_component(surface, s, sol.gamma_samples).mask
@@ -1068,26 +988,6 @@ class TestSigmaStage:
         flags = locus._degenerate(dataclasses.replace(
             sol, jacobian_rows=non_finite_jacobian_rows), points)
         assert flags.tolist() == [False, True, True, False]
-
-    @pytest.mark.parametrize("length", [1, 7, 5000])
-    def test_near_line_matches_one_norm_per_point(self, length):
-        rng = np.random.default_rng(length)
-        line = rng.uniform(-1.0, 1.0, (length, 3))
-        diag = 0.25
-        # random points, and points diag from a vertex of the line (up to
-        # rounding, some exactly) along an axis or a 3-4-5 diagonal, and
-        # one ulp either side of those
-        on = line[rng.integers(length, size=20)] + np.array(
-            [[diag, 0.0, 0.0], [0.0, 0.6 * diag, 0.8 * diag]])[
-                rng.integers(2, size=20)]
-        points = np.vstack([rng.uniform(-1.5, 1.5, (60, 3)), on,
-                            np.nextafter(on, np.inf),
-                            np.nextafter(on, -np.inf)])
-        near = locus._near_line(points, line, diag)
-        assert _same_bytes(near, helpers.near_line_point_by_point(
-            points, line, diag))
-        assert near.any() and not near.all()
-        assert locus._near_line(points[:0], line, diag).shape == (0,)
 
     def test_squared_norms_equal_dot(self):
         rng = np.random.default_rng(23)
@@ -1364,7 +1264,7 @@ class TestTiledDomain:
 
     @pytest.mark.parametrize("name", helpers.EXAMPLES)
     def test_bundled_problems_flood_once(self, name, solutions):
-        # no sigma point or polyline of a bundled problem lies in the
+        # no sigma point of a bundled problem lies in the
         # seed-cut flood, so that flood is the component
         b, _, sol = solutions(name)
         resolution = 1024 if sol.n == 0 else 128
@@ -1385,8 +1285,8 @@ class TestTiledDomain:
         gamma = sol.gamma_samples
         tiled, full = (extract_surface(sol.F, b.problem.box, 32, samples)
                        for samples in (gamma, None))
-        # a stub polyline through the centres of the reached cells of one
-        # t-row that holds no initial-set cell cuts the flood in two
+        # stub sigma points at the centres of the reached cells of one
+        # t-row that holds no initial-set cell cut the flood in two
         cells = cell_indices(tiled.reached)
         row = cells[cells[:, 0] == cell_of(tiled.axes, gamma[0])[0] + 8]
         stub = cell_center(tiled.axes, row)
@@ -1399,8 +1299,9 @@ class TestTiledDomain:
         masks = []
         for surface in (tiled, full):
             sigma = extract_singular_locus(sol, surface)
-            sigma = dataclasses.replace(sigma,
-                                        polylines=[*sigma.polylines, stub])
+            sigma = dataclasses.replace(
+                sigma, points=np.vstack([sigma.points, stub]),
+                degenerate=np.append(sigma.degenerate, [False] * len(stub)))
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(locus, "flood", counting)
                 masks.append(split_component(surface, sigma, gamma).mask)
