@@ -273,6 +273,12 @@ def main(argv=None) -> int:
             EvalDomainError, ValueError, NotImplementedError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
+    except MemoryError:
+        if getattr(args, "resolution", None) is None:
+            raise
+        print(f"error: --resolution {args.resolution} needs more memory than "
+              "is available; give a smaller one", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 def console_main():

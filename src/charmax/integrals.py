@@ -37,6 +37,7 @@ FLOW_NEWTON_MAXIT = 40
 FLOW_NEWTON_MAX_STEP = 1e8
 MIN_SINGULAR_VALUE = 1e-6
 FLOW_SAMPLES = 200          # surface points the flow check projects
+FLOW_MIN_BLOCK = 64         # fewest draws in a later flow-check block
 GAMMA_SAMPLES = 65          # initial-set samples for n >= 1
 VERIFICATION_SAMPLES = 500  # random box points the rho check adds
 _RNG_SEED = 74025317  # fixed seed so reports are deterministic
@@ -110,12 +111,13 @@ class SolutionChecks:
 @dataclass(frozen=True)
 class ImplicitSolution:
     """F = f o rho with its derivative trees and their only compiled forms,
-    which take t, x1..xn, u, and what its checks measured.  ``F_and_Fu``
-    and the array form ``F_and_Fu_rows`` are compiled here; ``grad_values``
-    (grad F: the query's march), ``fold_values`` (F, grad F and grad F_u:
-    the query's turning-point solve), ``Fu_value`` ((F_u,)) and
-    ``jacobian_rows`` (grad F and grad F_u, array form: the sigma polish
-    and rank check) on first call."""
+    which take t, x1..xn, u, and what its checks measured.  The array
+    form ``F_and_Fu_rows`` is compiled here; ``F_and_Fu`` (the query's
+    corrector), ``grad_values`` (grad F: the query's march),
+    ``fold_values`` (F, grad F and grad F_u: the query's turning-point
+    solve), ``Fu_value`` ((F_u,)) and ``jacobian_rows`` (grad F and
+    grad F_u, array form: the sigma polish and rank check) on their first
+    call, which puts the compiled function in the stub's place."""
 
     F: Expr
     F_u: Expr
@@ -123,12 +125,12 @@ class ImplicitSolution:
     gamma_samples: np.ndarray
     n: int
     checks: SolutionChecks = field(compare=False)
-    F_and_Fu: Callable = field(compare=False, repr=False)
-    grad_values: Callable = field(compare=False, repr=False)
-    fold_values: Callable = field(compare=False, repr=False)
-    Fu_value: Callable = field(compare=False, repr=False)
     F_and_Fu_rows: Callable = field(compare=False, repr=False)
-    jacobian_rows: Callable = field(compare=False, repr=False)
+    F_and_Fu: Callable = field(default=None, compare=False, repr=False)
+    grad_values: Callable = field(default=None, compare=False, repr=False)
+    fold_values: Callable = field(default=None, compare=False, repr=False)
+    Fu_value: Callable = field(default=None, compare=False, repr=False)
+    jacobian_rows: Callable = field(default=None, compare=False, repr=False)
 
 
 def apply_field(fld: VectorField, g: Expr) -> Expr:
@@ -148,39 +150,60 @@ def verify_first_integral(fld: VectorField, rho: Expr, samples,
     excluded from the statistics and listed separately; with none left,
     the check fails.
     """
-    residual_and_rho = compile_exprs([apply_field(fld, rho), rho],
-                                     var_names(fld.n))
-    rows, kept, excluded = _screened(
-        residual_and_rho, np.asarray(samples, dtype=float).tolist(), "value")
-    if not rows:
+    names = var_names(fld.n)
+    trees = [apply_field(fld, rho), rho]
+    samples = np.asarray(samples, dtype=float).reshape(-1, len(names))
+    return _residual_report(_screened(trees, names, samples, _evaluated(
+        compile_exprs(trees, names, arrays=True), samples), "value"), tol)
+
+
+def _residual_report(screened, tol: float) -> ResidualReport:
+    """The residual statistics of the screened rows (X rho, rho)."""
+    rows, kept, excluded = screened
+    if not kept:
         return ResidualReport(float("nan"), float("nan"), None, False, excluded)
-    vals = [abs(r) for r, _ in rows]
-    norms = [r / (1.0 + abs(rho_value))
-             for r, (_, rho_value) in zip(vals, rows)]
-    k = max(range(len(norms)), key=norms.__getitem__)  # the first largest
-    return ResidualReport(max(vals), float(np.mean(vals)), kept[k],
-                          norms[k] <= tol, excluded)
+    vals = np.abs(rows[:, 0])
+    norms = vals / (1.0 + np.abs(rows[:, 1]))
+    k = int(np.argmax(norms))  # the first largest
+    return ResidualReport(float(vals.max()), float(np.mean(vals)), kept[k],
+                          bool(norms[k] <= tol), excluded)
 
 
-def _screened(compiled: Callable, samples: list, what: str):
-    """Call the scalar compiled function at each sample.  A sample where
-    it raises EvalDomainError, or where an output is not finite, is left
-    out as (sample, reason), in sample order.  Returns the output rows of
-    the kept samples, the kept samples and the left-out ones."""
-    rows, kept, left_out = [], [], []
-    for point in samples:
-        try:
-            values = compiled(*point)
-        except EvalDomainError as err:
-            left_out.append((point, str(err)))
-            continue
-        if all(map(math.isfinite, values)):
-            rows.append(values)
-            kept.append(point)
-        else:
-            v = next(v for v in values if not math.isfinite(v))
-            left_out.append((point, f"non-finite {what} {v!r}"))
-    return rows, kept, left_out
+def _evaluated(rows_form: Callable, samples: np.ndarray) -> list:
+    """The ``(values, bad)`` pairs of an array-compiled function at the
+    rows of the (m, dim) ``samples``."""
+    with np.errstate(all="ignore"):
+        return output_rows(rows_form(*samples.T), samples.shape[:1])
+
+
+def _screened(trees: list, names, samples: np.ndarray, outputs: list,
+              what: str):
+    """The rows of ``samples`` at which all of ``outputs``, the ``(values,
+    bad)`` pairs of ``trees`` on the array back end, evaluated and are
+    finite.  Returns their (k, len(trees)) values, the kept samples as
+    lists, and the left-out ones as (sample, reason), in sample order.
+    A reason is the scalar form's, compiled only when a row is left out:
+    its EvalDomainError, or its first non-finite output."""
+    values = np.column_stack([v for v, _ in outputs])
+    keep = np.isfinite(values).all(axis=1)
+    for _, bad in outputs:
+        keep &= ~bad
+    points = samples.tolist()
+    left_out = []
+    if not keep.all():
+        scalar = compile_exprs(trees, names)
+        for i in np.flatnonzero(~keep).tolist():
+            try:
+                row = scalar(*points[i])
+            except EvalDomainError as err:
+                left_out.append((points[i], str(err)))
+                continue
+            bad = [v for v in row if not math.isfinite(v)]
+            left_out.append((points[i], f"non-finite {what} {bad[0]!r}" if bad
+                             else f"{what} out of its domain on the array "
+                                  "back end only"))
+    kept = np.flatnonzero(keep)
+    return values[kept], [points[i] for i in kept.tolist()], left_out
 
 
 def conservation_law_integrals(a: Sequence[Expr]) -> FirstIntegralSet:
@@ -207,15 +230,26 @@ def check_nondegeneracy(rho_set: FirstIntegralSet, samples,
     if samples.size == 0:
         raise ValueError("at least one sample is required")
     names = var_names(n)
-    jacobian = compile_exprs([diff(r, v) for r in rho_set.rho for v in names],
-                             names)
-    jacobians, evaluated, excluded = _screened(jacobian, samples.tolist(),
-                                               "Jacobian entry")
+    trees = _jacobian_of(rho_set.rho, names)
+    return _nondegeneracy_report(len(rho_set.rho), _screened(
+        trees, names, samples,
+        _evaluated(compile_exprs(trees, names, arrays=True), samples),
+        "Jacobian entry"))
+
+
+def _jacobian_of(rho: Sequence[Expr], names) -> list[Expr]:
+    return [diff(r, v) for r in rho for v in names]
+
+
+def _nondegeneracy_report(m: int, screened) -> NondegeneracyReport:
+    """The smallest singular value over the screened rows, each the m
+    rows of a Jacobian."""
+    jacobians, evaluated, excluded = screened
     worst = None
     min_seen = np.inf
-    if jacobians:
-        stack = np.reshape(jacobians, (-1, len(rho_set.rho), len(names)))
-        sv = np.linalg.svd(stack, compute_uv=False)[:, -1]
+    if evaluated:
+        sv = np.linalg.svd(jacobians.reshape(len(evaluated), m, -1),
+                           compute_uv=False)[:, -1]
         k = int(np.argmin(sv))     # the first smallest
         min_seen, worst = sv[k], evaluated[k]
     ok = bool(min_seen >= MIN_SINGULAR_VALUE) and not np.isinf(min_seen)
@@ -287,50 +321,62 @@ def build_implicit_solution(rho_set: FirstIntegralSet, f: Expr, gamma,
     names = var_names(n)
     gradient = tuple(diff(F, v) for v in names)
     F_u = gradient[-1]
-    F_and_Fu = compile_exprs([F, F_u], names)
+    F_and_Fu_rows = compile_exprs([F, F_u], names, arrays=True)
     gamma = np.asarray(gamma, dtype=float)
 
-    rows, points, left_out = _screened(F_and_Fu, gamma.tolist(), "value")
+    rows, points, left_out = _screened([F, F_u], names, gamma,
+                                       _evaluated(F_and_Fu_rows, gamma),
+                                       "value")
     if left_out:
         raise ImplicitSolutionError(
             f"F fails to evaluate on the initial set: {left_out[0][1]}")
-    max_F, min_Fu = 0.0, math.inf
-    for point, (fv, fu) in zip(points, rows):
-        if abs(fv) > GAMMA_TOL * (1.0 + abs(fv)):
+    abs_F, abs_Fu = np.abs(rows).T
+    off = abs_F > GAMMA_TOL * (1.0 + abs_F)
+    flat = abs_Fu < FU_MIN_ON_GAMMA
+    failed = np.flatnonzero(off | flat)
+    if failed.size:
+        k = failed[0]  # the first sample that fails either test
+        if off[k]:
             raise ImplicitSolutionError(
-                f"F does not vanish on the initial set: |F| = {abs(fv):.3e} "
-                f"at {point}")
-        if abs(fu) < FU_MIN_ON_GAMMA:
-            raise ImplicitSolutionError(
-                f"F_u = {fu:.3e} degenerates on the initial set at {point}")
-        max_F = max(max_F, abs(fv))
-        min_Fu = min(min_Fu, abs(fu))
+                f"F does not vanish on the initial set: |F| = {abs_F[k]:.3e} "
+                f"at {points[k]}")
+        raise ImplicitSolutionError(
+            f"F_u = {rows[k, 1]:.3e} degenerates on the initial set at "
+            f"{points[k]}")
+    max_F = float(abs_F.max(initial=0.0))
+    min_Fu = float(abs_Fu.min(initial=math.inf))
 
-    F_and_Fu_rows = compile_exprs([F, F_u], names, arrays=True)
     flow = _check_flow_invariance(F_and_Fu_rows, F, gradient, fld, box, gamma)
     jacobian = [*gradient, *(diff(F_u, v) for v in names)]  # of (F, F_u)
-    return ImplicitSolution(
-        F, F_u, gradient, gamma, n, SolutionChecks(max_F, min_Fu, *flow),
-        F_and_Fu,
-        _compiled_on_first_call(lambda: compile_exprs(gradient, names)),
-        _compiled_on_first_call(lambda: compile_exprs([F, *jacobian], names)),
-        _compiled_on_first_call(lambda: compile_exprs([F_u], names)),
-        F_and_Fu_rows, _compiled_on_first_call(
-            lambda: compile_exprs(jacobian, names, arrays=True)))
+    sol = ImplicitSolution(F, F_u, gradient, gamma, n,
+                           SolutionChecks(max_F, min_Fu, *flow), F_and_Fu_rows)
+    for name, trees, arrays in (("F_and_Fu", [F, F_u], False),
+                                ("grad_values", gradient, False),
+                                ("fold_values", [F, *jacobian], False),
+                                ("Fu_value", [F_u], False),
+                                ("jacobian_rows", jacobian, True)):
+        _install_on_first_call(sol, name, trees, names, arrays)
+    return sol
 
 
-def _compiled_on_first_call(build: Callable) -> Callable:
-    """The function ``build()`` returns, built when it is first called:
-    a query that never needs it never pays for compiling its trees."""
+def _install_on_first_call(sol: ImplicitSolution, name: str, trees, names,
+                           arrays: bool) -> None:
+    """Make the field ``name`` of ``sol`` a stub that compiles ``trees``
+    when it is first called, and then puts the compiled function there
+    in its own place: a query that never needs a form never pays for
+    compiling it, and later calls skip the stub.  A copy of ``sol`` made
+    by ``dataclasses.replace`` before that keeps the stub, which then
+    calls the function it compiled."""
     compiled = None
 
-    def call(*values):
+    def stub(*values):
         nonlocal compiled
         if compiled is None:
-            compiled = build()
+            compiled = compile_exprs(trees, names, arrays=arrays)
+            object.__setattr__(sol, name, compiled)
         return compiled(*values)
 
-    return call
+    object.__setattr__(sol, name, stub)
 
 
 def _check_flow_invariance(F_and_Fu_rows, F, gradient, fld, box, gamma):
@@ -341,40 +387,55 @@ def _check_flow_invariance(F_and_Fu_rows, F, gradient, fld, box, gamma):
     the draws used and the points checked: those whose residual terms
     evaluate and are finite.
 
-    The draws are projected in blocks of 2 * FLOW_SAMPLES by
-    ``_newton_u_rows``, and the surface points are the first FLOW_SAMPLES
-    converged ones in the box, in draw order."""
+    The draws are projected in blocks by ``_newton_u_rows``, and the
+    surface points are the first FLOW_SAMPLES converged ones in the box,
+    in draw order.  The first block is 2 * FLOW_SAMPLES draws; each later
+    one is 5/4 of what the points still needed take at the yield so far
+    (the rest of the budget if nothing converged yet), and at least
+    FLOW_MIN_BLOCK.  The residual terms are on the scalar back end."""
     n = fld.n
     names = var_names(n)
     residual_terms = compile_exprs(
         [apply_field(fld, F), *chain(*zip(fld.components, gradient))], names)
     points = [p.tolist() for p in gamma]
+    target = len(gamma) + FLOW_SAMPLES
     rng = np.random.default_rng(_RNG_SEED)
     lows, highs = box.lows(), box.highs()
     budget = 20 * FLOW_SAMPLES
     draws = lows + rng.random((budget, n + 2)) * (highs - lows)
-    attempts = budget
-    for start in range(0, budget, 2 * FLOW_SAMPLES):
-        block = draws[start:start + 2 * FLOW_SAMPLES]
+    attempts = start = 0
+    size = 2 * FLOW_SAMPLES
+    while start < budget:
+        block = draws[start:start + size]
         u, ok = _newton_u_rows(F_and_Fu_rows, block[:, :-1], block[:, -1],
                                FLOW_NEWTON_TOL, FLOW_NEWTON_MAXIT,
                                FLOW_NEWTON_MAX_STEP)
         found = np.column_stack([block[:, :-1], u])
-        rows = np.flatnonzero(ok & box.contains(found))
-        rows = rows[:len(gamma) + FLOW_SAMPLES - len(points)]
+        rows = np.flatnonzero(ok & box.contains(found))[:target - len(points)]
         points += found[rows].tolist()
-        if len(points) == len(gamma) + FLOW_SAMPLES:
+        if len(points) == target:
             attempts = start + int(rows[-1]) + 1
             break
+        attempts = start = start + len(block)
+        got = len(points) - len(gamma)
+        size = (max(FLOW_MIN_BLOCK, -(-5 * (target - len(points)) * start
+                                      // (4 * got))) if got else budget)
     projected = len(points) - len(gamma)
     if projected < FLOW_SAMPLES // 2:
         raise ImplicitSolutionError(
             f"flow check projected only {projected} of {FLOW_SAMPLES} "
             f"surface points in {attempts} draws; the box holds too little "
             "of the surface to check flow invariance")
-    rows, kept, _ = _screened(residual_terms, points, "flow residual term")
-    worst, checked = 0.0, len(rows)
-    for point, (r, *terms) in zip(kept, rows):
+    worst = 0.0
+    checked = 0
+    for point in points:
+        try:
+            r, *terms = residual_terms(*point)
+        except EvalDomainError:
+            continue
+        if not all(map(math.isfinite, (r, *terms))):
+            continue
+        checked += 1
         r = abs(r)
         scale = 1.0
         for comp, g in zip(terms[::2], terms[1::2]):
@@ -458,16 +519,28 @@ def implicit_solution_for_problem(problem: Problem, data: InitialData,
                 "conservation law; cannot construct first integrals")
         rho_set = conservation_law_integrals(problem.a)
 
+    # one array form for every check of rho: (X rho_k, rho_k) for each k,
+    # then rho's Jacobian, which only the initial-set rows need
     samples = verification_samples(problem.box, gamma)
+    names = var_names(problem.n)
+    pairs = [[apply_field(fld, r), r] for r in rho_set.rho]
+    jacobian = _jacobian_of(rho_set.rho, names)
+    outputs = _evaluated(compile_exprs([*chain(*pairs), *jacobian], names,
+                                       arrays=True), samples)
     reports = []
-    for k, r in enumerate(rho_set.rho):
-        report = verify_first_integral(fld, r, samples)
+    for k, (r, trees) in enumerate(zip(rho_set.rho, pairs)):
+        report = _residual_report(_screened(
+            trees, names, samples, outputs[2 * k:2 * k + 2], "value"),
+            RESIDUAL_TOL)
         if not report.passed:
             raise FirstIntegralError(
                 f"rho[{k}] = {to_str(r)} is not a first integral: "
                 f"max |X rho| = {report.max_residual:.3e} at {report.worst_point}")
         reports.append(report)
-    ndg = check_nondegeneracy(rho_set, gamma, problem.n)
+    ndg = _nondegeneracy_report(len(rho_set.rho), _screened(
+        jacobian, names, gamma,
+        [(v[:len(gamma)], bad[:len(gamma)])
+         for v, bad in outputs[2 * len(pairs):]], "Jacobian entry"))
     if not ndg.ok:
         raise FirstIntegralError(
             f"rho is degenerate on the initial set: min singular value "

@@ -100,11 +100,16 @@ GENERATED_LAWS = [(a, h) for a in ("u", "u^2", "u^3/3", "exp(u)", "sin(u)",
                             "log(x+3)", "sqrt(x+3)")]
 
 
-def generated_law(a: str, h: str):
-    """(problem, initial data, solution) of one of GENERATED_LAWS."""
-    problem, data = make_problem(
+def generated_law_problem(a: str, h: str):
+    """(problem, initial data) of one of GENERATED_LAWS."""
+    return make_problem(
         1, "1", [a], "0", h, Box((-0.5, 1.0), ((-2.0, 2.0),), (-3.0, 3.0)),
         s_range=((-1.5, 1.5),))
+
+
+def generated_law(a: str, h: str):
+    """(problem, initial data, solution) of one of GENERATED_LAWS."""
+    problem, data = generated_law_problem(a, h)
     _, sol = implicit_solution_for_problem(problem, data)
     return problem, data, sol
 
@@ -674,6 +679,45 @@ def compile_by_tree(exprs, names):
     return by_tree
 
 
+def first_integral_point_by_point(fld, rho, samples,
+                                  tol=integrals.RESIDUAL_TOL):
+    """Reference for integrals.verify_first_integral: the scalar compiled
+    (X rho, rho) at one sample at a time."""
+    residual_and_rho = compile_exprs([apply_field(fld, rho), rho],
+                                     var_names(fld.n))
+    rows, kept, excluded = [], [], []
+    for point in np.asarray(samples, dtype=float).tolist():
+        try:
+            values = residual_and_rho(*point)
+        except EvalDomainError as err:
+            excluded.append((point, str(err)))
+            continue
+        bad = [v for v in values if not math.isfinite(v)]
+        if bad:
+            excluded.append((point, f"non-finite value {bad[0]!r}"))
+            continue
+        rows.append(values)
+        kept.append(point)
+    if not rows:
+        return integrals.ResidualReport(float("nan"), float("nan"), None,
+                                        False, excluded)
+    vals = [abs(r) for r, _ in rows]
+    norms = [r / (1.0 + abs(rho_value))
+             for r, (_, rho_value) in zip(vals, rows)]
+    k = max(range(len(norms)), key=norms.__getitem__)  # the first largest
+    return integrals.ResidualReport(max(vals), float(np.mean(vals)), kept[k],
+                                    norms[k] <= tol, excluded)
+
+
+def gamma_check_point_by_point(sol):
+    """Reference for the initial-set part of sol.checks: (max |F|,
+    min |F_u|) over sol.gamma_samples by the scalar compiled (F, F_u)."""
+    F_and_Fu = compile_exprs([sol.F, sol.F_u], var_names(sol.n))
+    rows = [F_and_Fu(*point) for point in sol.gamma_samples.tolist()]
+    return (max([0.0, *(abs(f) for f, _ in rows)]),
+            min([math.inf, *(abs(fu) for _, fu in rows)]))
+
+
 def nondegeneracy_point_by_point(rho_set, samples, n):
     """Reference for integrals.check_nondegeneracy: one SVD per sample."""
     names = var_names(n)
@@ -703,9 +747,11 @@ def nondegeneracy_point_by_point(rho_set, samples, n):
     return integrals.NondegeneracyReport(ok, float(min_seen), worst, excluded)
 
 
-def flow_check_by_draws(F, gradient, fld, box, gamma):
+def flow_check_by_draws(F, gradient, fld, box, gamma, rows_form=None):
     """Reference for integrals._check_flow_invariance: one random draw at
-    a time, each projected by the scalar integrals._newton_u."""
+    a time, each projected by the scalar integrals._newton_u, or with
+    ``rows_form`` (the array form of (F, F_u)) by
+    integrals._newton_u_rows on that draw alone."""
     n = fld.n
     residual_terms = compile_exprs([apply_field(fld, F),
                                     *chain(*zip(fld.components, gradient))],
@@ -714,16 +760,20 @@ def flow_check_by_draws(F, gradient, fld, box, gamma):
     points = [p.tolist() for p in gamma]
     rng = np.random.default_rng(integrals._RNG_SEED)
     lows, highs = box.lows(), box.highs()
+    limits = (integrals.FLOW_NEWTON_TOL, integrals.FLOW_NEWTON_MAXIT,
+              integrals.FLOW_NEWTON_MAX_STEP)
     attempts = 0
     while (len(points) < len(gamma) + integrals.FLOW_SAMPLES
            and attempts < 20 * integrals.FLOW_SAMPLES):
         attempts += 1
         draw = lows + rng.random(n + 2) * (highs - lows)
-        u, _, ok = integrals._newton_u(F, F_and_Fu, draw[:-1].tolist(),
-                                       float(draw[-1]),
-                                       integrals.FLOW_NEWTON_TOL,
-                                       integrals.FLOW_NEWTON_MAXIT,
-                                       integrals.FLOW_NEWTON_MAX_STEP)
+        if rows_form is None:
+            u, _, ok = integrals._newton_u(F, F_and_Fu, draw[:-1].tolist(),
+                                           float(draw[-1]), *limits)
+        else:
+            (u,), (ok,) = integrals._newton_u_rows(
+                rows_form, draw[None, :-1], draw[-1:], *limits)
+            u = float(u)
         if not ok:
             continue
         candidate = list(draw[:-1]) + [u]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import charmax
+from charmax import locus
 from charmax.cli import main
 from charmax.integrals import (implicit_solution_for_problem,
                                verification_samples)
@@ -336,6 +337,26 @@ class TestResolution:
         assert "resolution must be >= 16" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    # the allocations a resolution of 100000 makes fail, failing as they
+    # would: the flood's state of domain's tiles, the whole grid of
+    # singular; nothing of that size is asked for
+    @pytest.mark.parametrize("command, allocation", [
+        ("domain", "bytearray"), ("singular", "_evaluate_tiles")])
+    def test_too_large_is_one_error_line(self, command, allocation, tmp_path,
+                                         capsys, monkeypatch):
+        def unable(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB")
+
+        monkeypatch.setattr(locus, allocation, unable, raising=False)
+        args = [command, "--problem", problem_file("burgers_ramp"),
+                "--out", str(tmp_path)]
+        assert main([*args, "--resolution", "48"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --resolution 48 needs more memory than is available; "
+            "give a smaller one\n")
+        with pytest.raises(MemoryError):  # no --resolution to blame
+            main(args)
+
 
 class TestUnsupportedDimension:
     @pytest.mark.parametrize("command", ["domain", "singular"])
@@ -627,6 +648,8 @@ class TestOutputDigests:
     points went from 141, 119 and 117 to 114, 63 and 80 (circular,
     burgers_ramp, burgers_reciprocal), and summary.json's
     boundary_point_count with them.
+    The verify.json files of all four, the report of the checks of the
+    first integrals and of F, were recorded at commit 327fb4b.
     A refactor keeps them; a change that
     moves a number states that in CHANGES.md and records the new digests
     here.
@@ -635,22 +658,26 @@ class TestOutputDigests:
 
     DIGESTS = {
         "ode_quadratic": {
+            "verify.json": "41ee1b71b88a2b9f0f113ab8c6c97c5cbbd2eba3febaf9c750661c188ca2e667",
             "domain.json": "ccb58cbe71144c8b63657c33ce87dbf89710bb1e1d4ed87ec9791b46fa748da4",
             "summary.json": "2789e22a2be1ba67eb8f21f56ee827ac351b3685e35a3141657e0d21abf7c4d6",
             "sigma.csv": "d863f542e4082df4e526d38999862afea92806e46256dc379d54e931ec6ecd00",
         },
         "circular": {
+            "verify.json": "d59608f382128a828a3ab32827a39965294e6c84487ec70fb9d323c5f19669ac",
             "domain.json": "b23ef5c0e67c7e5ca72218626bd2b6bba23475b00b54e4994922e41583be3c72",
             "summary.json": "7460dc1f41c741334a364eddf5951233a87d53f38b78f6f9ae3223ac1d1098b8",
             "sigma.csv": "b55100a9e542162c61b930c40ba7f8c609193059f67fe5ab039787a10b313a72",
         },
         "burgers_ramp": {
+            "verify.json": "8652c5e103c0f1a281f855a27768b8ebe4366b244a674284eb39d31816c4446d",
             "domain.json": "b84297cf538f354ebb923ceda920ca3db75b32fb8c3cbad97b84e092a4ccf3de",
             "summary.json": "d6b1ab2f5f774292c04c79d41c162ba8f7a265fb8d5679d3f5f9c9669460d0b5",
             "sigma.csv": "6608ea832591eb48dd53444dc9cbcb4fe29bbdca9b4406ed7e55a3451beaa5bc",
             "envelope.csv": "f6d0ed7547d1a34e6ddf2fb8a8ffd5ea69c192d2488c84c70b76e50cc1c2b8a0",
         },
         "burgers_reciprocal": {
+            "verify.json": "122764c894f250a32ca02dc10e724a937c827ceeee4a0bc4a60d6722e97ebc13",
             "domain.json": "53e288b8aeaa19676ff377468f01673b34e45d7c402117d1894bc7fd9e6cc66f",
             "summary.json": "cc534181b78a478a2d2fb8c7518c848904384bee84bb0ee285c2ee45015f147d",
             "sigma.csv": "008c560e450a0e93ed3d614924d6889e1d8854185baaff5a1fab69817890b8f6",
@@ -661,7 +688,7 @@ class TestOutputDigests:
     @pytest.mark.parametrize("name", list(DIGESTS))
     def test_outputs_match_the_recorded_digests(self, name, tmp_path,
                                                 capsys):
-        commands = ["domain", "singular"]
+        commands = ["verify", "domain", "singular"]
         if "envelope.csv" in self.DIGESTS[name]:
             commands.append("envelope")
         for command in commands:
