@@ -117,7 +117,7 @@ def cmd_verify(args) -> int:
 def cmd_domain(args) -> int:
     bundle = load_problem_bundle(args.problem)
     _, sol = _solution(bundle)
-    surface = extract_surface(sol.F, bundle.problem.box,
+    surface = extract_surface(sol.F_and_Fu_rows, bundle.problem.box,
                               _resolution(args, bundle.problem.n),
                               sol.gamma_samples)
     sigma = extract_singular_locus(sol, surface)
@@ -182,7 +182,7 @@ def cmd_characteristics(args) -> int:
 def cmd_singular(args) -> int:
     bundle = load_problem_bundle(args.problem)
     _, sol = _solution(bundle)
-    surface = extract_surface(sol.F, bundle.problem.box,
+    surface = extract_surface(sol.F_and_Fu_rows, bundle.problem.box,
                               _resolution(args, bundle.problem.n))
     sigma = extract_singular_locus(sol, surface)
 

@@ -666,23 +666,25 @@ def _release(lines: list[str]) -> list[str]:
 
 def evaluate_grid(e: Expr | Callable, binding: Mapping[str, np.ndarray]):
     """Evaluate over the arrays of ``binding``, by ``compile``'s array back
-    end.  ``e`` is a tree, or what ``compile([tree], names, arrays=True)``
-    returned for the names of ``binding``: a caller that evaluates one
-    tree on many grids compiles it once.
+    end.  ``e`` is what ``compile(trees, names, arrays=True)`` returned for
+    the names of ``binding``, so that subtrees the trees share are computed
+    once and a caller that evaluates them on many grids compiles them
+    once; a tree is compiled here as the one-output form of ``[e]``.
 
-    Returns (values, valid), both of the shape the bound arrays broadcast
-    to, where valid marks points whose evaluation hit no domain violation
-    and produced a finite number.  Values at invalid points follow IEEE
-    semantics (inf/nan) and must not be trusted.
+    Returns one pair (values, valid) per output, both of the shape the
+    bound arrays broadcast to, where valid marks points whose evaluation
+    hit no domain violation and produced a finite number.  Values at
+    invalid points follow IEEE semantics (inf/nan) and must not be trusted.
     """
     shape = np.broadcast_shapes(*map(np.shape, binding.values()))
     if isinstance(e, Expr):
         e = compile([e], tuple(binding), arrays=True)
     with np.errstate(all="ignore"):
-        ((vals, bad),) = e(*binding.values())
-    vals = np.asarray(vals, dtype=float)
-    ok = np.isfinite(vals) & ~bad
-    return np.broadcast_to(vals, shape), np.broadcast_to(ok, shape)
+        outputs = [(np.asarray(vals, dtype=float), bad)
+                   for vals, bad in e(*binding.values())]
+    return [(np.broadcast_to(vals, shape),
+             np.broadcast_to(np.isfinite(vals) & ~bad, shape))
+            for vals, bad in outputs]
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,24 @@
 """Level-surface discretization and the singular locus.
 
 The zero set of F is discretized over the computational box on a regular
-grid: a cell "crosses" when F changes sign among its corner vertices,
-and adjacency is shared-facet adjacency between crossing cells.  F and
-F_u are evaluated tile by tile, each tile on its own sparse axes, so that
-a subtree in fewer variables is evaluated on fewer points and a tile's
-values are the whole grid's.  Each vertex gets a sign code and each cell
-the OR of its corners' codes, reduced one axis at a time, and from those
-one uint8 state code: not crossing, excluded, crossing, or a sigma seed
-(F_u changes sign too).  ``singular`` evaluates the whole grid as one
-tile; ``domain`` only the tiles of TILE cells per axis that the initial
-set's flood reaches, revealed as the flood asks for them.  The states
-are the surface's one cell-shaped array: the flood also returns the
-sorted flat indices of the cells it reached, each evaluated tile lists
-its seed cells, and masks of the crossing, reached and excluded cells are
-derived only for readers that ask for them.  For point-cloud dumps only,
-the surface is also given as the zero of F on each cut edge of the
-crossing cells (the square's sides in the plane case, the edges of the
-cube's six Kuhn tetrahedra in the space case).
+grid: a cell "crosses" when F changes sign among its corner vertices, and
+adjacency is shared-facet adjacency between crossing cells.  F and F_u
+are evaluated by the implicit solution's form of the pair, tile by tile,
+each tile on its own sparse axes, so that a subtree in fewer variables is
+evaluated on fewer points and a tile's values are the whole grid's.  Each
+vertex gets a sign code and each cell the OR of its corners' codes,
+reduced one axis at a time, and from those one uint8 state code: not
+crossing, excluded, crossing, or a sigma seed (F_u changes sign too).
+``singular`` evaluates the whole grid as one tile; ``domain`` only the
+tiles of TILE cells per axis that the initial set's flood reaches,
+revealed as the flood asks for them.  The states are the surface's one
+cell-shaped array: the flood also returns the sorted flat indices of the
+cells it reached, each evaluated tile lists its seed cells, and masks of
+the crossing, reached and excluded cells are derived only for readers
+that ask for them.  For point-cloud dumps only, the surface is also given
+as the zero of F on each cut edge of the crossing cells (the square's
+sides in the plane case, the edges of the cube's six Kuhn tetrahedra in
+the space case).
 
 The singular locus is the subset of the surface where F_u vanishes too.
 The seed cells start a damped Newton polish that runs all seeds in
@@ -45,7 +46,7 @@ from itertools import product
 
 import numpy as np
 
-from .expr import Expr, compile, diff, evaluate_grid, output_rows, var_names
+from .expr import evaluate_grid, output_rows, var_names
 from .integrals import ImplicitSolution
 from .problem import Box
 
@@ -173,8 +174,8 @@ def _classify_cells(values: np.ndarray, valid: np.ndarray, dim: int):
     """Masks over cells: all corners valid, and both F signs present
     (a vertex value of exactly zero counts as positive), from the cells'
     OR of the vertex sign codes.  Along an axis where both arrays are
-    broadcast (stride 0, as ``evaluate_grid`` returns a tree that does not
-    depend on that axis's variable) the codes are taken at one vertex."""
+    broadcast (stride 0, as ``evaluate_grid`` returns an output that does
+    not depend on that axis's variable) the codes are taken at one vertex."""
     lead = values.ndim - dim
     at = tuple(slice(None) if axis < lead or values.strides[axis]
                or valid.strides[axis] else slice(0, 1)
@@ -185,36 +186,37 @@ def _classify_cells(values: np.ndarray, valid: np.ndarray, dim: int):
     return code == 3, code < 4
 
 
-def _evaluate_tiles(F, F_u, axes, origins: np.ndarray, size: int):
-    """F and F_u, both compiled for the array back end, at the vertices of
-    the tiles of ``size`` cells per axis whose first cells are the rows of
-    the (k, dim) ``origins``.  One ``evaluate_grid`` call each, on sparse
-    (k, 1, .., size + 1, .., 1) axes per tile, so that a subtree in fewer
-    variables is evaluated on fewer points.  Returns F's (k, size + 1, ..)
-    values and valid masks, and the tiles' (k, size, ..) masks of the
-    crossing cells, of the cells with all corners valid, and of the seed
-    cells: the crossing cells where F_u changes sign too, by the same
-    rule."""
+def _evaluate_tiles(F_and_Fu_rows, axes, origins: np.ndarray, size: int):
+    """F and F_u, by the solution's array form ``F_and_Fu_rows``, at the
+    vertices of the tiles of ``size`` cells per axis whose first cells are
+    the rows of the (k, dim) ``origins``.  One ``evaluate_grid`` call, on
+    sparse (k, 1, .., size + 1, .., 1) axes per tile, so that a subtree in
+    fewer variables is evaluated on fewer points and a subtree F and F_u
+    share once.  Returns F's (k, size + 1, ..) values and valid masks, and
+    the tiles' (k, size, ..) masks of the crossing cells, of the cells with
+    all corners valid, and of the seed cells: the crossing cells where F_u
+    changes sign too, by the same rule."""
     k, dim = origins.shape
     ticks = np.arange(size + 1)
     coords = [ax[origins[:, a, None] + ticks].reshape(
                   (k,) + tuple(size + 1 if b == a else 1 for b in range(dim)))
               for a, ax in enumerate(axes)]
-    binding = dict(zip(var_names(dim - 2), coords))
-    values, valid = evaluate_grid(F, binding)
+    (values, valid), F_u = evaluate_grid(
+        F_and_Fu_rows, dict(zip(var_names(dim - 2), coords)))
     crossing, all_ok = _classify_cells(values, valid, dim)
-    seeds = crossing & _classify_cells(*evaluate_grid(F_u, binding), dim)[0]
+    seeds = crossing & _classify_cells(*F_u, dim)[0]
     return values, valid, crossing, all_ok, seeds
 
 
-def extract_surface(F: Expr, box: Box, resolution: int,
+def extract_surface(F_and_Fu_rows, box: Box, resolution: int,
                     gamma=None) -> LevelSurface:
     """Find the sign-crossing cells of F over the box, and among them the
     sigma seed cells, where F_u changes sign too.
 
-    F and F_u = dF/du are evaluated tile by tile by ``_evaluate_tiles``,
-    each compiled once, and each tile's cells get one of flood's state
-    codes: NONE, EXCLUDED (a vertex where F fails to evaluate), OPEN
+    F and F_u = dF/du are evaluated tile by tile by ``_evaluate_tiles`` on
+    the implicit solution's array form ``F_and_Fu_rows``, so the surface
+    derives and compiles nothing.  Each tile's cells get one of flood's
+    state codes: NONE, EXCLUDED (a vertex where F fails to evaluate), OPEN
     (crossing) or SEED.  Without ``gamma`` the whole grid is one tile, and
     the surface keeps F's vertex values (for ``patch_vertices``).  With the
     (m, dim) initial-set samples ``gamma`` the tiles have TILE cells per
@@ -227,15 +229,11 @@ def extract_surface(F: Expr, box: Box, resolution: int,
     """
     if resolution < MIN_RESOLUTION:
         raise ValueError(f"resolution must be >= {MIN_RESOLUTION}")
-    n = box.n
-    if n > 1:
+    if box.n > 1:
         raise NotImplementedError("surface extraction is implemented for "
                                   "n in {0, 1}")
-    dim = n + 2
-    names = var_names(n)
+    dim = box.n + 2
     axes = tuple(np.linspace(lo, hi, resolution + 1) for lo, hi in box.ranges)
-    F_grid = compile([F], names, arrays=True)
-    F_u_grid = compile([diff(F, "u")], names, arrays=True)
     size = resolution if gamma is None else min(TILE[dim], resolution)
     shape, tiles = (resolution,) * dim, (-(-resolution // size),) * dim
     seeds = []                     # the seed cells' flat indices, per call
@@ -243,7 +241,7 @@ def extract_surface(F: Expr, box: Box, resolution: int,
     def codes(origins: np.ndarray):
         """F's vertex values and the cells' state codes on the tiles."""
         values, _, cross, all_ok, seed = _evaluate_tiles(
-            F_grid, F_u_grid, axes, origins, size)
+            F_and_Fu_rows, axes, origins, size)
         code = np.full(cross.shape, NONE, dtype=np.uint8)
         # NONE + invalid + 2 crossing + seed: NONE, EXCLUDED, OPEN or SEED
         for part in (~all_ok, cross, cross, seed):

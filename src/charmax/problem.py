@@ -252,7 +252,7 @@ def load_problem_bundle(path) -> ProblemBundle:
 def _validate_problem(p: Problem, d: InitialData):
     axes = [np.linspace(lo, hi, ALPHA_LATTICE_POINTS) for lo, hi in p.box.ranges]
     grids = np.meshgrid(*axes, indexing="ij", sparse=True)
-    vals, ok = evaluate_grid(p.alpha, dict(zip(var_names(p.n), grids)))
+    ((vals, ok),) = evaluate_grid(p.alpha, dict(zip(var_names(p.n), grids)))
 
     def lattice_point(mask):
         idx = np.argwhere(mask)[0]
@@ -270,10 +270,10 @@ def _validate_problem(p: Problem, d: InitialData):
         gamma = initial_set_samples(d, count)
     except EvalDomainError as err:
         raise ValidationError(f"h fails to evaluate on s_range: {err}") from err
-    for point in gamma:
-        if not p.box.contains(point):
-            raise ValidationError(
-                f"initial set leaves the box at {point.tolist()}")
+    outside = np.flatnonzero(~p.box.contains(gamma))
+    if outside.size:
+        raise ValidationError(
+            f"initial set leaves the box at {gamma[outside[0]].tolist()}")
 
 
 def make_problem(n: int, alpha: str, a: list[str], b: str, h: str,

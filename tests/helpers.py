@@ -49,11 +49,43 @@ def pipeline(name: str, resolution: int):
     """Full grid pipeline: (bundle, solution, surface, sigma, component,
     domain)."""
     b, _, sol = solution(name)
-    surface = extract_surface(sol.F, b.problem.box, resolution)
+    surface = extract_surface(sol.F_and_Fu_rows, b.problem.box, resolution)
     sigma = extract_singular_locus(sol, surface)
     component = split_component(surface, sigma, sol.gamma_samples)
     dom = maximal_domain(sol, component, sigma)
     return b, sol, surface, sigma, component, dom
+
+
+def pair_form(F, n: int):
+    """The array form of (F, F_u) over t, x1..xn, u that an implicit
+    solution's ``F_and_Fu_rows`` is, for a bare tree F: what
+    extract_surface takes."""
+    return compile_exprs([F, diff(F, "u")], var_names(n), arrays=True)
+
+
+def surface_by_trees(F, box, resolution: int, gamma=None):
+    """Reference for extract_surface on the pair form: the same surface
+    with each tile's F and F_u evaluated as two trees, each compiled once
+    on its own and evaluated by its own evaluate_grid call, and classified
+    by _classify_cells."""
+    forms = [compile_exprs([e], var_names(box.n), arrays=True)
+             for e in (F, diff(F, "u"))]
+
+    def evaluate_tiles(_, axes, origins, size):
+        k, dim = origins.shape
+        coords = [ax[origins[:, a, None] + np.arange(size + 1)].reshape(
+                      (k,) + tuple(size + 1 if b == a else 1
+                                   for b in range(dim)))
+                  for a, ax in enumerate(axes)]
+        binding = dict(zip(var_names(dim - 2), coords))
+        (values, valid), F_u = (evaluate_grid(f, binding)[0] for f in forms)
+        crossing, all_ok = _classify_cells(values, valid, dim)
+        seeds = crossing & _classify_cells(*F_u, dim)[0]
+        return values, valid, crossing, all_ok, seeds
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(locus, "_evaluate_tiles", evaluate_tiles)
+        return extract_surface(pair_form(F, box.n), box, resolution, gamma)
 
 
 def domain_on_tiles(problem, sol, resolution: int, tiled: bool):
@@ -62,7 +94,7 @@ def domain_on_tiles(problem, sol, resolution: int, tiled: bool):
     grid: (domain, sigma), or the ResolutionError or ProjectionError it
     raised, as text."""
     try:
-        surface = extract_surface(sol.F, problem.box, resolution,
+        surface = extract_surface(sol.F_and_Fu_rows, problem.box, resolution,
                                   sol.gamma_samples if tiled else None)
         sigma = extract_singular_locus(sol, surface)
         component = split_component(surface, sigma, sol.gamma_samples)
@@ -362,8 +394,8 @@ def seed_cells_by_grid(F_u, surface):
     grid vertex, and the crossing cells where it changes sign by
     classify_cells_by_corners."""
     grids = np.meshgrid(*surface.axes, indexing="ij", sparse=True)
-    values, valid = evaluate_grid(F_u, dict(zip(var_names(surface.dim - 2),
-                                                grids)))
+    ((values, valid),) = evaluate_grid(
+        F_u, dict(zip(var_names(surface.dim - 2), grids)))
     fu_crossing, _ = classify_cells_by_corners(values, valid, surface.dim)
     return np.argwhere(surface.crossing & fu_crossing)
 
@@ -380,8 +412,8 @@ def seed_cells_by_unique(F_u, surface):
     flat, inverse = np.unique(corners, return_inverse=True)
     coords = [ax[i] for ax, i in zip(surface.axes,
                                      np.unravel_index(flat, shape))]
-    values, valid = evaluate_grid(F_u, dict(zip(var_names(surface.dim - 2),
-                                                coords)))
+    ((values, valid),) = evaluate_grid(
+        F_u, dict(zip(var_names(surface.dim - 2), coords)))
     inverse = inverse.reshape(corners.shape)
     v = values[inverse]
     seed = (valid[inverse].all(axis=1) & (v >= 0.0).any(axis=1)
@@ -1524,8 +1556,8 @@ def hand_domain(component, F: str = "u + 1", points=None):
     given sigma points."""
     dim = component.surface.dim
     tree = parse(F, n=dim - 2)
-    sol = types.SimpleNamespace(F=tree, F_and_Fu_rows=compile_exprs(
-        [tree, diff(tree, "u")], var_names(dim - 2), arrays=True))
+    sol = types.SimpleNamespace(F=tree,
+                                F_and_Fu_rows=pair_form(tree, dim - 2))
     points = np.zeros((0, dim)) if points is None else np.asarray(points,
                                                                   float)
     sigma = SingularLocus(points, np.zeros(len(points), dtype=bool), [],

@@ -39,7 +39,7 @@ def test_criterion_1_ode_example():
     f = parse("y1 - 1", allowed_variables=["y1"])
     _, sol = implicit_solution_for_problem(problem, data, rho, f)
 
-    surface = extract_surface(sol.F, problem.box, 1024)
+    surface = extract_surface(sol.F_and_Fu_rows, problem.box, 1024)
     sigma = extract_singular_locus(sol, surface)
     component = split_component(surface, sigma, sol.gamma_samples)
     dom = maximal_domain(sol, component, sigma)
@@ -78,7 +78,7 @@ def test_criterion_2_circular_example():
                 "u": rng.uniform(-0.5, 2)}
         assert evaluate(sol.F, bind) == evaluate(expect, bind)
 
-    surface = extract_surface(sol.F, problem.box, 128)
+    surface = extract_surface(sol.F_and_Fu_rows, problem.box, 128)
     sigma = extract_singular_locus(sol, surface)
     component = split_component(surface, sigma, sol.gamma_samples)
     maximal_domain(sol, component, sigma)

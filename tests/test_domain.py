@@ -37,7 +37,7 @@ def n0_fold_domain(resolution):
     _, sol = implicit_solution_for_problem(
         problem, data, (parse(rho, n=0),),
         parse(f, n=0, allowed_variables=["y1"]))
-    surface = extract_surface(sol.F, problem.box, resolution)
+    surface = extract_surface(sol.F_and_Fu_rows, problem.box, resolution)
     sigma = extract_singular_locus(sol, surface)
     return sigma, maximal_domain(
         sol, split_component(surface, sigma, sol.gamma_samples), sigma)

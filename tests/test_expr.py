@@ -114,8 +114,8 @@ class TestEval:
             ev(text, n=0, t=0.0, u=u)
         with pytest.raises(EvalDomainError, match="of infinite value"):
             compile_exprs([parse(text, n=0)], ("t", "u"))(0.0, u)
-        _, ok = evaluate_grid(parse(text, n=0), {"t": np.float64(0.0),
-                                                 "u": np.array([u, 0.0])})
+        ((_, ok),) = evaluate_grid(parse(text, n=0), {
+            "t": np.float64(0.0), "u": np.array([u, 0.0])})
         assert list(ok) == [False, True]
         assert math.isnan(ev("sin(u) + cos(u)", n=0, t=0.0, u=math.nan))
 
@@ -137,7 +137,8 @@ class TestGridEval:
         e = parse("sin(t)*u + t^2/(u + 3)", n=0)
         ts = np.linspace(-2, 2, 11)
         us = np.linspace(-2, 2, 11)
-        vals, ok = evaluate_grid(e, {"t": ts[:, None], "u": us[None, :]})
+        ((vals, ok),) = evaluate_grid(e, {"t": ts[:, None],
+                                          "u": us[None, :]})
         assert vals.shape == ok.shape == (11, 11)
         assert ok.all()
         for i, t in enumerate(ts):
@@ -147,13 +148,13 @@ class TestGridEval:
     def test_invalid_vertices_flagged(self):
         e = parse("t + 1/u", n=0)
         us = np.array([-1.0, 0.0, 1.0])
-        vals, ok = evaluate_grid(e, {"t": np.float64(0.0), "u": us})
+        ((vals, ok),) = evaluate_grid(e, {"t": np.float64(0.0), "u": us})
         assert list(ok) == [True, False, True]
 
     def test_violation_through_finite_result(self):
         # 1/(1/u) is finite at u = 0 in IEEE arithmetic but still flagged
         e = parse("1/(1/u)", n=0)
-        vals, ok = evaluate_grid(e, {"u": np.array([0.0, 2.0])})
+        ((vals, ok),) = evaluate_grid(e, {"u": np.array([0.0, 2.0])})
         assert not ok[0] and ok[1]
 
 
@@ -239,7 +240,7 @@ class TestGeneratedProperties:
         e = helpers.random_expr(rng, ["t", "u"], depth=4)
         ts = rng.uniform(-2, 2, size=5)
         us = rng.uniform(-2, 2, size=5)
-        vals, ok = evaluate_grid(e, {"t": ts, "u": us})
+        ((vals, ok),) = evaluate_grid(e, {"t": ts, "u": us})
         for i in range(5):
             b = {"t": float(ts[i]), "u": float(us[i])}
             try:
@@ -407,8 +408,9 @@ class TestCompileArrays:
         shapes = ((4, 1, 1), (1, 4, 1), (1, 1, 4))
         binding = {v: np.array(c).reshape(shape)
                    for v, c, shape in zip(POOL, columns, shapes)}
+        form = compile_exprs(exprs, POOL, arrays=True)
         with np.errstate(all="ignore"):
-            got = compile_exprs(exprs, POOL, arrays=True)(*binding.values())
+            got = form(*binding.values())
             expect = [helpers.eval_arrays_by_tree(e, binding) for e in exprs]
         # bad may leave out the all-False masks of constant operands, so
         # it is compared through valid
@@ -417,10 +419,12 @@ class TestCompileArrays:
             assert same_arrays(vals, want_vals)
             assert same_arrays(np.isfinite(vals) & ~bad,
                                np.isfinite(want_vals) & ~want_bad)
-        for e in exprs:
-            got = evaluate_grid(e, binding)
-            assert all(map(same_arrays, got, grid_by_tree(e, binding,
-                                                          (4, 4, 4))))
+        # a tree on its own, and each output of the form of them all
+        for e, pair in zip(exprs, evaluate_grid(form, binding), strict=True):
+            want = grid_by_tree(e, binding, (4, 4, 4))
+            (got,) = evaluate_grid(e, binding)
+            assert all(map(same_arrays, got, want))
+            assert all(map(same_arrays, pair, want))
 
     @pytest.mark.parametrize("fn", ["sin", "cos"])
     def test_infinite_argument_is_a_violation(self, fn):
@@ -452,9 +456,12 @@ class TestCompileArrays:
             finally:
                 tracemalloc.stop()
 
-        for e in (sol.F, sol.F_u):
-            got, got_peak = peak(lambda: evaluate_grid(e, binding))
-            expect, expect_peak = peak(lambda: grid_by_tree(e, binding,
-                                                            shape))
-            assert all(map(same_arrays, got, expect))
+        # each tree alone, and the pair form against the walk of both
+        for form, trees in ((sol.F, [sol.F]), (sol.F_u, [sol.F_u]),
+                            (sol.F_and_Fu_rows, [sol.F, sol.F_u])):
+            got, got_peak = peak(lambda: evaluate_grid(form, binding))
+            expect, expect_peak = peak(lambda: [
+                grid_by_tree(e, binding, shape) for e in trees])
+            for pair, want in zip(got, expect, strict=True):
+                assert all(map(same_arrays, pair, want))
             assert got_peak <= expect_peak + 0.25 * 2**20

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import sys
 from itertools import chain
 
 import numpy as np
@@ -410,34 +411,44 @@ class TestAssembly:
     @pytest.mark.parametrize("name", helpers.EXAMPLES)
     def test_sigma_forms_compiled_once_by_a_domain_run(self, name, solutions,
                                                        monkeypatch, tmp_path):
-        # every compile of a domain run, the grid's included: the problem
-        # check, one array form for the checks of rho, (F, F_u) on arrays,
-        # the flow residual terms (the one scalar form), F and F_u on the
-        # tiles, and jacobian_rows once where sigma has seeds; no form that
-        # only a query uses, and a query compiles grad F once
+        # every compile of a domain run and of a singular run, the grid's
+        # included: the problem check, one array form for the checks of
+        # rho, (F, F_u) on arrays, the flow residual terms (the one scalar
+        # form), and jacobian_rows once where sigma has seeds.  The surface
+        # takes the solution's (F, F_u) form: no compile is asked for by
+        # locus, directly or through evaluate_grid.  No form that only a
+        # query uses, and a query compiles grad F once
         b, _, sol = solutions(name)
         jacobian = helpers.jacobian_trees(sol)
         fld = characteristic_field(b.problem)
         residual_terms = [integrals.apply_field(fld, sol.F),
                           *chain(*zip(fld.components, sol.gradient))]
-        compiled = []
+        compiled, askers = [], []
         compile_exprs = expr.compile
 
         def counted(exprs, names, arrays=False):
+            frame = sys._getframe(1)
+            while frame.f_globals["__name__"] == expr.__name__:
+                frame = frame.f_back
+            askers.append(frame.f_globals["__name__"])
             compiled.append((list(exprs), arrays))
             return compile_exprs(exprs, names, arrays=arrays)
 
-        for module, attr in ((expr, "compile"), (integrals, "compile_exprs"),
-                             (locus, "compile")):
+        for module, attr in ((expr, "compile"), (integrals, "compile_exprs")):
             monkeypatch.setattr(module, attr, counted)
-        assert main(["domain", "--problem", str(problem_path(name)),
-                     "--resolution", "48", "--out", str(tmp_path)]) == 0
+        assert "compile" not in vars(locus)
         seeds = int(name != "ode_quadratic")
-        assert len(compiled) == 6 + seeds
-        assert [trees for trees, arrays in compiled if not arrays] == [
-            residual_terms]
-        assert compiled.count((jacobian, True)) == seeds
-        assert compiled.count(([sol.F, sol.F_u], True)) == 1
+        for command in ("domain", "singular"):
+            compiled.clear()
+            assert main([command, "--problem", str(problem_path(name)),
+                         "--resolution", "48",
+                         "--out", str(tmp_path / command)]) == 0
+            assert len(compiled) == 4 + seeds
+            assert [trees for trees, arrays in compiled if not arrays] == [
+                residual_terms]
+            assert compiled.count((jacobian, True)) == seeds
+            assert compiled.count(([sol.F, sol.F_u], True)) == 1
+            assert locus.__name__ not in askers
         compiled.clear()
         x = [] if name == "ode_quadratic" else ["--x", "0.5"]
         assert main(["query", "--problem", str(problem_path(name)),

@@ -48,7 +48,7 @@ class TestExtractSurface:
     def test_plane_crossing_cells(self):
         F = parse("u", n=0)
         box = Box((-1.0, 1.0), (), (-1.0, 1.0))
-        surf = extract_surface(F, box, 16)
+        surf = extract_surface(helpers.pair_form(F, 0), box, 16)
         # u = 0 is the vertex plane between cell rows 7 and 8; with the
         # zero-counts-as-positive convention exactly row 7 straddles it
         assert {c[1] for c in surf.cells} == {7}
@@ -57,7 +57,8 @@ class TestExtractSurface:
     def test_reciprocal_two_branches_and_invalid_row(self):
         F = parse("t + 1/u - 1", n=0)
         box = Box((-2.0, 2.0), (), (-3.0, 3.0))
-        surf = extract_surface(F, box, 64)  # u = 0 lands on a vertex row
+        # u = 0 lands on a vertex row
+        surf = extract_surface(helpers.pair_form(F, 0), box, 64)
         assert len(surf.excluded_cells) == 2 * 64
         assert adjacency_components(surf) == 2
         # no crossing cell touches the invalid row
@@ -94,7 +95,8 @@ class TestExtractSurface:
 
     def test_resolution_minimum(self):
         with pytest.raises(ValueError, match="16"):
-            extract_surface(parse("u", n=0), Box((-1, 1), (), (-1, 1)), 8)
+            extract_surface(helpers.pair_form(parse("u", n=0), 0),
+                            Box((-1, 1), (), (-1, 1)), 8)
 
     def test_crossing_cells_have_both_signs(self, pipelines):
         _, _, surf, _, _, _ = pipelines("burgers_ramp", 32)
@@ -148,7 +150,7 @@ class TestCellPieces:
         ("burgers_reciprocal", 32), ("burgers_reciprocal", 64)])
     def test_bundled_problems(self, name, resolution, solutions):
         b, _, sol = solutions(name)
-        surface = extract_surface(sol.F, b.problem.box, resolution)
+        surface = extract_surface(sol.F_and_Fu_rows, b.problem.box, resolution)
         assert len(assert_edge_zeros_match_references(surface))
 
     @pytest.mark.parametrize("shape", [(23, 19), (9, 8, 7)])
@@ -214,7 +216,7 @@ class TestCellPieces:
     def test_no_crossing_cells(self, n):
         F = parse("u - 5", n=n)
         box = Box((-1.0, 1.0), ((-1.0, 1.0),) * n, (-1.0, 1.0))
-        surface = extract_surface(F, box, 16)
+        surface = extract_surface(helpers.pair_form(F, n), box, 16)
         assert len(surface.cells) == 0
         vertices = assert_edge_zeros_match_references(surface)
         assert vertices.shape == (0, n + 2)
@@ -247,7 +249,7 @@ class TestSingularLocus:
         # for the whole fold: each of 41 envelope points must lie within
         # one cell diagonal of one of them, projected to (t, x)
         b, _, sol = solutions(name)
-        surface = extract_surface(sol.F, b.problem.box, resolution,
+        surface = extract_surface(sol.F_and_Fu_rows, b.problem.box, resolution,
                                   sol.gamma_samples)
         projected = extract_singular_locus(sol, surface).points[:, :2]
         law = ConservationLaw.from_parts(parse("u", n=1), parse(h, n=1))
@@ -282,7 +284,7 @@ class TestSingularLocus:
         # a fault of the evaluator itself is not a domain violation at a
         # seed: it must reach the caller
         b, _, sol = solutions("burgers_reciprocal")
-        surface = extract_surface(sol.F, b.problem.box, 32)
+        surface = extract_surface(sol.F_and_Fu_rows, b.problem.box, 32)
 
         def evaluator(*values):
             raise TypeError("faulty evaluator")
@@ -327,7 +329,7 @@ class TestSplitComponent:
             1, "1", ["u"], "0", "2",
             Box((-1.0, 1.0), ((-1.0, 1.0),), (-3.0, 3.0)))
         _, sol = implicit_solution_for_problem(problem, data)
-        surf = extract_surface(sol.F, problem.box, 16)
+        surf = extract_surface(sol.F_and_Fu_rows, problem.box, 16)
         sigma = extract_singular_locus(sol, surf)
         assert len(sigma.points) == 0
         gamma = initial_set_samples(data, 9)
@@ -733,7 +735,8 @@ class TestDimensionLimit:
             Box((-1.0, 1.0), ((-1.0, 1.0), (-1.0, 1.0)), (-3.0, 3.0)),
             s_range=((-0.1, 0.1), (-0.1, 0.1)))
         with pytest.raises(NotImplementedError):
-            extract_surface(parse("u - x1 - x2", n=2), problem.box, 16)
+            extract_surface(helpers.pair_form(parse("u - x1 - x2", n=2), 2),
+                            problem.box, 16)
 
 
 # Burgers-type laws u_t + a(u) u_x = 0 whose sigma polish drops seeds
@@ -866,7 +869,7 @@ class TestSigmaStage:
     def test_matches_the_seed_by_seed_reference(self, name, resolution,
                                                 sigma_problem):
         b, sol = sigma_problem(name)
-        surface = extract_surface(sol.F, b.problem.box, resolution)
+        surface = extract_surface(sol.F_and_Fu_rows, b.problem.box, resolution)
         got = extract_singular_locus(sol, surface)
         want = helpers.singular_locus_by_seed(sol, surface)
         for field in ("points", "degenerate", "seed_cells"):
@@ -892,7 +895,7 @@ class TestSigmaStage:
         # numpy's power, exp and log may round differently from libm in
         # the last bit, so the polished points may move by an ulp or so
         b, sol = sigma_problem(name)
-        surface = extract_surface(sol.F, b.problem.box, resolution)
+        surface = extract_surface(sol.F_and_Fu_rows, b.problem.box, resolution)
         got = extract_singular_locus(sol, surface)
         want = helpers.singular_locus_by_scalar_rows(sol, surface)
         assert _same_bytes(got.seed_cells, want.seed_cells)
@@ -1015,8 +1018,9 @@ class TestSigmaStage:
             1, "1", ["u"], "0", "10",
             Box((0.0, 1.0), ((-1.0, 1.0),), (9.0, 11.0)))
         _, sol = implicit_solution_for_problem(problem, data)
-        surface = extract_surface(sol.F, Box((0.0, 1.0), ((0.0, 1.0),),
-                                             (-1.0, 1.0)), 16)
+        surface = extract_surface(sol.F_and_Fu_rows,
+                                  Box((0.0, 1.0), ((0.0, 1.0),), (-1.0, 1.0)),
+                                  16)
         sigma = extract_singular_locus(sol, surface)
         assert sigma.seed_cells.shape == (0, 3)
         assert sigma.points.shape == (0, 3) and sigma.dropped == 0
@@ -1055,7 +1059,7 @@ class TestCellReductions:
     @settings(max_examples=200, deadline=None)
     def test_broadcast_axes_match_the_corner_loop(self, shape, seed, lead,
                                                   invalid):
-        # evaluate_grid returns a tree that does not depend on a variable
+        # evaluate_grid returns an output that does not depend on a variable
         # as a view of stride 0 along its axis; the validity may still
         # change there, or be broadcast along other axes
         rng = np.random.default_rng(seed)
@@ -1177,11 +1181,32 @@ class TestCellReductions:
     def test_seeds_match_the_unique_corner_rule(self, name, resolution,
                                                 sigma_problem):
         b, sol = sigma_problem(name)
-        surface = extract_surface(sol.F, b.problem.box, resolution)
+        surface = extract_surface(sol.F_and_Fu_rows, b.problem.box, resolution)
         got = surface.seed_cells
         assert _same_bytes(got, helpers.seed_cells_by_unique(
             diff(sol.F, "u"), surface))
         assert len(got) or name == "ode_quadratic"
+
+
+class TestPairForm:
+    """extract_surface evaluates F and F_u by one evaluate_grid call of the
+    solution's (F, F_u) form: the surface is the one of F and F_u
+    evaluated as two trees, byte for byte, on tiles and on the whole
+    grid."""
+
+    @pytest.mark.parametrize("a, h", helpers.GENERATED_LAWS)
+    def test_generated_laws_match_the_two_trees(self, a, h):
+        problem, _, sol = helpers.generated_law(a, h)
+        for resolution, gamma in ((17, sol.gamma_samples),
+                                  (64, sol.gamma_samples), (48, None)):
+            got = extract_surface(sol.F_and_Fu_rows, problem.box, resolution,
+                                  gamma)
+            want = helpers.surface_by_trees(sol.F, problem.box, resolution,
+                                            gamma)
+            for field in ("state", "seed_cells", "reached_flat", "values"):
+                g, w = getattr(got, field), getattr(want, field)
+                assert (g is None and w is None) or _same_bytes(g, w), (
+                    resolution, field)
 
 
 class TestTiles:
@@ -1198,17 +1223,17 @@ class TestTiles:
         evaluate_tiles, calls = locus._evaluate_tiles, []
 
         def recording(*args):
-            calls.append((*args[3:], evaluate_tiles(*args)))
+            calls.append((*args[2:], evaluate_tiles(*args)))
             return calls[-1][-1]
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(locus, "_evaluate_tiles", recording)
-            tiled = extract_surface(sol.F, b.problem.box, resolution,
-                                    sol.gamma_samples)
-        full = extract_surface(sol.F, b.problem.box, resolution)
+            tiled = extract_surface(sol.F_and_Fu_rows, b.problem.box,
+                                    resolution, sol.gamma_samples)
+        full = extract_surface(sol.F_and_Fu_rows, b.problem.box, resolution)
         grids = np.meshgrid(*full.axes, indexing="ij", sparse=True)
-        values, valid = evaluate_grid(sol.F, dict(zip(var_names(sol.n),
-                                                      grids)))
+        ((values, valid),) = evaluate_grid(sol.F, dict(zip(var_names(sol.n),
+                                                           grids)))
         seeds = np.zeros_like(full.crossing)
         seeds[tuple(helpers.seed_cells_by_unique(sol.F_u, full).T)] = True
         excluded = np.zeros_like(full.crossing)
@@ -1268,7 +1293,7 @@ class TestTiledDomain:
         # seed-cut flood, so that flood is the component
         b, _, sol = solutions(name)
         resolution = 1024 if sol.n == 0 else 128
-        surface = extract_surface(sol.F, b.problem.box, resolution,
+        surface = extract_surface(sol.F_and_Fu_rows, b.problem.box, resolution,
                                   sol.gamma_samples)
         sigma = extract_singular_locus(sol, surface)
 
@@ -1283,7 +1308,8 @@ class TestTiledDomain:
     def test_a_sigma_cut_in_the_flood_floods_again(self, solutions):
         b, _, sol = solutions("circular")
         gamma = sol.gamma_samples
-        tiled, full = (extract_surface(sol.F, b.problem.box, 32, samples)
+        tiled, full = (extract_surface(sol.F_and_Fu_rows, b.problem.box, 32,
+                                       samples)
                        for samples in (gamma, None))
         # stub sigma points at the centres of the reached cells of one
         # t-row that holds no initial-set cell cut the flood in two
@@ -1318,7 +1344,7 @@ class TestCellState:
 
     def test_component_and_projection_allocate_no_cell_mask(self, solutions):
         b, _, sol = solutions("circular")
-        surface = extract_surface(sol.F, b.problem.box, 128,
+        surface = extract_surface(sol.F_and_Fu_rows, b.problem.box, 128,
                                   sol.gamma_samples)
         sigma = extract_singular_locus(sol, surface)
         tracemalloc.start()

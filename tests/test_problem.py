@@ -73,6 +73,18 @@ class TestLoad:
         with pytest.raises(ValidationError, match="initial set leaves"):
             load_problem_bundle(write_problem(tmp_path, doc))
 
+    # every sample out of the box, and samples out from s = 1.125 on
+    @pytest.mark.parametrize("h, s_range, u_range, point", [
+        ("x + 10", (-0.1, 0.1), (-3.0, 3.0), [0.0, -0.1, 9.9]),
+        ("x", (-2.0, 2.0), (-3.0, 1.0), [0.0, 1.125, 1.125])])
+    def test_the_first_sample_out_of_the_box_is_named(self, h, s_range,
+                                                      u_range, point):
+        with pytest.raises(ValidationError) as err:
+            make_problem(1, "1", ["u"], "0", h,
+                         Box((0.0, 1.0), ((-2.0, 2.0),), u_range),
+                         s_range=(s_range,))
+        assert str(err.value) == f"initial set leaves the box at {point}"
+
     def test_rho_count_checked(self, tmp_path):
         doc = dict(BURGERS, rho=["u"])
         with pytest.raises(SchemaError, match="rho"):
