@@ -7,12 +7,13 @@ points that bound the component (fold), then the zeros of F on the cut
 edges of component cells in a face of the box (window).
 
 Point queries do not use the grid at all: they continue the root of
-F(t, x, u) = 0 along a path from the initial set to the query point by
-predictor-corrector Newton steps.  The query answers "outside" where
-|F_u| shrinks before the path's end, which is where the implicit function
-theorem stops guaranteeing a single-valued branch.  A turning-point solve
-of F = F_u = 0 (Keller 1977), Illinois regula falsi on the track margin
-or step halving locates that onset; ``_march`` lists how a march ends.
+F(t, x, u) = 0 along the straight path from the initial set to the query
+point by predictor-corrector Newton steps.  The query answers "outside"
+where |F_u| shrinks before the path's end, which is where the implicit
+function theorem stops guaranteeing a single-valued branch.  A
+turning-point solve of F = F_u = 0 (Keller 1977), Illinois regula falsi
+on the track margin or step halving locates that onset; ``_march`` lists
+how a march ends.
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ import numpy as np
 
 from .expr import EvalDomainError, evaluate
 from .integrals import ImplicitSolution, _newton_u
-from .locus import (LevelSurface, SingularLocus, SurfaceComponent,
-                    cell_center, cell_of, flood)
+from .locus import LevelSurface, SingularLocus, SurfaceComponent, cell_of
 from .problem import InitialData, Problem
 
 SOLVE_TOL = 1e-12
@@ -330,16 +330,17 @@ def _corrector(sol: ImplicitSolution, point, u):
 
 
 def contains(problem: Problem, data: InitialData, sol: ImplicitSolution, q,
-             domain: MaximalDomain | None = None,
              base_point: float | None = None) -> Verdict:
     """Classify a base-space query point by continuation from the initial
     set; for inside points the continued u is the value of the maximally
     extended single-valued solution.
 
-    The path starts at the initial-set base point (0, s*) with s* the
-    query's x clamped to the parameter interval, or ``base_point`` clamped
-    to it, which is useful for path-independence checks.  ``base_point``
-    is for n = 1 only: with n = 0 it raises ValueError.
+    The path is one straight ``_march`` from the initial-set base point
+    (0, s*) to the query, with s* the query's x clamped to the parameter
+    interval, or ``base_point`` clamped to it, which is useful for
+    path-independence checks; no grid is used.  ``base_point`` is for
+    n = 1 only: with n = 0 it raises ValueError.  A PathLeftWindowError
+    of the march is raised to the caller.
     """
     n = problem.n
     q = np.array(q, dtype=float, ndmin=1)
@@ -364,15 +365,7 @@ def contains(problem: Problem, data: InitialData, sol: ImplicitSolution, q,
         s = min(max(s, lo), hi)
         start, u0 = [0.0, s], evaluate(data.h, {"x1": s})
 
-    try:
-        return _march(sol, [start, q], u0)
-    except PathLeftWindowError:
-        if domain is None:
-            raise
-        waypoints = _staircase(domain, start, q)
-        if waypoints is None:
-            raise
-        return _march(sol, waypoints, u0)
+    return _march(sol, [start, q], u0)
 
 
 def _march(sol, waypoints, u0) -> Verdict:
@@ -717,17 +710,3 @@ def _turning_point(sol, at, dp, s_lo, s_hi, u, fu_sign, tol):
         return s, checked[1]
     return None
 
-
-def _staircase(domain: MaximalDomain, start, goal):
-    """Cell-center waypoints through the mask from start to goal (BFS)."""
-    dst = cell_of(domain.axes, goal)
-    parent = flood(domain.mask, [cell_of(domain.axes, start)], parents=True)
-    if dst not in parent:
-        return None
-    path = [np.asarray(goal, dtype=float)]
-    cell = dst
-    while cell is not None:
-        path.append(cell_center(domain.axes, cell))
-        cell = parent[cell]
-    path.append(np.asarray(start, dtype=float))
-    return list(reversed(path))

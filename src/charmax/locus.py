@@ -33,9 +33,9 @@ indices like the singular cells.  The cells the seed-cut flood reached
 are the component unless a cell of a polished sigma point is among
 them; only then is a copy of the states flooded again.  The flood
 expands a level of many cells in one numpy step and a level of a few
-cells cell by cell, each reading one state per neighbour.  The grid
-helpers here (cell lookup, cell centres, index lists, flood fill) serve
-the base-space mask as well.
+cells cell by cell, each reading one state per neighbour.  The flood
+serves the surface grid only: the base-space mask is a projection of
+the component, and point queries use no grid.
 """
 
 from __future__ import annotations
@@ -55,9 +55,8 @@ NEWTON_MAXIT = 50
 DEGENERATE_RATIO = 1e-6
 MIN_RESOLUTION = 16
 # flood expands a level of at least this many cells by one numpy step.  The
-# cell-by-cell loop and the sorting step of a mask flood cost the same at
-# about 18 cells a level in 3-D and 22 in 2-D, the queue-order step of a
-# parents flood at about 35; on the bundled problems' floods every value
+# cell-by-cell loop and the numpy step cost the same at about 18 cells a
+# level in 3-D and 22 in 2-D; on the bundled problems' floods every value
 # from 8 to 48 takes the same time
 _LEVEL_CROSSOVER = 32
 # cells per tile axis, by grid dimension, of the tiles extract_surface
@@ -272,7 +271,7 @@ def extract_surface(F_and_Fu_rows, box: Box, resolution: int,
 
 
 # ---------------------------------------------------------------------------
-# Grid cells, shared with the base-space mask
+# Grid cells
 
 def cell_indices(mask: np.ndarray) -> np.ndarray:
     """``np.argwhere(mask)`` by one flat scan: the (k, ndim) indices of the
@@ -315,41 +314,32 @@ def cell_center(axes, cell) -> np.ndarray:
                      for ax, i in zip(axes, np.moveaxis(cell, -1, 0))], axis=-1)
 
 
-def flood(mask, seeds, parents: bool = False, reveal=None):
-    """Cells of ``mask`` facet-connected to the seed cells that lie in it.
+def flood(codes, seeds, reveal=None):
+    """Cells of state code OPEN facet-connected to the seed cells among them.
 
-    ``mask`` is a bool mask or the cells' uint8 codes NONE to OPEN, OPEN in
-    the mask.  Breadth-first from the seeds in the order given, a cell's
-    neighbours taken axis by axis, lower side first.  Returns the reached
-    cells of a bool mask as a mask; of codes or with ``reveal``, the states
-    (a view of the flood's own bytes) and the REACHED cells' sorted flat
-    indices; with ``parents``, a dict in breadth-first order mapping each
-    reached cell to the cell it was first reached from (None for seeds).
+    ``codes`` are the cells' uint8 codes NONE to OPEN, or with ``reveal``
+    only the grid's shape.  Breadth-first from the seeds; returns the
+    states (a view of the flood's own bytes), REACHED on the reached
+    cells, and the REACHED cells' sorted flat indices.
 
     The search keeps one state byte per cell (HIDDEN to REACHED) of the
     grid padded by a rim of one cell: the rim is NONE, so that flat-index
     neighbours never wrap around an axis, and the interior is filled from
-    ``mask``.  It runs one level (one distance from the seeds) at a time.
+    ``codes``.  It runs one level (one distance from the seeds) at a time.
     A level of at least _LEVEL_CROSSOVER cells is expanded by one numpy
-    step over the neighbours of all its cells, of which the OPEN cells
-    join the next level; smaller levels run a cell-by-cell loop, where a
-    numpy step costs more than it saves.  Only a flood with ``parents``
-    keeps the order of a one-cell-at-a-time queue, taking the neighbours
-    in (cell, neighbour) order and keeping each cell's first occurrence;
-    any other sorts the level and drops its repeats.  A cell is queued
-    while its earliest-queued neighbour is expanded, so its parent is the
-    neighbour that comes first in breadth-first order.
+    step over the neighbours of all its cells, of which the OPEN cells,
+    sorted and each once, join the next level; smaller levels run a
+    cell-by-cell loop, where a numpy step costs more than it saves.
 
-    With ``reveal``, ``mask`` is only the grid's shape: the interior stays
-    HIDDEN, and the search holds each HIDDEN cell it reaches.  When no
-    other cell is left, it calls ``reveal`` with the (m, ndim) held cells,
-    which returns (first cell, block) pairs, uint8 blocks of codes NONE to
-    SEED that cover every held cell.  A block is merged by its maximum with
-    the states, keeping the REACHED cells it overlaps, and the search
-    resumes from the held cells that turned OPEN, one level for all.
+    With ``reveal``, the interior stays HIDDEN, and the search holds each
+    HIDDEN cell it reaches.  When no other cell is left, it calls
+    ``reveal`` with the (m, ndim) held cells, which returns (first cell,
+    block) pairs, uint8 blocks of codes NONE to SEED that cover every held
+    cell.  A block is merged by its maximum with the states, keeping the
+    REACHED cells it overlaps, and the search resumes from the held cells
+    that turned OPEN, one level for all.
     """
-    shape = tuple(mask) if reveal is not None else np.shape(mask)
-    known = reveal is None and np.asarray(mask).dtype == bool
+    shape = tuple(codes) if reveal is not None else codes.shape
     padded = tuple(k + 2 for k in shape)
     state = bytearray(math.prod(padded))
     view = np.frombuffer(state, dtype=np.uint8)
@@ -359,7 +349,7 @@ def flood(mask, seeds, parents: bool = False, reveal=None):
         grid[at + (0,)] = grid[at + (-1,)] = NONE
     interior = tuple(slice(1, -1) for _ in padded)
     if reveal is None:
-        grid[interior] = np.where(mask, OPEN, NONE) if known else mask
+        grid[interior] = codes
     # one byte per cell, so the byte strides are the flat-index strides
     offsets = [d for stride in grid.strides for d in (-stride, stride)]
     steps = np.array(offsets)
@@ -393,14 +383,10 @@ def flood(mask, seeds, parents: bool = False, reveal=None):
             if reveal is not None:
                 enter |= code == HIDDEN
             level = near[enter]
-            if parents:     # each cell's first occurrence, in queue order
-                level = level[np.sort(np.unique(level,
-                                                return_index=True)[1])]
-            else:           # each cell once, in flat-index order
-                level.sort()
-                once = np.ones(len(level), dtype=bool)
-                np.not_equal(level[1:], level[:-1], out=once[1:])
-                level = level[once]
+            level.sort()
+            once = np.ones(len(level), dtype=bool)
+            np.not_equal(level[1:], level[:-1], out=once[1:])
+            level = level[once]
             if reveal is not None:
                 hold = view[level] == HIDDEN
                 view[level[hold]] = HELD
@@ -422,21 +408,8 @@ def flood(mask, seeds, parents: bool = False, reveal=None):
                         state[j] = HELD
                         held.append(j)
         levels.append(level)
-    # the levels in breadth-first order (an empty list reads as float64)
+    # the reached cells (an empty list reads as float64)
     order = np.concatenate(levels, dtype=np.intp, casting="unsafe")
-    if parents:
-        # each cell's place in breadth-first order; unreached cells last
-        pos = np.full(len(state), len(order))
-        pos[order] = np.arange(len(order))
-        n_seeds = len(levels[0])          # the seeds have no parent
-        up = pos[order[n_seeds:, None] + steps].min(axis=1)
-        cells = np.array(np.unravel_index(order, padded)).T - 1
-        cells = [tuple(c) for c in cells.tolist()]
-        parent = dict.fromkeys(cells[:n_seeds])
-        parent.update(zip(cells[n_seeds:], [cells[k] for k in up.tolist()]))
-        return parent
-    if known:
-        return grid[interior] == REACHED
     order.sort()
     flat, scale = 0, 1      # less the rim, axis by axis from the last
     for size in reversed(padded):

@@ -250,6 +250,10 @@ def load_problem_bundle(path) -> ProblemBundle:
 
 
 def _validate_problem(p: Problem, d: InitialData):
+    for lo, hi in d.s_range:
+        if lo > hi:
+            raise ValidationError(f"s_range [{lo}, {hi}] is reversed; "
+                                  "lo <= hi required")
     axes = [np.linspace(lo, hi, ALPHA_LATTICE_POINTS) for lo, hi in p.box.ranges]
     grids = np.meshgrid(*axes, indexing="ij", sparse=True)
     ((vals, ok),) = evaluate_grid(p.alpha, dict(zip(var_names(p.n), grids)))

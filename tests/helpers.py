@@ -624,13 +624,27 @@ def singular_locus_by_scalar_rows(sol, surface):
     return extract_singular_locus(scalar_rows, surface)
 
 
-def flood_by_queue(mask, seeds, parents=False):
-    """Reference for locus.flood: one FIFO queue, one cell at a time.  Of
-    uint8 state codes, the OPEN cells are the mask, and it returns the
-    states with the reached cells REACHED and their sorted flat indices."""
-    mask = np.asarray(mask)
-    codes = mask.dtype == np.uint8
-    padded = np.pad(mask == locus.OPEN if codes else mask.astype(bool), 1)
+def mask_codes(mask):
+    """flood's state codes of a bool mask: OPEN where True, NONE where
+    False."""
+    return np.where(mask, locus.OPEN, locus.NONE).astype(np.uint8)
+
+
+def flood_bool(mask, seeds):
+    """The cells of a bool ``mask`` that flood reaches from the seeds, by
+    the flood of its codes, as a bool mask."""
+    return flood(mask_codes(mask), seeds)[0] == locus.REACHED
+
+
+def flood_by_queue(codes, seeds, parents=False):
+    """Reference for locus.flood: one FIFO queue, one cell at a time, a
+    cell's neighbours taken axis by axis, lower side first.  Of uint8
+    state codes, the OPEN cells are the mask, and it returns the states
+    with the reached cells REACHED and their sorted flat indices; with
+    ``parents``, a dict in queue order mapping each reached cell to the
+    cell it was first reached from (None for seeds)."""
+    codes = np.asarray(codes)
+    padded = np.pad(codes == locus.OPEN, 1)
     inside = padded.tobytes()
     offsets = [d for stride in padded.strides for d in (-stride, stride)]
     reached = bytearray(len(inside))
@@ -657,13 +671,11 @@ def flood_by_queue(mask, seeds, parents=False):
         cells = [tuple(c) for c in cells.tolist()]
         return {c: cells[k] if k >= 0 else None
                 for c, k in zip(cells, came_from)}
-    interior = tuple(slice(1, -1) for _ in mask.shape)
+    interior = tuple(slice(1, -1) for _ in codes.shape)
     reached = np.frombuffer(reached, dtype=bool).reshape(padded.shape)
     reached = reached[interior].copy()
-    if codes:
-        return (np.where(reached, locus.REACHED, mask).astype(np.uint8),
-                np.flatnonzero(reached))
-    return reached
+    return (np.where(reached, locus.REACHED, codes).astype(np.uint8),
+            np.flatnonzero(reached))
 
 
 # ---------------------------------------------------------------------------
@@ -1114,7 +1126,7 @@ def ref_newton_u(F, F_and_Fu, point: list, u: float, tol: float,
     return u, fu, abs(r) <= tol
 
 
-def ref_contains(problem, data, sol, q, domain=None,
+def ref_contains(problem, data, sol, q,
                  base_point: float | None = None) -> Verdict:
     n = problem.n
     q = np.atleast_1d(np.asarray(q, dtype=float))
@@ -1135,15 +1147,7 @@ def ref_contains(problem, data, sol, q, domain=None,
                 hi)
         start, u0 = (0.0, s), evaluate(data.h, {"x1": s})
 
-    try:
-        return ref_march(sol, [start, q], u0)
-    except PathLeftWindowError:
-        if domain is None:
-            raise
-        waypoints = ref_staircase(domain, start, q)
-        if waypoints is None:
-            raise
-        return ref_march(sol, waypoints, u0)
+    return ref_march(sol, [start, q], u0)
 
 
 def ref_march(sol, waypoints, u0) -> Verdict:
@@ -1387,8 +1391,12 @@ def ref_turning_point(sol, at, dp, s_lo, s_hi, u, fu_sign, tol):
 
 
 def ref_staircase(domain, start, goal):
+    """Cell-centre waypoints through the mask from start to goal, along
+    the queue's breadth-first path of ``flood_by_queue``; None where the
+    mask does not join them."""
     dst = cell_of(domain.axes, goal)
-    parent = flood(domain.mask, [cell_of(domain.axes, start)], parents=True)
+    parent = flood_by_queue(mask_codes(domain.mask),
+                            [cell_of(domain.axes, start)], parents=True)
     if dst not in parent:
         return None
     path = [np.asarray(goal, dtype=float)]
@@ -1539,8 +1547,7 @@ def hand_component(mask, sigma_cells=None, gamma_cells=None):
     to the first component cell."""
     mask = np.asarray(mask, dtype=bool)
     axes = tuple(np.arange(k + 1, dtype=float) for k in mask.shape)
-    state = np.where(mask, locus.OPEN, locus.NONE).astype(np.uint8)
-    surface = LevelSurface(None, mask.shape[0], axes, None, state,
+    surface = LevelSurface(None, mask.shape[0], axes, None, mask_codes(mask),
                            np.zeros((0, mask.ndim), int))
     if sigma_cells is None:
         sigma_cells = np.zeros_like(mask)

@@ -253,13 +253,15 @@ class TestErrorPaths:
          "alpha fails to evaluate at lattice point"),
         ("verify", dict(CONSTANT_DATA, h="log(x)"), 2,
          "h fails to evaluate on s_range"),
+        ("domain", dict(CONSTANT_DATA, s_range=[0.5, -0.5]), 2,
+         "s_range [0.5, -0.5] is reversed"),
         ("query", CONSTANT_DATA, 1, "query needs --t"),
     ], ids=["not_an_object", "negative_n", "bool_n", "a_count",
             "box_x_count", "s_range_count", "s_range_not_intervals",
             "alpha_not_a_string", "f_not_a_string", "box_t_malformed",
             "parse_dollar", "parse_missing_paren", "parse_trailing_input",
             "parse_lone_dot", "empty_box_range", "alpha_fails_on_lattice",
-            "h_fails_on_s_range", "query_without_t"])
+            "h_fails_on_s_range", "reversed_s_range", "query_without_t"])
     def test_exit_code_and_message(self, command, doc, code, fragment,
                                    tmp_path, capsys):
         argv = [command, "--problem", write(tmp_path, doc)]

@@ -14,13 +14,13 @@ from charmax import domain, integrals, problem_path
 from charmax.cli import main
 from charmax.domain import (CORRECTOR_MAXIT, MAX_MARCH_STEPS, SOLVE_TOL,
                             BoundaryPolyline, MaximalDomain,
-                            PathLeftWindowError, ProjectionError,
-                            _staircase, contains, maximal_domain)
+                            PathLeftWindowError, ProjectionError, contains,
+                            maximal_domain)
 from charmax.expr import diff, evaluate, parse, var_names
 from charmax.expr import compile as compile_exprs
 from charmax.integrals import _newton_u, implicit_solution_for_problem
 from charmax.locus import (SurfaceComponent, cell_center, cell_indices,
-                           extract_singular_locus, extract_surface, flood,
+                           extract_singular_locus, extract_surface,
                            split_component)
 from charmax.problem import Box, load_problem_bundle, make_problem
 
@@ -98,7 +98,8 @@ class TestMaximalDomain:
         every masked base cell is reached from the initial-set base cells."""
         comp, dom = pipelines(name, resolution)[-2:]
         base_cells = list(dict.fromkeys(c[:-1] for c in comp.gamma_cells))
-        assert np.array_equal(flood(dom.mask, base_cells), dom.mask)
+        assert np.array_equal(helpers.flood_bool(dom.mask, base_cells),
+                              dom.mask)
 
     def test_two_branch_projection_rejected(self, pipelines):
         _, _, surf, _, comp, _ = pipelines("circular", 48)
@@ -216,6 +217,16 @@ class TestProjectionOfHandMadeMasks:
         dom = helpers.hand_domain(helpers.hand_component(
             mask, gamma_cells=[(1, 1, 0)]))
         assert np.argwhere(dom.mask).tolist() == [[1, 1], [1, 2]]
+
+    def test_unmasked_initial_set_cell_is_named(self):
+        # one run over base cell (1, 1); the initial-set cell lies over
+        # (2, 3), which no component cell covers
+        mask = np.zeros((4, 5, 6), dtype=bool)
+        mask[1, 1, 0:3] = True
+        comp = helpers.hand_component(mask, gamma_cells=[(2, 3, 0)])
+        with pytest.raises(ProjectionError) as err:
+            helpers.hand_domain(comp)
+        assert str(err.value) == "initial-set base cell (2, 3) is not masked"
 
     @given(dim=st.integers(2, 3), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -750,7 +761,7 @@ class TestMarch:
         paths = []
         for cell in rng.permutation(cell_indices(dom.mask))[:40]:
             goal = cell_center(dom.axes, tuple(cell))
-            waypoints = _staircase(dom, start, goal)
+            waypoints = helpers.ref_staircase(dom, start, goal)
             beyond = goal + np.array([1.0, 0.0])
             paths += [waypoints + [beyond], waypoints + [beyond, goal]]
         u0 = evaluate(b.data.h, {"x1": start[1]})
@@ -1090,35 +1101,6 @@ class TestMarch:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and re.match(f"^error: {message}", err[0])
 
-    def test_staircase_retry_after_a_straight_path_fails(self, pipelines,
-                                                         monkeypatch):
-        b, sol, _, _, _, dom = pipelines("circular", 48)
-        q = [0.5, 0.5]
-        straight = contains(b.problem, b.data, sol, q)
-        march = domain._march
-        legs = []
-
-        def fail_straight(sol, waypoints, u0):
-            legs.append(len(waypoints) - 1)
-            if len(legs) == 1:
-                raise PathLeftWindowError("straight path cut")
-            return march(sol, waypoints, u0)
-
-        monkeypatch.setattr(domain, "_march", fail_straight)
-        with pytest.raises(PathLeftWindowError, match="straight path cut"):
-            contains(b.problem, b.data, sol, q)
-        legs.clear()
-        v = contains(b.problem, b.data, sol, q, domain=dom)
-        assert legs[0] == 1 and legs[1] > 1
-        assert v.kind == "inside"
-        assert abs(v.u - straight.u) <= 1e-8
-        assert v.at == tuple(q)
-        # no staircase reaches the masked-off corner: the error stands
-        legs.clear()
-        with pytest.raises(PathLeftWindowError, match="straight path cut"):
-            contains(b.problem, b.data, sol, [1.39, 1.39], domain=dom)
-        assert legs == [1]
-
     def test_path_points_are_floats(self, solutions):
         b, _, sol = solutions("burgers_reciprocal")
         for q in ([0.5, 1.0], [2.0, 1.0]):
@@ -1203,42 +1185,6 @@ class TestQueryReference:
         kinds = same_as_the_reference(monkeypatch, problem, data, sol,
                                       points)
         assert {"inside", kind} <= set(kinds)
-
-    def test_a_staircase_retry(self, pipelines, monkeypatch):
-        # both queries lose their straight path, so every verdict comes
-        # from a march along the mask's staircase, or none reaches q
-        b, sol, _, _, _, dom = pipelines("circular", 48)
-        for module, name in ((domain, "_march"), (helpers, "ref_march")):
-            def cut(sol, waypoints, u0, march=getattr(module, name)):
-                if len(waypoints) == 2:
-                    raise PathLeftWindowError("straight path cut")
-                return march(sol, waypoints, u0)
-
-            monkeypatch.setattr(module, name, cut)
-        points = [[0.5, 0.5], *face_points(b.problem,
-                                           np.random.default_rng(31), 30)]
-        kinds = same_as_the_reference(monkeypatch, b.problem, b.data, sol,
-                                      points, domain=dom)
-        assert kinds[0] == "inside"
-        assert {"outside", "PathLeftWindowError"} <= set(kinds)
-
-
-class TestStaircase:
-    def test_path_through_mask(self, pipelines):
-        _, _, _, _, _, dom = pipelines("circular", 48)
-        start = np.array([0.0, 0.0])
-        goal = np.array([1.2, -1.2])
-        waypoints = _staircase(dom, start, goal)
-        assert waypoints is not None
-        assert np.allclose(waypoints[0], start)
-        assert np.allclose(waypoints[-1], goal)
-        for w in waypoints[1:-1]:
-            assert helpers.contains_cell(dom, w)
-
-    def test_unreachable_returns_none(self, pipelines):
-        _, _, _, _, _, dom = pipelines("circular", 48)
-        assert _staircase(dom, np.array([0.0, 0.0]),
-                          np.array([1.39, 1.39])) is None
 
 
 class TestDump:

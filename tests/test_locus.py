@@ -31,7 +31,8 @@ def adjacency_components(surface):
     count = 0
     while remaining.any():
         count += 1
-        remaining &= ~flood(remaining, [np.argwhere(remaining)[0]])
+        remaining &= ~helpers.flood_bool(remaining,
+                                         [np.argwhere(remaining)[0]])
     return count
 
 
@@ -421,39 +422,6 @@ class TestRefinement:
         assert missing == 0
 
 
-def queue_bfs_path(mask, src, dst):
-    """Reference: FIFO breadth-first search with per-cell neighbour order
-    axis by axis, lower side first; the cells from dst back to src."""
-    prev = {src: None}
-    queue = [src]
-    head = 0
-    while head < len(queue):
-        cell = queue[head]
-        head += 1
-        if cell == dst:
-            break
-        for nb in facet_neighbors(cell, mask.shape):
-            if nb not in prev and mask[nb]:
-                prev[nb] = cell
-                queue.append(nb)
-    if dst not in prev:
-        return None
-    path = [dst]
-    while prev[path[-1]] is not None:
-        path.append(prev[path[-1]])
-    return path
-
-
-def flood_path(mask, src, dst):
-    parent = flood(mask, [src], parents=True)
-    if dst not in parent:
-        return None
-    path = [dst]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])
-    return path
-
-
 def flood_mask(kind, shape, seed):
     """A mask for the flood tests: random, one cell, all True, all False,
     a one-cell-wide serpentine in the first two axes, or a ball."""
@@ -496,12 +464,6 @@ def flood_seeds(mask, count, seed):
     return [tuple(int(i) for i in c) for c in seeds]
 
 
-def block_codes(mask):
-    """flood's state codes of a known mask: OPEN where True, NONE where
-    False."""
-    return np.where(mask, locus.OPEN, locus.NONE).astype(np.uint8)
-
-
 def block_reveal(mask, size, revealed):
     """A ``reveal`` for flood that makes ``mask`` known in blocks of
     ``size`` cells per axis (fewer on a shorter axis, the last block of an
@@ -518,7 +480,8 @@ def block_reveal(mask, size, revealed):
         blocks = []
         for first in dict.fromkeys(map(tuple, firsts.tolist())):
             revealed.append(first)
-            blocks.append((first, block_codes(mask[block_at(first, size)])))
+            blocks.append((first,
+                           helpers.mask_codes(mask[block_at(first, size)])))
         return blocks
 
     return reveal
@@ -541,8 +504,8 @@ def check_reveal(mask, seeds, size):
     size = np.minimum(size, mask.shape)
     for first in revealed:
         at = block_at(first, size)
-        want[at] = block_codes(mask[at])
-    want[flood(mask, seeds)] = locus.REACHED
+        want[at] = helpers.mask_codes(mask[at])
+    want[helpers.flood_bool(mask, seeds)] = locus.REACHED
     assert got.dtype == np.uint8 and np.array_equal(got, want)
     assert _same_bytes(reached, np.flatnonzero(want == locus.REACHED))
     assert len(revealed) == len(set(revealed))
@@ -550,20 +513,19 @@ def check_reveal(mask, seeds, size):
 
 
 def check_flood(mask, seeds):
-    """flood against the one-queue reference helpers.flood_by_queue: the
-    same mask, and the same parents dict in the same order.  Returns the
-    parents."""
-    got = flood(mask, seeds)
-    want = helpers.flood_by_queue(mask, seeds)
+    """flood of a mask's codes against the one-queue reference
+    helpers.flood_by_queue: the same states and the same flat indices.
+    Returns the reference's parents dict."""
+    codes = helpers.mask_codes(mask)
+    got, flat = flood(codes, seeds)
+    want, want_flat = helpers.flood_by_queue(codes, seeds)
     assert got.dtype == want.dtype and np.array_equal(got, want)
-    got = flood(mask, seeds, parents=True)
-    want = helpers.flood_by_queue(mask, seeds, parents=True)
-    assert list(got.items()) == list(want.items())
-    return got
+    assert _same_bytes(flat, want_flat)
+    return helpers.flood_by_queue(codes, seeds, parents=True)
 
 
 def level_sizes(parent) -> list:
-    """Cells per distance from the seeds, from flood's parents dict."""
+    """Cells per distance from the seeds, from a parents dict."""
     depth = {}
     for cell, up in parent.items():
         depth[cell] = 0 if up is None else depth[up] + 1
@@ -572,39 +534,28 @@ def level_sizes(parent) -> list:
 
 class TestFlood:
     def test_far_end_not_reached_from_index_zero(self):
+        reach = helpers.flood_bool
         line = np.array([True, False, False, True])
-        assert flood(line, [(0,)]).tolist() == [True, False, False, False]
+        assert reach(line, [(0,)]).tolist() == [True, False, False, False]
         plane = np.zeros((4, 5), dtype=bool)
         plane[0, 0] = plane[3, 0] = True   # ends of axis 0
         plane[1, 4] = plane[2, 0] = True   # adjacent in flat (row-major) order
-        assert np.argwhere(flood(plane, [(0, 0)])).tolist() == [[0, 0]]
-        assert np.argwhere(flood(plane, [(1, 4)])).tolist() == [[1, 4]]
+        assert np.argwhere(reach(plane, [(0, 0)])).tolist() == [[0, 0]]
+        assert np.argwhere(reach(plane, [(1, 4)])).tolist() == [[1, 4]]
         cube = np.zeros((3, 3, 3), dtype=bool)
         cube[0, 1, 1] = cube[2, 1, 1] = True
         cube[1, 1, 2] = cube[1, 2, 0] = True
-        assert np.argwhere(flood(cube, [(0, 1, 1)])).tolist() == [[0, 1, 1]]
-        assert np.argwhere(flood(cube, [(1, 1, 2)])).tolist() == [[1, 1, 2]]
+        assert np.argwhere(reach(cube, [(0, 1, 1)])).tolist() == [[0, 1, 1]]
+        assert np.argwhere(reach(cube, [(1, 1, 2)])).tolist() == [[1, 1, 2]]
 
     def test_disconnected_seeds(self):
         mask = np.zeros((5, 5), dtype=bool)
         mask[0, :2] = mask[4, 3:] = mask[2, 2] = True
         expected = mask.copy()
         expected[2, 2] = False
-        assert np.array_equal(flood(mask, [(0, 1), (4, 4)]), expected)
-        assert not flood(mask, [(1, 1)]).any()  # seed outside the mask
-
-    @pytest.mark.parametrize("shape", [(12, 15), (6, 7, 5)])
-    def test_parents_give_the_queue_bfs_path(self, shape):
-        rng = np.random.default_rng(3)
-        compared = 0
-        for _ in range(20):
-            mask = rng.random(shape) < 0.65
-            cells = [tuple(int(i) for i in c) for c in np.argwhere(mask)]
-            src, dst = (cells[i] for i in rng.choice(len(cells), 2))
-            want = queue_bfs_path(mask, src, dst)
-            assert flood_path(mask, src, dst) == want
-            compared += want is not None
-        assert compared >= 10
+        assert np.array_equal(helpers.flood_bool(mask, [(0, 1), (4, 4)]),
+                              expected)
+        assert not helpers.flood_bool(mask, [(1, 1)]).any()  # off the mask
 
     @given(dim=st.integers(1, 3),
            kind=st.sampled_from(["random", "one", "full", "empty",
@@ -637,8 +588,10 @@ class TestFlood:
 
     def test_no_cell_reached(self):
         mask = np.zeros((3, 4), dtype=bool)
-        assert not flood(mask, [(1, 1), (-1, 4)]).any()
-        assert flood(mask, [], parents=True) == {}
+        assert not helpers.flood_bool(mask, [(1, 1), (-1, 4)]).any()
+        state, flat = flood(helpers.mask_codes(mask), [])
+        assert flat.dtype == np.intp and not len(flat)
+        assert (state == locus.NONE).all()
 
     @given(dim=st.integers(1, 3),
            kind=st.sampled_from(["random", "one", "full", "empty",
@@ -666,7 +619,7 @@ class TestFlood:
         sizes = level_sizes(check_flood(mask, seed))
         assert max(sizes) >= 4 * locus._LEVEL_CROSSOVER
         assert len(check_reveal(mask, seed, size)) > 8
-        assert (flood(mask, seed) == mask).all()
+        assert (helpers.flood_bool(mask, seed) == mask).all()
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_block_over_reached_cells_keeps_them(self, dim):
@@ -680,7 +633,7 @@ class TestFlood:
         mask[0] = mask[:, 0] = mask[:11, 2] = True
         got = check_reveal(mask, [(0,) * dim], 16)
         assert got == [(0,) * dim, (1,) + (0,) * (dim - 1)]
-        assert flood(mask, [(0,) * dim]).sum() == 17 + 2 + 10
+        assert helpers.flood_bool(mask, [(0,) * dim]).sum() == 17 + 2 + 10
 
 
 class TestCellOf:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from itertools import product
 
 import numpy as np
@@ -84,6 +85,23 @@ class TestLoad:
                          Box((0.0, 1.0), ((-2.0, 2.0),), u_range),
                          s_range=(s_range,))
         assert str(err.value) == f"initial set leaves the box at {point}"
+
+    # a reversed interval would clamp every query's start to one end
+    @pytest.mark.parametrize("s_range, message", [
+        (((0.5, -0.5),), "s_range [0.5, -0.5] is reversed"),
+        (((-0.1, 0.1), (0.2, 0.1)), "s_range [0.2, 0.1] is reversed")])
+    def test_reversed_s_range_is_rejected(self, s_range, message):
+        n = len(s_range)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            make_problem(n, "1", ["u"] * n, "0", "2",
+                         Box((-1.0, 1.0), ((-1.0, 1.0),) * n, (-3.0, 3.0)),
+                         s_range=s_range)
+
+    def test_zero_width_s_range_is_one_initial_point(self):
+        _, data = make_problem(1, "1", ["u"], "0", "2",
+                               Box((-1.0, 1.0), ((-1.0, 1.0),), (-3.0, 3.0)),
+                               s_range=((0.25, 0.25),))
+        assert data.s_range == ((0.25, 0.25),)
 
     def test_rho_count_checked(self, tmp_path):
         doc = dict(BURGERS, rho=["u"])
