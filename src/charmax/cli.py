@@ -161,8 +161,7 @@ def cmd_characteristics(args) -> int:
     bundle = load_problem_bundle(args.problem)
     problem, data = bundle.problem, bundle.data
     fld = characteristic_field(problem)
-    count = 1 if problem.n == 0 else args.samples
-    seeds = initial_set_samples(data, count)
+    seeds = initial_set_samples(data, args.samples)
     span = (0.0, args.span)
     strip = characteristic_strip(fld, seeds, span, tol=args.tol,
                                  box=problem.box)
@@ -202,7 +201,7 @@ def cmd_envelope(args) -> int:
               "(alpha = 1, b = 0, a = a(u))", file=sys.stderr)
         return EXIT_VALIDATION
     law = conslaw.ConservationLaw.from_parts(problem.a[0], data.h)
-    curve = conslaw.envelope(law, data.interval, args.samples)
+    curve = conslaw.envelope(law, data.s_range[0], args.samples)
     _dump(Path(args.out), "envelope", curve.to_csv(law), args.format)
     print(f"wrote {len(curve)} envelope samples")
     return EXIT_OK

@@ -329,18 +329,16 @@ def _corrector(sol: ImplicitSolution, point, u):
     return _newton_u(sol.F, sol.F_and_Fu, point, u, SOLVE_TOL, CORRECTOR_MAXIT)
 
 
-def contains(problem: Problem, data: InitialData, sol: ImplicitSolution, q,
-             base_point: float | None = None) -> Verdict:
+def contains(problem: Problem, data: InitialData, sol: ImplicitSolution,
+             q) -> Verdict:
     """Classify a base-space query point by continuation from the initial
     set; for inside points the continued u is the value of the maximally
     extended single-valued solution.
 
     The path is one straight ``_march`` from the initial-set base point
-    (0, s*) to the query, with s* the query's x clamped to the parameter
-    interval, or ``base_point`` clamped to it, which is useful for
-    path-independence checks; no grid is used.  ``base_point`` is for
-    n = 1 only: with n = 0 it raises ValueError.  A PathLeftWindowError
-    of the march is raised to the caller.
+    (0, s*) to the query, with s* the query's x clamped into ``s_range``
+    axis by axis (for n = 0 the start is t = 0); no grid is used.  A
+    PathLeftWindowError of the march is raised to the caller.
     """
     n = problem.n
     q = np.array(q, dtype=float, ndmin=1)
@@ -352,20 +350,9 @@ def contains(problem: Problem, data: InitialData, sol: ImplicitSolution, q,
             raise ValueError(
                 f"query point {q} is outside the (t, x) face of the box")
 
-    if n == 0:
-        if base_point is not None:
-            raise ValueError("base_point is for n = 1 only; an n = 0 "
-                             "path starts at t = 0")
-        start, u0 = [0.0], evaluate(data.h, {})
-    else:
-        lo, hi = data.interval
-        s = q[1] if base_point is None else float(base_point)
-        if not math.isfinite(s):
-            raise ValueError(f"base point {base_point!r} is not finite")
-        s = min(max(s, lo), hi)
-        start, u0 = [0.0, s], evaluate(data.h, {"x1": s})
-
-    return _march(sol, [start, q], u0)
+    s = [min(max(v, lo), hi) for v, (lo, hi) in zip(q[1:], data.s_range)]
+    u0 = evaluate(data.h, {f"x{k}": v for k, v in enumerate(s, 1)})
+    return _march(sol, [[0.0, *s], q], u0)
 
 
 def _march(sol, waypoints, u0) -> Verdict:

@@ -257,13 +257,12 @@ def _nondegeneracy_report(m: int, screened) -> NondegeneracyReport:
 
 
 def defining_function_from_initial(d: InitialData) -> Expr:
-    """f(y1, y2) = y1 - h(y2): the graph form of the image of the initial
-    set under conservation-law integrals (n = 1 only)."""
-    if d.n != 1:
-        raise FirstIntegralError(
-            "automatic defining function needs n = 1; supply f explicitly")
-    h_in_y2 = substitute(d.h, {"x1": Var("y2")})
-    return sub(Var("y1"), h_in_y2)
+    """f(y1, ..., y_{n+1}) = y1 - h(y2, ..., y_{n+1}): the graph form of
+    the image of the initial set under conservation-law integrals, with
+    each x_k of h renamed y_{k+1}."""
+    h_in_y = substitute(d.h, {f"x{k}": Var(f"y{k + 1}")
+                              for k in range(1, d.n + 1)})
+    return sub(Var("y1"), h_in_y)
 
 
 def _newton_u(F: Expr, F_and_Fu: Callable, point: list, u: float,
@@ -508,7 +507,7 @@ def implicit_solution_for_problem(problem: Problem, data: InitialData,
     construction is used when the problem has that form.
     """
     fld = characteristic_field(problem)
-    gamma = initial_set_samples(data, 1 if problem.n == 0 else GAMMA_SAMPLES)
+    gamma = initial_set_samples(data, GAMMA_SAMPLES)
 
     if rho is not None:
         rho_set = FirstIntegralSet(tuple(rho), "user-supplied")

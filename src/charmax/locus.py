@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -459,21 +459,25 @@ def _solve_rows(J: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _free_pairs(sol: ImplicitSolution, centers: np.ndarray) -> np.ndarray:
     """Per seed, the two coordinates the polish moves: all of them in the
-    plane case; in the space case all but the largest component of the
-    curve tangent at the cell centre, or (t, x) when that tangent is zero,
-    non-finite or fails to evaluate (the rank check flags degeneracy
-    later)."""
+    plane case; otherwise those of the largest 2 x 2 minor of the 2 x dim
+    Jacobian of (F, F_u) at the cell centre, over the minors' norm, the
+    first on ties in reverse lexicographic order (in 3-D the order of the
+    cross product's components, the pair across the curve), or (t, x)
+    where that norm is zero or not finite or the Jacobian fails (the rank
+    check flags degeneracy later)."""
     k, dim = centers.shape
     free = np.tile([0, 1], (k, 1))
     if dim == 2:
         return free
+    pairs = np.array(list(combinations(range(dim), 2))[::-1])
     J, ok = _rows(sol.jacobian_rows, centers)
     J = J.reshape(k, 2, dim)
-    T = np.cross(J[:, 0], J[:, 1])
-    norm = np.sqrt(_squared_norms(T))
+    i, j = pairs.T
+    with np.errstate(all="ignore"):     # an overflow fails the norm test
+        minors = J[:, 0, i] * J[:, 1, j] - J[:, 0, j] * J[:, 1, i]
+        norm = np.sqrt(_squared_norms(minors))
     ok &= (norm != 0.0) & np.isfinite(norm)
-    frozen = np.argmax(np.abs(T[ok] / norm[ok, None]), axis=1)
-    free[ok] = np.array([[1, 2], [0, 2], [0, 1]])[frozen]
+    free[ok] = pairs[np.argmax(np.abs(minors[ok] / norm[ok, None]), axis=1)]
     return free
 
 
@@ -572,8 +576,8 @@ def extract_singular_locus(sol: ImplicitSolution,
     The seeds are the surface's seed cells, the crossing cells where F_u
     changes sign too, on the tiles it evaluated.  All seeds are polished in
     lockstep by damped Newton on the square system from their cell centres
-    (in the plane case in (t, u); in the space case in the two coordinates
-    across the solution curve, with the along-curve coordinate frozen).
+    (in the plane case in (t, u); otherwise in the pair of the largest
+    2 x 2 minor of the Jacobian, in 3-D the two across the solution curve).
     Diverging seeds are dropped and counted.  The sorted polished points
     are thinned so that no two kept points lie within one cell diagonal,
     and each kept point is flagged where the rank check finds the

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -129,26 +130,17 @@ def characteristic_field(p: Problem) -> VectorField:
 
 
 def initial_set_samples(d: InitialData, count: int) -> np.ndarray:
-    """Uniformly spaced points (0, s, h(s)) of the initial set.
-
-    count >= 2 (a single sample is allowed only when n = 0, where the
-    initial set is one point).  For n >= 2 the count applies per axis.
+    """Uniformly spaced points (0, s, h(s)) of the initial set: ``count``
+    points per axis of ``s_range``, in lexicographic order of s (as
+    ``meshgrid(indexing="ij")`` gives them).  count >= 2 where there is
+    an axis; for n = 0 the initial set is its one point, for any count.
     """
-    n = d.n
-    if n == 0:
-        u0 = evaluate(d.h, {})
-        return np.array([[0.0, u0]])
-    if count < 2:
+    if d.s_range and count < 2:
         raise ValueError("count must be >= 2 when n >= 1")
-    axes = [np.linspace(lo, hi, count) for (lo, hi) in d.s_range]
-    grids = np.meshgrid(*axes, indexing="ij")
-    svals = np.stack([g.ravel() for g in grids], axis=1)
-    points = np.zeros((svals.shape[0], n + 2))
-    points[:, 1:n + 1] = svals
-    xnames = var_names(n)[1:n + 1]
-    for row, s in zip(points, svals):
-        row[n + 1] = evaluate(d.h, dict(zip(xnames, s.tolist())))
-    return points
+    axes = [np.linspace(lo, hi, count).tolist() for lo, hi in d.s_range]
+    xnames = var_names(d.n)[1:d.n + 1]
+    return np.array([[0.0, *s, evaluate(d.h, dict(zip(xnames, s)))]
+                     for s in product(*axes)])
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +242,9 @@ def load_problem_bundle(path) -> ProblemBundle:
 
 
 def _validate_problem(p: Problem, d: InitialData):
+    if len(d.s_range) != p.n:
+        raise ValidationError(f"s_range has {len(d.s_range)} intervals; "
+                              f"expected one per x-variable ({p.n})")
     for lo, hi in d.s_range:
         if lo > hi:
             raise ValidationError(f"s_range [{lo}, {hi}] is reversed; "
@@ -269,9 +264,8 @@ def _validate_problem(p: Problem, d: InitialData):
         raise ValidationError(
             f"alpha vanishes at lattice point {lattice_point(vals == 0.0)}")
 
-    count = 1 if p.n == 0 else GAMMA_CHECK_SAMPLES
     try:
-        gamma = initial_set_samples(d, count)
+        gamma = initial_set_samples(d, GAMMA_CHECK_SAMPLES)
     except EvalDomainError as err:
         raise ValidationError(f"h fails to evaluate on s_range: {err}") from err
     outside = np.flatnonzero(~p.box.contains(gamma))
@@ -286,10 +280,7 @@ def make_problem(n: int, alpha: str, a: list[str], b: str, h: str,
     problem = Problem(n, parse(alpha, n=n),
                       tuple(parse(s, n=n) for s in a), parse(b, n=n), box)
     box.validate()
-    if n == 0:
-        data = InitialData(parse(h, n=n), (), 0)
-    else:
-        rng = tuple(tuple(map(float, r)) for r in s_range)
-        data = InitialData(parse(h, n=n), rng, n)
+    rng = tuple(tuple(map(float, r)) for r in s_range) if n else ()
+    data = InitialData(parse(h, n=n), rng, n)
     _validate_problem(problem, data)
     return problem, data

@@ -146,6 +146,27 @@ def generated_law(a: str, h: str):
     return problem, data, sol
 
 
+def lifted_burgers_problem():
+    """(problem, initial data) of the lifted Burgers law u_t + u u_x1 +
+    u u_x2 = 0 with u = 1/(x1 + x2 + 3) at t = 0.  Along xi = x1 + x2 + 3
+    it is Burgers' law at twice the speed: 2 t u^2 - xi u + 1 = 0, with
+    the fold at 8 t = xi^2."""
+    return make_problem(
+        2, "1", ["u", "u"], "0", "1/(x1 + x2 + 3)",
+        Box((-0.25, 2.5), ((-0.6, 2.0), (-0.6, 2.0)), (0.05, 3.05)),
+        s_range=((-0.1, 0.1), (-0.1, 0.1)))
+
+
+def lifted_burgers_u(q):
+    """The closed-form u = 2 / (xi + sqrt(xi^2 - 8 t)) of
+    lifted_burgers_problem's branch at (t, x1, x2), with the discriminant
+    xi^2 - 8 t; u is None where the discriminant is negative."""
+    t, x1, x2 = q
+    xi = x1 + x2 + 3.0
+    disc = xi * xi - 8.0 * t
+    return (2.0 / (xi + math.sqrt(disc)) if disc >= 0.0 else None), disc
+
+
 def binding_at(point, n: int) -> dict[str, float]:
     """The binding of t, x1..xn, u to the coordinates of ``point``."""
     return dict(zip(var_names(n), np.asarray(point, dtype=float).tolist()))
@@ -473,18 +494,7 @@ def _polish_seed(sol, center, box):
     across the curve (the tangent's largest component frozen), or None.
     (F, F_u) and its Jacobian are evaluated by the solution's array forms
     on one row at a time."""
-    dim = sol.n + 2
-    if dim == 2:
-        free = [0, 1]
-    else:
-        t = tangent_by_numpy(sol, center)
-        if t is None:
-            # fall back to freezing u; the rank check flags degeneracy later
-            free = [0, 1]
-        else:
-            frozen = int(np.argmax(np.abs(t)))
-            free = [i for i in range(dim) if i != frozen]
-
+    free = free_pair_by_cross(sol, center)
     base = np.asarray(center, dtype=float)
 
     def embed(xy):
@@ -504,6 +514,21 @@ def _polish_seed(sol, center, box):
         return None
     point = embed(root)
     return point if contains_by_numpy(box, point, atol=1e-12) else None
+
+
+def free_pair_by_cross(sol, center) -> list:
+    """Reference for locus._free_pairs at one centre: (t, u) in the plane
+    case, else all but the largest component of tangent_by_numpy (the
+    first on ties), or (t, x) where that fails."""
+    dim = sol.n + 2
+    if dim == 2:
+        return [0, 1]
+    t = tangent_by_numpy(sol, center)
+    if t is None:
+        # fall back to freezing u; the rank check flags degeneracy later
+        return [0, 1]
+    frozen = int(np.argmax(np.abs(t)))
+    return [i for i in range(dim) if i != frozen]
 
 
 def polish_seed_by_seed(sol, centers, box):
@@ -1124,6 +1149,12 @@ def ref_newton_u(F, F_and_Fu, point: list, u: float, tol: float,
                 return u, fu, False
             return u, None, it == maxit - 1 and abs(r) <= tol
     return u, fu, abs(r) <= tol
+
+
+def march_from(sol, data, s: float, q) -> Verdict:
+    """``domain._march`` on the straight path of an n = 1 problem from
+    the initial-set base point (0, s) to q."""
+    return domain._march(sol, [[0.0, s], q], evaluate(data.h, {"x1": s}))
 
 
 def ref_contains(problem, data, sol, q,

@@ -262,7 +262,7 @@ def test_criterion_8_path_independence():
                 continue
             us = []
             for s in (-0.1, 0.0, 0.1):
-                v = contains(b.problem, b.data, sol, q, base_point=s)
+                v = helpers.march_from(sol, b.data, s, q)
                 assert v.kind == "inside", (name, q, s, v.kind)
                 us.append(v.u)
             worst = max(worst, max(us) - min(us))

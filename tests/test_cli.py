@@ -214,6 +214,10 @@ class TestVerify:
         assert "alpha vanishes" in capsys.readouterr().err
 
 
+BURGERS_RECIPROCAL = json.loads(
+    charmax.problem_path("burgers_reciprocal").read_text())
+
+
 def _with_box(doc, **ranges):
     return dict(doc, box=dict(doc["box"], **ranges))
 
@@ -255,13 +259,20 @@ class TestErrorPaths:
          "h fails to evaluate on s_range"),
         ("domain", dict(CONSTANT_DATA, s_range=[0.5, -0.5]), 2,
          "s_range [0.5, -0.5] is reversed"),
+        ("verify", dict(BURGERS_RECIPROCAL, rho=["u", "2*u"], f="y1 - y2"),
+         2, "rho is degenerate on the initial set: min singular value "
+            "0.000e+00 at [0.0, -0.1, 1.1111111111111112]"),
+        ("verify", dict(BURGERS_RECIPROCAL, rho=["u", "x - u*t"]), 2,
+         "no f in the problem file and rho is not the built-in "
+         "conservation set"),
         ("query", CONSTANT_DATA, 1, "query needs --t"),
     ], ids=["not_an_object", "negative_n", "bool_n", "a_count",
             "box_x_count", "s_range_count", "s_range_not_intervals",
             "alpha_not_a_string", "f_not_a_string", "box_t_malformed",
             "parse_dollar", "parse_missing_paren", "parse_trailing_input",
             "parse_lone_dot", "empty_box_range", "alpha_fails_on_lattice",
-            "h_fails_on_s_range", "reversed_s_range", "query_without_t"])
+            "h_fails_on_s_range", "reversed_s_range", "degenerate_rho",
+            "user_rho_without_f", "query_without_t"])
     def test_exit_code_and_message(self, command, doc, code, fragment,
                                    tmp_path, capsys):
         argv = [command, "--problem", write(tmp_path, doc)]

@@ -403,6 +403,14 @@ class TestContains:
         with pytest.raises(ValueError, match="outside the .t, x. face"):
             contains(b.problem, b.data, sol, [5.0, 0.0])
 
+    # the path starts at the query's x clamped into s_range, so a NaN
+    # there must not reach the march
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_non_finite_query_rejected(self, x, solutions):
+        b, _, sol = solutions("burgers_reciprocal")
+        with pytest.raises(ValueError, match="outside the .t, x. face"):
+            contains(b.problem, b.data, sol, [0.5, x])
+
     @pytest.mark.parametrize("name, q", [
         ("ode_quadratic", [[0.5]]), ("ode_quadratic", [0.5, 0.3]),
         ("circular", [[0.5, 0.5]]), ("circular", [[0.5], [0.5]]),
@@ -414,23 +422,6 @@ class TestContains:
         with pytest.raises(ValueError, match=r"^query point must have "
                            f"{b.problem.n + 1} coordinates$"):
             contains(b.problem, b.data, sol, q)
-
-    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
-    def test_non_finite_base_point_rejected(self, s, solutions):
-        # a NaN base point used to give a path of length NaN, which no
-        # step marched, and the answer "inside nan"
-        b, _, sol = solutions("burgers_reciprocal")
-        with pytest.raises(ValueError, match=r"^base point .* is not finite"):
-            contains(b.problem, b.data, sol, [0.5, 1.0], base_point=s)
-
-    @pytest.mark.parametrize("s", [0.3, math.nan])
-    def test_base_point_rejected_for_n_zero(self, s, solutions):
-        # an n = 0 path starts at t = 0: a base point used to be ignored,
-        # finite or not, and the answer was "inside 2.0"
-        b, _, sol = solutions("ode_quadratic")
-        with pytest.raises(ValueError, match=r"^base_point is for n = 1 only"):
-            contains(b.problem, b.data, sol, [0.5], base_point=s)
-        assert str(contains(b.problem, b.data, sol, [0.5])) == "inside 2.0"
 
     def test_boundary_verdict_on_the_curve(self, solutions):
         b, _, sol = solutions("circular")
@@ -461,9 +452,24 @@ class TestContains:
         for _ in range(10):
             x = rng.uniform(0.0, 1.5)
             t = rng.uniform(0.0, 0.8) * (x + 1.0) ** 2 / 4.0
-            us = [contains(b.problem, b.data, sol, [t, x], base_point=s).u
+            us = [helpers.march_from(sol, b.data, s, [t, x]).u
                   for s in (-0.1, 0.0, 0.1)]
             assert max(us) - min(us) <= 1e-8
+
+    def test_lifted_law_matches_the_closed_form(self):
+        # an n = 2 query: the start clamps x1 and x2 into their s_range
+        problem, data = helpers.lifted_burgers_problem()
+        _, sol = implicit_solution_for_problem(problem, data)
+        kinds = []
+        for q in face_points(problem, np.random.default_rng(5), 400):
+            v = contains(problem, data, sol, q)
+            kinds.append(v.kind)
+            expect, disc = helpers.lifted_burgers_u(q)
+            if v.kind == "inside":
+                assert abs(v.u - expect) <= 1e-8 * max(1.0, abs(v.u)), q
+            elif disc > 0.4:    # well before the fold: off the u-window
+                assert not 0.05 <= expect <= 3.05, (q, v.kind)
+        assert (kinds.count("inside"), kinds.count("outside")) == (326, 74)
 
     def test_pde_residual_at_inside_points(self, solutions):
         for name in ("circular", "burgers_reciprocal"):
@@ -656,8 +662,8 @@ def face_points(problem, rng, count):
 
 def path_start(data, q):
     """The start (0, s*) of the straight path of ``contains`` to q."""
-    return [0.0, *([min(max(q[1], data.interval[0]), data.interval[1])]
-                   if len(q) > 1 else [])]
+    return [0.0, *(min(max(x, lo), hi)
+                   for x, (lo, hi) in zip(q[1:], data.s_range))]
 
 
 def assert_same_verdicts(got, expect, lengths):
@@ -1110,11 +1116,12 @@ class TestMarch:
 
 
 def same_as_the_reference(monkeypatch, problem, data, sol, points,
-                          **kwargs):
-    """contains and helpers.ref_contains, the query kept verbatim, at each
-    point: the same verdict kind and the same u, F_u and place by repr, or
-    the same exception type and message, after the same number of
-    corrector calls.  Returns the kinds, exception names included."""
+                          query=contains, reference=helpers.ref_contains):
+    """``query`` (contains) and ``reference`` (helpers.ref_contains, the
+    query kept verbatim) at each point: the same verdict kind and the same
+    u, F_u and place by repr, or the same exception type and message,
+    after the same number of corrector calls.  Returns the kinds,
+    exception names included."""
     calls = {}
     for module, name in ((domain, "_corrector"), (helpers, "ref_corrector")):
         def counted(*args, corrector=getattr(module, name), name=name):
@@ -1125,11 +1132,11 @@ def same_as_the_reference(monkeypatch, problem, data, sol, points,
     kinds = []
     for q in points:
         runs = []
-        for query, name in ((contains, "_corrector"),
-                            (helpers.ref_contains, "ref_corrector")):
+        for run, name in ((query, "_corrector"),
+                          (reference, "ref_corrector")):
             calls[name] = 0
             try:
-                v = query(problem, data, sol, q, **kwargs)
+                v = run(problem, data, sol, q)
                 got = (v.kind, repr(v.u), repr(v.f_u), repr(v.at))
             except Exception as err:  # compared, not handled
                 got = (type(err).__name__, str(err))
@@ -1163,11 +1170,15 @@ class TestQueryReference:
     def test_base_points(self, solutions, monkeypatch):
         b, _, sol = solutions("burgers_reciprocal")
         rng = np.random.default_rng(28)
-        lo, hi = b.data.interval
+        (lo, hi), = b.data.s_range
         for s in lo - 0.5 + rng.random(10) * (hi - lo + 1.0):
+            start = min(max(float(s), lo), hi)
             points = face_points(b.problem, rng, 20)
-            same_as_the_reference(monkeypatch, b.problem, b.data, sol,
-                                  points, base_point=s)
+            same_as_the_reference(
+                monkeypatch, b.problem, b.data, sol, points,
+                lambda p, d, sol, q: helpers.march_from(sol, d, start, q),
+                lambda p, d, sol, q: helpers.ref_contains(p, d, sol, q,
+                                                          base_point=s))
 
     @pytest.mark.parametrize("a, h", helpers.GENERATED_LAWS)
     def test_generated_laws(self, a, h, monkeypatch):

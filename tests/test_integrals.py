@@ -278,6 +278,14 @@ class TestDefiningFunction:
         assert f == parse("y1 - 2", allowed_variables=["y1", "y2"])
 
 
+    def test_lifted_data(self):
+        # every x_k of h becomes y_{k+1}; this raised for n != 1
+        _, data = helpers.lifted_burgers_problem()
+        f = defining_function_from_initial(data)
+        assert f == parse("y1 - 1/(y2 + y3 + 3)",
+                          allowed_variables=["y1", "y2", "y3"])
+
+
 class TestBuild:
     def test_ode_composition(self):
         problem, data = make_problem(0, "1", [], "u^2", "1",
@@ -541,6 +549,13 @@ class TestGeneralDimension:
             assert report.passed
         gamma = initial_set_samples(data, 3)
         assert check_nondegeneracy(rho_set, gamma, n=2).ok
+
+
+    def test_lifted_law_builds_with_the_automatic_f(self):
+        problem, data = helpers.lifted_burgers_problem()
+        rho_set, sol = implicit_solution_for_problem(problem, data)
+        assert rho_set.provenance == "builtin-conservation"
+        assert sol.F == parse("u - 1/(x1 - u*t + (x2 - u*t) + 3)", n=2)
 
 
 class TestFlowProjection:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+import types
 from collections import Counter
 
 import numpy as np
@@ -815,6 +816,52 @@ def non_finite_jacobian_rows(t, x, u):
     entry = np.where(x > 1.0, np.inf, np.where(x < -1.0, np.nan, 1.0))
     zero, one = np.zeros_like(t), np.ones_like(t)
     return [(v, np.False_) for v in (entry, zero, zero, zero, one, zero)]
+
+
+class TestFreePairs:
+    """locus._free_pairs against np.cross's rule, on hand-made Jacobian
+    rows with ties, zero rows, non-finite entries and minors that
+    overflow (inf - inf is NaN)."""
+
+    @staticmethod
+    def jacobian_rows(rng, count, dim):
+        J = rng.choice([-2.0, -1.0, 0.0, 0.0, 1.0, 2.0], (count, 2 * dim))
+        J[rng.random(J.shape) < 0.02] = np.nan
+        J[rng.random(J.shape) < 0.02] = 1e300
+        J[::10] = 0.0
+        return J
+
+    def test_matches_the_cross_product_rule(self, solutions):
+        table = self.jacobian_rows(np.random.default_rng(61), 400, 3)
+        _, _, sol = solutions("burgers_reciprocal")
+        stub = dataclasses.replace(sol, jacobian_rows=helpers.rows_by_row(
+            lambda t, x, u: table[round(x)], 6))
+        centres = np.array([[0.0, k, 0.0] for k in range(len(table))])
+        got = locus._free_pairs(stub, centres)
+        with np.errstate(all="ignore"):
+            assert got.tolist() == [helpers.free_pair_by_cross(stub, c)
+                                    for c in centres]
+            # the cases are all there: ties, and the (t, x) fallback
+            T = np.abs(np.cross(table[:, :3], table[:, 3:]))
+        top = T == T.max(axis=1, keepdims=True)
+        assert np.count_nonzero(top.sum(axis=1) >= 2) > 20
+        assert np.count_nonzero(~np.isfinite(T).all(axis=1)) > 20
+
+    def test_four_dimensions_take_the_largest_minor(self):
+        J = self.jacobian_rows(np.random.default_rng(62), 200, 4)
+        stub = types.SimpleNamespace(
+            jacobian_rows=lambda *columns: [(c, np.False_) for c in J.T])
+        got = locus._free_pairs(stub, np.zeros((len(J), 4)))
+        pairs = [(2, 3), (1, 3), (1, 2), (0, 3), (0, 2), (0, 1)]
+        for row, pair in zip(J.reshape(-1, 2, 4), got.tolist()):
+            with np.errstate(all="ignore"):
+                minors = [abs(row[0, i] * row[1, j] - row[0, j] * row[1, i])
+                          for i, j in pairs]
+                norm = math.sqrt(sum(m * m for m in minors))
+            if np.isfinite(row).all() and 0.0 < norm < math.inf:
+                assert pair == list(pairs[minors.index(max(minors))]), row
+            else:
+                assert pair == [0, 1], row
 
 
 class TestSigmaStage:

@@ -97,6 +97,20 @@ class TestLoad:
                          Box((-1.0, 1.0), ((-1.0, 1.0),) * n, (-3.0, 3.0)),
                          s_range=s_range)
 
+    # n = 2 with make_problem's default single interval was accepted, and
+    # its initial set ran along x2 = x1; n = 1 with two intervals raised
+    # numpy's broadcast error
+    @pytest.mark.parametrize("n, kwargs", [
+        (2, {}), (1, {"s_range": ((-0.1, 0.1), (-0.1, 0.1))})])
+    def test_s_range_count_is_checked(self, n, kwargs):
+        count = len(kwargs.get("s_range", [None]))
+        with pytest.raises(ValidationError, match=re.escape(
+                f"s_range has {count} intervals; expected one per "
+                f"x-variable ({n})")):
+            make_problem(n, "1", ["u"] * n, "0", "1/(x1 + 3)",
+                         Box((-1.0, 1.0), ((-1.0, 1.0),) * n, (-3.0, 3.0)),
+                         **kwargs)
+
     def test_zero_width_s_range_is_one_initial_point(self):
         _, data = make_problem(1, "1", ["u"], "0", "2",
                                Box((-1.0, 1.0), ((-1.0, 1.0),), (-3.0, 3.0)),
