@@ -2,9 +2,11 @@
 
 Subcommands: verify, domain, query, characteristics, singular, envelope.
 One problem file drives everything; outputs are plot-ready CSV/JSON dumps.
-Exit codes: 0 success, 1 I/O or parse error, 2 validation or convergence
-failure, or a surface requested for n >= 2.  Identical config and problem
-file give byte-identical outputs.
+``query`` takes the point as ``--t`` and one ``--x`` value per x-variable
+(none for n = 0).  Exit codes: 0 success, 1 I/O or parse error or a query
+without --t, 2 validation or convergence failure, a --x count other than
+n, or a surface requested for n >= 2.  Identical config and problem file
+give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -141,18 +143,14 @@ def cmd_domain(args) -> int:
 
 def cmd_query(args) -> int:
     bundle = load_problem_bundle(args.problem)
-    _, sol = _solution(bundle)
     n = bundle.problem.n
     if args.t is None:
-        print("query needs --t (and --x when n >= 1)", file=sys.stderr)
+        print("query needs --t (and --x per x-variable)", file=sys.stderr)
         return EXIT_IO
-    if n >= 1 and args.x is None:
-        print("query needs --x for this problem", file=sys.stderr)
-        return EXIT_IO
-    if n == 0 and args.x is not None:
-        raise ValueError("query takes no --x: the problem has n = 0")
-    q = [args.t] + ([args.x] if n >= 1 else [])
-    verdict = contains(bundle.problem, bundle.data, sol, q)
+    if len(args.x) != n:
+        raise ValueError(f"--x takes n = {n} values, got {len(args.x)}")
+    _, sol = _solution(bundle)
+    verdict = contains(bundle.problem, bundle.data, sol, [args.t, *args.x])
     print(str(verdict))
     return EXIT_OK
 
@@ -232,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("query", help="classify one base point")
     common(q, out=False)
     q.add_argument("--t", type=float, default=None)
-    q.add_argument("--x", type=float, default=None)
+    q.add_argument("--x", type=float, nargs="*", default=[])
     c = sub.add_parser("characteristics", help="dump characteristic curves")
     common(c, fmt=True)
     c.add_argument("--samples", type=int, default=9)

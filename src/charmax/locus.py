@@ -264,7 +264,7 @@ def extract_surface(F_and_Fu_rows, box: Box, resolution: int,
     else:
         values = None
         state, reached = flood(shape, _cells_touching(axes, gamma)[0],
-                               reveal=reveal)
+                               reveal)
     seeds = np.unique(np.concatenate(seeds))   # a cell of two tiles once
     return LevelSurface(box, resolution, axes, values, state,
                         np.transpose(np.unravel_index(seeds, shape)), reached)
@@ -314,32 +314,32 @@ def cell_center(axes, cell) -> np.ndarray:
                      for ax, i in zip(axes, np.moveaxis(cell, -1, 0))], axis=-1)
 
 
-def flood(codes, seeds, reveal=None):
+def flood(shape, seeds, reveal):
     """Cells of state code OPEN facet-connected to the seed cells among them.
 
-    ``codes`` are the cells' uint8 codes NONE to OPEN, or with ``reveal``
-    only the grid's shape.  Breadth-first from the seeds; returns the
-    states (a view of the flood's own bytes), REACHED on the reached
-    cells, and the REACHED cells' sorted flat indices.
+    The cells of a grid of ``shape`` start HIDDEN, and are made known by
+    ``reveal``.  Breadth-first from the seeds; returns the states (a view
+    of the flood's own bytes), REACHED on the reached cells, and the
+    REACHED cells' sorted flat indices.
 
     The search keeps one state byte per cell (HIDDEN to REACHED) of the
     grid padded by a rim of one cell: the rim is NONE, so that flat-index
-    neighbours never wrap around an axis, and the interior is filled from
-    ``codes``.  It runs one level (one distance from the seeds) at a time.
-    A level of at least _LEVEL_CROSSOVER cells is expanded by one numpy
-    step over the neighbours of all its cells, of which the OPEN cells,
-    sorted and each once, join the next level; smaller levels run a
-    cell-by-cell loop, where a numpy step costs more than it saves.
+    neighbours never wrap around an axis.  It runs one level (one distance
+    from the seeds) at a time.  A level of at least _LEVEL_CROSSOVER cells
+    is expanded by one numpy step over the neighbours of all its cells, of
+    which the OPEN and HIDDEN cells, sorted and each once, join the next
+    level; smaller levels run a cell-by-cell loop, where a numpy step
+    costs more than it saves.
 
-    With ``reveal``, the interior stays HIDDEN, and the search holds each
-    HIDDEN cell it reaches.  When no other cell is left, it calls
-    ``reveal`` with the (m, ndim) held cells, which returns (first cell,
-    block) pairs, uint8 blocks of codes NONE to SEED that cover every held
-    cell.  A block is merged by its maximum with the states, keeping the
-    REACHED cells it overlaps, and the search resumes from the held cells
-    that turned OPEN, one level for all.
+    The search holds each HIDDEN cell it reaches.  When no other cell is
+    left, it calls ``reveal`` with the (m, ndim) held cells, which returns
+    (first cell, block) pairs, uint8 blocks of codes NONE to SEED that
+    cover every held cell.  A block is merged by its maximum with the
+    states, keeping the REACHED cells it overlaps, and the search resumes
+    from the held cells that turned OPEN, one level for all.  With no seed
+    in the grid nothing is held, so ``reveal`` is never called and every
+    state stays HIDDEN.
     """
-    shape = tuple(codes) if reveal is not None else codes.shape
     padded = tuple(k + 2 for k in shape)
     state = bytearray(math.prod(padded))
     view = np.frombuffer(state, dtype=np.uint8)
@@ -348,19 +348,13 @@ def flood(codes, seeds, reveal=None):
         at = (slice(None),) * axis
         grid[at + (0,)] = grid[at + (-1,)] = NONE
     interior = tuple(slice(1, -1) for _ in padded)
-    if reveal is None:
-        grid[interior] = codes
     # one byte per cell, so the byte strides are the flat-index strides
     offsets = [d for stride in grid.strides for d in (-stride, stride)]
     steps = np.array(offsets)
     seeds = np.asarray(seeds, dtype=np.intp).reshape(-1, len(padded)) + 1
     level, held = [], []
     for i in np.ravel_multi_index(seeds.T, padded).tolist():
-        code = state[i]
-        if code == OPEN:
-            state[i] = REACHED
-            level.append(i)
-        elif code == HIDDEN:
+        if state[i] == HIDDEN:
             state[i] = HELD
             held.append(i)
     levels = [level]
@@ -379,19 +373,15 @@ def flood(codes, seeds, reveal=None):
         if len(level) >= _LEVEL_CROSSOVER:
             near = (np.asarray(level)[:, None] + steps).ravel()
             code = view[near]
-            enter = code == OPEN
-            if reveal is not None:
-                enter |= code == HIDDEN
-            level = near[enter]
+            level = near[(code == OPEN) | (code == HIDDEN)]
             level.sort()
             once = np.ones(len(level), dtype=bool)
             np.not_equal(level[1:], level[:-1], out=once[1:])
             level = level[once]
-            if reveal is not None:
-                hold = view[level] == HIDDEN
-                view[level[hold]] = HELD
-                held += level[hold].tolist()
-                level = level[~hold]
+            hold = view[level] == HIDDEN
+            view[level[hold]] = HELD
+            held += level[hold].tolist()
+            level = level[~hold]
             view[level] = REACHED
             if len(level) < _LEVEL_CROSSOVER:
                 level = level.tolist()   # Python ints for the loop
@@ -629,8 +619,10 @@ def split_component(surface: LevelSurface, sigma: SingularLocus,
     set cut at the seed cells alone, ``reached_flat``, is the component
     unless a cell of a sigma point is REACHED, as the same flood with
     more cells removed outside it reaches the same cells; otherwise, and
-    always without ``reached_flat``, a copy of the states with NONE in
-    the singular cells is flooded."""
+    always without ``reached_flat``, the flood runs again, revealing at
+    its first call a copy of the states with NONE in the singular cells
+    as one block.  It raises before that flood could start from no
+    seeds, so there the flood always reveals the block."""
     shape = surface.state.shape
     on_sigma = cell_of(surface.axes, sigma.points)
     sigma_flat = np.union1d(np.ravel_multi_index(sigma.seed_cells.T, shape),
@@ -653,7 +645,8 @@ def split_component(surface: LevelSurface, sigma: SingularLocus,
     if flat is None or (surface.state[tuple(on_sigma.T)] == REACHED).any():
         codes = np.clip(surface.state, NONE, OPEN)   # crossing cells OPEN
         codes.flat[sigma_flat] = NONE
-        flat = flood(codes, frontier)[1]
+        flat = flood(shape, frontier,
+                     lambda held: [((0,) * len(shape), codes)])[1]
     return SurfaceComponent(surface, flat,
                             list(dict.fromkeys(map(tuple, cells.tolist()))),
                             sigma_flat)

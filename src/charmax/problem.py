@@ -94,7 +94,7 @@ class InitialData:
 
     @property
     def interval(self) -> tuple[float, float]:
-        if self.n != 1:
+        if len(self.s_range) != 1:
             raise ValueError("scalar s_range only defined for n = 1")
         return self.s_range[0]
 
@@ -174,11 +174,17 @@ def _parse_expr(text, n: int, path: str, allowed=None) -> Expr:
 
 def load_problem_bundle(path) -> ProblemBundle:
     """Parse and validate a JSON problem file (including optional rho/f)."""
-    raw = Path(path).read_text()
     try:
-        doc = json.loads(raw)
+        doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as err:
         raise SchemaError("<document>", f"not valid JSON: {err}") from err
+    return problem_from_document(doc)
+
+
+def problem_from_document(doc) -> ProblemBundle:
+    """Parse and validate a problem file's JSON document.  ``a`` defaults
+    to [], and ``s_range``, a list of n intervals (one flat [lo, hi] reads
+    as one interval), to [-0.1, 0.1] per x-variable."""
     if not isinstance(doc, dict):
         raise SchemaError("<document>", "top level must be an object")
 
@@ -187,7 +193,7 @@ def load_problem_bundle(path) -> ProblemBundle:
         raise SchemaError("n", "expected an integer >= 0")
 
     alpha = _parse_expr(_get(doc, "alpha", str, ""), n, "alpha")
-    a_raw = _get(doc, "a", list, "") if (n > 0 or "a" in doc) else []
+    a_raw = _get(doc, "a", list, "") if "a" in doc else []
     if len(a_raw) != n:
         raise SchemaError("a", f"expected {n} expressions, got {len(a_raw)}")
     a = tuple(_parse_expr(s, n, f"a[{k}]") for k, s in enumerate(a_raw))
@@ -209,19 +215,12 @@ def load_problem_bundle(path) -> ProblemBundle:
     box = Box(t_range, x_ranges, u_range)
     box.validate()
 
-    if n == 0:
-        s_range: tuple[tuple[float, float], ...] = ()
-    else:
-        s_raw = doc.get("s_range", [-0.1, 0.1])
-        if s_raw and isinstance(s_raw, list) and isinstance(s_raw[0], list):
-            if len(s_raw) != n:
-                raise SchemaError("s_range", f"expected {n} intervals")
-            s_range = tuple(_interval(r, f"s_range[{k}]")
-                            for k, r in enumerate(s_raw))
-        else:
-            if n != 1:
-                raise SchemaError("s_range", "expected a list of intervals")
-            s_range = (_interval(s_raw, "s_range"),)
+    s_raw = doc.get("s_range", [[-0.1, 0.1]] * n)
+    if isinstance(s_raw, list) and s_raw and not isinstance(s_raw[0], list):
+        s_raw = [s_raw]                  # one flat [lo, hi]
+    if not isinstance(s_raw, list) or len(s_raw) != n:
+        raise SchemaError("s_range", f"expected {n} intervals")
+    s_range = tuple(_interval(r, f"s_range[{k}]") for k, r in enumerate(s_raw))
     data = InitialData(h, s_range, n)
 
     rho = None
@@ -242,9 +241,6 @@ def load_problem_bundle(path) -> ProblemBundle:
 
 
 def _validate_problem(p: Problem, d: InitialData):
-    if len(d.s_range) != p.n:
-        raise ValidationError(f"s_range has {len(d.s_range)} intervals; "
-                              f"expected one per x-variable ({p.n})")
     for lo, hi in d.s_range:
         if lo > hi:
             raise ValidationError(f"s_range [{lo}, {hi}] is reversed; "
@@ -275,12 +271,13 @@ def _validate_problem(p: Problem, d: InitialData):
 
 
 def make_problem(n: int, alpha: str, a: list[str], b: str, h: str,
-                 box: Box, s_range=((-0.1, 0.1),)) -> tuple[Problem, InitialData]:
-    """Programmatic constructor mirroring the file schema (validated)."""
-    problem = Problem(n, parse(alpha, n=n),
-                      tuple(parse(s, n=n) for s in a), parse(b, n=n), box)
-    box.validate()
-    rng = tuple(tuple(map(float, r)) for r in s_range) if n else ()
-    data = InitialData(parse(h, n=n), rng, n)
-    _validate_problem(problem, data)
-    return problem, data
+                 box: Box, s_range=None) -> tuple[Problem, InitialData]:
+    """The problem file's document of the arguments, parsed and validated
+    as a file is; ``s_range`` (n intervals) is left out unless given."""
+    doc = {"n": n, "alpha": alpha, "a": list(a), "b": b, "h": h,
+           "box": {"t": list(box.t), "x": [list(r) for r in box.x],
+                   "u": list(box.u)}}
+    if s_range is not None:
+        doc["s_range"] = [list(r) for r in s_range]
+    bundle = problem_from_document(doc)
+    return bundle.problem, bundle.data

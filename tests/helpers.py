@@ -655,10 +655,17 @@ def mask_codes(mask):
     return np.where(mask, locus.OPEN, locus.NONE).astype(np.uint8)
 
 
+def one_block(codes):
+    """A ``reveal`` for flood that makes all of ``codes`` known as one
+    block at cell 0, as split_component's second flood does."""
+    return lambda held: [((0,) * codes.ndim, codes)]
+
+
 def flood_bool(mask, seeds):
     """The cells of a bool ``mask`` that flood reaches from the seeds, by
-    the flood of its codes, as a bool mask."""
-    return flood(mask_codes(mask), seeds)[0] == locus.REACHED
+    the flood of its codes revealed as one block, as a bool mask."""
+    return flood(mask.shape, seeds,
+                 one_block(mask_codes(mask)))[0] == locus.REACHED
 
 
 def flood_by_queue(codes, seeds, parents=False):
@@ -701,6 +708,17 @@ def flood_by_queue(codes, seeds, parents=False):
     reached = reached[interior].copy()
     return (np.where(reached, locus.REACHED, codes).astype(np.uint8),
             np.flatnonzero(reached))
+
+
+def flood_by_queue_revealed(shape, seeds, reveal):
+    """flood_by_queue behind flood's interface, for a ``reveal`` that
+    makes every cell known at its first call, as one_block's: the states
+    and the sorted flat indices."""
+    codes = np.full(shape, locus.HIDDEN, dtype=np.uint8)
+    for first, block in reveal(np.reshape(seeds, (-1, len(shape)))):
+        codes[tuple(slice(i, i + k)
+                    for i, k in zip(first, block.shape))] = block
+    return flood_by_queue(codes, seeds)
 
 
 # ---------------------------------------------------------------------------

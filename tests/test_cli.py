@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import charmax
+import helpers
 from charmax import locus
 from charmax.cli import main
 from charmax.integrals import (implicit_solution_for_problem,
@@ -84,6 +85,15 @@ TWO_SPEED_DATA = {
     "s_range": [[-0.1, 0.1], [-0.1, 0.1]], "f": "y1 - y2 - y3",
     "box": {"t": [-1.0, 1.0], "x": [[-1.0, 1.0], [-1.0, 1.0]],
             "u": [-3.0, 3.0]},
+}
+
+# u_t + u u_x1 + u u_x2 = 0 with u = 1/(x1 + x2 + 3) at t = 0, as
+# helpers.lifted_burgers_problem: 2 t u^2 - xi u + 1 = 0, xi = x1 + x2 + 3
+LIFTED_DATA = {
+    "n": 2, "alpha": "1", "a": ["u", "u"], "b": "0", "h": "1/(x1 + x2 + 3)",
+    "s_range": [[-0.1, 0.1], [-0.1, 0.1]],
+    "box": {"t": [-0.25, 2.5], "x": [[-0.6, 2.0], [-0.6, 2.0]],
+            "u": [0.05, 3.05]},
 }
 
 
@@ -207,6 +217,18 @@ class TestVerify:
         assert "flow residual evaluated at only" in captured.err
         assert not (tmp_path / "out").exists()
 
+    def test_default_s_range_is_the_explicit_one(self, tmp_path):
+        # an n = 2 file without s_range failed to load ("expected a list
+        # of intervals"); it gets one [-0.1, 0.1] per x-variable
+        doc = dict(LIFTED_DATA)
+        del doc["s_range"]
+        for name, problem in (("default", doc), ("explicit", LIFTED_DATA)):
+            assert main(["verify", "--problem",
+                         write(tmp_path, problem, f"{name}.json"),
+                         "--out", str(tmp_path / name)]) == 0
+        assert ((tmp_path / "default" / "verify.json").read_bytes()
+                == (tmp_path / "explicit" / "verify.json").read_bytes())
+
     def test_alpha_vanishing_is_validation_error(self, tmp_path, capsys):
         doc = dict(CONSTANT_DATA, alpha="t")
         assert main(["verify", "--problem", write(tmp_path, doc),
@@ -238,7 +260,10 @@ class TestErrorPaths:
         ("verify", dict(TWO_SPEED_DATA, s_range=[[-0.1, 0.1]]), 1,
          "s_range: expected 2 intervals"),
         ("verify", dict(TWO_SPEED_DATA, s_range=[-0.1, 0.1]), 1,
-         "s_range: expected a list of intervals"),
+         "s_range: expected 2 intervals"),
+        # the loader ignored it, and verify printed PASS
+        ("verify", dict(N0_FOLD_DATA, s_range=[[5, 1], [3]]), 1,
+         "s_range: expected 0 intervals"),
         ("verify", dict(CONSTANT_DATA, alpha=1), 1, "alpha: expected str"),
         ("verify", dict(CONSTANT_DATA, f=1), 1,
          "f: expected an expression string"),
@@ -268,6 +293,7 @@ class TestErrorPaths:
         ("query", CONSTANT_DATA, 1, "query needs --t"),
     ], ids=["not_an_object", "negative_n", "bool_n", "a_count",
             "box_x_count", "s_range_count", "s_range_not_intervals",
+            "s_range_for_n_0",
             "alpha_not_a_string", "f_not_a_string", "box_t_malformed",
             "parse_dollar", "parse_missing_paren", "parse_trailing_input",
             "parse_lone_dot", "empty_box_range", "alpha_fails_on_lattice",
@@ -306,8 +332,11 @@ class TestQuery:
                    - (-0.3 + 6.09 ** 0.5) / 2) <= 1e-8
 
     def test_missing_x_reports_usage(self, capsys):
+        # a wrong --x count, none for n = 1 (it exited 1)
         assert main(["query", "--problem", problem_file("circular"),
-                     "--t", "0.5"]) == 1
+                     "--t", "0.5"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --x takes n = 1 values, got 0\n")
 
     def test_x_for_n_0_is_a_validation_error(self, capsys):
         # it used to be ignored: "inside 2.0", exit 0
@@ -315,7 +344,24 @@ class TestQuery:
                      "--t", "0.5", "--x", "0.3"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "error: query takes no --x: the problem has n = 0\n"
+        assert err == "error: --x takes n = 0 values, got 1\n"
+
+    @pytest.mark.parametrize("x", [[0.3, 0.2], [-0.3, -0.2]])
+    def test_lifted_law_takes_two_x_values(self, x, tmp_path, capsys):
+        assert main(["query", "--problem", write(tmp_path, LIFTED_DATA),
+                     "--t", "0.5", "--x", *map(str, x)]) == 0
+        kind, u = capsys.readouterr().out.split()
+        expect, _ = helpers.lifted_burgers_u([0.5, *x])
+        assert kind == "inside" and abs(float(u) - expect) <= 1e-8
+
+    def test_x_count_must_be_n(self, tmp_path, capsys):
+        # one value for n = 2 was read as the point (t, x1) and failed in
+        # the query: "query point must have 3 coordinates"
+        assert main(["query", "--problem", write(tmp_path, LIFTED_DATA),
+                     "--t", "0.5", "--x", "0.3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --x takes n = 2 values, got 1\n"
 
 
 class TestDomain:

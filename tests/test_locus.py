@@ -514,12 +514,16 @@ def check_reveal(mask, seeds, size):
 
 
 def check_flood(mask, seeds):
-    """flood of a mask's codes against the one-queue reference
-    helpers.flood_by_queue: the same states and the same flat indices.
-    Returns the reference's parents dict."""
+    """flood of a mask's codes, revealed as one block, against the
+    one-queue reference helpers.flood_by_queue: the same states and the
+    same flat indices; with no seed in the grid, nothing is revealed and
+    every state is HIDDEN.  Returns the reference's parents dict."""
     codes = helpers.mask_codes(mask)
-    got, flat = flood(codes, seeds)
+    got, flat = flood(mask.shape, seeds, helpers.one_block(codes))
     want, want_flat = helpers.flood_by_queue(codes, seeds)
+    if not any(all(0 <= i < k for i, k in zip(seed, mask.shape))
+               for seed in seeds):
+        want[...] = locus.HIDDEN
     assert got.dtype == want.dtype and np.array_equal(got, want)
     assert _same_bytes(flat, want_flat)
     return helpers.flood_by_queue(codes, seeds, parents=True)
@@ -590,9 +594,10 @@ class TestFlood:
     def test_no_cell_reached(self):
         mask = np.zeros((3, 4), dtype=bool)
         assert not helpers.flood_bool(mask, [(1, 1), (-1, 4)]).any()
-        state, flat = flood(helpers.mask_codes(mask), [])
+        state, flat = flood(mask.shape, [],
+                            helpers.one_block(helpers.mask_codes(mask)))
         assert flat.dtype == np.intp and not len(flat)
-        assert (state == locus.NONE).all()
+        assert (state == locus.HIDDEN).all()
 
     @given(dim=st.integers(1, 3),
            kind=st.sampled_from(["random", "one", "full", "empty",
@@ -877,7 +882,7 @@ class TestSigmaStage:
         assert got.dropped == want.dropped
         mask = split_component(surface, got, sol.gamma_samples).mask
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(locus, "flood", helpers.flood_by_queue)
+            patch.setattr(locus, "flood", helpers.flood_by_queue_revealed)
             want_mask = split_component(surface, want,
                                         sol.gamma_samples).mask
         assert _same_bytes(mask, want_mask)

@@ -97,19 +97,66 @@ class TestLoad:
                          Box((-1.0, 1.0), ((-1.0, 1.0),) * n, (-3.0, 3.0)),
                          s_range=s_range)
 
-    # n = 2 with make_problem's default single interval was accepted, and
-    # its initial set ran along x2 = x1; n = 1 with two intervals raised
-    # numpy's broadcast error
+    # n = 2 with a single interval was accepted, and its initial set ran
+    # along x2 = x1; n = 1 with two intervals raised numpy's broadcast
+    # error.  make_problem's counts are the file parser's schema checks
     @pytest.mark.parametrize("n, kwargs", [
-        (2, {}), (1, {"s_range": ((-0.1, 0.1), (-0.1, 0.1))})])
+        (2, {"s_range": ((-0.1, 0.1),)}),
+        (1, {"s_range": ((-0.1, 0.1), (-0.1, 0.1))})])
     def test_s_range_count_is_checked(self, n, kwargs):
-        count = len(kwargs.get("s_range", [None]))
-        with pytest.raises(ValidationError, match=re.escape(
-                f"s_range has {count} intervals; expected one per "
-                f"x-variable ({n})")):
+        with pytest.raises(SchemaError, match=re.escape(
+                f"s_range: expected {n} intervals")):
             make_problem(n, "1", ["u"] * n, "0", "1/(x1 + 3)",
                          Box((-1.0, 1.0), ((-1.0, 1.0),) * n, (-3.0, 3.0)),
                          **kwargs)
+
+    # each was accepted by make_problem and failed later: TypeError from
+    # the compiled rho (n = 2, one a), ValueError "variable 'x2' is not in
+    # ('t', 'x1', 'u')" (n = 1, two a) and numpy's broadcast error in the
+    # alpha check (n = 1, two x-ranges)
+    @pytest.mark.parametrize("n, a, x_ranges, field", [
+        (2, ["u"], 2, "a: expected 2 expressions, got 1"),
+        (1, ["u", "u"], 1, "a: expected 1 expressions, got 2"),
+        (1, ["u"], 2, "box.x: expected 1 ranges")],
+        ids=["n2_one_a", "n1_two_a", "n1_two_x_ranges"])
+    def test_make_problem_checks_a_and_box_x_against_n(self, n, a, x_ranges,
+                                                       field):
+        with pytest.raises(SchemaError, match=re.escape(field)):
+            make_problem(n, "1", a, "0", "1/(x1 + 3)",
+                         Box((-1.0, 1.0), ((-1.0, 1.0),) * x_ranges,
+                             (-3.0, 3.0)))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_default_s_range_is_one_interval_per_x_variable(self, n,
+                                                            tmp_path):
+        box = {"t": [-1.0, 1.0], "x": [[-1.0, 1.0]] * n, "u": [-3.0, 3.0]}
+        doc = {"n": n, "alpha": "1", "a": ["u"] * n, "b": "0", "h": "1",
+               "box": box}
+        _, data = make_problem(n, "1", ["u"] * n, "0", "1",
+                               Box((-1.0, 1.0), ((-1.0, 1.0),) * n,
+                                   (-3.0, 3.0)))
+        bundle = load_problem_bundle(write_problem(tmp_path, doc))
+        assert data.s_range == bundle.data.s_range == ((-0.1, 0.1),) * n
+
+    @pytest.mark.parametrize("s_range", [[], [[]], [-0.1, 0.1]])
+    def test_s_range_for_n_0_is_no_interval(self, s_range, tmp_path):
+        doc = {"n": 0, "alpha": "1", "b": "u^2", "h": "1", "s_range": s_range,
+               "box": {"t": [-5, 2], "u": [-10, 10]}}
+        if s_range:
+            with pytest.raises(SchemaError,
+                               match=re.escape("s_range: expected 0 "
+                                               "intervals")):
+                load_problem_bundle(write_problem(tmp_path, doc))
+        else:
+            bundle = load_problem_bundle(write_problem(tmp_path, doc))
+            assert bundle.data.s_range == ()
+
+    def test_a_defaults_to_none_for_every_n(self, tmp_path):
+        doc = dict(BURGERS)
+        del doc["a"]
+        with pytest.raises(SchemaError, match=re.escape(
+                "a: expected 1 expressions, got 0")):
+            load_problem_bundle(write_problem(tmp_path, doc))
 
     def test_zero_width_s_range_is_one_initial_point(self):
         _, data = make_problem(1, "1", ["u"], "0", "2",
