@@ -3,10 +3,10 @@
 Subcommands: verify, domain, query, characteristics, singular, envelope.
 One problem file drives everything; outputs are plot-ready CSV/JSON dumps.
 ``query`` takes the point as ``--t`` and one ``--x`` value per x-variable
-(none for n = 0).  Exit codes: 0 success, 1 I/O or parse error or a query
-without --t, 2 validation or convergence failure, a --x count other than
-n, or a surface requested for n >= 2.  Identical config and problem file
-give byte-identical outputs.
+(none for n = 0).  Exit codes: 0 success, 1 I/O or parse error, 2 usage
+error (a missing --t or a --x count other than n among them), validation
+or convergence failure, or a surface requested for n >= 2.  Identical
+config and problem file give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -144,9 +144,6 @@ def cmd_domain(args) -> int:
 def cmd_query(args) -> int:
     bundle = load_problem_bundle(args.problem)
     n = bundle.problem.n
-    if args.t is None:
-        print("query needs --t (and --x per x-variable)", file=sys.stderr)
-        return EXIT_IO
     if len(args.x) != n:
         raise ValueError(f"--x takes n = {n} values, got {len(args.x)}")
     _, sol = _solution(bundle)
@@ -229,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
            resolution=True)
     q = sub.add_parser("query", help="classify one base point")
     common(q, out=False)
-    q.add_argument("--t", type=float, default=None)
+    q.add_argument("--t", type=float, required=True)
     q.add_argument("--x", type=float, nargs="*", default=[])
     c = sub.add_parser("characteristics", help="dump characteristic curves")
     common(c, fmt=True)

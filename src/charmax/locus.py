@@ -9,16 +9,16 @@ evaluated on fewer points and a tile's values are the whole grid's.  Each
 vertex gets a sign code and each cell the OR of its corners' codes,
 reduced one axis at a time, and from those one uint8 state code: not
 crossing, excluded, crossing, or a sigma seed (F_u changes sign too).
-``singular`` evaluates the whole grid as one tile; ``domain`` only the
-tiles of TILE cells per axis that the initial set's flood reaches,
-revealed as the flood asks for them.  The states are the surface's one
-cell-shaped array: the flood also returns the sorted flat indices of the
-cells it reached, each evaluated tile lists its seed cells, and masks of
-the crossing, reached and excluded cells are derived only for readers
-that ask for them.  For point-cloud dumps only, the surface is also given
-as the zero of F on each cut edge of the crossing cells (the square's
-sides in the plane case, the edges of the cube's six Kuhn tetrahedra in
-the space case).
+The tiles have TILE cells per axis for every caller: ``singular``
+evaluates all of them, a slab along the first axis at a time, ``domain``
+those that the initial set's flood reaches.  The states are the surface's
+one cell-shaped array: the flood also returns the sorted flat indices of
+the cells it reached, each evaluated tile lists its seed cells, and masks
+of the crossing, reached and excluded cells are derived only for readers
+that ask for them.  For point-cloud dumps only, F is evaluated on every
+vertex and the surface given as the zero of F on each cut edge of the
+crossing cells (the square's sides in the plane case, the edges of the
+cube's six Kuhn tetrahedra in the space case).
 
 The singular locus is the subset of the surface where F_u vanishes too.
 The seed cells start a damped Newton polish that runs all seeds in
@@ -43,6 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, product
+from typing import Callable
 
 import numpy as np
 
@@ -78,7 +79,7 @@ class LevelSurface:
     box: Box
     resolution: int
     axes: tuple[np.ndarray, ...]       # vertex coordinates per axis
-    values: np.ndarray | None          # F at vertices (whole grid only)
+    F_and_Fu_rows: Callable | None     # (F, F_u) form, for patch_vertices
     state: np.ndarray                  # cell-shaped uint8 flood state codes
     seed_cells: np.ndarray             # (j, dim) sigma seed cells
     reached_flat: np.ndarray | None = None  # sorted flat, seed-cut flood
@@ -214,17 +215,17 @@ def extract_surface(F_and_Fu_rows, box: Box, resolution: int,
 
     F and F_u = dF/du are evaluated tile by tile by ``_evaluate_tiles`` on
     the implicit solution's array form ``F_and_Fu_rows``, so the surface
-    derives and compiles nothing.  Each tile's cells get one of flood's
-    state codes: NONE, EXCLUDED (a vertex where F fails to evaluate), OPEN
-    (crossing) or SEED.  Without ``gamma`` the whole grid is one tile, and
-    the surface keeps F's vertex values (for ``patch_vertices``).  With the
-    (m, dim) initial-set samples ``gamma`` the tiles have TILE cells per
-    axis (a last tile that does not fit starts at ``resolution - TILE``),
-    and ``flood`` evaluates those that the flood of the crossing cells
-    from the samples' cells, cut at the seed cells, reaches; its REACHED
-    cells' sorted flat indices are ``reached_flat``.  The surface keeps
-    the states, the only cell-shaped array, and the seed cells, which each
-    call lists from its tiles.
+    derives and compiles nothing.  The tiles have TILE cells per axis (a
+    last tile that does not fit starts at ``resolution - TILE``), and each
+    tile's cells get one of flood's state codes: NONE, EXCLUDED (a vertex
+    where F fails to evaluate), OPEN (crossing) or SEED.  Without ``gamma``
+    all tiles are evaluated, a slab along the first axis at a time; with
+    the (m, dim) initial-set samples ``gamma``, ``flood`` evaluates those
+    that the flood of the crossing cells from the samples' cells, cut at
+    the seed cells, reaches, and its REACHED cells' sorted flat indices are
+    ``reached_flat``.  The surface keeps the states, the only cell-shaped
+    array, the seed cells, which each call lists from its tiles, and
+    ``F_and_Fu_rows``.
     """
     if resolution < MIN_RESOLUTION:
         raise ValueError(f"resolution must be >= {MIN_RESOLUTION}")
@@ -233,21 +234,9 @@ def extract_surface(F_and_Fu_rows, box: Box, resolution: int,
                                   "n in {0, 1}")
     dim = box.n + 2
     axes = tuple(np.linspace(lo, hi, resolution + 1) for lo, hi in box.ranges)
-    size = resolution if gamma is None else min(TILE[dim], resolution)
+    size = min(TILE[dim], resolution)
     shape, tiles = (resolution,) * dim, (-(-resolution // size),) * dim
     seeds = []                     # the seed cells' flat indices, per call
-
-    def codes(origins: np.ndarray):
-        """F's vertex values and the cells' state codes on the tiles."""
-        values, _, cross, all_ok, seed = _evaluate_tiles(
-            F_and_Fu_rows, axes, origins, size)
-        code = np.full(cross.shape, NONE, dtype=np.uint8)
-        # NONE + invalid + 2 crossing + seed: NONE, EXCLUDED, OPEN or SEED
-        for part in (~all_ok, cross, cross, seed):
-            code += part
-        tile, *at = np.unravel_index(np.flatnonzero(seed), seed.shape)
-        seeds.append(np.ravel_multi_index(origins[tile].T + at, shape))
-        return values, code
 
     def reveal(held: np.ndarray) -> list:
         """The first cell and the state codes of each tile of the (m, dim)
@@ -256,17 +245,27 @@ def extract_surface(F_and_Fu_rows, box: Box, resolution: int,
         index = np.unique(np.ravel_multi_index(index.T, tiles))
         origins = np.minimum(np.transpose(np.unravel_index(index, tiles))
                              * size, resolution - size)
-        return list(zip(origins.tolist(), codes(origins)[1]))
+        _, _, cross, all_ok, seed = _evaluate_tiles(
+            F_and_Fu_rows, axes, origins, size)
+        code = np.full(cross.shape, NONE, dtype=np.uint8)
+        # NONE + invalid + 2 crossing + seed: NONE, EXCLUDED, OPEN or SEED
+        for part in (~all_ok, cross, cross, seed):
+            code += part
+        tile, *at = np.unravel_index(np.flatnonzero(seed), seed.shape)
+        seeds.append(np.ravel_multi_index(origins[tile].T + at, shape))
+        return list(zip(origins.tolist(), code))
 
     if gamma is None:
-        values, state = codes(np.zeros((1, dim), dtype=int))
-        values, state, reached = values[0], state[0], None
+        state, reached = np.empty(shape, dtype=np.uint8), None
+        cells = np.array(list(product(range(0, resolution, size), repeat=dim)))
+        for slab in np.split(cells, tiles[0]):    # one slab of tiles a call
+            for origin, block in reveal(slab):
+                state[tuple(slice(i, i + size) for i in origin)] = block
     else:
-        values = None
         state, reached = flood(shape, _cells_touching(axes, gamma)[0],
                                reveal)
     seeds = np.unique(np.concatenate(seeds))   # a cell of two tiles once
-    return LevelSurface(box, resolution, axes, values, state,
+    return LevelSurface(box, resolution, axes, F_and_Fu_rows, state,
                         np.transpose(np.unravel_index(seeds, shape)), reached)
 
 
@@ -666,8 +665,13 @@ def patch_vertices(surface: LevelSurface) -> np.ndarray:
     b and is cut where exactly one end is >= 0, the rule of
     ``_classify_cells``; its zero is ``a + s (b - a)`` with
     ``s = va / (va - vb)``.  An edge of several crossing cells gives one
-    row; the rows are in (flat index of a, direction) order."""
-    dim, shape = surface.dim, surface.values.shape
+    row; the rows are in (flat index of a, direction) order.  F's vertex
+    values exist only here: one ``evaluate_grid`` call of the surface's
+    ``F_and_Fu_rows`` on the sparse vertex axes gives them."""
+    dim, shape = surface.dim, tuple(len(ax) for ax in surface.axes)
+    grid = np.meshgrid(*surface.axes, indexing="ij", sparse=True)
+    values = evaluate_grid(surface.F_and_Fu_rows, dict(zip(
+        var_names(dim - 2), grid)))[0][0].ravel()
     offsets = np.array(list(product((0, 1), repeat=dim)))
     steps = offsets[1:] if dim == 3 else offsets[offsets.sum(axis=1) == 1]
     # the edges of a cell, each as its lower corner and its step
@@ -675,7 +679,6 @@ def patch_vertices(surface: LevelSurface) -> np.ndarray:
     lo = (np.ravel_multi_index(surface.cells.T, shape)[:, None]
           + np.ravel_multi_index(offsets[corner].T, shape))
     hi = lo + np.ravel_multi_index(steps[step].T, shape)
-    values = surface.values.ravel()
     cut = (values[lo] >= 0.0) != (values[hi] >= 0.0)
     _, first = np.unique((lo * len(steps) + step)[cut], return_index=True)
     a, b = lo[cut][first], hi[cut][first]

@@ -67,9 +67,12 @@ def surface_by_trees(F, box, resolution: int, gamma=None):
     """Reference for extract_surface on the pair form: the same surface
     with each tile's F and F_u evaluated as two trees, each compiled once
     on its own and evaluated by its own evaluate_grid call, and classified
-    by _classify_cells."""
+    by _classify_cells.  Its (F, F_u) form evaluates the two trees."""
     forms = [compile_exprs([e], var_names(box.n), arrays=True)
              for e in (F, diff(F, "u"))]
+
+    def two_trees(*coords):
+        return [form(*coords)[0] for form in forms]
 
     def evaluate_tiles(_, axes, origins, size):
         k, dim = origins.shape
@@ -85,7 +88,32 @@ def surface_by_trees(F, box, resolution: int, gamma=None):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(locus, "_evaluate_tiles", evaluate_tiles)
-        return extract_surface(pair_form(F, box.n), box, resolution, gamma)
+        return extract_surface(two_trees, box, resolution, gamma)
+
+
+def vertex_values(surface):
+    """F at every grid vertex, as locus.patch_vertices evaluates it: one
+    evaluate_grid call of the surface's (F, F_u) form on the sparse axes."""
+    grid = np.meshgrid(*surface.axes, indexing="ij", sparse=True)
+    ((values, _), _) = evaluate_grid(
+        surface.F_and_Fu_rows, dict(zip(var_names(surface.dim - 2), grid)))
+    return values
+
+
+def surface_by_whole_grid(F_and_Fu_rows, box, resolution: int):
+    """Reference for extract_surface without initial samples: F and F_u
+    by one evaluate_grid call of the (F, F_u) form on the whole grid's
+    sparse axes, each classified by _classify_cells: the cell-shaped
+    state codes (NONE, EXCLUDED, OPEN or SEED) and the (j, dim) seed
+    cells."""
+    axes = [np.linspace(lo, hi, resolution + 1) for lo, hi in box.ranges]
+    grid = np.meshgrid(*axes, indexing="ij", sparse=True)
+    (values, valid), F_u = evaluate_grid(
+        F_and_Fu_rows, dict(zip(var_names(box.n), grid)))
+    crossing, all_ok = _classify_cells(values, valid, len(axes))
+    seeds = crossing & _classify_cells(*F_u, len(axes))[0]
+    state = (locus.NONE + ~all_ok + 2 * crossing + seeds).astype(np.uint8)
+    return state, np.argwhere(seeds)
 
 
 def domain_on_tiles(problem, sol, resolution: int, tiled: bool):
@@ -426,7 +454,7 @@ def seed_cells_by_unique(F_u, surface):
     distinct corners of the crossing cells by np.unique, gathered back
     onto (k, 8) corners."""
     cells = np.argwhere(surface.crossing)
-    shape = surface.values.shape
+    shape = tuple(len(ax) for ax in surface.axes)
     offsets = np.array(list(product((0, 1), repeat=surface.dim)))
     corners = (np.ravel_multi_index(cells.T, shape)[:, None]
                + np.ravel_multi_index(offsets.T, shape))
@@ -1474,9 +1502,9 @@ def patch_vertices_by_edges(surface):
     square, or all seven steps of the cube) is kept when its ends differ in
     sign, 0.0 and -0.0 counting as >= 0, and one of the cells holding it is
     crossing.  Its row is the zero from a."""
-    dim, axes, shape = surface.dim, surface.axes, surface.values.shape
-    cells = surface.crossing.shape
-    values = surface.values.ravel().tolist()
+    dim, axes, values = surface.dim, surface.axes, vertex_values(surface)
+    cells, shape = surface.crossing.shape, values.shape
+    values = values.ravel().tolist()
     steps = [o for o in product((0, 1), repeat=dim)
              if any(o) and (dim == 3 or sum(o) == 1)]
     strides = [int(np.ravel_multi_index(o, shape)) for o in steps]
@@ -1556,7 +1584,7 @@ def cell_pieces_by_cells(surface):
     """The (m, dim) vertices of the linear pieces of the crossing cells, one
     cell at a time: the segments of the square, a saddle resolved by the
     bilinear centre value, or the triangles of the six Kuhn tetrahedra."""
-    dim, axes, values = surface.dim, surface.axes, surface.values
+    dim, axes, values = surface.dim, surface.axes, vertex_values(surface)
     if dim == 2:
         shapes, pieces_of = [((0, 0), (1, 0), (1, 1), (0, 1))], _square_segments
     else:
@@ -1583,8 +1611,9 @@ def grid_surface(values, lows=None, highs=None):
     valid = np.ones(values.shape, dtype=bool)
     crossing, all_ok = _classify_cells(values, valid, values.ndim)
     state = (locus.NONE + ~all_ok + 2 * crossing).astype(np.uint8)
-    return LevelSurface(None, values.shape[0] - 1, axes, values, state,
-                        np.zeros((0, values.ndim), dtype=int))
+    pair = [(values, ~valid)] * 2      # F's values, F_u left unread
+    return LevelSurface(None, values.shape[0] - 1, axes, lambda *_: pair,
+                        state, np.zeros((0, values.ndim), dtype=int))
 
 
 # ---------------------------------------------------------------------------

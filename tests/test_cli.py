@@ -246,8 +246,8 @@ def _with_box(doc, **ranges):
 
 class TestErrorPaths:
     """A malformed or invalid problem file, or a query without --t, ends
-    in a clean exit: 1 for a schema or parse error or a missing argument,
-    2 for a validation error."""
+    in a clean exit: 1 for a schema or parse error, 2 for a validation
+    error or a usage error (argparse's exit)."""
 
     @pytest.mark.parametrize("command, doc, code, fragment", [
         ("verify", [1], 1, "top level must be an object"),
@@ -290,7 +290,8 @@ class TestErrorPaths:
         ("verify", dict(BURGERS_RECIPROCAL, rho=["u", "x - u*t"]), 2,
          "no f in the problem file and rho is not the built-in "
          "conservation set"),
-        ("query", CONSTANT_DATA, 1, "query needs --t"),
+        ("query", CONSTANT_DATA, 2,
+         "the following arguments are required: --t"),
     ], ids=["not_an_object", "negative_n", "bool_n", "a_count",
             "box_x_count", "s_range_count", "s_range_not_intervals",
             "s_range_for_n_0",
@@ -304,7 +305,11 @@ class TestErrorPaths:
         argv = [command, "--problem", write(tmp_path, doc)]
         if command != "query":
             argv += ["--out", str(tmp_path / "out")]
-        assert main(argv) == code
+        try:
+            got = main(argv)
+        except SystemExit as exit:     # a usage error, from argparse
+            got = exit.code
+        assert got == code
         assert fragment in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 

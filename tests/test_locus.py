@@ -102,7 +102,7 @@ class TestExtractSurface:
 
     def test_crossing_cells_have_both_signs(self, pipelines):
         _, _, surf, _, _, _ = pipelines("burgers_ramp", 32)
-        vals = surf.values
+        vals = helpers.vertex_values(surf)
         for cell in surf.cells[:: max(1, len(surf.cells) // 100)]:
             corners = vals[cell[0]:cell[0] + 2, cell[1]:cell[1] + 2,
                            cell[2]:cell[2] + 2]
@@ -1208,10 +1208,12 @@ class TestPairForm:
                                   gamma)
             want = helpers.surface_by_trees(sol.F, problem.box, resolution,
                                             gamma)
-            for field in ("state", "seed_cells", "reached_flat", "values"):
+            for field in ("state", "seed_cells", "reached_flat"):
                 g, w = getattr(got, field), getattr(want, field)
                 assert (g is None and w is None) or _same_bytes(g, w), (
                     resolution, field)
+            assert _same_bytes(helpers.vertex_values(got),
+                               helpers.vertex_values(want)), resolution
 
 
 class TestTiles:
@@ -1262,11 +1264,30 @@ class TestTiles:
         assert _same_bytes(tiled.excluded_cells,
                            cell_indices(excluded & covered))
         assert not (tiled.reached & ~covered).any()
-        assert tiled.values is None and covered.mean() < 0.5
+        assert covered.mean() < 0.5
         # the tiles are distinct, and a resolution TILE does not divide
         # clamps the last tile of an axis to end at the grid's edge
         assert len(np.unique(origins, axis=0)) == len(origins)
         assert (origins % size != 0).any() == (resolution % size != 0)
+
+
+class TestSweep:
+    """extract_surface without initial samples evaluates every tile, one
+    slab along the first axis at a time: its states and seed cells are the
+    whole grid's, evaluated as one array and classified by
+    _classify_cells, byte for byte."""
+
+    @pytest.mark.parametrize("name, resolution", [
+        (name, r) for name in helpers.EXAMPLES for r in (64, 100, 128)]
+        + [("ode_quadratic", 256), ("ode_quadratic", 1024)])
+    def test_slabs_match_the_whole_grid(self, name, resolution, solutions):
+        b, _, sol = solutions(name)
+        got = extract_surface(sol.F_and_Fu_rows, b.problem.box, resolution)
+        state, seed_cells = helpers.surface_by_whole_grid(
+            sol.F_and_Fu_rows, b.problem.box, resolution)
+        assert _same_bytes(got.state, state)
+        assert _same_bytes(got.seed_cells, seed_cells)
+        assert got.reached_flat is None
 
 
 class TestTiledDomain:
